@@ -138,6 +138,7 @@ mod tests {
             busy_seconds: vec![vec![2.0, 0.0]],
             work_units: vec![vec![4, 0]],
             messages_sent: vec![vec![0, 0]],
+            lookahead: 0,
         };
         let sample = IterationSample::from_exec_report(0, &report);
         assert_eq!(sample.observed, vec![vec![Some(0.5), None]]);

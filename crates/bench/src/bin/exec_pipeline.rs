@@ -26,12 +26,10 @@ use hetgrid_bench::report::{write_bench, JsonWriter};
 use hetgrid_core::{exact, Arrangement};
 use hetgrid_dist::{PanelDist, PanelOrdering};
 use hetgrid_exec::channel::{unbounded, Receiver, Sender};
-use hetgrid_exec::{
-    run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, slowdown_weights, Closed, Endpoint,
-    ExecConfig, Transport,
-};
+use hetgrid_exec::{run, slowdown_weights, Closed, Endpoint, ExecConfig, Transport};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::Matrix;
+use hetgrid_plan::Kernel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -223,38 +221,24 @@ fn main() {
             PanelOrdering::Interleaved,
         );
         let weights = slowdown_weights(&arr);
-        for kernel in ["mm", "lu", "cholesky"] {
+        // MM's panel broadcasts depend on nothing but the read-only
+        // inputs, so a deeper window sends them several steps ahead and
+        // hides the interconnect latency entirely — the cleanest
+        // pipelining case.
+        let cases = [
+            (Kernel::Mm, vec![dominant(n, 0xE0), dominant(n, 0xE3)]),
+            (Kernel::Lu, vec![dominant(n, 0xE1)]),
+            (Kernel::Cholesky, vec![spd(n, 0xE2)]),
+        ];
+        for (kernel, inputs) in &cases {
+            let inputs: Vec<&Matrix> = inputs.iter().collect();
             let mut times_ms = Vec::new();
             for &depth in &DEPTHS {
                 let cfg = ExecConfig { lookahead: depth };
-                let secs = match kernel {
-                    // MM's panel broadcasts depend on nothing but the
-                    // read-only inputs, so a deeper window sends them
-                    // several steps ahead and hides the interconnect
-                    // latency entirely — the cleanest pipelining case.
-                    "mm" => {
-                        let a = dominant(n, 0xE0);
-                        let b = dominant(n, 0xE3);
-                        time_min(reps, || {
-                            run_mm_on_cfg(&transport, &a, &b, &dist, nb, r, &weights, cfg)
-                                .expect("bench MM run failed");
-                        })
-                    }
-                    "lu" => {
-                        let a = dominant(n, 0xE1);
-                        time_min(reps, || {
-                            run_lu_on_cfg(&transport, &a, &dist, nb, r, &weights, cfg)
-                                .expect("bench LU run failed");
-                        })
-                    }
-                    _ => {
-                        let a = spd(n, 0xE2);
-                        time_min(reps, || {
-                            run_cholesky_on_cfg(&transport, &a, &dist, nb, r, &weights, cfg)
-                                .expect("bench Cholesky run failed");
-                        })
-                    }
-                };
+                let secs = time_min(reps, || {
+                    run(&transport, *kernel, &inputs, &dist, nb, r, &weights, cfg)
+                        .expect("bench run failed");
+                });
                 times_ms.push(secs * 1e3);
             }
             let in_order = times_ms[0];
@@ -263,7 +247,7 @@ fn main() {
             println!(
                 "{:>8} {:<11} ratio {:>4.1}: in-order {:>8.2} ms, depths 1/2/4 \
                  {:>8.2} / {:>8.2} / {:>8.2} ms -> best speedup {:.2}x",
-                kernel,
+                kernel.name(),
                 case.name,
                 ratio,
                 times_ms[0],
@@ -273,10 +257,10 @@ fn main() {
                 speedup
             );
             if speedup > best_overall.0 {
-                best_overall = (speedup, format!("{kernel} on {}", case.name));
+                best_overall = (speedup, format!("{} on {}", kernel.name(), case.name));
             }
             json.open_element()
-                .str_field("kernel", kernel)
+                .str_field("kernel", kernel.name())
                 .str_field("grid", case.name)
                 .num("hetero_ratio", ratio, 2)
                 .num_array("ms_by_depth", &times_ms, 3)

@@ -20,7 +20,7 @@
 use hetgrid_bench::report::{write_bench, JsonWriter};
 use hetgrid_core::Topology;
 use hetgrid_dist::BlockCyclic;
-use hetgrid_exec::{run_mm, run_star_mm};
+use hetgrid_exec::{run_mm_on_cfg, run_star_mm_on_cfg, ChannelTransport, ExecConfig};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::Matrix;
 use hetgrid_sim::counts::star_mm_counts;
@@ -66,10 +66,12 @@ fn main() {
     // --- 2D grid reference: uniform 2x2 block-cyclic ---
     let dist = BlockCyclic::new(2, 2);
     let grid_weights = vec![vec![1u64; 2]; 2];
+    let (t, cfg) = (ChannelTransport, ExecConfig::default());
+    let grid_mm = || run_mm_on_cfg(&t, &a, &b, &dist, nb, r, &grid_weights, cfg);
     let grid_s = time_min(reps, || {
-        run_mm(&a, &b, &dist, nb, r, &grid_weights).expect("bench grid MM failed");
+        grid_mm().expect("bench grid MM failed");
     });
-    let (c_grid, grid_report) = run_mm(&a, &b, &dist, nb, r, &grid_weights).expect("grid MM");
+    let (c_grid, grid_report) = grid_mm().expect("grid MM");
     assert!(
         c_grid.approx_eq(&reference, 1e-9),
         "grid MM diverged from the sequential reference"
@@ -101,11 +103,11 @@ fn main() {
             master_bw: 1.0,
         };
         let mu = hetgrid_plan::star_tile_side(worker_mem);
+        let star_mm = || run_star_mm_on_cfg(&t, &a, &b, &topo, (nb, nb, nb), r, &weights, cfg);
         let star_s = time_min(reps, || {
-            run_star_mm(&a, &b, &topo, (nb, nb, nb), r, &weights).expect("bench star MM failed");
+            star_mm().expect("bench star MM failed");
         });
-        let (c_star, report) =
-            run_star_mm(&a, &b, &topo, (nb, nb, nb), r, &weights).expect("star MM");
+        let (c_star, report) = star_mm().expect("star MM");
         assert!(
             c_star.approx_eq(&reference, 1e-9),
             "star MM (mem {worker_mem}) diverged from the sequential reference"

@@ -14,7 +14,7 @@
 //!    pays on every instrumented operation;
 //! 3. the cost of one `series::sample()` — the periodic metrics delta
 //!    the serve sampler thread records once a second;
-//! 4. the threaded GEMM executor (`hetgrid_exec::run_mm`) with tracing
+//! 4. the threaded GEMM executor (`hetgrid_exec::run_mm_on_cfg`) with tracing
 //!    off vs on;
 //! 5. the exact solver (`hetgrid_core::exact::solve_global`) with
 //!    tracing off vs on (its effort counters publish to the metrics
@@ -31,7 +31,7 @@
 
 use hetgrid_core::exact;
 use hetgrid_dist::BlockCyclic;
-use hetgrid_exec::{run_mm, slowdown_weights};
+use hetgrid_exec::{run_mm_on_cfg, slowdown_weights, ChannelTransport, ExecConfig};
 use hetgrid_linalg::Matrix;
 use hetgrid_obs::diag;
 use rand::rngs::StdRng;
@@ -106,11 +106,8 @@ fn main() {
     // The serve sampler thread calls this once a second; its cost is a
     // full registry snapshot plus a delta against the previous one.
     let samples: usize = if smoke { 200 } else { 2_000 };
-    hetgrid_obs::series::clear();
-    let sample_s = time_avg(samples, || {
-        hetgrid_obs::series::sample();
-    });
-    hetgrid_obs::series::clear();
+    let series = hetgrid_obs::series::Series::new();
+    let sample_s = time_avg(samples, || series.sample());
     println!(
         "series::sample() snapshot+delta: {:.2} us per sample ({} samples)",
         sample_s * 1e6,
@@ -134,7 +131,9 @@ fn main() {
         reps
     );
     let mut gemm = || {
-        std::hint::black_box(run_mm(&a, &b, &dist, nb, r, &weights).unwrap());
+        let cfg = ExecConfig::default();
+        let out = run_mm_on_cfg(&ChannelTransport, &a, &b, &dist, nb, r, &weights, cfg);
+        std::hint::black_box(out.unwrap());
     };
     let gemm_off = time_traced(reps, false, &mut gemm);
     let gemm_on = time_traced(reps, true, &mut gemm);

@@ -561,11 +561,12 @@ fn build_dist(
 /// per-processor / per-edge message and work counters.
 fn cmd_run(args: &Args) -> Result<(), String> {
     use hetgrid_exec::{
-        run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, run_qr_on_cfg, slowdown_weights,
-        ChannelTransport, ExecConfig, DEFAULT_LOOKAHEAD,
+        run, run_recovery, slowdown_weights, ChannelTransport, ExecConfig, GridFault,
+        RecoveryHooks, DEFAULT_LOOKAHEAD,
     };
-    use hetgrid_linalg::gemm::matmul;
-    use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
+    use hetgrid_harness::scenario::kernel_inputs;
+    use hetgrid_harness::{resolve_grid_fault, FaultProfile, KillSchedule, VirtualTransport};
+    use hetgrid_plan::Kernel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -586,9 +587,43 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let nb: usize = args.get_parse("nb", 8)?;
     let r: usize = args.get_parse("block", 8)?;
     let seed: u64 = args.get_parse("seed", 0)?;
-    let kernel = args.get("kernel").unwrap_or("mm");
+    let kernel_name = args.get("kernel").unwrap_or("mm");
+    let kernel = Kernel::parse(kernel_name).ok_or_else(|| {
+        format!(
+            "unknown kernel: {} (run supports mm, lu, cholesky, qr)",
+            kernel_name
+        )
+    })?;
     let cfg = ExecConfig {
         lookahead: args.get_parse("lookahead", DEFAULT_LOOKAHEAD)?,
+    };
+    // `--crash PROC@STEP` routes the run through the elastic-grid
+    // recovery driver: the named processor is killed at that retirement
+    // boundary, the survivor grid is re-solved (dropping the victim's
+    // weakest grid line), lost blocks are restored from the checkpoint
+    // log, and the plan resumes — the result is still verified against
+    // the sequential reference.
+    let crash = match args.get("crash") {
+        None => None,
+        Some(spec) => {
+            let (cproc, cstep) = spec
+                .split_once('@')
+                .and_then(|(x, y)| Some((x.parse::<usize>().ok()?, y.parse::<usize>().ok()?)))
+                .ok_or_else(|| format!("invalid --crash (want PROC@STEP, e.g. 2@3): {}", spec))?;
+            if cproc >= p * q {
+                return Err(format!(
+                    "--crash processor {} outside the {}x{} grid",
+                    cproc, p, q
+                ));
+            }
+            if cstep >= nb {
+                return Err(format!(
+                    "--crash step {} outside the {}-step plan",
+                    cstep, nb
+                ));
+            }
+            Some((cproc, cstep))
+        }
     };
 
     let method = args.get("method").unwrap_or("heuristic");
@@ -614,7 +649,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let n = nb * r;
     vdiag!(
         "executor: kernel {} on {} {}x{} blocks ({} worker threads, matrix {}x{})",
-        kernel,
+        kernel.name(),
         nb * nb,
         r,
         r,
@@ -635,220 +670,134 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
 
     let session = ObsSession::begin(args);
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    // `--crash PROC@STEP` routes the run through the elastic-grid
-    // recovery driver: the named processor is killed at that retirement
-    // boundary, the survivor grid is re-solved (dropping the victim's
-    // weakest grid line), lost blocks are restored from the checkpoint
-    // log, and the plan resumes — the result is still verified against
-    // the sequential reference.
-    if let Some(spec) = args.get("crash") {
-        use hetgrid_exec::{run_recovery, GridFault, RecoveryHooks, RecoveryInput};
-        use hetgrid_harness::{resolve_grid_fault, FaultProfile, KillSchedule, VirtualTransport};
-
-        let (cproc, cstep) = spec
-            .split_once('@')
-            .and_then(|(x, y)| Some((x.parse::<usize>().ok()?, y.parse::<usize>().ok()?)))
-            .ok_or_else(|| format!("invalid --crash (want PROC@STEP, e.g. 2@3): {}", spec))?;
-        if cproc >= p * q {
-            return Err(format!(
-                "--crash processor {} outside the {}x{} grid",
-                cproc, p, q
-            ));
+    let inputs = kernel_inputs(kernel, &mut StdRng::seed_from_u64(seed), n);
+    let refs: Vec<&hetgrid_linalg::Matrix> = inputs.iter().collect();
+    let (out, recovered) = match crash {
+        None => {
+            let t = ChannelTransport;
+            let out = run(&t, kernel, &refs, dist.as_ref(), nb, r, &weights, cfg)
+                .map_err(|e| e.to_string())?;
+            (out, None)
         }
-        if cstep >= nb {
-            return Err(format!(
-                "--crash step {} outside the {}-step plan",
-                cstep, nb
-            ));
-        }
-
-        let schedule = KillSchedule {
-            events: vec![GridFault::Crash {
-                proc: cproc,
-                at_step: cstep,
-            }],
-        };
-        let transport = VirtualTransport::new(seed, FaultProfile::FIFO).with_kills(&schedule);
-        let hooks = RecoveryHooks {
-            events: Box::new(|| transport.fault_events()),
-            resolve: Box::new(|fault| resolve_grid_fault(&arr, &weights, fault)),
-            redistribute: Box::new(|dm, from, to| hetgrid_adapt::redistribute(dm, from, to)),
-        };
-
-        let a: hetgrid_linalg::Matrix;
-        let mut b2: Option<hetgrid_linalg::Matrix> = None;
-        let input = match kernel {
-            "mm" => {
-                a = random_matrix(&mut rng, n, n);
-                b2 = Some(random_matrix(&mut rng, n, n));
-                RecoveryInput::Mm {
-                    a: &a,
-                    b: b2.as_ref().expect("just set"),
-                }
-            }
-            "lu" => {
-                a = dominant_matrix(&mut rng, n);
-                RecoveryInput::Lu { a: &a }
-            }
-            "cholesky" => {
-                a = spd_matrix(&mut rng, n);
-                RecoveryInput::Cholesky { a: &a }
-            }
-            "qr" => {
-                a = random_matrix(&mut rng, n, n);
-                RecoveryInput::Qr { a: &a }
-            }
-            other => {
-                return Err(format!(
-                    "unknown kernel: {} (run supports mm, lu, cholesky, qr)",
-                    other
-                ))
-            }
-        };
-        let out = run_recovery(
-            &transport,
-            input,
-            dist.as_ref(),
-            nb,
-            r,
-            &weights,
-            cfg,
-            &hooks,
-        )
-        .map_err(|e| e.to_string())?;
-
-        let check = match kernel {
-            "mm" => {
-                let prod = matmul(&a, b2.as_ref().expect("mm has two operands"));
-                format!("max |C - A*B|    = {:.3e}", out.result.sub(&prod).max_abs())
-            }
-            "lu" => {
-                let lu = matmul(
-                    &unit_lower_from_packed(&out.result),
-                    &upper_from_packed(&out.result),
-                );
-                format!("max |L*U - A|    = {:.3e}", lu.sub(&a).max_abs())
-            }
-            "cholesky" => {
-                let err = matmul(&out.result, &out.result.transpose())
-                    .sub(&a)
-                    .max_abs();
-                format!("max |L*L^T - A|  = {:.3e}", err)
-            }
-            "qr" => {
-                let taus = out.taus.as_deref().expect("qr returns taus");
-                let (qm, rm) = hetgrid_exec::qr_unpack(&out.result, taus, nb, r);
-                format!(
-                    "max |Q*R - A|    = {:.3e}",
-                    matmul(&qm, &rm).sub(&a).max_abs()
-                )
-            }
-            _ => unreachable!(),
-        };
-        session.finish()?;
-
-        println!(
-            "kernel {} on a {}x{} grid: processor {} crashed at step {}, run recovered",
-            kernel, p, q, cproc, cstep
-        );
-        println!(
-            "recovery         : resumed at step {}, {} dead blocks restored, \
-             {} blocks moved, {} steps replayed",
-            out.stats.frontier,
-            out.stats.dead_blocks,
-            out.stats.blocks_moved,
-            out.stats.replayed_steps
-        );
-        println!("lookahead depth  : {}", cfg.lookahead);
-        println!("wall time        : {:.4} s", out.report.wall_seconds);
-        println!("{}", check);
-        println!("messages sent    : {}", out.report.total_messages());
-        finish_flight(flight);
-        return Ok(());
-    }
-
-    let (report, check) = match kernel {
-        "mm" => {
-            let a = random_matrix(&mut rng, n, n);
-            let b = random_matrix(&mut rng, n, n);
-            let (c, report) = run_mm_on_cfg(
-                &ChannelTransport,
-                &a,
-                &b,
+        Some((proc, at_step)) => {
+            let schedule = KillSchedule {
+                events: vec![GridFault::Crash { proc, at_step }],
+            };
+            let transport = VirtualTransport::new(seed, FaultProfile::FIFO).with_kills(&schedule);
+            let hooks = RecoveryHooks {
+                events: Box::new(|| transport.fault_events()),
+                resolve: Box::new(|fault| resolve_grid_fault(&arr, &weights, fault)),
+                redistribute: Box::new(|dm, from, to| hetgrid_adapt::redistribute(dm, from, to)),
+            };
+            let rec = run_recovery(
+                &transport,
+                kernel,
+                &refs,
                 dist.as_ref(),
                 nb,
                 r,
                 &weights,
                 cfg,
+                &hooks,
             )
             .map_err(|e| e.to_string())?;
-            let err = c.sub(&matmul(&a, &b)).max_abs();
-            (report, format!("max |C - A*B|    = {:.3e}", err))
-        }
-        "lu" => {
-            let a = dominant_matrix(&mut rng, n);
-            let (packed, report) =
-                run_lu_on_cfg(&ChannelTransport, &a, dist.as_ref(), nb, r, &weights, cfg)
-                    .map_err(|e| e.to_string())?;
-            let lu = matmul(
-                &unit_lower_from_packed(&packed),
-                &upper_from_packed(&packed),
-            );
-            let err = lu.sub(&a).max_abs();
-            (report, format!("max |L*U - A|    = {:.3e}", err))
-        }
-        "cholesky" => {
-            let a = spd_matrix(&mut rng, n);
-            let (l, report) =
-                run_cholesky_on_cfg(&ChannelTransport, &a, dist.as_ref(), nb, r, &weights, cfg)
-                    .map_err(|e| e.to_string())?;
-            let err = matmul(&l, &l.transpose()).sub(&a).max_abs();
-            (report, format!("max |L*L^T - A|  = {:.3e}", err))
-        }
-        "qr" => {
-            let a = random_matrix(&mut rng, n, n);
-            let (packed, taus, report) =
-                run_qr_on_cfg(&ChannelTransport, &a, dist.as_ref(), nb, r, &weights, cfg)
-                    .map_err(|e| e.to_string())?;
-            let (qm, rm) = hetgrid_exec::qr_unpack(&packed, &taus, nb, r);
-            let err = matmul(&qm, &rm).sub(&a).max_abs();
-            (report, format!("max |Q*R - A|    = {:.3e}", err))
-        }
-        other => {
-            return Err(format!(
-                "unknown kernel: {} (run supports mm, lu, cholesky, qr)",
-                other
-            ))
+            (rec.run, Some(((proc, at_step), rec.stats)))
         }
     };
+    let residual = residual_line(kernel, &inputs, &out, nb, r);
     session.finish()?;
 
-    println!(
-        "kernel {} on a {}x{} grid, scheme {}: {}x{} blocks of order {} (matrix {}x{})",
-        kernel,
-        p,
-        q,
-        args.get("scheme").unwrap_or("panel"),
-        nb,
-        nb,
-        r,
-        n,
-        n
-    );
-    println!("lookahead depth  : {}", cfg.lookahead);
+    let report = &out.report;
+    match &recovered {
+        Some(((cproc, cstep), stats)) => {
+            println!(
+                "kernel {} on a {}x{} grid: processor {} crashed at step {}, run recovered",
+                kernel.name(),
+                p,
+                q,
+                cproc,
+                cstep
+            );
+            println!(
+                "recovery         : resumed at step {}, {} dead blocks restored, \
+                 {} blocks moved, {} steps replayed",
+                stats.frontier, stats.dead_blocks, stats.blocks_moved, stats.replayed_steps
+            );
+        }
+        None => println!(
+            "kernel {} on a {}x{} grid, scheme {}: {}x{} blocks of order {} (matrix {}x{})",
+            kernel.name(),
+            p,
+            q,
+            args.get("scheme").unwrap_or("panel"),
+            nb,
+            nb,
+            r,
+            n,
+            n
+        ),
+    }
+    println!("lookahead depth  : {}", lookahead_line(report, cfg));
     println!("wall time        : {:.4} s", report.wall_seconds);
-    println!("{}", check);
+    println!("{}", residual);
     println!("messages sent    : {}", report.total_messages());
-    println!("work imbalance   : {:.3}", report.work_imbalance());
-    println!("busy imbalance   : {:.3}", report.imbalance());
-    println!("per-processor work units:");
-    for row in &report.work_units {
-        println!("  {:?}", row);
+    if recovered.is_none() {
+        println!("work imbalance   : {:.3}", report.work_imbalance());
+        println!("busy imbalance   : {:.3}", report.imbalance());
+        println!("per-processor work units:");
+        for row in &report.work_units {
+            println!("  {:?}", row);
+        }
     }
     finish_flight(flight);
     Ok(())
+}
+
+/// The depth the run actually used next to the one asked for: LU's
+/// skew clamp can force the in-order schedule whatever `--lookahead`
+/// says.
+fn lookahead_line(report: &hetgrid_exec::ExecReport, cfg: hetgrid_exec::ExecConfig) -> String {
+    format!("{} (requested {})", report.lookahead, cfg.lookahead)
+}
+
+/// The line verifying a run's result against the sequential reference:
+/// the max-norm error of the identity its kernel promises.
+fn residual_line(
+    kernel: hetgrid_plan::Kernel,
+    inputs: &[hetgrid_linalg::Matrix],
+    out: &hetgrid_exec::RunOutput,
+    nb: usize,
+    r: usize,
+) -> String {
+    use hetgrid_linalg::gemm::matmul;
+    use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
+    use hetgrid_plan::Kernel;
+
+    let res = &out.result;
+    let (label, rebuilt) = match kernel {
+        Kernel::Mm => return mm_residual_line(&inputs[0], &inputs[1], res),
+        Kernel::Lu => (
+            "max |L*U - A|    ",
+            matmul(&unit_lower_from_packed(res), &upper_from_packed(res)),
+        ),
+        Kernel::Cholesky => ("max |L*L^T - A|  ", matmul(res, &res.transpose())),
+        Kernel::Qr => {
+            let taus = out.taus.as_deref().expect("qr returns taus");
+            let (qm, rm) = hetgrid_exec::qr_unpack(res, taus, nb, r);
+            ("max |Q*R - A|    ", matmul(&qm, &rm))
+        }
+    };
+    format!("{}= {:.3e}", label, rebuilt.sub(&inputs[0]).max_abs())
+}
+
+/// `max |C - A*B|` of an MM result, grid or star.
+fn mm_residual_line(
+    a: &hetgrid_linalg::Matrix,
+    b: &hetgrid_linalg::Matrix,
+    c: &hetgrid_linalg::Matrix,
+) -> String {
+    let err = c.sub(&hetgrid_linalg::gemm::matmul(a, b)).max_abs();
+    format!("max |C - A*B|    = {:.3e}", err)
 }
 
 /// `hetgrid run --topology star`: matrix multiplication on the
@@ -858,7 +807,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
 /// per-worker residency bound.
 fn cmd_run_star(args: &Args) -> Result<(), String> {
     use hetgrid_exec::{run_star_mm_on_cfg, ChannelTransport, ExecConfig, DEFAULT_LOOKAHEAD};
-    use hetgrid_linalg::gemm::matmul;
+    use hetgrid_harness::scenario::general_matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -906,8 +855,8 @@ fn cmd_run_star(args: &Args) -> Result<(), String> {
 
     let session = ObsSession::begin(args);
     let mut rng = StdRng::seed_from_u64(seed);
-    let a = random_matrix(&mut rng, n, n);
-    let b = random_matrix(&mut rng, n, n);
+    let a = general_matrix(&mut rng, n, n);
+    let b = general_matrix(&mut rng, n, n);
     let (c, report) = run_star_mm_on_cfg(
         &ChannelTransport,
         &a,
@@ -919,7 +868,7 @@ fn cmd_run_star(args: &Args) -> Result<(), String> {
         cfg,
     )
     .map_err(|e| e.to_string())?;
-    let err = c.sub(&matmul(&a, &b)).max_abs();
+    let residual = mm_residual_line(&a, &b, &c);
     session.finish()?;
 
     let plan = hetgrid_plan::star_mm_plan(&topo, (nb, nb, nb));
@@ -936,9 +885,9 @@ fn cmd_run_star(args: &Args) -> Result<(), String> {
         "tile side mu     : {}",
         hetgrid_plan::star_tile_side(worker_mem)
     );
-    println!("lookahead depth  : {}", cfg.lookahead);
+    println!("lookahead depth  : {}", lookahead_line(&report, cfg));
     println!("wall time        : {:.4} s", report.wall_seconds);
-    println!("max |C - A*B|    = {:.3e}", err);
+    println!("{}", residual);
     println!(
         "one-port traffic : {} sends + {} returns = {} messages",
         sends,
@@ -966,31 +915,6 @@ fn finish_flight(armed: bool) {
     if let Some(path) = hetgrid_obs::flight::dump("run complete") {
         hetgrid_obs::diag!("wrote flight-recorder dump to {}", path.display());
     }
-}
-
-/// A dense matrix with entries in `[-1, 1)`.
-fn random_matrix(rng: &mut impl rand::Rng, rows: usize, cols: usize) -> hetgrid_linalg::Matrix {
-    hetgrid_linalg::Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
-}
-
-/// A diagonally dominant matrix (safe for LU without pivoting).
-fn dominant_matrix(rng: &mut impl rand::Rng, n: usize) -> hetgrid_linalg::Matrix {
-    let mut m = random_matrix(rng, n, n);
-    for i in 0..n {
-        m[(i, i)] += 2.0 * n as f64;
-    }
-    m
-}
-
-/// A symmetric positive definite matrix (`B^T B` plus a diagonal
-/// shift).
-fn spd_matrix(rng: &mut impl rand::Rng, n: usize) -> hetgrid_linalg::Matrix {
-    let b = random_matrix(rng, n, n);
-    let mut a = hetgrid_linalg::gemm::matmul(&b.transpose(), &b);
-    for i in 0..n {
-        a[(i, i)] += n as f64;
-    }
-    a
 }
 
 fn cmd_distribute(args: &Args) -> Result<(), String> {

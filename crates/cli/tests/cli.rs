@@ -198,6 +198,49 @@ fn run_executes_all_kernels() {
     assert!(stderr.contains("unknown kernel"));
 }
 
+/// The lookahead line reports the depth the executor ran at, not the
+/// flag: LU's skew clamp forces depth 0 on the {1,2,3,5} grid (max
+/// weight >= 4x min), while MM on the same grid and LU on a mild grid
+/// keep the requested window.
+#[test]
+fn run_reports_effective_lookahead() {
+    let depth_line = |times: &str, kernel: &str| {
+        let (ok, stdout, stderr) = run(&[
+            "run",
+            "--times",
+            times,
+            "--grid",
+            "2x2",
+            "--kernel",
+            kernel,
+            "--nb",
+            "4",
+            "--block",
+            "4",
+            "--lookahead",
+            "2",
+        ]);
+        assert!(ok, "{kernel} on {times} failed: {stderr}");
+        stdout
+            .lines()
+            .find(|l| l.starts_with("lookahead depth"))
+            .unwrap_or_else(|| panic!("no lookahead line in: {stdout}"))
+            .to_string()
+    };
+    assert_eq!(
+        depth_line("1,2,3,5", "lu"),
+        "lookahead depth  : 0 (requested 2)"
+    );
+    assert_eq!(
+        depth_line("1,2,3,5", "mm"),
+        "lookahead depth  : 2 (requested 2)"
+    );
+    assert_eq!(
+        depth_line("1,2,2,3", "lu"),
+        "lookahead depth  : 2 (requested 2)"
+    );
+}
+
 #[test]
 fn run_writes_trace_and_metrics() {
     let trace = TmpFile::new("run-trace.json");

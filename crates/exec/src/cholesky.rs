@@ -16,13 +16,9 @@
 //! while this step's updates drain.
 
 use crate::pool::PoolClone;
-use crate::step::{
-    check_weights, run_grid, run_steps, Action, Courier, ExecConfig, Journal, Op, StepInterp,
-    WorkClock,
-};
-use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
-use hetgrid_dist::BlockDist;
+use crate::step::{block_bytes, Action, Courier, Op, StepInterp, WorkClock};
+use crate::store::BlockStore;
+use crate::transport::Closed;
 use hetgrid_linalg::cholesky::cholesky;
 use hetgrid_linalg::gemm::gemm;
 use hetgrid_linalg::tri::solve_lower;
@@ -33,136 +29,6 @@ use std::time::Instant;
 /// Message tags: the diagonal Cholesky factor, solved panel blocks.
 const TAG_DIAG: u8 = 0;
 const TAG_L: u8 = 1;
-
-/// Factors the SPD matrix `a` over the distribution; returns the
-/// gathered lower factor `L` (upper triangle zero) and the execution
-/// report, or a typed [`ExecError`] if a worker dropped out mid-run.
-/// Only the lower triangle of `a` participates; the strict
-/// upper-triangle blocks of the result are zeroed.
-///
-/// # Panics
-/// Panics on size mismatch or if a diagonal block is not positive
-/// definite.
-pub fn run_cholesky(
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_cholesky_on(&ChannelTransport, a, dist, nb, r, weights)
-}
-
-/// [`run_cholesky`] over an explicit [`Transport`] (the harness injects
-/// its fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics like [`run_cholesky`].
-pub fn run_cholesky_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_cholesky_on_cfg(transport, a, dist, nb, r, weights, ExecConfig::default())
-}
-
-/// [`run_cholesky_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics like [`run_cholesky`].
-pub fn run_cholesky_on_cfg(
-    transport: &impl Transport,
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-) -> Result<(Matrix, ExecReport), ExecError> {
-    let da = DistributedMatrix::scatter(a, dist, nb, r);
-    let (stores, report) = cholesky_seg(transport, &da, dist, weights, cfg, 0, None)?;
-    Ok((gather_cholesky(stores, nb, r), report))
-}
-
-/// The resumable core of [`run_cholesky_on_cfg`]: interprets the
-/// Cholesky plan over an already-scattered matrix from plan step
-/// `start` (with `da` holding the consistent state of that retirement
-/// frontier), journaling block writes into `journal` when given.
-/// Returns the raw per-processor stores; [`gather_cholesky`] folds them.
-pub(crate) fn cholesky_seg(
-    transport: &impl Transport,
-    da: &DistributedMatrix,
-    dist: &(dyn BlockDist + Sync),
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-    start: usize,
-    journal: Option<&CheckpointLog>,
-) -> Result<(Vec<BlockStore>, ExecReport), ExecError> {
-    let (p, q) = dist.grid();
-    check_weights(weights, (p, q), "run_cholesky");
-    let (nb, r) = (da.nb_rows, da.r);
-    let plan = hetgrid_plan::cholesky_plan(dist, nb);
-    let owned: Vec<Vec<(usize, usize)>> = da
-        .stores
-        .iter()
-        .map(|s| {
-            let mut v: Vec<(usize, usize)> = s.keys().copied().collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-
-    run_grid(transport, (p, q), weights, |me, courier, clock| {
-        let mut interp = ChInterp {
-            plan: &plan,
-            my: (me / q, me % q),
-            owned: &owned[me],
-            blocks: da.stores[me].clone(),
-            scratch: Matrix::zeros(r, r),
-            block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
-        };
-        let j = journal.map(|log| Journal { log, me });
-        run_steps(
-            &mut interp,
-            courier,
-            clock,
-            cfg.lookahead,
-            start,
-            j.as_ref(),
-        )?;
-        Ok(interp.blocks)
-    })
-}
-
-/// Folds worker stores into the lower factor `L`: keeps the lower block
-/// triangle and zeroes the strict upper triangle of the diagonal
-/// blocks (the in-place factorization leaves the original upper content
-/// there).
-pub(crate) fn gather_cholesky(stores: Vec<BlockStore>, nb: usize, r: usize) -> Matrix {
-    let mut l = Matrix::zeros(nb * r, nb * r);
-    let mut blocks_seen = 0usize;
-    for store in stores {
-        for ((bi, bj), block) in store {
-            // Keep only the lower block triangle.
-            if bj <= bi {
-                l.set_block(bi * r, bj * r, &block);
-            }
-            blocks_seen += 1;
-        }
-    }
-    assert_eq!(blocks_seen, nb * nb, "run_cholesky: missing result blocks");
-    // Zero the strict upper triangle of the diagonal blocks.
-    let n = nb * r;
-    for i in 0..n {
-        for j in i + 1..n {
-            l[(i, j)] = 0.0;
-        }
-    }
-    l
-}
 
 /// One processor's Cholesky actions for `step`, in program order:
 /// diagonal factorization, panel right-solves (critical), then one
@@ -247,13 +113,34 @@ pub(crate) fn cholesky_actions(
     out
 }
 
-struct ChInterp<'a> {
+/// One processor's Cholesky worker over its blocks of the matrix being
+/// factored in place (only the lower block triangle participates).
+pub(crate) struct ChInterp<'a> {
     plan: &'a Plan,
     my: (usize, usize),
     owned: &'a [(usize, usize)],
     blocks: BlockStore,
     scratch: Matrix,
     block_bytes: u64,
+}
+
+impl<'a> ChInterp<'a> {
+    pub(crate) fn new(
+        plan: &'a Plan,
+        my: (usize, usize),
+        owned: &'a [(usize, usize)],
+        blocks: BlockStore,
+        r: usize,
+    ) -> Self {
+        ChInterp {
+            plan,
+            my,
+            owned,
+            blocks,
+            scratch: Matrix::zeros(r, r),
+            block_bytes: block_bytes(r),
+        }
+    }
 }
 
 impl StepInterp for ChInterp<'_> {
@@ -269,6 +156,10 @@ impl StepInterp for ChInterp<'_> {
 
     fn peek(&self, blk: (usize, usize)) -> Option<&Matrix> {
         self.blocks.get(&blk)
+    }
+
+    fn into_store(self) -> BlockStore {
+        self.blocks
     }
 
     fn execute(
@@ -383,23 +274,21 @@ impl StepInterp for ChInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::spd;
+    use crate::{run_cholesky_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport};
     use hetgrid_core::{exact, Arrangement};
-    use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
+    use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
 
-    fn spd_matrix(n: usize, seed: u64) -> Matrix {
-        let mut state = seed | 1;
-        let b = Matrix::from_fn(n, n, |_, _| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        });
-        let mut a = matmul(&b.transpose(), &b);
-        for i in 0..n {
-            a[(i, i)] += n as f64;
-        }
-        a
+    fn run_cholesky(
+        a: &Matrix,
+        dist: &(dyn BlockDist + Sync),
+        nb: usize,
+        r: usize,
+        weights: &[Vec<u64>],
+    ) -> Result<(Matrix, ExecReport), ExecError> {
+        let cfg = ExecConfig::default();
+        run_cholesky_on_cfg(&ChannelTransport, a, dist, nb, r, weights, cfg)
     }
 
     fn check(a: &Matrix, l: &Matrix, tol: f64) {
@@ -415,7 +304,7 @@ mod tests {
     fn cholesky_cyclic_reconstructs() {
         let nb = 4;
         let r = 3;
-        let a = spd_matrix(nb * r, 0xC0);
+        let a = spd(nb * r, 0xC0);
         let dist = BlockCyclic::new(2, 2);
         let (l, _) = run_cholesky(&a, &dist, nb, r, &vec![vec![1; 2]; 2]).unwrap();
         check(&a, &l, 1e-8);
@@ -428,7 +317,7 @@ mod tests {
         let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
         let nb = 8;
         let r = 2;
-        let a = spd_matrix(nb * r, 0xC1);
+        let a = spd(nb * r, 0xC1);
         let w = crate::store::slowdown_weights(&arr);
         let (l, report) = run_cholesky(&a, &dist, nb, r, &w).unwrap();
         check(&a, &l, 1e-8);
@@ -439,7 +328,7 @@ mod tests {
     fn cholesky_matches_sequential() {
         let nb = 3;
         let r = 4;
-        let a = spd_matrix(nb * r, 0xC2);
+        let a = spd(nb * r, 0xC2);
         let dist = BlockCyclic::new(1, 2);
         let (l, _) = run_cholesky(&a, &dist, nb, r, &[vec![1; 2]]).unwrap();
         let seq = hetgrid_linalg::cholesky::cholesky_blocked(&a, r).unwrap();
@@ -453,7 +342,7 @@ mod tests {
         let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
         let nb = 8;
         let r = 2;
-        let a = spd_matrix(nb * r, 0xC4);
+        let a = spd(nb * r, 0xC4);
         let w = crate::store::slowdown_weights(&arr);
         let t = ChannelTransport;
         let run = |lookahead| {
@@ -472,7 +361,7 @@ mod tests {
 
     #[test]
     fn single_processor_cholesky() {
-        let a = spd_matrix(8, 0xC3);
+        let a = spd(8, 0xC3);
         let dist = BlockCyclic::new(1, 1);
         let (l, _) = run_cholesky(&a, &dist, 4, 2, &[vec![1]]).unwrap();
         check(&a, &l, 1e-9);

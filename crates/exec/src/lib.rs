@@ -24,36 +24,49 @@
 //! measured message/work counts are checked against the model
 //! *by construction* (the harness asserts exact equality).
 //!
-//! The per-kernel workers share the [`step`] machinery — one wire
-//! format, one pending-message buffer, one slowdown clock, one
-//! spawn/collect driver — and contain only the algorithm: iterate the
-//! plan steps, send along the plan's broadcast lists, wait on the
-//! plan's receive sets, run block kernels.
+//! ## One entry point
 //!
-//! * [`mm::run_mm`] — outer-product `C = A * B`
-//!   ([`hetgrid_plan::mm_plan`] / [`hetgrid_plan::mm_rect_plan`]);
-//! * [`lu::run_lu`] — right-looking LU (no pivoting; use diagonally
-//!   dominant inputs; [`hetgrid_plan::factor_plan`]);
-//! * [`cholesky::run_cholesky`] — right-looking Cholesky of SPD
-//!   matrices (lower triangle; [`hetgrid_plan::cholesky_plan`]);
-//! * [`qr::run_qr`] — fan-in Householder QR
-//!   ([`hetgrid_plan::qr_plan`]); unpack the packed result with
-//!   [`qr::qr_unpack`];
-//! * [`star::run_star_mm`] — memory-bounded master-worker `C = A * B`
+//! [`run`] is the grid executor: give it a [`hetgrid_plan::Kernel`],
+//! the kernel's input matrices (`[a, b]` for MM, `[a]` for a
+//! factorization), a distribution, and it scatters, interprets the
+//! kernel's plan on one thread per processor, and gathers a
+//! [`RunOutput`]. Every caller names its [`Transport`] and
+//! [`ExecConfig`] — production code passes `&ChannelTransport` and
+//! `ExecConfig::default()`, `hetgrid-harness` swaps in a seeded
+//! fault-injecting virtual transport for deterministic simulation
+//! testing. The scatter → spawn → journal → gather sequence is written
+//! once (`run::run_seg`); a kernel contributes only its interpreter —
+//! iterate the plan steps, send along the plan's broadcast lists, wait
+//! on the plan's receive sets, run block kernels — on the shared
+//! `step` machinery (one wire format, one pending-message buffer, one
+//! slowdown clock, one spawn/collect driver).
+//!
+//! * MM is the outer-product `C = A * B`, LU is right-looking without
+//!   pivoting (use diagonally dominant inputs), Cholesky factors SPD
+//!   matrices (lower triangle), QR is fan-in Householder — unpack its
+//!   packed result with [`qr_unpack`];
+//! * [`run_mm_on_cfg`], [`run_lu_on_cfg`], [`run_cholesky_on_cfg`],
+//!   [`run_qr_on_cfg`] are [`run`] with the kernel fixed and the output
+//!   as a tuple; [`run_mm_rect_on_cfg`] is the rectangular MM
+//!   ([`hetgrid_plan::mm_rect_plan`]);
+//! * [`run_solve_on_cfg`] — `A x = b`: [`run`] for the factorization,
+//!   triangular solves on the gathered factors;
+//! * [`run_recovery`] — [`run`] that survives grid faults by
+//!   checkpoint-restarting on the survivor grid ([`recovery`]);
+//! * [`run_star_mm_on_cfg`] — memory-bounded master-worker `C = A * B`
 //!   on a [`hetgrid_core::Topology::Star`]: the master streams input
 //!   blocks over its one-port link, bounded-memory workers run the
-//!   maximum-reuse schedule ([`hetgrid_plan::star_mm_plan`]);
+//!   maximum-reuse schedule ([`hetgrid_plan::star_mm_plan`]). It is a
+//!   separate entry because its platform is a `Topology`, not a
+//!   `BlockDist`;
 //! * [`store`] — scatter/gather and the [`store::ExecReport`]
-//!   measurements (busy time, weighted work, imbalance);
-//! * [`transport`] — the pluggable message-transport trait. Every
-//!   kernel has a `run_*_on(&impl Transport, ...)` variant; the plain
-//!   `run_*` entry points use the production [`transport::ChannelTransport`],
-//!   while `hetgrid-harness` swaps in a seeded fault-injecting virtual
-//!   transport for deterministic simulation testing.
+//!   measurements (busy time, weighted work, imbalance, the lookahead
+//!   depth the run actually used);
+//! * [`transport`] — the pluggable message-transport trait.
 //!
 //! ## Failure semantics
 //!
-//! Every `run_*` entry point returns `Result<_, `[`transport::ExecError`]`>`:
+//! Every entry point returns `Result<_, `[`transport::ExecError`]`>`:
 //! if any worker observes a dropped peer (a closed mailbox on send or
 //! receive), the run is aborted through [`transport::Endpoint::abort`] —
 //! which dooms every mailbox so blocked peers fail fast — all threads
@@ -74,31 +87,35 @@
 )]
 
 pub mod channel;
-pub mod cholesky;
-pub mod lu;
-pub mod mm;
+mod cholesky;
+mod lu;
+mod mm;
 pub mod pool;
 mod probe;
-pub mod qr;
+mod qr;
 pub mod recovery;
+mod run;
 #[cfg(test)]
 mod sched_tests;
 pub mod solve;
 pub mod star;
 mod step;
 pub mod store;
+#[cfg(test)]
+mod testutil;
 pub mod transport;
 
-pub use cholesky::{run_cholesky, run_cholesky_on, run_cholesky_on_cfg};
-pub use lu::{run_lu, run_lu_on, run_lu_on_cfg};
-pub use mm::{run_mm, run_mm_on, run_mm_on_cfg, run_mm_rect, run_mm_rect_on, run_mm_rect_on_cfg};
-pub use qr::{qr_unpack, run_qr, run_qr_on, run_qr_on_cfg};
+pub use hetgrid_plan::Kernel;
+pub use qr::qr_unpack;
 pub use recovery::{
-    run_recovery, GridFault, RecoveryHooks, RecoveryInput, RecoveryOutput, RecoveryStats,
-    SurvivorGrid,
+    run_recovery, GridFault, RecoveryHooks, RecoveryOutput, RecoveryStats, SurvivorGrid,
 };
-pub use solve::{run_solve, run_solve_on, run_solve_on_cfg, SolveKind};
-pub use star::{run_star_mm, run_star_mm_on, run_star_mm_on_cfg};
+pub use run::{
+    run, run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, run_mm_rect_on_cfg, run_qr_on_cfg,
+    RunOutput,
+};
+pub use solve::{run_solve_on_cfg, SolveKind};
+pub use star::run_star_mm_on_cfg;
 pub use step::{ExecConfig, DEFAULT_LOOKAHEAD};
 pub use store::{slowdown_weights, CheckpointLog, DistributedMatrix, ExecReport};
 pub use transport::{ChannelTransport, Closed, Endpoint, ExecError, Transport};

@@ -19,13 +19,9 @@
 //! and upper `U` must reproduce the input, `A = L * U`.
 
 use crate::pool::PoolClone;
-use crate::step::{
-    check_weights, gather_result, run_grid, run_steps, Action, Courier, ExecConfig, Journal, Op,
-    StepInterp, WorkClock,
-};
-use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
-use hetgrid_dist::BlockDist;
+use crate::step::{block_bytes, Action, Courier, Op, StepInterp, WorkClock};
+use crate::store::BlockStore;
+use crate::transport::Closed;
 use hetgrid_linalg::gemm::gemm;
 use hetgrid_linalg::tri::{
     solve_lower, solve_right_upper, unit_lower_from_packed, upper_from_packed,
@@ -39,59 +35,6 @@ use std::time::Instant;
 const TAG_DIAG: u8 = 0;
 const TAG_L: u8 = 1;
 const TAG_U: u8 = 2;
-
-/// Factors `a` in place (no pivoting) over the distribution; returns the
-/// gathered packed factors (strictly lower = `L` with unit diagonal,
-/// upper = `U`) and the execution report, or a typed [`ExecError`] if a
-/// worker dropped out mid-run.
-///
-/// # Panics
-/// Panics if sizes mismatch; numerical breakdown (a zero diagonal block
-/// pivot) panics inside the block factorization.
-pub fn run_lu(
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_lu_on(&ChannelTransport, a, dist, nb, r, weights)
-}
-
-/// [`run_lu`] over an explicit [`Transport`] (the harness injects its
-/// fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics like [`run_lu`].
-pub fn run_lu_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_lu_on_cfg(transport, a, dist, nb, r, weights, ExecConfig::default())
-}
-
-/// [`run_lu_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics like [`run_lu`].
-pub fn run_lu_on_cfg(
-    transport: &impl Transport,
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-) -> Result<(Matrix, ExecReport), ExecError> {
-    let da = DistributedMatrix::scatter(a, dist, nb, r);
-    let (stores, report) = lu_seg(transport, &da, dist, weights, cfg, 0, None)?;
-    let f = gather_result(stores, (nb, nb), r, "run_lu");
-    Ok((f, report))
-}
 
 /// Skew threshold above which LU falls back to the in-order schedule.
 ///
@@ -117,50 +60,6 @@ pub(crate) fn effective_lu_lookahead(requested: usize, weights: &[Vec<u64>]) -> 
     } else {
         requested
     }
-}
-
-/// The resumable core of [`run_lu_on_cfg`]: interprets the factor plan
-/// over an already-scattered matrix, starting at plan step `start`
-/// (with `da` holding the consistent state of that retirement
-/// frontier), journaling every block write into `journal` when given.
-/// Returns the raw per-processor stores; the caller gathers.
-pub(crate) fn lu_seg(
-    transport: &impl Transport,
-    da: &DistributedMatrix,
-    dist: &(dyn BlockDist + Sync),
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-    start: usize,
-    journal: Option<&CheckpointLog>,
-) -> Result<(Vec<BlockStore>, ExecReport), ExecError> {
-    let (p, q) = dist.grid();
-    check_weights(weights, (p, q), "run_lu");
-    let (nb, r) = (da.nb_rows, da.r);
-    let plan = hetgrid_plan::factor_plan(dist, nb);
-    let lookahead = effective_lu_lookahead(cfg.lookahead, weights);
-    let owned: Vec<Vec<(usize, usize)>> = da
-        .stores
-        .iter()
-        .map(|s| {
-            let mut v: Vec<(usize, usize)> = s.keys().copied().collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-
-    run_grid(transport, (p, q), weights, |me, courier, clock| {
-        let mut interp = LuInterp {
-            plan: &plan,
-            my: (me / q, me % q),
-            owned: &owned[me],
-            blocks: da.stores[me].clone(),
-            scratch: Matrix::zeros(r, r),
-            block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
-        };
-        let j = journal.map(|log| Journal { log, me });
-        run_steps(&mut interp, courier, clock, lookahead, start, j.as_ref())?;
-        Ok(interp.blocks)
-    })
 }
 
 /// Unblocked LU without pivoting of a single block, in place, packed.
@@ -296,13 +195,34 @@ pub(crate) fn lu_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
     out
 }
 
-struct LuInterp<'a> {
+/// One processor's LU worker over its blocks of the matrix being
+/// factored in place.
+pub(crate) struct LuInterp<'a> {
     plan: &'a Plan,
     my: (usize, usize),
     owned: &'a [(usize, usize)],
     blocks: BlockStore,
     scratch: Matrix,
     block_bytes: u64,
+}
+
+impl<'a> LuInterp<'a> {
+    pub(crate) fn new(
+        plan: &'a Plan,
+        my: (usize, usize),
+        owned: &'a [(usize, usize)],
+        blocks: BlockStore,
+        r: usize,
+    ) -> Self {
+        LuInterp {
+            plan,
+            my,
+            owned,
+            blocks,
+            scratch: Matrix::zeros(r, r),
+            block_bytes: block_bytes(r),
+        }
+    }
 }
 
 impl StepInterp for LuInterp<'_> {
@@ -318,6 +238,10 @@ impl StepInterp for LuInterp<'_> {
 
     fn peek(&self, blk: (usize, usize)) -> Option<&Matrix> {
         self.blocks.get(&blk)
+    }
+
+    fn into_store(self) -> BlockStore {
+        self.blocks
     }
 
     fn execute(
@@ -478,23 +402,21 @@ impl StepInterp for LuInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::dominant;
+    use crate::{run_lu_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport};
     use hetgrid_core::{exact, Arrangement};
-    use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
+    use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
 
-    fn dominant_matrix(n: usize, seed: u64) -> Matrix {
-        let mut state = seed.wrapping_mul(0x2545F4914F6CDD1D) | 1;
-        Matrix::from_fn(n, n, |i, j| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
-            if i == j {
-                v + 2.0 * n as f64
-            } else {
-                v
-            }
-        })
+    fn run_lu(
+        a: &Matrix,
+        dist: &(dyn BlockDist + Sync),
+        nb: usize,
+        r: usize,
+        weights: &[Vec<u64>],
+    ) -> Result<(Matrix, ExecReport), ExecError> {
+        let cfg = ExecConfig::default();
+        run_lu_on_cfg(&ChannelTransport, a, dist, nb, r, weights, cfg)
     }
 
     fn check_lu(a: &Matrix, f: &Matrix, tol: f64) {
@@ -512,7 +434,7 @@ mod tests {
     fn lu_cyclic_reconstructs() {
         let nb = 4;
         let r = 3;
-        let a = dominant_matrix(nb * r, 1);
+        let a = dominant(nb * r, 1);
         let dist = BlockCyclic::new(2, 2);
         let (f, _) = run_lu(&a, &dist, nb, r, &vec![vec![1; 2]; 2]).unwrap();
         check_lu(&a, &f, 1e-8);
@@ -525,7 +447,7 @@ mod tests {
         let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
         let nb = 8;
         let r = 2;
-        let a = dominant_matrix(nb * r, 2);
+        let a = dominant(nb * r, 2);
         let w = crate::store::slowdown_weights(&arr);
         let (f, report) = run_lu(&a, &dist, nb, r, &w).unwrap();
         check_lu(&a, &f, 1e-8);
@@ -538,7 +460,7 @@ mod tests {
         // dominant diagonal makes pivoting a no-op).
         let nb = 3;
         let r = 4;
-        let a = dominant_matrix(nb * r, 3);
+        let a = dominant(nb * r, 3);
         let dist = BlockCyclic::new(1, 2);
         let (f, _) = run_lu(&a, &dist, nb, r, &vec![vec![1; 2]; 1]).unwrap();
         let seq = hetgrid_linalg::lu::lu_factor(&a).unwrap();
@@ -553,7 +475,7 @@ mod tests {
         let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
         let nb = 8;
         let r = 2;
-        let a = dominant_matrix(nb * r, 9);
+        let a = dominant(nb * r, 9);
         let w = crate::store::slowdown_weights(&arr);
         let t = ChannelTransport;
         let run = |lookahead| {
@@ -593,7 +515,7 @@ mod tests {
         // The clamped run still factors correctly.
         let nb = 4;
         let r = 2;
-        let a = dominant_matrix(nb * r, 11);
+        let a = dominant(nb * r, 11);
         let dist = BlockCyclic::new(2, 2);
         let (f, _) = run_lu_on_cfg(
             &ChannelTransport,
@@ -610,7 +532,7 @@ mod tests {
 
     #[test]
     fn single_processor_lu() {
-        let a = dominant_matrix(8, 4);
+        let a = dominant(8, 4);
         let dist = BlockCyclic::new(1, 1);
         let (f, _) = run_lu(&a, &dist, 4, 2, &[vec![1]]).unwrap();
         check_lu(&a, &f, 1e-9);

@@ -12,13 +12,9 @@
 //! per block while communication overlaps compute.
 
 use crate::pool::PoolClone;
-use crate::step::{
-    check_weights, gather_result, run_grid, run_steps, Action, Courier, ExecConfig, Journal, Op,
-    StepInterp, WorkClock,
-};
-use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
-use hetgrid_dist::BlockDist;
+use crate::step::{block_bytes, Action, Courier, Op, StepInterp, WorkClock};
+use crate::store::BlockStore;
+use crate::transport::Closed;
 use hetgrid_linalg::gemm::gemm;
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
@@ -31,186 +27,6 @@ use std::time::Instant;
 /// the grid costs one deep copy, not one per destination.
 const TAG_A: u8 = 0;
 const TAG_B: u8 = 1;
-
-/// Runs `C = A * B` on `nb x nb` blocks of size `r`, distributed by
-/// `dist`, with per-processor slowdown `weights` (block kernels repeated
-/// `w_ij` times).
-///
-/// Returns the gathered result and per-processor measurements, or a
-/// typed [`ExecError`] if a worker dropped out mid-run.
-///
-/// # Panics
-/// Panics if matrix sizes do not equal `nb * r` or the weights table
-/// does not match the grid.
-pub fn run_mm(
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_mm_rect(a, b, dist, (nb, nb, nb), r, weights)
-}
-
-/// [`run_mm`] over an explicit [`Transport`] (the harness injects its
-/// fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_mm`].
-pub fn run_mm_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_mm_rect_on(transport, a, b, dist, (nb, nb, nb), r, weights)
-}
-
-/// [`run_mm_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_mm`].
-pub fn run_mm_on_cfg(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_mm_rect_on_cfg(transport, a, b, dist, (nb, nb, nb), r, weights, cfg)
-}
-
-/// Rectangular variant: `C(mb x nb) = A(mb x kb) * B(kb x nb)` in `r`-sized
-/// blocks, all three matrices laid out by the same distribution.
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_mm`].
-pub fn run_mm_rect(
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    dims: (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_mm_rect_on(&ChannelTransport, a, b, dist, dims, r, weights)
-}
-
-/// [`run_mm_rect`] over an explicit [`Transport`].
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_mm`].
-pub fn run_mm_rect_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    dims: (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_mm_rect_on_cfg(
-        transport,
-        a,
-        b,
-        dist,
-        dims,
-        r,
-        weights,
-        ExecConfig::default(),
-    )
-}
-
-/// [`run_mm_rect_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_mm`].
-pub fn run_mm_rect_on_cfg(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    (mb, nb, kb): (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-) -> Result<(Matrix, ExecReport), ExecError> {
-    let (p, q) = dist.grid();
-    check_weights(weights, (p, q), "run_mm");
-    assert_eq!(a.shape(), (mb * r, kb * r), "run_mm: A shape mismatch");
-    assert_eq!(b.shape(), (kb * r, nb * r), "run_mm: B shape mismatch");
-    let da = DistributedMatrix::scatter_rect(a, dist, mb, kb, r);
-    let db = DistributedMatrix::scatter_rect(b, dist, kb, nb, r);
-    let dc = DistributedMatrix::zeros_rect(dist, mb, nb, r);
-    let (stores, report) = mm_seg(transport, &da, &db, &dc, dist, weights, cfg, 0, None)?;
-    let c = gather_result(stores, (mb, nb), r, "run_mm");
-    Ok((c, report))
-}
-
-/// One *epoch* of the MM execution: runs the step plan from `start` to
-/// completion over an already-scattered `A`, `B` and a C *baseline*
-/// (`dc` — zeros for a fresh run, the checkpointed state when resuming
-/// after a grid fault), optionally journaling every C-block write into
-/// `journal`. The fresh-run entry points wrap this with `start = 0`, a
-/// zero baseline and no journal.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mm_seg(
-    transport: &impl Transport,
-    da: &DistributedMatrix,
-    db: &DistributedMatrix,
-    dc: &DistributedMatrix,
-    dist: &(dyn BlockDist + Sync),
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-    start: usize,
-    journal: Option<&CheckpointLog>,
-) -> Result<(Vec<BlockStore>, ExecReport), ExecError> {
-    let (p, q) = dist.grid();
-    check_weights(weights, (p, q), "run_mm");
-    let (mb, kb) = (da.nb_rows, da.nb_cols);
-    let nb = db.nb_cols;
-    let r = da.r;
-    let plan = hetgrid_plan::mm_rect_plan(dist, (mb, nb, kb));
-    // Owned C blocks per processor (same layout as A and B).
-    let owned_c: Vec<Vec<(usize, usize)>> = (0..p * q)
-        .map(|me| {
-            let mut v: Vec<(usize, usize)> = dc.stores[me].keys().copied().collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-
-    run_grid(transport, (p, q), weights, |me, courier, clock| {
-        let my = (me / q, me % q);
-        let mut interp = MmInterp {
-            plan: &plan,
-            my,
-            owned: &owned_c[me],
-            my_a: &da.stores[me],
-            my_b: &db.stores[me],
-            c_blocks: dc.stores[me].clone(),
-            scratch: Matrix::zeros(r, r),
-            block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
-        };
-        let j = journal.map(|log| Journal { log, me });
-        run_steps(
-            &mut interp,
-            courier,
-            clock,
-            cfg.lookahead,
-            start,
-            j.as_ref(),
-        )?;
-        Ok(interp.c_blocks)
-    })
-}
 
 /// One processor's MM actions for `step`: a critical dependency-free
 /// broadcast of its pivot panel blocks, then one update of every owned
@@ -265,7 +81,10 @@ pub(crate) fn mm_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
     out
 }
 
-struct MmInterp<'a> {
+/// One processor's MM worker: its read-only `A`/`B` blocks and the `C`
+/// blocks it accumulates into (`c_blocks` starts as the epoch baseline —
+/// zeros for a fresh run, the checkpointed state when resuming).
+pub(crate) struct MmInterp<'a> {
     plan: &'a Plan,
     my: (usize, usize),
     owned: &'a [(usize, usize)],
@@ -274,6 +93,29 @@ struct MmInterp<'a> {
     c_blocks: BlockStore,
     scratch: Matrix,
     block_bytes: u64,
+}
+
+impl<'a> MmInterp<'a> {
+    pub(crate) fn new(
+        plan: &'a Plan,
+        my: (usize, usize),
+        owned: &'a [(usize, usize)],
+        my_a: &'a BlockStore,
+        my_b: &'a BlockStore,
+        c_blocks: BlockStore,
+        r: usize,
+    ) -> Self {
+        MmInterp {
+            plan,
+            my,
+            owned,
+            my_a,
+            my_b,
+            c_blocks,
+            scratch: Matrix::zeros(r, r),
+            block_bytes: block_bytes(r),
+        }
+    }
 }
 
 impl StepInterp for MmInterp<'_> {
@@ -289,6 +131,10 @@ impl StepInterp for MmInterp<'_> {
 
     fn peek(&self, blk: (usize, usize)) -> Option<&Matrix> {
         self.c_blocks.get(&blk)
+    }
+
+    fn into_store(self) -> BlockStore {
+        self.c_blocks
     }
 
     fn execute(
@@ -361,32 +207,34 @@ impl StepInterp for MmInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{dense, uniform};
+    use crate::{
+        run_mm_on_cfg, run_mm_rect_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport,
+    };
     use hetgrid_core::{exact, Arrangement};
-    use hetgrid_dist::{BlockCyclic, KlDist, PanelDist, PanelOrdering};
+    use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
 
-    fn test_matrix(n: usize, seed: u64) -> Matrix {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        Matrix::from_fn(n, n, |_, _| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        })
-    }
-
-    fn uniform_weights(p: usize, q: usize) -> Vec<Vec<u64>> {
-        vec![vec![1; q]; p]
+    fn run_mm(
+        a: &Matrix,
+        b: &Matrix,
+        dist: &(dyn BlockDist + Sync),
+        nb: usize,
+        r: usize,
+        weights: &[Vec<u64>],
+    ) -> Result<(Matrix, ExecReport), ExecError> {
+        let cfg = ExecConfig::default();
+        run_mm_on_cfg(&ChannelTransport, a, b, dist, nb, r, weights, cfg)
     }
 
     #[test]
     fn mm_matches_sequential_cyclic() {
         let nb = 4;
         let r = 3;
-        let a = test_matrix(nb * r, 1);
-        let b = test_matrix(nb * r, 2);
+        let a = dense(nb * r, nb * r, 1);
+        let b = dense(nb * r, nb * r, 2);
         let dist = BlockCyclic::new(2, 2);
-        let (c, report) = run_mm(&a, &b, &dist, nb, r, &uniform_weights(2, 2)).unwrap();
+        let (c, report) = run_mm(&a, &b, &dist, nb, r, &uniform(2, 2)).unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
         assert_eq!(
             report.work_units.iter().flatten().sum::<u64>() as usize,
@@ -401,8 +249,8 @@ mod tests {
         let dist = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Contiguous);
         let nb = 8;
         let r = 2;
-        let a = test_matrix(nb * r, 3);
-        let b = test_matrix(nb * r, 4);
+        let a = dense(nb * r, nb * r, 3);
+        let b = dense(nb * r, nb * r, 4);
         let w = crate::store::slowdown_weights(&arr);
         let (c, report) = run_mm(&a, &b, &dist, nb, r, &w).unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
@@ -420,9 +268,9 @@ mod tests {
         let dist = KlDist::new(&arr, 4, 6);
         let nb = 6;
         let r = 2;
-        let a = test_matrix(nb * r, 5);
-        let b = test_matrix(nb * r, 6);
-        let (c, _) = run_mm(&a, &b, &dist, nb, r, &uniform_weights(2, 2)).unwrap();
+        let a = dense(nb * r, nb * r, 5);
+        let b = dense(nb * r, nb * r, 6);
+        let (c, _) = run_mm(&a, &b, &dist, nb, r, &uniform(2, 2)).unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
     }
 
@@ -433,8 +281,8 @@ mod tests {
         let dist = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Contiguous);
         let nb = 8;
         let r = 2;
-        let a = test_matrix(nb * r, 11);
-        let b = test_matrix(nb * r, 12);
+        let a = dense(nb * r, nb * r, 11);
+        let b = dense(nb * r, nb * r, 12);
         let w = crate::store::slowdown_weights(&arr);
         let t = ChannelTransport;
         let run = |lookahead| {
@@ -459,8 +307,8 @@ mod tests {
         let dist = BlockCyclic::new(2, 2);
         let nb = 4;
         let r = 2;
-        let a = test_matrix(nb * r, 7);
-        let b = test_matrix(nb * r, 8);
+        let a = dense(nb * r, nb * r, 7);
+        let b = dense(nb * r, nb * r, 8);
         let w = crate::store::slowdown_weights(&arr);
         let (_, report) = run_mm(&a, &b, &dist, nb, r, &w).unwrap();
         // weights 1,2,3,6, equal counts -> imbalance 6 / 3 = 2.
@@ -469,10 +317,10 @@ mod tests {
 
     #[test]
     fn single_processor() {
-        let a = test_matrix(6, 9);
-        let b = test_matrix(6, 10);
+        let a = dense(6, 6, 9);
+        let b = dense(6, 6, 10);
         let dist = BlockCyclic::new(1, 1);
-        let (c, report) = run_mm(&a, &b, &dist, 3, 2, &uniform_weights(1, 1)).unwrap();
+        let (c, report) = run_mm(&a, &b, &dist, 3, 2, &uniform(1, 1)).unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
         assert_eq!(report.total_messages(), 0, "no peers, no messages");
     }
@@ -482,26 +330,20 @@ mod tests {
         // C(8x4 blocks) = A(8x6) * B(6x4), r = 2.
         let (mb, nb, kb) = (8usize, 4usize, 6usize);
         let r = 2;
-        let a = {
-            let mut s = 0x31u64 | 1;
-            Matrix::from_fn(mb * r, kb * r, |_, _| {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            })
-        };
-        let b = {
-            let mut s = 0x32u64 | 1;
-            Matrix::from_fn(kb * r, nb * r, |_, _| {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((s >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-            })
-        };
+        let a = dense(mb * r, kb * r, 0x31);
+        let b = dense(kb * r, nb * r, 0x32);
         let dist = BlockCyclic::new(2, 2);
-        let (c, _) = run_mm_rect(&a, &b, &dist, (mb, nb, kb), r, &uniform_weights(2, 2)).unwrap();
+        let (c, _) = run_mm_rect_on_cfg(
+            &ChannelTransport,
+            &a,
+            &b,
+            &dist,
+            (mb, nb, kb),
+            r,
+            &uniform(2, 2),
+            ExecConfig::default(),
+        )
+        .unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
     }
 
@@ -518,9 +360,9 @@ mod tests {
         let kl = KlDist::new(&arr, 4, 6);
         let nb = 12;
         let r = 2;
-        let a = test_matrix(nb * r, 21);
-        let b = test_matrix(nb * r, 22);
-        let w = uniform_weights(2, 2);
+        let a = dense(nb * r, nb * r, 21);
+        let b = dense(nb * r, nb * r, 22);
+        let w = uniform(2, 2);
         let (_, rep_panel) = run_mm(&a, &b, &panel, nb, r, &w).unwrap();
         let (_, rep_kl) = run_mm(&a, &b, &kl, nb, r, &w).unwrap();
         assert!(rep_panel.total_messages() > 0);

@@ -21,16 +21,13 @@
 //!
 //! The gathered result is the *globally packed* factorization:
 //! Householder vectors below the block diagonal of each panel column,
-//! `R` on and above. [`qr_unpack`] rebuilds `(Q, R)` from it.
+//! `R` on and above, with the Householder scalars (`nb * r` of them,
+//! panel-major) alongside. [`qr_unpack`] rebuilds `(Q, R)` from both.
 
 use crate::pool::{BufferPool, PoolClone};
-use crate::step::{
-    check_weights, gather_result, run_grid, run_steps, Action, Courier, ExecConfig, Journal, Op,
-    StepInterp, WorkClock,
-};
-use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
-use hetgrid_dist::BlockDist;
+use crate::step::{block_bytes, Action, Courier, Op, StepInterp, WorkClock};
+use crate::store::BlockStore;
+use crate::transport::Closed;
 use hetgrid_linalg::qr::{qr_factor, QrFactors};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
@@ -49,7 +46,7 @@ const TAG_COLRET: u8 = 4;
 /// QR wire payload: a single `r x r` block, or the packed factors of a
 /// stacked panel (the reflector broadcast to the column heads).
 #[derive(Clone)]
-enum QrPayload {
+pub(crate) enum QrPayload {
     Block(Matrix),
     Factors { packed: Matrix, taus: Vec<f64> },
 }
@@ -81,118 +78,7 @@ impl PoolClone for QrPayload {
     }
 }
 
-/// Factors `a` over the distribution; returns the gathered packed
-/// factors (Householder vectors below each panel's diagonal, `R` on and
-/// above), the Householder scalars (`nb * r` of them, panel-major), and
-/// the execution report, or a typed [`ExecError`] if a worker dropped
-/// out mid-run. Unpack with [`qr_unpack`].
-///
-/// # Panics
-/// Panics on size mismatch.
-pub fn run_qr(
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, Vec<f64>, ExecReport), ExecError> {
-    run_qr_on(&ChannelTransport, a, dist, nb, r, weights)
-}
-
-/// [`run_qr`] over an explicit [`Transport`] (the harness injects its
-/// fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics like [`run_qr`].
-pub fn run_qr_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, Vec<f64>, ExecReport), ExecError> {
-    run_qr_on_cfg(transport, a, dist, nb, r, weights, ExecConfig::default())
-}
-
-/// [`run_qr_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics like [`run_qr`].
-pub fn run_qr_on_cfg(
-    transport: &impl Transport,
-    a: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-) -> Result<(Matrix, Vec<f64>, ExecReport), ExecError> {
-    let da = DistributedMatrix::scatter(a, dist, nb, r);
-    let nb = da.nb_rows;
-    let taus_acc: Mutex<Vec<Vec<f64>>> = Mutex::new(vec![Vec::new(); nb]);
-    let (stores, report) = qr_seg(transport, &da, dist, weights, cfg, 0, None, &taus_acc)?;
-    let packed = gather_result(stores, (nb, nb), r, "run_qr");
-    let taus: Vec<f64> = taus_acc
-        .into_inner()
-        .unwrap_or_else(|p| p.into_inner())
-        .into_iter()
-        .flatten()
-        .collect();
-    assert_eq!(taus.len(), nb * r, "run_qr: missing Householder scalars");
-    Ok((packed, taus, report))
-}
-
-/// One *epoch* of the QR execution: runs the step plan from `start` to
-/// completion over already-scattered blocks, optionally journaling
-/// every packed-factor block write into `journal`.
-///
-/// `taus_acc` collects each step's Householder scalars, reported by
-/// whichever worker owned that step's diagonal block. The caller keeps
-/// it across epochs: a resumed epoch re-runs steps `start..` and
-/// *overwrites* (not appends) each step's slot, so replayed work lands
-/// bit-identically and scalars from steps retired before the fault
-/// survive untouched.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn qr_seg(
-    transport: &impl Transport,
-    da: &DistributedMatrix,
-    dist: &(dyn BlockDist + Sync),
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-    start: usize,
-    journal: Option<&CheckpointLog>,
-    taus_acc: &Mutex<Vec<Vec<f64>>>,
-) -> Result<(Vec<BlockStore>, ExecReport), ExecError> {
-    let (p, q) = dist.grid();
-    check_weights(weights, (p, q), "run_qr");
-    let (nb, r) = (da.nb_rows, da.r);
-    let plan = hetgrid_plan::qr_plan(dist, nb);
-
-    run_grid(transport, (p, q), weights, |me, courier, clock| {
-        let mut interp = QrInterp {
-            plan: &plan,
-            r,
-            my: (me / q, me % q),
-            blocks: da.stores[me].clone(),
-            taus_acc,
-            factors: HashMap::new(),
-            block_bytes: (r * r * std::mem::size_of::<f64>()) as u64,
-        };
-        let j = journal.map(|log| Journal { log, me });
-        run_steps(
-            &mut interp,
-            courier,
-            clock,
-            cfg.lookahead,
-            start,
-            j.as_ref(),
-        )?;
-        Ok(interp.blocks)
-    })
-}
-
-/// Rebuilds `(Q, R)` from [`run_qr`]'s globally packed factors: `Q` is
+/// Rebuilds `(Q, R)` from a QR run's globally packed factors: `Q` is
 /// `n x n` orthogonal, `R` upper triangular, `A = Q * R`. Mirrors the
 /// panel-by-panel `Q` accumulation of
 /// [`qr_blocked`](hetgrid_linalg::qr::qr_blocked).
@@ -352,16 +238,43 @@ pub(crate) fn qr_actions(step: &Step, my: (usize, usize)) -> Vec<Action> {
     out
 }
 
-struct QrInterp<'a> {
+/// One processor's QR worker over its blocks of the matrix being
+/// factored in place.
+pub(crate) struct QrInterp<'a> {
     plan: &'a Plan,
     r: usize,
     my: (usize, usize),
     blocks: BlockStore,
+    /// Each step's Householder scalars, reported by whichever worker
+    /// owned that step's diagonal block. A resumed epoch *overwrites*
+    /// (not appends) the slots of the steps it re-runs, so replayed
+    /// work lands bit-identically and scalars from steps retired before
+    /// a fault survive untouched.
     taus_acc: &'a Mutex<Vec<Vec<f64>>>,
     /// Packed panel factors by step, kept while the step's column
     /// applications may still run; dropped on retire.
     factors: HashMap<usize, QrFactors>,
     block_bytes: u64,
+}
+
+impl<'a> QrInterp<'a> {
+    pub(crate) fn new(
+        plan: &'a Plan,
+        my: (usize, usize),
+        blocks: BlockStore,
+        r: usize,
+        taus_acc: &'a Mutex<Vec<Vec<f64>>>,
+    ) -> Self {
+        QrInterp {
+            plan,
+            r,
+            my,
+            blocks,
+            taus_acc,
+            factors: HashMap::new(),
+            block_bytes: block_bytes(r),
+        }
+    }
 }
 
 impl StepInterp for QrInterp<'_> {
@@ -377,6 +290,10 @@ impl StepInterp for QrInterp<'_> {
 
     fn peek(&self, blk: (usize, usize)) -> Option<&Matrix> {
         self.blocks.get(&blk)
+    }
+
+    fn into_store(self) -> BlockStore {
+        self.blocks
     }
 
     fn execute(
@@ -553,18 +470,21 @@ impl StepInterp for QrInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::dense;
+    use crate::{run_qr_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport};
     use hetgrid_core::{exact, Arrangement};
-    use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
+    use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
 
-    fn test_matrix(n: usize, seed: u64) -> Matrix {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        Matrix::from_fn(n, n, |_, _| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        })
+    fn run_qr(
+        a: &Matrix,
+        dist: &(dyn BlockDist + Sync),
+        nb: usize,
+        r: usize,
+        weights: &[Vec<u64>],
+    ) -> Result<(Matrix, Vec<f64>, ExecReport), ExecError> {
+        let cfg = ExecConfig::default();
+        run_qr_on_cfg(&ChannelTransport, a, dist, nb, r, weights, cfg)
     }
 
     fn check_qr(a: &Matrix, packed: &Matrix, taus: &[f64], nb: usize, r: usize, tol: f64) {
@@ -588,7 +508,7 @@ mod tests {
     fn qr_cyclic_reconstructs() {
         let nb = 4;
         let r = 3;
-        let a = test_matrix(nb * r, 0xA1);
+        let a = dense(nb * r, nb * r, 0xA1);
         let dist = BlockCyclic::new(2, 2);
         let (packed, taus, _) = run_qr(&a, &dist, nb, r, &vec![vec![1; 2]; 2]).unwrap();
         check_qr(&a, &packed, &taus, nb, r, 1e-9);
@@ -600,7 +520,7 @@ mod tests {
         // column-by-column, so the R factors agree to rounding.
         let nb = 3;
         let r = 4;
-        let a = test_matrix(nb * r, 0xA2);
+        let a = dense(nb * r, nb * r, 0xA2);
         let dist = BlockCyclic::new(1, 2);
         let (packed, taus, _) = run_qr(&a, &dist, nb, r, &[vec![1; 2]]).unwrap();
         check_qr(&a, &packed, &taus, nb, r, 1e-9);
@@ -621,7 +541,7 @@ mod tests {
         let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
         let nb = 8;
         let r = 2;
-        let a = test_matrix(nb * r, 0xA3);
+        let a = dense(nb * r, nb * r, 0xA3);
         let w = crate::store::slowdown_weights(&arr);
         let (packed, taus, report) = run_qr(&a, &dist, nb, r, &w).unwrap();
         check_qr(&a, &packed, &taus, nb, r, 1e-8);
@@ -636,7 +556,7 @@ mod tests {
         let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
         let nb = 8;
         let r = 2;
-        let a = test_matrix(nb * r, 0xA5);
+        let a = dense(nb * r, nb * r, 0xA5);
         let w = crate::store::slowdown_weights(&arr);
         let t = ChannelTransport;
         let run = |lookahead| {
@@ -657,7 +577,7 @@ mod tests {
 
     #[test]
     fn single_processor_qr() {
-        let a = test_matrix(8, 0xA4);
+        let a = dense(8, 8, 0xA4);
         let dist = BlockCyclic::new(1, 1);
         let (packed, taus, report) = run_qr(&a, &dist, 4, 2, &[vec![1]]).unwrap();
         check_qr(&a, &packed, &taus, 4, 2, 1e-10);

@@ -42,16 +42,13 @@
 //! and the harness: both the fault-event source and the redistribution
 //! engine arrive as [`RecoveryHooks`] closures.
 
-use crate::cholesky::{cholesky_seg, gather_cholesky};
-use crate::lu::lu_seg;
-use crate::mm::mm_seg;
-use crate::qr::qr_seg;
-use crate::step::{gather_result, ExecConfig};
-use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
+use crate::run::{run_seg, scatter_operands, GridState, RunOutput};
+use crate::step::ExecConfig;
+use crate::store::{BlockStore, CheckpointLog, DistributedMatrix};
 use crate::transport::{ExecError, Transport};
 use hetgrid_dist::BlockDist;
 use hetgrid_linalg::Matrix;
-use std::sync::Mutex;
+use hetgrid_plan::Kernel;
 
 /// A grid-membership fault observed by the transport, always anchored
 /// at a retirement boundary (the step the victim had just retired when
@@ -105,32 +102,6 @@ pub struct RecoveryHooks<'h> {
         Box<dyn Fn(&mut DistributedMatrix, &dyn BlockDist, &dyn BlockDist) -> usize + 'h>,
 }
 
-/// What to factor (or multiply) under the recovery driver.
-pub enum RecoveryInput<'a> {
-    /// `C = A * B` on square `nb x nb` block matrices.
-    Mm {
-        /// Left operand.
-        a: &'a Matrix,
-        /// Right operand.
-        b: &'a Matrix,
-    },
-    /// Right-looking LU (no pivoting).
-    Lu {
-        /// The matrix to factor (diagonally dominant).
-        a: &'a Matrix,
-    },
-    /// Right-looking Cholesky of an SPD matrix.
-    Cholesky {
-        /// The SPD matrix to factor.
-        a: &'a Matrix,
-    },
-    /// Fan-in Householder QR.
-    Qr {
-        /// The matrix to factor.
-        a: &'a Matrix,
-    },
-}
-
 /// What happened across the epochs of a recovered run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
@@ -151,16 +122,11 @@ pub struct RecoveryStats {
     pub replayed_steps: usize,
 }
 
-/// A recovered run's outputs: the gathered result (`C`, the packed `F`
-/// or `L` factors, or QR's packed factors), the Householder scalars
-/// for QR, the final epoch's measurements, and the recovery stats.
+/// A recovered run's outputs.
 pub struct RecoveryOutput {
-    /// Gathered result matrix.
-    pub result: Matrix,
-    /// QR's Householder scalars (`None` for the other kernels).
-    pub taus: Option<Vec<f64>>,
-    /// The final (completing) epoch's execution report.
-    pub report: ExecReport,
+    /// What [`crate::run`] would have returned — bit-exact in `result`
+    /// and `taus`; `report` measures the final (completing) epoch.
+    pub run: RunOutput,
     /// What recovery did.
     pub stats: RecoveryStats,
 }
@@ -200,55 +166,13 @@ impl BlockDist for RemappedDist<'_> {
     }
 }
 
-/// Per-kernel distributed state carried across epochs. `da` (and MM's
-/// `dc`) always hold the consistent state at the current epoch's start
-/// step on the current grid.
-enum KernelState {
-    Lu {
-        da: DistributedMatrix,
-    },
-    Cholesky {
-        da: DistributedMatrix,
-    },
-    Qr {
-        da: DistributedMatrix,
-        taus: Mutex<Vec<Vec<f64>>>,
-    },
-    Mm {
-        da: DistributedMatrix,
-        db: DistributedMatrix,
-        dc: DistributedMatrix,
-    },
-}
-
-impl KernelState {
-    /// The matrix whose writes are journaled (the factored matrix, or
-    /// C for MM).
-    fn journaled(&self) -> &DistributedMatrix {
-        match self {
-            KernelState::Lu { da } | KernelState::Cholesky { da } | KernelState::Qr { da, .. } => {
-                da
-            }
-            KernelState::Mm { dc, .. } => dc,
-        }
-    }
-
-    fn journaled_mut(&mut self) -> &mut DistributedMatrix {
-        match self {
-            KernelState::Lu { da } | KernelState::Cholesky { da } | KernelState::Qr { da, .. } => {
-                da
-            }
-            KernelState::Mm { dc, .. } => dc,
-        }
-    }
-}
-
 /// Runs a kernel to completion over `transport`, surviving any grid
 /// faults the transport injects by checkpoint-restarting on the
 /// survivor grid (see the module docs for the protocol).
 ///
-/// The matrices are `nb x nb` blocks of size `r`, initially laid out
-/// by `dist` with slowdown `weights`. Returns the gathered result —
+/// `kernel` and `inputs` are as for [`crate::run`]; the matrices are
+/// `nb x nb` blocks of size `r`, initially laid out by `dist` with
+/// slowdown `weights`. Returns the gathered result —
 /// bit-exact against the fault-free run — or the original
 /// [`ExecError`] when an epoch aborts without a fault event (a genuine
 /// failure, e.g. an un-recovered crash).
@@ -259,7 +183,8 @@ impl KernelState {
 /// underlying kernels reject.
 pub fn run_recovery(
     transport: &impl Transport,
-    input: RecoveryInput<'_>,
+    kernel: Kernel,
+    inputs: &[&Matrix],
     dist: &(dyn BlockDist + Sync),
     nb: usize,
     r: usize,
@@ -268,23 +193,8 @@ pub fn run_recovery(
     hooks: &RecoveryHooks<'_>,
 ) -> Result<RecoveryOutput, ExecError> {
     let (p, q) = dist.grid();
-    let mut state = match &input {
-        RecoveryInput::Mm { a, b } => KernelState::Mm {
-            da: DistributedMatrix::scatter(a, dist, nb, r),
-            db: DistributedMatrix::scatter(b, dist, nb, r),
-            dc: DistributedMatrix::zeros(dist, nb, r),
-        },
-        RecoveryInput::Lu { a } => KernelState::Lu {
-            da: DistributedMatrix::scatter(a, dist, nb, r),
-        },
-        RecoveryInput::Cholesky { a } => KernelState::Cholesky {
-            da: DistributedMatrix::scatter(a, dist, nb, r),
-        },
-        RecoveryInput::Qr { a } => KernelState::Qr {
-            da: DistributedMatrix::scatter(a, dist, nb, r),
-            taus: Mutex::new(vec![Vec::new(); nb]),
-        },
-    };
+    let dims = (nb, nb, nb);
+    let mut state = GridState::scatter(kernel, inputs, dist, dims, r);
 
     // The current epoch's grid: `None` means the initial `dist` /
     // `weights`, `Some` a survivor grid installed by recovery.
@@ -299,67 +209,21 @@ pub fn run_recovery(
             Some(s) => (&*s.dist, &s.weights),
             None => (dist, weights),
         };
-        let outcome = match &state {
-            KernelState::Lu { da } => {
-                lu_seg(transport, da, cur_dist, cur_weights, cfg, start, Some(&log))
-            }
-            KernelState::Cholesky { da } => {
-                cholesky_seg(transport, da, cur_dist, cur_weights, cfg, start, Some(&log))
-            }
-            KernelState::Qr { da, taus } => qr_seg(
-                transport,
-                da,
-                cur_dist,
-                cur_weights,
-                cfg,
-                start,
-                Some(&log),
-                taus,
-            ),
-            KernelState::Mm { da, db, dc } => mm_seg(
-                transport,
-                da,
-                db,
-                dc,
-                cur_dist,
-                cur_weights,
-                cfg,
-                start,
-                Some(&log),
-            ),
-        };
-
-        let err = match outcome {
+        let plan = kernel.plan(cur_dist, nb);
+        let err = match run_seg(
+            transport,
+            &state,
+            &plan,
+            cur_weights,
+            cfg,
+            start,
+            Some(&log),
+        ) {
             Ok((stores, report)) => {
-                let result = match &state {
-                    KernelState::Cholesky { .. } => gather_cholesky(stores, nb, r),
-                    KernelState::Lu { .. } => gather_result(stores, (nb, nb), r, "run_lu"),
-                    KernelState::Mm { .. } => gather_result(stores, (nb, nb), r, "run_mm"),
-                    KernelState::Qr { .. } => gather_result(stores, (nb, nb), r, "run_qr"),
-                };
-                let taus = match state {
-                    KernelState::Qr { taus, .. } => {
-                        let flat: Vec<f64> = taus
-                            .into_inner()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .into_iter()
-                            .flatten()
-                            .collect();
-                        assert_eq!(
-                            flat.len(),
-                            nb * r,
-                            "run_recovery: missing Householder scalars"
-                        );
-                        Some(flat)
-                    }
-                    _ => None,
-                };
                 return Ok(RecoveryOutput {
-                    result,
-                    taus,
-                    report,
+                    run: state.gather(stores, report),
                     stats,
-                });
+                })
             }
             Err(e) => e,
         };
@@ -385,7 +249,7 @@ pub fn run_recovery(
         );
 
         // Roll the journaled matrix back to the consistent cut.
-        let jm = state.journaled();
+        let jm = &state.main;
         let base: BlockStore = jm
             .stores
             .iter()
@@ -471,13 +335,10 @@ pub fn run_recovery(
         hetgrid_obs::event!(hetgrid_obs::trace::track("recovery"), "{}", note);
         hetgrid_obs::flight::dump(&note);
 
-        *state.journaled_mut() = placed;
+        state.main = placed;
         // MM's operands are read-only: re-scatter them on the new
         // distribution instead of journaling them.
-        if let (KernelState::Mm { da, db, .. }, RecoveryInput::Mm { a, b }) = (&mut state, &input) {
-            *da = DistributedMatrix::scatter(a, &*sv.dist, nb, r);
-            *db = DistributedMatrix::scatter(b, &*sv.dist, nb, r);
-        }
+        state.operands = scatter_operands(kernel, inputs, &*sv.dist, dims, r);
 
         survivor = Some(sv);
         start = frontier;

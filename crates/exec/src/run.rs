@@ -1,0 +1,344 @@
+//! The executor's one grid entry point: [`run`] takes a
+//! [`Kernel`] and its input matrices, scatters them over the
+//! distribution, interprets the kernel's step plan on one thread per
+//! processor, and gathers the result.
+//!
+//! Everything between scatter and gather is written once, in
+//! [`run_seg`]: one *epoch* of a plan from step `start` to completion
+//! over an already-scattered [`GridState`], optionally journaling every
+//! block write. A fresh run is the epoch with `start = 0` and no
+//! journal; [`crate::recovery`] chains epochs across grid faults. The
+//! only per-kernel code left is what differs by construction: which
+//! interpreter a worker runs ([`crate::mm`], [`crate::lu`],
+//! [`crate::cholesky`], [`crate::qr`]) and that MM accumulates into a
+//! separate `C` while the factorizations update their input in place.
+
+use crate::cholesky::ChInterp;
+use crate::lu::{effective_lu_lookahead, LuInterp};
+use crate::mm::MmInterp;
+use crate::pool::PoolClone;
+use crate::qr::QrInterp;
+use crate::step::{
+    check_weights, gather_result, run_grid, run_steps, Courier, ExecConfig, Journal, StepInterp,
+    WorkClock,
+};
+use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
+use crate::transport::{ExecError, Transport};
+use hetgrid_dist::BlockDist;
+use hetgrid_linalg::Matrix;
+use hetgrid_plan::{Kernel, Plan};
+use std::sync::Mutex;
+
+/// What a grid run produces.
+pub struct RunOutput {
+    /// The gathered result: `C` for MM, the packed `L\U` factors for LU
+    /// (strictly lower = `L` with unit diagonal, upper = `U`), the lower
+    /// factor `L` for Cholesky (upper triangle zero), QR's globally
+    /// packed factors (unpack with [`crate::qr_unpack`]).
+    pub result: Matrix,
+    /// QR's Householder scalars (`nb * r`, panel-major); `None` for the
+    /// other kernels.
+    pub taus: Option<Vec<f64>>,
+    /// Per-processor measurements.
+    pub report: ExecReport,
+}
+
+/// Runs `kernel` on `nb x nb` blocks of size `r` distributed by `dist`,
+/// over `transport`, with per-processor slowdown `weights` (block
+/// kernels repeated `w_ij` times) and executor tuning `cfg`.
+///
+/// `inputs` is `[a, b]` for [`Kernel::Mm`] (`C = A * B`) and `[a]` for
+/// the factorizations: LU runs without pivoting (feed it diagonally
+/// dominant matrices), Cholesky wants an SPD matrix and reads only its
+/// lower triangle.
+///
+/// Returns a typed [`ExecError`] if a worker dropped out mid-run.
+///
+/// # Panics
+/// Panics if the input count or a matrix size does not match
+/// `kernel` / `nb * r`, if the weights table does not match the grid,
+/// or on numerical breakdown inside a block factorization (a zero LU
+/// pivot, a non-SPD Cholesky diagonal block).
+pub fn run(
+    transport: &impl Transport,
+    kernel: Kernel,
+    inputs: &[&Matrix],
+    dist: &(dyn BlockDist + Sync),
+    nb: usize,
+    r: usize,
+    weights: &[Vec<u64>],
+    cfg: ExecConfig,
+) -> Result<RunOutput, ExecError> {
+    let state = GridState::scatter(kernel, inputs, dist, (nb, nb, nb), r);
+    state.run_to_end(transport, &kernel.plan(dist, nb), weights, cfg)
+}
+
+/// [`run`] for `C = A * B`, returning `(C, report)`.
+pub fn run_mm_on_cfg(
+    transport: &impl Transport,
+    a: &Matrix,
+    b: &Matrix,
+    dist: &(dyn BlockDist + Sync),
+    nb: usize,
+    r: usize,
+    weights: &[Vec<u64>],
+    cfg: ExecConfig,
+) -> Result<(Matrix, ExecReport), ExecError> {
+    run(transport, Kernel::Mm, &[a, b], dist, nb, r, weights, cfg).map(|o| (o.result, o.report))
+}
+
+/// Rectangular MM, `C(mb x nb) = A(mb x kb) * B(kb x nb)` in `r`-sized
+/// blocks with all three matrices laid out by the same distribution:
+/// [`run`] over [`hetgrid_plan::mm_rect_plan`].
+pub fn run_mm_rect_on_cfg(
+    transport: &impl Transport,
+    a: &Matrix,
+    b: &Matrix,
+    dist: &(dyn BlockDist + Sync),
+    dims: (usize, usize, usize),
+    r: usize,
+    weights: &[Vec<u64>],
+    cfg: ExecConfig,
+) -> Result<(Matrix, ExecReport), ExecError> {
+    let state = GridState::scatter(Kernel::Mm, &[a, b], dist, dims, r);
+    state
+        .run_to_end(
+            transport,
+            &hetgrid_plan::mm_rect_plan(dist, dims),
+            weights,
+            cfg,
+        )
+        .map(|o| (o.result, o.report))
+}
+
+/// [`run`] for LU, returning `(packed factors, report)`.
+pub fn run_lu_on_cfg(
+    transport: &impl Transport,
+    a: &Matrix,
+    dist: &(dyn BlockDist + Sync),
+    nb: usize,
+    r: usize,
+    weights: &[Vec<u64>],
+    cfg: ExecConfig,
+) -> Result<(Matrix, ExecReport), ExecError> {
+    run(transport, Kernel::Lu, &[a], dist, nb, r, weights, cfg).map(|o| (o.result, o.report))
+}
+
+/// [`run`] for Cholesky, returning `(L, report)`.
+pub fn run_cholesky_on_cfg(
+    transport: &impl Transport,
+    a: &Matrix,
+    dist: &(dyn BlockDist + Sync),
+    nb: usize,
+    r: usize,
+    weights: &[Vec<u64>],
+    cfg: ExecConfig,
+) -> Result<(Matrix, ExecReport), ExecError> {
+    run(transport, Kernel::Cholesky, &[a], dist, nb, r, weights, cfg).map(|o| (o.result, o.report))
+}
+
+/// [`run`] for QR, returning `(packed factors, taus, report)`.
+pub fn run_qr_on_cfg(
+    transport: &impl Transport,
+    a: &Matrix,
+    dist: &(dyn BlockDist + Sync),
+    nb: usize,
+    r: usize,
+    weights: &[Vec<u64>],
+    cfg: ExecConfig,
+) -> Result<(Matrix, Vec<f64>, ExecReport), ExecError> {
+    run(transport, Kernel::Qr, &[a], dist, nb, r, weights, cfg)
+        .map(|o| (o.result, o.taus.expect("QR returns taus"), o.report))
+}
+
+/// A kernel's distributed state, carried from scatter to gather and —
+/// under recovery — across epochs and grid changes.
+pub(crate) struct GridState {
+    pub kernel: Kernel,
+    /// The matrix the plan writes and recovery journals: the matrix
+    /// being factored in place, or MM's `C`. Always the consistent
+    /// state at the current epoch's start step on the current grid.
+    pub main: DistributedMatrix,
+    /// MM's read-only `A` and `B`; empty for the factorizations.
+    pub operands: Vec<DistributedMatrix>,
+    /// QR's Householder scalars by step (see [`QrInterp`]); the other
+    /// kernels leave every slot empty.
+    taus: Mutex<Vec<Vec<f64>>>,
+}
+
+/// MM's `A` and `B` scattered over `dist`; nothing for the
+/// factorizations, whose one input is the matrix they write.
+pub(crate) fn scatter_operands(
+    kernel: Kernel,
+    inputs: &[&Matrix],
+    dist: &dyn BlockDist,
+    (mb, nb, kb): (usize, usize, usize),
+    r: usize,
+) -> Vec<DistributedMatrix> {
+    match kernel {
+        Kernel::Mm => vec![
+            DistributedMatrix::scatter_rect(inputs[0], dist, mb, kb, r),
+            DistributedMatrix::scatter_rect(inputs[1], dist, kb, nb, r),
+        ],
+        Kernel::Lu | Kernel::Cholesky | Kernel::Qr => vec![],
+    }
+}
+
+impl GridState {
+    /// Scatters `inputs` for a fresh run of `kernel` (MM's `C` baseline
+    /// is zeros).
+    pub fn scatter(
+        kernel: Kernel,
+        inputs: &[&Matrix],
+        dist: &dyn BlockDist,
+        dims: (usize, usize, usize),
+        r: usize,
+    ) -> Self {
+        let (mb, nb, _) = dims;
+        let main = match (kernel, inputs) {
+            (Kernel::Mm, [_, _]) => DistributedMatrix::zeros_rect(dist, mb, nb, r),
+            (Kernel::Lu | Kernel::Cholesky | Kernel::Qr, [a]) => {
+                DistributedMatrix::scatter(a, dist, nb, r)
+            }
+            _ => panic!("run: {} given {} inputs", kernel.name(), inputs.len()),
+        };
+        GridState {
+            kernel,
+            main,
+            operands: scatter_operands(kernel, inputs, dist, dims, r),
+            taus: Mutex::new(vec![Vec::new(); nb]),
+        }
+    }
+
+    /// The fault-free run: one epoch from step 0, no journal.
+    pub fn run_to_end(
+        self,
+        transport: &impl Transport,
+        plan: &Plan,
+        weights: &[Vec<u64>],
+        cfg: ExecConfig,
+    ) -> Result<RunOutput, ExecError> {
+        let (stores, report) = run_seg(transport, &self, plan, weights, cfg, 0, None)?;
+        Ok(self.gather(stores, report))
+    }
+
+    /// Folds the final epoch's worker stores into the kernel's result.
+    pub fn gather(self, stores: Vec<BlockStore>, report: ExecReport) -> RunOutput {
+        let (rows_b, cols_b, r) = (self.main.nb_rows, self.main.nb_cols, self.main.r);
+        let mut result = gather_result(stores, (rows_b, cols_b), r, self.kernel.name());
+        if self.kernel == Kernel::Cholesky {
+            // The in-place factorization leaves the input's upper
+            // triangle behind; `L` is lower triangular.
+            for i in 0..result.rows() {
+                for j in i + 1..result.cols() {
+                    result[(i, j)] = 0.0;
+                }
+            }
+        }
+        let taus = (self.kernel == Kernel::Qr).then(|| {
+            let flat: Vec<f64> = self
+                .taus
+                .into_inner()
+                .unwrap_or_else(|e| e.into_inner())
+                .into_iter()
+                .flatten()
+                .collect();
+            assert_eq!(flat.len(), cols_b * r, "run: missing Householder scalars");
+            flat
+        });
+        RunOutput {
+            result,
+            taus,
+            report,
+        }
+    }
+}
+
+/// One epoch: interprets `plan` from step `start` to completion over
+/// `state`, journaling every write to the main matrix into `journal`
+/// when given. Returns the raw per-processor stores of the main matrix;
+/// [`GridState::gather`] folds them.
+pub(crate) fn run_seg(
+    transport: &impl Transport,
+    state: &GridState,
+    plan: &Plan,
+    weights: &[Vec<u64>],
+    cfg: ExecConfig,
+    start: usize,
+    journal: Option<&CheckpointLog>,
+) -> Result<(Vec<BlockStore>, ExecReport), ExecError> {
+    let kernel = state.kernel;
+    let grid @ (_, q) = plan.grid;
+    check_weights(weights, grid, kernel.name());
+    let main = &state.main;
+    let r = main.r;
+    let owned: Vec<Vec<(usize, usize)>> = main
+        .stores
+        .iter()
+        .map(|s| {
+            let mut v: Vec<(usize, usize)> = s.keys().copied().collect();
+            v.sort_unstable();
+            v
+        })
+        .collect();
+    let lookahead = match kernel {
+        Kernel::Lu => effective_lu_lookahead(cfg.lookahead, weights),
+        Kernel::Mm | Kernel::Cholesky | Kernel::Qr => cfg.lookahead,
+    };
+    let my = |me: usize| (me / q, me % q);
+    let blocks = |me: usize| main.stores[me].clone();
+    let epoch = Epoch {
+        transport,
+        grid,
+        weights,
+        lookahead,
+        start,
+        journal,
+    };
+    match kernel {
+        Kernel::Mm => {
+            let (a, b) = (&state.operands[0].stores, &state.operands[1].stores);
+            epoch.workers(|me| {
+                MmInterp::new(plan, my(me), &owned[me], &a[me], &b[me], blocks(me), r)
+            })
+        }
+        Kernel::Lu => epoch.workers(|me| LuInterp::new(plan, my(me), &owned[me], blocks(me), r)),
+        Kernel::Cholesky => {
+            epoch.workers(|me| ChInterp::new(plan, my(me), &owned[me], blocks(me), r))
+        }
+        Kernel::Qr => epoch.workers(|me| QrInterp::new(plan, my(me), blocks(me), r, &state.taus)),
+    }
+}
+
+/// Everything about an epoch that does not depend on the kernel.
+struct Epoch<'a, T> {
+    transport: &'a T,
+    grid: (usize, usize),
+    weights: &'a [Vec<u64>],
+    lookahead: usize,
+    start: usize,
+    journal: Option<&'a CheckpointLog>,
+}
+
+impl<T: Transport> Epoch<'_, T> {
+    /// Spawns the grid and drives one interpreter per processor through
+    /// [`run_steps`], hooking each worker up to the shared journal.
+    fn workers<I>(
+        &self,
+        make: impl Fn(usize) -> I + Sync,
+    ) -> Result<(Vec<BlockStore>, ExecReport), ExecError>
+    where
+        I: StepInterp,
+        I::P: PoolClone + Send + 'static,
+    {
+        // Copied out so the worker closure does not capture `&T`.
+        let (lookahead, start, journal) = (self.lookahead, self.start, self.journal);
+        let worker = |me: usize, courier: &mut Courier<I::P>, clock: &mut WorkClock| {
+            let j = journal.map(|log| Journal { log, me });
+            run_steps(make(me), courier, clock, lookahead, start, j.as_ref())
+        };
+        let (stores, mut report) = run_grid(self.transport, self.grid, self.weights, worker)?;
+        report.lookahead = lookahead;
+        Ok((stores, report))
+    }
+}

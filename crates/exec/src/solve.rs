@@ -6,10 +6,11 @@
 
 use crate::step::ExecConfig;
 use crate::store::ExecReport;
-use crate::transport::{ChannelTransport, ExecError, Transport};
+use crate::transport::{ExecError, Transport};
 use hetgrid_dist::BlockDist;
 use hetgrid_linalg::tri::{solve_lower, solve_upper};
 use hetgrid_linalg::Matrix;
+use hetgrid_plan::Kernel;
 
 /// Which factorization backs the solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,58 +22,14 @@ pub enum SolveKind {
     Cholesky,
 }
 
-/// Solves `A x = b` over the distribution; returns the solution and the
+/// Solves `A x = b` over the distribution: [`crate::run`] factors `a`
+/// (communicating through `transport`, tuned by `cfg`), the triangular
+/// solves run on the gathered factors. Returns the solution and the
 /// factorization's execution report, or a typed [`ExecError`] if a
 /// worker dropped out mid-run.
 ///
 /// # Panics
-/// Panics on size mismatch or numerical breakdown (see
-/// [`crate::run_lu`] / [`crate::run_cholesky`]).
-pub fn run_solve(
-    a: &Matrix,
-    b: &[f64],
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-    kind: SolveKind,
-) -> Result<(Vec<f64>, ExecReport), ExecError> {
-    run_solve_on(&ChannelTransport, a, b, dist, nb, r, weights, kind)
-}
-
-/// [`run_solve`] over an explicit [`Transport`]: the distributed
-/// factorization phase communicates through it.
-///
-/// # Panics
-/// Panics like [`run_solve`].
-pub fn run_solve_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &[f64],
-    dist: &(dyn BlockDist + Sync),
-    nb: usize,
-    r: usize,
-    weights: &[Vec<u64>],
-    kind: SolveKind,
-) -> Result<(Vec<f64>, ExecReport), ExecError> {
-    run_solve_on_cfg(
-        transport,
-        a,
-        b,
-        dist,
-        nb,
-        r,
-        weights,
-        kind,
-        ExecConfig::default(),
-    )
-}
-
-/// [`run_solve_on`] with explicit executor tuning (lookahead depth) for
-/// the distributed factorization phase.
-///
-/// # Panics
-/// Panics like [`run_solve`].
+/// Panics on size mismatch or numerical breakdown, like [`crate::run`].
 pub fn run_solve_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -88,21 +45,20 @@ pub fn run_solve_on_cfg(
     assert_eq!(a.shape(), (n, n), "run_solve: matrix size mismatch");
     assert_eq!(b.len(), n, "run_solve: rhs length mismatch");
     let bm = Matrix::from_fn(n, 1, |i, _| b[i]);
-    match kind {
+    let factor = |kernel| crate::run(transport, kernel, &[a], dist, nb, r, weights, cfg);
+    let (x, report) = match kind {
         SolveKind::Lu => {
-            let (f, report) = crate::lu::run_lu_on_cfg(transport, a, dist, nb, r, weights, cfg)?;
-            let y = solve_lower(&f, &bm, true);
-            let x = solve_upper(&f, &y);
-            Ok(((0..n).map(|i| x[(i, 0)]).collect(), report))
+            let out = factor(Kernel::Lu)?;
+            let y = solve_lower(&out.result, &bm, true);
+            (solve_upper(&out.result, &y), out.report)
         }
         SolveKind::Cholesky => {
-            let (l, report) =
-                crate::cholesky::run_cholesky_on_cfg(transport, a, dist, nb, r, weights, cfg)?;
-            let y = solve_lower(&l, &bm, false);
-            let x = solve_upper(&l.transpose(), &y);
-            Ok(((0..n).map(|i| x[(i, 0)]).collect(), report))
+            let out = factor(Kernel::Cholesky)?;
+            let y = solve_lower(&out.result, &bm, false);
+            (solve_upper(&out.result.transpose(), &y), out.report)
         }
-    }
+    };
+    Ok(((0..n).map(|i| x[(i, 0)]).collect(), report))
 }
 
 /// Max-norm residual `|A x - b|_inf` — the caller-side check.
@@ -117,33 +73,25 @@ pub fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{dominant, spd};
+    use crate::transport::ChannelTransport;
     use hetgrid_core::{exact, Arrangement};
+
+    fn run_solve(
+        a: &Matrix,
+        b: &[f64],
+        dist: &(dyn BlockDist + Sync),
+        nb: usize,
+        r: usize,
+        weights: &[Vec<u64>],
+        kind: SolveKind,
+    ) -> Result<(Vec<f64>, ExecReport), ExecError> {
+        let cfg = ExecConfig::default();
+        run_solve_on_cfg(&ChannelTransport, a, b, dist, nb, r, weights, kind, cfg)
+    }
+
     use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
-    use hetgrid_linalg::gemm::{matmul, matvec};
-
-    fn dominant(n: usize, seed: u64) -> Matrix {
-        let mut state = seed | 1;
-        Matrix::from_fn(n, n, |i, j| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
-            if i == j {
-                v + 2.0 * n as f64
-            } else {
-                v
-            }
-        })
-    }
-
-    fn spd(n: usize, seed: u64) -> Matrix {
-        let b = dominant(n, seed);
-        let mut a = matmul(&b.transpose(), &b);
-        for i in 0..n {
-            a[(i, i)] += n as f64;
-        }
-        a
-    }
+    use hetgrid_linalg::gemm::matvec;
 
     #[test]
     fn lu_solve_on_panel_layout() {

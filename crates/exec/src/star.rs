@@ -23,11 +23,11 @@
 
 use crate::pool::PoolClone;
 use crate::step::{
-    check_weights, gather_result, run_grid, run_steps, Action, Courier, ExecConfig, Op, StepInterp,
-    WorkClock,
+    block_bytes, check_weights, gather_result, run_grid, run_steps, Action, Courier, ExecConfig,
+    Op, StepInterp, WorkClock,
 };
 use crate::store::{BlockStore, ExecReport};
-use crate::transport::{ChannelTransport, Closed, ExecError, Transport};
+use crate::transport::{Closed, ExecError, Transport};
 use hetgrid_core::Topology;
 use hetgrid_linalg::gemm::gemm;
 use hetgrid_linalg::Matrix;
@@ -65,47 +65,6 @@ fn mat_ns(mat: Mat) -> u8 {
 /// # Panics
 /// Panics if `topo` is not a star, matrix sizes do not match
 /// `dims * r`, or the weights table does not match `1 x (workers + 1)`.
-pub fn run_star_mm(
-    a: &Matrix,
-    b: &Matrix,
-    topo: &Topology,
-    dims: (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_star_mm_on(&ChannelTransport, a, b, topo, dims, r, weights)
-}
-
-/// [`run_star_mm`] over an explicit [`Transport`] (the harness injects
-/// its fault-injecting virtual transport here).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_star_mm`].
-pub fn run_star_mm_on(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &Matrix,
-    topo: &Topology,
-    dims: (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-) -> Result<(Matrix, ExecReport), ExecError> {
-    run_star_mm_on_cfg(
-        transport,
-        a,
-        b,
-        topo,
-        dims,
-        r,
-        weights,
-        ExecConfig::default(),
-    )
-}
-
-/// [`run_star_mm_on`] with explicit executor tuning (lookahead depth).
-///
-/// # Panics
-/// Panics on size mismatches, like [`run_star_mm`].
 pub fn run_star_mm_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -142,21 +101,20 @@ pub fn run_star_mm_on_cfg(
             mbk.insert((bk, bj), b.block(bk * r, bj * r, r, r));
         }
     }
-    let block_bytes = (r * r * std::mem::size_of::<f64>()) as u64;
+    let block_bytes = block_bytes(r);
 
-    let (stores, report) = run_grid(transport, shape, weights, |me, courier, clock| {
+    let (stores, mut report) = run_grid(transport, shape, weights, |me, courier, clock| {
         if me == 0 {
-            let mut interp = StarMaster {
+            let master = StarMaster {
                 plan: &plan,
                 a: &ma,
                 b: &mbk,
                 c: BlockStore::new(),
                 block_bytes,
             };
-            run_steps(&mut interp, courier, clock, cfg.lookahead, 0, None)?;
-            Ok(interp.c)
+            run_steps(master, courier, clock, cfg.lookahead, 0, None)
         } else {
-            let mut interp = StarWorker {
+            let worker = StarWorker {
                 plan: &plan,
                 me,
                 worker_mem,
@@ -165,16 +123,10 @@ pub fn run_star_mm_on_cfg(
                 scratch: Matrix::zeros(r, r),
                 block_bytes,
             };
-            run_steps(&mut interp, courier, clock, cfg.lookahead, 0, None)?;
-            // Every resident block was evicted; the result lives with
-            // the master.
-            assert!(
-                interp.resident.iter().all(BlockStore::is_empty),
-                "run_star_mm: worker {me} finished with resident blocks"
-            );
-            Ok(BlockStore::new())
+            run_steps(worker, courier, clock, cfg.lookahead, 0, None)
         }
     })?;
+    report.lookahead = cfg.lookahead;
     let c = gather_result(stores, (mb, nb), r, "run_star_mm");
     Ok((c, report))
 }
@@ -325,6 +277,10 @@ impl StepInterp for StarMaster<'_> {
         }
         Ok(())
     }
+
+    fn into_store(self) -> BlockStore {
+        self.c
+    }
 }
 
 /// A worker: at most `worker_mem` resident blocks (indexed by
@@ -427,12 +383,37 @@ impl StepInterp for StarWorker<'_> {
         }
         Ok(())
     }
+
+    /// Every resident block was evicted; the result lives with the
+    /// master.
+    fn into_store(self) -> BlockStore {
+        assert!(
+            self.resident.iter().all(BlockStore::is_empty),
+            "run_star_mm: worker {} finished with resident blocks",
+            self.me
+        );
+        BlockStore::new()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::dense;
+    use crate::transport::ChannelTransport;
     use hetgrid_linalg::gemm::matmul;
+
+    fn run_star_mm(
+        a: &Matrix,
+        b: &Matrix,
+        topo: &Topology,
+        dims: (usize, usize, usize),
+        r: usize,
+        weights: &[Vec<u64>],
+    ) -> Result<(Matrix, ExecReport), ExecError> {
+        let cfg = ExecConfig::default();
+        run_star_mm_on_cfg(&ChannelTransport, a, b, topo, dims, r, weights, cfg)
+    }
 
     fn star(workers: usize, worker_mem: usize) -> Topology {
         Topology::Star {
@@ -440,16 +421,6 @@ mod tests {
             worker_mem,
             master_bw: 1.0,
         }
-    }
-
-    fn test_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        Matrix::from_fn(rows, cols, |_, _| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        })
     }
 
     fn uniform(n: usize) -> Vec<Vec<u64>> {
@@ -460,8 +431,8 @@ mod tests {
     fn star_mm_matches_sequential() {
         let (mb, nb, kb) = (4, 3, 3);
         let r = 3;
-        let a = test_matrix(mb * r, kb * r, 1);
-        let b = test_matrix(kb * r, nb * r, 2);
+        let a = dense(mb * r, kb * r, 1);
+        let b = dense(kb * r, nb * r, 2);
         let (c, report) = run_star_mm(&a, &b, &star(2, 7), (mb, nb, kb), r, &uniform(3)).unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
         assert_eq!(
@@ -476,8 +447,8 @@ mod tests {
         let topo = star(3, 7);
         let dims = (5, 4, 3);
         let r = 2;
-        let a = test_matrix(dims.0 * r, dims.2 * r, 3);
-        let b = test_matrix(dims.2 * r, dims.1 * r, 4);
+        let a = dense(dims.0 * r, dims.2 * r, 3);
+        let b = dense(dims.2 * r, dims.1 * r, 4);
         let (_, report) = run_star_mm(&a, &b, &topo, dims, r, &uniform(4)).unwrap();
         let plan = hetgrid_plan::star_mm_plan(&topo, dims);
         let mut feeds = 0u64;
@@ -508,8 +479,8 @@ mod tests {
         // serial streaming through one worker.
         let (mb, nb, kb) = (3, 2, 2);
         let r = 2;
-        let a = test_matrix(mb * r, kb * r, 5);
-        let b = test_matrix(kb * r, nb * r, 6);
+        let a = dense(mb * r, kb * r, 5);
+        let b = dense(kb * r, nb * r, 6);
         let (c, _) = run_star_mm(&a, &b, &star(1, 3), (mb, nb, kb), r, &uniform(2)).unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
     }
@@ -518,8 +489,8 @@ mod tests {
     fn star_mm_heterogeneous_weights_scale_work() {
         let (mb, nb, kb) = (4, 4, 2);
         let r = 2;
-        let a = test_matrix(mb * r, kb * r, 7);
-        let b = test_matrix(kb * r, nb * r, 8);
+        let a = dense(mb * r, kb * r, 7);
+        let b = dense(kb * r, nb * r, 8);
         let weights = vec![vec![1, 1, 3]];
         let (c, report) = run_star_mm(&a, &b, &star(2, 7), (mb, nb, kb), r, &weights).unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
@@ -537,8 +508,8 @@ mod tests {
     fn lookahead_is_bit_exact_with_in_order() {
         let (mb, nb, kb) = (5, 4, 3);
         let r = 2;
-        let a = test_matrix(mb * r, kb * r, 11);
-        let b = test_matrix(kb * r, nb * r, 12);
+        let a = dense(mb * r, kb * r, 11);
+        let b = dense(kb * r, nb * r, 12);
         let t = ChannelTransport;
         let run = |lookahead| {
             run_star_mm_on_cfg(
@@ -569,11 +540,21 @@ mod tests {
         // order per C block (ascending k), so results agree bit-exactly.
         let nb = 4;
         let r = 2;
-        let a = test_matrix(nb * r, nb * r, 21);
-        let b = test_matrix(nb * r, nb * r, 22);
+        let a = dense(nb * r, nb * r, 21);
+        let b = dense(nb * r, nb * r, 22);
         let (c_star, _) = run_star_mm(&a, &b, &star(3, 13), (nb, nb, nb), r, &uniform(4)).unwrap();
         let dist = hetgrid_dist::BlockCyclic::new(2, 2);
-        let (c_grid, _) = crate::mm::run_mm(&a, &b, &dist, nb, r, &vec![vec![1; 2]; 2]).unwrap();
+        let (c_grid, _) = crate::run_mm_on_cfg(
+            &ChannelTransport,
+            &a,
+            &b,
+            &dist,
+            nb,
+            r,
+            &vec![vec![1; 2]; 2],
+            ExecConfig::default(),
+        )
+        .unwrap();
         assert!(c_star.approx_eq(&c_grid, 0.0));
     }
 }

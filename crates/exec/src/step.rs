@@ -58,8 +58,8 @@ use std::time::Instant;
 /// longer than the in-order schedule would.
 pub const DEFAULT_LOOKAHEAD: usize = 2;
 
-/// Tuning knobs for an executor run, accepted by the `*_on_cfg` entry
-/// points.
+/// Tuning knobs for an executor run, accepted by [`crate::run`] and
+/// the typed `*_on_cfg` forms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Out-of-order window depth: a worker may execute actions of steps
@@ -216,6 +216,9 @@ pub(crate) trait StepInterp {
     fn peek(&self, _blk: (usize, usize)) -> Option<&Matrix> {
         None
     }
+
+    /// This processor's share of the result once every step retired.
+    fn into_store(self) -> BlockStore;
 }
 
 /// One worker's handle on the shared [`CheckpointLog`]: which processor
@@ -266,7 +269,8 @@ pub(crate) fn pick_action(
 }
 
 /// The out-of-order step driver: runs `interp`'s plan with a window of
-/// `lookahead + 1` consecutive steps open at a time.
+/// `lookahead + 1` consecutive steps open at a time, from step `start`
+/// to the end, and returns the worker's result blocks.
 ///
 /// The loop invariantly (1) emits steps into the window while the
 /// budget allows, (2) retires fully-done front steps (freeing budget
@@ -281,13 +285,13 @@ pub(crate) fn pick_action(
 /// that precede it in the global in-order schedule, which by induction
 /// all eventually run on their owners.
 pub(crate) fn run_steps<I>(
-    interp: &mut I,
+    mut interp: I,
     courier: &mut Courier<I::P>,
     clock: &mut WorkClock,
     lookahead: usize,
     start: usize,
     journal: Option<&Journal<'_>>,
-) -> Result<(), Closed>
+) -> Result<BlockStore, Closed>
 where
     I: StepInterp,
     I::P: PoolClone,
@@ -350,7 +354,7 @@ where
             None => courier.stall()?,
         }
     }
-    Ok(())
+    Ok(interp.into_store())
 }
 
 /// Per-worker communication handle: endpoint + pending buffer + buffer
@@ -608,6 +612,11 @@ impl WorkClock {
     }
 }
 
+/// Wire size of one `r x r` block payload, for the obs byte counters.
+pub(crate) fn block_bytes(r: usize) -> u64 {
+    (r * r * std::mem::size_of::<f64>()) as u64
+}
+
 /// Validates a slowdown-weight table against the grid shape.
 pub(crate) fn check_weights(weights: &[Vec<u64>], (p, q): (usize, usize), kernel: &str) {
     assert_eq!(weights.len(), p, "{kernel}: weights rows mismatch");
@@ -621,7 +630,8 @@ pub(crate) fn check_weights(weights: &[Vec<u64>], (p, q): (usize, usize), kernel
 /// over `transport`, giving each a [`Courier`] and a [`WorkClock`]
 /// seeded from its slowdown weight. Returns each worker's final block
 /// store (indexed by linear processor id) and the assembled
-/// [`ExecReport`].
+/// [`ExecReport`], whose `lookahead` the caller fills in (only it knows
+/// the depth its workers drove [`run_steps`] at).
 ///
 /// A worker that hits a closed transport (a peer dropped out) returns
 /// `Err(Closed)`; the driver then aborts the whole run through
@@ -705,6 +715,7 @@ where
             busy_seconds: busy,
             work_units: work,
             messages_sent: msgs,
+            lookahead: 0,
         },
     ))
 }

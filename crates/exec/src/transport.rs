@@ -5,9 +5,9 @@
 //! other processor's mailbox. [`Transport`] abstracts who implements
 //! that surface:
 //!
-//! * [`ChannelTransport`] — the production default, one
-//!   [`crate::channel`] MPMC channel per processor (what `run_mm` & co
-//!   use when called without an explicit transport);
+//! * [`ChannelTransport`] — the production transport, one
+//!   [`crate::channel`] MPMC channel per processor (what callers of
+//!   [`crate::run`] pass outside tests);
 //! * `hetgrid-harness`'s virtual transport — a seeded fault-injecting
 //!   router (message delay, reordering, starvation detection) used by
 //!   the deterministic simulation harness.

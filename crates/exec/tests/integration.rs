@@ -10,10 +10,23 @@
 
 use hetgrid_core::{exact, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
-use hetgrid_exec::{run_cholesky, run_lu, run_mm, slowdown_weights};
+use hetgrid_exec::{run, slowdown_weights, ChannelTransport, ExecConfig, RunOutput};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid_linalg::Matrix;
+use hetgrid_plan::Kernel;
+
+fn exec(
+    kernel: Kernel,
+    inputs: &[&Matrix],
+    dist: &(dyn BlockDist + Sync),
+    nb: usize,
+    r: usize,
+    weights: &[Vec<u64>],
+) -> RunOutput {
+    let cfg = ExecConfig::default();
+    run(&ChannelTransport, kernel, inputs, dist, nb, r, weights, cfg).unwrap()
+}
 
 /// Deterministic dense matrix with entries in `[-1, 1)`.
 fn dense(n: usize, seed: u64) -> Matrix {
@@ -97,7 +110,8 @@ fn mm_matches_reference_on_heterogeneous_grids() {
         let b = dense(nb * r, 200 + ai as u64);
         let reference = matmul(&a, &b);
         for (dist, name) in distributions(arr) {
-            let (c, report) = run_mm(&a, &b, dist.as_ref(), nb, r, &w).unwrap();
+            let out = exec(Kernel::Mm, &[&a, &b], dist.as_ref(), nb, r, &w);
+            let (c, report) = (out.result, out.report);
             assert!(
                 c.approx_eq(&reference, 1e-9),
                 "MM mismatch on {}x{} {}: max err {:.3e}",
@@ -121,7 +135,7 @@ fn lu_matches_reference_on_heterogeneous_grids() {
         let (nb, r) = (6, 2);
         let a = dominant(nb * r, 300 + ai as u64);
         for (dist, name) in distributions(arr) {
-            let (f, _) = run_lu(&a, dist.as_ref(), nb, r, &w).unwrap();
+            let f = exec(Kernel::Lu, &[&a], dist.as_ref(), nb, r, &w).result;
             let lu = matmul(&unit_lower_from_packed(&f), &upper_from_packed(&f));
             assert!(
                 lu.approx_eq(&a, 1e-8),
@@ -142,7 +156,7 @@ fn cholesky_matches_reference_on_heterogeneous_grids() {
         let (nb, r) = (6, 2);
         let a = spd(nb * r, 400 + ai as u64);
         for (dist, name) in distributions(arr) {
-            let (l, _) = run_cholesky(&a, dist.as_ref(), nb, r, &w).unwrap();
+            let l = exec(Kernel::Cholesky, &[&a], dist.as_ref(), nb, r, &w).result;
             let llt = matmul(&l, &l.transpose());
             assert!(
                 llt.approx_eq(&a, 1e-8),
@@ -167,7 +181,7 @@ fn weighted_work_reflects_the_arrangement() {
     let (nb, r) = (4, 2);
     let a = dense(nb * r, 77);
     let b = dense(nb * r, 78);
-    let (_, report) = run_mm(&a, &b, &dist, nb, r, &w).unwrap();
+    let report = exec(Kernel::Mm, &[&a, &b], &dist, nb, r, &w).report;
     let blocks_each = (nb * nb / 4) as u64;
     for (i, row) in w.iter().enumerate() {
         for (j, &wij) in row.iter().enumerate() {

@@ -43,9 +43,10 @@ pub mod scenario;
 pub mod vtransport;
 
 pub use faults::{kill_variants, FaultProfile, KillSchedule};
+pub use hetgrid_plan::Kernel;
 pub use runner::{
     resolve_grid_fault, run_adapt_case, run_exec_case, run_recovery_case, run_recovery_join_case,
-    run_redistribution_case, run_star_case, Kernel,
+    run_redistribution_case, run_solve_case, run_star_case,
 };
 pub use vtransport::VirtualTransport;
 

@@ -17,10 +17,11 @@
 //! replayable.
 
 use hetgrid_dist::{redistribution, BlockDist};
-use hetgrid_exec::{DistributedMatrix, ExecReport, RecoveryStats};
+use hetgrid_exec::{DistributedMatrix, ExecReport, RecoveryStats, RunOutput};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid_linalg::Matrix;
+use hetgrid_plan::Kernel;
 use hetgrid_sim::counts::KernelCounts;
 
 /// Checks `c` against the reference product `a * b`.
@@ -65,7 +66,7 @@ pub fn check_cholesky(a: &Matrix, l: &Matrix, tol: f64) -> Result<(), String> {
     }
 }
 
-/// Checks the packed QR factors from [`hetgrid_exec::run_qr`]:
+/// Checks the packed QR factors of a [`Kernel::Qr`] run:
 /// unpacking must give an orthonormal `Q` with `Q * R` reproducing `a`.
 pub fn check_qr(
     a: &Matrix,
@@ -95,6 +96,32 @@ pub fn check_qr(
         ));
     }
     Ok(())
+}
+
+/// Checks a [`hetgrid_exec::run`] output against the `hetgrid-linalg`
+/// reference for its kernel: the product for MM (tolerance 1e-9), the
+/// reconstructed factorization for LU, Cholesky and QR (1e-8). `inputs`
+/// are the matrices the run was given.
+///
+/// # Panics
+/// Panics if a QR output comes without `taus`.
+pub fn check_kernel(
+    kernel: Kernel,
+    inputs: &[Matrix],
+    out: &RunOutput,
+    nb: usize,
+    r: usize,
+) -> Result<(), String> {
+    let res = &out.result;
+    match kernel {
+        Kernel::Mm => check_mm(&inputs[0], &inputs[1], res, 1e-9),
+        Kernel::Lu => check_lu(&inputs[0], res, 1e-8),
+        Kernel::Cholesky => check_cholesky(&inputs[0], res, 1e-8),
+        Kernel::Qr => {
+            let taus = out.taus.as_deref().expect("QR returns taus");
+            check_qr(&inputs[0], res, taus, nb, r, 1e-8)
+        }
+    }
 }
 
 /// Checks a solve: the max-norm residual `|A x - b|` must be below

@@ -13,6 +13,7 @@ use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
 use hetgrid_exec::slowdown_weights;
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::Matrix;
+use hetgrid_plan::Kernel;
 use rand::prelude::*;
 
 /// A fully determined executor test case (minus the fault profile).
@@ -243,6 +244,18 @@ pub fn spd_matrix(rng: &mut StdRng, n: usize) -> Matrix {
         a[(i, i)] += n as f64;
     }
     a
+}
+
+/// Input matrices `hetgrid_exec::run` accepts for `kernel` at side `n`:
+/// two dense operands for MM, a diagonally dominant matrix for the
+/// unpivoted LU, an SPD matrix for Cholesky, a dense matrix for QR.
+pub fn kernel_inputs(kernel: Kernel, rng: &mut StdRng, n: usize) -> Vec<Matrix> {
+    match kernel {
+        Kernel::Mm => vec![general_matrix(rng, n, n), general_matrix(rng, n, n)],
+        Kernel::Lu => vec![dominant_matrix(rng, n)],
+        Kernel::Cholesky => vec![spd_matrix(rng, n)],
+        Kernel::Qr => vec![general_matrix(rng, n, n)],
+    }
 }
 
 #[cfg(test)]

@@ -9,10 +9,11 @@
 //! isolated from the main harness suite; within the binary the tests
 //! serialize on one mutex for the same reason.
 
-use hetgrid_exec::{run_cholesky_on, run_lu_on, run_mm_on, run_qr_on, Transport as _};
-use hetgrid_harness::scenario::{dominant_matrix, exec_scenario, general_matrix, spd_matrix};
-use hetgrid_harness::{oracles, FaultProfile, VirtualTransport};
-use hetgrid_sim::counts::{cholesky_counts, lu_counts, mm_counts, qr_counts};
+use hetgrid_exec::{run, ExecConfig, Transport as _};
+use hetgrid_harness::scenario::{exec_scenario, kernel_inputs};
+use hetgrid_harness::{oracles, FaultProfile, Kernel, VirtualTransport};
+use hetgrid_linalg::Matrix;
+use hetgrid_sim::counts;
 use rand::prelude::*;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -21,14 +22,6 @@ fn obs_lock() -> MutexGuard<'static, ()> {
     LOCK.get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|p| p.into_inner())
-}
-
-#[derive(Clone, Copy)]
-enum Kernel {
-    Mm,
-    Lu,
-    Cholesky,
-    Qr,
 }
 
 /// Runs one instrumented kernel case and returns the metrics delta it
@@ -40,35 +33,25 @@ fn run_instrumented(
 ) -> hetgrid_obs::MetricsSnapshot {
     let sc = exec_scenario(seed);
     let transport = VirtualTransport::new(seed, profile);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = sc.nb * sc.r;
+    let inputs = kernel_inputs(kernel, &mut StdRng::seed_from_u64(seed), sc.nb * sc.r);
+    let refs: Vec<&Matrix> = inputs.iter().collect();
     let dist = sc.dist.as_ref();
+    let cfg = ExecConfig::default();
 
     hetgrid_obs::set_enabled(true);
     let before = hetgrid_obs::metrics().snapshot();
-    let predicted = match kernel {
-        Kernel::Mm => {
-            let a = general_matrix(&mut rng, n, n);
-            let b = general_matrix(&mut rng, n, n);
-            run_mm_on(&transport, &a, &b, dist, sc.nb, sc.r, &sc.weights).unwrap();
-            mm_counts(dist, (sc.nb, sc.nb, sc.nb), &sc.weights)
-        }
-        Kernel::Lu => {
-            let a = dominant_matrix(&mut rng, n);
-            run_lu_on(&transport, &a, dist, sc.nb, sc.r, &sc.weights).unwrap();
-            lu_counts(dist, sc.nb, &sc.weights)
-        }
-        Kernel::Cholesky => {
-            let a = spd_matrix(&mut rng, n);
-            run_cholesky_on(&transport, &a, dist, sc.nb, sc.r, &sc.weights).unwrap();
-            cholesky_counts(dist, sc.nb, &sc.weights)
-        }
-        Kernel::Qr => {
-            let a = general_matrix(&mut rng, n, n);
-            run_qr_on(&transport, &a, dist, sc.nb, sc.r, &sc.weights).unwrap();
-            qr_counts(dist, sc.nb, &sc.weights)
-        }
-    };
+    run(
+        &transport,
+        kernel,
+        &refs,
+        dist,
+        sc.nb,
+        sc.r,
+        &sc.weights,
+        cfg,
+    )
+    .unwrap();
+    let predicted = counts::fold(&kernel.plan(dist, sc.nb), 0, &sc.weights);
     let delta = hetgrid_obs::metrics().snapshot().delta(&before);
     hetgrid_obs::set_enabled(false);
     hetgrid_obs::trace::clear();

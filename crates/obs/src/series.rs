@@ -1,10 +1,12 @@
 //! Time-series metrics: a fixed-capacity ring of periodic
 //! [`MetricsSnapshot`] deltas.
 //!
-//! [`sample`] diffs the global registry against the previous sample
-//! and appends the delta (stamped with [`crate::trace::now_us`]) to a
-//! global ring of the last [`SERIES_CAP`] points; `hetgrid serve`
-//! drives it from a 1 Hz sampler thread and exposes the ring over the
+//! A [`Series`] owns one ring: [`Series::sample`] diffs the global
+//! registry against the ring's previous sample and appends the delta
+//! (stamped with [`crate::trace::now_us`]), keeping the last
+//! [`SERIES_CAP`] points. The free functions [`sample`] and
+//! [`to_json`] act on one process-wide default `Series`: `hetgrid
+//! serve` drives it from a 1 Hz sampler thread and exposes it over the
 //! wire (`Request::Metrics` with the `Series` format), which is what
 //! `hetgrid top` polls to compute rates — even a single `--once` poll
 //! sees history, because the ring accumulated it server-side.
@@ -28,79 +30,88 @@ pub struct SeriesPoint {
     pub delta: MetricsSnapshot,
 }
 
-struct SeriesRing {
+#[derive(Default)]
+struct Ring {
     points: VecDeque<SeriesPoint>,
     last: Option<MetricsSnapshot>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|p| p.into_inner())
+/// A ring of the last [`SERIES_CAP`] registry deltas and the baseline
+/// the next delta is taken against. Shared by reference (`&self`
+/// everywhere, internal mutex) so a sampler thread and readers can use
+/// one instance.
+#[derive(Default)]
+pub struct Series {
+    ring: Mutex<Ring>,
 }
 
-fn ring() -> &'static Mutex<SeriesRing> {
-    static RING: OnceLock<Mutex<SeriesRing>> = OnceLock::new();
-    RING.get_or_init(|| {
-        Mutex::new(SeriesRing {
-            points: VecDeque::new(),
-            last: None,
-        })
-    })
-}
-
-/// Takes one sample: snapshots the registry, records the delta since
-/// the previous sample, and advances the baseline. Evicts the oldest
-/// point at capacity.
-pub fn sample() {
-    let cur = metrics().snapshot();
-    let mut r = lock(ring());
-    let delta = match &r.last {
-        Some(prev) => cur.delta(prev),
-        None => cur.clone(),
-    };
-    if r.points.len() == SERIES_CAP {
-        r.points.pop_front();
+impl Series {
+    /// An empty ring with no baseline.
+    pub fn new() -> Self {
+        Self::default()
     }
-    r.points.push_back(SeriesPoint {
-        t_us: now_us(),
-        delta,
-    });
-    r.last = Some(cur);
-}
 
-/// A copy of the retained points, oldest first.
-pub fn points() -> Vec<SeriesPoint> {
-    lock(ring()).points.iter().cloned().collect()
-}
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
-/// Number of retained points.
-pub fn len() -> usize {
-    lock(ring()).points.len()
-}
-
-/// Discards all points and the delta baseline (test helper).
-pub fn clear() {
-    let mut r = lock(ring());
-    r.points.clear();
-    r.last = None;
-}
-
-/// Renders the ring as JSON:
-/// `{"series": [{"t_us": ..., "delta": {<snapshot json>}}, ...]}`.
-pub fn to_json() -> String {
-    let pts = points();
-    let mut out = String::from("{\"series\": [");
-    for (i, p) in pts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    /// Takes one sample: snapshots the registry, records the delta
+    /// since the previous sample, and advances the baseline. Evicts the
+    /// oldest point at capacity.
+    pub fn sample(&self) {
+        let cur = metrics().snapshot();
+        let mut r = self.lock();
+        let delta = match &r.last {
+            Some(prev) => cur.delta(prev),
+            None => cur.clone(),
+        };
+        if r.points.len() == SERIES_CAP {
+            r.points.pop_front();
         }
-        out.push_str("\n{\"t_us\": ");
-        write_f64(&mut out, p.t_us);
-        out.push_str(", \"delta\": ");
-        out.push_str(p.delta.to_json().trim_end());
-        out.push('}');
+        r.points.push_back(SeriesPoint {
+            t_us: now_us(),
+            delta,
+        });
+        r.last = Some(cur);
     }
-    out.push_str("\n]}\n");
-    out
+
+    /// A copy of the retained points, oldest first.
+    pub fn points(&self) -> Vec<SeriesPoint> {
+        self.lock().points.iter().cloned().collect()
+    }
+
+    /// Renders the ring as JSON:
+    /// `{"series": [{"t_us": ..., "delta": {<snapshot json>}}, ...]}`.
+    pub fn to_json(&self) -> String {
+        let mut out = String::from("{\"series\": [");
+        for (i, p) in self.points().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("\n{\"t_us\": ");
+            write_f64(&mut out, p.t_us);
+            out.push_str(", \"delta\": ");
+            out.push_str(p.delta.to_json().trim_end());
+            out.push('}');
+        }
+        out.push_str("\n]}\n");
+        out
+    }
+}
+
+fn global() -> &'static Series {
+    static SERIES: OnceLock<Series> = OnceLock::new();
+    SERIES.get_or_init(Series::new)
+}
+
+/// [`Series::sample`] on the process-wide default series.
+pub fn sample() {
+    global().sample();
+}
+
+/// [`Series::to_json`] of the process-wide default series.
+pub fn to_json() -> String {
+    global().to_json()
 }
 
 #[cfg(test)]
@@ -113,31 +124,30 @@ mod tests {
         // The registry is process-global, so drive a dedicated counter
         // and only assert on it.
         let c = metrics().counter("obs.test.series");
-        clear();
-        sample();
+        let series = Series::new();
+        series.sample();
         c.add(5);
-        sample();
+        series.sample();
         c.add(2);
-        sample();
-        let pts = points();
+        series.sample();
+        let pts = series.points();
         assert_eq!(pts.len(), 3);
         assert_eq!(pts[1].delta.counter("obs.test.series"), 5);
         assert_eq!(pts[2].delta.counter("obs.test.series"), 2);
         assert!(pts[0].t_us <= pts[1].t_us && pts[1].t_us <= pts[2].t_us);
 
         for _ in 0..SERIES_CAP + 10 {
-            sample();
+            series.sample();
         }
-        assert_eq!(len(), SERIES_CAP);
-        clear();
+        assert_eq!(series.points().len(), SERIES_CAP);
     }
 
     #[test]
     fn series_json_parses() {
-        clear();
+        let series = Series::new();
         metrics().counter("obs.test.series.json").inc();
-        sample();
-        let doc = json::parse(&to_json()).expect("series json must parse");
+        series.sample();
+        let doc = json::parse(&series.to_json()).expect("series json must parse");
         let arr = doc.get("series").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(arr.len(), 1);
         assert!(arr[0].get("t_us").and_then(|v| v.as_f64()).is_some());
@@ -145,6 +155,5 @@ mod tests {
             .get("delta")
             .and_then(|d| d.get("counters"))
             .is_some());
-        clear();
     }
 }

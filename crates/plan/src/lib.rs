@@ -41,6 +41,79 @@ use hetgrid_dist::BlockDist;
 pub mod deps;
 pub mod wire;
 
+/// The four grid kernels — the workspace's one kernel vocabulary. The
+/// serve wire, the plan cache fingerprints, the CLI, the executor entry
+/// point and the harness all name a kernel with this enum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Kernel {
+    /// Outer-product matrix multiplication (paper Section 3.1).
+    Mm,
+    /// Right-looking blocked LU (Section 3.2).
+    Lu,
+    /// Right-looking blocked Cholesky.
+    Cholesky,
+    /// Householder blocked QR.
+    Qr,
+}
+
+impl Kernel {
+    /// All kernels, for sweeps.
+    pub const ALL: [Kernel; 4] = [Kernel::Mm, Kernel::Lu, Kernel::Cholesky, Kernel::Qr];
+
+    /// Wire byte for this kernel.
+    pub fn as_u8(self) -> u8 {
+        match self {
+            Kernel::Mm => 0,
+            Kernel::Lu => 1,
+            Kernel::Cholesky => 2,
+            Kernel::Qr => 3,
+        }
+    }
+
+    /// Kernel for a wire byte.
+    pub fn from_u8(b: u8) -> Option<Kernel> {
+        Some(match b {
+            0 => Kernel::Mm,
+            1 => Kernel::Lu,
+            2 => Kernel::Cholesky,
+            3 => Kernel::Qr,
+            _ => return None,
+        })
+    }
+
+    /// CLI-facing name (`mm`, `lu`, `cholesky`, `qr`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Mm => "mm",
+            Kernel::Lu => "lu",
+            Kernel::Cholesky => "cholesky",
+            Kernel::Qr => "qr",
+        }
+    }
+
+    /// Parses a CLI-facing name.
+    pub fn parse(s: &str) -> Option<Kernel> {
+        Some(match s {
+            "mm" => Kernel::Mm,
+            "lu" => Kernel::Lu,
+            "cholesky" => Kernel::Cholesky,
+            "qr" => Kernel::Qr,
+            _ => return None,
+        })
+    }
+
+    /// This kernel's step plan for an `nb x nb` block matrix over
+    /// `dist`.
+    pub fn plan(self, dist: &dyn BlockDist, nb: usize) -> Plan {
+        match self {
+            Kernel::Mm => mm_plan(dist, nb),
+            Kernel::Lu => factor_plan(dist, nb),
+            Kernel::Cholesky => cholesky_plan(dist, nb),
+            Kernel::Qr => qr_plan(dist, nb),
+        }
+    }
+}
+
 /// Which logical matrix a memory-aware step touches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Mat {

@@ -69,62 +69,10 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// The kernel a plan or simulation request is about.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Kernel {
-    /// Outer-product matrix multiplication (paper Section 3.1).
-    Mm,
-    /// Right-looking blocked LU (Section 3.2).
-    Lu,
-    /// Right-looking blocked Cholesky.
-    Cholesky,
-    /// Householder blocked QR.
-    Qr,
-}
-
-impl Kernel {
-    /// Wire byte for this kernel.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            Kernel::Mm => 0,
-            Kernel::Lu => 1,
-            Kernel::Cholesky => 2,
-            Kernel::Qr => 3,
-        }
-    }
-
-    /// Kernel for a wire byte.
-    pub fn from_u8(b: u8) -> Option<Kernel> {
-        Some(match b {
-            0 => Kernel::Mm,
-            1 => Kernel::Lu,
-            2 => Kernel::Cholesky,
-            3 => Kernel::Qr,
-            _ => return None,
-        })
-    }
-
-    /// CLI-facing name (`mm`, `lu`, `cholesky`, `qr`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Mm => "mm",
-            Kernel::Lu => "lu",
-            Kernel::Cholesky => "cholesky",
-            Kernel::Qr => "qr",
-        }
-    }
-
-    /// Parses a CLI-facing name.
-    pub fn parse(s: &str) -> Option<Kernel> {
-        Some(match s {
-            "mm" => Kernel::Mm,
-            "lu" => Kernel::Lu,
-            "cholesky" => Kernel::Cholesky,
-            "qr" => Kernel::Qr,
-            _ => return None,
-        })
-    }
-}
+/// The kernel a plan or simulation request is about: the workspace's
+/// one kernel enum, whose `as_u8` bytes are this wire's kernel field
+/// and part of every plan-cache fingerprint.
+pub use hetgrid_plan::Kernel;
 
 /// The load-balancing problem instance: a `p x q` grid and its
 /// row-major cycle-time matrix.
@@ -729,8 +677,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn responses_round_trip() {
+    fn sample_responses() -> Vec<Response> {
         let solve = SolveResult {
             p: 2,
             q: 2,
@@ -739,7 +686,7 @@ mod tests {
             cols: vec![0.7, 0.3],
             obj2: 1.25,
         };
-        let cases = vec![
+        vec![
             Response::Solve(solve.clone()),
             Response::Plan(PlanResult {
                 solve,
@@ -757,11 +704,46 @@ mod tests {
             Response::QuotaExceeded,
             Response::BadRequest("nope".into()),
             Response::ServerError("boom".into()),
-        ];
-        for resp in cases {
+        ]
+    }
+
+    #[test]
+    fn responses_round_trip() {
+        for resp in sample_responses() {
             let bytes = encode_response(&resp);
             assert_eq!(decode_response(&bytes).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn truncated_responses_error_not_panic() {
+        for resp in sample_responses() {
+            let bytes = encode_response(&resp);
+            for len in 0..bytes.len() {
+                assert!(
+                    decode_response(&bytes[..len]).is_err(),
+                    "prefix of {len} bytes of {resp:?} decoded"
+                );
+            }
+        }
+    }
+
+    /// Cache fingerprints and the request wire both carry `as_u8`: the
+    /// bytes must not move when the enum does.
+    #[test]
+    fn kernel_wire_bytes_are_pinned() {
+        let pinned = [
+            (Kernel::Mm, 0u8),
+            (Kernel::Lu, 1),
+            (Kernel::Cholesky, 2),
+            (Kernel::Qr, 3),
+        ];
+        assert_eq!(pinned.map(|(k, _)| k), Kernel::ALL);
+        for (kernel, byte) in pinned {
+            assert_eq!(kernel.as_u8(), byte);
+            assert_eq!(Kernel::from_u8(byte), Some(kernel));
+        }
+        assert_eq!(Kernel::from_u8(4), None);
     }
 
     #[test]

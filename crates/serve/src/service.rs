@@ -35,8 +35,8 @@
 use crate::cache::PlanCache;
 use crate::fingerprint::{cache_key, fingerprint};
 use crate::proto::{
-    decode_request, encode_response, Kernel, MetricsFormat, PlanSpec, Request, RequestBody,
-    Response, SolveResult, SolveSpec,
+    decode_request, encode_response, MetricsFormat, Request, RequestBody, Response, SolveResult,
+    SolveSpec,
 };
 use crate::quota::{QuotaConfig, QuotaTable};
 use hetgrid_core::{heuristic, validate_times, Arrangement};
@@ -376,15 +376,6 @@ fn dist_for(arr: &Arrangement, alloc: &hetgrid_core::Allocation, nb: usize) -> P
     PanelDist::from_allocation(arr, alloc, bp, bq, PanelOrdering::Interleaved)
 }
 
-fn plan_for(spec: &PlanSpec, dist: &PanelDist) -> hetgrid_plan::Plan {
-    match spec.kernel {
-        Kernel::Mm => hetgrid_plan::mm_plan(dist, spec.nb),
-        Kernel::Lu => hetgrid_plan::factor_plan(dist, spec.nb),
-        Kernel::Cholesky => hetgrid_plan::cholesky_plan(dist, spec.nb),
-        Kernel::Qr => hetgrid_plan::qr_plan(dist, spec.nb),
-    }
-}
-
 fn compute(body: &RequestBody) -> Response {
     match body {
         RequestBody::Solve(spec) => {
@@ -394,7 +385,7 @@ fn compute(body: &RequestBody) -> Response {
         RequestBody::Plan(spec) => {
             let (arr, alloc, result) = solve_result(&spec.solve);
             let dist = dist_for(&arr, &alloc, spec.nb);
-            let plan = plan_for(spec, &dist);
+            let plan = spec.kernel.plan(&dist, spec.nb);
             Response::Plan(crate::proto::PlanResult {
                 solve: result,
                 plan_bytes: hetgrid_plan::wire::encode(&plan),
@@ -404,14 +395,8 @@ fn compute(body: &RequestBody) -> Response {
             let (arr, alloc, _) = solve_result(&spec.solve);
             let dist = dist_for(&arr, &alloc, spec.nb);
             let weights = weights_for(&arr);
-            let counts = match spec.kernel {
-                Kernel::Mm => {
-                    hetgrid_sim::counts::mm_counts(&dist, (spec.nb, spec.nb, spec.nb), &weights)
-                }
-                Kernel::Lu => hetgrid_sim::counts::lu_counts(&dist, spec.nb, &weights),
-                Kernel::Cholesky => hetgrid_sim::counts::cholesky_counts(&dist, spec.nb, &weights),
-                Kernel::Qr => hetgrid_sim::counts::qr_counts(&dist, spec.nb, &weights),
-            };
+            let plan = spec.kernel.plan(&dist, spec.nb);
+            let counts = hetgrid_sim::counts::fold(&plan, 0, &weights);
             Response::Simulate(crate::proto::SimulateResult {
                 p: spec.solve.p,
                 q: spec.solve.q,
@@ -428,7 +413,7 @@ fn compute(body: &RequestBody) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::encode_request;
+    use crate::proto::{encode_request, Kernel, PlanSpec};
     use std::sync::{MutexGuard, OnceLock};
 
     /// The metrics registry is process-global, so tests that assert
@@ -611,7 +596,6 @@ mod tests {
     fn metrics_series_format_returns_the_ring_json() {
         let _g = obs_lock();
         let svc = Service::new(ServiceConfig::default());
-        hetgrid_obs::series::clear();
         hetgrid_obs::series::sample();
         let Response::Metrics(json) = svc.respond(&Request {
             tenant: String::new(),

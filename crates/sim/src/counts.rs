@@ -20,7 +20,7 @@
 
 use hetgrid_core::Topology;
 use hetgrid_dist::BlockDist;
-use hetgrid_plan::{LoadSrc, Plan, Step};
+use hetgrid_plan::{Bcast, LoadSrc, OwnerWork, Plan, Step};
 
 /// Predicted per-processor totals for one kernel run, laid out `[i][j]`
 /// over the `p x q` grid like the executor's report tables.
@@ -52,305 +52,146 @@ impl KernelCounts {
     }
 }
 
-/// Predicted counts for the outer-product multiplication
-/// `C(mb x nb) = A(mb x kb) * B(kb x nb)` (`hetgrid_exec::run_mm_rect`):
-/// a fold over [`hetgrid_plan::mm_rect_plan`].
+/// Folds the suffix `plan.steps[from..]` into predicted per-processor
+/// counts — the one count model behind every kernel. `from == 0` is the
+/// whole plan; a recovery epoch resumed at step `from` performs exactly
+/// the suffix, and prefix + suffix folds always sum to the full-plan
+/// counts. Each step contributes by its own variant, so any plan the
+/// generators emit (grid or star) folds here:
 ///
-/// Step `k`: the owner of `A(bi, k)` broadcasts it to the other owners
-/// of block row `bi` of `C`; the owner of `B(k, bj)` broadcasts it to
-/// the other owners of block column `bj` of `C`; every processor then
-/// updates each of its `C` blocks once (x its slowdown weight).
-pub fn mm_counts(
-    dist: &dyn BlockDist,
-    (mb, nb, kb): (usize, usize, usize),
-    weights: &[Vec<u64>],
-) -> KernelCounts {
-    mm_counts_from_plan(&hetgrid_plan::mm_rect_plan(dist, (mb, nb, kb)), weights)
-}
-
-/// [`mm_counts`] over an already-built MM plan.
-///
-/// # Panics
-/// Panics if the plan contains non-MM steps.
-pub fn mm_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
-    mm_counts_from(plan, 0, weights)
-}
-
-/// [`mm_counts`] over the suffix `plan.steps[from..]` — the exact
-/// predicted counts for an executor epoch resumed at step `from`
-/// (elastic-grid recovery replays a plan from its checkpoint frontier).
-/// `from == 0` is the whole plan, and prefix + suffix folds always sum
-/// to the full-plan counts.
-///
-/// # Panics
-/// Panics if the plan contains non-MM steps.
-pub fn mm_counts_from(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
+/// * [`Step::Mm`] — the owner of `A(bi, k)` broadcasts it to the other
+///   owners of block row `bi` of `C`, the owner of `B(k, bj)` to the
+///   other owners of block column `bj`; every processor then updates
+///   each of its `C` blocks once (x its slowdown weight).
+/// * [`Step::Factor`] — the diagonal owner factors `A(k, k)` and
+///   broadcasts the packed factors to the owners of panel column `k`
+///   and pivot row `k` (one deduplicated destination set); each solved
+///   `L(bi, k)` is broadcast along trailing block row `bi`, each solved
+///   `U(k, bj)` down trailing block column `bj`; every trailing block
+///   is updated once. Each block operation is one weighted work unit.
+/// * [`Step::Cholesky`] — the diagonal owner factors `A(k, k)` and
+///   broadcasts the factor down panel column `k`; each solved panel
+///   block `L(bi, k)` is broadcast to the trailing lower-triangle
+///   owners that use it as left factor (row `bi`) or right factor
+///   (column `bi`); every trailing lower-triangle block is updated once.
+/// * [`Step::Qr`] — the panel blocks `(bi, k)`, `bi >= k`, fan in to the
+///   diagonal owner (one message per foreign block), which factors the
+///   stacked panel — `2 (nb - k)` weighted work units, twice LU's panel
+///   arithmetic per block (Section 3.2) — and scatters the reflector
+///   segments back (one message per foreign block). The packed panel
+///   factors are then broadcast to the heads of the trailing block
+///   columns; each head gathers its column (one message per foreign
+///   block), applies `Q^T` to the stacked column — `2 (nb - k)`
+///   weighted units — and returns the updated foreign blocks (one
+///   message each). Total work is `sum_k 2 (nb - k)^2`: twice LU's.
+/// * [`Step::Load`] / [`Step::Compute`] / [`Step::Evict`] — the star
+///   schedule, tables laid out over the executor's `1 x (workers + 1)`
+///   row (column 0 is the master): every master-sourced load is one
+///   master send, every send-back evict one worker return, every
+///   compute one weighted block update for its worker. The master
+///   performs no block work, and zero-sourced loads / dropped evictions
+///   move no messages — only the one-port link pays.
+pub fn fold(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
     let (p, q) = plan.grid;
     let mut c = KernelCounts::zeros(p, q);
-    for step in &plan.steps[from.min(plan.steps.len())..] {
-        let Step::Mm {
-            a_bcasts, b_bcasts, ..
-        } = step
-        else {
-            panic!("mm_counts_from_plan: non-MM step in plan")
-        };
-        for b in a_bcasts.iter().chain(b_bcasts.iter()) {
+    let sends = |c: &mut KernelCounts, bcasts: &[Bcast]| {
+        for b in bcasts {
             c.messages[b.src.0][b.src.1] += b.dests.len() as u64;
         }
-        for i in 0..p {
-            for j in 0..q {
-                c.work_units[i][j] += plan.owned[i][j] as u64 * weights[i][j];
-            }
-        }
-    }
-    c
-}
-
-/// Predicted counts for right-looking LU (`hetgrid_exec::run_lu`): a
-/// fold over [`hetgrid_plan::factor_plan`].
-///
-/// Step `k`: the diagonal owner factors `A(k, k)` and broadcasts the
-/// packed factors to the owners of panel column `k` and pivot row `k`
-/// (one deduplicated destination set); each solved `L(bi, k)` is
-/// broadcast along trailing block row `bi`, each solved `U(k, bj)` down
-/// trailing block column `bj`; every trailing block is updated once.
-/// Each block operation counts one weighted work unit for its owner.
-pub fn lu_counts(dist: &dyn BlockDist, nb: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    factor_counts_from_plan(&hetgrid_plan::factor_plan(dist, nb), 1, weights)
-}
-
-/// Counts for an LU-shaped factorization plan; `unit_scale` is the
-/// work-unit multiplier per block operation (1 for LU).
-///
-/// # Panics
-/// Panics if the plan contains non-factor steps.
-pub fn factor_counts_from_plan(plan: &Plan, unit_scale: u64, weights: &[Vec<u64>]) -> KernelCounts {
-    factor_counts_from(plan, 0, unit_scale, weights)
-}
-
-/// [`factor_counts_from_plan`] over the suffix `plan.steps[from..]` —
-/// the predicted counts for an LU epoch resumed at step `from` (see
-/// [`mm_counts_from`]).
-///
-/// # Panics
-/// Panics if the plan contains non-factor steps.
-pub fn factor_counts_from(
-    plan: &Plan,
-    from: usize,
-    unit_scale: u64,
-    weights: &[Vec<u64>],
-) -> KernelCounts {
-    let (p, q) = plan.grid;
-    let mut c = KernelCounts::zeros(p, q);
-    for step in &plan.steps[from.min(plan.steps.len())..] {
-        let Step::Factor {
-            diag,
-            panel,
-            diag_col_dests,
-            l_bcasts,
-            trsm,
-            u_bcasts,
-            trailing,
-            ..
-        } = step
-        else {
-            panic!("factor_counts_from_plan: non-factor step in plan")
-        };
-        // Diagonal-factor broadcast: panel column chained with pivot
-        // row under one dedup — `diag_col_dests` plus the pivot-row
-        // destinations (l_bcasts[0] is the diagonal block) not already
-        // in it.
-        let extra = l_bcasts[0]
-            .dests
-            .iter()
-            .filter(|d| !diag_col_dests.contains(d))
-            .count();
-        c.messages[diag.0][diag.1] += (diag_col_dests.len() + extra) as u64;
-        for b in &l_bcasts[1..] {
-            c.messages[b.src.0][b.src.1] += b.dests.len() as u64;
-        }
-        for b in u_bcasts {
-            c.messages[b.src.0][b.src.1] += b.dests.len() as u64;
-        }
-        // Work: the diagonal factorization is part of the aggregated
-        // panel entry for its owner.
-        for w in panel.iter().chain(trsm.iter()) {
-            c.work_units[w.owner.0][w.owner.1] +=
-                w.blocks as u64 * unit_scale * weights[w.owner.0][w.owner.1];
-        }
-        for i in 0..p {
-            for j in 0..q {
-                c.work_units[i][j] += trailing[i][j] as u64 * unit_scale * weights[i][j];
-            }
-        }
-    }
-    c
-}
-
-/// Predicted counts for right-looking Cholesky
-/// (`hetgrid_exec::run_cholesky`, lower triangle): a fold over
-/// [`hetgrid_plan::cholesky_plan`].
-///
-/// Step `k`: the diagonal owner factors `A(k, k)` and broadcasts the
-/// factor down panel column `k`; each solved panel block `L(bi, k)` is
-/// broadcast to the trailing lower-triangle owners that use it as left
-/// factor (row `bi`) or right factor (column `bi`); every trailing
-/// lower-triangle block is updated once.
-pub fn cholesky_counts(dist: &dyn BlockDist, nb: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    cholesky_counts_from_plan(&hetgrid_plan::cholesky_plan(dist, nb), weights)
-}
-
-/// [`cholesky_counts`] over an already-built Cholesky plan.
-///
-/// # Panics
-/// Panics if the plan contains non-Cholesky steps.
-pub fn cholesky_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
-    cholesky_counts_from(plan, 0, weights)
-}
-
-/// [`cholesky_counts`] over the suffix `plan.steps[from..]` — the
-/// predicted counts for a Cholesky epoch resumed at step `from` (see
-/// [`mm_counts_from`]).
-///
-/// # Panics
-/// Panics if the plan contains non-Cholesky steps.
-pub fn cholesky_counts_from(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    let (p, q) = plan.grid;
-    let mut c = KernelCounts::zeros(p, q);
-    for step in &plan.steps[from.min(plan.steps.len())..] {
-        let Step::Cholesky {
-            diag,
-            diag_dests,
-            panel,
-            panel_bcasts,
-            trailing,
-            ..
-        } = step
-        else {
-            panic!("cholesky_counts_from_plan: non-Cholesky step in plan")
-        };
-        c.work_units[diag.0][diag.1] += weights[diag.0][diag.1];
-        c.messages[diag.0][diag.1] += diag_dests.len() as u64;
-        for b in panel_bcasts {
-            c.messages[b.src.0][b.src.1] += b.dests.len() as u64;
-        }
-        for w in panel.iter().chain(trailing.iter()) {
+    };
+    let works = |c: &mut KernelCounts, work: &[OwnerWork]| {
+        for w in work {
             c.work_units[w.owner.0][w.owner.1] += w.blocks as u64 * weights[w.owner.0][w.owner.1];
         }
-    }
-    c
-}
-
-/// Predicted counts for the fan-in Householder QR
-/// (`hetgrid_exec::run_qr`): a fold over [`hetgrid_plan::qr_plan`].
-///
-/// Step `k`: the panel blocks `(bi, k)`, `bi >= k`, fan in to the
-/// diagonal owner (one message per foreign block), which factors the
-/// stacked panel — `2 (nb - k)` weighted work units, twice LU's panel
-/// arithmetic per block (Section 3.2) — and scatters the reflector
-/// segments back (one message per foreign block). The packed panel
-/// factors are then broadcast to the heads of the trailing block
-/// columns; each head gathers its column (one message per foreign
-/// block), applies `Q^T` to the stacked column — `2 (nb - k)` weighted
-/// units — and returns the updated foreign blocks (one message each).
-///
-/// Total work is `sum_k 2 (nb - k)^2`: exactly twice LU's.
-pub fn qr_counts(dist: &dyn BlockDist, nb: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    qr_counts_from_plan(&hetgrid_plan::qr_plan(dist, nb), weights)
-}
-
-/// [`qr_counts`] over an already-built QR plan.
-///
-/// # Panics
-/// Panics if the plan contains non-QR steps.
-pub fn qr_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
-    qr_counts_from(plan, 0, weights)
-}
-
-/// [`qr_counts`] over the suffix `plan.steps[from..]` — the predicted
-/// counts for a QR epoch resumed at step `from` (see
-/// [`mm_counts_from`]).
-///
-/// # Panics
-/// Panics if the plan contains non-QR steps.
-pub fn qr_counts_from(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    let (p, q) = plan.grid;
-    let mut c = KernelCounts::zeros(p, q);
-    for step in &plan.steps[from.min(plan.steps.len())..] {
-        let Step::Qr {
-            diag,
-            panel,
-            reflector_dests,
-            columns,
-            ..
-        } = step
-        else {
-            panic!("qr_counts_from_plan: non-QR step in plan")
-        };
-        // Panel fan-in to the diagonal owner and reflector scatter back.
-        for &(_, owner) in panel {
-            if owner != *diag {
-                c.messages[owner.0][owner.1] += 1;
-                c.messages[diag.0][diag.1] += 1;
+    };
+    let table = |c: &mut KernelCounts, blocks: &[Vec<usize>]| {
+        for i in 0..p {
+            for j in 0..q {
+                c.work_units[i][j] += blocks[i][j] as u64 * weights[i][j];
             }
         }
-        c.work_units[diag.0][diag.1] += 2 * panel.len() as u64 * weights[diag.0][diag.1];
-        c.messages[diag.0][diag.1] += reflector_dests.len() as u64;
-        // Trailing columns: gather to the head, apply, return.
-        for col in columns {
-            let head = col.head;
-            for &(_, owner) in &col.members {
-                if owner != head {
-                    c.messages[owner.0][owner.1] += 1;
-                    c.messages[head.0][head.1] += 1;
-                }
-            }
-            let col_blocks = col.members.len() as u64 + 1; // + the (k, bj) head block
-            c.work_units[head.0][head.1] += 2 * col_blocks * weights[head.0][head.1];
-        }
-    }
-    c
-}
-
-/// Predicted counts for the maximum-reuse star MM schedule
-/// (`hetgrid_exec::run_star_mm`): a fold over
-/// [`hetgrid_plan::star_mm_plan`]. Tables are laid out over the
-/// executor's `1 x (workers + 1)` row — column 0 is the master, column
-/// `w` is worker `w`.
-///
-/// Every master-sourced [`Step::Load`] is one master send
-/// (`messages[0][0]`), every send-back [`Step::Evict`] one worker
-/// return (`messages[0][w]`), every [`Step::Compute`] one weighted
-/// block update for its worker. The master performs no block work, and
-/// zero-sourced loads / dropped evictions move no messages — residency
-/// transitions are free, only the one-port link pays.
-pub fn star_mm_counts(
-    topo: &Topology,
-    dims: (usize, usize, usize),
-    weights: &[Vec<u64>],
-) -> KernelCounts {
-    star_mm_counts_from_plan(&hetgrid_plan::star_mm_plan(topo, dims), weights)
-}
-
-/// [`star_mm_counts`] over an already-built star plan.
-///
-/// # Panics
-/// Panics if the plan contains non-star steps.
-pub fn star_mm_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
-    star_mm_counts_from(plan, 0, weights)
-}
-
-/// [`star_mm_counts`] over the suffix `plan.steps[from..]` — the
-/// predicted counts for a star epoch resumed at step `from` (see
-/// [`mm_counts_from`]).
-///
-/// # Panics
-/// Panics if the plan contains non-star steps.
-pub fn star_mm_counts_from(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
-    let (p, q) = plan.grid;
-    let mut c = KernelCounts::zeros(p, q);
+    };
     for step in &plan.steps[from.min(plan.steps.len())..] {
         match step {
+            Step::Mm {
+                a_bcasts, b_bcasts, ..
+            } => {
+                sends(&mut c, a_bcasts);
+                sends(&mut c, b_bcasts);
+                table(&mut c, &plan.owned);
+            }
+            Step::Factor {
+                diag,
+                panel,
+                diag_col_dests,
+                l_bcasts,
+                trsm,
+                u_bcasts,
+                trailing,
+                ..
+            } => {
+                // Diagonal-factor broadcast: panel column chained with
+                // pivot row under one dedup — `diag_col_dests` plus the
+                // pivot-row destinations (l_bcasts[0] is the diagonal
+                // block) not already in it.
+                let extra = l_bcasts[0]
+                    .dests
+                    .iter()
+                    .filter(|d| !diag_col_dests.contains(d))
+                    .count();
+                c.messages[diag.0][diag.1] += (diag_col_dests.len() + extra) as u64;
+                sends(&mut c, &l_bcasts[1..]);
+                sends(&mut c, u_bcasts);
+                // The diagonal factorization is part of the aggregated
+                // panel entry for its owner.
+                works(&mut c, panel);
+                works(&mut c, trsm);
+                table(&mut c, trailing);
+            }
+            Step::Cholesky {
+                diag,
+                diag_dests,
+                panel,
+                panel_bcasts,
+                trailing,
+                ..
+            } => {
+                c.work_units[diag.0][diag.1] += weights[diag.0][diag.1];
+                c.messages[diag.0][diag.1] += diag_dests.len() as u64;
+                sends(&mut c, panel_bcasts);
+                works(&mut c, panel);
+                works(&mut c, trailing);
+            }
+            Step::Qr {
+                diag,
+                panel,
+                reflector_dests,
+                columns,
+                ..
+            } => {
+                // Panel fan-in to the diagonal owner and reflector
+                // scatter back.
+                for &(_, owner) in panel {
+                    if owner != *diag {
+                        c.messages[owner.0][owner.1] += 1;
+                        c.messages[diag.0][diag.1] += 1;
+                    }
+                }
+                c.work_units[diag.0][diag.1] += 2 * panel.len() as u64 * weights[diag.0][diag.1];
+                c.messages[diag.0][diag.1] += reflector_dests.len() as u64;
+                // Trailing columns: gather to the head, apply, return.
+                for col in columns {
+                    let head = col.head;
+                    for &(_, owner) in &col.members {
+                        if owner != head {
+                            c.messages[owner.0][owner.1] += 1;
+                            c.messages[head.0][head.1] += 1;
+                        }
+                    }
+                    let col_blocks = col.members.len() as u64 + 1; // + the (k, bj) head block
+                    c.work_units[head.0][head.1] += 2 * col_blocks * weights[head.0][head.1];
+                }
+            }
             Step::Load { src, .. } => {
                 if *src == LoadSrc::Master {
                     c.messages[0][0] += 1;
@@ -364,10 +205,76 @@ pub fn star_mm_counts_from(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> Ke
                     c.messages[0][*worker] += 1;
                 }
             }
-            _ => panic!("star_mm_counts_from_plan: non-star step in plan"),
         }
     }
     c
+}
+
+/// [`fold`] of [`hetgrid_plan::mm_rect_plan`]: the rectangular
+/// outer-product `C(mb x nb) = A(mb x kb) * B(kb x nb)`.
+pub fn mm_counts(
+    dist: &dyn BlockDist,
+    dims: (usize, usize, usize),
+    weights: &[Vec<u64>],
+) -> KernelCounts {
+    fold(&hetgrid_plan::mm_rect_plan(dist, dims), 0, weights)
+}
+
+/// [`fold`] of an already-built MM plan.
+pub fn mm_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
+    fold(plan, 0, weights)
+}
+
+/// [`fold`] of [`hetgrid_plan::factor_plan`]: right-looking LU.
+pub fn lu_counts(dist: &dyn BlockDist, nb: usize, weights: &[Vec<u64>]) -> KernelCounts {
+    fold(&hetgrid_plan::factor_plan(dist, nb), 0, weights)
+}
+
+/// [`fold`] of an already-built LU-shaped factorization plan, with
+/// every work unit multiplied by `unit_scale` (1 for LU).
+pub fn factor_counts_from_plan(plan: &Plan, unit_scale: u64, weights: &[Vec<u64>]) -> KernelCounts {
+    let mut c = fold(plan, 0, weights);
+    c.work_units
+        .iter_mut()
+        .flatten()
+        .for_each(|w| *w *= unit_scale);
+    c
+}
+
+/// [`fold`] of [`hetgrid_plan::cholesky_plan`]: right-looking Cholesky
+/// (lower triangle).
+pub fn cholesky_counts(dist: &dyn BlockDist, nb: usize, weights: &[Vec<u64>]) -> KernelCounts {
+    fold(&hetgrid_plan::cholesky_plan(dist, nb), 0, weights)
+}
+
+/// [`fold`] of an already-built Cholesky plan.
+pub fn cholesky_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
+    fold(plan, 0, weights)
+}
+
+/// [`fold`] of [`hetgrid_plan::qr_plan`]: fan-in Householder QR.
+pub fn qr_counts(dist: &dyn BlockDist, nb: usize, weights: &[Vec<u64>]) -> KernelCounts {
+    fold(&hetgrid_plan::qr_plan(dist, nb), 0, weights)
+}
+
+/// [`fold`] of an already-built QR plan.
+pub fn qr_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
+    fold(plan, 0, weights)
+}
+
+/// [`fold`] of [`hetgrid_plan::star_mm_plan`]: the maximum-reuse star
+/// MM schedule.
+pub fn star_mm_counts(
+    topo: &Topology,
+    dims: (usize, usize, usize),
+    weights: &[Vec<u64>],
+) -> KernelCounts {
+    fold(&hetgrid_plan::star_mm_plan(topo, dims), 0, weights)
+}
+
+/// [`fold`] of an already-built star plan.
+pub fn star_mm_counts_from_plan(plan: &Plan, weights: &[Vec<u64>]) -> KernelCounts {
+    fold(plan, 0, weights)
 }
 
 /// Per-processor resident-block high-water marks of a star plan: entry
@@ -427,8 +334,8 @@ mod tests {
 
     /// For every cut point `f`, the fold over `steps[..f]` plus the
     /// fold over `steps[f..]` equals the full fold, elementwise — the
-    /// property that makes `*_counts_from` an exact count oracle for a
-    /// recovery epoch resumed at `f`.
+    /// property that makes [`fold`] an exact count oracle for a recovery
+    /// epoch resumed at `f`.
     #[test]
     fn suffix_counts_partition_the_full_fold() {
         let add = |a: &KernelCounts, b: &KernelCounts| KernelCounts {
@@ -454,34 +361,19 @@ mod tests {
             master_bw: 1.0,
         };
         let nb = 5;
-        let cases: Vec<(Plan, Box<dyn Fn(&Plan, usize) -> KernelCounts>)> = vec![
-            (
-                hetgrid_plan::mm_rect_plan(&dist, (nb, nb, nb)),
-                Box::new(|p: &Plan, f| mm_counts_from(p, f, &w)),
-            ),
-            (
-                hetgrid_plan::factor_plan(&dist, nb),
-                Box::new(|p: &Plan, f| factor_counts_from(p, f, 1, &w)),
-            ),
-            (
-                hetgrid_plan::cholesky_plan(&dist, nb),
-                Box::new(|p: &Plan, f| cholesky_counts_from(p, f, &w)),
-            ),
-            (
-                hetgrid_plan::qr_plan(&dist, nb),
-                Box::new(|p: &Plan, f| qr_counts_from(p, f, &w)),
-            ),
-            (
-                hetgrid_plan::star_mm_plan(&star, (nb, nb - 1, nb)),
-                Box::new(|p: &Plan, f| star_mm_counts_from(p, f, &sw)),
-            ),
+        let cases: Vec<(Plan, &[Vec<u64>])> = vec![
+            (hetgrid_plan::mm_rect_plan(&dist, (nb, nb, nb)), &w),
+            (hetgrid_plan::factor_plan(&dist, nb), &w),
+            (hetgrid_plan::cholesky_plan(&dist, nb), &w),
+            (hetgrid_plan::qr_plan(&dist, nb), &w),
+            (hetgrid_plan::star_mm_plan(&star, (nb, nb - 1, nb)), &sw),
         ];
-        for (plan, counts_from) in &cases {
-            let full = counts_from(plan, 0);
+        for (plan, weights) in &cases {
+            let full = fold(plan, 0, weights);
             for f in 0..=plan.steps.len() {
                 let mut prefix = plan.clone();
                 prefix.steps.truncate(f);
-                let parts = add(&counts_from(&prefix, 0), &counts_from(plan, f));
+                let parts = add(&fold(&prefix, 0, weights), &fold(plan, f, weights));
                 assert_eq!(parts, full, "prefix + suffix != full at cut {f}");
             }
         }

@@ -15,7 +15,7 @@
 
 use hetgrid::core::heuristic;
 use hetgrid::dist::{BlockCyclic, PanelDist, PanelOrdering};
-use hetgrid::exec::{run_lu, run_mm, slowdown_weights};
+use hetgrid::exec::{run, slowdown_weights, ChannelTransport, ExecConfig, Kernel};
 use hetgrid::linalg::gemm::matmul;
 use hetgrid::linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid::linalg::Matrix;
@@ -52,6 +52,8 @@ fn main() {
     let a = random_matrix(n, 0xA, false);
     let b = random_matrix(n, 0xB, false);
     let reference = matmul(&a, &b);
+    // Production settings: in-process channels, default lookahead.
+    let (transport, cfg) = (ChannelTransport, ExecConfig::default());
 
     println!(
         "\n--- distributed MM, {}x{} doubles on {} threads ---",
@@ -75,9 +77,21 @@ fn main() {
             )),
         ),
     ] {
-        let (c, report) = run_mm(&a, &b, dist.as_ref(), nb, r, &weights).unwrap();
+        let inputs = [&a, &b];
+        let out = run(
+            &transport,
+            Kernel::Mm,
+            &inputs,
+            dist.as_ref(),
+            nb,
+            r,
+            &weights,
+            cfg,
+        )
+        .unwrap();
+        let report = out.report;
         assert!(
-            c.approx_eq(&reference, 1e-8),
+            out.result.approx_eq(&reference, 1e-8),
             "distributed result diverged from sequential GEMM"
         );
         println!(
@@ -97,9 +111,10 @@ fn main() {
         8,
         PanelOrdering::Interleaved,
     );
-    let (f, report) = run_lu(&ad, &panel, nb, r, &weights).unwrap();
-    let l = unit_lower_from_packed(&f);
-    let u = upper_from_packed(&f);
+    let out = run(&transport, Kernel::Lu, &[&ad], &panel, nb, r, &weights, cfg).unwrap();
+    let report = out.report;
+    let l = unit_lower_from_packed(&out.result);
+    let u = upper_from_packed(&out.result);
     let err = matmul(&l, &u).sub(&ad).max_abs();
     println!(
         "panel layout: |A - L*U|_max = {:.2e}; wall {:.3}s, work imbalance {:.2}",

@@ -4,6 +4,7 @@
 //!
 //! * [`core`] — the optimization problem and its solvers;
 //! * [`dist`] — block-to-processor distributions;
+//! * [`plan`] — the kernel vocabulary and the step-plan IR;
 //! * [`sim`] — the discrete-event HNOW simulator;
 //! * [`exec`] — the threaded executor running real kernels;
 //! * [`adapt`] — the closed-loop adaptive rebalancing runtime;
@@ -18,4 +19,5 @@ pub use hetgrid_core as core;
 pub use hetgrid_dist as dist;
 pub use hetgrid_exec as exec;
 pub use hetgrid_linalg as linalg;
+pub use hetgrid_plan as plan;
 pub use hetgrid_sim as sim;

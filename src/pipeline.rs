@@ -221,10 +221,10 @@ impl Session {
         let plan = self.controller.plan();
         let weights = slowdown_weights(&plan.solution.arrangement);
         let (ga, gb) = (self.a.gather(), self.b.gather());
-        hetgrid_exec::run_mm_on_cfg(
+        let out = hetgrid_exec::run(
             &hetgrid_exec::ChannelTransport,
-            &ga,
-            &gb,
+            hetgrid_exec::Kernel::Mm,
+            &[&ga, &gb],
             &plan.dist,
             self.controller.nb(),
             self.r,
@@ -233,7 +233,8 @@ impl Session {
                 lookahead: self.lookahead,
             },
         )
-        .expect("pipeline executor run aborted (dropped peer)")
+        .expect("pipeline executor run aborted (dropped peer)");
+        (out.result, out.report)
     }
 
     fn finish_step(
