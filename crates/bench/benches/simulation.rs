@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetgrid_core::{exact, Arrangement};
 use hetgrid_dist::{BlockCyclic, PanelDist, PanelOrdering};
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::CostModel;
-use hetgrid_sim::{kernels, Broadcast};
+use hetgrid_sim::{simulate, Broadcast};
 
 fn paper_arr() -> Arrangement {
     Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]])
@@ -20,7 +21,14 @@ fn bench_des_mm(c: &mut Criterion) {
     for &nb in &[8usize, 16, 32] {
         group.bench_with_input(BenchmarkId::from_parameter(nb), &nb, |b, &nb| {
             b.iter(|| {
-                kernels::simulate_mm(&arr, &dist, nb, CostModel::default(), Broadcast::Direct)
+                simulate(
+                    Kernel::Mm,
+                    &arr,
+                    &dist,
+                    nb,
+                    CostModel::default(),
+                    Broadcast::Direct,
+                )
             })
         });
     }
@@ -35,7 +43,16 @@ fn bench_des_lu(c: &mut Criterion) {
     let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
     for &nb in &[8usize, 16, 32] {
         group.bench_with_input(BenchmarkId::from_parameter(nb), &nb, |b, &nb| {
-            b.iter(|| kernels::simulate_lu(&arr, &dist, nb, CostModel::default()))
+            b.iter(|| {
+                simulate(
+                    Kernel::Lu,
+                    &arr,
+                    &dist,
+                    nb,
+                    CostModel::default(),
+                    Broadcast::Direct,
+                )
+            })
         });
     }
     group.finish();
@@ -51,8 +68,11 @@ fn bench_ablation_lu_ordering(c: &mut Criterion) {
     let cost = CostModel::zero_comm();
     let inter = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
     let contig = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Contiguous);
-    let mi = kernels::simulate_lu(&arr, &inter, nb, cost).makespan;
-    let mc = kernels::simulate_lu(&arr, &contig, nb, cost).makespan;
+    let lu = |dist: &PanelDist| {
+        let run = simulate(Kernel::Lu, &arr, dist, nb, cost, Broadcast::Direct);
+        run.unwrap().report.makespan
+    };
+    let (mi, mc) = (lu(&inter), lu(&contig));
     // Diagnostic, not benchmark output: route through obs so it lands
     // on stderr and never interleaves with Criterion's stdout.
     hetgrid_obs::diag!(
@@ -66,10 +86,10 @@ fn bench_ablation_lu_ordering(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_lu_ordering");
     group.sample_size(10);
     group.bench_function("interleaved", |b| {
-        b.iter(|| kernels::simulate_lu(&arr, &inter, 16, cost))
+        b.iter(|| simulate(Kernel::Lu, &arr, &inter, 16, cost, Broadcast::Direct))
     });
     group.bench_function("contiguous", |b| {
-        b.iter(|| kernels::simulate_lu(&arr, &contig, 16, cost))
+        b.iter(|| simulate(Kernel::Lu, &arr, &contig, 16, cost, Broadcast::Direct))
     });
     group.finish();
 }
@@ -82,7 +102,7 @@ fn bench_broadcast_modes(c: &mut Criterion) {
     group.sample_size(20);
     for (name, mode) in [("direct", Broadcast::Direct), ("ring", Broadcast::Ring)] {
         group.bench_function(name, |b| {
-            b.iter(|| kernels::simulate_mm(&arr, &dist, 16, CostModel::default(), mode))
+            b.iter(|| simulate(Kernel::Mm, &arr, &dist, 16, CostModel::default(), mode))
         });
     }
     group.finish();

@@ -5,7 +5,8 @@
 //! Usage: `table_scalability [nb_per_proc] [trials]` (defaults: 8, 3).
 
 use hetgrid_bench::workloads::Heterogeneity;
-use hetgrid_bench::{build_instance, mm_row, print_table, Strategy};
+use hetgrid_bench::{build_instance, print_table, sim_row, Strategy};
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::{CostModel, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,7 +40,7 @@ fn main() {
             for _ in 0..trials {
                 let times = model.sample(p * q, &mut rng);
                 let inst = build_instance(&times, p, q, 3 * p.max(q));
-                let row = mm_row(&inst, nb, cost);
+                let row = sim_row(&inst, Kernel::Mm, nb, cost);
                 let cyc = row.iter().find(|(s, _)| *s == Strategy::Cyclic).unwrap().1;
                 let heur = row
                     .iter()

@@ -4,8 +4,8 @@
 //!
 //! Usage: `table_sim_lu [nb] [trials]` (defaults: 32, 5).
 
-use hetgrid_bench::{build_instance, lu_row, print_table, random_times, Strategy};
-use hetgrid_sim::kernels::{simulate_factor, FactorKind};
+use hetgrid_bench::{build_instance, print_table, random_times, sim_row, Strategy};
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::{CostModel, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,7 +40,7 @@ fn main() {
             for _ in 0..trials {
                 let times = random_times(p * q, &mut rng);
                 let inst = build_instance(&times, p, q, 3 * p.max(q));
-                let row = lu_row(&inst, nb, cost);
+                let row = sim_row(&inst, Kernel::Lu, nb, cost);
                 if sums.is_empty() {
                     sums = row;
                 } else {
@@ -77,15 +77,11 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(0x99);
     let times = random_times(4, &mut rng);
     let inst = build_instance(&times, 2, 2, 8);
-    let mut rows = Vec::new();
-    for (s, d) in &inst.dists {
-        let qr = simulate_factor(&inst.arr, d.as_ref(), nb, cost, FactorKind::Qr);
-        let ch = hetgrid_sim::kernels::simulate_cholesky(&inst.arr, d.as_ref(), nb, cost);
-        rows.push(vec![
-            s.name().to_string(),
-            format!("{:.1}", qr.makespan),
-            format!("{:.1}", ch.makespan),
-        ]);
-    }
+    let qr = sim_row(&inst, Kernel::Qr, nb, cost);
+    let ch = sim_row(&inst, Kernel::Cholesky, nb, cost);
+    let cells = |((s, qr), (_, ch)): (&(Strategy, f64), &(Strategy, f64))| {
+        vec![s.name().to_string(), format!("{qr:.1}"), format!("{ch:.1}")]
+    };
+    let rows: Vec<Vec<String>> = qr.iter().zip(&ch).map(cells).collect();
     print_table(&["strategy", "QR makespan", "Cholesky makespan"], &rows);
 }

@@ -5,7 +5,8 @@
 //!
 //! Usage: `table_sim_mm [nb] [trials]` (defaults: 32, 5).
 
-use hetgrid_bench::{build_instance, mm_row, print_table, random_times, Strategy};
+use hetgrid_bench::{build_instance, print_table, random_times, sim_row, Strategy};
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::{CostModel, Network};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,7 +44,7 @@ fn main() {
             for _ in 0..trials {
                 let times = random_times(p * q, &mut rng);
                 let inst = build_instance(&times, p, q, 3 * p.max(q));
-                let row = mm_row(&inst, nb, cost);
+                let row = sim_row(&inst, Kernel::Mm, nb, cost);
                 if sums.is_empty() {
                     sums = row;
                 } else {

@@ -22,8 +22,9 @@ pub mod workloads;
 use hetgrid_core::heuristic::{self, HeuristicOptions};
 use hetgrid_core::{exact, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::CostModel;
-use hetgrid_sim::{kernels, Broadcast};
+use hetgrid_sim::{simulate, Broadcast};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -200,35 +201,20 @@ pub fn build_instance(times: &[f64], p: usize, q: usize, panel: usize) -> SimIns
     SimInstance { arr, dists }
 }
 
-/// Simulated MM makespan for every strategy of an instance.
-pub fn mm_row(inst: &SimInstance, nb: usize, cost: CostModel) -> Vec<(Strategy, f64)> {
+/// Simulated `kernel` makespan (direct broadcasts) for every strategy
+/// of an instance.
+pub fn sim_row(
+    inst: &SimInstance,
+    kernel: Kernel,
+    nb: usize,
+    cost: CostModel,
+) -> Vec<(Strategy, f64)> {
     inst.dists
         .iter()
         .map(|(s, d)| {
-            let rep = kernels::simulate_mm(&inst.arr, d.as_ref(), nb, cost, Broadcast::Direct);
-            (*s, rep.makespan)
-        })
-        .collect()
-}
-
-/// Simulated LU makespan for every strategy of an instance.
-pub fn lu_row(inst: &SimInstance, nb: usize, cost: CostModel) -> Vec<(Strategy, f64)> {
-    inst.dists
-        .iter()
-        .map(|(s, d)| {
-            let rep = kernels::simulate_lu(&inst.arr, d.as_ref(), nb, cost);
-            (*s, rep.makespan)
-        })
-        .collect()
-}
-
-/// Simulated QR makespan for every strategy of an instance.
-pub fn qr_row(inst: &SimInstance, nb: usize, cost: CostModel) -> Vec<(Strategy, f64)> {
-    inst.dists
-        .iter()
-        .map(|(s, d)| {
-            let rep = kernels::simulate_qr(&inst.arr, d.as_ref(), nb, cost);
-            (*s, rep.makespan)
+            let run = simulate(kernel, &inst.arr, d.as_ref(), nb, cost, Broadcast::Direct)
+                .expect("build_instance lays every strategy out on the arrangement's grid");
+            (*s, run.report.makespan)
         })
         .collect()
 }
@@ -265,10 +251,10 @@ mod tests {
     }
 
     #[test]
-    fn mm_row_cyclic_is_worst_on_skewed_grid() {
+    fn sim_row_cyclic_is_worst_on_skewed_grid() {
         let times = [1.0, 1.0, 1.0, 10.0];
         let inst = build_instance(&times, 2, 2, 12);
-        let row = mm_row(&inst, 24, CostModel::zero_comm());
+        let row = sim_row(&inst, Kernel::Mm, 24, CostModel::zero_comm());
         let cyclic = row.iter().find(|(s, _)| *s == Strategy::Cyclic).unwrap().1;
         let heur = row
             .iter()

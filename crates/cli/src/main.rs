@@ -34,8 +34,9 @@ use hetgrid_core::search::{anneal, local_search, SearchOptions};
 use hetgrid_core::{exact, heuristic, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
 use hetgrid_obs::vdiag;
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::{CostModel, Network};
-use hetgrid_sim::{kernels, Broadcast};
+use hetgrid_sim::{simulate, Broadcast};
 use obs_out::ObsSession;
 
 fn main() {
@@ -96,6 +97,7 @@ fn print_usage() {
     println!("  simulate   --times .. --grid PxQ --nb N --kernel mm|lu|qr|cholesky");
     println!("             [--scheme panel|kl|cyclic] [--network switched|bus]");
     println!("             [--latency L] [--transfer B] [--broadcast direct|ring|tree] [--gantt]");
+    println!("             (ring|tree: mm|lu|qr on the Cartesian schemes panel|cyclic only)");
     println!("  sweep      [--max-n 12] [--trials 100] [--csv]   (Figures 6-8 data)");
     println!("  bounds     --times .. --grid PxQ                  (objective brackets)");
     println!("  rank1      --times .. --grid PxQ                  (perfect-balance check)");
@@ -332,20 +334,12 @@ fn cmd_rebalance(args: &Args) -> Result<(), String> {
     let moved = hetgrid_dist::redistribution::moved_fraction(&old_dist, &new_dist, nb);
     let cost = CostModel::default();
     // Both evaluated against the NEW speeds (the machine has drifted).
-    let stale = kernels::simulate_mm(
-        &new_best.arrangement,
-        &old_dist,
-        nb,
-        cost,
-        Broadcast::Direct,
-    );
-    let fresh = kernels::simulate_mm(
-        &new_best.arrangement,
-        &new_dist,
-        nb,
-        cost,
-        Broadcast::Direct,
-    );
+    let mm = |dist: &PanelDist| {
+        let arr = &new_best.arrangement;
+        let run = simulate(Kernel::Mm, arr, dist, nb, cost, Broadcast::Direct);
+        run.map(|run| run.report).map_err(|e| e.to_string())
+    };
+    let (stale, fresh) = (mm(&old_dist)?, mm(&new_dist)?);
     println!(
         "blocks moved by rebalancing : {:.1}% of the matrix",
         moved * 100.0
@@ -566,7 +560,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     };
     use hetgrid_harness::scenario::kernel_inputs;
     use hetgrid_harness::{resolve_grid_fault, FaultProfile, KillSchedule, VirtualTransport};
-    use hetgrid_plan::Kernel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -763,7 +756,7 @@ fn lookahead_line(report: &hetgrid_exec::ExecReport, cfg: hetgrid_exec::ExecConf
 /// The line verifying a run's result against the sequential reference:
 /// the max-norm error of the identity its kernel promises.
 fn residual_line(
-    kernel: hetgrid_plan::Kernel,
+    kernel: Kernel,
     inputs: &[hetgrid_linalg::Matrix],
     out: &hetgrid_exec::RunOutput,
     nb: usize,
@@ -771,7 +764,6 @@ fn residual_line(
 ) -> String {
     use hetgrid_linalg::gemm::matmul;
     use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
-    use hetgrid_plan::Kernel;
 
     let res = &out.result;
     let (label, rebuilt) = match kernel {
@@ -965,7 +957,9 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         return Err(format!("{} times for a {}x{} grid", times.len(), p, q));
     }
     let nb: usize = args.get_parse("nb", 32)?;
-    let kernel = args.get("kernel").unwrap_or("mm");
+    let kernel_name = args.get("kernel").unwrap_or("mm");
+    let kernel =
+        Kernel::parse(kernel_name).ok_or_else(|| format!("unknown kernel: {}", kernel_name))?;
     let network = match args.get("network").unwrap_or("switched") {
         "switched" => Network::Switched,
         "bus" | "ethernet" => Network::SharedBus,
@@ -989,31 +983,13 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let panel = (2 * p).max(4);
     let dist = build_dist(args, &best.arrangement, &best.alloc, panel, (2 * q).max(4))?;
 
-    let run = match kernel {
-        "mm" => kernels::simulate_mm_traced(&best.arrangement, dist.as_ref(), nb, cost, broadcast),
-        "lu" => kernels::simulate_factor_traced(
-            &best.arrangement,
-            dist.as_ref(),
-            nb,
-            cost,
-            kernels::FactorKind::Lu,
-            broadcast,
-        ),
-        "qr" => kernels::simulate_factor_traced(
-            &best.arrangement,
-            dist.as_ref(),
-            nb,
-            cost,
-            kernels::FactorKind::Qr,
-            broadcast,
-        ),
-        "cholesky" => kernels::simulate_cholesky_traced(&best.arrangement, dist.as_ref(), nb, cost),
-        other => return Err(format!("unknown kernel: {}", other)),
-    };
-    let report = run.report.clone();
+    let arr = &best.arrangement;
+    let run =
+        simulate(kernel, arr, dist.as_ref(), nb, cost, broadcast).map_err(|e| e.to_string())?;
+    let report = &run.report;
     println!(
         "kernel {} on {}x{} blocks, scheme {}, network {:?}, broadcast {:?}",
-        kernel,
+        kernel.name(),
         nb,
         nb,
         args.get("scheme").unwrap_or("panel"),

@@ -115,6 +115,59 @@ fn simulate_kernels_run() {
 }
 
 #[test]
+fn simulate_broadcast_topologies_run_or_are_rejected() {
+    let simulate = |kernel: &str, scheme: &str, broadcast: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_hetgrid"))
+            .args([
+                "simulate", "--times", "1,2,3,5", "--grid", "2x2", "--nb", "8",
+            ])
+            .args([
+                "--kernel",
+                kernel,
+                "--scheme",
+                scheme,
+                "--broadcast",
+                broadcast,
+            ])
+            .output()
+            .expect("failed to launch hetgrid binary");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    for broadcast in ["ring", "tree"] {
+        // Defined: mm, lu and qr on the Cartesian schemes.
+        for kernel in ["mm", "lu", "qr"] {
+            for scheme in ["panel", "cyclic"] {
+                let (code, stdout, stderr) = simulate(kernel, scheme, broadcast);
+                assert_eq!(code, Some(0), "{kernel} {scheme} {broadcast}: {stderr}");
+                assert!(stdout.contains("makespan"), "{stdout}");
+            }
+        }
+        // Undefined: Cholesky under any scheme, anything on KL. Exit 2
+        // with a message, never a simulation of something else or a panic.
+        for (kernel, scheme, why) in [
+            ("cholesky", "panel", "Cholesky"),
+            ("cholesky", "cyclic", "Cholesky"),
+            ("mm", "kl", "Cartesian"),
+            ("lu", "kl", "Cartesian"),
+            ("qr", "kl", "Cartesian"),
+        ] {
+            let (code, stdout, stderr) = simulate(kernel, scheme, broadcast);
+            assert_eq!(code, Some(2), "{kernel} {scheme} {broadcast}: {stdout}");
+            assert!(stdout.is_empty(), "{stdout}");
+            assert!(
+                stderr.contains("error:") && stderr.contains(why),
+                "{stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{stderr}");
+        }
+    }
+}
+
+#[test]
 fn simulate_gantt_renders() {
     let (ok, stdout, _) = run(&[
         "simulate", "--times", "1,2,3,5", "--grid", "2x2", "--nb", "4", "--kernel", "mm", "--gantt",

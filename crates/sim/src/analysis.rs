@@ -150,15 +150,16 @@ fn dependency_critical_path(engine: &Engine) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{simulate_mm_traced, Broadcast};
+    use crate::kernels::{simulate, Broadcast};
     use crate::machine::CostModel;
     use hetgrid_core::Arrangement;
     use hetgrid_dist::BlockCyclic;
+    use hetgrid_plan::Kernel;
 
     fn run_mm(nb: usize, cost: CostModel) -> TracedRun {
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]]);
         let dist = BlockCyclic::new(2, 2);
-        simulate_mm_traced(&arr, &dist, nb, cost, Broadcast::Direct)
+        simulate(Kernel::Mm, &arr, &dist, nb, cost, Broadcast::Direct).unwrap()
     }
 
     #[test]

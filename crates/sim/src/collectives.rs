@@ -9,6 +9,7 @@
 //! on a dedicated (switched) network.
 
 use crate::engine::Engine;
+use crate::kernels::{simulate_mm, Broadcast, Des};
 use crate::machine::{CostModel, Machine};
 use hetgrid_core::Arrangement;
 use hetgrid_dist::BlockDist;
@@ -42,53 +43,17 @@ pub fn simulate_broadcast(
     arr: &Arrangement,
     cost: CostModel,
     blocks: usize,
-    topology: crate::kernels::Broadcast,
+    topology: Broadcast,
 ) -> f64 {
     let (p, q) = (arr.p(), arr.q());
-    let mut engine = Engine::new();
-    let machine = Machine::new(&mut engine, arr, cost);
     let src = (0, 0);
     let dests: Vec<(usize, usize)> = (0..p)
         .flat_map(|i| (0..q).map(move |j| (i, j)))
         .filter(|&d| d != src)
         .collect();
-
-    use crate::kernels::Broadcast;
-    match topology {
-        Broadcast::Direct => {
-            for &dst in &dests {
-                machine.message(&mut engine, vec![], src, dst, blocks);
-            }
-        }
-        Broadcast::Ring => {
-            let mut hop_src = src;
-            let mut prev = None;
-            for &dst in &dests {
-                let deps = prev.map(|t| vec![t]).unwrap_or_default();
-                let m = machine.message(&mut engine, deps, hop_src, dst, blocks);
-                hop_src = dst;
-                prev = Some(m);
-            }
-        }
-        Broadcast::Tree => {
-            let mut holders: Vec<((usize, usize), Option<usize>)> = vec![(src, None)];
-            let mut di = 0;
-            while di < dests.len() {
-                let round = holders.clone();
-                for (h, arrival) in round {
-                    if di >= dests.len() {
-                        break;
-                    }
-                    let dst = dests[di];
-                    di += 1;
-                    let deps = arrival.map(|t| vec![t]).unwrap_or_default();
-                    let m = machine.message(&mut engine, deps, h, dst, blocks);
-                    holders.push((dst, Some(m)));
-                }
-            }
-        }
-    }
-    engine.run().makespan
+    let mut des = Des::new(arr, cost);
+    des.emit_ordered_broadcast(topology, src, &dests, blocks, vec![]);
+    des.finish().report.makespan
 }
 
 /// Simulates the initial *scatter*: the master processor `(0, 0)` owns
@@ -136,8 +101,7 @@ pub fn scatter_amortization(
     cost: CostModel,
 ) -> f64 {
     let scatter = simulate_scatter(arr, dist, nb, cost);
-    let mm = crate::kernels::simulate_mm(arr, dist, nb, cost, crate::kernels::Broadcast::Direct);
-    scatter / mm.makespan
+    scatter / simulate_mm(arr, dist, nb, cost, Broadcast::Direct).makespan
 }
 
 /// The number of messages in one full broadcast, per topology (all
@@ -151,7 +115,6 @@ pub fn broadcast_message_count(n: usize) -> usize {
 mod tests {
     use super::*;
     use crate::engine::TaskTag;
-    use crate::kernels::Broadcast;
     use crate::machine::Network;
 
     fn homogeneous(p: usize, q: usize) -> Arrangement {

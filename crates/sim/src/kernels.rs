@@ -1,7 +1,8 @@
-//! DES interpreters for the shared kernel step plans: the outer-product
-//! matrix multiplication (Section 3.1), the right-looking LU / QR
-//! factorizations (Section 3.2) and Cholesky, at `r x r` block
-//! granularity over an arbitrary [`BlockDist`].
+//! The DES interpreter for the shared kernel step plans: the
+//! outer-product matrix multiplication (Section 3.1), the right-looking
+//! LU / QR factorizations (Section 3.2) and Cholesky, at `r x r` block
+//! granularity over an arbitrary [`BlockDist`] — one entry point,
+//! [`simulate`], over one private interpreter.
 //!
 //! The *schedule* — which block moves where, who computes what, in what
 //! order — comes from [`hetgrid_plan`]; this module only applies the
@@ -18,8 +19,15 @@ use crate::engine::{Engine, TaskId};
 use crate::machine::{CostModel, Machine, SimReport};
 use hetgrid_core::Arrangement;
 use hetgrid_dist::BlockDist;
-use hetgrid_plan::{Plan, Step};
+use hetgrid_plan::{Bcast, Kernel, OwnerWork, Plan, Step};
 use std::collections::BTreeMap;
+use std::fmt;
+
+/// Grid coordinates `(i, j)` of a processor.
+type Proc = (usize, usize);
+/// Tasks by processor: what a phase left on each processor — its
+/// compute task there, or the messages delivered to it.
+type Events = BTreeMap<Proc, Vec<TaskId>>;
 
 /// How a block is broadcast to the processors that need it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,64 +45,53 @@ pub enum Broadcast {
     Tree,
 }
 
-/// Emits a broadcast of an identical payload from `src` to `dests` (in
-/// the given order) under the Ring or Tree topology. Returns the
-/// delivering message task per destination.
-fn emit_ordered_broadcast(
-    engine: &mut Engine,
-    machine: &Machine<'_>,
-    mode: Broadcast,
-    src: (usize, usize),
-    dests: &[(usize, usize)],
-    blocks: usize,
-    root_deps: Vec<TaskId>,
-) -> Vec<((usize, usize), TaskId)> {
-    let mut out = Vec::with_capacity(dests.len());
-    match mode {
-        Broadcast::Direct => {
-            for &dst in dests {
-                let m = machine.message(engine, root_deps.clone(), src, dst, blocks);
-                out.push((dst, m));
-            }
-        }
-        Broadcast::Ring => {
-            let mut hop_src = src;
-            let mut prev: Option<TaskId> = None;
-            for &dst in dests {
-                let deps = match prev {
-                    Some(t) => vec![t],
-                    None => root_deps.clone(),
-                };
-                let m = machine.message(engine, deps, hop_src, dst, blocks);
-                out.push((dst, m));
-                hop_src = dst;
-                prev = Some(m);
-            }
-        }
-        Broadcast::Tree => {
-            // Binomial: the set of holders doubles every round.
-            let mut holders: Vec<((usize, usize), Option<TaskId>)> = vec![(src, None)];
-            let mut di = 0usize;
-            while di < dests.len() {
-                let round = holders.clone();
-                for (h, arrival) in round {
-                    if di >= dests.len() {
-                        break;
-                    }
-                    let dst = dests[di];
-                    di += 1;
-                    let deps = match arrival {
-                        Some(t) => vec![t],
-                        None => root_deps.clone(),
-                    };
-                    let m = machine.message(engine, deps, h, dst, blocks);
-                    out.push((dst, m));
-                    holders.push((dst, Some(m)));
-                }
-            }
+/// Why [`simulate`] rejected its arguments.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SimError {
+    /// The distribution's grid shape differs from the arrangement's.
+    GridMismatch {
+        /// The distribution's `(p, q)`.
+        dist: (usize, usize),
+        /// The arrangement's `(p, q)`.
+        arr: (usize, usize),
+    },
+    /// Ring/Tree pipeline a panel along grid rows and columns, which
+    /// only a Cartesian (strict-grid) distribution has.
+    NotCartesian(Broadcast),
+    /// Cholesky broadcasts each panel block along its row *and* its
+    /// column at once; a per-grid-line Ring/Tree is undefined for it.
+    CholeskyTopology(Broadcast),
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::GridMismatch { dist, arr } => write!(
+                f,
+                "grid mismatch: the distribution is {}x{}, the arrangement {}x{}",
+                dist.0, dist.1, arr.0, arr.1
+            ),
+            SimError::NotCartesian(b) => write!(
+                f,
+                "{b:?} broadcasts require a Cartesian (strict-grid) distribution"
+            ),
+            SimError::CholeskyTopology(b) => write!(
+                f,
+                "{b:?} broadcasts are undefined for Cholesky's row+column panel broadcast; use direct"
+            ),
         }
     }
-    out
+}
+
+impl std::error::Error for SimError {}
+
+fn check_grid(arr: &Arrangement, dist: &dyn BlockDist) -> Result<(), SimError> {
+    let (dist, arr) = (dist.grid(), (arr.p(), arr.q()));
+    if dist == arr {
+        Ok(())
+    } else {
+        Err(SimError::GridMismatch { dist, arr })
+    }
 }
 
 /// A simulation run retaining the task graph and schedule, so the
@@ -109,60 +106,384 @@ pub struct TracedRun {
     pub report: SimReport,
 }
 
-/// Runs the built engine and extracts the grid report plus the trace.
-fn finish_run_traced(machine: &Machine<'_>, engine: Engine) -> TracedRun {
-    let schedule = engine.run();
-    let report = SimReport {
-        makespan: schedule.makespan,
-        core_busy: machine.core_busy(&schedule),
-        comm_time: schedule.comm_time,
-        compute_time: schedule.compute_time,
-    };
-    TracedRun {
-        engine,
-        schedule,
-        report,
-    }
+/// Which grid lines a panel is pipelined along under Ring/Tree.
+#[derive(Clone, Copy)]
+enum Axis {
+    /// Along each grid row (the `A` / `L` panels).
+    Row,
+    /// Down each grid column (the `B` / `U` panels).
+    Col,
 }
 
-/// Helper tracking the last task issued on every processor, enforcing
-/// per-processor program order (SPMD execution).
-struct ProcState {
-    q: usize,
-    last: Vec<Option<TaskId>>,
-}
-
-impl ProcState {
-    fn new(p: usize, q: usize) -> Self {
-        ProcState {
-            q,
-            last: vec![None; p * q],
+impl Axis {
+    /// Grid coordinates to `(line index, position along the line)` and
+    /// back — the mapping is its own inverse.
+    fn flip(self, (a, b): (usize, usize)) -> (usize, usize) {
+        match self {
+            Axis::Row => (a, b),
+            Axis::Col => (b, a),
         }
     }
-    fn deps_with_last(&self, (i, j): (usize, usize), mut deps: Vec<TaskId>) -> Vec<TaskId> {
-        if let Some(t) = self.last[i * self.q + j] {
-            deps.push(t);
+}
+
+/// One panel of a step's broadcast phase, as [`Des::comm`] takes it:
+/// the plan's per-block broadcasts, the grid lines the panel travels
+/// along under Ring/Tree, and — Ring/Tree only — the positions along
+/// each line that receive. `Some`: a factorization's trailing lines —
+/// only these receive, and a line holding no block of the panel sends
+/// nothing. `None`: the whole grid takes part (MM) — every line
+/// broadcasts to all its other members, a line without blocks a
+/// latency-only message.
+type Panel<'a> = (&'a [Bcast], Axis, Option<&'a [usize]>);
+
+/// The machine under simulation and the task graph being built on it.
+pub(crate) struct Des<'a> {
+    engine: Engine,
+    machine: Machine<'a>,
+}
+
+impl<'a> Des<'a> {
+    pub(crate) fn new(arr: &'a Arrangement, cost: CostModel) -> Self {
+        let mut engine = Engine::new();
+        let machine = Machine::new(&mut engine, arr, cost);
+        Des { engine, machine }
+    }
+
+    fn message(&mut self, deps: Vec<TaskId>, src: Proc, dst: Proc, blocks: usize) -> TaskId {
+        self.machine
+            .message(&mut self.engine, deps, src, dst, blocks)
+    }
+
+    /// Emits a broadcast of an identical payload from `src` to `dests`
+    /// (in the given order) under the given topology. Returns the
+    /// delivering message task per destination.
+    pub(crate) fn emit_ordered_broadcast(
+        &mut self,
+        mode: Broadcast,
+        src: Proc,
+        dests: &[Proc],
+        blocks: usize,
+        root_deps: Vec<TaskId>,
+    ) -> Vec<(Proc, TaskId)> {
+        let mut out: Vec<(Proc, TaskId)> = Vec::with_capacity(dests.len());
+        for (i, &dst) in dests.iter().enumerate() {
+            // Which earlier destination forwards the payload to this
+            // one; `None`: the source itself, once `root_deps` are done.
+            let forwarder = match mode {
+                Broadcast::Direct => None,
+                Broadcast::Ring => i.checked_sub(1),
+                // Binomial: the holders (source first, then destinations
+                // in order) double every round, each sending to the next
+                // destination not yet served — destination `i` is served
+                // in round `log2(i + 1)` by holder `i + 1 - 2^round`.
+                Broadcast::Tree => (i + 1 - (1 << (i + 1).ilog2())).checked_sub(1),
+            };
+            let (from, deps) = match forwarder {
+                None => (src, root_deps.clone()),
+                Some(h) => (out[h].0, vec![out[h].1]),
+            };
+            out.push((dst, self.message(deps, from, dst, blocks)));
         }
-        deps
+        out
     }
-    fn set_last(&mut self, (i, j): (usize, usize), t: TaskId) {
-        self.last[i * self.q + j] = Some(t);
+
+    /// One compute task of `blocks` block operations on `owner`, after
+    /// `deps` and the owner's previous task — per-processor program
+    /// order (SPMD execution), tracked in `last`.
+    fn task(
+        &mut self,
+        last: &mut Events,
+        owner: Proc,
+        blocks: usize,
+        unit_cost: f64,
+        mut deps: Vec<TaskId>,
+    ) -> TaskId {
+        let previous = last.entry(owner).or_default();
+        deps.append(previous);
+        let t = self
+            .machine
+            .compute(&mut self.engine, deps, owner, blocks, unit_cost);
+        previous.push(t);
+        t
     }
-    fn get(&self, (i, j): (usize, usize)) -> Option<TaskId> {
-        self.last[i * self.q + j]
+
+    /// A compute phase: one [`Des::task`] per `(owner, blocks)` item, in
+    /// item order, each after `deps_of(owner)`.
+    fn work(
+        &mut self,
+        last: &mut Events,
+        items: impl IntoIterator<Item = (Proc, usize)>,
+        unit_cost: f64,
+        deps_of: impl Fn(Proc) -> Vec<TaskId>,
+    ) -> Events {
+        let task = |(owner, blocks)| {
+            let t = self.task(last, owner, blocks, unit_cost, deps_of(owner));
+            (owner, vec![t])
+        };
+        items.into_iter().map(task).collect()
+    }
+
+    /// A `Direct` broadcast phase: one message per (source, destination)
+    /// pair in sorted pair order, carrying every block of `transfers`
+    /// (one entry per block) that the pair exchanges, after the source's
+    /// tasks in `roots`.
+    fn direct(&mut self, transfers: impl Iterator<Item = (Proc, Proc)>, roots: &Events) -> Events {
+        let mut msgs: BTreeMap<(Proc, Proc), usize> = BTreeMap::new();
+        for pair in transfers {
+            *msgs.entry(pair).or_insert(0) += 1;
+        }
+        let mut incoming = Events::new();
+        for ((src, dst), blocks) in msgs {
+            let m = self.message(gather(&[roots], src), src, dst, blocks);
+            incoming.entry(dst).or_default().push(m);
+        }
+        incoming
+    }
+
+    /// A broadcast phase under `mode`: [`Des::direct`] over all the
+    /// panels at once, or — Ring/Tree, Cartesian distributions only —
+    /// one [`Des::emit_ordered_broadcast`] per panel and grid line, from
+    /// the line's member holding the panel to the receiving members, in
+    /// ring order from the source.
+    fn comm(&mut self, panels: &[Panel<'_>], mode: Broadcast, roots: &Events) -> Events {
+        if mode == Broadcast::Direct {
+            return self.direct(panels.iter().flat_map(|p| transfers(p.0)), roots);
+        }
+        let grid = (self.machine.arr.p(), self.machine.arr.q());
+        let mut incoming = Events::new();
+        // (A factorization's last step has no U panel.)
+        for &(bcasts, axis, to) in panels.iter().filter(|p| !p.0.is_empty()) {
+            let (lines, len) = axis.flip(grid);
+            let src_pos = axis.flip(bcasts[0].src).1;
+            for line in 0..lines {
+                let blocks = bcasts.iter().filter(|b| axis.flip(b.src).0 == line).count();
+                if blocks == 0 && to.is_some() {
+                    continue;
+                }
+                let src = axis.flip((line, src_pos));
+                let dests: Vec<Proc> = (1..len)
+                    .map(|s| (src_pos + s) % len)
+                    .filter(|pos| to.is_none_or(|to| to.contains(pos)))
+                    .map(|pos| axis.flip((line, pos)))
+                    .collect();
+                let root = gather(&[roots], src);
+                for (dst, m) in self.emit_ordered_broadcast(mode, src, &dests, blocks, root) {
+                    incoming.entry(dst).or_default().push(m);
+                }
+            }
+        }
+        incoming
+    }
+
+    /// Runs the built task graph and extracts the grid report.
+    pub(crate) fn finish(self) -> TracedRun {
+        let schedule = self.engine.run();
+        let report = SimReport {
+            makespan: schedule.makespan,
+            core_busy: self.machine.core_busy(&schedule),
+            comm_time: schedule.comm_time,
+            compute_time: schedule.compute_time,
+        };
+        TracedRun {
+            engine: self.engine,
+            schedule,
+            report,
+        }
     }
 }
 
-/// Simulates `C = A * B` with the blocked outer-product algorithm on an
-/// `nb x nb` block matrix.
+/// The non-empty entries of a per-processor block-count table,
+/// row-major, as [`Des::work`] items.
+fn table(blocks: &[Vec<usize>]) -> impl Iterator<Item = (Proc, usize)> + '_ {
+    blocks
+        .iter()
+        .enumerate()
+        .flat_map(|(i, row)| row.iter().enumerate().map(move |(j, &n)| ((i, j), n)))
+        .filter(|&(_, n)| n > 0)
+}
+
+/// A plan's per-owner work list as [`Des::work`] items.
+fn list(work: &[OwnerWork]) -> impl Iterator<Item = (Proc, usize)> + '_ {
+    work.iter().map(|w| (w.owner, w.blocks))
+}
+
+/// The plan's broadcasts as [`Des::direct`] transfers.
+fn transfers(bcasts: &[Bcast]) -> impl Iterator<Item = (Proc, Proc)> + '_ {
+    bcasts
+        .iter()
+        .flat_map(|b| b.dests.iter().map(move |&dst| (b.src, dst)))
+}
+
+/// The tasks the given phases left on `proc`, in phase order.
+fn gather(phases: &[&Events], proc: Proc) -> Vec<TaskId> {
+    let mut tasks = Vec::new();
+    for on_proc in phases.iter().filter_map(|phase| phase.get(&proc)) {
+        tasks.extend_from_slice(on_proc);
+    }
+    tasks
+}
+
+/// Simulates `kernel` on an `nb x nb` block matrix laid out by `dist`
+/// over the arrangement's grid, keeping the task graph and schedule.
 ///
-/// At each step `k`: the owners of block column `k` of `A` broadcast
-/// horizontally, the owners of block row `k` of `B` broadcast
-/// vertically, then every processor updates all the `C` blocks it owns.
+/// Per outer step `k` of the kernel's [`hetgrid_plan`] schedule:
+///
+/// * [`Kernel::Mm`] (`C = A * B`, outer product) — the owners of block
+///   column `k` of `A` broadcast horizontally, the owners of block row
+///   `k` of `B` vertically, then every processor updates all the `C`
+///   blocks it owns.
+/// * [`Kernel::Lu`] — factor the panel (block column `k`, rows `>= k`),
+///   broadcast the lower factor along grid rows, triangular-solve the
+///   pivot block row, broadcast it along grid columns, then
+///   rank-`r`-update the trailing submatrix. ScaLAPACK uses
+///   increasing-ring for `L` and a minimum-spanning-tree for `U`
+///   (Section 3.2.1); here `broadcast` applies to both.
+/// * [`Kernel::Qr`] — the LU schedule ([`hetgrid_plan::factor_plan`])
+///   at twice the arithmetic per block: Section 3.2's "analogous"
+///   parallelization, same communication, double the flops. (The
+///   executor's true Householder schedule, [`hetgrid_plan::qr_plan`],
+///   has no DES model.)
+/// * [`Kernel::Cholesky`] (`A = L L^T`, lower triangle only; the
+///   paper's reference \[8]) — the diagonal owner factors its block and
+///   sends it down the panel; the owners of `(bi, k)`, `bi > k`
+///   triangular-solve; each panel block is broadcast to the owners of
+///   the trailing lower-triangle blocks in its row **and** its column
+///   (the symmetric update `A_ij -= L_ik L_jk^T` needs both factors);
+///   the trailing lower triangle is updated.
+///
+/// # Errors
+/// [`SimError`] if the distribution's grid differs from the
+/// arrangement's, if Ring/Tree is requested on a non-Cartesian
+/// distribution, or if Ring/Tree is requested for Cholesky.
+pub fn simulate(
+    kernel: Kernel,
+    arr: &Arrangement,
+    dist: &dyn BlockDist,
+    nb: usize,
+    cost: CostModel,
+    broadcast: Broadcast,
+) -> Result<TracedRun, SimError> {
+    check_grid(arr, dist)?;
+    if broadcast != Broadcast::Direct {
+        if kernel == Kernel::Cholesky {
+            return Err(SimError::CholeskyTopology(broadcast));
+        }
+        if !dist.is_cartesian() {
+            return Err(SimError::NotCartesian(broadcast));
+        }
+    }
+    let (plan, flop_scale) = match kernel {
+        Kernel::Mm => (hetgrid_plan::mm_plan(dist, nb), 1.0),
+        Kernel::Lu => (hetgrid_plan::factor_plan(dist, nb), 1.0),
+        Kernel::Qr => (hetgrid_plan::factor_plan(dist, nb), 2.0),
+        Kernel::Cholesky => (hetgrid_plan::cholesky_plan(dist, nb), 1.0),
+    };
+    Ok(interpret(arr, &plan, cost, flop_scale, broadcast))
+}
+
+/// Applies the DES cost model to a grid step plan, every compute cost
+/// scaled by `flop_scale`. [`simulate`] has validated `mode` against
+/// the plan's distribution and kernel.
+fn interpret(
+    arr: &Arrangement,
+    plan: &Plan,
+    cost: CostModel,
+    flop_scale: f64,
+    mode: Broadcast,
+) -> TracedRun {
+    let panel_cost = cost.panel_cost * flop_scale;
+    let trsm_cost = cost.trsm_cost * flop_scale;
+    let update_cost = flop_scale;
+    let mut des = Des::new(arr, cost);
+    let mut last = Events::new();
+
+    // A factorization's last step is its panel alone: every later list
+    // of that step is empty and its phases emit nothing.
+    for step in &plan.steps {
+        match step {
+            Step::Mm {
+                a_bcasts, b_bcasts, ..
+            } => {
+                // Block (bi, k) of A to every owner of block row bi,
+                // (k, bj) of B to every owner of block column bj.
+                let panels: [Panel; 2] = [(a_bcasts, Axis::Row, None), (b_bcasts, Axis::Col, None)];
+                let incoming = des.comm(&panels, mode, &last);
+                let owned = table(&plan.owned);
+                des.work(&mut last, owned, update_cost, |o| gather(&[&incoming], o));
+            }
+            Step::Factor {
+                diag,
+                panel,
+                l_bcasts,
+                trsm,
+                u_bcasts,
+                trailing,
+                ..
+            } => {
+                let panel_tasks = des.work(&mut last, list(panel), panel_cost, |_| vec![]);
+
+                // L along rows: block (bi, k) goes to every owner of
+                // trailing blocks in block row bi. For bi == k this also
+                // delivers the diagonal block to the pivot row (needed
+                // by the triangular solves).
+                let trailing_cols: Vec<usize> = u_bcasts.iter().map(|b| b.src.1).collect();
+                let l_panel: Panel = (l_bcasts, Axis::Row, Some(&trailing_cols));
+                let l_in = des.comm(&[l_panel], mode, &panel_tasks);
+
+                // The diagonal owner solves against its own factor, the
+                // rest of the pivot row against the delivered one.
+                let trsm_tasks = des.work(&mut last, list(trsm), trsm_cost, |o| {
+                    gather(&[if o == *diag { &panel_tasks } else { &l_in }], o)
+                });
+
+                // U down columns: block (k, bj) goes to every owner of
+                // trailing blocks in block column bj.
+                let trailing_rows: Vec<usize> = l_bcasts[1..].iter().map(|b| b.src.0).collect();
+                let u_panel: Panel = (u_bcasts, Axis::Col, Some(&trailing_rows));
+                let u_in = des.comm(&[u_panel], mode, &trsm_tasks);
+
+                des.work(&mut last, table(trailing), update_cost, |o| {
+                    gather(&[&l_in, &u_in, &panel_tasks, &trsm_tasks], o)
+                });
+            }
+            Step::Cholesky {
+                diag,
+                diag_dests,
+                panel,
+                panel_bcasts,
+                trailing,
+                ..
+            } => {
+                // The diagonal factor, sent down the panel; `diag_in`
+                // has no entry for the diagonal owner itself.
+                let diag_task = des.work(&mut last, [(*diag, 1)], panel_cost, |_| vec![]);
+                let diag_in = des.direct(diag_dests.iter().map(|&dst| (*diag, dst)), &diag_task);
+                let panel_tasks = des.work(&mut last, list(panel), trsm_cost, |o| {
+                    gather(&[&diag_task, &diag_in], o)
+                });
+
+                // Block (bi, k) to the owners of the trailing
+                // lower-triangle blocks that need it — row bi (as the
+                // left factor) and column bi (as the right factor).
+                let incoming = des.direct(transfers(panel_bcasts), &panel_tasks);
+                des.work(&mut last, list(trailing), update_cost, |o| {
+                    gather(&[&incoming, &panel_tasks], o)
+                });
+            }
+            Step::Qr { .. } | Step::Load { .. } | Step::Compute { .. } | Step::Evict { .. } => {
+                unreachable!("simulate builds only Mm, Factor and Cholesky plans")
+            }
+        }
+    }
+    des.finish()
+}
+
+/// [`simulate`] of [`Kernel::Mm`], report only.
 ///
 /// # Panics
-/// Panics if the distribution's grid differs from the arrangement's, or
-/// `Broadcast::Ring` is requested for a non-Cartesian distribution.
+/// Panics where [`simulate`] returns a [`SimError`]: the distribution's
+/// grid differs from the arrangement's, or Ring/Tree is requested for
+/// a non-Cartesian distribution.
 pub fn simulate_mm(
     arr: &Arrangement,
     dist: &dyn BlockDist,
@@ -170,7 +491,39 @@ pub fn simulate_mm(
     cost: CostModel,
     broadcast: Broadcast,
 ) -> SimReport {
-    simulate_mm_traced(arr, dist, nb, cost, broadcast).report
+    simulate(Kernel::Mm, arr, dist, nb, cost, broadcast)
+        .expect("simulate_mm")
+        .report
+}
+
+/// [`simulate`] of [`Kernel::Lu`] with direct broadcasts, report only.
+///
+/// # Panics
+/// Panics if the distribution's grid differs from the arrangement's.
+pub fn simulate_lu(
+    arr: &Arrangement,
+    dist: &dyn BlockDist,
+    nb: usize,
+    cost: CostModel,
+) -> SimReport {
+    simulate(Kernel::Lu, arr, dist, nb, cost, Broadcast::Direct)
+        .expect("simulate_lu")
+        .report
+}
+
+/// [`simulate`] of [`Kernel::Cholesky`], report only.
+///
+/// # Panics
+/// Panics if the distribution's grid differs from the arrangement's.
+pub fn simulate_cholesky(
+    arr: &Arrangement,
+    dist: &dyn BlockDist,
+    nb: usize,
+    cost: CostModel,
+) -> SimReport {
+    simulate(Kernel::Cholesky, arr, dist, nb, cost, Broadcast::Direct)
+        .expect("simulate_cholesky")
+        .report
 }
 
 /// General rectangular `C(m x n) = A(m x k) * B(k x n)` in block units:
@@ -184,442 +537,12 @@ pub fn simulate_mm(
 pub fn simulate_mm_rect(
     arr: &Arrangement,
     dist: &dyn BlockDist,
-    (mb, nb, kb): (usize, usize, usize),
+    dims: (usize, usize, usize),
     cost: CostModel,
 ) -> SimReport {
-    let (p, q) = dist.grid();
-    assert_eq!(
-        (p, q),
-        (arr.p(), arr.q()),
-        "simulate_mm_rect: grid mismatch"
-    );
-    let plan = hetgrid_plan::mm_rect_plan(dist, (mb, nb, kb));
-    interpret_mm(arr, &plan, cost, Broadcast::Direct).report
-}
-
-/// [`simulate_mm`] retaining the full task graph and schedule.
-pub fn simulate_mm_traced(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-    broadcast: Broadcast,
-) -> TracedRun {
-    let (p, q) = dist.grid();
-    assert_eq!((p, q), (arr.p(), arr.q()), "simulate_mm: grid mismatch");
-    if broadcast != Broadcast::Direct {
-        assert!(
-            dist.is_cartesian(),
-            "ring/tree broadcasts require a Cartesian (strict-grid) distribution"
-        );
-    }
-    interpret_mm(arr, &hetgrid_plan::mm_plan(dist, nb), cost, broadcast)
-}
-
-/// Applies the DES cost model to an MM step plan ([`hetgrid_plan::mm_plan`]
-/// / [`hetgrid_plan::mm_rect_plan`]).
-///
-/// Non-`Direct` topologies assume the plan came from a Cartesian
-/// distribution (the `simulate_mm*` wrappers enforce this).
-///
-/// # Panics
-/// Panics if the plan's grid differs from the arrangement's or the plan
-/// contains non-MM steps.
-pub fn interpret_mm(
-    arr: &Arrangement,
-    plan: &Plan,
-    cost: CostModel,
-    broadcast: Broadcast,
-) -> TracedRun {
-    let (p, q) = plan.grid;
-    assert_eq!((p, q), (arr.p(), arr.q()), "interpret_mm: grid mismatch");
-    let mut engine = Engine::new();
-    let machine = Machine::new(&mut engine, arr, cost);
-    let mut procs = ProcState::new(p, q);
-    let owned = &plan.owned;
-
-    for step in &plan.steps {
-        let Step::Mm {
-            a_bcasts, b_bcasts, ..
-        } = step
-        else {
-            panic!("interpret_mm: non-MM step in plan")
-        };
-        // --- Horizontal broadcasts: block (bi, k) of A to every owner
-        // of block row bi; vertical for B.
-        let mut incoming: BTreeMap<(usize, usize), Vec<TaskId>> = BTreeMap::new();
-        match broadcast {
-            Broadcast::Direct => {
-                // Aggregate (src, dst) -> block count.
-                let mut msgs: BTreeMap<((usize, usize), (usize, usize)), usize> = BTreeMap::new();
-                for b in a_bcasts.iter().chain(b_bcasts.iter()) {
-                    for &dst in &b.dests {
-                        *msgs.entry((b.src, dst)).or_insert(0) += 1;
-                    }
-                }
-                for (&(src, dst), &blocks) in &msgs {
-                    let deps = match procs.get(src) {
-                        Some(t) => vec![t],
-                        None => vec![],
-                    };
-                    let m = machine.message(&mut engine, deps, src, dst, blocks);
-                    incoming.entry(dst).or_default().push(m);
-                }
-            }
-            Broadcast::Ring | Broadcast::Tree => {
-                // Cartesian: one pipelined ring / binomial tree per grid
-                // row (A panel) and per grid column (B panel).
-                let src_col = a_bcasts[0].src.1;
-                for gi in 0..p {
-                    // Blocks of column k owned by grid row gi.
-                    let blocks = a_bcasts.iter().filter(|b| b.src.0 == gi).count();
-                    let src = (gi, src_col);
-                    let dests: Vec<(usize, usize)> =
-                        (1..q).map(|step| (gi, (src_col + step) % q)).collect();
-                    let root_deps = match procs.get(src) {
-                        Some(t) => vec![t],
-                        None => vec![],
-                    };
-                    for (dst, m) in emit_ordered_broadcast(
-                        &mut engine,
-                        &machine,
-                        broadcast,
-                        src,
-                        &dests,
-                        blocks,
-                        root_deps,
-                    ) {
-                        incoming.entry(dst).or_default().push(m);
-                    }
-                }
-                let src_row = b_bcasts[0].src.0;
-                for gj in 0..q {
-                    let blocks = b_bcasts.iter().filter(|b| b.src.1 == gj).count();
-                    let src = (src_row, gj);
-                    let dests: Vec<(usize, usize)> =
-                        (1..p).map(|step| ((src_row + step) % p, gj)).collect();
-                    let root_deps = match procs.get(src) {
-                        Some(t) => vec![t],
-                        None => vec![],
-                    };
-                    for (dst, m) in emit_ordered_broadcast(
-                        &mut engine,
-                        &machine,
-                        broadcast,
-                        src,
-                        &dests,
-                        blocks,
-                        root_deps,
-                    ) {
-                        incoming.entry(dst).or_default().push(m);
-                    }
-                }
-            }
-        }
-
-        // --- Local rank-r updates: every processor updates all its
-        // owned C blocks.
-        for i in 0..p {
-            for j in 0..q {
-                if owned[i][j] == 0 {
-                    continue;
-                }
-                let deps = incoming.remove(&(i, j)).unwrap_or_default();
-                let deps = procs.deps_with_last((i, j), deps);
-                let t = machine.compute(&mut engine, deps, (i, j), owned[i][j], 1.0);
-                procs.set_last((i, j), t);
-            }
-        }
-    }
-
-    finish_run_traced(&machine, engine)
-}
-
-/// Which factorization to simulate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FactorKind {
-    /// Right-looking LU (Section 3.2.1).
-    Lu,
-    /// Householder QR — same communication structure, roughly twice the
-    /// arithmetic per block (Section 3.2's "analogous" parallelization).
-    Qr,
-}
-
-/// Simulates a right-looking factorization (LU or QR) of an `nb x nb`
-/// block matrix.
-///
-/// Step `k`: factor the panel (block column `k`, rows `>= k`), broadcast
-/// the lower factor along grid rows, triangular-solve the pivot block
-/// row, broadcast it along grid columns, then rank-`r`-update the
-/// trailing submatrix.
-///
-/// # Panics
-/// Panics if the distribution's grid differs from the arrangement's.
-pub fn simulate_factor(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-    kind: FactorKind,
-) -> SimReport {
-    simulate_factor_bcast(arr, dist, nb, cost, kind, Broadcast::Direct)
-}
-
-/// [`simulate_factor`] with an explicit broadcast topology for the `L`
-/// and `U` panels (ScaLAPACK uses increasing-ring for `L` and a
-/// minimum-spanning-tree for `U`, Section 3.2.1; here one topology is
-/// applied to both).
-///
-/// # Panics
-/// Panics if the grids mismatch, or a non-`Direct` topology is used
-/// with a non-Cartesian distribution.
-pub fn simulate_factor_bcast(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-    kind: FactorKind,
-    broadcast: Broadcast,
-) -> SimReport {
-    simulate_factor_traced(arr, dist, nb, cost, kind, broadcast).report
-}
-
-/// [`simulate_factor_bcast`] retaining the full task graph and schedule.
-pub fn simulate_factor_traced(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-    kind: FactorKind,
-    broadcast: Broadcast,
-) -> TracedRun {
-    let (p, q) = dist.grid();
-    assert_eq!((p, q), (arr.p(), arr.q()), "simulate_factor: grid mismatch");
-    if broadcast != Broadcast::Direct {
-        assert!(
-            dist.is_cartesian(),
-            "ring/tree broadcasts require a Cartesian (strict-grid) distribution"
-        );
-    }
-    interpret_factor(
-        arr,
-        &hetgrid_plan::factor_plan(dist, nb),
-        cost,
-        kind,
-        broadcast,
-    )
-}
-
-/// Applies the DES cost model to an LU-shaped factorization step plan
-/// ([`hetgrid_plan::factor_plan`]); `kind` selects the arithmetic scale
-/// (QR costs twice LU per block, Section 3.2).
-///
-/// Non-`Direct` topologies assume a Cartesian plan (the `simulate_*`
-/// wrappers enforce this).
-///
-/// # Panics
-/// Panics if the plan's grid differs from the arrangement's or the plan
-/// contains non-factor steps.
-pub fn interpret_factor(
-    arr: &Arrangement,
-    plan: &Plan,
-    cost: CostModel,
-    kind: FactorKind,
-    broadcast: Broadcast,
-) -> TracedRun {
-    let (p, q) = plan.grid;
-    assert_eq!(
-        (p, q),
-        (arr.p(), arr.q()),
-        "interpret_factor: grid mismatch"
-    );
-    let flop_scale = match kind {
-        FactorKind::Lu => 1.0,
-        FactorKind::Qr => 2.0,
-    };
-    let panel_cost = cost.panel_cost * flop_scale;
-    let trsm_cost = cost.trsm_cost * flop_scale;
-    let update_cost = flop_scale;
-    let nb = plan.steps.len();
-
-    let mut engine = Engine::new();
-    let machine = Machine::new(&mut engine, arr, cost);
-    let mut procs = ProcState::new(p, q);
-
-    for step in &plan.steps {
-        let Step::Factor {
-            k,
-            diag,
-            panel,
-            l_bcasts,
-            trsm,
-            u_bcasts,
-            trailing,
-            ..
-        } = step
-        else {
-            panic!("interpret_factor: non-factor step in plan")
-        };
-        let k = *k;
-
-        // --- Panel factorization: owners of blocks (bi, k), bi >= k.
-        let mut panel_tasks: BTreeMap<(usize, usize), TaskId> = BTreeMap::new();
-        for w in panel {
-            let deps = procs.deps_with_last(w.owner, vec![]);
-            let t = machine.compute(&mut engine, deps, w.owner, w.blocks, panel_cost);
-            panel_tasks.insert(w.owner, t);
-            procs.set_last(w.owner, t);
-        }
-
-        if k + 1 == nb {
-            continue; // last panel: nothing trailing
-        }
-
-        // --- L broadcast along rows: block (bi, k) (bi >= k) goes to
-        // every owner of trailing blocks in block row bi (bj > k). For
-        // bi == k this also delivers the diagonal block to the pivot row
-        // (needed by the triangular solves).
-        let mut l_incoming: BTreeMap<(usize, usize), Vec<TaskId>> = BTreeMap::new();
-        if broadcast == Broadcast::Direct {
-            let mut msgs: BTreeMap<((usize, usize), (usize, usize)), usize> = BTreeMap::new();
-            for b in l_bcasts {
-                for &dst in &b.dests {
-                    *msgs.entry((b.src, dst)).or_insert(0) += 1;
-                }
-            }
-            for (&(src, dst), &blocks) in &msgs {
-                let deps = vec![panel_tasks[&src]];
-                let m = machine.message(&mut engine, deps, src, dst, blocks);
-                l_incoming.entry(dst).or_default().push(m);
-            }
-        } else {
-            // Cartesian ring/tree: one broadcast per grid row, to the
-            // grid columns owning trailing block columns.
-            let src_col = l_bcasts[0].src.1;
-            let mut trailing_cols: Vec<usize> = u_bcasts.iter().map(|b| b.src.1).collect();
-            trailing_cols.sort_unstable();
-            trailing_cols.dedup();
-            for gi in 0..p {
-                let blocks = l_bcasts.iter().filter(|b| b.src.0 == gi).count();
-                if blocks == 0 {
-                    continue;
-                }
-                let src = (gi, src_col);
-                let dests: Vec<(usize, usize)> = (1..q)
-                    .map(|s| (src_col + s) % q)
-                    .filter(|gj| trailing_cols.contains(gj))
-                    .map(|gj| (gi, gj))
-                    .collect();
-                if dests.is_empty() {
-                    continue;
-                }
-                let root = panel_tasks.get(&src).map(|&t| vec![t]).unwrap_or_default();
-                for (dst, m) in emit_ordered_broadcast(
-                    &mut engine,
-                    &machine,
-                    broadcast,
-                    src,
-                    &dests,
-                    blocks,
-                    root,
-                ) {
-                    l_incoming.entry(dst).or_default().push(m);
-                }
-            }
-        }
-
-        // --- Triangular solves on the pivot block row: owners of
-        // (k, bj), bj > k.
-        let mut trsm_tasks: BTreeMap<(usize, usize), TaskId> = BTreeMap::new();
-        for w in trsm {
-            let mut deps = Vec::new();
-            if w.owner == *diag {
-                deps.push(panel_tasks[diag]);
-            } else {
-                // The diagonal block arrives with the L messages.
-                deps.extend(l_incoming.get(&w.owner).into_iter().flatten().copied());
-            }
-            let deps = procs.deps_with_last(w.owner, deps);
-            let t = machine.compute(&mut engine, deps, w.owner, w.blocks, trsm_cost);
-            trsm_tasks.insert(w.owner, t);
-            procs.set_last(w.owner, t);
-        }
-
-        // --- U broadcast along columns: block (k, bj) (bj > k) goes to
-        // every owner of trailing blocks in block column bj (bi > k).
-        let mut u_incoming: BTreeMap<(usize, usize), Vec<TaskId>> = BTreeMap::new();
-        if broadcast == Broadcast::Direct {
-            let mut msgs: BTreeMap<((usize, usize), (usize, usize)), usize> = BTreeMap::new();
-            for b in u_bcasts {
-                for &dst in &b.dests {
-                    *msgs.entry((b.src, dst)).or_insert(0) += 1;
-                }
-            }
-            for (&(src, dst), &blocks) in &msgs {
-                let deps = vec![trsm_tasks[&src]];
-                let m = machine.message(&mut engine, deps, src, dst, blocks);
-                u_incoming.entry(dst).or_default().push(m);
-            }
-        } else {
-            // Cartesian ring/tree: one broadcast per grid column, to the
-            // grid rows owning trailing block rows.
-            let src_row = l_bcasts[0].src.0;
-            let mut trailing_rows: Vec<usize> = l_bcasts[1..].iter().map(|b| b.src.0).collect();
-            trailing_rows.sort_unstable();
-            trailing_rows.dedup();
-            for gj in 0..q {
-                let blocks = u_bcasts.iter().filter(|b| b.src.1 == gj).count();
-                if blocks == 0 {
-                    continue;
-                }
-                let src = (src_row, gj);
-                let dests: Vec<(usize, usize)> = (1..p)
-                    .map(|s| (src_row + s) % p)
-                    .filter(|gi| trailing_rows.contains(gi))
-                    .map(|gi| (gi, gj))
-                    .collect();
-                if dests.is_empty() {
-                    continue;
-                }
-                let root = trsm_tasks.get(&src).map(|&t| vec![t]).unwrap_or_default();
-                for (dst, m) in emit_ordered_broadcast(
-                    &mut engine,
-                    &machine,
-                    broadcast,
-                    src,
-                    &dests,
-                    blocks,
-                    root,
-                ) {
-                    u_incoming.entry(dst).or_default().push(m);
-                }
-            }
-        }
-
-        // --- Trailing rank-r update.
-        for i in 0..p {
-            for j in 0..q {
-                if trailing[i][j] == 0 {
-                    continue;
-                }
-                let owner = (i, j);
-                let mut deps = Vec::new();
-                deps.extend(l_incoming.get(&owner).into_iter().flatten().copied());
-                deps.extend(u_incoming.get(&owner).into_iter().flatten().copied());
-                if let Some(&t) = panel_tasks.get(&owner) {
-                    deps.push(t);
-                }
-                if let Some(&t) = trsm_tasks.get(&owner) {
-                    deps.push(t);
-                }
-                let deps = procs.deps_with_last(owner, deps);
-                let t = machine.compute(&mut engine, deps, owner, trailing[i][j], update_cost);
-                procs.set_last(owner, t);
-            }
-        }
-    }
-
-    finish_run_traced(&machine, engine)
+    check_grid(arr, dist).expect("simulate_mm_rect");
+    let plan = hetgrid_plan::mm_rect_plan(dist, dims);
+    interpret(arr, &plan, cost, 1.0, Broadcast::Direct).report
 }
 
 /// Simulates the distributed *triangular solve* `L x = b` at block
@@ -643,11 +566,9 @@ pub fn simulate_trsv(
     nb: usize,
     cost: CostModel,
 ) -> SimReport {
-    let (p, q) = dist.grid();
-    assert_eq!((p, q), (arr.p(), arr.q()), "simulate_trsv: grid mismatch");
-    let mut engine = Engine::new();
-    let machine = Machine::new(&mut engine, arr, cost);
-    let mut procs = ProcState::new(p, q);
+    check_grid(arr, dist).expect("simulate_trsv");
+    let mut des = Des::new(arr, cost);
+    let mut last = Events::new();
 
     // b_i lives with the owner of block (i, i)'s row in grid column of
     // block column 0 — keep it simple: b_i lives with owner(i, 0).
@@ -660,16 +581,13 @@ pub fn simulate_trsv(
         // If b_k lives elsewhere, it must reach the diagonal owner.
         let mut deps = std::mem::take(&mut contributions[k]);
         if b_owner != diag_owner {
-            let m = machine.message(&mut engine, deps, b_owner, diag_owner, 1);
-            deps = vec![m];
+            deps = vec![des.message(deps, b_owner, diag_owner, 1)];
         }
-        let deps = procs.deps_with_last(diag_owner, deps);
-        let solve = machine.compute(&mut engine, deps, diag_owner, 1, cost.trsm_cost);
-        procs.set_last(diag_owner, solve);
+        let solve = des.task(&mut last, diag_owner, 1, cost.trsm_cost, deps);
 
         // Broadcast x_k to the owners of the column below, who compute
         // partial products and ship them to the b owners.
-        let mut col_owners: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+        let mut col_owners: BTreeMap<Proc, Vec<usize>> = BTreeMap::new();
         for bi in k + 1..nb {
             col_owners.entry(dist.owner(bi, k)).or_default().push(bi);
         }
@@ -677,201 +595,54 @@ pub fn simulate_trsv(
             let xk_arrival = if owner == diag_owner {
                 solve
             } else {
-                machine.message(&mut engine, vec![solve], diag_owner, owner, 1)
+                des.message(vec![solve], diag_owner, owner, 1)
             };
-            let deps = procs.deps_with_last(owner, vec![xk_arrival]);
-            let gemv = machine.compute(&mut engine, deps, owner, rows.len(), 1.0);
-            procs.set_last(owner, gemv);
+            let gemv = des.task(&mut last, owner, rows.len(), 1.0, vec![xk_arrival]);
             // One accumulated message per destination b-owner.
-            let mut per_dest: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+            let mut per_dest: BTreeMap<Proc, Vec<usize>> = BTreeMap::new();
             for &bi in rows {
-                *per_dest.entry(dist.owner(bi, 0)).or_insert(0) += 1;
+                per_dest.entry(dist.owner(bi, 0)).or_default().push(bi);
             }
-            for (&dest, &blocks) in &per_dest {
+            for (&dest, bis) in &per_dest {
                 let arrival = if dest == owner {
                     gemv
                 } else {
-                    machine.message(&mut engine, vec![gemv], owner, dest, blocks)
+                    des.message(vec![gemv], owner, dest, bis.len())
                 };
-                for &bi in rows {
-                    if dist.owner(bi, 0) == dest {
-                        contributions[bi].push(arrival);
-                    }
+                for &bi in bis {
+                    contributions[bi].push(arrival);
                 }
             }
         }
     }
-    finish_run_traced(&machine, engine).report
-}
-
-/// Convenience wrapper for LU.
-pub fn simulate_lu(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> SimReport {
-    simulate_factor(arr, dist, nb, cost, FactorKind::Lu)
-}
-
-/// Simulates right-looking Cholesky (`A = L L^T`, lower triangle only) —
-/// the third ScaLAPACK factorization (the paper's reference \[8]).
-///
-/// Step `k`: the owner of the diagonal block factors it; the owners of
-/// the panel blocks `(bi, k)`, `bi > k` triangular-solve them; each
-/// panel block is then broadcast to the owners of the trailing *lower
-/// triangle* blocks in its row **and** its column (the symmetric update
-/// `A_ij -= L_ik L_jk^T` needs both factors); finally the trailing
-/// lower-triangle blocks are updated.
-///
-/// # Panics
-/// Panics if the grids mismatch.
-pub fn simulate_cholesky(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> SimReport {
-    simulate_cholesky_traced(arr, dist, nb, cost).report
-}
-
-/// [`simulate_cholesky`] retaining the full task graph and schedule.
-pub fn simulate_cholesky_traced(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> TracedRun {
-    let (p, q) = dist.grid();
-    assert_eq!(
-        (p, q),
-        (arr.p(), arr.q()),
-        "simulate_cholesky: grid mismatch"
-    );
-    interpret_cholesky(arr, &hetgrid_plan::cholesky_plan(dist, nb), cost)
-}
-
-/// Applies the DES cost model to a Cholesky step plan
-/// ([`hetgrid_plan::cholesky_plan`]).
-///
-/// # Panics
-/// Panics if the plan's grid differs from the arrangement's or the plan
-/// contains non-Cholesky steps.
-pub fn interpret_cholesky(arr: &Arrangement, plan: &Plan, cost: CostModel) -> TracedRun {
-    let (p, q) = plan.grid;
-    assert_eq!(
-        (p, q),
-        (arr.p(), arr.q()),
-        "interpret_cholesky: grid mismatch"
-    );
-    let nb = plan.steps.len();
-    let mut engine = Engine::new();
-    let machine = Machine::new(&mut engine, arr, cost);
-    let mut procs = ProcState::new(p, q);
-
-    for step in &plan.steps {
-        let Step::Cholesky {
-            k,
-            diag,
-            panel,
-            panel_bcasts,
-            trailing,
-            ..
-        } = step
-        else {
-            panic!("interpret_cholesky: non-Cholesky step in plan")
-        };
-        let (k, diag_owner) = (*k, *diag);
-
-        // --- 1. Diagonal block factorization.
-        let diag_task = {
-            let deps = procs.deps_with_last(diag_owner, vec![]);
-            let t = machine.compute(&mut engine, deps, diag_owner, 1, cost.panel_cost);
-            procs.set_last(diag_owner, t);
-            t
-        };
-        if k + 1 == nb {
-            continue;
-        }
-
-        // --- 2. Diagonal factor to the panel owners below (panel work
-        // entries are in sorted owner order, matching the historical
-        // message emission order).
-        let mut diag_arrived: BTreeMap<(usize, usize), TaskId> = BTreeMap::new();
-        for w in panel {
-            if w.owner != diag_owner {
-                let m = machine.message(&mut engine, vec![diag_task], diag_owner, w.owner, 1);
-                diag_arrived.insert(w.owner, m);
-            }
-        }
-
-        // --- 3. Panel triangular solves.
-        let mut panel_tasks: BTreeMap<(usize, usize), TaskId> = BTreeMap::new();
-        for w in panel {
-            let mut deps = Vec::new();
-            if w.owner == diag_owner {
-                deps.push(diag_task);
-            } else {
-                deps.push(diag_arrived[&w.owner]);
-            }
-            let deps = procs.deps_with_last(w.owner, deps);
-            let t = machine.compute(&mut engine, deps, w.owner, w.blocks, cost.trsm_cost);
-            panel_tasks.insert(w.owner, t);
-            procs.set_last(w.owner, t);
-        }
-
-        // --- 4. Panel broadcast: block (bi, k) to the owners of the
-        // trailing lower-triangle blocks that need it — row bi (as the
-        // left factor) and column bi (as the right factor).
-        let mut incoming: BTreeMap<(usize, usize), Vec<TaskId>> = BTreeMap::new();
-        {
-            let mut msgs: BTreeMap<((usize, usize), (usize, usize)), usize> = BTreeMap::new();
-            for b in panel_bcasts {
-                for &dst in &b.dests {
-                    *msgs.entry((b.src, dst)).or_insert(0) += 1;
-                }
-            }
-            for (&(src, dst), &blocks) in &msgs {
-                let deps = vec![panel_tasks[&src]];
-                let m = machine.message(&mut engine, deps, src, dst, blocks);
-                incoming.entry(dst).or_default().push(m);
-            }
-        }
-
-        // --- 5. Symmetric trailing update (lower triangle only).
-        for w in trailing {
-            let mut deps = incoming.remove(&w.owner).unwrap_or_default();
-            if let Some(&t) = panel_tasks.get(&w.owner) {
-                deps.push(t);
-            }
-            let deps = procs.deps_with_last(w.owner, deps);
-            let t = machine.compute(&mut engine, deps, w.owner, w.blocks, 1.0);
-            procs.set_last(w.owner, t);
-        }
-    }
-
-    finish_run_traced(&machine, engine)
-}
-
-/// Convenience wrapper for QR.
-pub fn simulate_qr(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> SimReport {
-    simulate_factor(arr, dist, nb, cost, FactorKind::Qr)
+    des.finish().report
 }
 
 #[cfg(test)]
 mod tests {
+    use super::Broadcast::{Direct, Ring, Tree};
     use super::*;
     use crate::machine::Network;
     use hetgrid_core::exact;
     use hetgrid_dist::{BlockCyclic, KlDist, PanelDist, PanelOrdering};
+    use Kernel::{Cholesky, Lu, Mm, Qr};
 
     fn fig1_arr() -> Arrangement {
         Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]])
+    }
+
+    /// The report of a [`simulate`] call that must be accepted.
+    fn run(
+        kernel: Kernel,
+        arr: &Arrangement,
+        dist: &dyn BlockDist,
+        nb: usize,
+        cost: CostModel,
+        broadcast: Broadcast,
+    ) -> SimReport {
+        simulate(kernel, arr, dist, nb, cost, broadcast)
+            .unwrap()
+            .report
     }
 
     #[test]
@@ -880,7 +651,7 @@ mod tests {
         // updates 4 blocks per step for 4 steps -> makespan 16.
         let arr = Arrangement::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
         let dist = BlockCyclic::new(2, 2);
-        let rep = simulate_mm(&arr, &dist, 4, CostModel::zero_comm(), Broadcast::Direct);
+        let rep = run(Mm, &arr, &dist, 4, CostModel::zero_comm(), Direct);
         assert_eq!(rep.makespan, 16.0);
         assert!((rep.average_utilization() - 1.0).abs() < 1e-12);
     }
@@ -892,7 +663,7 @@ mod tests {
         let arr = fig1_arr();
         let dist = BlockCyclic::new(2, 2);
         let nb = 4;
-        let rep = simulate_mm(&arr, &dist, nb, CostModel::zero_comm(), Broadcast::Direct);
+        let rep = run(Mm, &arr, &dist, nb, CostModel::zero_comm(), Direct);
         // 4 owned blocks * 6.0 per step * 4 steps.
         assert_eq!(rep.makespan, 4.0 * 6.0 * 4.0);
     }
@@ -905,8 +676,8 @@ mod tests {
         let cyclic = BlockCyclic::new(2, 2);
         let nb = 12;
         let cost = CostModel::default();
-        let rp = simulate_mm(&arr, &panel, nb, cost, Broadcast::Direct);
-        let rc = simulate_mm(&arr, &cyclic, nb, cost, Broadcast::Direct);
+        let rp = run(Mm, &arr, &panel, nb, cost, Direct);
+        let rc = run(Mm, &arr, &cyclic, nb, cost, Direct);
         assert!(
             rp.makespan < rc.makespan,
             "panel {} !< cyclic {}",
@@ -928,11 +699,11 @@ mod tests {
         let sol = exact::solve_arrangement(&arr);
         let panel = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Contiguous);
         let cost = CostModel::default();
-        let rd = simulate_mm(&arr, &panel, 8, cost, Broadcast::Direct);
-        let rr = simulate_mm(&arr, &panel, 8, cost, Broadcast::Ring);
+        let rd = run(Mm, &arr, &panel, 8, cost, Direct);
+        let rr = run(Mm, &arr, &panel, 8, cost, Ring);
         // Both must exceed the zero-comm bound and be within 3x of each
         // other (they differ only in broadcast topology).
-        let r0 = simulate_mm(&arr, &panel, 8, CostModel::zero_comm(), Broadcast::Direct);
+        let r0 = run(Mm, &arr, &panel, 8, CostModel::zero_comm(), Direct);
         assert!(rd.makespan >= r0.makespan);
         assert!(rr.makespan >= r0.makespan);
         assert!(rd.makespan < 3.0 * rr.makespan && rr.makespan < 3.0 * rd.makespan);
@@ -940,10 +711,45 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "Cartesian")]
-    fn ring_on_kl_rejected() {
+    fn ring_on_kl_panics_in_the_typed_form() {
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
         let kl = KlDist::new(&arr, 4, 4);
-        simulate_mm(&arr, &kl, 4, CostModel::default(), Broadcast::Ring);
+        simulate_mm(&arr, &kl, 4, CostModel::default(), Ring);
+    }
+
+    #[test]
+    fn invalid_combinations_are_errors_not_panics() {
+        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
+        let kl = KlDist::new(&arr, 4, 4);
+        let cyclic = BlockCyclic::new(2, 2);
+        let cost = CostModel::default();
+        for mode in [Ring, Tree] {
+            for kernel in Kernel::ALL {
+                // Cholesky is rejected for its kernel, the rest for KL.
+                let want = if kernel == Cholesky {
+                    SimError::CholeskyTopology(mode)
+                } else {
+                    SimError::NotCartesian(mode)
+                };
+                assert_eq!(simulate(kernel, &arr, &kl, 8, cost, mode).err(), Some(want));
+                assert!(want.to_string().contains(&format!("{mode:?} broadcasts")));
+            }
+            let ch = simulate(Cholesky, &arr, &cyclic, 8, cost, mode);
+            assert_eq!(ch.err(), Some(SimError::CholeskyTopology(mode)));
+        }
+        // Direct is defined for every kernel on every distribution.
+        for kernel in Kernel::ALL {
+            assert!(simulate(kernel, &arr, &kl, 8, cost, Direct).is_ok());
+        }
+        let (dist, arr_grid) = ((1, 4), (2, 2));
+        let mismatch = simulate(Mm, &arr, &BlockCyclic::new(1, 4), 8, cost, Direct).err();
+        assert_eq!(
+            mismatch,
+            Some(SimError::GridMismatch {
+                dist,
+                arr: arr_grid
+            })
+        );
     }
 
     #[test]
@@ -962,8 +768,8 @@ mod tests {
             ..Default::default()
         };
         let nb = 12;
-        let rp = simulate_mm(&arr, &panel, nb, cost, Broadcast::Direct);
-        let rk = simulate_mm(&arr, &kl, nb, cost, Broadcast::Direct);
+        let rp = run(Mm, &arr, &panel, nb, cost, Direct);
+        let rk = run(Mm, &arr, &kl, nb, cost, Direct);
         assert!(
             rk.comm_time > rp.comm_time,
             "KL comm {} !> panel comm {}",
@@ -979,7 +785,7 @@ mod tests {
         // (diagonal-owner) chain and above by the sum of step maxima.
         let arr = Arrangement::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
         let dist = BlockCyclic::new(2, 2);
-        let rep = simulate_lu(&arr, &dist, 4, CostModel::zero_comm());
+        let rep = run(Lu, &arr, &dist, 4, CostModel::zero_comm(), Direct);
         assert!(rep.makespan > 0.0);
         let total_work: f64 = rep.core_busy.iter().flatten().sum();
         // All work must be accounted: sum over steps of panel+trsm+update
@@ -1006,8 +812,8 @@ mod tests {
         let cyclic = BlockCyclic::new(2, 2);
         let nb = 24;
         let cost = CostModel::default();
-        let rp = simulate_lu(&arr, &panel, nb, cost);
-        let rc = simulate_lu(&arr, &cyclic, nb, cost);
+        let rp = run(Lu, &arr, &panel, nb, cost, Direct);
+        let rc = run(Lu, &arr, &cyclic, nb, cost, Direct);
         assert!(
             rp.makespan < rc.makespan,
             "panel {} !< cyclic {}",
@@ -1020,8 +826,8 @@ mod tests {
     fn qr_costs_twice_lu_with_zero_comm() {
         let arr = fig1_arr();
         let dist = BlockCyclic::new(2, 2);
-        let lu = simulate_lu(&arr, &dist, 6, CostModel::zero_comm());
-        let qr = simulate_qr(&arr, &dist, 6, CostModel::zero_comm());
+        let lu = run(Lu, &arr, &dist, 6, CostModel::zero_comm(), Direct);
+        let qr = run(Qr, &arr, &dist, 6, CostModel::zero_comm(), Direct);
         assert!((qr.makespan - 2.0 * lu.makespan).abs() < 1e-9);
     }
 
@@ -1029,8 +835,9 @@ mod tests {
     fn mm_comm_increases_makespan() {
         let arr = fig1_arr();
         let dist = BlockCyclic::new(2, 2);
-        let free = simulate_mm(&arr, &dist, 6, CostModel::zero_comm(), Broadcast::Direct);
-        let costly = simulate_mm(
+        let free = run(Mm, &arr, &dist, 6, CostModel::zero_comm(), Direct);
+        let costly = run(
+            Mm,
             &arr,
             &dist,
             6,
@@ -1039,7 +846,7 @@ mod tests {
                 block_transfer: 0.5,
                 ..Default::default()
             },
-            Broadcast::Direct,
+            Direct,
         );
         assert!(costly.makespan > free.makespan);
         assert!(costly.comm_time > 0.0);
@@ -1056,8 +863,8 @@ mod tests {
             block_transfer: 0.0,
             ..Default::default()
         };
-        let td = simulate_mm(&arr, &dist, 8, cost, Broadcast::Direct);
-        let tt = simulate_mm(&arr, &dist, 8, cost, Broadcast::Tree);
+        let td = run(Mm, &arr, &dist, 8, cost, Direct);
+        let tt = run(Mm, &arr, &dist, 8, cost, Tree);
         assert!(
             tt.makespan < td.makespan,
             "tree {} !< direct {}",
@@ -1074,8 +881,8 @@ mod tests {
         let nb = 16;
         let cost = CostModel::default();
         let lb = crate::bsp::lu_update_lower_bound(&arr, &panel, nb);
-        for mode in [Broadcast::Direct, Broadcast::Ring, Broadcast::Tree] {
-            let rep = simulate_factor_bcast(&arr, &panel, nb, cost, FactorKind::Lu, mode);
+        for mode in [Direct, Ring, Tree] {
+            let rep = run(Lu, &arr, &panel, nb, cost, mode);
             assert!(
                 rep.makespan >= lb - 1e-9,
                 "mode {:?} below bound: {} < {}",
@@ -1084,25 +891,9 @@ mod tests {
                 lb
             );
             // Work is identical across modes; only comm differs.
-            let direct =
-                simulate_factor_bcast(&arr, &panel, nb, cost, FactorKind::Lu, Broadcast::Direct);
+            let direct = run(Lu, &arr, &panel, nb, cost, Direct);
             assert!((rep.compute_time - direct.compute_time).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "Cartesian")]
-    fn factor_tree_on_kl_rejected() {
-        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
-        let kl = KlDist::new(&arr, 4, 4);
-        simulate_factor_bcast(
-            &arr,
-            &kl,
-            8,
-            CostModel::default(),
-            FactorKind::Lu,
-            Broadcast::Tree,
-        );
     }
 
     #[test]
@@ -1117,8 +908,8 @@ mod tests {
         let suffix =
             PanelDist::from_allocation(&arr, &sol.alloc, 8, 8, PanelOrdering::SuffixInterleaved);
         assert_eq!(prefix.per_panel_counts(), suffix.per_panel_counts());
-        let mp = simulate_lu(&arr, &prefix, nb, CostModel::zero_comm()).makespan;
-        let ms = simulate_lu(&arr, &suffix, nb, CostModel::zero_comm()).makespan;
+        let mp = run(Lu, &arr, &prefix, nb, CostModel::zero_comm(), Direct).makespan;
+        let ms = run(Lu, &arr, &suffix, nb, CostModel::zero_comm(), Direct).makespan;
         assert!(
             ms <= mp * 1.02,
             "suffix-interleaved {} much worse than prefix {}",
@@ -1136,7 +927,7 @@ mod tests {
         let nb = 16;
         let cost = CostModel::default();
         let trsv = simulate_trsv(&arr, &dist, nb, cost);
-        let mm = simulate_mm(&arr, &dist, nb, cost, Broadcast::Direct);
+        let mm = run(Mm, &arr, &dist, nb, cost, Direct);
         assert!(
             trsv.average_utilization() < 0.6,
             "trsv utilization unexpectedly high: {}",
@@ -1144,7 +935,7 @@ mod tests {
         );
         assert!(mm.average_utilization() > trsv.average_utilization());
         // And it is far cheaper than the factorization (O(n^2) vs O(n^3)).
-        let lu = simulate_lu(&arr, &dist, nb, cost);
+        let lu = run(Lu, &arr, &dist, nb, cost, Direct);
         assert!(trsv.makespan < lu.makespan);
     }
 
@@ -1169,7 +960,7 @@ mod tests {
         let arr = Arrangement::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
         let dist = BlockCyclic::new(2, 2);
         let nb = 5;
-        let rep = simulate_cholesky(&arr, &dist, nb, CostModel::zero_comm());
+        let rep = run(Cholesky, &arr, &dist, nb, CostModel::zero_comm(), Direct);
         let mut expect = 0usize;
         for k in 0..nb {
             expect += 1; // diagonal
@@ -1189,8 +980,8 @@ mod tests {
         // trailing work of LU.
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]]);
         let dist = BlockCyclic::new(2, 2);
-        let lu = simulate_lu(&arr, &dist, 12, CostModel::zero_comm());
-        let ch = simulate_cholesky(&arr, &dist, 12, CostModel::zero_comm());
+        let lu = run(Lu, &arr, &dist, 12, CostModel::zero_comm(), Direct);
+        let ch = run(Cholesky, &arr, &dist, 12, CostModel::zero_comm(), Direct);
         assert!(
             ch.makespan < lu.makespan,
             "cholesky {} !< lu {}",
@@ -1206,8 +997,8 @@ mod tests {
         let panel = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
         let cyc = BlockCyclic::new(2, 2);
         let cost = CostModel::default();
-        let tp = simulate_cholesky(&arr, &panel, 24, cost);
-        let tc = simulate_cholesky(&arr, &cyc, 24, cost);
+        let tp = run(Cholesky, &arr, &panel, 24, cost, Direct);
+        let tc = run(Cholesky, &arr, &cyc, 24, cost, Direct);
         assert!(
             tp.makespan < tc.makespan,
             "panel {} !< cyclic {}",
@@ -1222,7 +1013,7 @@ mod tests {
         let sol = exact::solve_arrangement(&arr);
         let panel = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Contiguous);
         let cost = CostModel::default();
-        let sq = simulate_mm(&arr, &panel, 8, cost, Broadcast::Direct);
+        let sq = run(Mm, &arr, &panel, 8, cost, Direct);
         let rect = simulate_mm_rect(&arr, &panel, (8, 8, 8), cost);
         assert!((sq.makespan - rect.makespan).abs() < 1e-9);
         assert!((sq.compute_time - rect.compute_time).abs() < 1e-9);
@@ -1257,7 +1048,7 @@ mod tests {
     fn single_processor_grid_mm() {
         let arr = Arrangement::from_rows(&[vec![2.0]]);
         let dist = BlockCyclic::new(1, 1);
-        let rep = simulate_mm(&arr, &dist, 3, CostModel::default(), Broadcast::Direct);
+        let rep = run(Mm, &arr, &dist, 3, CostModel::default(), Direct);
         // 9 blocks * 3 steps * t=2, no messages at all.
         assert_eq!(rep.makespan, 54.0);
         assert_eq!(rep.comm_time, 0.0);

@@ -10,9 +10,11 @@
 //! * [`machine`] — the HNOW machine model of Section 2.2: sequential
 //!   per-processor communication, Ethernet (shared bus) vs switched
 //!   networks, per-processor cycle-times;
-//! * [`kernels`] — DES interpreters over the shared [`hetgrid_plan`]
-//!   step streams (outer-product matrix multiplication, right-looking
-//!   LU/QR, Cholesky) for any [`hetgrid_dist::BlockDist`];
+//! * [`kernels`] — the one DES entry point, [`simulate`]`(kernel, ..)`,
+//!   over one interpreter of the shared [`hetgrid_plan`] step streams
+//!   (outer-product matrix multiplication, right-looking LU/QR,
+//!   Cholesky) for any [`hetgrid_dist::BlockDist`]; invalid
+//!   kernel/distribution/topology combinations are a [`SimError`];
 //! * [`counts`] — closed per-processor message/work totals, folded over
 //!   the same plans (the harness's predicted-vs-observed oracle);
 //! * [`bsp`] — analytic bulk-synchronous bounds used as cross-checks.
@@ -20,14 +22,19 @@
 //! ```
 //! use hetgrid_core::Arrangement;
 //! use hetgrid_dist::BlockCyclic;
-//! use hetgrid_sim::{kernels, machine::CostModel};
+//! use hetgrid_sim::{plan::Kernel, simulate, Broadcast, CostModel, SimError};
 //!
 //! let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]]);
 //! let cyclic = BlockCyclic::new(2, 2);
-//! let report = kernels::simulate_mm(
-//!     &arr, &cyclic, 8, CostModel::default(), kernels::Broadcast::Direct);
+//! let cost = CostModel::default();
+//! let run = simulate(Kernel::Mm, &arr, &cyclic, 8, cost, Broadcast::Direct)?;
 //! // Uniform block-cyclic wastes most of the fast processors' time.
-//! assert!(report.average_utilization() < 0.6);
+//! assert!(run.report.average_utilization() < 0.6);
+//! // Every kernel goes through the same call; what the model does not
+//! // define is an error, not a silently different simulation.
+//! let ring = simulate(Kernel::Cholesky, &arr, &cyclic, 8, cost, Broadcast::Ring);
+//! assert_eq!(ring.err(), Some(SimError::CholeskyTopology(Broadcast::Ring)));
+//! # Ok::<(), SimError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -55,9 +62,7 @@ pub use counts::{cholesky_counts, lu_counts, mm_counts, qr_counts, KernelCounts}
 pub use drift::DriftProfile;
 pub use hetgrid_plan as plan;
 pub use kernels::{
-    interpret_cholesky, interpret_factor, interpret_mm, simulate_cholesky,
-    simulate_cholesky_traced, simulate_factor_bcast, simulate_factor_traced, simulate_lu,
-    simulate_mm, simulate_mm_rect, simulate_mm_traced, simulate_qr, simulate_trsv, Broadcast,
-    FactorKind, TracedRun,
+    simulate, simulate_cholesky, simulate_lu, simulate_mm, simulate_mm_rect, simulate_trsv,
+    Broadcast, SimError, TracedRun,
 };
 pub use machine::{CostModel, Network, SimReport};

@@ -1,4 +1,4 @@
-//! Bit-for-bit equivalence of the plan interpreters against verbatim
+//! Bit-for-bit equivalence of the plan interpreter against verbatim
 //! copies of the pre-refactor schedule generators: identical task
 //! graphs (deps, tags, durations), identical schedules (per-task start
 //! and finish times), identical reports — for random heterogeneous
@@ -17,10 +17,8 @@ use hetgrid_core::{exact, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
 use hetgrid_sim::engine::{Engine, TaskId};
 use hetgrid_sim::machine::{CostModel, Machine, SimReport};
-use hetgrid_sim::{
-    simulate_cholesky_traced, simulate_factor_traced, simulate_mm_rect, simulate_mm_traced,
-    Broadcast, FactorKind, TracedRun,
-};
+use hetgrid_sim::plan::Kernel;
+use hetgrid_sim::{simulate, simulate_mm_rect, Broadcast, TracedRun};
 use rand::prelude::*;
 use std::collections::BTreeMap;
 
@@ -275,13 +273,14 @@ fn legacy_factor_traced(
     dist: &dyn BlockDist,
     nb: usize,
     cost: CostModel,
-    kind: FactorKind,
+    kind: Kernel,
     broadcast: Broadcast,
 ) -> TracedRun {
     let (p, q) = dist.grid();
     let flop_scale = match kind {
-        FactorKind::Lu => 1.0,
-        FactorKind::Qr => 2.0,
+        Kernel::Lu => 1.0,
+        Kernel::Qr => 2.0,
+        Kernel::Mm | Kernel::Cholesky => unreachable!("not a factor kind"),
     };
     let panel_cost = cost.panel_cost * flop_scale;
     let trsm_cost = cost.trsm_cost * flop_scale;
@@ -652,7 +651,7 @@ fn mm_plan_interpretation_matches_legacy_schedules() {
             _ => Broadcast::Tree,
         };
         let (arr, dist, nb, cost) = random_case(&mut rng, bcast != Broadcast::Direct);
-        let new = simulate_mm_traced(&arr, dist.as_ref(), nb, cost, bcast);
+        let new = simulate(Kernel::Mm, &arr, dist.as_ref(), nb, cost, bcast).unwrap();
         let old = legacy_mm_traced(&arr, dist.as_ref(), nb, cost, bcast);
         assert_runs_identical(&new, &old, &format!("mm case {case} ({bcast:?}, nb {nb})"));
     }
@@ -686,12 +685,12 @@ fn factor_plan_interpretation_matches_legacy_schedules() {
             _ => Broadcast::Tree,
         };
         let kind = if case % 2 == 0 {
-            FactorKind::Lu
+            Kernel::Lu
         } else {
-            FactorKind::Qr
+            Kernel::Qr
         };
         let (arr, dist, nb, cost) = random_case(&mut rng, bcast != Broadcast::Direct);
-        let new = simulate_factor_traced(&arr, dist.as_ref(), nb, cost, kind, bcast);
+        let new = simulate(kind, &arr, dist.as_ref(), nb, cost, bcast).unwrap();
         let old = legacy_factor_traced(&arr, dist.as_ref(), nb, cost, kind, bcast);
         assert_runs_identical(
             &new,
@@ -706,7 +705,15 @@ fn cholesky_plan_interpretation_matches_legacy_schedules() {
     let mut rng = StdRng::seed_from_u64(0xC401);
     for case in 0..40 {
         let (arr, dist, nb, cost) = random_case(&mut rng, false);
-        let new = simulate_cholesky_traced(&arr, dist.as_ref(), nb, cost);
+        let new = simulate(
+            Kernel::Cholesky,
+            &arr,
+            dist.as_ref(),
+            nb,
+            cost,
+            Broadcast::Direct,
+        )
+        .unwrap();
         let old = legacy_cholesky_traced(&arr, dist.as_ref(), nb, cost);
         assert_runs_identical(&new, &old, &format!("cholesky case {case} (nb {nb})"));
     }

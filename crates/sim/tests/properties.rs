@@ -4,13 +4,29 @@
 
 #![allow(clippy::type_complexity, clippy::needless_range_loop)]
 
-use hetgrid_core::{alternating, sorted_row_major};
+use hetgrid_core::{alternating, sorted_row_major, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
 use hetgrid_sim::engine::{Engine, TaskTag};
 use hetgrid_sim::machine::{CostModel, Network};
+use hetgrid_sim::plan::Kernel;
 use hetgrid_sim::trace::resource_timelines;
-use hetgrid_sim::{bsp, kernels, Broadcast};
+use hetgrid_sim::{bsp, counts, simulate, Broadcast, SimReport};
+
 use proptest::prelude::*;
+
+/// The report of a [`simulate`] call the test expects to be accepted.
+fn sim(
+    kernel: Kernel,
+    arr: &Arrangement,
+    dist: &dyn BlockDist,
+    nb: usize,
+    cost: CostModel,
+    broadcast: Broadcast,
+) -> SimReport {
+    simulate(kernel, arr, dist, nb, cost, broadcast)
+        .unwrap()
+        .report
+}
 
 fn times_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.05f64..1.0, n)
@@ -77,8 +93,8 @@ proptest! {
         let dist = BlockCyclic::new(2, 2);
         let base = CostModel { latency: lat, block_transfer: 0.01, ..Default::default() };
         let more = CostModel { latency: lat + 0.5, ..base };
-        let m0 = kernels::simulate_mm(&arr, &dist, 8, base, Broadcast::Direct).makespan;
-        let m1 = kernels::simulate_mm(&arr, &dist, 8, more, Broadcast::Direct).makespan;
+        let m0 = sim(Kernel::Mm, &arr, &dist, 8, base, Broadcast::Direct).makespan;
+        let m1 = sim(Kernel::Mm, &arr, &dist, 8, more, Broadcast::Direct).makespan;
         // Greedy list scheduling admits small Graham-style anomalies, so
         // allow a 5% slack rather than strict monotonicity.
         prop_assert!(m1 >= 0.95 * m0, "latency increase reduced makespan: {} -> {}", m0, m1);
@@ -90,9 +106,9 @@ proptest! {
         let alt = alternating::optimize(&arr, 10_000);
         let d = PanelDist::from_allocation(&arr, &alt.alloc, 4, 4, PanelOrdering::Interleaved);
         for rep in [
-            kernels::simulate_mm(&arr, &d, nb, CostModel::default(), Broadcast::Direct),
-            kernels::simulate_lu(&arr, &d, nb, CostModel::default()),
-            kernels::simulate_cholesky(&arr, &d, nb, CostModel::default()),
+            sim(Kernel::Mm, &arr, &d, nb, CostModel::default(), Broadcast::Direct),
+            sim(Kernel::Lu, &arr, &d, nb, CostModel::default(), Broadcast::Direct),
+            sim(Kernel::Cholesky, &arr, &d, nb, CostModel::default(), Broadcast::Direct),
         ] {
             prop_assert!(rep.average_utilization() <= 1.0 + 1e-9);
             prop_assert!(rep.average_utilization() > 0.0);
@@ -110,9 +126,9 @@ proptest! {
         let arr = sorted_row_major(&times, 2, 2);
         let dist = BlockCyclic::new(2, 2);
         let cost = CostModel::default();
-        let base = kernels::simulate_mm(&arr, &dist, nb, cost, Broadcast::Direct);
+        let base = sim(Kernel::Mm, &arr, &dist, nb, cost, Broadcast::Direct);
         for mode in [Broadcast::Ring, Broadcast::Tree] {
-            let rep = kernels::simulate_mm(&arr, &dist, nb, cost, mode);
+            let rep = sim(Kernel::Mm, &arr, &dist, nb, cost, mode);
             prop_assert!((rep.compute_time - base.compute_time).abs() < 1e-9);
         }
     }
@@ -124,7 +140,7 @@ proptest! {
         let d = PanelDist::from_allocation(&arr, &alt.alloc, 4, 4, PanelOrdering::Interleaved);
         let lb = bsp::mm_compute_lower_bound(&arr, &d, nb);
         for mode in [Broadcast::Direct, Broadcast::Ring, Broadcast::Tree] {
-            let rep = kernels::simulate_mm(&arr, &d, nb, CostModel::default(), mode);
+            let rep = sim(Kernel::Mm, &arr, &d, nb, CostModel::default(), mode);
             prop_assert!(rep.makespan >= lb - 1e-9);
         }
     }
@@ -135,8 +151,8 @@ proptest! {
         let dist = BlockCyclic::new(2, 2);
         let sw = CostModel { network: Network::Switched, ..Default::default() };
         let bus = CostModel { network: Network::SharedBus, ..Default::default() };
-        let m_sw = kernels::simulate_mm(&arr, &dist, nb, sw, Broadcast::Direct).makespan;
-        let m_bus = kernels::simulate_mm(&arr, &dist, nb, bus, Broadcast::Direct).makespan;
+        let m_sw = sim(Kernel::Mm, &arr, &dist, nb, sw, Broadcast::Direct).makespan;
+        let m_bus = sim(Kernel::Mm, &arr, &dist, nb, bus, Broadcast::Direct).makespan;
         // 5% slack for list-scheduling anomalies (see above).
         prop_assert!(m_bus >= 0.95 * m_sw, "bus {} < switched {}", m_bus, m_sw);
     }
@@ -145,8 +161,8 @@ proptest! {
     fn qr_exactly_doubles_lu_without_comm(times in times_strategy(4), nb in 2usize..10) {
         let arr = sorted_row_major(&times, 2, 2);
         let dist = BlockCyclic::new(2, 2);
-        let lu = kernels::simulate_lu(&arr, &dist, nb, CostModel::zero_comm());
-        let qr = kernels::simulate_qr(&arr, &dist, nb, CostModel::zero_comm());
+        let lu = sim(Kernel::Lu, &arr, &dist, nb, CostModel::zero_comm(), Broadcast::Direct);
+        let qr = sim(Kernel::Qr, &arr, &dist, nb, CostModel::zero_comm(), Broadcast::Direct);
         prop_assert!((qr.makespan - 2.0 * lu.makespan).abs() < 1e-9 * qr.makespan.max(1.0));
     }
 }
@@ -188,16 +204,56 @@ proptest! {
         let d = ScrambledDist { p: 2, q: 2, salt };
         // MM, LU and Cholesky must all run, respect bounds, and account
         // for all the work even on a structureless owner map.
-        let mm = kernels::simulate_mm(&arr, &d, nb, CostModel::default(), Broadcast::Direct);
+        let mm = sim(Kernel::Mm, &arr, &d, nb, CostModel::default(), Broadcast::Direct);
         prop_assert!(mm.makespan >= bsp::mm_compute_lower_bound(&arr, &d, nb) - 1e-9);
         prop_assert!(mm.makespan <= bsp::bsp_mm(&arr, &d, nb, CostModel::default()) + 1e-9);
-        let lu = kernels::simulate_lu(&arr, &d, nb, CostModel::zero_comm());
+        let lu = sim(Kernel::Lu, &arr, &d, nb, CostModel::zero_comm(), Broadcast::Direct);
         let total: f64 = lu.core_busy.iter().flatten().sum();
         // LU total work with t-weighting: sum over owned blocks of each
         // phase; just check it is positive and utilization is sane.
         prop_assert!(total > 0.0);
         prop_assert!(lu.average_utilization() <= 1.0 + 1e-9);
-        let ch = kernels::simulate_cholesky(&arr, &d, nb, CostModel::default());
+        let ch = sim(Kernel::Cholesky, &arr, &d, nb, CostModel::default(), Broadcast::Direct);
         prop_assert!(ch.makespan <= lu.makespan + ch.comm_time + ch.makespan, "sanity");
+    }
+
+    #[test]
+    fn des_busy_time_is_cycle_time_times_count_fold(
+        times in times_strategy(6),
+        wide in 0usize..2,
+        which in 0usize..3,
+        salt in 0u64..1000,
+        nb in 2usize..10,
+        latency in 0.0f64..1.0,
+    ) {
+        // The simulator and the executor's count oracle read the same
+        // plans: with unit panel and solve costs, processor (i, j) is
+        // busy exactly t_ij times its folded work units, whatever the
+        // distribution and the communication costs.
+        let (p, q) = if wide == 1 { (2, 3) } else { (3, 2) };
+        let arr = sorted_row_major(&times, p, q);
+        let d: Box<dyn BlockDist> = match which {
+            0 => Box::new(BlockCyclic::new(p, q)),
+            1 => {
+                let alt = alternating::optimize(&arr, 10_000);
+                Box::new(PanelDist::from_allocation(&arr, &alt.alloc, 6, 6, PanelOrdering::Interleaved))
+            }
+            _ => Box::new(ScrambledDist { p, q, salt }),
+        };
+        let cost = CostModel { latency, panel_cost: 1.0, trsm_cost: 1.0, ..Default::default() };
+        let unit = vec![vec![1u64; q]; p];
+        for kernel in [Kernel::Mm, Kernel::Lu, Kernel::Cholesky] {
+            let busy = sim(kernel, &arr, d.as_ref(), nb, cost, Broadcast::Direct).core_busy;
+            let work = counts::fold(&kernel.plan(d.as_ref(), nb), 0, &unit).work_units;
+            for i in 0..p {
+                for j in 0..q {
+                    let want = arr.time(i, j) * work[i][j] as f64;
+                    prop_assert!(
+                        (busy[i][j] - want).abs() <= 1e-9 * want.max(1.0),
+                        "{:?} ({}, {}): DES busy {} != t * fold {}", kernel, i, j, busy[i][j], want
+                    );
+                }
+            }
+        }
     }
 }

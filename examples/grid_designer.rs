@@ -13,10 +13,11 @@
 
 use hetgrid::core::{exact, heuristic, rank1};
 use hetgrid::dist::{PanelDist, PanelOrdering};
+use hetgrid::plan::Kernel;
 use hetgrid::sim::machine::{CostModel, Network};
-use hetgrid::sim::{kernels, Broadcast};
+use hetgrid::sim::{simulate, Broadcast, SimError};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let args: Vec<f64> = std::env::args()
         .skip(1)
         .map(|s| s.parse().expect("cycle-times must be numbers"))
@@ -71,7 +72,15 @@ fn main() {
             (2 * q).max(4),
             PanelOrdering::Interleaved,
         );
-        let sim = kernels::simulate_mm(&b.arrangement, &panel, nb, cost, Broadcast::Direct);
+        let sim = simulate(
+            Kernel::Mm,
+            &b.arrangement,
+            &panel,
+            nb,
+            cost,
+            Broadcast::Direct,
+        )?
+        .report;
         println!(
             "{:<8} {:>12.4} {:>11.1}% {:>8} {:>12} {:>12.0}",
             format!("{}x{}", p, q),
@@ -105,4 +114,5 @@ fn main() {
             println!("perfect balance is impossible (Section 4.3.2), the heuristic is as good as it gets.");
         }
     }
+    Ok(())
 }

@@ -9,9 +9,10 @@
 //! ```
 
 use hetgrid::core::heuristic;
-use hetgrid::dist::{BlockCyclic, KlDist, PanelDist, PanelOrdering};
+use hetgrid::dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
+use hetgrid::plan::Kernel;
 use hetgrid::sim::machine::{CostModel, Network};
-use hetgrid::sim::{kernels, Broadcast};
+use hetgrid::sim::{simulate, Broadcast, SimError};
 
 /// Effective cycle-time of a processor with `load` background jobs of
 /// equal priority: the application gets 1/(1+load) of the CPU.
@@ -19,7 +20,7 @@ fn effective_time(load: u32) -> f64 {
     (1 + load) as f64
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let (p, q) = (4, 4);
     // Three epochs of background load on the 16 processors, as a
     // multi-user day might produce them.
@@ -59,9 +60,18 @@ fn main() {
         );
         let kl = KlDist::new(&best.arrangement, 12, 12);
 
-        let t_cyc = kernels::simulate_lu(&best.arrangement, &cyclic, nb, cost).makespan;
-        let t_panel = kernels::simulate_lu(&best.arrangement, &panel, nb, cost).makespan;
-        let t_kl = kernels::simulate_lu(&best.arrangement, &kl, nb, cost).makespan;
+        let lu = |dist: &dyn BlockDist| {
+            simulate(
+                Kernel::Lu,
+                &best.arrangement,
+                dist,
+                nb,
+                cost,
+                Broadcast::Direct,
+            )
+            .map(|run| run.report.makespan)
+        };
+        let (t_cyc, t_panel, t_kl) = (lu(&cyclic)?, lu(&panel)?, lu(&kl)?);
         println!(
             "{:<12} {:>14.0} {:>14.0} {:>14.0} {:>9.2}x",
             match e {
@@ -105,26 +115,16 @@ fn main() {
         12,
         PanelOrdering::Interleaved,
     );
-    let t_stale = kernels::simulate_mm(
-        &fresh_best.arrangement,
-        &stale_panel,
-        nb,
-        cost,
-        Broadcast::Direct,
-    )
-    .makespan;
-    let t_fresh = kernels::simulate_mm(
-        &fresh_best.arrangement,
-        &fresh_panel,
-        nb,
-        cost,
-        Broadcast::Direct,
-    )
-    .makespan;
+    let mm = |dist: &dyn BlockDist| {
+        let arr = &fresh_best.arrangement;
+        simulate(Kernel::Mm, arr, dist, nb, cost, Broadcast::Direct).map(|run| run.report.makespan)
+    };
+    let (t_stale, t_fresh) = (mm(&stale_panel)?, mm(&fresh_panel)?);
     println!(
         "\nMM with stale (uniform) shares under afternoon load: {:.0} vs fresh shares {:.0} ({:.2}x)",
         t_stale,
         t_fresh,
         t_stale / t_fresh
     );
+    Ok(())
 }

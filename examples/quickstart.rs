@@ -11,10 +11,11 @@
 //! it against plain ScaLAPACK block-cyclic in the simulator.
 
 use hetgrid::core::{exact, heuristic};
-use hetgrid::dist::{balance_report, BlockCyclic, PanelDist, PanelOrdering};
-use hetgrid::sim::{kernels, machine::CostModel, Broadcast};
+use hetgrid::dist::{balance_report, BlockCyclic, BlockDist, PanelDist, PanelOrdering};
+use hetgrid::plan::Kernel;
+use hetgrid::sim::{machine::CostModel, simulate, Broadcast, SimError};
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // --- 1. Describe the machines by cycle-time (lower = faster).
     let times = [1.0, 2.0, 3.0, 5.0];
 
@@ -55,12 +56,21 @@ fn main() {
     let nb = 48;
     let cost = CostModel::default();
     let cyclic = BlockCyclic::new(2, 2);
-    let t_cyclic =
-        kernels::simulate_mm(&best.arrangement, &cyclic, nb, cost, Broadcast::Direct).makespan;
-    let t_panel =
-        kernels::simulate_mm(&best.arrangement, &panel, nb, cost, Broadcast::Direct).makespan;
+    let mm = |dist: &dyn BlockDist| {
+        simulate(
+            Kernel::Mm,
+            &best.arrangement,
+            dist,
+            nb,
+            cost,
+            Broadcast::Direct,
+        )
+        .map(|run| run.report.makespan)
+    };
+    let (t_cyclic, t_panel) = (mm(&cyclic)?, mm(&panel)?);
     println!("\nsimulated MM makespan, {0}x{0} blocks:", nb);
     println!("  uniform block-cyclic : {:.0}", t_cyclic);
     println!("  heterogeneous panels : {:.0}", t_panel);
     println!("  speedup              : {:.2}x", t_cyclic / t_panel);
+    Ok(())
 }

@@ -10,8 +10,9 @@ use hetgrid_dist::redistribution::moved_fraction;
 use hetgrid_dist::{PanelDist, PanelOrdering};
 use hetgrid_exec::{slowdown_weights, DistributedMatrix, ExecReport};
 use hetgrid_linalg::Matrix;
+use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::CostModel;
-use hetgrid_sim::{kernels, Broadcast, SimReport};
+use hetgrid_sim::{simulate, Broadcast, SimReport};
 
 /// A solved placement plus its realized block-panel distribution.
 #[derive(Clone, Debug)]
@@ -65,20 +66,13 @@ impl Plan {
         }
     }
 
-    /// Simulates the outer-product MM under this plan.
-    pub fn simulate_mm(&self, nb: usize, cost: CostModel) -> SimReport {
-        kernels::simulate_mm(
-            &self.solution.arrangement,
-            &self.dist,
-            nb,
-            cost,
-            Broadcast::Direct,
-        )
-    }
-
-    /// Simulates right-looking LU under this plan.
-    pub fn simulate_lu(&self, nb: usize, cost: CostModel) -> SimReport {
-        kernels::simulate_lu(&self.solution.arrangement, &self.dist, nb, cost)
+    /// Simulates `kernel` on an `nb x nb` block matrix under this plan
+    /// (direct broadcasts).
+    pub fn simulate(&self, kernel: Kernel, nb: usize, cost: CostModel) -> SimReport {
+        let arr = &self.solution.arrangement;
+        simulate(kernel, arr, &self.dist, nb, cost, Broadcast::Direct)
+            .expect("a plan's distribution is built on its own arrangement")
+            .report
     }
 
     /// Re-solves for drifted cycle-times (same grid and panel sizes) and
@@ -277,9 +271,9 @@ mod tests {
     fn plan_builds_and_simulates() {
         let plan = Plan::new(&[1.0, 2.0, 3.0, 5.0], 2, 2, 8, 6);
         assert!(plan.solution.obj2 > 1.8);
-        let rep = plan.simulate_mm(12, CostModel::default());
+        let rep = plan.simulate(Kernel::Mm, 12, CostModel::default());
         assert!(rep.makespan > 0.0);
-        let lu = plan.simulate_lu(12, CostModel::default());
+        let lu = plan.simulate(Kernel::Lu, 12, CostModel::default());
         assert!(lu.makespan > 0.0);
     }
 
@@ -301,14 +295,12 @@ mod tests {
         let (fresh, moved) = plan.rebalance(&afternoon, 24);
         assert!(moved > 0.0 && moved < 1.0, "moved = {}", moved);
         // Evaluate both distributions against the afternoon speeds.
-        let stale_rep = kernels::simulate_mm(
-            &fresh.solution.arrangement,
-            &plan.dist,
-            24,
-            CostModel::zero_comm(),
-            Broadcast::Direct,
-        );
-        let fresh_rep = fresh.simulate_mm(24, CostModel::zero_comm());
+        let stale = Plan {
+            dist: plan.dist.clone(),
+            ..fresh.clone()
+        };
+        let stale_rep = stale.simulate(Kernel::Mm, 24, CostModel::zero_comm());
+        let fresh_rep = fresh.simulate(Kernel::Mm, 24, CostModel::zero_comm());
         assert!(
             fresh_rep.makespan < stale_rep.makespan,
             "rebalance did not help: {} vs {}",

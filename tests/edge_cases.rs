@@ -6,8 +6,12 @@
 use hetgrid::core::heuristic::{self, HeuristicOptions, NormalizeMode};
 use hetgrid::core::{exact, Arrangement};
 use hetgrid::dist::{redistribution, BlockDist, ElementMap, KlDist, PanelDist, PanelOrdering};
+use hetgrid::plan::Kernel;
 use hetgrid::sim::machine::CostModel;
-use hetgrid::sim::{kernels, Broadcast};
+use hetgrid::sim::Broadcast;
+
+mod common;
+use common::sim;
 
 #[test]
 fn degenerate_row_and_column_grids() {
@@ -124,10 +128,24 @@ fn simulation_with_one_block_matrix() {
     // nb = 1: a single block; only its owner works.
     let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
     let d = hetgrid::dist::BlockCyclic::new(2, 2);
-    let rep = kernels::simulate_mm(&arr, &d, 1, CostModel::default(), Broadcast::Direct);
+    let rep = sim(
+        Kernel::Mm,
+        &arr,
+        &d,
+        1,
+        CostModel::default(),
+        Broadcast::Direct,
+    );
     assert_eq!(rep.comm_time, 0.0);
     assert!((rep.makespan - arr.time(0, 0)).abs() < 1e-12);
-    let lu = kernels::simulate_lu(&arr, &d, 1, CostModel::default());
+    let lu = sim(
+        Kernel::Lu,
+        &arr,
+        &d,
+        1,
+        CostModel::default(),
+        Broadcast::Direct,
+    );
     assert!((lu.makespan - arr.time(0, 0)).abs() < 1e-12);
 }
 
@@ -153,7 +171,14 @@ fn des_handles_large_task_graphs() {
         vec![0.35, 0.55, 0.75, 0.95],
     ]);
     let d = hetgrid::dist::BlockCyclic::new(4, 4);
-    let rep = kernels::simulate_lu(&arr, &d, 96, CostModel::default());
+    let rep = sim(
+        Kernel::Lu,
+        &arr,
+        &d,
+        96,
+        CostModel::default(),
+        Broadcast::Direct,
+    );
     assert!(rep.makespan > 0.0);
     assert!(rep.average_utilization() <= 1.0 + 1e-9);
 }

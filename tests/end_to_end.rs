@@ -8,7 +8,10 @@ use hetgrid::linalg::gemm::matmul;
 use hetgrid::linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid::linalg::Matrix;
 use hetgrid::sim::machine::{CostModel, Network};
-use hetgrid::sim::{bsp, kernels, Broadcast};
+use hetgrid::sim::{bsp, Broadcast};
+
+mod common;
+use common::sim;
 
 fn random_matrix(n: usize, seed: u64, dominant: bool) -> Matrix {
     let mut state = seed | 1;
@@ -58,8 +61,16 @@ fn paper_pipeline_2x2() {
 
     // Dynamic (simulated) behaviour agrees.
     let cost = CostModel::default();
-    let t_panel = kernels::simulate_mm(&best.arrangement, &panel, 24, cost, Broadcast::Direct);
-    let t_cyc = kernels::simulate_mm(
+    let t_panel = sim(
+        Kernel::Mm,
+        &best.arrangement,
+        &panel,
+        24,
+        cost,
+        Broadcast::Direct,
+    );
+    let t_cyc = sim(
+        Kernel::Mm,
         &best.arrangement,
         &BlockCyclic::new(2, 2),
         24,
@@ -113,7 +124,8 @@ fn simulator_consistent_with_static_balance() {
         let nb = 18;
         let static_ratio = balance_report(&cyc, &best.arrangement, nb, nb).makespan
             / balance_report(&panel, &best.arrangement, nb, nb).makespan;
-        let sim_ratio = kernels::simulate_mm(
+        let sim_ratio = sim(
+            Kernel::Mm,
             &best.arrangement,
             &cyc,
             nb,
@@ -121,7 +133,8 @@ fn simulator_consistent_with_static_balance() {
             Broadcast::Direct,
         )
         .makespan
-            / kernels::simulate_mm(
+            / sim(
+                Kernel::Mm,
                 &best.arrangement,
                 &panel,
                 nb,
@@ -166,8 +179,8 @@ fn kl_tradeoff_emerges_in_simulation() {
         network: Network::SharedBus,
         ..Default::default()
     };
-    let t_panel = kernels::simulate_mm(&arr, &panel, nb, cost, Broadcast::Direct);
-    let t_kl = kernels::simulate_mm(&arr, &kl, nb, cost, Broadcast::Direct);
+    let t_panel = sim(Kernel::Mm, &arr, &panel, nb, cost, Broadcast::Direct);
+    let t_kl = sim(Kernel::Mm, &arr, &kl, nb, cost, Broadcast::Direct);
     assert!(
         t_kl.comm_time > t_panel.comm_time,
         "KL comm {} <= panel comm {}",
@@ -188,8 +201,15 @@ fn lu_pipeline_fig4() {
 
     // Simulated LU: panel beats cyclic.
     let cost = CostModel::default();
-    let t_panel = kernels::simulate_lu(&arr, &panel, 24, cost);
-    let t_cyc = kernels::simulate_lu(&arr, &BlockCyclic::new(2, 2), 24, cost);
+    let t_panel = sim(Kernel::Lu, &arr, &panel, 24, cost, Broadcast::Direct);
+    let t_cyc = sim(
+        Kernel::Lu,
+        &arr,
+        &BlockCyclic::new(2, 2),
+        24,
+        cost,
+        Broadcast::Direct,
+    );
     assert!(t_panel.makespan < t_cyc.makespan);
 
     // DES stays below the analytic BSP bound.
@@ -220,7 +240,14 @@ fn objective_predicts_simulated_makespan() {
     hetgrid::core::enumerate_nondecreasing(&times, 2, 3, |arr| {
         let sol = exact::solve_arrangement(arr);
         let panel = PanelDist::from_allocation(arr, &sol.alloc, 12, 12, PanelOrdering::Interleaved);
-        let t = kernels::simulate_mm(arr, &panel, 24, CostModel::zero_comm(), Broadcast::Direct);
+        let t = sim(
+            Kernel::Mm,
+            arr,
+            &panel,
+            24,
+            CostModel::zero_comm(),
+            Broadcast::Direct,
+        );
         all.push((sol.obj2, t.makespan));
     });
     assert!(all.len() >= 3);

@@ -5,8 +5,12 @@
 
 use hetgrid::core::{exact, heuristic, Arrangement};
 use hetgrid::dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
+use hetgrid::plan::Kernel;
 use hetgrid::sim::machine::{CostModel, Network};
-use hetgrid::sim::{bsp, kernels, Broadcast, FactorKind};
+use hetgrid::sim::{bsp, Broadcast};
+
+mod common;
+use common::sim;
 
 fn strategies(arr: &Arrangement) -> Vec<(&'static str, Box<dyn BlockDist + Sync>)> {
     let sol = exact::solve_arrangement(arr);
@@ -63,7 +67,7 @@ fn full_matrix_of_kernels_distributions_networks() {
         for (name, dist) in strategies(&arr) {
             let d = dist.as_ref();
             // --- MM: bracketed by the compute bound and the BSP bound.
-            let mm = kernels::simulate_mm(&arr, d, nb, cost, Broadcast::Direct);
+            let mm = sim(Kernel::Mm, &arr, d, nb, cost, Broadcast::Direct);
             let lb = bsp::mm_compute_lower_bound(&arr, d, nb);
             let ub = bsp::bsp_mm(&arr, d, nb, cost);
             assert!(
@@ -78,15 +82,8 @@ fn full_matrix_of_kernels_distributions_networks() {
             assert!(mm.average_utilization() <= 1.0 + 1e-9);
 
             // --- LU and QR: QR is exactly twice LU in compute.
-            let lu = kernels::simulate_lu(&arr, d, nb, cost);
-            let qr = kernels::simulate_factor_bcast(
-                &arr,
-                d,
-                nb,
-                cost,
-                FactorKind::Qr,
-                Broadcast::Direct,
-            );
+            let lu = sim(Kernel::Lu, &arr, d, nb, cost, Broadcast::Direct);
+            let qr = sim(Kernel::Qr, &arr, d, nb, cost, Broadcast::Direct);
             assert!(
                 (qr.compute_time - 2.0 * lu.compute_time).abs() < 1e-6 * qr.compute_time,
                 "{}/{:?}: QR compute {} != 2x LU {}",
@@ -99,7 +96,7 @@ fn full_matrix_of_kernels_distributions_networks() {
 
             // --- Cholesky: strictly less compute than LU (half the
             // trailing updates), same comm structure family.
-            let ch = kernels::simulate_cholesky(&arr, d, nb, cost);
+            let ch = sim(Kernel::Cholesky, &arr, d, nb, cost, Broadcast::Direct);
             assert!(
                 ch.compute_time < lu.compute_time,
                 "{}/{:?}: Cholesky compute {} !< LU {}",
@@ -111,7 +108,8 @@ fn full_matrix_of_kernels_distributions_networks() {
 
             // --- Conservation: every kernel accounts the same compute
             // on every network (network only affects comm).
-            let mm_sw = kernels::simulate_mm(
+            let mm_sw = sim(
+                Kernel::Mm,
                 &arr,
                 d,
                 nb,
@@ -138,16 +136,16 @@ fn cartesian_strategies_support_all_broadcasts() {
         if !d.is_cartesian() {
             continue;
         }
-        let direct = kernels::simulate_mm(&arr, d, nb, cost, Broadcast::Direct);
+        let direct = sim(Kernel::Mm, &arr, d, nb, cost, Broadcast::Direct);
         for mode in [Broadcast::Ring, Broadcast::Tree] {
-            let rep = kernels::simulate_mm(&arr, d, nb, cost, mode);
+            let rep = sim(Kernel::Mm, &arr, d, nb, cost, mode);
             assert!(
                 (rep.compute_time - direct.compute_time).abs() < 1e-9,
                 "{}: compute differs under {:?}",
                 name,
                 mode
             );
-            let lu = kernels::simulate_factor_bcast(&arr, d, nb, cost, FactorKind::Lu, mode);
+            let lu = sim(Kernel::Lu, &arr, d, nb, cost, mode);
             assert!(lu.makespan > 0.0);
         }
     }
@@ -168,16 +166,16 @@ fn balance_ordering_is_consistent_across_layers() {
 
     let pairs: Vec<(f64, f64)> = vec![
         (
-            kernels::simulate_mm(&arr, &cyc, nb, cost, Broadcast::Direct).makespan,
-            kernels::simulate_mm(&arr, &panel, nb, cost, Broadcast::Direct).makespan,
+            sim(Kernel::Mm, &arr, &cyc, nb, cost, Broadcast::Direct).makespan,
+            sim(Kernel::Mm, &arr, &panel, nb, cost, Broadcast::Direct).makespan,
         ),
         (
-            kernels::simulate_lu(&arr, &cyc, nb, cost).makespan,
-            kernels::simulate_lu(&arr, &panel, nb, cost).makespan,
+            sim(Kernel::Lu, &arr, &cyc, nb, cost, Broadcast::Direct).makespan,
+            sim(Kernel::Lu, &arr, &panel, nb, cost, Broadcast::Direct).makespan,
         ),
         (
-            kernels::simulate_cholesky(&arr, &cyc, nb, cost).makespan,
-            kernels::simulate_cholesky(&arr, &panel, nb, cost).makespan,
+            sim(Kernel::Cholesky, &arr, &cyc, nb, cost, Broadcast::Direct).makespan,
+            sim(Kernel::Cholesky, &arr, &panel, nb, cost, Broadcast::Direct).makespan,
         ),
     ];
     for (k, (cyclic, heterogeneous)) in pairs.iter().enumerate() {

@@ -2,7 +2,8 @@
 //! drives one path through every layer the facade does not own:
 //! `exec::run` for each kernel (verified against `linalg` by the
 //! harness oracle, counted against `sim::counts::fold`), the star
-//! executor, and one serve `Plan` request checked against
+//! executor, `sim::simulate` for each kernel against the `bsp` compute
+//! bounds, and one serve `Plan` request checked against
 //! `plan::Kernel::plan`.
 
 use hetgrid::core::{heuristic, Allocation, Arrangement, Topology};
@@ -11,7 +12,7 @@ use hetgrid::exec::{run, run_star_mm_on_cfg, slowdown_weights, ChannelTransport,
 use hetgrid::linalg::gemm::matmul;
 use hetgrid::linalg::Matrix;
 use hetgrid::plan::{self, Kernel};
-use hetgrid::sim::counts;
+use hetgrid::sim::{bsp, counts, simulate, Broadcast, CostModel, SimError};
 use hetgrid_harness::oracles::check_kernel;
 use hetgrid_harness::scenario::{general_matrix, kernel_inputs};
 use hetgrid_serve::proto::SolveResult;
@@ -52,6 +53,54 @@ fn run_every_kernel_on_the_paper_grid() {
         assert_eq!(out.report.messages_sent, predicted.messages, "{kernel:?}");
         assert_eq!(out.report.work_units, predicted.work_units, "{kernel:?}");
     }
+}
+
+#[test]
+fn simulate_every_kernel_on_the_paper_grid() {
+    let solved = heuristic::solve_default(&TIMES, 2, 2);
+    let best = solved.best();
+    let arr = &best.arrangement;
+    let nb = 12;
+    let dist = panel_dist(arr, &best.alloc, nb);
+    let cost = CostModel::default();
+    let report = |kernel, mode| simulate(kernel, arr, &dist, nb, cost, mode).map(|run| run.report);
+
+    for kernel in Kernel::ALL {
+        let rep = report(kernel, Broadcast::Direct).unwrap();
+        // No schedule beats its busiest processor.
+        let busiest = rep
+            .core_busy
+            .iter()
+            .flatten()
+            .fold(0.0, |m: f64, &b| m.max(b));
+        assert!(
+            busiest > 0.0 && rep.makespan >= busiest - 1e-9,
+            "{kernel:?}"
+        );
+        assert!(rep.average_utilization() <= 1.0 + 1e-9, "{kernel:?}");
+        // Ring/Tree re-shape the communication only, and are defined
+        // for every kernel but Cholesky.
+        for mode in [Broadcast::Ring, Broadcast::Tree] {
+            match report(kernel, mode) {
+                Ok(shaped) => {
+                    assert!((shaped.compute_time - rep.compute_time).abs() < 1e-9);
+                    assert!(shaped.makespan >= busiest - 1e-9, "{kernel:?} {mode:?}");
+                }
+                Err(e) => assert_eq!(
+                    (kernel, e),
+                    (Kernel::Cholesky, SimError::CholeskyTopology(mode))
+                ),
+            }
+        }
+    }
+
+    let direct = |kernel| report(kernel, Broadcast::Direct).unwrap();
+    let (mm, lu, qr) = (direct(Kernel::Mm), direct(Kernel::Lu), direct(Kernel::Qr));
+    assert!(mm.makespan >= bsp::mm_compute_lower_bound(arr, &dist, nb) - 1e-9);
+    assert!(lu.makespan >= bsp::lu_update_lower_bound(arr, &dist, nb) - 1e-9);
+    // The DES models QR as the LU schedule at twice the arithmetic.
+    assert!((qr.compute_time - 2.0 * lu.compute_time).abs() < 1e-9 * qr.compute_time);
+    assert!(direct(Kernel::Cholesky).compute_time < lu.compute_time);
 }
 
 #[test]
