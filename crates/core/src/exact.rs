@@ -968,8 +968,8 @@ pub fn solve_global(times: &[f64], p: usize, q: usize) -> GlobalSolution {
 
 /// [`solve_global`] with explicit per-arrangement [`ExactOptions`].
 /// With `ExactOptions::exhaustive()` every arrangement is solved by
-/// plain enumeration serially — the pre-branch-and-bound reference used
-/// by the `solver_scaling` bench as a speedup baseline.
+/// plain enumeration serially — the pre-branch-and-bound reference the
+/// `pruning_never_changes_global_optimum` property test compares against.
 ///
 /// # Panics
 /// Panics if `times.len() != p * q` or the grid exceeds the exact-solver
@@ -1332,6 +1332,29 @@ mod tests {
             winners < examined,
             "bound pruned nothing — pruning has regressed"
         );
+    }
+
+    /// The search effort on the mildly heterogeneous distinct-times
+    /// family, pinned: plain enumeration would visit `n^(2n-2)` trees
+    /// (4096, ~3.9e5, ~6.0e7), so a change that weakens the bound or
+    /// reorders the branching shows here before it shows in a timing.
+    #[test]
+    fn tree_counts_on_the_spread_family_are_pinned() {
+        for (n, examined, pruned) in [(4, 6, 693), (5, 8, 6958), (6, 9, 106_077)] {
+            let times: Vec<f64> = (0..n * n)
+                .map(|k| {
+                    let x = ((k * 37 + 11) % 97) as f64 / 97.0;
+                    1.0 + 3.0 * x * x
+                })
+                .collect();
+            let arr = crate::arrangement::sorted_row_major(&times, n, n);
+            let sol = solve_arrangement(&arr);
+            assert_eq!(
+                (sol.trees_examined, sol.trees_pruned),
+                (examined, pruned),
+                "{n}x{n}"
+            );
+        }
     }
 
     #[test]

@@ -38,16 +38,17 @@ const TAG_U: u8 = 2;
 
 /// Skew threshold above which LU falls back to the in-order schedule.
 ///
-/// BENCH_exec.json pins `lu/skewed-2x2` (hetero ratio 5.0) at 0.883x
-/// for every depth > 0: on a strongly skewed grid the window keeps the
+/// On a strongly skewed grid (the paper's 2x2 `{1,2,3,5}`, hetero ratio
+/// 5.0, is the `lu_grid` workload of `benchmark/`) the window keeps the
 /// fast processors busy with trailing updates whose blocks the slow
 /// processors' panel work will need buffered for longer, so lookahead
-/// buys nothing and pays buffer churn. Clamping to the in-order
+/// buys nothing and pays buffer churn: every depth > 0 ran slower than
+/// in-order there when the clamp went in. Clamping to the in-order
 /// schedule when `max weight >= 4 * min weight` restores the depth-0
-/// time for exactly that regime while leaving balanced and mildly
-/// heterogeneous grids (all speedups > 1.0 in the bench table) at the
-/// requested depth. Results are unaffected either way — every depth is
-/// bit-exact by construction.
+/// time for exactly that regime — `lu_grid` reports it as
+/// `exec.lookahead_gain` ~ 1.0 — while leaving balanced and mildly
+/// heterogeneous grids at the requested depth. Results are unaffected
+/// either way — every depth is bit-exact by construction.
 const LU_SKEW_CLAMP: u64 = 4;
 
 /// The lookahead depth LU actually runs at: the requested depth, or 0
@@ -492,14 +493,14 @@ mod tests {
         }
     }
 
-    /// Bench guard for the `lu/skewed-2x2` regression (BENCH_exec.json:
-    /// 0.883x best speedup for every depth > 0): the skewed bench grid
-    /// must clamp to the in-order schedule, and the clamp must not leak
-    /// into the balanced or mildly heterogeneous configurations whose
-    /// lookahead speedups the bench table certifies.
+    /// Guard for the skewed-grid lookahead regression (`lu_grid`'s
+    /// `exec.lookahead_gain` in `benchmark/`): that workload's grid must
+    /// clamp to the in-order schedule, and the clamp must not leak into
+    /// balanced or mildly heterogeneous configurations, where lookahead
+    /// pays.
     #[test]
     fn skewed_grid_clamps_lu_lookahead() {
-        // The bench's skewed-2x2 arrangement: hetero ratio 5.0.
+        // The `lu_grid` arrangement: hetero ratio 5.0.
         let skewed = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
         let w = crate::store::slowdown_weights(&skewed);
         for depth in [1, 2, 4] {

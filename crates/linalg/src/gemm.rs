@@ -401,7 +401,7 @@ unsafe fn micro_kernel_4x8_fma(
 }
 
 /// The previous cache-blocked, loop-reordered (`ikj`) kernel, kept as a
-/// single-threaded baseline for the `solver_scaling` benchmark.
+/// single-threaded baseline.
 ///
 /// # Panics
 /// Panics on dimension mismatch.

@@ -236,8 +236,8 @@ fn stamp() -> Option<SpanCtx> {
 /// the `span!` macro evaluates to — is a single nullable pointer. The
 /// disabled fast path materializes and drops that `None` on every
 /// probe, so its size is what the zero-cost-when-off budget in
-/// `obs_overhead` actually measures; the active path already allocates
-/// for the span name, so one more allocation there is noise.
+/// `tests/disabled_probe.rs` actually measures; the active path already
+/// allocates for the span name, so one more allocation there is noise.
 pub struct SpanGuard(Box<SpanInner>);
 
 struct SpanInner {

@@ -1,22 +1,14 @@
-//! # hetgrid-bench
+//! # hetgrid-repro
 //!
-//! Shared harness code for the experiment binaries and Criterion
-//! benches that regenerate every figure and table of the IPPS 2000
-//! paper (see DESIGN.md for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured results).
+//! Regenerates every figure and table of the IPPS 2000 paper (see
+//! DESIGN.md for the experiment index and EXPERIMENTS.md for
+//! paper-vs-measured results). [`experiments`] holds one section per
+//! experiment; the `report` binary prints one of them, or all of them
+//! into RESULTS.md. Nothing here is timed: performance is measured by
+//! `benchmark/` (`BENCHMARK.json`).
 
 #![warn(missing_docs)]
-// Grid code indexes `owned[i][j]`-style tables with `for i in 0..p`
-// loops and passes several aggregated message maps around; the clippy
-// style suggestions (iterator rewrites, type aliases, argument structs)
-// would obscure the 2D-grid idiom the paper's algorithms are written in.
-#![allow(
-    clippy::needless_range_loop,
-    clippy::type_complexity,
-    clippy::too_many_arguments
-)]
-
-pub mod report;
+pub mod experiments;
 pub mod workloads;
 
 use hetgrid_core::heuristic::{self, HeuristicOptions};
@@ -27,6 +19,7 @@ use hetgrid_sim::machine::CostModel;
 use hetgrid_sim::{simulate, Broadcast};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::{self, Write as _};
 
 /// Draws `n` cycle-times uniformly from `(0.01, 1.0]` — the paper's
 /// "random cycle times in [0, 1]", excluding a neighbourhood of zero
@@ -88,40 +81,39 @@ pub fn heuristic_sweep(ns: &[usize], trials: usize, seed: u64) -> Vec<SweepPoint
         .collect()
 }
 
-/// Prints an aligned text table.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// Appends an aligned text table to `out`.
+pub fn table(out: &mut String, headers: &[&str], rows: &[Vec<String>]) -> fmt::Result {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (k, cell) in row.iter().enumerate() {
             widths[k] = widths[k].max(cell.len());
         }
     }
-    let line = |cells: &[String]| {
+    let mut line = |cells: &[String]| {
         let mut s = String::new();
         for (k, cell) in cells.iter().enumerate() {
             s.push_str(&format!("{:>width$}  ", cell, width = widths[k]));
         }
-        println!("{}", s.trim_end());
+        writeln!(out, "{}", s.trim_end())
     };
-    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>());
+    line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>())?;
     line(
         &widths
             .iter()
             .map(|&w| "-".repeat(w))
             .collect::<Vec<String>>(),
-    );
-    for row in rows {
-        line(row);
-    }
+    )?;
+    rows.iter().try_for_each(|row| line(row))
 }
 
-/// Pretty-prints a grid of cycle-times or counts.
-pub fn print_grid<T: std::fmt::Display>(label: &str, rows: &[Vec<T>]) {
-    println!("{}:", label);
+/// Appends a labelled grid of cycle-times or counts to `out`.
+pub fn grid<T: fmt::Display>(out: &mut String, label: &str, rows: &[Vec<T>]) -> fmt::Result {
+    writeln!(out, "{}:", label)?;
     for row in rows {
         let cells: Vec<String> = row.iter().map(|x| format!("{:>8}", x)).collect();
-        println!("  [{}]", cells.join(" "));
+        writeln!(out, "  [{}]", cells.join(" "))?;
     }
+    Ok(())
 }
 
 /// The distributions compared in the simulation tables.
@@ -219,6 +211,18 @@ pub fn sim_row(
         .collect()
 }
 
+/// The entry of a [`sim_row`] for one strategy.
+///
+/// # Panics
+/// Panics if the row has no such strategy (every instance has all but
+/// [`Strategy::ExactPanel`]).
+pub fn makespan_of(row: &[(Strategy, f64)], want: Strategy) -> f64 {
+    row.iter()
+        .find(|(s, _)| *s == want)
+        .unwrap_or_else(|| panic!("no {} in the row", want.name()))
+        .1
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,12 +259,8 @@ mod tests {
         let times = [1.0, 1.0, 1.0, 10.0];
         let inst = build_instance(&times, 2, 2, 12);
         let row = sim_row(&inst, Kernel::Mm, 24, CostModel::zero_comm());
-        let cyclic = row.iter().find(|(s, _)| *s == Strategy::Cyclic).unwrap().1;
-        let heur = row
-            .iter()
-            .find(|(s, _)| *s == Strategy::HeuristicPanel)
-            .unwrap()
-            .1;
+        let cyclic = makespan_of(&row, Strategy::Cyclic);
+        let heur = makespan_of(&row, Strategy::HeuristicPanel);
         assert!(heur < cyclic, "heur {} !< cyclic {}", heur, cyclic);
     }
 }

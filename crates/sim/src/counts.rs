@@ -379,6 +379,31 @@ mod tests {
         }
     }
 
+    /// The memory/communication trade-off of the maximum-reuse star
+    /// schedule: a larger worker memory means a larger `C` tile, so each
+    /// block the master feeds is reused by more updates and the one-port
+    /// traffic falls like `1/sqrt(M)`, while the `C` returns stay put.
+    #[test]
+    fn star_master_sends_fall_as_worker_memory_grows() {
+        let weights = uniform(1, 5);
+        let sends: Vec<u64> = [3, 7, 13, 31, 57]
+            .iter()
+            .map(|&worker_mem| {
+                let topo = Topology::Star {
+                    workers: 4,
+                    worker_mem,
+                    master_bw: 1.0,
+                };
+                let plan = hetgrid_plan::star_mm_plan(&topo, (12, 12, 12));
+                let c = fold(&plan, 0, &weights);
+                let returns: u64 = c.messages[0][1..].iter().sum();
+                assert_eq!(returns, 144, "worker_mem {worker_mem}");
+                c.messages[0][0]
+            })
+            .collect();
+        assert_eq!(sends, [3456, 1728, 1152, 864, 576]);
+    }
+
     #[test]
     fn mm_work_is_cube() {
         // Every C block is updated once per step: mb * nb * kb units.
