@@ -21,7 +21,7 @@ use crate::store::BlockStore;
 use crate::transport::Closed;
 use hetgrid_linalg::cholesky::cholesky;
 use hetgrid_linalg::gemm::gemm;
-use hetgrid_linalg::tri::solve_lower;
+use hetgrid_linalg::tri::solve_right_upper;
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
 use std::time::Instant;
@@ -211,12 +211,14 @@ impl StepInterp for ChInterp<'_> {
                     } else {
                         courier.obtain(k, TAG_DIAG, (k, k))?
                     };
-                    // X * L^T = A  <=>  L * X^T = A^T.
+                    // X * L^T = A, with L^T upper triangular: transpose
+                    // the factor once, not the block per repeat.
+                    let lt = lkk.transpose();
                     clock.run(
                         1,
-                        || solve_lower(lkk, &self.blocks[&a.blk].transpose(), false).transpose(),
+                        || solve_right_upper(&lt, &self.blocks[&a.blk]),
                         || {
-                            solve_lower(lkk, &self.blocks[&a.blk].transpose(), false).transpose();
+                            solve_right_upper(&lt, &self.blocks[&a.blk]);
                         },
                     )
                 };
@@ -274,7 +276,7 @@ impl StepInterp for ChInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::spd;
+    use crate::testutil::{paper_grid, spd};
     use crate::{run_cholesky_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport};
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
@@ -337,25 +339,24 @@ mod tests {
 
     #[test]
     fn lookahead_is_bit_exact_with_in_order() {
-        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
-        let sol = exact::solve_arrangement(&arr);
-        let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
-        let nb = 8;
-        let r = 2;
-        let a = spd(nb * r, 0xC4);
-        let w = crate::store::slowdown_weights(&arr);
+        let (dist, w) = paper_grid();
         let t = ChannelTransport;
-        let run = |lookahead| {
-            run_cholesky_on_cfg(&t, &a, &dist, nb, r, &w, ExecConfig { lookahead })
-                .unwrap()
-                .0
-        };
-        let inorder = run(0);
-        for depth in [1, 3] {
-            assert!(
-                run(depth).approx_eq(&inorder, 0.0),
-                "depth {depth} diverged from in-order"
-            );
+        // r = 64 is wide enough for the kernels' row sweeps to run
+        // their vectorised bodies, not only the scalar remainder.
+        for (nb, r) in [(8, 2), (4, 64)] {
+            let a = spd(nb * r, 0xC4);
+            let run = |lookahead| {
+                run_cholesky_on_cfg(&t, &a, &dist, nb, r, &w, ExecConfig { lookahead })
+                    .unwrap()
+                    .0
+            };
+            let inorder = run(0);
+            for depth in [1, 3] {
+                assert!(
+                    run(depth).approx_eq(&inorder, 0.0),
+                    "r {r} depth {depth} diverged from in-order"
+                );
+            }
         }
     }
 

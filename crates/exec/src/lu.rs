@@ -23,9 +23,7 @@ use crate::step::{block_bytes, Action, Courier, Op, StepInterp, WorkClock};
 use crate::store::BlockStore;
 use crate::transport::Closed;
 use hetgrid_linalg::gemm::gemm;
-use hetgrid_linalg::tri::{
-    solve_lower, solve_right_upper, unit_lower_from_packed, upper_from_packed,
-};
+use hetgrid_linalg::tri::{solve_lower, solve_right_upper};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
 use std::time::Instant;
@@ -63,21 +61,22 @@ pub(crate) fn effective_lu_lookahead(requested: usize, weights: &[Vec<u64>]) -> 
     }
 }
 
-/// Unblocked LU without pivoting of a single block, in place, packed.
+/// Unblocked LU without pivoting of a single block, in place, packed:
+/// each pivot row is swept along the rows below it.
 fn lu_block_nopivot(a: &mut Matrix) {
     let n = a.rows();
     for k in 0..n {
-        let pivot = a[(k, k)];
+        let (top, below) = a.as_mut_slice().split_at_mut((k + 1) * n);
+        let pivot_row = &top[k * n + k..];
         assert!(
-            pivot.abs() > 1e-300,
+            pivot_row[0].abs() > 1e-300,
             "run_lu: zero pivot (matrix needs pivoting; use a diagonally dominant input)"
         );
-        for i in k + 1..n {
-            let m = a[(i, k)] / pivot;
-            a[(i, k)] = m;
-            for j in k + 1..n {
-                let v = a[(k, j)];
-                a[(i, j)] -= m * v;
+        for row in below.chunks_exact_mut(n) {
+            let m = row[k] / pivot_row[0];
+            row[k] = m;
+            for (x, p) in row[k + 1..].iter_mut().zip(&pivot_row[1..]) {
+                *x -= m * p;
             }
         }
     }
@@ -310,12 +309,12 @@ impl StepInterp for LuInterp<'_> {
                     } else {
                         courier.obtain(k, TAG_DIAG, (k, k))?
                     };
-                    let u11 = upper_from_packed(packed);
+                    // The solve reads only the upper triangle: U11.
                     clock.run(
                         1,
-                        || solve_right_upper(&u11, &self.blocks[&a.blk]),
+                        || solve_right_upper(packed, &self.blocks[&a.blk]),
                         || {
-                            solve_right_upper(&u11, &self.blocks[&a.blk]);
+                            solve_right_upper(packed, &self.blocks[&a.blk]);
                         },
                     )
                 };
@@ -345,12 +344,13 @@ impl StepInterp for LuInterp<'_> {
                     } else {
                         courier.obtain(k, TAG_DIAG, (k, k))?
                     };
-                    let l11 = unit_lower_from_packed(packed);
+                    // The unit solve reads only the strict lower
+                    // triangle: L11.
                     clock.run(
                         1,
-                        || solve_lower(&l11, &self.blocks[&a.blk], true),
+                        || solve_lower(packed, &self.blocks[&a.blk], true),
                         || {
-                            solve_lower(&l11, &self.blocks[&a.blk], true);
+                            solve_lower(packed, &self.blocks[&a.blk], true);
                         },
                     )
                 };
@@ -403,11 +403,12 @@ impl StepInterp for LuInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::dominant;
+    use crate::testutil::{dominant, paper_grid};
     use crate::{run_lu_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport};
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
+    use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
 
     fn run_lu(
         a: &Matrix,
@@ -471,25 +472,24 @@ mod tests {
 
     #[test]
     fn lookahead_is_bit_exact_with_in_order() {
-        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
-        let sol = exact::solve_arrangement(&arr);
-        let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
-        let nb = 8;
-        let r = 2;
-        let a = dominant(nb * r, 9);
-        let w = crate::store::slowdown_weights(&arr);
+        let (dist, w) = paper_grid();
         let t = ChannelTransport;
-        let run = |lookahead| {
-            run_lu_on_cfg(&t, &a, &dist, nb, r, &w, ExecConfig { lookahead })
-                .unwrap()
-                .0
-        };
-        let inorder = run(0);
-        for depth in [1, 3] {
-            assert!(
-                run(depth).approx_eq(&inorder, 0.0),
-                "depth {depth} diverged from in-order"
-            );
+        // r = 64 is wide enough for the kernels' row sweeps to run
+        // their vectorised bodies, not only the scalar remainder.
+        for (nb, r) in [(8, 2), (4, 64)] {
+            let a = dominant(nb * r, 9);
+            let run = |lookahead| {
+                run_lu_on_cfg(&t, &a, &dist, nb, r, &w, ExecConfig { lookahead })
+                    .unwrap()
+                    .0
+            };
+            let inorder = run(0);
+            for depth in [1, 3] {
+                assert!(
+                    run(depth).approx_eq(&inorder, 0.0),
+                    "r {r} depth {depth} diverged from in-order"
+                );
+            }
         }
     }
 

@@ -470,7 +470,7 @@ impl StepInterp for QrInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::dense;
+    use crate::testutil::{dense, paper_grid};
     use crate::{run_qr_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport};
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
@@ -551,27 +551,59 @@ mod tests {
 
     #[test]
     fn lookahead_is_bit_exact_with_in_order() {
-        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
-        let sol = exact::solve_arrangement(&arr);
-        let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
-        let nb = 8;
-        let r = 2;
-        let a = dense(nb * r, nb * r, 0xA5);
-        let w = crate::store::slowdown_weights(&arr);
+        let (dist, w) = paper_grid();
         let t = ChannelTransport;
-        let run = |lookahead| {
+        // r = 64 is wide enough for the kernels' row sweeps to run
+        // their vectorised bodies, not only the scalar remainder.
+        for (nb, r) in [(8, 2), (4, 64)] {
+            let a = dense(nb * r, nb * r, 0xA5);
+            let run = |lookahead| {
+                let (packed, taus, _) =
+                    run_qr_on_cfg(&t, &a, &dist, nb, r, &w, ExecConfig { lookahead }).unwrap();
+                (packed, taus)
+            };
+            let (packed0, taus0) = run(0);
+            for depth in [1, 3] {
+                let (packed, taus) = run(depth);
+                assert!(
+                    packed.approx_eq(&packed0, 0.0),
+                    "r {r} depth {depth} packed factors diverged from in-order"
+                );
+                assert_eq!(
+                    taus, taus0,
+                    "r {r} depth {depth} taus diverged from in-order"
+                );
+            }
+        }
+    }
+
+    /// QR is the one executor that never calls `gemm` (whose AVX2/FMA
+    /// vs portable dispatch legitimately changes last digits between
+    /// hosts), so its output bits are a property of the code alone:
+    /// FNV-1a over them, computed before the block kernels became row
+    /// sweeps. A kernel rewrite that reorders one floating-point
+    /// operation changes this constant.
+    #[test]
+    fn packed_factors_are_pinned_to_the_bit() {
+        let (dist, w) = paper_grid();
+        let (nb, r) = (6, 8);
+        let a = dense(nb * r, nb * r, 0xA6);
+        for lookahead in [0, 2] {
+            let cfg = ExecConfig { lookahead };
             let (packed, taus, _) =
-                run_qr_on_cfg(&t, &a, &dist, nb, r, &w, ExecConfig { lookahead }).unwrap();
-            (packed, taus)
-        };
-        let (packed0, taus0) = run(0);
-        for depth in [1, 3] {
-            let (packed, taus) = run(depth);
-            assert!(
-                packed.approx_eq(&packed0, 0.0),
-                "depth {depth} packed factors diverged from in-order"
+                run_qr_on_cfg(&ChannelTransport, &a, &dist, nb, r, &w, cfg).unwrap();
+            let hash = packed
+                .as_slice()
+                .iter()
+                .chain(&taus)
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, byte| {
+                    (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            assert_eq!(
+                hash, 0xb41b_2198_7732_8eb3,
+                "lookahead {lookahead}: {hash:#018x}"
             );
-            assert_eq!(taus, taus0, "depth {depth} taus diverged from in-order");
         }
     }
 

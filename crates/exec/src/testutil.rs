@@ -1,5 +1,7 @@
 //! Deterministic inputs shared by the kernel modules' unit tests.
 
+use hetgrid_core::{exact, Arrangement};
+use hetgrid_dist::{PanelDist, PanelOrdering};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::Matrix;
 
@@ -37,4 +39,13 @@ pub(crate) fn spd(n: usize, seed: u64) -> Matrix {
 /// Slowdown weights of a homogeneous `p x q` grid.
 pub(crate) fn uniform(p: usize, q: usize) -> Vec<Vec<u64>> {
     vec![vec![1; q]; p]
+}
+
+/// The paper's 2x2 grid `{1,2,3,5}` under its 8x6 panel distribution,
+/// with the matching slowdown weights.
+pub(crate) fn paper_grid() -> (PanelDist, Vec<Vec<u64>>) {
+    let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
+    let sol = exact::solve_arrangement(&arr);
+    let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
+    (dist, crate::store::slowdown_weights(&arr))
 }

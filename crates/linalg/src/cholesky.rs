@@ -8,7 +8,7 @@
 
 use crate::gemm::gemm;
 use crate::tri::solve_lower;
-use crate::Matrix;
+use crate::{sub_scaled, Matrix};
 
 /// Error: the matrix is not (numerically) positive definite.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,25 +43,29 @@ impl std::error::Error for NotPositiveDefinite {}
 pub fn cholesky(a: &Matrix) -> Result<Matrix, NotPositiveDefinite> {
     assert!(a.is_square(), "cholesky: matrix must be square");
     let n = a.rows();
+    // Right-looking over the lower triangle: once column j is final,
+    // its products are subtracted from every entry to its right, one
+    // row at a time. Entry (i, m) has l_ik * l_mk subtracted for
+    // increasing k — the order of a left-looking dot product, so the
+    // two formulations agree to the bit (`tests/kernel_bits.rs`).
     let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+    }
+    // Column j below the diagonal, gathered as it is scaled.
+    let mut col = vec![0.0; n];
     for j in 0..n {
-        // Diagonal entry.
-        let mut d = a[(j, j)];
-        for k in 0..j {
-            d -= l[(j, k)] * l[(j, k)];
-        }
+        let d = l[(j, j)];
         if d <= 0.0 || !d.is_finite() {
             return Err(NotPositiveDefinite { index: j, pivot: d });
         }
         let dj = d.sqrt();
         l[(j, j)] = dj;
-        // Column below.
         for i in j + 1..n {
-            let mut s = a[(i, j)];
-            for k in 0..j {
-                s -= l[(i, k)] * l[(j, k)];
-            }
-            l[(i, j)] = s / dj;
+            let row = l.row_mut(i);
+            row[j] /= dj;
+            col[i] = row[j];
+            sub_scaled(&mut row[j + 1..=i], col[i], &col[j + 1..=i]);
         }
     }
     Ok(l)

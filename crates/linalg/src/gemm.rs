@@ -7,8 +7,6 @@
 //!   rank-`r` updates;
 //! * [`par_gemm`] — the same kernel with row panels fanned out over the
 //!   `hetgrid-par` work-stealing pool;
-//! * [`gemm_blocked`] — the previous cache-blocked `ikj` kernel, kept as
-//!   the benchmark baseline;
 //! * [`matmul_naive`] — triple loop reference used in tests.
 //!
 //! The packed kernel follows the classic GotoBLAS/BLIS decomposition:
@@ -23,11 +21,6 @@
 //! memory-bound `ikj` loop and a compute-bound kernel.
 
 use crate::Matrix;
-
-/// Cache-block edge used by [`gemm_blocked`]. 64 doubles = 512 B rows,
-/// which keeps the three working panels inside L1/L2 for typical block
-/// sizes.
-const BLOCK: usize = 64;
 
 /// Micro-tile height (rows of `A` per strip). The micro-tile width is
 /// chosen at runtime by [`select_kernel`]: 4 for the portable kernel,
@@ -400,50 +393,7 @@ unsafe fn micro_kernel_4x8_fma(
     }
 }
 
-/// The previous cache-blocked, loop-reordered (`ikj`) kernel, kept as a
-/// single-threaded baseline.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn gemm_blocked(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let (k2, n) = b.shape();
-    assert_eq!(k, k2, "gemm: inner dimensions differ");
-    assert_eq!(c.shape(), (m, n), "gemm: C has wrong shape");
-
-    scale(beta, c.as_mut_slice());
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    // Blocked ikj loop: the innermost loop runs along contiguous rows of B
-    // and C, so it vectorizes well and stays cache-friendly.
-    for i0 in (0..m).step_by(BLOCK) {
-        let i1 = (i0 + BLOCK).min(m);
-        for p0 in (0..k).step_by(BLOCK) {
-            let p1 = (p0 + BLOCK).min(k);
-            for j0 in (0..n).step_by(BLOCK) {
-                let j1 = (j0 + BLOCK).min(n);
-                for i in i0..i1 {
-                    let arow = a.row(i);
-                    for p in p0..p1 {
-                        let aip = alpha * arow[p];
-                        if aip == 0.0 {
-                            continue;
-                        }
-                        let brow = &b.row(p)[j0..j1];
-                        let crow = &mut c.row_mut(i)[j0..j1];
-                        for (cv, bv) in crow.iter_mut().zip(brow) {
-                            *cv += aip * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Returns `A * B` using the blocked kernel.
+/// Returns `A * B` using the packed kernel.
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
     let mut c = Matrix::zeros(a.rows(), b.cols());
     gemm(1.0, a, b, 0.0, &mut c);

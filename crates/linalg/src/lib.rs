@@ -5,7 +5,7 @@
 //! (Beaumont, Boudet, Rastello, Robert, IPPS 2000) builds on:
 //!
 //! * [`Matrix`] — dense row-major `f64` matrix;
-//! * [`gemm`] — blocked matrix multiplication, rank-1 update, matvec;
+//! * [`gemm`] — packed-panel matrix multiplication, rank-1 update, matvec;
 //! * [`lu`] — LU with partial pivoting, unblocked and right-looking
 //!   blocked (the kernel parallelized in Section 3.2 of the paper);
 //! * [`qr`] — Householder QR and least squares;
@@ -42,3 +42,16 @@ pub mod tri;
 
 pub use matrix::Matrix;
 pub use svd::{svd, top_singular_triple, Svd};
+
+/// `y -= a * x` over two equally long slices: the inner loop of every
+/// non-GEMM block kernel. The factorizations and triangular solves all
+/// run it along rows of the row-major [`Matrix`] — never down a column
+/// with the row index innermost — so it is contiguous, and written once
+/// so the loop the compiler vectorises exists once.
+#[inline]
+fn sub_scaled(y: &mut [f64], a: f64, x: &[f64]) {
+    debug_assert_eq!(y.len(), x.len());
+    for (yv, xv) in y.iter_mut().zip(x) {
+        *yv -= a * xv;
+    }
+}

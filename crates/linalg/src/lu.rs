@@ -8,7 +8,7 @@
 
 use crate::gemm::gemm;
 use crate::tri::solve_lower;
-use crate::Matrix;
+use crate::{sub_scaled, Matrix};
 
 /// Result of an LU factorization with partial pivoting: `P * A = L * U`.
 #[derive(Clone, Debug)]
@@ -38,6 +38,43 @@ impl std::fmt::Display for SingularMatrix {
 impl std::error::Error for SingularMatrix {}
 
 impl LuFactors {
+    /// The factorization before its first step: `a` itself, unpermuted.
+    fn start(a: &Matrix) -> Self {
+        LuFactors {
+            lu: a.clone(),
+            perm: (0..a.rows()).collect(),
+            swaps: 0,
+        }
+    }
+
+    /// One step of Gaussian elimination: pivots column `col` (largest
+    /// magnitude at or below the diagonal, swapped across the full row
+    /// as in LAPACK's getrf), scales it into multipliers, and subtracts
+    /// the multiples of the pivot row from columns `col + 1..end` of
+    /// every row below it.
+    fn eliminate(&mut self, col: usize, end: usize) -> Result<(), SingularMatrix> {
+        let n = self.lu.rows();
+        let (piv, pmax) = (col..n)
+            .map(|i| (i, self.lu[(i, col)].abs()))
+            .fold((col, -1.0), |acc, x| if x.1 > acc.1 { x } else { acc });
+        if pmax <= f64::EPSILON * n as f64 {
+            return Err(SingularMatrix { column: col });
+        }
+        if piv != col {
+            self.lu.swap_rows(piv, col);
+            self.perm.swap(piv, col);
+            self.swaps += 1;
+        }
+        let (top, below) = self.lu.as_mut_slice().split_at_mut((col + 1) * n);
+        let pivot_row = &top[col * n..];
+        for row in below.chunks_exact_mut(n) {
+            let m = row[col] / pivot_row[col];
+            row[col] = m;
+            sub_scaled(&mut row[col + 1..end], m, &pivot_row[col + 1..end]);
+        }
+        Ok(())
+    }
+
     /// The unit-lower-triangular factor `L`.
     pub fn l(&self) -> Matrix {
         crate::tri::unit_lower_from_packed(&self.lu)
@@ -107,34 +144,11 @@ impl LuFactors {
 pub fn lu_factor(a: &Matrix) -> Result<LuFactors, SingularMatrix> {
     assert!(a.is_square(), "lu_factor: matrix must be square");
     let n = a.rows();
-    let mut lu = a.clone();
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut swaps = 0;
-
+    let mut f = LuFactors::start(a);
     for k in 0..n {
-        // Partial pivoting: largest magnitude in column k at or below k.
-        let (piv, pmax) = (k..n)
-            .map(|i| (i, lu[(i, k)].abs()))
-            .fold((k, -1.0), |acc, x| if x.1 > acc.1 { x } else { acc });
-        if pmax <= f64::EPSILON * n as f64 {
-            return Err(SingularMatrix { column: k });
-        }
-        if piv != k {
-            lu.swap_rows(piv, k);
-            perm.swap(piv, k);
-            swaps += 1;
-        }
-        let pivot = lu[(k, k)];
-        for i in k + 1..n {
-            let m = lu[(i, k)] / pivot;
-            lu[(i, k)] = m;
-            for j in k + 1..n {
-                let v = lu[(k, j)];
-                lu[(i, j)] -= m * v;
-            }
-        }
+        f.eliminate(k, n)?;
     }
-    Ok(LuFactors { lu, perm, swaps })
+    Ok(f)
 }
 
 /// Right-looking *blocked* LU with partial pivoting and panel width `b`.
@@ -152,43 +166,21 @@ pub fn lu_factor_blocked(a: &Matrix, b: usize) -> Result<LuFactors, SingularMatr
     assert!(a.is_square(), "lu_factor_blocked: matrix must be square");
     assert!(b > 0, "lu_factor_blocked: block size must be positive");
     let n = a.rows();
-    let mut lu = a.clone();
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut swaps = 0;
+    let mut f = LuFactors::start(a);
 
     let mut k = 0;
     while k < n {
         let kb = b.min(n - k);
         // --- Panel factorization (columns k..k+kb, rows k..n), unblocked.
         for col in k..k + kb {
-            let (piv, pmax) = (col..n)
-                .map(|i| (i, lu[(i, col)].abs()))
-                .fold((col, -1.0), |acc, x| if x.1 > acc.1 { x } else { acc });
-            if pmax <= f64::EPSILON * n as f64 {
-                return Err(SingularMatrix { column: col });
-            }
-            if piv != col {
-                // Pivots are applied across the full row (left and right of
-                // the panel), as in LAPACK's getrf.
-                lu.swap_rows(piv, col);
-                perm.swap(piv, col);
-                swaps += 1;
-            }
-            let pivot = lu[(col, col)];
-            for i in col + 1..n {
-                let m = lu[(i, col)] / pivot;
-                lu[(i, col)] = m;
-                for j in col + 1..k + kb {
-                    let v = lu[(col, j)];
-                    lu[(i, j)] -= m * v;
-                }
-            }
+            f.eliminate(col, k + kb)?;
         }
         if k + kb < n {
-            // --- U-panel update: solve L11 * U12 = A12.
-            let l11 = crate::tri::unit_lower_from_packed(&lu.block(k, k, kb, kb));
+            let lu = &mut f.lu;
+            // --- U-panel update: solve L11 * U12 = A12 (the unit solve
+            // reads only the strict lower triangle of the packed block).
             let a12 = lu.block(k, k + kb, kb, n - k - kb);
-            let u12 = solve_lower(&l11, &a12, true);
+            let u12 = solve_lower(&lu.block(k, k, kb, kb), &a12, true);
             lu.set_block(k, k + kb, &u12);
             // --- Trailing update: A22 -= L21 * U12.
             let l21 = lu.block(k + kb, k, n - k - kb, kb);
@@ -198,7 +190,7 @@ pub fn lu_factor_blocked(a: &Matrix, b: usize) -> Result<LuFactors, SingularMatr
         }
         k += kb;
     }
-    Ok(LuFactors { lu, perm, swaps })
+    Ok(f)
 }
 
 #[cfg(test)]

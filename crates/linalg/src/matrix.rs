@@ -147,7 +147,21 @@ impl Matrix {
 
     /// Returns the transposed matrix.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
+        // Copied in 8 x 8 tiles — one cache line of `f64` each way — so
+        // the eight strided lines a tile reads are used up before they
+        // can be evicted, whatever the row length.
+        const TILE: usize = 8;
+        let mut t = Matrix::zeros(self.cols, self.rows);
+        for i0 in (0..t.rows).step_by(TILE) {
+            for j0 in (0..t.cols).step_by(TILE) {
+                for i in i0..(i0 + TILE).min(t.rows) {
+                    for j in j0..(j0 + TILE).min(t.cols) {
+                        t.data[i * t.cols + j] = self.data[j * self.cols + i];
+                    }
+                }
+            }
+        }
+        t
     }
 
     /// Swap rows `a` and `b` in place.
@@ -155,9 +169,9 @@ impl Matrix {
         if a == b {
             return;
         }
-        for j in 0..self.cols {
-            self.data.swap(a * self.cols + j, b * self.cols + j);
-        }
+        let (lo, hi) = (a.min(b), a.max(b));
+        let (head, tail) = self.data.split_at_mut(hi * self.cols);
+        head[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
     }
 
     /// Extracts the sub-matrix of `nr x nc` starting at `(r0, c0)`.
@@ -169,7 +183,11 @@ impl Matrix {
             r0 + nr <= self.rows && c0 + nc <= self.cols,
             "block out of bounds"
         );
-        Matrix::from_fn(nr, nc, |i, j| self[(r0 + i, c0 + j)])
+        let mut data = Vec::with_capacity(nr * nc);
+        for i in r0..r0 + nr {
+            data.extend_from_slice(&self.row(i)[c0..c0 + nc]);
+        }
+        Matrix::from_vec(nr, nc, data)
     }
 
     /// Writes `b` into this matrix starting at `(r0, c0)`.
@@ -182,9 +200,7 @@ impl Matrix {
             "set_block out of bounds"
         );
         for i in 0..b.rows {
-            for j in 0..b.cols {
-                self[(r0 + i, c0 + j)] = b[(i, j)];
-            }
+            self.row_mut(r0 + i)[c0..c0 + b.cols].copy_from_slice(b.row(i));
         }
     }
 

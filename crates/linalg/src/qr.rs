@@ -2,7 +2,7 @@
 //! discussion in Section 3.2; its parallelization is "analogous" to LU).
 
 use crate::gemm::matmul;
-use crate::Matrix;
+use crate::{sub_scaled, Matrix};
 
 /// QR factorization `A = Q * R` of an `m x n` matrix with `m >= n`,
 /// computed with Householder reflections.
@@ -51,9 +51,10 @@ impl QrFactors {
         let mut q = Matrix::from_fn(m, n, |i, j| if i == j { 1.0 } else { 0.0 });
         // Accumulate H_0 H_1 ... H_{n-1} applied to the leading identity,
         // from the last reflector backwards.
+        let (mut v, mut w) = (vec![0.0; m], vec![0.0; n]);
         for k in (0..n).rev() {
-            let v = self.house_vector(k);
-            apply_reflector_left(&v, self.taus[k], &mut q, k);
+            self.house_vector(k, &mut v);
+            apply_reflector_left(&v, self.taus[k], &mut q, k, 0, &mut w);
         }
         q
     }
@@ -66,11 +67,12 @@ impl QrFactors {
 
     /// Applies `Q^T` to `b` (useful for least squares: solve `R x = (Q^T b)_[0..n]`).
     pub fn qt_mul(&self, b: &Matrix) -> Matrix {
-        let n = self.packed.cols();
+        let (m, n) = self.packed.shape();
         let mut x = b.clone();
+        let (mut v, mut w) = (vec![0.0; m], vec![0.0; x.cols()]);
         for k in 0..n {
-            let v = self.house_vector(k);
-            apply_reflector_left(&v, self.taus[k], &mut x, k);
+            self.house_vector(k, &mut v);
+            apply_reflector_left(&v, self.taus[k], &mut x, k, 0, &mut w);
         }
         x
     }
@@ -87,34 +89,37 @@ impl QrFactors {
         (0..n).map(|i| x[(i, 0)]).collect()
     }
 
-    /// Householder vector for reflector `k`: unit leading 1 followed by the
-    /// packed subdiagonal entries.
-    fn house_vector(&self, k: usize) -> Vec<f64> {
-        let m = self.packed.rows();
-        let mut v = vec![0.0; m];
+    /// Gathers the Householder vector of reflector `k` into `v[k..]`:
+    /// unit leading 1 followed by the packed subdiagonal entries.
+    fn house_vector(&self, k: usize, v: &mut [f64]) {
         v[k] = 1.0;
-        for i in k + 1..m {
+        for i in k + 1..self.packed.rows() {
             v[i] = self.packed[(i, k)];
         }
-        v
     }
 }
 
-/// Applies `H = I - tau v v^T` on the left to rows `k..m` of `x`.
-fn apply_reflector_left(v: &[f64], tau: f64, x: &mut Matrix, k: usize) {
+/// Applies `H = I - tau v v^T` on the left to rows `k..m`, columns
+/// `c0..` of `x`, as two sweeps along the rows of `x`: `w = v^T x`
+/// accumulated row by row (each `w[j]` still sums `v_i * x_ij` from 0.0
+/// for increasing `i`), then `x_i -= v_i * (tau w)`. `w` is scratch of
+/// `x.cols()` entries.
+fn apply_reflector_left(v: &[f64], tau: f64, x: &mut Matrix, k: usize, c0: usize, w: &mut [f64]) {
     if tau == 0.0 {
         return;
     }
-    let m = x.rows();
-    for j in 0..x.cols() {
-        let mut dot = 0.0;
-        for i in k..m {
-            dot += v[i] * x[(i, j)];
+    let w = &mut w[c0..];
+    w.fill(0.0);
+    for i in k..x.rows() {
+        for (wj, xij) in w.iter_mut().zip(&x.row(i)[c0..]) {
+            *wj += v[i] * xij;
         }
-        let s = tau * dot;
-        for i in k..m {
-            x[(i, j)] -= s * v[i];
-        }
+    }
+    for wj in w.iter_mut() {
+        *wj *= tau;
+    }
+    for i in k..x.rows() {
+        sub_scaled(&mut x.row_mut(i)[c0..], v[i], w);
     }
 }
 
@@ -127,39 +132,31 @@ pub fn qr_factor(a: &Matrix) -> QrFactors {
     assert!(m >= n, "qr_factor: need rows >= cols");
     let mut packed = a.clone();
     let mut taus = vec![0.0; n];
+    let (mut v, mut w) = (vec![0.0; m], vec![0.0; n]);
 
     for k in 0..n {
-        // Build the Householder reflector annihilating packed[k+1.., k].
+        // Build the Householder reflector annihilating packed[k+1.., k],
+        // from one gather of column k.
         let mut normx = 0.0;
         for i in k..m {
-            normx += packed[(i, k)] * packed[(i, k)];
+            v[i] = packed[(i, k)];
+            normx += v[i] * v[i];
         }
         normx = normx.sqrt();
         if normx == 0.0 {
-            taus[k] = 0.0;
             continue;
         }
-        let alpha = packed[(k, k)];
+        let alpha = v[k];
         let beta = -alpha.signum() * normx;
         let tau = (beta - alpha) / beta;
         let scale = alpha - beta; // v = x - beta e1, normalized so v[k] = 1
-        let mut v = vec![0.0; m];
         v[k] = 1.0;
-        for i in k + 1..m {
-            v[i] = packed[(i, k)] / scale;
+        for vi in &mut v[k + 1..] {
+            *vi /= scale;
         }
         // Apply H to the trailing columns k..n only: columns to the left
         // hold earlier Householder vectors and must not be touched.
-        for j in k..n {
-            let mut dot = 0.0;
-            for i in k..m {
-                dot += v[i] * packed[(i, j)];
-            }
-            let s = tau * dot;
-            for i in k..m {
-                packed[(i, j)] -= s * v[i];
-            }
-        }
+        apply_reflector_left(&v, tau, &mut packed, k, k, &mut w);
         packed[(k, k)] = beta;
         // Store v below the diagonal.
         for i in k + 1..m {

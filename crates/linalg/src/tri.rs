@@ -1,11 +1,12 @@
 //! Triangular solves (the `trsm`-style kernels used by the right-looking
 //! LU factorization of Section 3.2).
 
-use crate::Matrix;
+use crate::{sub_scaled, Matrix};
 
-/// Solves `L * X = B` where `L` is lower triangular (only the lower part
-/// of `l` is read). If `unit_diagonal` is set, the diagonal is taken as 1
-/// and not read.
+/// Solves `L * X = B` where `L` is lower triangular. Only the lower
+/// part of `l` is read, and with `unit_diagonal` set the diagonal is
+/// taken as 1 and not read either — so a packed LU block can be passed
+/// as it is.
 ///
 /// # Panics
 /// Panics if `l` is not square or the shapes do not match.
@@ -14,22 +15,20 @@ pub fn solve_lower(l: &Matrix, b: &Matrix, unit_diagonal: bool) -> Matrix {
     assert!(l.is_square(), "solve_lower: L must be square");
     assert_eq!(b.rows(), n, "solve_lower: B row mismatch");
     let mut x = b.clone();
+    let cols = x.cols();
     for i in 0..n {
-        for k in 0..i {
-            let lik = l[(i, k)];
+        let (above, rest) = x.as_mut_slice().split_at_mut(i * cols);
+        let xi = &mut rest[..cols];
+        for (k, &lik) in l.row(i)[..i].iter().enumerate() {
             if lik != 0.0 {
-                // x.row(i) -= lik * x.row(k); split borrow via index math.
-                for j in 0..x.cols() {
-                    let v = x[(k, j)];
-                    x[(i, j)] -= lik * v;
-                }
+                sub_scaled(xi, lik, &above[k * cols..(k + 1) * cols]);
             }
         }
         if !unit_diagonal {
             let d = l[(i, i)];
             assert!(d != 0.0, "solve_lower: zero diagonal at {}", i);
-            for j in 0..x.cols() {
-                x[(i, j)] /= d;
+            for v in xi {
+                *v /= d;
             }
         }
     }
@@ -46,20 +45,19 @@ pub fn solve_upper(u: &Matrix, b: &Matrix) -> Matrix {
     assert!(u.is_square(), "solve_upper: U must be square");
     assert_eq!(b.rows(), n, "solve_upper: B row mismatch");
     let mut x = b.clone();
+    let cols = x.cols();
     for i in (0..n).rev() {
-        for k in i + 1..n {
-            let uik = u[(i, k)];
+        let (head, below) = x.as_mut_slice().split_at_mut((i + 1) * cols);
+        let xi = &mut head[i * cols..];
+        for (k, &uik) in u.row(i)[i + 1..].iter().enumerate() {
             if uik != 0.0 {
-                for j in 0..x.cols() {
-                    let v = x[(k, j)];
-                    x[(i, j)] -= uik * v;
-                }
+                sub_scaled(xi, uik, &below[k * cols..(k + 1) * cols]);
             }
         }
         let d = u[(i, i)];
         assert!(d != 0.0, "solve_upper: zero diagonal at {}", i);
-        for j in 0..x.cols() {
-            x[(i, j)] /= d;
+        for v in xi {
+            *v /= d;
         }
     }
     x
@@ -67,13 +65,29 @@ pub fn solve_upper(u: &Matrix, b: &Matrix) -> Matrix {
 
 /// Solves `X * U = B` for `X` where `U` is upper triangular — the
 /// "right-side trsm" used to update the `U` panel in right-looking LU.
+/// Only the upper part of `u` is read, so a packed LU block can be
+/// passed as it is.
 ///
 /// # Panics
 /// Panics if `u` is not square, shapes mismatch, or a diagonal entry is 0.
 pub fn solve_right_upper(u: &Matrix, b: &Matrix) -> Matrix {
-    // X * U = B  <=>  U^T * X^T = B^T, with U^T lower triangular.
-    let xt = solve_lower(&u.transpose(), &b.transpose(), false);
-    xt.transpose()
+    let n = u.rows();
+    assert!(u.is_square(), "solve_right_upper: U must be square");
+    assert_eq!(b.cols(), n, "solve_right_upper: B column mismatch");
+    let mut x = b.clone();
+    // Column k of X is final once divided by u_kk; its multiple of row k
+    // of U then leaves every later column, one row of X at a time.
+    for k in 0..n {
+        let (d, uk) = (u[(k, k)], &u.row(k)[k + 1..]);
+        assert!(d != 0.0, "solve_right_upper: zero diagonal at {}", k);
+        for i in 0..x.rows() {
+            let xi = x.row_mut(i);
+            xi[k] /= d;
+            let xik = xi[k];
+            sub_scaled(&mut xi[k + 1..], xik, uk);
+        }
+    }
+    x
 }
 
 /// Extracts the lower-triangular factor with unit diagonal from a packed
@@ -161,6 +175,56 @@ mod tests {
         let b = matmul(&x0, &u);
         let x = solve_right_upper(&u, &b);
         assert!(x.approx_eq(&x0, 1e-9));
+    }
+
+    /// What lets `exec::lu` pass a packed diagonal block to both of its
+    /// solves: each reads its own triangle and nothing else.
+    #[test]
+    fn solves_ignore_the_other_triangle() {
+        let l = lower(5);
+        let u = l.transpose();
+        let b = Matrix::from_fn(5, 5, |i, j| (i * 5 + j) as f64 - 7.0);
+        let poison = |m: &Matrix, poisoned: fn(usize, usize) -> bool| {
+            Matrix::from_fn(
+                5,
+                5,
+                |i, j| if poisoned(i, j) { f64::NAN } else { m[(i, j)] },
+            )
+        };
+        let strict_lower = |i, j| i > j;
+        let upper_and_diagonal = |i, j| i <= j;
+        assert_eq!(
+            solve_right_upper(&poison(&u, strict_lower), &b),
+            solve_right_upper(&u, &b)
+        );
+        assert_eq!(
+            solve_upper(&poison(&u, strict_lower), &b),
+            solve_upper(&u, &b)
+        );
+        assert_eq!(
+            solve_lower(&poison(&l, upper_and_diagonal), &b, true),
+            solve_lower(&l, &b, true)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "solve_right_upper: B column mismatch")]
+    fn solve_right_upper_rejects_wrong_column_count() {
+        solve_right_upper(&lower(3).transpose(), &Matrix::zeros(3, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "solve_right_upper: zero diagonal")]
+    fn solve_right_upper_rejects_singular_u() {
+        let mut u = lower(3).transpose();
+        u[(1, 1)] = 0.0;
+        solve_right_upper(&u, &Matrix::zeros(2, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "solve_right_upper: U must be square")]
+    fn solve_right_upper_rejects_non_square_u() {
+        solve_right_upper(&Matrix::zeros(3, 2), &Matrix::zeros(2, 2));
     }
 
     #[test]

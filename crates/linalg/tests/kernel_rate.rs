@@ -1,0 +1,72 @@
+//! The paper's model has one cycle-time per processor — "time to update
+//! one `r x r` block" — whatever the block operation, so the Householder
+//! kernels must run within sight of GEMM's rate. Absolute times depend
+//! on the machine; seconds-per-flop relative to `gemm` on the same core
+//! in the same process does not, so unlike every other timing it can be
+//! gated on — in a release build only:
+//!
+//! ```text
+//! cargo test --release -p hetgrid-linalg --test kernel_rate -- --ignored
+//! ```
+
+use hetgrid_linalg::gemm::gemm;
+use hetgrid_linalg::qr::qr_factor;
+use hetgrid_linalg::Matrix;
+use std::hint::black_box;
+use std::time::Instant;
+
+/// Fastest of 15 runs, in seconds per flop: scheduler and cache noise
+/// only ever add time.
+fn seconds_per_flop(flops: f64, mut f: impl FnMut()) -> f64 {
+    f();
+    (0..15)
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64() / flops
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+#[test]
+#[ignore = "a timing: meaningful only with --release"]
+fn householder_kernels_run_within_10x_of_gemm() {
+    let (r, m) = (128, 512);
+    let mut state = 0x5EED_u64;
+    let mut dense = |rows: usize| {
+        Matrix::from_fn(rows, r, |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
+        })
+    };
+    let (a, b, tall, rhs) = (dense(r), dense(r), dense(m), dense(m));
+    let mut c = Matrix::zeros(r, r);
+    let factors = qr_factor(&tall);
+    let (rf, mf) = (r as f64, m as f64);
+
+    let gemm_spf = seconds_per_flop(2.0 * rf * rf * rf, || {
+        gemm(-1.0, black_box(&a), black_box(&b), 1.0, &mut c)
+    });
+    let factor_spf = seconds_per_flop(2.0 * rf * rf * (mf - rf / 3.0), || {
+        black_box(qr_factor(black_box(&tall)));
+    });
+    let apply_spf = seconds_per_flop(4.0 * mf * rf * rf, || {
+        black_box(factors.qt_mul(black_box(&rhs)));
+    });
+
+    for (name, spf) in [("qr_factor", factor_spf), ("qt_mul", apply_spf)] {
+        let ratio = spf / gemm_spf;
+        println!(
+            "{name} {m}x{r}: {:.2} GFLOP/s, {ratio:.1}x gemm's seconds per flop",
+            1e-9 / spf
+        );
+        assert!(
+            ratio <= 10.0,
+            "{name} {m}x{r} takes {ratio:.1}x gemm's seconds per flop (budget: 10x; \
+             gemm runs at {:.1} GFLOP/s here)",
+            1e-9 / gemm_spf
+        );
+    }
+}
