@@ -88,6 +88,7 @@ fn print_usage() {
     println!("             --lookahead 0 forces strict in-order step execution)");
     println!("             [--crash P@S]  kill processor P at step S, then recover from the");
     println!("             checkpoint log on the re-solved survivor grid and verify the result");
+    println!("             (grid topology only)");
     println!("             [--flight-recorder [FILE]]  keep the last spans per thread in a");
     println!("             crash ring (even with tracing off) and dump a Chrome trace on");
     println!("             faults and at run end (default FILE: hetgrid-flight.json)");
@@ -651,17 +652,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         n
     );
 
-    // `--flight-recorder [FILE]` arms the always-on crash ring: spans
-    // are retained per thread (last 4096) even with tracing export
-    // off, and dumped as a Chrome trace when a fault path fires (peer
-    // drop, watchdog, recovery epoch) and again when the run ends.
-    let flight = args.flag("flight-recorder") || args.get("flight-recorder").is_some();
-    if flight {
-        let path = args.get("flight-recorder").unwrap_or("hetgrid-flight.json");
-        hetgrid_obs::trace::set_flight(true);
-        hetgrid_obs::flight::arm(path);
-    }
-
+    let flight = arm_flight(args);
     let session = ObsSession::begin(args);
     let inputs = kernel_inputs(kernel, &mut StdRng::seed_from_u64(seed), n);
     let refs: Vec<&hetgrid_linalg::Matrix> = inputs.iter().collect();
@@ -730,7 +721,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
             n
         ),
     }
-    println!("lookahead depth  : {}", lookahead_line(report, cfg));
+    println!("lookahead depth  : {}", report.lookahead);
     println!("wall time        : {:.4} s", report.wall_seconds);
     println!("{}", residual);
     println!("messages sent    : {}", report.total_messages());
@@ -744,13 +735,6 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     }
     finish_flight(flight);
     Ok(())
-}
-
-/// The depth the run actually used next to the one asked for: LU's
-/// skew clamp can force the in-order schedule whatever `--lookahead`
-/// says.
-fn lookahead_line(report: &hetgrid_exec::ExecReport, cfg: hetgrid_exec::ExecConfig) -> String {
-    format!("{} (requested {})", report.lookahead, cfg.lookahead)
 }
 
 /// The line verifying a run's result against the sequential reference:
@@ -810,6 +794,16 @@ fn cmd_run_star(args: &Args) -> Result<(), String> {
             kernel
         ));
     }
+    // Recovery re-solves the survivor *grid* and resumes a grid plan
+    // from the checkpoint log; the star executor has neither, so a
+    // requested crash must not be dropped in silence.
+    if args.get("crash").is_some() || args.flag("crash") {
+        return Err(
+            "--crash is not supported on the star topology: crash recovery is grid-only \
+             (drop --topology star to inject and recover a crash)"
+                .into(),
+        );
+    }
     let workers: usize = args.get_parse("workers", 4)?;
     let worker_mem: usize = args.get_parse("worker-mem", 7)?;
     if workers == 0 {
@@ -845,6 +839,7 @@ fn cmd_run_star(args: &Args) -> Result<(), String> {
         n
     );
 
+    let flight = arm_flight(args);
     let session = ObsSession::begin(args);
     let mut rng = StdRng::seed_from_u64(seed);
     let a = general_matrix(&mut rng, n, n);
@@ -877,7 +872,7 @@ fn cmd_run_star(args: &Args) -> Result<(), String> {
         "tile side mu     : {}",
         hetgrid_plan::star_tile_side(worker_mem)
     );
-    println!("lookahead depth  : {}", lookahead_line(&report, cfg));
+    println!("lookahead depth  : {}", report.lookahead);
     println!("wall time        : {:.4} s", report.wall_seconds);
     println!("{}", residual);
     println!(
@@ -894,7 +889,23 @@ fn cmd_run_star(args: &Args) -> Result<(), String> {
     for row in &report.work_units {
         println!("  {:?}", row);
     }
+    finish_flight(flight);
     Ok(())
+}
+
+/// `--flight-recorder [FILE]` arms the always-on crash ring: spans are
+/// retained per thread (last 4096) even with tracing export off, and
+/// dumped as a Chrome trace when a fault path fires (peer drop,
+/// watchdog, recovery epoch) and again when the run ends. Returns
+/// whether it was armed, for [`finish_flight`].
+fn arm_flight(args: &Args) -> bool {
+    let armed = args.flag("flight-recorder") || args.get("flight-recorder").is_some();
+    if armed {
+        let path = args.get("flight-recorder").unwrap_or("hetgrid-flight.json");
+        hetgrid_obs::trace::set_flight(true);
+        hetgrid_obs::flight::arm(path);
+    }
+    armed
 }
 
 /// End-of-run flight dump: re-dumps the rings so the file on disk

@@ -251,17 +251,15 @@ fn run_executes_all_kernels() {
     assert!(stderr.contains("unknown kernel"));
 }
 
-/// The lookahead line reports the depth the executor ran at, not the
-/// flag: LU's skew clamp forces depth 0 on the {1,2,3,5} grid (max
-/// weight >= 4x min), while MM on the same grid and LU on a mild grid
-/// keep the requested window.
+/// The executor runs at the depth it is asked for, LU on the skewed
+/// {1,2,3,5} grid included, and the report says so.
 #[test]
 fn run_reports_effective_lookahead() {
-    let depth_line = |times: &str, kernel: &str| {
+    for (kernel, depth) in [("lu", "0"), ("lu", "2"), ("lu", "3"), ("mm", "2")] {
         let (ok, stdout, stderr) = run(&[
             "run",
             "--times",
-            times,
+            "1,2,3,5",
             "--grid",
             "2x2",
             "--kernel",
@@ -271,27 +269,46 @@ fn run_reports_effective_lookahead() {
             "--block",
             "4",
             "--lookahead",
-            "2",
+            depth,
         ]);
-        assert!(ok, "{kernel} on {times} failed: {stderr}");
-        stdout
-            .lines()
-            .find(|l| l.starts_with("lookahead depth"))
-            .unwrap_or_else(|| panic!("no lookahead line in: {stdout}"))
-            .to_string()
-    };
-    assert_eq!(
-        depth_line("1,2,3,5", "lu"),
-        "lookahead depth  : 0 (requested 2)"
-    );
-    assert_eq!(
-        depth_line("1,2,3,5", "mm"),
-        "lookahead depth  : 2 (requested 2)"
-    );
-    assert_eq!(
-        depth_line("1,2,2,3", "lu"),
-        "lookahead depth  : 2 (requested 2)"
-    );
+        assert!(ok, "{kernel} at depth {depth} failed: {stderr}");
+        let line = stdout.lines().find(|l| l.starts_with("lookahead depth"));
+        assert_eq!(
+            line,
+            Some(format!("lookahead depth  : {depth}").as_str()),
+            "{kernel}: {stdout}"
+        );
+    }
+}
+
+/// Crash recovery is grid-only: asking for a crash on the star must
+/// fail loudly, not print a clean residual as if one had been injected
+/// and recovered. The flight recorder works on both topologies.
+#[test]
+fn star_rejects_crash_and_arms_the_flight_recorder() {
+    let star = [
+        "run",
+        "--topology",
+        "star",
+        "--workers",
+        "2",
+        "--worker-mem",
+        "4",
+        "--nb",
+        "4",
+        "--block",
+        "4",
+    ];
+    let (ok, stdout, stderr) = run(&[&star[..], &["--crash", "1@2"]].concat());
+    assert!(!ok && stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("error: --crash is not supported on the star topology"));
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    let flight = TmpFile::new("star-flight.json");
+    let (ok, stdout, stderr) = run(&[&star[..], &["--flight-recorder", flight.path()]].concat());
+    assert!(ok, "{stderr}");
+    assert!(stdout.contains("max |C - A*B|"), "{stdout}");
+    hetgrid_obs::json::parse(&flight.read()).expect("flight dump must be valid JSON");
 }
 
 #[test]

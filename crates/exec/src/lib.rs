@@ -14,7 +14,7 @@
 //!
 //! ## Architecture: plan interpretation
 //!
-//! Each kernel is an *interpreter* of the shared step-plan IR from
+//! Each kernel is an *interpretation* of the shared step-plan IR from
 //! `hetgrid-plan`: the plan generator turns a
 //! [`hetgrid_dist::BlockDist`] into an ordered stream of typed steps
 //! whose broadcast lists name exactly who sends which block to whom,
@@ -35,11 +35,14 @@
 //! `ExecConfig::default()`, `hetgrid-harness` swaps in a seeded
 //! fault-injecting virtual transport for deterministic simulation
 //! testing. The scatter → spawn → journal → gather sequence is written
-//! once (`run::run_seg`); a kernel contributes only its interpreter —
-//! iterate the plan steps, send along the plan's broadcast lists, wait
-//! on the plan's receive sets, run block kernels — on the shared
-//! `step` machinery (one wire format, one pending-message buffer, one
-//! slowdown clock, one spawn/collect driver).
+//! once (`run::run_seg`), on the shared `step` machinery (one wire
+//! format carrying one payload type, `Arc<Matrix>`; one pending-message
+//! buffer, one slowdown clock, one spawn/collect driver). MM, LU and
+//! Cholesky have the paper's one shape — broadcast panel blocks, then
+//! update owned blocks — so each contributes only an *emitter* that
+//! lowers a plan step into block kernels on owned blocks and
+//! broadcasts of owned blocks, and one interpreter (`grid`) runs them
+//! all; QR's fan-in panels keep an interpreter of their own.
 //!
 //! * MM is the outer-product `C = A * B`, LU is right-looking without
 //!   pivoting (use diagonally dominant inputs), Cholesky factors SPD
@@ -61,7 +64,7 @@
 //!   `BlockDist`;
 //! * [`store`] — scatter/gather and the [`store::ExecReport`]
 //!   measurements (busy time, weighted work, imbalance, the lookahead
-//!   depth the run actually used);
+//!   depth the run used);
 //! * [`transport`] — the pluggable message-transport trait.
 //!
 //! ## Failure semantics
@@ -88,6 +91,7 @@
 
 pub mod channel;
 mod cholesky;
+mod grid;
 mod lu;
 mod mm;
 pub mod pool;

@@ -1,32 +1,26 @@
 //! Threaded distributed outer-product matrix multiplication: the
-//! [`hetgrid_plan::mm_rect_plan`] step stream interpreted over real
-//! threads (horizontal broadcasts of the pivot block column of `A`,
-//! vertical broadcasts of the pivot block row of `B`, Section 3.1.1).
-//! Heterogeneity is emulated by integer *slowdown weights*: processor
-//! `(i, j)` repeats every block kernel `w_ij` times.
+//! [`hetgrid_plan::mm_rect_plan`] step stream lowered for
+//! [`crate::grid`] (horizontal broadcasts of the pivot block column of
+//! `A`, vertical broadcasts of the pivot block row of `B`, Section
+//! 3.1.1). Heterogeneity is emulated by integer *slowdown weights*:
+//! processor `(i, j)` repeats every block kernel `w_ij` times.
 //!
 //! Under the lookahead driver each step is two actions: a critical
-//! `MmSend` (no dependencies — the pivot panels of step `k + 1` can go
-//! out while step `k`'s update still runs) and one `MmUpdate` touching
-//! every owned C block, so updates of consecutive steps stay in order
-//! per block while communication overlaps compute.
+//! `bcast` (no dependencies — the pivot panels of step `k + 1` can go
+//! out while step `k`'s update still runs) and one `compute` with a
+//! GEMM per owned C block, so updates of consecutive steps stay in
+//! order per block while communication overlaps compute.
 
-use crate::pool::PoolClone;
-use crate::step::{block_bytes, Action, Courier, Op, StepInterp, WorkClock};
-use crate::store::BlockStore;
-use crate::transport::Closed;
-use hetgrid_linalg::gemm::gemm;
-use hetgrid_linalg::Matrix;
-use hetgrid_plan::{Plan, Step};
-use std::sync::Arc;
-use std::time::Instant;
+use crate::grid::{self, Kern, Send, Src, Work};
+use crate::step::Action;
+use hetgrid_plan::Step;
 
-/// Message tags: a block of `A` or of `B`. Payloads are `Arc`-shared: a
-/// broadcast clones the block once and each recipient only bumps the
-/// refcount, so fanning a pivot block out to a whole row or column of
-/// the grid costs one deep copy, not one per destination.
+/// Message tags: a block of `A` or of `B`.
 const TAG_A: u8 = 0;
 const TAG_B: u8 = 1;
+/// Store namespaces of the read-only operands ([`Src::Own`]).
+const NS_A: u8 = 1;
+const NS_B: u8 = 2;
 
 /// One processor's MM actions for `step`: a critical dependency-free
 /// broadcast of its pivot panel blocks, then one update of every owned
@@ -41,179 +35,55 @@ pub(crate) fn mm_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
         panic!("run_mm: non-MM step in plan")
     };
     let k = *k;
+    let sends: Vec<Send> = [(TAG_A, NS_A, a_bcasts), (TAG_B, NS_B, b_bcasts)]
+        .into_iter()
+        .flat_map(|(tag, ns, bcasts)| {
+            bcasts
+                .iter()
+                .filter(|bc| bc.src == my && !bc.dests.is_empty())
+                .map(move |bc| Send::of(tag, ns, bc.block, &bc.dests))
+        })
+        .collect();
     let mut out = Vec::new();
-    if [a_bcasts, b_bcasts]
-        .iter()
-        .any(|bcs| bcs.iter().any(|bc| bc.src == my && !bc.dests.is_empty()))
-    {
-        out.push(Action {
-            step: k,
-            op: Op::MmSend,
-            blk: (k, k),
-            crit: true,
-            needs: vec![],
-            // A/B panel blocks are never written; no conflicts to track.
-            reads: vec![],
-            writes: vec![],
-        });
+    if !sends.is_empty() {
+        let span = Some("bcast");
+        out.push(grid::action(k, span, (k, k), true, vec![], sends));
     }
     if !owned.is_empty() {
-        out.push(Action {
-            step: k,
-            op: Op::MmUpdate,
-            blk: (k, k),
-            crit: false,
-            needs: a_bcasts
-                .iter()
-                .filter(|bc| bc.dests.contains(&my))
-                .map(|bc| (k, TAG_A, bc.block))
-                .chain(
-                    b_bcasts
-                        .iter()
-                        .filter(|bc| bc.dests.contains(&my))
-                        .map(|bc| (k, TAG_B, bc.block)),
-                )
-                .collect(),
-            reads: vec![],
-            writes: owned.iter().map(|&(bi, bj)| (0, bi, bj)).collect(),
-        });
+        // The plan lists block `(bi, k)` of `A` at `a_bcasts[bi]` and
+        // `(k, bj)` of `B` at `b_bcasts[bj]`, each with its owner.
+        let work = owned
+            .iter()
+            .map(|&(bi, bj)| {
+                let ins = vec![
+                    Src::of(a_bcasts[bi].src == my, NS_A, (bi, k), k, TAG_A),
+                    Src::of(b_bcasts[bj].src == my, NS_B, (k, bj), k, TAG_B),
+                ];
+                Work::on(Kern::Gemm(1.0), ins, (bi, bj))
+            })
+            .collect();
+        out.push(grid::action(
+            k,
+            Some("compute"),
+            (k, k),
+            false,
+            work,
+            vec![],
+        ));
     }
     out
 }
 
-/// One processor's MM worker: its read-only `A`/`B` blocks and the `C`
-/// blocks it accumulates into (`c_blocks` starts as the epoch baseline —
-/// zeros for a fresh run, the checkpointed state when resuming).
-pub(crate) struct MmInterp<'a> {
-    plan: &'a Plan,
-    my: (usize, usize),
-    owned: &'a [(usize, usize)],
-    my_a: &'a BlockStore,
-    my_b: &'a BlockStore,
-    c_blocks: BlockStore,
-    scratch: Matrix,
-    block_bytes: u64,
-}
-
-impl<'a> MmInterp<'a> {
-    pub(crate) fn new(
-        plan: &'a Plan,
-        my: (usize, usize),
-        owned: &'a [(usize, usize)],
-        my_a: &'a BlockStore,
-        my_b: &'a BlockStore,
-        c_blocks: BlockStore,
-        r: usize,
-    ) -> Self {
-        MmInterp {
-            plan,
-            my,
-            owned,
-            my_a,
-            my_b,
-            c_blocks,
-            scratch: Matrix::zeros(r, r),
-            block_bytes: block_bytes(r),
-        }
-    }
-}
-
-impl StepInterp for MmInterp<'_> {
-    type P = Arc<Matrix>;
-
-    fn n_steps(&self) -> usize {
-        self.plan.steps.len()
-    }
-
-    fn emit(&self, k: usize, out: &mut Vec<Action>) {
-        out.extend(mm_actions(&self.plan.steps[k], self.my, self.owned));
-    }
-
-    fn peek(&self, blk: (usize, usize)) -> Option<&Matrix> {
-        self.c_blocks.get(&blk)
-    }
-
-    fn into_store(self) -> BlockStore {
-        self.c_blocks
-    }
-
-    fn execute(
-        &mut self,
-        a: &Action,
-        courier: &mut Courier<Arc<Matrix>>,
-        clock: &mut WorkClock,
-    ) -> Result<(), Closed> {
-        let Step::Mm {
-            k,
-            a_bcasts,
-            b_bcasts,
-        } = &self.plan.steps[a.step]
-        else {
-            unreachable!("emit checked the step kind")
-        };
-        let k = *k;
-        match a.op {
-            Op::MmSend => {
-                let mut bcast_span = courier.span_with(|| format!("bcast {k}"));
-                let sent_before = courier.sent();
-                for (tag, bcasts) in [(TAG_A, a_bcasts), (TAG_B, b_bcasts)] {
-                    for bc in bcasts {
-                        if bc.src != self.my || bc.dests.is_empty() {
-                            continue;
-                        }
-                        let store = if tag == TAG_A { self.my_a } else { self.my_b };
-                        // One pool-backed copy; recipients share it via
-                        // the Arc and the last drop reshelves it.
-                        let payload = Arc::new(store[&bc.block].pool_clone(courier.pool_mut()));
-                        courier.bcast(&bc.dests, k, tag, bc.block, &payload, self.block_bytes)?;
-                    }
-                }
-                if let Some(g) = bcast_span.as_mut() {
-                    g.arg_u64("msgs", courier.sent() - sent_before);
-                }
-            }
-            Op::MmUpdate => {
-                let mut compute_span = courier.span_with(|| format!("compute {k}"));
-                let units_before = clock.units;
-                let t0 = Instant::now();
-                for &(bi, bj) in self.owned {
-                    let ablk: &Matrix = match self.my_a.get(&(bi, k)) {
-                        Some(m) => m,
-                        None => courier.get(k, TAG_A, (bi, k)),
-                    };
-                    let bblk: &Matrix = match self.my_b.get(&(k, bj)) {
-                        Some(m) => m,
-                        None => courier.get(k, TAG_B, (k, bj)),
-                    };
-                    let c = self.c_blocks.get_mut(&(bi, bj)).expect("C block missing");
-                    gemm(1.0, ablk, bblk, 1.0, c);
-                    for _ in 1..clock.weight() {
-                        gemm(1.0, ablk, bblk, 0.0, &mut self.scratch);
-                    }
-                    clock.charge(1);
-                }
-                clock.add_busy(t0.elapsed().as_secs_f64());
-                courier.step_done(t0.elapsed().as_secs_f64());
-                if let Some(g) = compute_span.as_mut() {
-                    g.arg_u64("units", clock.units - units_before);
-                }
-            }
-            op => unreachable!("non-MM action {op:?} in MM plan"),
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::testutil::{dense, uniform};
+    use crate::testutil::{dense, lookahead_cases, uniform};
     use crate::{
         run_mm_on_cfg, run_mm_rect_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport,
     };
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
+    use hetgrid_linalg::Matrix;
 
     fn run_mm(
         a: &Matrix,
@@ -279,23 +149,25 @@ mod tests {
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]]);
         let sol = exact::solve_arrangement(&arr);
         let dist = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Contiguous);
-        let nb = 8;
-        let r = 2;
-        let a = dense(nb * r, nb * r, 11);
-        let b = dense(nb * r, nb * r, 12);
-        let w = crate::store::slowdown_weights(&arr);
+        let mut cases = lookahead_cases();
+        cases.push((Box::new(dist), crate::store::slowdown_weights(&arr), 8, 2));
         let t = ChannelTransport;
-        let run = |lookahead| {
-            run_mm_on_cfg(&t, &a, &b, &dist, nb, r, &w, ExecConfig { lookahead })
-                .unwrap()
-                .0
-        };
-        let inorder = run(0);
-        for depth in [1, 3] {
-            assert!(
-                run(depth).approx_eq(&inorder, 0.0),
-                "depth {depth} diverged from in-order"
-            );
+        for (dist, w, nb, r) in cases {
+            let a = dense(nb * r, nb * r, 11);
+            let b = dense(nb * r, nb * r, 12);
+            let run = |lookahead| {
+                let cfg = ExecConfig { lookahead };
+                run_mm_on_cfg(&t, &a, &b, dist.as_ref(), nb, r, &w, cfg)
+                    .unwrap()
+                    .0
+            };
+            let inorder = run(0);
+            for depth in 1..=3 {
+                assert!(
+                    run(depth).approx_eq(&inorder, 0.0),
+                    "nb {nb} r {r} depth {depth} diverged from in-order"
+                );
+            }
         }
     }
 

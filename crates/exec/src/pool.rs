@@ -1,12 +1,13 @@
 //! Scratch/receive buffer pooling for the step driver's hot path.
 //!
-//! Every broadcast used to clone its payload per destination and every
-//! retired step dropped its received block buffers on the floor; with
-//! the lookahead driver keeping more messages in flight, that
-//! allocation churn would grow with the window. [`BufferPool`] shelves
-//! retired [`Matrix`] buffers by shape so the next same-shaped clone or
-//! receive staging reuses the allocation, and [`PoolClone`] is the
-//! pool-aware replacement for `clone()` on payload types.
+//! Every wire payload is an `Arc<Matrix>`: a broadcast makes one copy
+//! of the block ([`BufferPool::dup`]) and every destination only bumps
+//! the refcount; whoever drops the last reference
+//! ([`BufferPool::retire`]) reshelves the buffer — a receiver, since
+//! the sender's own reference travels in its last message. The pool
+//! shelves retired [`Matrix`] buffers by shape so the next same-shaped
+//! copy or receive staging reuses the allocation instead of growing
+//! the churn with the lookahead window.
 //!
 //! The pool is strictly thread-local (one per worker's
 //! [`Courier`](crate::step::Courier)): no locks, no cross-thread
@@ -64,6 +65,23 @@ impl BufferPool {
         }
     }
 
+    /// A shareable pool-backed copy of `m`: the one deep copy a send or
+    /// broadcast makes, whatever its fan-out.
+    pub fn dup(&mut self, m: &Matrix) -> Arc<Matrix> {
+        let (rows, cols) = m.shape();
+        let mut copy = self.take(rows, cols);
+        copy.copy_from(m);
+        Arc::new(copy)
+    }
+
+    /// Drops one reference to a shared payload; the last holder gets
+    /// the buffer back onto its shelf.
+    pub fn retire(&mut self, payload: Arc<Matrix>) {
+        if let Ok(m) = Arc::try_unwrap(payload) {
+            self.put(m);
+        }
+    }
+
     /// Takes met from the shelf so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -72,45 +90,6 @@ impl BufferPool {
     /// Takes that had to allocate.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-}
-
-/// Pool-aware duplication and retirement for message payload types —
-/// the replacement for the `payload.clone()` per broadcast destination
-/// and the silent drop of consumed receive buffers.
-pub trait PoolClone: Sized {
-    /// Duplicates `self`, drawing any backing buffer from `pool`.
-    fn pool_clone(&self, pool: &mut BufferPool) -> Self;
-    /// Retires `self`, returning any exclusively-owned backing buffer
-    /// to `pool`.
-    fn reclaim(self, pool: &mut BufferPool);
-}
-
-impl PoolClone for Matrix {
-    fn pool_clone(&self, pool: &mut BufferPool) -> Self {
-        let (r, c) = self.shape();
-        let mut m = pool.take(r, c);
-        m.copy_from(self);
-        m
-    }
-
-    fn reclaim(self, pool: &mut BufferPool) {
-        pool.put(self);
-    }
-}
-
-impl PoolClone for Arc<Matrix> {
-    fn pool_clone(&self, _pool: &mut BufferPool) -> Self {
-        // Arc payloads are shared, not copied; nothing to pool on the
-        // way out.
-        Arc::clone(self)
-    }
-
-    fn reclaim(self, pool: &mut BufferPool) {
-        // Only the last holder gets the buffer back.
-        if let Ok(m) = Arc::try_unwrap(self) {
-            pool.put(m);
-        }
     }
 }
 
@@ -132,24 +111,24 @@ mod tests {
     }
 
     #[test]
-    fn pool_clone_matrix_is_bitwise_equal() {
+    fn dup_is_bitwise_equal() {
         let mut pool = BufferPool::new();
         pool.put(Matrix::filled(2, 2, 9.0)); // stale shelf entry
         let src = Matrix::from_fn(2, 2, |i, j| (i * 2 + j) as f64);
-        let dup = src.pool_clone(&mut pool);
+        let dup = pool.dup(&src);
         assert!(dup.approx_eq(&src, 0.0));
         assert_eq!(pool.hits(), 1);
     }
 
     #[test]
-    fn arc_reclaim_recovers_buffer_only_when_unique() {
+    fn retire_recovers_buffer_only_when_unique() {
         let mut pool = BufferPool::new();
         let a = Arc::new(Matrix::zeros(4, 4));
         let b = Arc::clone(&a);
-        a.reclaim(&mut pool);
+        pool.retire(a);
         assert_eq!(pool.take(4, 4).shape(), (4, 4));
         assert_eq!(pool.misses(), 1, "shared Arc must not be shelved");
-        b.reclaim(&mut pool);
+        pool.retire(b);
         pool.take(4, 4);
         assert_eq!(pool.hits(), 1, "unique Arc returns its buffer");
     }

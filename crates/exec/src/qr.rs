@@ -24,59 +24,26 @@
 //! `R` on and above, with the Householder scalars (`nb * r` of them,
 //! panel-major) alongside. [`qr_unpack`] rebuilds `(Q, R)` from both.
 
-use crate::pool::{BufferPool, PoolClone};
-use crate::step::{block_bytes, Action, Courier, Op, StepInterp, WorkClock};
+use crate::step::{Action, Courier, Op, StepInterp, WorkClock};
 use crate::store::BlockStore;
 use crate::transport::Closed;
 use hetgrid_linalg::qr::{qr_factor, QrFactors};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Message tags: panel fan-in, reflector segment scatter-back, packed
 /// panel factor broadcast, column gather, updated column scatter-back.
+/// Every payload is one `r x r` block except `TAG_REFL`'s: the stacked
+/// panel's `nk*r x r` packed factors with the `r` Householder scalars
+/// as one more row.
 const TAG_PANEL: u8 = 0;
 const TAG_SEG: u8 = 1;
 const TAG_REFL: u8 = 2;
 const TAG_COL: u8 = 3;
 const TAG_COLRET: u8 = 4;
-
-/// QR wire payload: a single `r x r` block, or the packed factors of a
-/// stacked panel (the reflector broadcast to the column heads).
-#[derive(Clone)]
-pub(crate) enum QrPayload {
-    Block(Matrix),
-    Factors { packed: Matrix, taus: Vec<f64> },
-}
-
-impl QrPayload {
-    fn into_block(self) -> Matrix {
-        match self {
-            QrPayload::Block(m) => m,
-            QrPayload::Factors { .. } => panic!("run_qr: expected block payload"),
-        }
-    }
-}
-
-impl PoolClone for QrPayload {
-    fn pool_clone(&self, pool: &mut BufferPool) -> Self {
-        match self {
-            QrPayload::Block(m) => QrPayload::Block(m.pool_clone(pool)),
-            QrPayload::Factors { packed, taus } => QrPayload::Factors {
-                packed: packed.pool_clone(pool),
-                taus: taus.clone(),
-            },
-        }
-    }
-
-    fn reclaim(self, pool: &mut BufferPool) {
-        match self {
-            QrPayload::Block(m) | QrPayload::Factors { packed: m, .. } => pool.put(m),
-        }
-    }
-}
 
 /// Rebuilds `(Q, R)` from a QR run's globally packed factors: `Q` is
 /// `n x n` orthogonal, `R` upper triangular, `A = Q * R`. Mirrors the
@@ -254,7 +221,6 @@ pub(crate) struct QrInterp<'a> {
     /// Packed panel factors by step, kept while the step's column
     /// applications may still run; dropped on retire.
     factors: HashMap<usize, QrFactors>,
-    block_bytes: u64,
 }
 
 impl<'a> QrInterp<'a> {
@@ -272,14 +238,11 @@ impl<'a> QrInterp<'a> {
             blocks,
             taus_acc,
             factors: HashMap::new(),
-            block_bytes: block_bytes(r),
         }
     }
 }
 
 impl StepInterp for QrInterp<'_> {
-    type P = QrPayload;
-
     fn n_steps(&self) -> usize {
         self.plan.steps.len()
     }
@@ -292,14 +255,14 @@ impl StepInterp for QrInterp<'_> {
         self.blocks.get(&blk)
     }
 
-    fn into_store(self) -> BlockStore {
+    fn into_store(self: Box<Self>) -> BlockStore {
         self.blocks
     }
 
     fn execute(
         &mut self,
         a: &Action,
-        courier: &mut Courier<QrPayload>,
+        courier: &mut Courier,
         clock: &mut WorkClock,
     ) -> Result<(), Closed> {
         let Step::Qr {
@@ -317,16 +280,16 @@ impl StepInterp for QrInterp<'_> {
         let nk = panel.len(); // nb - k stacked panel blocks
         match a.op {
             Op::QrSendPanel => {
-                let payload = QrPayload::Block(self.blocks[&a.blk].pool_clone(courier.pool_mut()));
-                courier.send(*diag, k, TAG_PANEL, a.blk, payload, self.block_bytes)?;
+                let payload = courier.pool_mut().dup(&self.blocks[&a.blk]);
+                courier.send(*diag, k, TAG_PANEL, a.blk, payload)?;
             }
             Op::QrSendCol => {
                 let col = columns
                     .iter()
                     .find(|c| c.bj == a.blk.1)
                     .expect("column for fan-in send");
-                let payload = QrPayload::Block(self.blocks[&a.blk].pool_clone(courier.pool_mut()));
-                courier.send(col.head, k, TAG_COL, a.blk, payload, self.block_bytes)?;
+                let payload = courier.pool_mut().dup(&self.blocks[&a.blk]);
+                courier.send(col.head, k, TAG_COL, a.blk, payload)?;
             }
             // Stack the panel, factor it, scatter the packed reflector
             // segments back, broadcast the factors to the column heads.
@@ -339,9 +302,9 @@ impl StepInterp for QrInterp<'_> {
                     if owner == self.my {
                         stacked.set_block((bi - k) * r, 0, &self.blocks[&(bi, k)]);
                     } else {
-                        let blk = courier.take(k, TAG_PANEL, (bi, k))?.into_block();
+                        let blk = courier.take(k, TAG_PANEL, (bi, k))?;
                         stacked.set_block((bi - k) * r, 0, &blk);
-                        blk.reclaim(courier.pool_mut());
+                        courier.pool_mut().put(blk);
                     }
                 }
                 let pf = clock.run(
@@ -351,40 +314,31 @@ impl StepInterp for QrInterp<'_> {
                         qr_factor(&stacked);
                     },
                 );
-                stacked.reclaim(courier.pool_mut());
+                courier.pool_mut().put(stacked);
                 for &((bi, _), owner) in panel {
                     let seg = pf.packed().block((bi - k) * r, 0, r, r);
                     if owner == self.my {
                         if let Some(old) = self.blocks.insert((bi, k), seg) {
-                            old.reclaim(courier.pool_mut());
+                            courier.pool_mut().put(old);
                         }
                     } else {
-                        courier.send(
-                            owner,
-                            k,
-                            TAG_SEG,
-                            (bi, k),
-                            QrPayload::Block(seg),
-                            self.block_bytes,
-                        )?;
+                        courier.send(owner, k, TAG_SEG, (bi, k), Arc::new(seg))?;
                     }
                 }
                 self.taus_acc.lock().unwrap_or_else(|p| p.into_inner())[k] = pf.taus().to_vec();
                 if !reflector_dests.is_empty() {
-                    let factors = QrPayload::Factors {
-                        packed: pf.packed().clone(),
-                        taus: pf.taus().to_vec(),
-                    };
-                    let refl_bytes = (nk * r * r + r) as u64 * std::mem::size_of::<f64>() as u64;
-                    courier.bcast(reflector_dests, k, TAG_REFL, (k, k), &factors, refl_bytes)?;
-                    factors.reclaim(courier.pool_mut());
+                    // Stale pool buffer: both writes together cover it.
+                    let mut factors = courier.pool_mut().take(nk * r + 1, r);
+                    factors.set_block(0, 0, pf.packed());
+                    factors.row_mut(nk * r).copy_from_slice(pf.taus());
+                    courier.bcast(reflector_dests, k, TAG_REFL, (k, k), Arc::new(factors))?;
                 }
                 self.factors.insert(k, pf);
             }
             Op::QrTakeSeg => {
-                let seg = courier.take(k, TAG_SEG, a.blk)?.into_block();
+                let seg = courier.take(k, TAG_SEG, a.blk)?;
                 if let Some(old) = self.blocks.insert(a.blk, seg) {
-                    old.reclaim(courier.pool_mut());
+                    courier.pool_mut().put(old);
                 }
             }
             // Gather one owned trailing column, apply Q^T of the
@@ -396,13 +350,9 @@ impl StepInterp for QrInterp<'_> {
                     .find(|c| c.bj == a.blk.1)
                     .expect("column for update");
                 if let std::collections::hash_map::Entry::Vacant(slot) = self.factors.entry(k) {
-                    let pf = match courier.obtain(k, TAG_REFL, (k, k))? {
-                        QrPayload::Factors { packed, taus } => {
-                            QrFactors::from_parts(packed.clone(), taus.clone())
-                        }
-                        QrPayload::Block(_) => panic!("run_qr: expected factors payload"),
-                    };
-                    slot.insert(pf);
+                    let f = courier.get(k, TAG_REFL, (k, k));
+                    let (packed, taus) = (f.block(0, 0, nk * r, r), f.row(nk * r).to_vec());
+                    slot.insert(QrFactors::from_parts(packed, taus));
                 }
                 let t0 = Instant::now();
                 // Pool buffer with stale contents: head block fills row
@@ -413,9 +363,9 @@ impl StepInterp for QrInterp<'_> {
                     if owner == self.my {
                         stacked.set_block((bi - k) * r, 0, &self.blocks[&(bi, bj)]);
                     } else {
-                        let blk = courier.take(k, TAG_COL, (bi, bj))?.into_block();
+                        let blk = courier.take(k, TAG_COL, (bi, bj))?;
                         stacked.set_block((bi - k) * r, 0, &blk);
-                        blk.reclaim(courier.pool_mut());
+                        courier.pool_mut().put(blk);
                     }
                 }
                 let pf = &self.factors[&k];
@@ -427,37 +377,30 @@ impl StepInterp for QrInterp<'_> {
                         pf.qt_mul(&stacked);
                     },
                 );
-                stacked.reclaim(courier.pool_mut());
+                courier.pool_mut().put(stacked);
                 if let Some(old) = self.blocks.insert((k, col.bj), updated.block(0, 0, r, r)) {
-                    old.reclaim(courier.pool_mut());
+                    courier.pool_mut().put(old);
                 }
                 for &((bi, bj), owner) in &col.members {
                     let blk = updated.block((bi - k) * r, 0, r, r);
                     if owner == self.my {
                         if let Some(old) = self.blocks.insert((bi, bj), blk) {
-                            old.reclaim(courier.pool_mut());
+                            courier.pool_mut().put(old);
                         }
                     } else {
-                        courier.send(
-                            owner,
-                            k,
-                            TAG_COLRET,
-                            (bi, bj),
-                            QrPayload::Block(blk),
-                            self.block_bytes,
-                        )?;
+                        courier.send(owner, k, TAG_COLRET, (bi, bj), Arc::new(blk))?;
                     }
                 }
-                updated.reclaim(courier.pool_mut());
+                courier.pool_mut().put(updated);
                 courier.step_done(t0.elapsed().as_secs_f64());
             }
             Op::QrTakeColRet => {
-                let blk = courier.take(k, TAG_COLRET, a.blk)?.into_block();
+                let blk = courier.take(k, TAG_COLRET, a.blk)?;
                 if let Some(old) = self.blocks.insert(a.blk, blk) {
-                    old.reclaim(courier.pool_mut());
+                    courier.pool_mut().put(old);
                 }
             }
-            op => unreachable!("non-QR action {op:?} in QR plan"),
+            ref op => unreachable!("non-QR action {op:?} in QR plan"),
         }
         Ok(())
     }
@@ -470,7 +413,7 @@ impl StepInterp for QrInterp<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{dense, paper_grid};
+    use crate::testutil::{dense, fnv1a, lookahead_cases, paper_grid};
     use crate::{run_qr_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport};
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
@@ -551,19 +494,17 @@ mod tests {
 
     #[test]
     fn lookahead_is_bit_exact_with_in_order() {
-        let (dist, w) = paper_grid();
         let t = ChannelTransport;
-        // r = 64 is wide enough for the kernels' row sweeps to run
-        // their vectorised bodies, not only the scalar remainder.
-        for (nb, r) in [(8, 2), (4, 64)] {
+        for (dist, w, nb, r) in lookahead_cases() {
             let a = dense(nb * r, nb * r, 0xA5);
             let run = |lookahead| {
+                let cfg = ExecConfig { lookahead };
                 let (packed, taus, _) =
-                    run_qr_on_cfg(&t, &a, &dist, nb, r, &w, ExecConfig { lookahead }).unwrap();
+                    run_qr_on_cfg(&t, &a, dist.as_ref(), nb, r, &w, cfg).unwrap();
                 (packed, taus)
             };
             let (packed0, taus0) = run(0);
-            for depth in [1, 3] {
+            for depth in 1..=3 {
                 let (packed, taus) = run(depth);
                 assert!(
                     packed.approx_eq(&packed0, 0.0),
@@ -592,14 +533,8 @@ mod tests {
             let cfg = ExecConfig { lookahead };
             let (packed, taus, _) =
                 run_qr_on_cfg(&ChannelTransport, &a, &dist, nb, r, &w, cfg).unwrap();
-            let hash = packed
-                .as_slice()
-                .iter()
-                .chain(&taus)
-                .flat_map(|x| x.to_bits().to_le_bytes())
-                .fold(0xcbf2_9ce4_8422_2325_u64, |h, byte| {
-                    (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-                });
+            let values = packed.as_slice().iter().chain(&taus);
+            let hash = fnv1a(values.flat_map(|x| x.to_bits().to_le_bytes()));
             assert_eq!(
                 hash, 0xb41b_2198_7732_8eb3,
                 "lookahead {lookahead}: {hash:#018x}"

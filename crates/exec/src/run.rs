@@ -9,18 +9,18 @@
 //! block write. A fresh run is the epoch with `start = 0` and no
 //! journal; [`crate::recovery`] chains epochs across grid faults. The
 //! only per-kernel code left is what differs by construction: which
-//! interpreter a worker runs ([`crate::mm`], [`crate::lu`],
-//! [`crate::cholesky`], [`crate::qr`]) and that MM accumulates into a
-//! separate `C` while the factorizations update their input in place.
+//! emitter feeds the block-op interpreter ([`crate::mm`], [`crate::lu`],
+//! [`crate::cholesky`] over [`crate::grid`]; [`crate::qr`] still brings
+//! its own) and that MM accumulates into a separate `C` while the
+//! factorizations update their input in place.
 
-use crate::cholesky::ChInterp;
-use crate::lu::{effective_lu_lookahead, LuInterp};
-use crate::mm::MmInterp;
-use crate::pool::PoolClone;
+use crate::cholesky::cholesky_actions;
+use crate::grid::{Emit, GridInterp};
+use crate::lu::lu_actions;
+use crate::mm::mm_actions;
 use crate::qr::QrInterp;
 use crate::step::{
-    check_weights, gather_result, run_grid, run_steps, Courier, ExecConfig, Journal, StepInterp,
-    WorkClock,
+    check_weights, gather_result, run_grid, run_steps, ExecConfig, Journal, StepInterp,
 };
 use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
 use crate::transport::{ExecError, Transport};
@@ -281,64 +281,28 @@ pub(crate) fn run_seg(
             v
         })
         .collect();
-    let lookahead = match kernel {
-        Kernel::Lu => effective_lu_lookahead(cfg.lookahead, weights),
-        Kernel::Mm | Kernel::Cholesky | Kernel::Qr => cfg.lookahead,
+    // The block-op kernels differ only in their emitter; QR still
+    // brings its own interpreter.
+    let emit: Option<Emit> = match kernel {
+        Kernel::Mm => Some(mm_actions),
+        Kernel::Lu => Some(lu_actions),
+        Kernel::Cholesky => Some(cholesky_actions),
+        Kernel::Qr => None,
     };
-    let my = |me: usize| (me / q, me % q);
-    let blocks = |me: usize| main.stores[me].clone();
-    let epoch = Epoch {
-        transport,
-        grid,
-        weights,
-        lookahead,
-        start,
-        journal,
-    };
-    match kernel {
-        Kernel::Mm => {
-            let (a, b) = (&state.operands[0].stores, &state.operands[1].stores);
-            epoch.workers(|me| {
-                MmInterp::new(plan, my(me), &owned[me], &a[me], &b[me], blocks(me), r)
-            })
-        }
-        Kernel::Lu => epoch.workers(|me| LuInterp::new(plan, my(me), &owned[me], blocks(me), r)),
-        Kernel::Cholesky => {
-            epoch.workers(|me| ChInterp::new(plan, my(me), &owned[me], blocks(me), r))
-        }
-        Kernel::Qr => epoch.workers(|me| QrInterp::new(plan, my(me), blocks(me), r, &state.taus)),
-    }
-}
-
-/// Everything about an epoch that does not depend on the kernel.
-struct Epoch<'a, T> {
-    transport: &'a T,
-    grid: (usize, usize),
-    weights: &'a [Vec<u64>],
-    lookahead: usize,
-    start: usize,
-    journal: Option<&'a CheckpointLog>,
-}
-
-impl<T: Transport> Epoch<'_, T> {
-    /// Spawns the grid and drives one interpreter per processor through
-    /// [`run_steps`], hooking each worker up to the shared journal.
-    fn workers<I>(
-        &self,
-        make: impl Fn(usize) -> I + Sync,
-    ) -> Result<(Vec<BlockStore>, ExecReport), ExecError>
-    where
-        I: StepInterp,
-        I::P: PoolClone + Send + 'static,
-    {
-        // Copied out so the worker closure does not capture `&T`.
-        let (lookahead, start, journal) = (self.lookahead, self.start, self.journal);
-        let worker = |me: usize, courier: &mut Courier<I::P>, clock: &mut WorkClock| {
-            let j = journal.map(|log| Journal { log, me });
-            run_steps(make(me), courier, clock, lookahead, start, j.as_ref())
+    let (stores, mut report) = run_grid(transport, grid, weights, |me, courier, clock| {
+        let (my, blocks) = ((me / q, me % q), main.stores[me].clone());
+        let interp: Box<dyn StepInterp + '_> = match emit {
+            Some(emit) => {
+                let operands = state.operands.iter().map(|o| &o.stores[me]).collect();
+                Box::new(GridInterp::new(
+                    plan, emit, my, &owned[me], blocks, operands, r,
+                ))
+            }
+            None => Box::new(QrInterp::new(plan, my, blocks, r, &state.taus)),
         };
-        let (stores, mut report) = run_grid(self.transport, self.grid, self.weights, worker)?;
-        report.lookahead = lookahead;
-        Ok((stores, report))
-    }
+        let j = journal.map(|log| Journal { log, me });
+        run_steps(interp, courier, clock, cfg.lookahead, start, j.as_ref())
+    })?;
+    report.lookahead = cfg.lookahead;
+    Ok((stores, report))
 }

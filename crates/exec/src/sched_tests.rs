@@ -14,6 +14,7 @@ use crate::lu::lu_actions;
 use crate::mm::mm_actions;
 use crate::qr::qr_actions;
 use crate::step::{conflicts, pick_action, Action, MsgKey};
+use crate::testutil::fnv1a;
 use hetgrid_core::{exact, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
 use hetgrid_plan::deps::{step_access, Operand};
@@ -390,4 +391,52 @@ fn actions_agree_with_plan_deps() {
             }
         }
     }
+}
+
+/// FNV-1a over every processor's action stream for `kernel` on `dist`,
+/// in emission order: `(step, blk, crit, needs, writes, reads)` with
+/// each set sorted and `reads` filtered to the matrix namespace (an
+/// emitter may additionally declare reads of MM's never-written `A`/`B`
+/// blocks, which no write can conflict with).
+fn emission_hash(kernel: &str, dist: &(dyn BlockDist + Sync), nb: usize) -> u64 {
+    let plan = make_plan(kernel, dist, nb);
+    let (p, q) = dist.grid();
+    let mut words: Vec<usize> = Vec::new();
+    for my in (0..p).flat_map(|pi| (0..q).map(move |pj| (pi, pj))) {
+        let owned = owned_blocks(dist, nb, my);
+        for k in 0..plan.steps.len() {
+            for a in proc_actions(kernel, &plan, k, my, &owned) {
+                let mut needs = a.needs.clone();
+                needs.sort_unstable();
+                words.extend([a.step, a.blk.0, a.blk.1, usize::from(a.crit), needs.len()]);
+                words.extend(needs.iter().flat_map(|&(s, t, (i, j))| [s, t.into(), i, j]));
+                let matrix_reads = a.reads.iter().copied().filter(|res| res.0 == 0);
+                for mut set in [a.writes.clone(), matrix_reads.collect()] {
+                    set.sort_unstable();
+                    words.push(set.len());
+                    words.extend(set.iter().flat_map(|&(ns, i, j)| [ns.into(), i, j]));
+                }
+            }
+        }
+    }
+    fnv1a(words.iter().flat_map(|w| (*w as u64).to_le_bytes()))
+}
+
+/// "Same schedule", pinned: the constants were computed before the
+/// three block-op kernels moved onto `crate::grid` and must never move —
+/// emission order, `crit` flags, the trailing-update tiering and the
+/// hazard sets are the scheduler's whole input.
+#[test]
+fn emission_order_is_pinned() {
+    let nb = 6;
+    // Per kernel: the {1,2,3,5} panel distribution, then BlockCyclic(2,3).
+    let got = ["mm", "lu", "cholesky"].map(|kernel| {
+        [2, 1].map(|choice| emission_hash(kernel, make_dist(choice, nb).as_ref(), nb))
+    });
+    let want: [[u64; 2]; 3] = [
+        [0x49f6_1f31_dfbd_3ec4, 0x3ca8_11fd_3bd8_2fa5],
+        [0x3ea9_dd80_e9ad_4a42, 0xa8c1_54c4_9ad5_81c0],
+        [0xb280_ff62_8436_1420, 0x9da2_faeb_d639_3347],
+    ];
+    assert_eq!(got, want, "{got:#018x?}");
 }

@@ -21,10 +21,9 @@
 //!   and conflict pairwise on its resident-copy resource, so they
 //!   execute in ascending-`k` program order at any lookahead depth.
 
-use crate::pool::PoolClone;
 use crate::step::{
-    block_bytes, check_weights, gather_result, run_grid, run_steps, Action, Courier, ExecConfig,
-    Op, StepInterp, WorkClock,
+    check_weights, gather_result, run_grid, run_steps, Action, Courier, ExecConfig, Op, StepInterp,
+    WorkClock,
 };
 use crate::store::{BlockStore, ExecReport};
 use crate::transport::{Closed, ExecError, Transport};
@@ -32,6 +31,7 @@ use hetgrid_core::Topology;
 use hetgrid_linalg::gemm::gemm;
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{LoadSrc, Mat, Plan, Step};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Message tags: a fed input block (master to worker) and a returned
@@ -101,30 +101,26 @@ pub fn run_star_mm_on_cfg(
             mbk.insert((bk, bj), b.block(bk * r, bj * r, r, r));
         }
     }
-    let block_bytes = block_bytes(r);
 
     let (stores, mut report) = run_grid(transport, shape, weights, |me, courier, clock| {
-        if me == 0 {
-            let master = StarMaster {
+        let interp: Box<dyn StepInterp + '_> = if me == 0 {
+            Box::new(StarMaster {
                 plan: &plan,
                 a: &ma,
                 b: &mbk,
                 c: BlockStore::new(),
-                block_bytes,
-            };
-            run_steps(master, courier, clock, cfg.lookahead, 0, None)
+            })
         } else {
-            let worker = StarWorker {
+            Box::new(StarWorker {
                 plan: &plan,
                 me,
                 worker_mem,
                 r,
                 resident: [BlockStore::new(), BlockStore::new(), BlockStore::new()],
                 scratch: Matrix::zeros(r, r),
-                block_bytes,
-            };
-            run_steps(worker, courier, clock, cfg.lookahead, 0, None)
-        }
+            })
+        };
+        run_steps(interp, courier, clock, cfg.lookahead, 0, None)
     })?;
     report.lookahead = cfg.lookahead;
     let c = gather_result(stores, (mb, nb), r, "run_star_mm");
@@ -225,12 +221,9 @@ struct StarMaster<'a> {
     a: &'a BlockStore,
     b: &'a BlockStore,
     c: BlockStore,
-    block_bytes: u64,
 }
 
 impl StepInterp for StarMaster<'_> {
-    type P = Matrix;
-
     fn n_steps(&self) -> usize {
         self.plan.steps.len()
     }
@@ -242,7 +235,7 @@ impl StepInterp for StarMaster<'_> {
     fn execute(
         &mut self,
         action: &Action,
-        courier: &mut Courier<Matrix>,
+        courier: &mut Courier,
         _clock: &mut WorkClock,
     ) -> Result<(), Closed> {
         match action.op {
@@ -258,27 +251,20 @@ impl StepInterp for StarMaster<'_> {
                     Mat::B => self.b,
                     Mat::C => unreachable!("the master never feeds C"),
                 };
-                let payload = store[&block].pool_clone(courier.pool_mut());
-                courier.send(
-                    (0, worker),
-                    action.step,
-                    TAG_FEED,
-                    block,
-                    payload,
-                    self.block_bytes,
-                )?;
+                let payload = courier.pool_mut().dup(&store[&block]);
+                courier.send((0, worker), action.step, TAG_FEED, block, payload)?;
             }
             Op::StarRetire => {
                 let done = courier.take(action.step, TAG_RET, action.blk)?;
                 let stale = self.c.insert(action.blk, done);
                 debug_assert!(stale.is_none(), "C block returned twice");
             }
-            op => unreachable!("non-master action {op:?} on the star master"),
+            ref op => unreachable!("non-master action {op:?} on the star master"),
         }
         Ok(())
     }
 
-    fn into_store(self) -> BlockStore {
+    fn into_store(self: Box<Self>) -> BlockStore {
         self.c
     }
 }
@@ -293,7 +279,6 @@ struct StarWorker<'a> {
     /// Resident copies by [`mat_ns`] namespace: `[C, A, B]`.
     resident: [BlockStore; 3],
     scratch: Matrix,
-    block_bytes: u64,
 }
 
 impl StarWorker<'_> {
@@ -303,8 +288,6 @@ impl StarWorker<'_> {
 }
 
 impl StepInterp for StarWorker<'_> {
-    type P = Matrix;
-
     fn n_steps(&self) -> usize {
         self.plan.steps.len()
     }
@@ -316,7 +299,7 @@ impl StepInterp for StarWorker<'_> {
     fn execute(
         &mut self,
         action: &Action,
-        courier: &mut Courier<Matrix>,
+        courier: &mut Courier,
         clock: &mut WorkClock,
     ) -> Result<(), Closed> {
         match action.op {
@@ -374,19 +357,19 @@ impl StepInterp for StarWorker<'_> {
                     .remove(&block)
                     .expect("evicting a non-resident block");
                 if send_back {
-                    courier.send((0, 0), action.step, TAG_RET, block, data, self.block_bytes)?;
+                    courier.send((0, 0), action.step, TAG_RET, block, Arc::new(data))?;
                 } else {
-                    data.reclaim(courier.pool_mut());
+                    courier.pool_mut().put(data);
                 }
             }
-            op => unreachable!("non-worker action {op:?} on a star worker"),
+            ref op => unreachable!("non-worker action {op:?} on a star worker"),
         }
         Ok(())
     }
 
     /// Every resident block was evicted; the result lives with the
     /// master.
-    fn into_store(self) -> BlockStore {
+    fn into_store(self: Box<Self>) -> BlockStore {
         assert!(
             self.resident.iter().all(BlockStore::is_empty),
             "run_star_mm: worker {} finished with resident blocks",

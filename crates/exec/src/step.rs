@@ -1,18 +1,15 @@
 //! Shared plan-interpretation machinery for the executor kernels.
 //!
-//! Every kernel used to carry its own copy of the same scaffolding: a
-//! per-kernel message enum with `(step, index)` routing fields, a
-//! `pump` loop buffering early arrivals, destination-list recomputation
-//! from the distribution, a `weighted!` slowdown macro, and a ~40-line
-//! spawn/collect/report block. This module factors all of it out so a
-//! kernel worker is only the algorithm, expressed as a [`StepInterp`]:
-//! a pure [`StepInterp::emit`] that turns one plan step into this
-//! processor's [`Action`]s (each declaring the messages it needs and
-//! the blocks it reads/writes), and an [`StepInterp::execute`] that
-//! runs one action's sends and block kernels under the [`WorkClock`].
+//! A kernel worker is only the algorithm, expressed as a
+//! [`StepInterp`]: a pure [`StepInterp::emit`] that turns one plan step
+//! into this processor's [`Action`]s (each declaring the messages it
+//! needs and the blocks it reads/writes), and an
+//! [`StepInterp::execute`] that runs one action's sends and block
+//! kernels under the [`WorkClock`]. The trait has no associated types,
+//! so the driver takes any interpreter as a `Box<dyn StepInterp>`.
 //!
 //! * [`WireMsg`] — the one wire format: `(step, tag, block index)`
-//!   routing plus a kernel-chosen payload;
+//!   routing plus the one [`Payload`] type, an `Arc<Matrix>`;
 //! * [`Courier`] — owns the endpoint, the pending-message buffer, the
 //!   scratch [`BufferPool`], the observability
 //!   [`Probe`](crate::probe::Probe), and the sent-message counter; all
@@ -42,13 +39,15 @@
 //! lookahead depth produces bit-identical output — only the schedule
 //! around the dependence chains moves.
 
-use crate::pool::{BufferPool, PoolClone};
+use crate::grid::{self, Work};
+use crate::pool::BufferPool;
 use crate::probe::Probe;
 use crate::store::{BlockStore, CheckpointLog, ExecReport};
 use crate::transport::{Closed, Endpoint, ExecError, Transport};
 use hetgrid_linalg::Matrix;
 use hetgrid_obs::trace::SpanGuard;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default lookahead window depth: how many steps past the oldest
@@ -76,14 +75,18 @@ impl Default for ExecConfig {
     }
 }
 
-/// One wire message: payload `P` routed by `(step, tag, idx)`, where
+/// What every message carries: one matrix — an `r x r` block, or QR's
+/// stacked panel factors — shared by all destinations of a broadcast.
+pub(crate) type Payload = Arc<Matrix>;
+
+/// One wire message: a [`Payload`] routed by `(step, tag, idx)`, where
 /// `tag` distinguishes a kernel's message kinds (diagonal factors, L
 /// blocks, ...) and `idx` is the block index the payload belongs to.
-pub(crate) struct WireMsg<P> {
+pub(crate) struct WireMsg {
     step: usize,
     tag: u8,
     idx: (usize, usize),
-    payload: P,
+    payload: Payload,
 }
 
 /// A message routing key: `(step, tag, block index)`.
@@ -92,37 +95,34 @@ pub(crate) type MsgKey = (usize, u8, (usize, usize));
 /// A block-level resource an [`Action`] reads or writes:
 /// `(namespace, bi, bj)`. Namespace 0 is the main matrix (the factored
 /// matrix, or C for MM); kernels may use other namespaces for
-/// step-local pseudo-resources (QR uses 3 for the packed reflector
-/// factors of step `k`, keyed `(3, k, 0)`; the star executor uses 1/2
-/// for resident A/B copies, 4 keyed `(4, 0, 0)` for the master's
-/// one-port link — every master send and receive writes it, so
-/// transfers serialize in program order — and 5 keyed `(5, 0, 0)` for
-/// a worker's memory budget, so residency transitions stay in program
-/// order and the runtime high-water mark equals the plan fold's).
+/// step-local pseudo-resources (MM uses 1/2 for its read-only `A`/`B`
+/// blocks; QR uses 3 for the packed reflector factors of step `k`,
+/// keyed `(3, k, 0)`; the star executor uses 1/2 for resident A/B
+/// copies, 4 keyed `(4, 0, 0)` for the master's one-port link — every
+/// master send and receive writes it, so transfers serialize in
+/// program order — and 5 keyed `(5, 0, 0)` for a worker's memory
+/// budget, so residency transitions stay in program order and the
+/// runtime high-water mark equals the plan fold's).
 pub(crate) type Res = (u8, usize, usize);
 
 /// What a schedulable action does, for tracing and for the per-kernel
 /// `execute` dispatch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub(crate) enum Op {
-    /// MM: broadcast this processor's A/B panel blocks for step k.
-    MmSend,
-    /// MM: rank-r update of every owned C block with step k's panels.
-    MmUpdate,
-    /// LU: factor the diagonal block and broadcast the packed factors.
-    LuFactor,
-    /// LU: solve one panel block against U11 and broadcast it.
-    LuSolveL,
-    /// LU: solve one pivot-row block against L11 and broadcast it.
-    LuSolveU,
-    /// LU: GEMM update of one owned trailing block.
-    LuUpdate,
-    /// Cholesky: factor the diagonal block and broadcast L(k,k).
-    ChFactor,
-    /// Cholesky: solve one panel block and broadcast it.
-    ChSolve,
-    /// Cholesky: symmetric-rank update of one owned trailing block.
-    ChUpdate,
+    /// MM, LU, Cholesky: block kernels on owned blocks, then broadcasts
+    /// of owned blocks, run by [`crate::grid::GridInterp`] (the other
+    /// ops' interpreters read the plan step instead).
+    Grid {
+        /// The phase (`factor`, `panel`, `bcast`, `compute`, ...) that
+        /// names the action's `"{span} {step}"` trace span; the
+        /// per-block trailing updates go without, one span per block
+        /// would swamp the trace.
+        span: Option<&'static str>,
+        /// The block kernels, in order.
+        work: Vec<Work>,
+        /// The broadcasts made after the work.
+        sends: Vec<grid::Send>,
+    },
     /// QR: send an owned panel block to the diagonal owner.
     QrSendPanel,
     /// QR: send an owned column segment to its column head.
@@ -185,9 +185,6 @@ pub(crate) struct Action {
 /// emitted action, with all `needs` messages buffered, and never while
 /// an earlier conflicting action of the window is unfinished.
 pub(crate) trait StepInterp {
-    /// Wire payload type of this kernel.
-    type P;
-
     /// Steps in the plan.
     fn n_steps(&self) -> usize;
 
@@ -201,7 +198,7 @@ pub(crate) trait StepInterp {
     fn execute(
         &mut self,
         a: &Action,
-        courier: &mut Courier<Self::P>,
+        courier: &mut Courier,
         clock: &mut WorkClock,
     ) -> Result<(), Closed>;
 
@@ -218,7 +215,7 @@ pub(crate) trait StepInterp {
     }
 
     /// This processor's share of the result once every step retired.
-    fn into_store(self) -> BlockStore;
+    fn into_store(self: Box<Self>) -> BlockStore;
 }
 
 /// One worker's handle on the shared [`CheckpointLog`]: which processor
@@ -284,18 +281,14 @@ pub(crate) fn pick_action(
 /// messages arrive it is runnable; its messages are sent by actions
 /// that precede it in the global in-order schedule, which by induction
 /// all eventually run on their owners.
-pub(crate) fn run_steps<I>(
-    mut interp: I,
-    courier: &mut Courier<I::P>,
+pub(crate) fn run_steps(
+    mut interp: Box<dyn StepInterp + '_>,
+    courier: &mut Courier,
     clock: &mut WorkClock,
     lookahead: usize,
     start: usize,
     journal: Option<&Journal<'_>>,
-) -> Result<BlockStore, Closed>
-where
-    I: StepInterp,
-    I::P: PoolClone,
-{
+) -> Result<BlockStore, Closed> {
     let n = interp.n_steps();
     let mut win: VecDeque<(Action, bool)> = VecDeque::new();
     let mut front = start; // oldest unretired step
@@ -337,9 +330,9 @@ where
         courier.drain();
         match pick_action(&win, |key| courier.has(*key)) {
             Some(i) => {
-                let action = win[i].0.clone();
+                let action = &win[i].0;
                 courier.note_depth((action.step - front) as u64);
-                interp.execute(&action, courier, clock)?;
+                interp.execute(action, courier, clock)?;
                 if let Some(j) = journal {
                     for &(ns, bi, bj) in &action.writes {
                         if ns == 0 {
@@ -361,9 +354,9 @@ where
 /// pool + probe + sent counter. Messages that arrive ahead of their
 /// step are buffered; [`Courier::end_step`] reclaims the buffers of a
 /// retired step's leftovers into the pool.
-pub(crate) struct Courier<P> {
-    ep: Box<dyn Endpoint<WireMsg<P>>>,
-    pending: HashMap<MsgKey, P>,
+pub(crate) struct Courier {
+    ep: Box<dyn Endpoint<WireMsg>>,
+    pending: HashMap<MsgKey, Payload>,
     pool: BufferPool,
     probe: Option<Probe>,
     sent: u64,
@@ -371,8 +364,8 @@ pub(crate) struct Courier<P> {
     q: usize,
 }
 
-impl<P> Courier<P> {
-    fn new(ep: Box<dyn Endpoint<WireMsg<P>>>, me: (usize, usize), grid: (usize, usize)) -> Self {
+impl Courier {
+    fn new(ep: Box<dyn Endpoint<WireMsg>>, me: (usize, usize), grid: (usize, usize)) -> Self {
         Courier {
             ep,
             pending: HashMap::new(),
@@ -384,19 +377,20 @@ impl<P> Courier<P> {
         }
     }
 
-    /// Sends `payload` to grid processor `dest`, counting it in the
-    /// report and the obs counters. Fails with [`Closed`] when the
-    /// destination mailbox is gone (the peer dropped out).
+    /// Sends `payload` to grid processor `dest`, counting it (and the
+    /// bytes of its `f64` elements) in the report and the obs counters.
+    /// Fails with [`Closed`] when the destination mailbox is gone (the
+    /// peer dropped out).
     pub fn send(
         &mut self,
         dest: (usize, usize),
         step: usize,
         tag: u8,
         idx: (usize, usize),
-        payload: P,
-        bytes: u64,
+        payload: Payload,
     ) -> Result<(), Closed> {
         let dest = dest.0 * self.q + dest.1;
+        let bytes = std::mem::size_of_val(payload.as_slice()) as u64;
         self.ep.send(
             dest,
             WireMsg {
@@ -413,25 +407,25 @@ impl<P> Courier<P> {
         Ok(())
     }
 
-    /// Sends one pool-backed duplicate of `payload` to every
-    /// destination of a plan broadcast list.
+    /// Sends `payload` to every destination of a plan broadcast list:
+    /// one buffer, one reference per destination.
     pub fn bcast(
         &mut self,
         dests: &[(usize, usize)],
         step: usize,
         tag: u8,
         idx: (usize, usize),
-        payload: &P,
-        bytes: u64,
-    ) -> Result<(), Closed>
-    where
-        P: PoolClone,
-    {
-        for &dest in dests {
-            let dup = payload.pool_clone(&mut self.pool);
-            self.send(dest, step, tag, idx, dup, bytes)?;
+        payload: Payload,
+    ) -> Result<(), Closed> {
+        let Some((&last, rest)) = dests.split_last() else {
+            return Ok(());
+        };
+        for &dest in rest {
+            self.send(dest, step, tag, idx, Arc::clone(&payload))?;
         }
-        Ok(())
+        // The sender keeps no reference: the last receiver to finish
+        // with the buffer reshelves it.
+        self.send(last, step, tag, idx, payload)
     }
 
     /// Messages sent so far.
@@ -452,25 +446,21 @@ impl<P> Courier<P> {
         Ok(())
     }
 
-    /// Blocks until the message is here, leaving it buffered (for
-    /// payloads read by several actions, e.g. diagonal factors). Fails
-    /// with [`Closed`] when delivery has become impossible.
-    pub fn obtain(&mut self, step: usize, tag: u8, idx: (usize, usize)) -> Result<&P, Closed> {
+    /// Blocks until the message is here and removes it from the buffer,
+    /// unwrapping the matrix: a point-to-point payload has one holder,
+    /// so nothing is copied.
+    pub fn take(&mut self, step: usize, tag: u8, idx: (usize, usize)) -> Result<Matrix, Closed> {
         self.pump_until((step, tag, idx))?;
-        Ok(&self.pending[&(step, tag, idx)])
-    }
-
-    /// Blocks until the message is here and removes it from the buffer.
-    pub fn take(&mut self, step: usize, tag: u8, idx: (usize, usize)) -> Result<P, Closed> {
-        self.pump_until((step, tag, idx))?;
-        Ok(self
+        let payload = self
             .pending
             .remove(&(step, tag, idx))
-            .expect("pumped above"))
+            .expect("pumped above");
+        Ok(Arc::try_unwrap(payload).unwrap_or_else(|shared| Matrix::clone(&shared)))
     }
 
-    /// A buffered message that an action's `needs` already guaranteed.
-    pub fn get(&self, step: usize, tag: u8, idx: (usize, usize)) -> &P {
+    /// A buffered message that an action's `needs` already guaranteed
+    /// (left buffered: several actions may read one payload).
+    pub fn get(&self, step: usize, tag: u8, idx: (usize, usize)) -> &Matrix {
         self.pending
             .get(&(step, tag, idx))
             .expect("message missing (not in the action's needs)")
@@ -520,10 +510,7 @@ impl<P> Courier<P> {
     /// Reclaims every leftover buffered message of step `k` and earlier
     /// into the pool (receivers consumed what they needed; broadcast
     /// overshoot ends here).
-    pub fn end_step(&mut self, k: usize)
-    where
-        P: PoolClone,
-    {
+    pub fn end_step(&mut self, k: usize) {
         if self.pending.keys().all(|&(s, _, _)| s > k) {
             return;
         }
@@ -532,7 +519,7 @@ impl<P> Courier<P> {
             if key.0 > k {
                 self.pending.insert(key, payload);
             } else {
-                payload.reclaim(&mut self.pool);
+                self.pool.retire(payload);
             }
         }
     }
@@ -595,8 +582,8 @@ impl WorkClock {
         out
     }
 
-    /// The slowdown weight, for loops that inline the repeats (e.g. the
-    /// MM update, whose borrows don't fit the closure form).
+    /// The slowdown weight, for kernels that inline the repeats
+    /// ([`crate::grid`]'s block ops, the star worker's update).
     pub fn weight(&self) -> u64 {
         self.weight
     }
@@ -610,11 +597,6 @@ impl WorkClock {
     pub fn add_busy(&mut self, seconds: f64) {
         self.busy += seconds;
     }
-}
-
-/// Wire size of one `r x r` block payload, for the obs byte counters.
-pub(crate) fn block_bytes(r: usize) -> u64 {
-    (r * r * std::mem::size_of::<f64>()) as u64
 }
 
 /// Validates a slowdown-weight table against the grid shape.
@@ -638,18 +620,17 @@ pub(crate) fn check_weights(weights: &[Vec<u64>], (p, q): (usize, usize), kernel
 /// [`Endpoint::abort`] so every blocked peer fails fast, waits for all
 /// threads, and reports the first failing processor as a typed
 /// [`ExecError`] — a dropped peer never panics the process.
-pub(crate) fn run_grid<P, W>(
+pub(crate) fn run_grid<W>(
     transport: &impl Transport,
     (p, q): (usize, usize),
     weights: &[Vec<u64>],
     worker: W,
 ) -> Result<(Vec<BlockStore>, ExecReport), ExecError>
 where
-    P: Send + 'static,
-    W: Fn(usize, &mut Courier<P>, &mut WorkClock) -> Result<BlockStore, Closed> + Sync,
+    W: Fn(usize, &mut Courier, &mut WorkClock) -> Result<BlockStore, Closed> + Sync,
 {
     let n_procs = p * q;
-    let endpoints = transport.connect::<WireMsg<P>>(n_procs);
+    let endpoints = transport.connect::<WireMsg>(n_procs);
     type Done = (usize, Result<BlockStore, Closed>, f64, u64, u64);
     let (done_tx, done_rx) = crate::channel::unbounded::<Done>();
 
@@ -757,7 +738,7 @@ mod tests {
     ) -> Action {
         Action {
             step,
-            op: Op::MmUpdate,
+            op: Op::StarCompute,
             blk: (0, 0),
             crit,
             needs,

@@ -277,9 +277,8 @@ pub struct ExecReport {
     /// Number of messages each processor sent (one message per block
     /// per destination).
     pub messages_sent: Vec<Vec<u64>>,
-    /// The lookahead depth the workers actually ran at: the requested
-    /// [`ExecConfig::lookahead`](crate::ExecConfig), or 0 where LU's
-    /// skew clamp forced the in-order schedule.
+    /// The lookahead depth the workers ran at: the requested
+    /// [`ExecConfig::lookahead`](crate::ExecConfig).
     pub lookahead: usize,
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic inputs shared by the kernel modules' unit tests.
 
 use hetgrid_core::{exact, Arrangement};
-use hetgrid_dist::{PanelDist, PanelOrdering};
+use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::Matrix;
 
@@ -48,4 +48,27 @@ pub(crate) fn paper_grid() -> (PanelDist, Vec<Vec<u64>>) {
     let sol = exact::solve_arrangement(&arr);
     let dist = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
     (dist, crate::store::slowdown_weights(&arr))
+}
+
+/// The `(dist, weights, nb, r)` cases the kernels'
+/// `lookahead_is_bit_exact_with_in_order` tests sweep: the paper grid at
+/// r = 2 and at r = 64 (wide enough for the kernels' row sweeps to run
+/// their vectorised bodies, not only the scalar remainder), and a 2x3
+/// block-cyclic grid, where a broadcast has two destinations — a
+/// payload really shared between holders and retired by the last one.
+pub(crate) fn lookahead_cases() -> Vec<(Box<dyn BlockDist + Sync>, Vec<Vec<u64>>, usize, usize)> {
+    let (paper, w) = paper_grid();
+    let cyclic_weights = vec![vec![1, 2, 3], vec![3, 1, 2]];
+    vec![
+        (Box::new(paper.clone()), w.clone(), 8, 2),
+        (Box::new(paper), w, 4, 64),
+        (Box::new(BlockCyclic::new(2, 3)), cyclic_weights, 5, 8),
+    ]
+}
+
+/// FNV-1a over a byte stream: the hash behind the pinned-output tests.
+pub(crate) fn fnv1a(bytes: impl Iterator<Item = u8>) -> u64 {
+    bytes.fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+        (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }

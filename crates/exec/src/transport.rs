@@ -127,9 +127,9 @@ pub trait Endpoint<T>: Send {
 /// Factory for a connected set of [`Endpoint`]s — one per virtual
 /// processor of a run.
 ///
-/// `connect` is generic over the message type because each kernel has
-/// its own private message enum; a transport only moves values, it never
-/// inspects them.
+/// `connect` is generic over the message type: a transport only moves
+/// values, it never inspects them (the executor's one wire format is
+/// private to it; tests connect plain integers).
 pub trait Transport {
     /// Creates `n` mutually connected endpoints; endpoint `i` receives
     /// what anyone sends to destination `i`.
