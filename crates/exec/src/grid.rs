@@ -13,7 +13,7 @@ use crate::step::{Action, Courier, MsgKey, Op, Res, StepInterp, WorkClock};
 use crate::store::BlockStore;
 use crate::transport::Closed;
 use hetgrid_linalg::cholesky::cholesky;
-use hetgrid_linalg::gemm::gemm;
+use hetgrid_linalg::gemm::{gemm_with, Packs};
 use hetgrid_linalg::tri::{solve_lower, solve_right_upper};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
@@ -166,14 +166,16 @@ fn lu_block_nopivot(a: &mut Matrix) {
 impl Kern {
     /// Runs the kernel on `c` once for real and `weight - 1` more times
     /// for nothing (the slowdown emulation: repeats land in `scratch`
-    /// or are dropped). Returns the buffer the kernel is done with — the
-    /// block's previous contents, a transposed operand — for the
-    /// caller's pool.
+    /// or are dropped; a GEMM repeat is the whole product, packing
+    /// included, through the same `packs`). Returns the buffer the
+    /// kernel is done with — the block's previous contents, a
+    /// transposed operand — for the caller's pool.
     fn apply(
         self,
         ins: &[&Matrix],
         c: &mut Matrix,
         scratch: &mut Matrix,
+        packs: &mut Packs,
         weight: u64,
     ) -> Option<Matrix> {
         // The out-of-place kernels: the block becomes `f(block)`.
@@ -205,15 +207,15 @@ impl Kern {
                 replace(c, weight, |c| solve_right_upper(&lt, c))
             }
             Kern::Gemm(alpha) => {
-                gemm(alpha, ins[0], ins[1], 1.0, c);
+                gemm_with(packs, alpha, ins[0], ins[1], 1.0, c);
                 for _ in 1..weight {
-                    gemm(alpha, ins[0], ins[1], 0.0, scratch);
+                    gemm_with(packs, alpha, ins[0], ins[1], 0.0, scratch);
                 }
                 None
             }
             Kern::GemmNt(alpha) => {
                 let yt = ins[1].transpose();
-                Kern::Gemm(alpha).apply(&[ins[0], &yt], c, scratch, weight);
+                Kern::Gemm(alpha).apply(&[ins[0], &yt], c, scratch, packs, weight);
                 Some(yt)
             }
         }
@@ -236,6 +238,7 @@ pub(crate) struct GridInterp<'a> {
     main: BlockStore,
     operands: Vec<&'a BlockStore>,
     scratch: Matrix,
+    packs: Packs,
 }
 
 impl<'a> GridInterp<'a> {
@@ -256,6 +259,7 @@ impl<'a> GridInterp<'a> {
             main,
             operands,
             scratch: Matrix::zeros(r, r),
+            packs: Packs::default(),
         }
     }
 }
@@ -300,6 +304,7 @@ impl StepInterp for GridInterp<'_> {
             main,
             operands,
             scratch,
+            packs,
             ..
         } = self;
         let mut guard = span.and_then(|name| courier.span_with(|| format!("{name} {}", a.step)));
@@ -319,7 +324,7 @@ impl StepInterp for GridInterp<'_> {
                     Src::Msg((step, tag, idx)) => courier.get(step, tag, idx),
                 })
                 .collect();
-            let spent = w.kern.apply(&ins, &mut c, scratch, clock.weight());
+            let spent = w.kern.apply(&ins, &mut c, scratch, packs, clock.weight());
             *main.get_mut(&out).expect("taken above") = c;
             if let Some(m) = spent {
                 courier.pool_mut().put(m);
@@ -350,6 +355,7 @@ impl StepInterp for GridInterp<'_> {
 mod tests {
     use super::*;
     use crate::testutil::{dense, dominant, spd};
+    use hetgrid_linalg::gemm::gemm;
 
     #[test]
     fn hazard_sets_are_derived_from_work_and_sends() {
@@ -443,7 +449,7 @@ mod tests {
             for weight in [1, 3] {
                 let mut c = c0.clone();
                 let mut scratch = Matrix::zeros(n, n);
-                kern.apply(&ins, &mut c, &mut scratch, weight);
+                kern.apply(&ins, &mut c, &mut scratch, &mut Packs::default(), weight);
                 assert_bits(&c, &want, &format!("{kern:?} at weight {weight}"));
             }
         }

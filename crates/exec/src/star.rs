@@ -28,7 +28,7 @@ use crate::step::{
 use crate::store::{BlockStore, ExecReport};
 use crate::transport::{Closed, ExecError, Transport};
 use hetgrid_core::Topology;
-use hetgrid_linalg::gemm::gemm;
+use hetgrid_linalg::gemm::{gemm_with, Packs};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{LoadSrc, Mat, Plan, Step};
 use std::sync::Arc;
@@ -118,6 +118,7 @@ pub fn run_star_mm_on_cfg(
                 r,
                 resident: [BlockStore::new(), BlockStore::new(), BlockStore::new()],
                 scratch: Matrix::zeros(r, r),
+                packs: Packs::default(),
             })
         };
         run_steps(interp, courier, clock, cfg.lookahead, 0, None)
@@ -279,6 +280,7 @@ struct StarWorker<'a> {
     /// Resident copies by [`mat_ns`] namespace: `[C, A, B]`.
     resident: [BlockStore; 3],
     scratch: Matrix,
+    packs: Packs,
 }
 
 impl StarWorker<'_> {
@@ -335,9 +337,9 @@ impl StepInterp for StarWorker<'_> {
                 let ablk = &ra[&a];
                 let bblk = &rb[&b];
                 let cblk = rc.get_mut(&c).expect("resident C block missing");
-                gemm(1.0, ablk, bblk, 1.0, cblk);
+                gemm_with(&mut self.packs, 1.0, ablk, bblk, 1.0, cblk);
                 for _ in 1..clock.weight() {
-                    gemm(1.0, ablk, bblk, 0.0, &mut self.scratch);
+                    gemm_with(&mut self.packs, 1.0, ablk, bblk, 0.0, &mut self.scratch);
                 }
                 clock.charge(1);
                 clock.add_busy(t0.elapsed().as_secs_f64());

@@ -1,32 +1,39 @@
 //! General matrix-matrix multiplication (the workhorse of the
 //! outer-product algorithm in Section 3.1 of the paper).
 //!
-//! Three implementations are provided:
-//! * [`matmul`] / [`gemm`] — packed-panel kernel with a register-tiled
-//!   4x4 micro-kernel (below), used by the executor for the per-block
-//!   rank-`r` updates;
+//! * [`gemm`] / [`matmul`] — the packed-panel kernel, used by the
+//!   executors for the per-block rank-`r` updates; [`gemm_with`] is the
+//!   same call for a caller that loops and keeps its [`Packs`];
 //! * [`par_gemm`] — the same kernel with row panels fanned out over the
 //!   `hetgrid-par` work-stealing pool;
 //! * [`matmul_naive`] — triple loop reference used in tests.
 //!
 //! The packed kernel follows the classic GotoBLAS/BLIS decomposition:
 //! `B` is copied one `KC x NC` panel at a time into contiguous
-//! column-strips of width `NR`, `A` into contiguous row-strips of height
-//! `MR` (with `alpha` folded in during the copy), and the micro-kernel
-//! then streams both packed buffers through an `MR x NR` block of
-//! accumulator registers with a fully unrolled FMA-friendly inner loop.
-//! Packing costs `O(mk + kn)` per panel pass but makes every
-//! micro-kernel read sequential and lets the same `A` strip stay in
-//! registers across the whole `B` panel — the difference between the
-//! memory-bound `ikj` loop and a compute-bound kernel.
+//! column-strips of width `nr`, `A` into contiguous row-strips of height
+//! `mr` (with `alpha` folded in during the copy), and a micro-kernel
+//! then streams both packed buffers through an `mr x nr` block of
+//! accumulator registers. Packing costs `O(mk + kn)` per panel pass but
+//! makes every micro-kernel read sequential and lets the same `A` strip
+//! stay in registers across the whole `B` panel — the difference
+//! between the memory-bound `ikj` loop and a compute-bound kernel.
+//!
+//! The tile `mr x nr` belongs to the micro-kernel, picked once per call
+//! at the width of the host (`select_kernel`): 8x16 on 512-bit `zmm`
+//! registers where the CPU has `avx512f`, else 4x8 on `ymm` with
+//! AVX2 + FMA, else a portable unrolled 4x4. The two SIMD kernels are
+//! one macro body; in both, every `C` element is one FMA chain over
+//! `p = 0..kc` in order followed by one add into `C`, so they agree to
+//! the last bit and hosts differ only portable-vs-FMA.
+//!
+//! [`Packs`] holds the two packed buffers. A block-sized product packs
+//! about as many doubles as it multiplies, so a caller that loops (an
+//! executor's worker) owns one and passes it to [`gemm_with`]; the
+//! buffers grow to the largest product seen and stay with that worker.
 
 use crate::Matrix;
 
-/// Micro-tile height (rows of `A` per strip). The micro-tile width is
-/// chosen at runtime by [`select_kernel`]: 4 for the portable kernel,
-/// 8 for the AVX2/FMA kernel.
-const MR: usize = 4;
-/// Inner (`k`) extent of one packed panel pass: `KC * (MR + NR)` doubles
+/// Inner (`k`) extent of one packed panel pass: `KC * (mr + nr)` doubles
 /// of packed data live in L1/L2 while a strip pair is being consumed.
 const KC: usize = 256;
 /// Rows of `A` packed per inner block.
@@ -49,27 +56,69 @@ type MicroKernel = fn(
     nr: usize,
 );
 
-/// Picks the widest micro-kernel the host supports: the 4x8 AVX2+FMA
-/// kernel when the CPU has both features, the portable unrolled 4x4
-/// otherwise. Returns `(nr_tile, kernel)`; `is_x86_feature_detected!`
-/// caches, so the check is an atomic load after the first call.
-fn select_kernel() -> (usize, MicroKernel) {
+/// A micro-kernel with the tile it computes: `(mr, nr, kernel)`. `A` is
+/// packed in strips of `mr` rows, `B` in strips of `nr` columns.
+type Tile = (usize, usize, MicroKernel);
+
+/// Every micro-kernel this host can run, widest first.
+/// `is_x86_feature_detected!` caches, so each check is an atomic load
+/// after the first call.
+fn supported_kernels() -> impl Iterator<Item = Tile> {
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            return (8, micro_kernel_4x8_avx2);
-        }
-    }
-    (4, micro_kernel_4x4)
+    let simd = {
+        use std::arch::is_x86_feature_detected as has;
+        [
+            (
+                has!("avx512f"),
+                (8, 16, micro_kernel_8x16_avx512 as MicroKernel),
+            ),
+            (
+                has!("avx2") && has!("fma"),
+                (4, 8, micro_kernel_4x8_avx2 as MicroKernel),
+            ),
+        ]
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let simd: [(bool, Tile); 0] = [];
+    let portable: Tile = (4, 4, micro_kernel_4x4);
+    simd.into_iter()
+        .filter_map(|(detected, tile)| detected.then_some(tile))
+        .chain([portable])
+}
+
+/// The widest micro-kernel the host supports.
+fn select_kernel() -> Tile {
+    supported_kernels()
+        .next()
+        .expect("the portable kernel is always there")
+}
+
+/// The packed `A` block and `B` panel of a product, kept by whoever
+/// calls [`gemm_with`] in a loop. Grown on demand, never shrunk; a
+/// product overwrites what it reads, so nothing carries over between
+/// calls but the capacity.
+#[derive(Debug, Default)]
+pub struct Packs {
+    a: Vec<f64>,
+    b: Vec<f64>,
 }
 
 /// `C <- alpha * A * B + beta * C` through the packed micro-kernel.
+/// `beta == 0` overwrites: `C` is not read, so it may hold anything.
 ///
 /// # Panics
 /// Panics on dimension mismatch (`A` is `m x k`, `B` is `k x n`, `C` is
 /// `m x n`).
 pub fn gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
+    gemm_with(&mut Packs::default(), alpha, a, b, beta, c);
+}
+
+/// [`gemm`] with the caller's pack buffers instead of fresh ones: same
+/// result to the bit, without two allocations per call.
+///
+/// # Panics
+/// As [`gemm`].
+pub fn gemm_with(packs: &mut Packs, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     let (m, k) = a.shape();
     let (k2, n) = b.shape();
     assert_eq!(k, k2, "gemm: inner dimensions differ");
@@ -79,7 +128,7 @@ pub fn gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    gemm_rows_packed(alpha, a, b, 0..m, c.as_mut_slice());
+    gemm_rows_packed(select_kernel(), packs, alpha, a, b, 0..m, c.as_mut_slice());
 }
 
 /// `C <- alpha * A * B + beta * C` with row panels of `C` split across
@@ -100,16 +149,19 @@ pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
         return;
     }
 
+    let tile = select_kernel();
+    let mr = tile.0;
     let pool = hetgrid_par::global();
     let threads = pool.threads();
-    if threads == 1 || m < 2 * MR {
-        gemm_rows_packed(alpha, a, b, 0..m, c.as_mut_slice());
+    if threads == 1 || m < 2 * mr {
+        let packs = &mut Packs::default();
+        gemm_rows_packed(tile, packs, alpha, a, b, 0..m, c.as_mut_slice());
         return;
     }
 
     // Split the rows of C into one contiguous chunk per worker, rounded
     // to the micro-tile height so no strip straddles two workers.
-    let chunk = (m.div_ceil(threads)).next_multiple_of(MR);
+    let chunk = (m.div_ceil(threads)).next_multiple_of(mr);
     let mut jobs: Vec<(usize, &mut [f64])> = Vec::new();
     let mut rest = c.as_mut_slice();
     let mut row0 = 0;
@@ -122,17 +174,21 @@ pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     }
     pool.scope(|s| {
         for (row0, c_rows) in jobs {
-            let rows = c_rows.len() / n;
+            let rows = row0..row0 + c_rows.len() / n;
             s.spawn(move || {
-                gemm_rows_packed(alpha, a, b, row0..row0 + rows, c_rows);
+                gemm_rows_packed(tile, &mut Packs::default(), alpha, a, b, rows, c_rows);
             });
         }
     });
 }
 
+/// `C <- beta * C`, where `beta == 0` means "`C` is not read": a
+/// product would keep the `NaN`s and infinities `C` held.
 #[inline]
 fn scale(beta: f64, c: &mut [f64]) {
-    if beta != 1.0 {
+    if beta == 0.0 {
+        c.fill(0.0);
+    } else if beta != 1.0 {
         for x in c {
             *x *= beta;
         }
@@ -141,9 +197,11 @@ fn scale(beta: f64, c: &mut [f64]) {
 
 /// Packed-panel GEMM for rows `rows.start..rows.end` of the product;
 /// `c_rows` is the corresponding row-major slice of `C` (beta already
-/// applied). Shared by [`gemm`] (whole matrix) and [`par_gemm`]
+/// applied). Shared by [`gemm_with`] (whole matrix) and [`par_gemm`]
 /// (per-worker row chunk).
 fn gemm_rows_packed(
+    (mr_tile, nr_tile, kernel): Tile,
+    packs: &mut Packs,
     alpha: f64,
     a: &Matrix,
     b: &Matrix,
@@ -153,32 +211,32 @@ fn gemm_rows_packed(
     let k = a.cols();
     let n = b.cols();
     let m = rows.len();
-    debug_assert_eq!(c_rows.len(), m * n);
+    assert_eq!(c_rows.len(), m * n, "gemm: C rows have wrong length");
 
-    let (nr_tile, kernel) = select_kernel();
-
-    // Packed buffers, allocated once per call and reused across panels.
-    let mut a_pack = vec![0.0f64; MC.min(m.next_multiple_of(MR)) * KC.min(k)];
-    let mut b_pack = vec![0.0f64; KC.min(k) * NC.min(n.next_multiple_of(nr_tile))];
+    // One A block and one B panel, reused across the loops below.
+    let kc_max = KC.min(k);
+    let a_pack = grown(&mut packs.a, MC.min(m.next_multiple_of(mr_tile)) * kc_max);
+    let b_pack = grown(&mut packs.b, kc_max * NC.min(n.next_multiple_of(nr_tile)));
 
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let nc_strips = nc.div_ceil(nr_tile);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(b, pc, jc, kc, nc, nr_tile, &mut b_pack);
+            pack_b(b, pc, jc, kc, nc, nr_tile, b_pack);
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
-                let mc_strips = mc.div_ceil(MR);
-                pack_a(a, alpha, rows.start + ic, pc, mc, kc, &mut a_pack);
+                let mc_strips = mc.div_ceil(mr_tile);
+                let a_rows = rows.start + ic..rows.start + ic + mc;
+                pack_a(a, alpha, a_rows, pc..pc + kc, mr_tile, a_pack);
                 for sj in 0..nc_strips {
                     let j0 = jc + sj * nr_tile;
                     let nr = nr_tile.min(n - j0);
                     let b_strip = &b_pack[sj * kc * nr_tile..(sj + 1) * kc * nr_tile];
                     for si in 0..mc_strips {
-                        let i0 = ic + si * MR;
-                        let mr = MR.min(m - i0);
-                        let a_strip = &a_pack[si * kc * MR..(si + 1) * kc * MR];
+                        let i0 = ic + si * mr_tile;
+                        let mr = mr_tile.min(m - i0);
+                        let a_strip = &a_pack[si * kc * mr_tile..(si + 1) * kc * mr_tile];
                         kernel(kc, a_strip, b_strip, c_rows, i0, j0, n, mr, nr);
                     }
                 }
@@ -187,28 +245,61 @@ fn gemm_rows_packed(
     }
 }
 
-/// Packs `A[ic.., pc..]` (`mc x kc`) into row-strips of height `MR`:
-/// strip `s` holds, for each `p`, the `MR` values of rows
-/// `ic + s*MR .. ic + s*MR + MR` at column `pc + p`, contiguously.
-/// Missing tail rows are zero-filled; `alpha` is folded in here so the
+/// `pack` at no less than `len` doubles. Its old contents are dead, so
+/// growing is a fresh zeroed allocation, not a copy — for a new
+/// [`Packs`] the only one.
+fn grown(pack: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if pack.len() < len {
+        *pack = vec![0.0; len];
+    }
+    pack
+}
+
+/// Packs `A[rows, cols]` into row-strips of height `mr`: strip `s`
+/// holds, for each column `p`, the `mr` values of rows
+/// `rows.start + s*mr .. + mr` at that column, contiguously. Missing
+/// tail rows are zero-filled; `alpha` is folded in here so the
 /// micro-kernel never multiplies by it.
-fn pack_a(a: &Matrix, alpha: f64, ic: usize, pc: usize, mc: usize, kc: usize, buf: &mut [f64]) {
-    let strips = mc.div_ceil(MR);
-    for s in 0..strips {
-        let strip = &mut buf[s * kc * MR..(s + 1) * kc * MR];
-        let row_base = ic + s * MR;
-        let rows_here = MR.min(mc - s * MR);
-        for r in 0..rows_here {
-            let arow = &a.row(row_base + r)[pc..pc + kc];
-            for (p, &v) in arow.iter().enumerate() {
-                strip[p * MR + r] = alpha * v;
+fn pack_a(
+    a: &Matrix,
+    alpha: f64,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+    mr: usize,
+    buf: &mut [f64],
+) {
+    match mr {
+        4 => pack_a_strips::<4>(a, alpha, rows, cols, buf),
+        8 => pack_a_strips::<8>(a, alpha, rows, cols, buf),
+        _ => unreachable!("no micro-kernel is {mr} rows tall"),
+    }
+}
+
+/// [`pack_a`] at a tile height the compiler knows. A gather: the `H`
+/// row slices are taken once and each strip is written front to back
+/// (`dst[r] = alpha * rows[r][p]`), so the strided side is the reads
+/// and the `H` stores of a step share a cache line.
+fn pack_a_strips<const H: usize>(
+    a: &Matrix,
+    alpha: f64,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+    buf: &mut [f64],
+) {
+    let strips = buf.chunks_exact_mut(cols.len() * H);
+    for (strip, row0) in strips.zip(rows.clone().step_by(H)) {
+        // A row past the end reads the last one and is zeroed below.
+        let srcs: [&[f64]; H] =
+            std::array::from_fn(|r| &a.row((row0 + r).min(rows.end - 1))[cols.clone()]);
+        for (p, dst) in strip.chunks_exact_mut(H).enumerate() {
+            for (d, src) in dst.iter_mut().zip(&srcs) {
+                *d = alpha * src[p];
             }
         }
-        if rows_here < MR {
-            for p in 0..kc {
-                for r in rows_here..MR {
-                    strip[p * MR + r] = 0.0;
-                }
+        let rows_here = rows.end - row0;
+        if rows_here < H {
+            for dst in strip.chunks_exact_mut(H) {
+                dst[rows_here..].fill(0.0);
             }
         }
     }
@@ -234,7 +325,7 @@ fn pack_b(b: &Matrix, pc: usize, jc: usize, kc: usize, nc: usize, nr: usize, buf
     }
 }
 
-/// The 4x4 register-tiled micro-kernel: accumulates
+/// The portable 4x4 register-tiled micro-kernel: accumulates
 /// `C[i0.., j0..] += A_strip * B_strip` over `kc` steps with all sixteen
 /// accumulators held in locals and the inner step fully unrolled. The
 /// packed strips are zero-padded, so the accumulation always runs the
@@ -258,7 +349,7 @@ fn micro_kernel_4x4(
     let (mut c30, mut c31, mut c32, mut c33) = (0.0f64, 0.0, 0.0, 0.0);
 
     for (av, bv) in a_strip
-        .chunks_exact(MR)
+        .chunks_exact(4)
         .zip(b_strip.chunks_exact(4))
         .take(kc)
     {
@@ -296,101 +387,128 @@ fn micro_kernel_4x4(
     }
 }
 
-/// Safe front for the AVX2+FMA 4x8 micro-kernel. Only selected by
-/// [`select_kernel`] after `is_x86_feature_detected!` confirms both
-/// features, which makes the inner call sound.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel_4x8_avx2(
-    kc: usize,
-    a_strip: &[f64],
-    b_strip: &[f64],
-    c_rows: &mut [f64],
-    i0: usize,
-    j0: usize,
-    n: usize,
-    mr: usize,
-    nr: usize,
-) {
-    debug_assert!(
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    );
-    unsafe { micro_kernel_4x8_fma(kc, a_strip, b_strip, c_rows, i0, j0, n, mr, nr) }
-}
-
-/// The 4x8 AVX2+FMA micro-kernel: eight 256-bit accumulators (four rows
-/// x two vector halves of the 8-wide tile), one broadcast of each `A`
-/// value and two `vfmadd` per row per `k` step. Eight independent
-/// accumulator chains are enough to cover the FMA latency on the two
-/// FMA ports of Haswell-and-later cores.
+/// One SIMD micro-kernel: `$mr` rows by two vectors of `$lanes` doubles,
+/// so `2 * $mr` accumulator registers. Per `k` step: two loads of the
+/// packed `B` strip, `$mr` broadcasts of the packed `A` strip and
+/// `2 * $mr` FMAs, each accumulator its own dependency chain from zero.
+/// A full-width tile is then added into `C` with vector loads and
+/// stores; a ragged one is spilled to a stack buffer and its valid
+/// corner added scalar-wise.
 ///
-/// # Safety
-/// Requires AVX2 and FMA at runtime; `a_strip`/`b_strip` must hold at
-/// least `kc` packed steps (`4` resp. `8` doubles each).
+/// `$front` is the safe fn [`supported_kernels`] hands out. It checks
+/// everything `$inner`'s pointer arithmetic relies on, in forms that
+/// cannot overflow — a few compares per `kc * mr * nr` FMAs — and
+/// passes `C` as the slice from the tile's first element to its last.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn micro_kernel_4x8_fma(
-    kc: usize,
-    a_strip: &[f64],
-    b_strip: &[f64],
-    c_rows: &mut [f64],
-    i0: usize,
-    j0: usize,
-    n: usize,
-    mr: usize,
-    nr: usize,
-) {
-    use std::arch::x86_64::*;
-
-    debug_assert!(a_strip.len() >= kc * MR && b_strip.len() >= kc * 8);
-    let mut ap = a_strip.as_ptr();
-    let mut bp = b_strip.as_ptr();
-
-    let mut acc = [_mm256_setzero_pd(); 8];
-    for _ in 0..kc {
-        let b_lo = _mm256_loadu_pd(bp);
-        let b_hi = _mm256_loadu_pd(bp.add(4));
-        let a0 = _mm256_set1_pd(*ap);
-        acc[0] = _mm256_fmadd_pd(a0, b_lo, acc[0]);
-        acc[1] = _mm256_fmadd_pd(a0, b_hi, acc[1]);
-        let a1 = _mm256_set1_pd(*ap.add(1));
-        acc[2] = _mm256_fmadd_pd(a1, b_lo, acc[2]);
-        acc[3] = _mm256_fmadd_pd(a1, b_hi, acc[3]);
-        let a2 = _mm256_set1_pd(*ap.add(2));
-        acc[4] = _mm256_fmadd_pd(a2, b_lo, acc[4]);
-        acc[5] = _mm256_fmadd_pd(a2, b_hi, acc[5]);
-        let a3 = _mm256_set1_pd(*ap.add(3));
-        acc[6] = _mm256_fmadd_pd(a3, b_lo, acc[6]);
-        acc[7] = _mm256_fmadd_pd(a3, b_hi, acc[7]);
-        ap = ap.add(MR);
-        bp = bp.add(8);
-    }
-
-    if nr == 8 {
-        // Full-width tile: add straight into C with vector loads/stores.
-        for r in 0..mr {
-            let cp = c_rows.as_mut_ptr().add((i0 + r) * n + j0);
-            let lo = _mm256_add_pd(_mm256_loadu_pd(cp), acc[2 * r]);
-            let hi = _mm256_add_pd(_mm256_loadu_pd(cp.add(4)), acc[2 * r + 1]);
-            _mm256_storeu_pd(cp, lo);
-            _mm256_storeu_pd(cp.add(4), hi);
+macro_rules! simd_micro_kernel {
+    (
+        $(#[$doc:meta])*
+        fn $front:ident / $inner:ident,
+        tile = $mr:literal x 2 * $lanes:literal,
+        features = [$($feature:tt),+],
+        ops = $zero:ident $load:ident $store:ident $splat:ident $fmadd:ident $add:ident
+    ) => {
+        $(#[$doc])*
+        #[allow(clippy::too_many_arguments)]
+        fn $front(
+            kc: usize,
+            a_strip: &[f64],
+            b_strip: &[f64],
+            c_rows: &mut [f64],
+            i0: usize,
+            j0: usize,
+            n: usize,
+            mr: usize,
+            nr: usize,
+        ) {
+            assert!($(std::arch::is_x86_feature_detected!($feature))&&+);
+            assert!(kc <= a_strip.len() / $mr && kc <= b_strip.len() / (2 * $lanes));
+            assert!((1..=$mr).contains(&mr) && nr <= 2 * $lanes && n <= c_rows.len());
+            let c_tile = &mut c_rows[i0 * n + j0..][..(mr - 1) * n + nr];
+            // SAFETY: the asserts and the slicing above are `$inner`'s
+            // contract, clause by clause.
+            unsafe { $inner(kc, a_strip, b_strip, c_tile, n, mr, nr) }
         }
-    } else {
-        // Ragged edge: spill the tile to a stack buffer, add the valid
-        // corner scalar-wise.
-        let mut buf = [[0.0f64; 8]; MR];
-        for r in 0..MR {
-            _mm256_storeu_pd(buf[r].as_mut_ptr(), acc[2 * r]);
-            _mm256_storeu_pd(buf[r].as_mut_ptr().add(4), acc[2 * r + 1]);
-        }
-        for (r, brow) in buf.iter().enumerate().take(mr) {
-            let crow = &mut c_rows[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr];
-            for (cv, &v) in crow.iter_mut().zip(&brow[..nr]) {
-                *cv += v;
+
+        /// # Safety
+        /// The CPU must have this kernel's target features; `a_strip`
+        /// and `b_strip` must hold `kc` packed steps (of the tile's
+        /// height resp. width in doubles); `mr` and `nr` must not
+        /// exceed the tile; `c_tile` must be at least
+        /// `(mr - 1) * n + nr` long, `mr >= 1`.
+        #[target_feature($(enable = $feature),+)]
+        unsafe fn $inner(
+            kc: usize,
+            a_strip: &[f64],
+            b_strip: &[f64],
+            c_tile: &mut [f64],
+            n: usize,
+            mr: usize,
+            nr: usize,
+        ) {
+            use std::arch::x86_64::*;
+
+            // `kc` steps of `$mr` resp. `2 * $lanes` doubles: inside
+            // the strips by the contract.
+            let mut ap = a_strip.as_ptr();
+            let mut bp = b_strip.as_ptr();
+            let mut acc = [[$zero(); 2]; $mr];
+            for _ in 0..kc {
+                let b = [$load(bp), $load(bp.add($lanes))];
+                for (r, acc_r) in acc.iter_mut().enumerate() {
+                    let a = $splat(*ap.add(r));
+                    acc_r[0] = $fmadd(a, b[0], acc_r[0]);
+                    acc_r[1] = $fmadd(a, b[1], acc_r[1]);
+                }
+                ap = ap.add($mr);
+                bp = bp.add(2 * $lanes);
+            }
+
+            if nr == 2 * $lanes {
+                // Row `r < mr` ends at `r * n + nr <= c_tile.len()`.
+                for (r, acc_r) in acc.iter().enumerate().take(mr) {
+                    let cp = c_tile.as_mut_ptr().add(r * n);
+                    $store(cp, $add($load(cp), acc_r[0]));
+                    $store(cp.add($lanes), $add($load(cp.add($lanes)), acc_r[1]));
+                }
+            } else {
+                let mut buf = [[0.0f64; 2 * $lanes]; $mr];
+                for (brow, acc_r) in buf.iter_mut().zip(&acc) {
+                    $store(brow.as_mut_ptr(), acc_r[0]);
+                    $store(brow.as_mut_ptr().add($lanes), acc_r[1]);
+                }
+                for (r, brow) in buf.iter().enumerate().take(mr) {
+                    let crow = &mut c_tile[r * n..r * n + nr];
+                    for (cv, &v) in crow.iter_mut().zip(&brow[..nr]) {
+                        *cv += v;
+                    }
+                }
             }
         }
-    }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+simd_micro_kernel! {
+    /// 4x8 on eight 256-bit `ymm` accumulators: enough independent
+    /// chains to cover the FMA latency on the two FMA ports of
+    /// Haswell-and-later cores.
+    fn micro_kernel_4x8_avx2 / micro_kernel_4x8_avx2_inner,
+    tile = 4 x 2 * 4,
+    features = ["avx2", "fma"],
+    ops = _mm256_setzero_pd _mm256_loadu_pd _mm256_storeu_pd _mm256_set1_pd _mm256_fmadd_pd _mm256_add_pd
+}
+
+#[cfg(target_arch = "x86_64")]
+simd_micro_kernel! {
+    /// 8x16 on sixteen 512-bit `zmm` accumulators: sixteen chains cover
+    /// 4-cycle latency x 2 ports twice over, and one `A` broadcast feeds
+    /// two FMAs where an 8x8 tile would feed one. Bit-identical to the
+    /// 4x8 kernel (same chain per `C` element).
+    fn micro_kernel_8x16_avx512 / micro_kernel_8x16_avx512_inner,
+    tile = 8 x 2 * 8,
+    features = ["avx512f"],
+    ops = _mm512_setzero_pd _mm512_loadu_pd _mm512_storeu_pd _mm512_set1_pd _mm512_fmadd_pd _mm512_add_pd
 }
 
 /// Returns `A * B` using the packed kernel.
@@ -470,6 +588,130 @@ mod tests {
                 n
             );
         }
+    }
+
+    /// `m < mr`, `k > KC`, `nr + 1` columns, ragged everything,
+    /// `n > NC`.
+    const SHAPES: [(usize, usize, usize); 6] = [
+        (1, 1, 1),
+        (3, 4, 5),
+        (7, 300, 15),
+        (9, 5, 17),
+        (130, 70, 129),
+        (16, 128, 1030),
+    ];
+
+    fn operands((m, k, n): (usize, usize, usize)) -> (Matrix, Matrix, Matrix) {
+        let seed = (m * 1000 + k) as u64;
+        (arb(m, k, seed), arb(k, n, seed + 1), arb(m, n, seed + 2))
+    }
+
+    /// `1.5 * A * B - 0.5 * C` through one given micro-kernel.
+    fn gemm_on(tile: Tile, packs: &mut Packs, a: &Matrix, b: &Matrix, c0: &Matrix) -> Matrix {
+        let mut c = c0.clone();
+        scale(-0.5, c.as_mut_slice());
+        gemm_rows_packed(tile, packs, 1.5, a, b, 0..a.rows(), c.as_mut_slice());
+        c
+    }
+
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_supported_kernel_matches_naive() {
+        let tiles: Vec<Tile> = supported_kernels().collect();
+        assert_eq!(tiles.last().map(|t| (t.0, t.1)), Some((4, 4)));
+        for shape in SHAPES {
+            let (a, b, c0) = operands(shape);
+            let want = matmul_naive(&a, &b).scale(1.5).add(&c0.scale(-0.5));
+            for &tile in &tiles {
+                let got = gemm_on(tile, &mut Packs::default(), &a, &b, &c0);
+                assert!(
+                    got.approx_eq(&want, 1e-10 * shape.1 as f64),
+                    "{}x{} kernel at {shape:?}",
+                    tile.0,
+                    tile.1
+                );
+            }
+        }
+    }
+
+    /// Every `C` element is the same FMA chain in every SIMD kernel, so
+    /// the hosts that have both see no difference between them.
+    #[test]
+    fn simd_kernels_agree_to_the_bit() {
+        let simd: Vec<Tile> = supported_kernels().filter(|t| t.1 > 4).collect();
+        for shape in SHAPES {
+            let (a, b, c0) = operands(shape);
+            let got: Vec<_> = simd
+                .iter()
+                .map(|&tile| bits(&gemm_on(tile, &mut Packs::default(), &a, &b, &c0)))
+                .collect();
+            assert!(got.windows(2).all(|w| w[0] == w[1]), "{shape:?}");
+        }
+    }
+
+    /// Stale pack contents beyond a smaller product's zero-padded tail
+    /// must not leak into it.
+    #[test]
+    fn reused_packs_match_fresh_ones_to_the_bit() {
+        let mut by_size = SHAPES;
+        by_size.sort_by_key(|&(m, k, n)| m * k * n);
+        for tile in supported_kernels() {
+            let mut packs = Packs::default();
+            for &shape in by_size.iter().rev().chain(&by_size) {
+                let (a, b, c0) = operands(shape);
+                let fresh = gemm_on(tile, &mut Packs::default(), &a, &b, &c0);
+                let reused = gemm_on(tile, &mut packs, &a, &b, &c0);
+                assert!(bits(&reused) == bits(&fresh), "{shape:?}");
+            }
+        }
+        let (a, b, c0) = operands((9, 5, 17));
+        let (mut with, mut plain) = (c0.clone(), c0);
+        gemm_with(&mut Packs::default(), 1.5, &a, &b, -0.5, &mut with);
+        gemm(1.5, &a, &b, -0.5, &mut plain);
+        assert!(bits(&with) == bits(&plain));
+    }
+
+    /// The SIMD fronts are safe fns over raw-pointer loops: a strip or
+    /// a `C` slice too short for the tile must panic, not be read past.
+    #[test]
+    fn kernels_refuse_short_operands() {
+        for (mr, nr, kernel) in supported_kernels().filter(|t| t.1 > 4) {
+            let kc = 3;
+            let (a, b) = (vec![1.0; kc * mr], vec![1.0; kc * nr]);
+            let mut c = vec![0.0; mr * nr];
+            kernel(kc, &a, &b, &mut c, 0, 0, nr, mr, nr);
+            assert_eq!(c, vec![kc as f64; mr * nr]);
+            let mut refused = |a: &[f64], b: &[f64], c_len: usize, mr: usize| {
+                let c = &mut c[..c_len];
+                let call = std::panic::AssertUnwindSafe(|| kernel(kc, a, b, c, 0, 0, nr, mr, nr));
+                std::panic::catch_unwind(call).is_err()
+            };
+            assert!(
+                refused(&a[1..], &b, mr * nr, mr),
+                "{mr}x{nr}: short A strip"
+            );
+            assert!(
+                refused(&a, &b[1..], mr * nr, mr),
+                "{mr}x{nr}: short B strip"
+            );
+            assert!(refused(&a, &b, mr * nr - 1, mr), "{mr}x{nr}: short C");
+            assert!(refused(&a, &b, mr * nr, mr + 1), "{mr}x{nr}: tile too tall");
+        }
+    }
+
+    #[test]
+    fn beta_zero_does_not_read_c() {
+        let (a, b, _) = operands((9, 5, 17));
+        let mut c = Matrix::from_fn(9, 17, |i, j| match (i + j) % 3 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            _ => f64::NEG_INFINITY,
+        });
+        gemm(1.0, &a, &b, 0.0, &mut c);
+        assert!(bits(&c) == bits(&matmul(&a, &b)));
     }
 
     #[test]
