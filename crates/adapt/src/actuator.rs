@@ -9,12 +9,6 @@
 
 use hetgrid_dist::BlockDist;
 use hetgrid_exec::DistributedMatrix;
-use std::collections::BTreeMap;
-
-/// Aggregated transfer counts keyed by `(source, destination)` grid
-/// positions — the shape returned by
-/// [`hetgrid_dist::redistribution::transfer_plan`].
-pub type TransferSummary = BTreeMap<((usize, usize), (usize, usize)), usize>;
 
 /// One block move: which global block leaves which processor for which.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,17 +77,6 @@ impl RedistributionPlan {
     /// The not-yet-applied moves.
     pub fn pending(&self) -> &[Move] {
         &self.moves[self.cursor..]
-    }
-
-    /// Aggregates the plan into per-(src, dst) block counts — the same
-    /// shape as [`hetgrid_dist::redistribution::transfer_plan`], usable
-    /// as a cross-check.
-    pub fn transfer_summary(&self) -> TransferSummary {
-        let mut summary = BTreeMap::new();
-        for m in &self.moves {
-            *summary.entry((m.from, m.to)).or_insert(0) += 1;
-        }
-        summary
     }
 
     /// Applies up to `max_moves` pending moves to `dm`, advancing the
@@ -191,16 +174,6 @@ mod tests {
         assert!(dm.gather().approx_eq(&m, 0.0));
         // A drained plan applies nothing further.
         assert_eq!(plan.apply_all(&mut dm), 0);
-    }
-
-    #[test]
-    fn transfer_summary_matches_dist_transfer_plan() {
-        let (from, to) = dists();
-        let plan = RedistributionPlan::build(&from, &to, NB, NB);
-        assert_eq!(
-            plan.transfer_summary(),
-            redistribution::transfer_plan(&from, &to, NB)
-        );
     }
 
     #[test]

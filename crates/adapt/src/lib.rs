@@ -47,7 +47,7 @@ pub mod policy;
 pub mod simloop;
 pub mod telemetry;
 
-pub use actuator::{redistribute, Move, RedistributionPlan, TransferSummary};
+pub use actuator::{redistribute, Move, RedistributionPlan};
 pub use controller::{Action, Controller, ControllerConfig};
 pub use detector::{DriftDetector, DriftDetectorConfig};
 pub use estimator::EwmaEstimator;

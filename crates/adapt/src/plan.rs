@@ -3,7 +3,10 @@
 //! policy prices plans with.
 
 use hetgrid_core::{Method, Problem, Solution};
+use hetgrid_dist::redistribution::moved_fraction;
 use hetgrid_dist::{BlockDist, PanelDist, PanelOrdering};
+use hetgrid_sim::plan::Kernel;
+use hetgrid_sim::{simulate, Broadcast, CostModel, SimReport};
 
 /// A solved load-balancing plan: the arrangement (which processor sits
 /// where, at what planned cycle-time) and the panel distribution derived
@@ -46,6 +49,27 @@ impl ActivePlan {
             bp,
             bq,
         }
+    }
+
+    /// Simulates `kernel` on an `nb x nb` block matrix under this plan
+    /// (direct broadcasts).
+    pub fn simulate(&self, kernel: Kernel, nb: usize, cost: CostModel) -> SimReport {
+        let arr = &self.solution.arrangement;
+        simulate(kernel, arr, &self.dist, nb, cost, Broadcast::Direct)
+            .expect("a plan's distribution is built on its own arrangement")
+            .report
+    }
+
+    /// Re-solves for drifted cycle-times (same grid, panel sizes and
+    /// solver) and reports the fraction of an `nb x nb` block matrix
+    /// that would have to move to adopt the new plan — the caller
+    /// weighs it against the per-run gain (the paper's
+    /// static-allocation stance, quantified).
+    pub fn rebalance(&self, new_times: &[f64], nb: usize) -> (ActivePlan, f64) {
+        let (p, q) = self.grid();
+        let next = ActivePlan::solve(new_times, p, q, self.bp, self.bq, self.solution.method);
+        let moved = moved_fraction(&self.dist, &next.dist, nb);
+        (next, moved)
     }
 
     /// Grid shape `(p, q)`.

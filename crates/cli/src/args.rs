@@ -1,6 +1,9 @@
 //! Minimal flag parsing for the `hetgrid` CLI (no external parser: the
 //! offline dependency set is deliberately small).
 
+use hetgrid_core::{validate_times, Method};
+use hetgrid_dist::{PanelOrdering, Scheme};
+use hetgrid_plan::Kernel;
 use std::collections::HashMap;
 
 /// Parsed command line: a subcommand plus `--key value` / `--flag`
@@ -92,27 +95,106 @@ impl Args {
         }
     }
 
-    /// Comma-separated cycle-times from `--times`.
-    pub fn times(&self) -> Result<Vec<f64>, String> {
-        let raw = self.require("times")?;
-        raw.split(',')
+    /// Was `--key` given at all, with or without a value?
+    pub fn has(&self, key: &str) -> bool {
+        self.flag(key) || self.get(key).is_some()
+    }
+
+    /// `--key AxB`, two counts; `want` names the shape in the error.
+    pub fn pair(&self, key: &str, want: &str) -> Result<Option<(usize, usize)>, String> {
+        let Some(raw) = self.get(key) else {
+            return Ok(None);
+        };
+        raw.split_once(['x', 'X'])
+            .and_then(|(a, b)| Some((a.parse().ok()?, b.parse().ok()?)))
+            .map(Some)
+            .ok_or_else(|| format!("invalid --{} (want {}): {}", key, want, raw))
+    }
+
+    /// `--panel BPxBQ`, the period of `scheme` on a `p x q` grid: the
+    /// panel scheme deals every grid line at least one panel line.
+    pub fn panel(
+        &self,
+        scheme: Scheme,
+        (p, q): (usize, usize),
+        default: (usize, usize),
+    ) -> Result<(usize, usize), String> {
+        let (bp, bq) = self.pair("panel", "BPxBQ")?.unwrap_or(default);
+        if matches!(scheme, Scheme::Panel(_)) && (bp < p || bq < q) {
+            return Err(format!(
+                "--panel {}x{} is smaller than the {}x{} grid",
+                bp, bq, p, q
+            ));
+        }
+        Ok((bp, bq))
+    }
+
+    /// The comma-separated cycle-times of `--key`, one per processor of
+    /// a `p x q` grid, each positive and finite: everything the solvers
+    /// assert, as an error.
+    pub fn pool(&self, key: &str, p: usize, q: usize) -> Result<Vec<f64>, String> {
+        let times = self
+            .require(key)?
+            .split(',')
             .map(|s| {
                 s.trim()
                     .parse::<f64>()
                     .map_err(|_| format!("invalid cycle-time: {}", s))
             })
-            .collect()
+            .collect::<Result<Vec<f64>, String>>()?;
+        if times.len() != p * q {
+            return Err(format!("{} {} for a {}x{} grid", times.len(), key, p, q));
+        }
+        validate_times(&times, p, q).map_err(|e| format!("--{}: {}", key, e))?;
+        Ok(times)
     }
 
-    /// `--grid PxQ`.
-    pub fn grid(&self) -> Result<(usize, usize), String> {
-        let raw = self.require("grid")?;
-        let (p, q) = raw
-            .split_once(['x', 'X'])
-            .ok_or_else(|| format!("invalid --grid (want PxQ): {}", raw))?;
-        let p = p.parse().map_err(|_| format!("invalid grid rows: {}", p))?;
-        let q = q.parse().map_err(|_| format!("invalid grid cols: {}", q))?;
-        Ok((p, q))
+    /// `--times T1,T2,..` on `--grid PxQ`: the pool every grid command
+    /// starts from, as `(times, p, q)`.
+    pub fn grid_times(&self) -> Result<(Vec<f64>, usize, usize), String> {
+        let (p, q) = self.pair("grid", "PxQ")?.ok_or("missing --grid")?;
+        Ok((self.pool("times", p, q)?, p, q))
+    }
+
+    /// `--key NAME` looked up in a `(name, value)` table; the error
+    /// lists the table's names.
+    pub fn choice<T: Copy>(
+        &self,
+        key: &str,
+        default: &str,
+        table: &[(&str, T)],
+    ) -> Result<T, String> {
+        let raw = self.get(key).unwrap_or(default);
+        let hit = table.iter().find(|(name, _)| *name == raw);
+        hit.map(|&(_, value)| value).ok_or_else(|| {
+            let names: Vec<&str> = table.iter().map(|&(name, _)| name).collect();
+            format!(
+                "unknown {}: {} (want one of {})",
+                key,
+                raw,
+                names.join(", ")
+            )
+        })
+    }
+
+    /// `--kernel mm|lu|cholesky|qr`.
+    pub fn kernel(&self, default: Kernel) -> Result<Kernel, String> {
+        let table = Kernel::ALL.map(|k| (k.name(), k));
+        self.choice("kernel", default.name(), &table)
+    }
+
+    /// `--method heuristic|exact|local-search|anneal`.
+    pub fn method(&self) -> Result<Method, String> {
+        let table = Method::ALL.map(|m| (m.name(), m));
+        self.choice("method", Method::default().name(), &table)
+    }
+
+    /// `--scheme panel|kl|cyclic`, the panel scheme under
+    /// `--ordering interleaved|contiguous|columns`.
+    pub fn scheme(&self) -> Result<Scheme, String> {
+        let ordering = self.choice("ordering", "interleaved", &PanelOrdering::NAMED)?;
+        let schemes = Scheme::all(ordering).map(|s| (s.name(), s));
+        self.choice("scheme", "panel", &schemes)
     }
 }
 
@@ -128,8 +210,7 @@ mod tests {
     fn basic_parsing() {
         let a = parse("solve --times 1,2,3 --grid 1x3 --csv");
         assert_eq!(a.command.as_deref(), Some("solve"));
-        assert_eq!(a.times().unwrap(), vec![1.0, 2.0, 3.0]);
-        assert_eq!(a.grid().unwrap(), (1, 3));
+        assert_eq!(a.grid_times().unwrap(), (vec![1.0, 2.0, 3.0], 1, 3));
         assert!(a.flag("csv"));
         assert!(!a.flag("json"));
     }
@@ -168,9 +249,47 @@ mod tests {
 
     #[test]
     fn grid_format_errors() {
-        let a = parse("x --grid 2y3");
-        assert!(a.grid().is_err());
-        let a = parse("x --grid 2x3");
-        assert_eq!(a.grid().unwrap(), (2, 3));
+        let err = |s: &str| parse(s).grid_times().unwrap_err();
+        assert_eq!(
+            err("x --times 1,2 --grid 2y3"),
+            "invalid --grid (want PxQ): 2y3"
+        );
+        assert_eq!(
+            err("x --times 1,2 --grid ax2"),
+            "invalid --grid (want PxQ): ax2"
+        );
+        assert_eq!(err("x --times 1,2 --grid 0x2"), "2 times for a 0x2 grid");
+        assert_eq!(err("x --times 1,2 --grid 1x3"), "2 times for a 1x3 grid");
+        assert_eq!(
+            parse("x --new-times 1,2")
+                .pool("new-times", 1, 3)
+                .unwrap_err(),
+            "2 new-times for a 1x3 grid"
+        );
+        assert!(err("x --times 1,-2 --grid 1x2").contains("strictly positive"));
+        assert_eq!(err("x --times 1,two --grid 1x2"), "invalid cycle-time: two");
+        let panels = Scheme::Panel(PanelOrdering::Interleaved);
+        let a = parse("x --panel 4x6");
+        assert_eq!(a.panel(panels, (2, 2), (8, 8)).unwrap(), (4, 6));
+        assert_eq!(parse("x").panel(panels, (2, 2), (8, 8)).unwrap(), (8, 8));
+        assert!(a.panel(panels, (2, 7), (8, 8)).is_err());
+        assert_eq!(a.panel(Scheme::Cyclic, (2, 7), (8, 8)).unwrap(), (4, 6));
+    }
+
+    #[test]
+    fn choices_list_their_names() {
+        assert_eq!(parse("x").method().unwrap(), Method::Heuristic);
+        assert_eq!(
+            parse("x --method greedy").method().unwrap_err(),
+            "unknown method: greedy (want one of heuristic, exact, local-search, anneal)"
+        );
+        let a = parse("x --scheme panel --ordering columns");
+        assert_eq!(
+            a.scheme().unwrap(),
+            Scheme::Panel(PanelOrdering::ColumnsInterleaved)
+        );
+        assert_eq!(parse("x --scheme kl").scheme().unwrap(), Scheme::Kl);
+        assert!(parse("x --ordering zigzag").scheme().is_err());
+        assert_eq!(parse("x").kernel(Kernel::Lu).unwrap(), Kernel::Lu);
     }
 }

@@ -1,0 +1,76 @@
+//! `hetgrid simulate`: one kernel through the discrete-event simulator.
+
+use super::solve_heuristic;
+use crate::args::Args;
+use crate::obs_out;
+use hetgrid_plan::Kernel;
+use hetgrid_sim::machine::{CostModel, Network};
+use hetgrid_sim::{simulate as des, Broadcast};
+
+pub fn simulate(args: &Args) -> Result<(), String> {
+    let (times, p, q) = args.grid_times()?;
+    let nb: usize = args.get_parse("nb", 32)?;
+    let kernel = args.kernel(Kernel::Mm)?;
+    let networks = [
+        ("switched", Network::Switched),
+        ("bus", Network::SharedBus),
+        ("ethernet", Network::SharedBus),
+    ];
+    let network = args.choice("network", "switched", &networks)?;
+    let broadcasts = [
+        ("direct", Broadcast::Direct),
+        ("ring", Broadcast::Ring),
+        ("tree", Broadcast::Tree),
+    ];
+    let broadcast = args.choice("broadcast", "direct", &broadcasts)?;
+    let cost = CostModel {
+        latency: args.get_parse("latency", 0.2)?,
+        block_transfer: args.get_parse("transfer", 0.02)?,
+        network,
+        ..Default::default()
+    };
+
+    let solved = solve_heuristic(&times, p, q);
+    let scheme = args.scheme()?;
+    let (bp, bq) = ((2 * p).max(4), (2 * q).max(4));
+    let dist = scheme.build(&solved.arr, &solved.alloc, bp, bq);
+
+    let run =
+        des(kernel, &solved.arr, dist.as_ref(), nb, cost, broadcast).map_err(|e| e.to_string())?;
+    let report = &run.report;
+    println!(
+        "kernel {} on {}x{} blocks, scheme {}, network {:?}, broadcast {:?}",
+        kernel.name(),
+        nb,
+        nb,
+        scheme.name(),
+        network,
+        broadcast
+    );
+    println!("makespan        : {:.1}", report.makespan);
+    println!("comm time (sum) : {:.1}", report.comm_time);
+    println!("compute (sum)   : {:.1}", report.compute_time);
+    println!(
+        "avg utilization : {:.1}%",
+        report.average_utilization() * 100.0
+    );
+    println!("per-processor busy time:");
+    for row in &report.core_busy {
+        let cells: Vec<String> = row.iter().map(|x| format!("{:>10.1}", x)).collect();
+        println!("  {}", cells.join(" "));
+    }
+    let labels = hetgrid_sim::trace::grid_labels(p, q, matches!(network, Network::SharedBus));
+    if let Some(path) = args.get("trace-out") {
+        let doc = hetgrid_sim::trace::chrome_trace(&run.engine, &run.schedule, &labels);
+        obs_out::write_file(path, &doc)?;
+        hetgrid_obs::diag!("wrote chrome trace to {path} (open in Perfetto or chrome://tracing)");
+    }
+    if args.flag("gantt") {
+        println!("\nschedule (compute = #, communication = ~, idle = .):");
+        print!(
+            "{}",
+            hetgrid_sim::trace::ascii_gantt(&run.engine, &run.schedule, &labels, 100)
+        );
+    }
+    Ok(())
+}

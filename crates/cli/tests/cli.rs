@@ -76,14 +76,27 @@ fn solve_exact_paper_example() {
     assert!(stdout.contains("r = [1.0000, 0.3333]"), "{}", stdout);
 }
 
+/// `solve` and `run` read `--method` through one table: the same four
+/// names, and one error that lists them.
 #[test]
 fn solve_all_methods_run() {
+    let pool = ["--times", "1,2,3,5", "--grid", "2x2", "--method"];
     for method in ["heuristic", "exact", "local-search", "anneal"] {
-        let (ok, stdout, stderr) = run(&[
-            "solve", "--times", "1,2,3,5", "--grid", "2x2", "--method", method,
-        ]);
-        assert!(ok, "method {} failed: {}", method, stderr);
+        let (ok, stdout, stderr) = run(&[&["solve"], &pool[..], &[method]].concat());
+        assert!(ok, "solve --method {} failed: {}", method, stderr);
         assert!(stdout.contains("objective"), "{}", stdout);
+        let (ok, stdout, stderr) =
+            run(&[&["run"], &pool[..], &[method, "--nb", "4", "--block", "4"]].concat());
+        assert!(ok, "run --method {} failed: {}", method, stderr);
+        assert!(stdout.contains("max |C - A*B|"), "{}", stdout);
+    }
+    for cmd in ["solve", "run"] {
+        let (ok, _, stderr) = run(&[&[cmd], &pool[..], &["greedy"]].concat());
+        assert!(!ok);
+        assert_eq!(
+            stderr,
+            "error: unknown method: greedy (want one of heuristic, exact, local-search, anneal)\n"
+        );
     }
 }
 
@@ -281,9 +294,11 @@ fn run_reports_effective_lookahead() {
     }
 }
 
-/// Crash recovery is grid-only: asking for a crash on the star must
-/// fail loudly, not print a clean residual as if one had been injected
-/// and recovered. The flight recorder works on both topologies.
+/// The star platform has no grid, solver or distribution: a flag that
+/// configures one must fail loudly, naming itself and the reason — not
+/// be dropped, and for `--crash` not print a clean residual as if a
+/// crash had been injected and recovered. The flight recorder works on
+/// both topologies.
 #[test]
 fn star_rejects_crash_and_arms_the_flight_recorder() {
     let star = [
@@ -299,10 +314,21 @@ fn star_rejects_crash_and_arms_the_flight_recorder() {
         "--block",
         "4",
     ];
-    let (ok, stdout, stderr) = run(&[&star[..], &["--crash", "1@2"]].concat());
-    assert!(!ok && stdout.is_empty(), "{stdout}");
-    assert!(stderr.contains("error: --crash is not supported on the star topology"));
-    assert!(!stderr.contains("panicked"), "{stderr}");
+    for (flag, value, why) in [
+        ("--crash", "1@2", "crash recovery is grid-only"),
+        ("--times", "1,2,3,5", "homogeneous"),
+        ("--grid", "2x2", "not a 2D grid"),
+        ("--method", "exact", "no arrangement to solve"),
+        ("--scheme", "kl", "no block distribution"),
+        ("--ordering", "columns", "no panel distribution"),
+        ("--panel", "4x4", "no panel distribution"),
+    ] {
+        let (ok, stdout, stderr) = run(&[&star[..], &[flag, value]].concat());
+        assert!(!ok && stdout.is_empty(), "{flag}: {stdout}");
+        let head = format!("error: {flag} is not supported on the star topology: ");
+        assert!(stderr.starts_with(&head), "{flag}: {stderr}");
+        assert!(stderr.contains(why), "{flag}: {stderr}");
+    }
 
     let flight = TmpFile::new("star-flight.json");
     let (ok, stdout, stderr) = run(&[&star[..], &["--flight-recorder", flight.path()]].concat());
@@ -529,4 +555,53 @@ fn rebalance_quantifies_the_move() {
     assert!(ok, "{}", stderr);
     assert!(stdout.contains("blocks moved"));
     assert!(stdout.contains("gain per run"));
+}
+
+/// `parity.golden` pins the front half the `cmd/` modules share: every
+/// deterministic command on the paper's pool {1,2,3,5} and the rank-1
+/// pool {1,2,3,6}, and the error text of every bad `--panel`, `--grid`,
+/// `--times`, `--scheme`, `--ordering`, `--kernel` and `--method`. Only
+/// the stdout of the passing commands is the parent binary's capture;
+/// the file's header says which error texts are the parent's and which
+/// are the shared parsers' new wording.
+#[test]
+fn cli_parity_table() {
+    // The exact solver's effort counters depend on which worker finds
+    // the incumbent first; everything else it prints does not.
+    fn mask(text: &str) -> String {
+        let digits = |c: char| if c.is_ascii_digit() { '#' } else { c };
+        text.lines()
+            .map(|l| match l.starts_with("method: exact (") {
+                true => l.chars().map(digits).collect::<String>() + "\n",
+                false => l.to_string() + "\n",
+            })
+            .collect()
+    }
+
+    let mut cases: Vec<(&str, String)> = Vec::new();
+    for line in include_str!("parity.golden").lines() {
+        if let Some(argv) = line.strip_prefix("$ ") {
+            cases.push((argv, String::new()));
+        } else if let Some((_, want)) = cases.last_mut() {
+            want.push_str(line);
+            want.push('\n');
+        }
+    }
+    assert!(cases.len() > 100, "golden table truncated");
+    let mut diffs = Vec::new();
+    for (argv, want) in &cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_hetgrid"))
+            .args(argv.split(' '))
+            .output()
+            .expect("failed to launch hetgrid binary");
+        let mut got = String::from_utf8_lossy(&out.stdout).into_owned();
+        if !out.status.success() {
+            got.push_str(&format!("! exit {}\n", out.status.code().unwrap_or(-1)));
+            got.push_str(&String::from_utf8_lossy(&out.stderr));
+        }
+        if mask(&got) != mask(want) {
+            diffs.push(format!("$ {argv}\n--- want\n{want}--- got\n{got}"));
+        }
+    }
+    assert!(diffs.is_empty(), "{}", diffs.join("\n"));
 }

@@ -226,6 +226,22 @@ impl Arrangement {
         hetgrid_linalg::Matrix::from_fn(self.p, self.q, |i, j| 1.0 / self.time(i, j))
     }
 
+    /// Integer slowdown weights `w_ij = max(1, round(t_ij / min t))`:
+    /// how many times a processor repeats each block kernel for the
+    /// executor to emulate these cycle-times on homogeneous threads, and
+    /// the per-processor weight of one work unit in predicted counts.
+    pub fn slowdown_weights(&self) -> Vec<Vec<u64>> {
+        let tmin = self.times.iter().cloned().fold(f64::INFINITY, f64::min);
+        (0..self.p)
+            .map(|i| {
+                self.row(i)
+                    .iter()
+                    .map(|&t| ((t / tmin).round() as u64).max(1))
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Rank of the cycle-time matrix is 1 within tolerance `tol`
     /// (every 2x2 minor vanishes relative to its entries).
     pub fn is_rank1(&self, tol: f64) -> bool {

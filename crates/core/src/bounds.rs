@@ -17,12 +17,6 @@ pub fn total_rate_upper_bound(arr: &Arrangement) -> f64 {
     arr.times().iter().map(|&t| 1.0 / t).sum()
 }
 
-/// Upper bound independent of the arrangement: the same aggregate rate,
-/// computed from a bare multiset of cycle-times.
-pub fn total_rate_of(times: &[f64]) -> f64 {
-    times.iter().map(|&t| 1.0 / t).sum()
-}
-
 /// Lower bound: the slowest-processor gauge. Setting every share so the
 /// *slowest* processor meets its constraint (uniform block-cyclic
 /// shares) yields `obj2 = p * q / t_max`; the optimum can only improve

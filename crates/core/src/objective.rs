@@ -41,26 +41,6 @@ impl Allocation {
     pub fn obj2(&self) -> f64 {
         self.r.iter().sum::<f64>() * self.c.iter().sum::<f64>()
     }
-
-    /// Rescales so that `sum r_i = sum c_j = 1` (the `Obj1` normalization).
-    pub fn normalized(&self) -> Allocation {
-        let sr: f64 = self.r.iter().sum();
-        let sc: f64 = self.c.iter().sum();
-        Allocation {
-            r: self.r.iter().map(|x| x / sr).collect(),
-            c: self.c.iter().map(|x| x / sc).collect(),
-        }
-    }
-
-    /// Rescales the `r` shares so `r[0] = 1` (the gauge freedom noted in
-    /// Section 4.1), compensating on `c` so products are unchanged.
-    pub fn gauge_r1(&self) -> Allocation {
-        let s = self.r[0];
-        Allocation {
-            r: self.r.iter().map(|x| x / s).collect(),
-            c: self.c.iter().map(|x| x * s).collect(),
-        }
-    }
 }
 
 /// The workload matrix `B = (r_i t_ij c_j)`.
@@ -82,14 +62,6 @@ pub fn is_feasible(arr: &Arrangement, alloc: &Allocation, tol: f64) -> bool {
         .as_slice()
         .iter()
         .all(|&b| b <= 1.0 + tol)
-}
-
-/// The `Obj1` value for the *normalized* shares: `max_ij r_i t_ij c_j`
-/// after rescaling `sum r = sum c = 1`. Lower is better; this equals
-/// `1 / obj2` for feasible allocations at the `Obj2` optimum boundary.
-pub fn obj1(arr: &Arrangement, alloc: &Allocation) -> f64 {
-    let n = alloc.normalized();
-    workload_matrix(arr, &n).max_abs()
 }
 
 /// Mean of the workload matrix — the fraction of time the average
@@ -154,39 +126,13 @@ mod tests {
         for v in bs.as_slice() {
             assert!((v - 0.5).abs() < 1e-12);
         }
-        assert!((obj1(&arr, &scaled) - ideal_obj1_lower_bound(&arr)).abs() < 1e-12);
+        assert!((bs.max_abs() - ideal_obj1_lower_bound(&arr)).abs() < 1e-12);
     }
 
     #[test]
-    fn obj2_and_normalization() {
+    fn obj2_is_the_product_of_the_share_sums() {
         let alloc = Allocation::new(vec![1.0, 0.5], vec![2.0, 1.0]);
         assert!((alloc.obj2() - 4.5).abs() < 1e-12);
-        let n = alloc.normalized();
-        assert!((n.r.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((n.c.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gauge_preserves_products() {
-        let arr = fig1_arrangement();
-        let alloc = Allocation::new(vec![2.0, 0.7], vec![0.3, 0.1]);
-        let g = alloc.gauge_r1();
-        assert!((g.r[0] - 1.0).abs() < 1e-12);
-        let b0 = workload_matrix(&arr, &alloc);
-        let b1 = workload_matrix(&arr, &g);
-        assert!(b0.approx_eq(&b1, 1e-12));
-        assert!((alloc.obj2() - g.obj2()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn obj1_is_inverse_obj2_at_tight_allocations() {
-        // For an allocation where max product == 1 (tight), obj1 of the
-        // normalized shares is 1 / obj2.
-        let arr = fig1_arrangement();
-        let alloc = Allocation::new(vec![1.0, 1.0 / 3.0], vec![1.0, 0.5]);
-        let b = workload_matrix(&arr, &alloc);
-        assert!((b.max_abs() - 1.0).abs() < 1e-12);
-        assert!((obj1(&arr, &alloc) - 1.0 / alloc.obj2()).abs() < 1e-12);
     }
 
     #[test]

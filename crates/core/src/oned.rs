@@ -74,13 +74,6 @@ pub fn allocate_1d(times: &[f64], blocks: usize) -> OneDAllocation {
     OneDAllocation { counts, order }
 }
 
-/// Ideal (rational) shares proportional to speed `1/t_i`, normalized to
-/// sum to 1; the continuous relaxation of [`allocate_1d`].
-pub fn ideal_shares(times: &[f64]) -> Vec<f64> {
-    let rate: f64 = times.iter().map(|&t| 1.0 / t).sum();
-    times.iter().map(|&t| 1.0 / (t * rate)).collect()
-}
-
 /// Equivalent cycle-time of a *group* of processors acting as one: the
 /// inverse of the sum of their rates, `1 / sum(1/t_i)` (the harmonic
 /// aggregation used in Sections 3.1.2 and 3.2.2).
@@ -319,15 +312,6 @@ mod tests {
         assert_eq!(a.counts, vec![3, 3, 3]);
         // Dealing order must cycle through the processors.
         assert_eq!(a.order, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn ideal_shares_sum_to_one_and_order() {
-        let s = ideal_shares(&[1.0, 2.0, 4.0]);
-        assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(s[0] > s[1] && s[1] > s[2]);
-        // 1/t proportions: 4/7, 2/7, 1/7.
-        assert!((s[0] - 4.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

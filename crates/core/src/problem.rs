@@ -11,7 +11,7 @@
 //! ```
 
 use crate::arrangement::Arrangement;
-use crate::heuristic::{self, HeuristicOptions};
+use crate::heuristic;
 use crate::objective::{average_workload, Allocation};
 use crate::search::{self, SearchOptions};
 use crate::{exact, rank1};
@@ -33,6 +33,31 @@ pub enum Method {
     Annealing,
 }
 
+impl Method {
+    /// All solvers, in the order usage texts list them.
+    pub const ALL: [Method; 4] = [
+        Method::Heuristic,
+        Method::Exact,
+        Method::LocalSearch,
+        Method::Annealing,
+    ];
+
+    /// CLI-facing name (`heuristic`, `exact`, `local-search`, `anneal`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Method::Heuristic => "heuristic",
+            Method::Exact => "exact",
+            Method::LocalSearch => "local-search",
+            Method::Annealing => "anneal",
+        }
+    }
+
+    /// Parses a CLI-facing name.
+    pub fn parse(s: &str) -> Option<Method> {
+        Method::ALL.into_iter().find(|m| m.name() == s)
+    }
+}
+
 /// A machine pool plus a grid shape, ready to solve.
 #[derive(Clone, Debug)]
 pub struct Problem {
@@ -40,8 +65,6 @@ pub struct Problem {
     p: Option<usize>,
     q: Option<usize>,
     method: Method,
-    heuristic_options: HeuristicOptions,
-    search_options: SearchOptions,
 }
 
 /// The outcome of [`Problem::solve`].
@@ -80,8 +103,6 @@ impl Problem {
             p: None,
             q: None,
             method: Method::default(),
-            heuristic_options: HeuristicOptions::default(),
-            search_options: SearchOptions::default(),
         }
     }
 
@@ -100,18 +121,6 @@ impl Problem {
     /// Selects the solver.
     pub fn method(mut self, method: Method) -> Self {
         self.method = method;
-        self
-    }
-
-    /// Overrides the heuristic options.
-    pub fn heuristic_options(mut self, opts: HeuristicOptions) -> Self {
-        self.heuristic_options = opts;
-        self
-    }
-
-    /// Overrides the metaheuristic options.
-    pub fn search_options(mut self, opts: SearchOptions) -> Self {
-        self.search_options = opts;
         self
     }
 
@@ -155,7 +164,7 @@ impl Problem {
 
         let (arrangement, alloc) = match self.method {
             Method::Heuristic => {
-                let res = heuristic::solve(&self.times, p, q, self.heuristic_options);
+                let res = heuristic::solve_default(&self.times, p, q);
                 let b = res.best();
                 (b.arrangement.clone(), b.alloc.clone())
             }
@@ -164,11 +173,11 @@ impl Problem {
                 (g.arrangement, g.alloc)
             }
             Method::LocalSearch => {
-                let r = search::local_search(&self.times, p, q, self.search_options);
+                let r = search::local_search(&self.times, p, q, SearchOptions::default());
                 (r.arrangement, r.alloc)
             }
             Method::Annealing => {
-                let r = search::anneal(&self.times, p, q, self.search_options);
+                let r = search::anneal(&self.times, p, q, SearchOptions::default());
                 (r.arrangement, r.alloc)
             }
         };
@@ -242,6 +251,14 @@ mod tests {
                 method
             );
         }
+    }
+
+    #[test]
+    fn method_names_round_trip() {
+        for m in Method::ALL {
+            assert_eq!(Method::parse(m.name()), Some(m));
+        }
+        assert_eq!(Method::parse("greedy"), None);
     }
 
     #[test]

@@ -52,15 +52,6 @@ impl Topology {
         }
     }
 
-    /// The `(rows, cols)` layout the executor spawns: the grid itself,
-    /// or a `1 x (workers + 1)` row with the master at column 0.
-    pub fn exec_shape(&self) -> (usize, usize) {
-        match *self {
-            Topology::Grid2D { p, q } => (p, q),
-            Topology::Star { workers, .. } => (1, workers + 1),
-        }
-    }
-
     /// Short display name (`"grid"` / `"star"`).
     pub fn name(&self) -> &'static str {
         match self {
@@ -91,7 +82,6 @@ mod tests {
     fn shapes_and_counts() {
         let g = Topology::Grid2D { p: 2, q: 3 };
         assert_eq!(g.n_procs(), 6);
-        assert_eq!(g.exec_shape(), (2, 3));
         assert_eq!(g.name(), "grid");
         let s = Topology::Star {
             workers: 4,
@@ -99,7 +89,6 @@ mod tests {
             master_bw: 1.0,
         };
         assert_eq!(s.n_procs(), 5);
-        assert_eq!(s.exec_shape(), (1, 5));
         assert_eq!(s.name(), "star");
         assert_eq!(s.to_string(), "star 4w mem 7");
     }

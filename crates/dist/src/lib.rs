@@ -16,6 +16,7 @@
 //!
 //! All distributions implement [`BlockDist`]; [`balance_report`] measures
 //! how well each balances a heterogeneous [`hetgrid_core::Arrangement`].
+//! [`Scheme`] names the three and builds one from a solved placement.
 
 #![warn(missing_docs)]
 // Grid code indexes `owned[i][j]`-style tables with `for i in 0..p`
@@ -29,14 +30,14 @@
 )]
 
 pub mod cyclic;
-pub mod elements;
 pub mod kl;
 pub mod panel;
 pub mod redistribution;
+pub mod scheme;
 pub mod traits;
 
 pub use cyclic::BlockCyclic;
-pub use elements::ElementMap;
 pub use kl::KlDist;
 pub use panel::{PanelDist, PanelOrdering};
+pub use scheme::{panel_period, Scheme};
 pub use traits::{balance_report, BalanceReport, BlockDist};

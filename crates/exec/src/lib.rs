@@ -50,8 +50,7 @@
 //!   packed result with [`qr_unpack`];
 //! * [`run_mm_on_cfg`], [`run_lu_on_cfg`], [`run_cholesky_on_cfg`],
 //!   [`run_qr_on_cfg`] are [`run`] with the kernel fixed and the output
-//!   as a tuple; [`run_mm_rect_on_cfg`] is the rectangular MM
-//!   ([`hetgrid_plan::mm_rect_plan`]);
+//!   as a tuple;
 //! * [`run_solve_on_cfg`] — `A x = b`: [`run`] for the factorization,
 //!   triangular solves on the gathered factors;
 //! * [`run_recovery`] — [`run`] that survives grid faults by
@@ -114,10 +113,7 @@ pub use qr::qr_unpack;
 pub use recovery::{
     run_recovery, GridFault, RecoveryHooks, RecoveryOutput, RecoveryStats, SurvivorGrid,
 };
-pub use run::{
-    run, run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, run_mm_rect_on_cfg, run_qr_on_cfg,
-    RunOutput,
-};
+pub use run::{run, run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, run_qr_on_cfg, RunOutput};
 pub use solve::{run_solve_on_cfg, SolveKind};
 pub use star::run_star_mm_on_cfg;
 pub use step::{ExecConfig, DEFAULT_LOOKAHEAD};

@@ -77,9 +77,7 @@ pub(crate) fn mm_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
 #[cfg(test)]
 mod tests {
     use crate::testutil::{dense, lookahead_cases, uniform};
-    use crate::{
-        run_mm_on_cfg, run_mm_rect_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport,
-    };
+    use crate::{run_mm_on_cfg, ChannelTransport, ExecConfig, ExecError, ExecReport};
     use hetgrid_core::{exact, Arrangement};
     use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
     use hetgrid_linalg::gemm::matmul;
@@ -195,28 +193,6 @@ mod tests {
         let (c, report) = run_mm(&a, &b, &dist, 3, 2, &uniform(1, 1)).unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
         assert_eq!(report.total_messages(), 0, "no peers, no messages");
-    }
-
-    #[test]
-    fn rect_mm_matches_sequential() {
-        // C(8x4 blocks) = A(8x6) * B(6x4), r = 2.
-        let (mb, nb, kb) = (8usize, 4usize, 6usize);
-        let r = 2;
-        let a = dense(mb * r, kb * r, 0x31);
-        let b = dense(kb * r, nb * r, 0x32);
-        let dist = BlockCyclic::new(2, 2);
-        let (c, _) = run_mm_rect_on_cfg(
-            &ChannelTransport,
-            &a,
-            &b,
-            &dist,
-            (mb, nb, kb),
-            r,
-            &uniform(2, 2),
-            ExecConfig::default(),
-        )
-        .unwrap();
-        assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
     }
 
     #[test]

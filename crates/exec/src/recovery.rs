@@ -193,8 +193,7 @@ pub fn run_recovery(
     hooks: &RecoveryHooks<'_>,
 ) -> Result<RecoveryOutput, ExecError> {
     let (p, q) = dist.grid();
-    let dims = (nb, nb, nb);
-    let mut state = GridState::scatter(kernel, inputs, dist, dims, r);
+    let mut state = GridState::scatter(kernel, inputs, dist, nb, r);
 
     // The current epoch's grid: `None` means the initial `dist` /
     // `weights`, `Some` a survivor grid installed by recovery.
@@ -338,7 +337,7 @@ pub fn run_recovery(
         state.main = placed;
         // MM's operands are read-only: re-scatter them on the new
         // distribution instead of journaling them.
-        state.operands = scatter_operands(kernel, inputs, &*sv.dist, dims, r);
+        state.operands = scatter_operands(kernel, inputs, &*sv.dist, nb, r);
 
         survivor = Some(sv);
         start = frontier;

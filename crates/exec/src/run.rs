@@ -69,7 +69,7 @@ pub fn run(
     weights: &[Vec<u64>],
     cfg: ExecConfig,
 ) -> Result<RunOutput, ExecError> {
-    let state = GridState::scatter(kernel, inputs, dist, (nb, nb, nb), r);
+    let state = GridState::scatter(kernel, inputs, dist, nb, r);
     state.run_to_end(transport, &kernel.plan(dist, nb), weights, cfg)
 }
 
@@ -85,30 +85,6 @@ pub fn run_mm_on_cfg(
     cfg: ExecConfig,
 ) -> Result<(Matrix, ExecReport), ExecError> {
     run(transport, Kernel::Mm, &[a, b], dist, nb, r, weights, cfg).map(|o| (o.result, o.report))
-}
-
-/// Rectangular MM, `C(mb x nb) = A(mb x kb) * B(kb x nb)` in `r`-sized
-/// blocks with all three matrices laid out by the same distribution:
-/// [`run`] over [`hetgrid_plan::mm_rect_plan`].
-pub fn run_mm_rect_on_cfg(
-    transport: &impl Transport,
-    a: &Matrix,
-    b: &Matrix,
-    dist: &(dyn BlockDist + Sync),
-    dims: (usize, usize, usize),
-    r: usize,
-    weights: &[Vec<u64>],
-    cfg: ExecConfig,
-) -> Result<(Matrix, ExecReport), ExecError> {
-    let state = GridState::scatter(Kernel::Mm, &[a, b], dist, dims, r);
-    state
-        .run_to_end(
-            transport,
-            &hetgrid_plan::mm_rect_plan(dist, dims),
-            weights,
-            cfg,
-        )
-        .map(|o| (o.result, o.report))
 }
 
 /// [`run`] for LU, returning `(packed factors, report)`.
@@ -172,13 +148,13 @@ pub(crate) fn scatter_operands(
     kernel: Kernel,
     inputs: &[&Matrix],
     dist: &dyn BlockDist,
-    (mb, nb, kb): (usize, usize, usize),
+    nb: usize,
     r: usize,
 ) -> Vec<DistributedMatrix> {
     match kernel {
         Kernel::Mm => vec![
-            DistributedMatrix::scatter_rect(inputs[0], dist, mb, kb, r),
-            DistributedMatrix::scatter_rect(inputs[1], dist, kb, nb, r),
+            DistributedMatrix::scatter(inputs[0], dist, nb, r),
+            DistributedMatrix::scatter(inputs[1], dist, nb, r),
         ],
         Kernel::Lu | Kernel::Cholesky | Kernel::Qr => vec![],
     }
@@ -191,12 +167,11 @@ impl GridState {
         kernel: Kernel,
         inputs: &[&Matrix],
         dist: &dyn BlockDist,
-        dims: (usize, usize, usize),
+        nb: usize,
         r: usize,
     ) -> Self {
-        let (mb, nb, _) = dims;
         let main = match (kernel, inputs) {
-            (Kernel::Mm, [_, _]) => DistributedMatrix::zeros_rect(dist, mb, nb, r),
+            (Kernel::Mm, [_, _]) => DistributedMatrix::zeros(dist, nb, r),
             (Kernel::Lu | Kernel::Cholesky | Kernel::Qr, [a]) => {
                 DistributedMatrix::scatter(a, dist, nb, r)
             }
@@ -205,7 +180,7 @@ impl GridState {
         GridState {
             kernel,
             main,
-            operands: scatter_operands(kernel, inputs, dist, dims, r),
+            operands: scatter_operands(kernel, inputs, dist, nb, r),
             taus: Mutex::new(vec![Vec::new(); nb]),
         }
     }

@@ -337,7 +337,7 @@ pub(crate) fn run_steps(
                     for &(ns, bi, bj) in &action.writes {
                         if ns == 0 {
                             if let Some(data) = interp.peek((bi, bj)) {
-                                j.log.record(j.me, action.step, (bi, bj), data);
+                                j.log.record(action.step, (bi, bj), data);
                             }
                         }
                     }

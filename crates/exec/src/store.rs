@@ -31,37 +31,19 @@ impl DistributedMatrix {
     /// # Panics
     /// Panics if `m` is not square with side `nb * r`.
     pub fn scatter(m: &Matrix, dist: &dyn BlockDist, nb: usize, r: usize) -> Self {
-        Self::scatter_rect(m, dist, nb, nb, r)
-    }
-
-    /// Scatters a rectangular `nb_rows*r x nb_cols*r` matrix over `dist`.
-    ///
-    /// # Panics
-    /// Panics on size mismatch.
-    pub fn scatter_rect(
-        m: &Matrix,
-        dist: &dyn BlockDist,
-        nb_rows: usize,
-        nb_cols: usize,
-        r: usize,
-    ) -> Self {
-        assert_eq!(
-            m.shape(),
-            (nb_rows * r, nb_cols * r),
-            "scatter: size mismatch"
-        );
+        assert_eq!(m.shape(), (nb * r, nb * r), "scatter: size mismatch");
         let (p, q) = dist.grid();
         let mut stores: Vec<BlockStore> = vec![HashMap::new(); p * q];
-        for bi in 0..nb_rows {
-            for bj in 0..nb_cols {
+        for bi in 0..nb {
+            for bj in 0..nb {
                 let (i, j) = dist.owner(bi, bj);
                 stores[i * q + j].insert((bi, bj), m.block(bi * r, bj * r, r, r));
             }
         }
         DistributedMatrix {
             r,
-            nb_rows,
-            nb_cols,
+            nb_rows: nb,
+            nb_cols: nb,
             stores,
             grid: (p, q),
         }
@@ -71,12 +53,6 @@ impl DistributedMatrix {
     pub fn zeros(dist: &dyn BlockDist, nb: usize, r: usize) -> Self {
         let z = Matrix::zeros(nb * r, nb * r);
         Self::scatter(&z, dist, nb, r)
-    }
-
-    /// Creates an all-zero rectangular distributed matrix.
-    pub fn zeros_rect(dist: &dyn BlockDist, nb_rows: usize, nb_cols: usize, r: usize) -> Self {
-        let z = Matrix::zeros(nb_rows * r, nb_cols * r);
-        Self::scatter_rect(&z, dist, nb_rows, nb_cols, r)
     }
 
     /// Gathers the blocks back into a global matrix.
@@ -102,11 +78,10 @@ impl DistributedMatrix {
     }
 }
 
-/// One journaled block version: during plan step `step`, processor
-/// `proc` (linear id) left `data` in global block `block`.
+/// One journaled block version: plan step `step` left `data` in its
+/// global block.
 #[derive(Clone, Debug)]
 struct LogEntry {
-    proc: usize,
     step: usize,
     data: Matrix,
 }
@@ -167,15 +142,14 @@ impl CheckpointLog {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Journals one block version: `proc` wrote `data` into `block`
-    /// during step `step`.
-    pub fn record(&self, proc: usize, step: usize, block: (usize, usize), data: &Matrix) {
+    /// Journals one block version: step `step` wrote `data` into
+    /// `block`.
+    pub fn record(&self, step: usize, block: (usize, usize), data: &Matrix) {
         self.lock()
             .entries
             .entry(block)
             .or_default()
             .push(LogEntry {
-                proc,
                 step,
                 data: data.clone(),
             });
@@ -207,26 +181,6 @@ impl CheckpointLog {
     /// `true` if nothing has been journaled yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Blocks whose *latest* journaled version (at any step) was written
-    /// by `proc` — the blocks that die with that processor if nothing
-    /// below the cut supersedes them. Sorted for deterministic reports.
-    pub fn written_last_by(&self, proc: usize) -> Vec<(usize, usize)> {
-        let inner = self.lock();
-        let mut blocks: Vec<(usize, usize)> = inner
-            .entries
-            .iter()
-            .filter(|(_, versions)| {
-                versions
-                    .iter()
-                    .max_by_key(|e| e.step)
-                    .is_some_and(|e| e.proc == proc)
-            })
-            .map(|(&b, _)| b)
-            .collect();
-        blocks.sort_unstable();
-        blocks
     }
 
     /// Materializes the consistent state at cut `f`: for every block in
@@ -349,18 +303,10 @@ impl ExecReport {
     }
 }
 
-/// Integer slowdown weights from an arrangement: each processor repeats
-/// every block kernel `w_ij = round(t_ij / min t)` times, emulating the
-/// heterogeneous cycle-times on homogeneous hardware threads.
+/// [`hetgrid_core::Arrangement::slowdown_weights`] under the name the
+/// benchmark package and the examples import.
 pub fn slowdown_weights(arr: &hetgrid_core::Arrangement) -> Vec<Vec<u64>> {
-    let tmin = arr.times().iter().cloned().fold(f64::INFINITY, f64::min);
-    (0..arr.p())
-        .map(|i| {
-            (0..arr.q())
-                .map(|j| ((arr.time(i, j) / tmin).round() as u64).max(1))
-                .collect()
-        })
-        .collect()
+    arr.slowdown_weights()
 }
 
 #[cfg(test)]
@@ -407,25 +353,22 @@ mod tests {
             .collect();
         let v = |x: f64| Matrix::from_fn(2, 2, |_, _| x);
         // Appends arrive out of step order, as racing workers produce.
-        log.record(0, 2, (0, 0), &v(3.0));
-        log.record(0, 0, (0, 0), &v(1.0));
-        log.record(1, 1, (0, 0), &v(2.0));
+        log.record(2, (0, 0), &v(3.0));
+        log.record(0, (0, 0), &v(1.0));
+        log.record(1, (0, 0), &v(2.0));
         let cut = log.state_at(2, &base);
         assert!(cut[&(0, 0)].approx_eq(&v(2.0), 0.0)); // step 2 is above the cut
         assert!(cut[&(0, 1)].approx_eq(&Matrix::zeros(2, 2), 0.0)); // untouched -> base
                                                                     // Cut at the start falls back to the base everywhere.
         let fresh = log.state_at(0, &base);
         assert!(fresh[&(0, 0)].approx_eq(&Matrix::zeros(2, 2), 0.0));
-        // The proc that last touched (0, 0) is the one that would lose it.
-        assert_eq!(log.written_last_by(0), vec![(0, 0)]);
-        assert_eq!(log.written_last_by(1), Vec::<(usize, usize)>::new());
     }
 
     #[test]
     #[should_panic(expected = "missing from base")]
     fn checkpoint_state_rejects_foreign_blocks() {
         let log = CheckpointLog::new(1, 0);
-        log.record(0, 0, (5, 5), &Matrix::zeros(2, 2));
+        log.record(0, (5, 5), &Matrix::zeros(2, 2));
         log.state_at(1, &BlockStore::new());
     }
 

@@ -255,16 +255,6 @@ impl SpanGuard {
     pub fn arg_u64(&mut self, key: &'static str, value: u64) {
         self.0.args.push((key, Arg::U64(value)));
     }
-
-    /// Attaches a float argument.
-    pub fn arg_f64(&mut self, key: &'static str, value: f64) {
-        self.0.args.push((key, Arg::F64(value)));
-    }
-
-    /// Attaches a string argument.
-    pub fn arg_str(&mut self, key: &'static str, value: impl Into<String>) {
-        self.0.args.push((key, Arg::Str(value.into())));
-    }
 }
 
 impl Drop for SpanGuard {

@@ -7,7 +7,7 @@
 //! [`HazardGraph::build`] sweeps a plan in program order and records
 //! every cross-step hazard — RAW (read after write), WAW (write after
 //! write) and WAR (write after read) — labeled with the block that
-//! induces it. [`ReadySet`] turns the graph into a scheduling frontier.
+//! induces it.
 //!
 //! Two properties of the IR matter to consumers:
 //!
@@ -294,72 +294,6 @@ impl HazardGraph {
     pub fn depends(&self, from: usize, to: usize) -> bool {
         self.edges.iter().any(|e| e.from == from && e.to == to)
     }
-
-    /// The scheduling frontier over this graph.
-    pub fn ready_set(&self) -> ReadySet {
-        let mut indegree = vec![0usize; self.n];
-        let mut succs = vec![Vec::new(); self.n];
-        // Multiple labeled edges between the same pair count once.
-        let mut seen: Vec<(usize, usize)> = Vec::new();
-        for e in &self.edges {
-            if !seen.contains(&(e.from, e.to)) {
-                seen.push((e.from, e.to));
-                indegree[e.to] += 1;
-                succs[e.from].push(e.to);
-            }
-        }
-        let ready = (0..self.n).filter(|&s| indegree[s] == 0).collect();
-        ReadySet {
-            indegree,
-            succs,
-            ready,
-        }
-    }
-}
-
-/// An incremental topological frontier over a [`HazardGraph`]: steps
-/// with no incomplete predecessors are *ready*; completing a step may
-/// unlock its successors.
-#[derive(Clone, Debug)]
-pub struct ReadySet {
-    indegree: Vec<usize>,
-    succs: Vec<Vec<usize>>,
-    ready: Vec<usize>,
-}
-
-impl ReadySet {
-    /// The currently ready steps, ascending.
-    pub fn ready(&self) -> Vec<usize> {
-        let mut r = self.ready.clone();
-        r.sort_unstable();
-        r
-    }
-
-    /// Marks `step` complete, moving any newly unblocked successors
-    /// into the ready set.
-    ///
-    /// # Panics
-    /// Panics if `step` was not ready.
-    pub fn complete(&mut self, step: usize) {
-        let pos = self
-            .ready
-            .iter()
-            .position(|&s| s == step)
-            .expect("ReadySet::complete: step not ready");
-        self.ready.swap_remove(pos);
-        for i in 0..self.succs[step].len() {
-            let succ = self.succs[step][i];
-            self.indegree[succ] -= 1;
-            if self.indegree[succ] == 0 {
-                self.ready.push(succ);
-            }
-        }
-    }
-
-    /// True once every step has been completed.
-    pub fn is_done(&self) -> bool {
-        self.ready.is_empty() && self.indegree.iter().all(|&d| d == 0)
-    }
 }
 
 #[cfg(test)]
@@ -416,12 +350,6 @@ mod tests {
             for s in 0..g.n - 1 {
                 assert!(g.depends(s, s + 1), "{name}: no edge {s}->{}", s + 1);
             }
-            let mut rs = g.ready_set();
-            for s in 0..g.n {
-                assert_eq!(rs.ready(), vec![s], "{name}: frontier at {s}");
-                rs.complete(s);
-            }
-            assert!(rs.is_done(), "{name}");
         }
     }
 
@@ -540,38 +468,5 @@ mod tests {
         for e in &g.edges {
             assert!(e.from < e.to, "{e:?}");
         }
-        // Program order is a legal schedule of the hazard DAG.
-        let mut rs = g.ready_set();
-        for s in 0..g.n {
-            assert!(rs.ready().contains(&s), "step {s} not ready in order");
-            rs.complete(s);
-        }
-        assert!(rs.is_done());
-    }
-
-    #[test]
-    fn ready_set_handles_independent_steps() {
-        // Hand-built diamond: 0 -> {1, 2} -> 3.
-        let b = BlockRef::c((0, 0));
-        let edge = |from, to| Hazard {
-            from,
-            to,
-            block: b,
-            kind: HazardKind::Raw,
-        };
-        let g = HazardGraph {
-            n: 4,
-            edges: vec![edge(0, 1), edge(0, 2), edge(1, 3), edge(2, 3)],
-        };
-        let mut rs = g.ready_set();
-        assert_eq!(rs.ready(), vec![0]);
-        rs.complete(0);
-        assert_eq!(rs.ready(), vec![1, 2]);
-        rs.complete(2);
-        assert_eq!(rs.ready(), vec![1]);
-        rs.complete(1);
-        assert_eq!(rs.ready(), vec![3]);
-        rs.complete(3);
-        assert!(rs.is_done());
     }
 }

@@ -590,12 +590,6 @@ pub fn star_tile_side(worker_mem: usize) -> usize {
     mu
 }
 
-/// Plan for square `C = A * B` on a master-worker star
-/// ([`star_mm_plan`] with `mb = nb = kb`).
-pub fn star_mm_square(topo: &Topology, nb: usize) -> Plan {
-    star_mm_plan(topo, (nb, nb, nb))
-}
-
 /// The maximum-reuse streaming schedule for
 /// `C(mb x nb) = A(mb x kb) * B(kb x nb)` on a master-worker star
 /// (*Revisiting Matrix Product on Master-Worker Platforms*): `C` is

@@ -298,10 +298,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self, what: &'static str) -> Result<usize, DecodeError> {
-        let end = self.pos.checked_add(4).ok_or_else(|| self.err(what))?;
-        let bytes = self.buf.get(self.pos..end).ok_or_else(|| self.err(what))?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(bytes.try_into().unwrap()) as usize)
+        let (bytes, _) = self.buf[self.pos..]
+            .split_first_chunk::<4>()
+            .ok_or_else(|| self.err(what))?;
+        self.pos += 4;
+        Ok(u32::from_le_bytes(*bytes) as usize)
     }
 
     /// Reads a `u32` element count and sanity-bounds it against the

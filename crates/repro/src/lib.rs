@@ -12,8 +12,8 @@ pub mod experiments;
 pub mod workloads;
 
 use hetgrid_core::heuristic::{self, HeuristicOptions};
-use hetgrid_core::{exact, Arrangement};
-use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
+use hetgrid_core::{exact, Allocation, Arrangement};
+use hetgrid_dist::{BlockDist, PanelOrdering, Scheme};
 use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::CostModel;
 use hetgrid_sim::{simulate, Broadcast};
@@ -161,35 +161,18 @@ pub fn build_instance(times: &[f64], p: usize, q: usize, panel: usize) -> SimIns
     let best = res.best();
     let arr = best.arrangement.clone();
 
-    let mut dists: Vec<(Strategy, Box<dyn BlockDist + Sync>)> = Vec::new();
-    dists.push((Strategy::Cyclic, Box::new(BlockCyclic::new(p, q))));
-    dists.push((
-        Strategy::HeuristicPanel,
-        Box::new(PanelDist::from_allocation(
-            &arr,
-            &best.alloc,
-            panel.max(p),
-            panel.max(q),
-            PanelOrdering::Interleaved,
-        )),
-    ));
+    let (bp, bq) = (panel.max(p), panel.max(q));
+    let panels = Scheme::Panel(PanelOrdering::Interleaved);
+    let build = |scheme: Scheme, alloc: &Allocation| scheme.build(&arr, alloc, bp, bq);
+    let mut dists = vec![
+        (Strategy::Cyclic, build(Scheme::Cyclic, &best.alloc)),
+        (Strategy::HeuristicPanel, build(panels, &best.alloc)),
+    ];
     if p <= 4 && q <= 4 {
         let ex = exact::solve_arrangement(&arr);
-        dists.push((
-            Strategy::ExactPanel,
-            Box::new(PanelDist::from_allocation(
-                &arr,
-                &ex.alloc,
-                panel.max(p),
-                panel.max(q),
-                PanelOrdering::Interleaved,
-            )),
-        ));
+        dists.push((Strategy::ExactPanel, build(panels, &ex.alloc)));
     }
-    dists.push((
-        Strategy::KalinovLastovetsky,
-        Box::new(KlDist::new(&arr, panel.max(p), panel.max(q))),
-    ));
+    dists.push((Strategy::KalinovLastovetsky, build(Scheme::Kl, &best.alloc)));
     SimInstance { arr, dists }
 }
 

@@ -438,24 +438,28 @@ impl<'a> Cursor<'a> {
         Ok(bytes)
     }
 
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], ProtoError> {
+        let (bytes, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.err(what))?;
+        self.pos += N;
+        Ok(*bytes)
+    }
+
     fn u16(&mut self, what: &'static str) -> Result<usize, ProtoError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes(b.try_into().unwrap()) as usize)
+        Ok(u16::from_le_bytes(self.array(what)?) as usize)
     }
 
     fn u32(&mut self, what: &'static str) -> Result<usize, ProtoError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().unwrap()) as usize)
+        Ok(u32::from_le_bytes(self.array(what)?) as usize)
     }
 
     fn f64(&mut self, what: &'static str) -> Result<f64, ProtoError> {
-        let b = self.take(8, what)?;
-        Ok(f64::from_bits(u64::from_le_bytes(b.try_into().unwrap())))
+        Ok(f64::from_bits(self.u64(what)?))
     }
 
     fn u64(&mut self, what: &'static str) -> Result<u64, ProtoError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     /// Reads a `u32` element count, bounded by the bytes remaining.

@@ -13,7 +13,7 @@
 use crate::proto;
 use crate::service::{Service, ServiceConfig};
 use crate::wire::{read_frame, write_frame, WireError};
-use hetgrid_obs::vdiag;
+use hetgrid_obs::{diag, vdiag};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -160,7 +160,7 @@ fn accept_loop(
             .inc();
         let service = Arc::clone(&service);
         let stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name("serve-conn".into())
             .spawn(move || {
                 connection(stream, addr, &service, &stop);
@@ -168,8 +168,22 @@ fn accept_loop(
                     .counter("serve.connections.closed")
                     .inc();
                 hetgrid_obs::trace::flush_thread();
-            })
-            .expect("spawning a connection thread");
+            });
+        let handle = match spawned {
+            Ok(handle) => handle,
+            // The OS is out of threads: the closure, and the stream in
+            // it, is already dropped, so this client sees a closed
+            // connection; the ones being served are not disturbed.
+            // Counted closed as well as refused, so opened − closed
+            // stays the number of live connections.
+            Err(e) => {
+                for name in ["serve.connections.refused", "serve.connections.closed"] {
+                    hetgrid_obs::metrics().counter(name).inc();
+                }
+                diag!("serve: refused a connection, no thread for it: {}", e);
+                continue;
+            }
+        };
         let mut conns = conns.lock().unwrap_or_else(|p| p.into_inner());
         conns.push(handle);
         // Opportunistically reap finished threads so a long-lived

@@ -40,7 +40,7 @@ use crate::proto::{
 };
 use crate::quota::{QuotaConfig, QuotaTable};
 use hetgrid_core::{heuristic, validate_times, Arrangement};
-use hetgrid_dist::{PanelDist, PanelOrdering};
+use hetgrid_dist::{panel_period, PanelDist, PanelOrdering};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -331,48 +331,24 @@ fn validate_body(body: &RequestBody) -> Result<(), String> {
 // Compute: the pure function a cache entry memoizes
 // ---------------------------------------------------------------------
 
-/// Integer slowdown weights from an arrangement (each processor's
-/// cycle-time over the fastest, rounded, at least 1) — the same rule
-/// `hetgrid_exec::slowdown_weights` uses, restated here so serve does
-/// not pull in the executor.
-fn weights_for(arr: &Arrangement) -> Vec<Vec<u64>> {
-    let tmin = arr.times().iter().cloned().fold(f64::INFINITY, f64::min);
-    (0..arr.p())
-        .map(|i| {
-            (0..arr.q())
-                .map(|j| ((arr.time(i, j) / tmin).round() as u64).max(1))
-                .collect()
-        })
-        .collect()
-}
-
-fn solve(spec: &SolveSpec) -> (Arrangement, hetgrid_core::Allocation, f64) {
+fn solve_result(spec: &SolveSpec) -> (Arrangement, hetgrid_core::Allocation, SolveResult) {
     let res = heuristic::solve_default(&spec.times, spec.p, spec.q);
     let best = res.best();
-    (best.arrangement.clone(), best.alloc.clone(), best.obj2)
-}
-
-fn solve_result(spec: &SolveSpec) -> (Arrangement, hetgrid_core::Allocation, SolveResult) {
-    let (arr, alloc, obj2) = solve(spec);
     let result = SolveResult {
         p: spec.p,
         q: spec.q,
-        times: arr.times().to_vec(),
-        rows: alloc.r.clone(),
-        cols: alloc.c.clone(),
-        obj2,
+        times: best.arrangement.times().to_vec(),
+        rows: best.alloc.r.clone(),
+        cols: best.alloc.c.clone(),
+        obj2: best.obj2,
     };
-    (arr, alloc, result)
+    (best.arrangement.clone(), best.alloc.clone(), result)
 }
 
-/// The paper-faithful distribution for a solved instance: a panel
-/// distribution from the continuous allocation, with a panel period of
-/// up to four panel rows/columns per grid row/column (clamped to the
-/// block count). Deterministic in the spec, so cache entries are
-/// reproducible.
+/// The paper-faithful distribution for a solved instance: interleaved
+/// panels from the continuous allocation, at [`panel_period`]'s period.
 fn dist_for(arr: &Arrangement, alloc: &hetgrid_core::Allocation, nb: usize) -> PanelDist {
-    let bp = nb.min(4 * arr.p()).max(arr.p());
-    let bq = nb.min(4 * arr.q()).max(arr.q());
+    let (bp, bq) = (panel_period(nb, arr.p()), panel_period(nb, arr.q()));
     PanelDist::from_allocation(arr, alloc, bp, bq, PanelOrdering::Interleaved)
 }
 
@@ -394,7 +370,7 @@ fn compute(body: &RequestBody) -> Response {
         RequestBody::Simulate(spec) => {
             let (arr, alloc, _) = solve_result(&spec.solve);
             let dist = dist_for(&arr, &alloc, spec.nb);
-            let weights = weights_for(&arr);
+            let weights = arr.slowdown_weights();
             let plan = spec.kernel.plan(&dist, spec.nb);
             let counts = hetgrid_sim::counts::fold(&plan, 0, &weights);
             Response::Simulate(crate::proto::SimulateResult {
@@ -497,6 +473,54 @@ mod tests {
         assert_eq!(r.solve.cols.len(), 2);
     }
 
+    /// What `benchmark/src/plan_serve.rs` re-derives for every served
+    /// plan, with the period rule spelled out as its frozen copy
+    /// (`benchmark/src/exec_wl.rs::panel_dist`) spells it: if
+    /// `hetgrid_dist::panel_period` drifts, this fails before the
+    /// benchmark's byte comparison does.
+    #[test]
+    fn plan_bytes_are_the_benchmarks_rederivation() {
+        let _g = obs_lock();
+        let svc = Service::new(ServiceConfig::default());
+        let specs: [(usize, usize, usize, Vec<f64>); 2] = [
+            (2, 2, 6, vec![1.0, 2.0, 3.0, 5.0]),
+            (4, 4, 24, (1..=16).map(f64::from).collect()),
+        ];
+        for (p, q, nb, times) in specs {
+            let res = heuristic::solve_default(&times, p, q);
+            let best = res.best();
+            let (bp, bq) = (nb.min(4 * p).max(p), nb.min(4 * q).max(q));
+            let dist = PanelDist::from_allocation(
+                &best.arrangement,
+                &best.alloc,
+                bp,
+                bq,
+                PanelOrdering::Interleaved,
+            );
+            for kernel in Kernel::ALL {
+                let solve = SolveSpec {
+                    p,
+                    q,
+                    times: times.clone(),
+                };
+                let resp = svc.respond(&Request {
+                    tenant: String::new(),
+                    body: RequestBody::Plan(PlanSpec { solve, kernel, nb }),
+                });
+                let Response::Plan(served) = resp else {
+                    panic!("expected a plan response, got {resp:?}")
+                };
+                let expect = hetgrid_plan::wire::encode(&kernel.plan(&dist, nb));
+                assert!(
+                    served.plan_bytes == expect,
+                    "{} on {p}x{q}, nb {nb}: served plan differs",
+                    kernel.name()
+                );
+                assert_eq!(served.solve.obj2, best.obj2);
+            }
+        }
+    }
+
     #[test]
     fn simulate_agrees_with_direct_counts() {
         let _g = obs_lock();
@@ -519,7 +543,7 @@ mod tests {
         };
         let (arr, alloc, _) = solve_result(&spec.solve);
         let dist = dist_for(&arr, &alloc, spec.nb);
-        let counts = hetgrid_sim::counts::cholesky_counts(&dist, spec.nb, &weights_for(&arr));
+        let counts = hetgrid_sim::counts::cholesky_counts(&dist, spec.nb, &arr.slowdown_weights());
         assert_eq!(sim.messages.iter().sum::<u64>(), counts.total_messages());
         assert_eq!(sim.work.iter().sum::<u64>(), counts.total_work());
     }

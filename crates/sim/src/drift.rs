@@ -99,17 +99,6 @@ impl DriftProfile {
             }
         }
     }
-
-    /// `true` iff the profile never changes the cycle-times (Stationary,
-    /// or all factors equal to one).
-    pub fn is_stationary(&self) -> bool {
-        match self {
-            DriftProfile::Stationary => true,
-            DriftProfile::Step { factors, .. }
-            | DriftProfile::Ramp { factors, .. }
-            | DriftProfile::PeriodicSpike { factors, .. } => factors.iter().all(|&f| f == 1.0),
-        }
-    }
 }
 
 fn check_factors(base: &[f64], factors: &[f64]) {
@@ -185,21 +174,6 @@ mod tests {
             assert_eq!(p.times_at(&BASE, base_iter + 2)[0], 1.0);
             assert_eq!(p.times_at(&BASE, base_iter + 4)[0], 1.0);
         }
-    }
-
-    #[test]
-    fn stationarity_detection() {
-        assert!(DriftProfile::Stationary.is_stationary());
-        assert!(DriftProfile::Step {
-            at: 0,
-            factors: vec![1.0; 4]
-        }
-        .is_stationary());
-        assert!(!DriftProfile::Step {
-            at: 0,
-            factors: vec![2.0, 1.0, 1.0, 1.0]
-        }
-        .is_stationary());
     }
 
     #[test]

@@ -526,98 +526,6 @@ pub fn simulate_cholesky(
         .report
 }
 
-/// General rectangular `C(m x n) = A(m x k) * B(k x n)` in block units:
-/// the same outer-product schedule over `k` steps, with all three
-/// matrices laid out by the same distribution (the paper's square case
-/// is `m = n = k`). Only direct broadcasts (the topology generalizes
-/// trivially; ring/tree stay square-only for now).
-///
-/// # Panics
-/// Panics if the grids mismatch or any dimension is zero.
-pub fn simulate_mm_rect(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    dims: (usize, usize, usize),
-    cost: CostModel,
-) -> SimReport {
-    check_grid(arr, dist).expect("simulate_mm_rect");
-    let plan = hetgrid_plan::mm_rect_plan(dist, dims);
-    interpret(arr, &plan, cost, 1.0, Broadcast::Direct).report
-}
-
-/// Simulates the distributed *triangular solve* `L x = b` at block
-/// granularity (the solve phase that follows a factorization — the
-/// other half of "dense linear system solvers").
-///
-/// Step `k`: the owner of the diagonal block solves for `x_k` (needs
-/// every earlier contribution to `b_k`); `x_k` is broadcast down block
-/// column `k`; each owner of `L(bi, k)`, `bi > k`, computes its partial
-/// product and sends it to the owner of `b_bi` (who accumulates).
-///
-/// Triangular solves are critical-path bound: expect utilization far
-/// below the factorization's — the classic reason libraries amortize
-/// one factorization over many solves.
-///
-/// # Panics
-/// Panics if the grids mismatch.
-pub fn simulate_trsv(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> SimReport {
-    check_grid(arr, dist).expect("simulate_trsv");
-    let mut des = Des::new(arr, cost);
-    let mut last = Events::new();
-
-    // b_i lives with the owner of block (i, i)'s row in grid column of
-    // block column 0 — keep it simple: b_i lives with owner(i, 0).
-    // contributions[i]: tasks that must finish before x_i can be solved.
-    let mut contributions: Vec<Vec<TaskId>> = vec![Vec::new(); nb];
-
-    for k in 0..nb {
-        let b_owner = dist.owner(k, 0);
-        let diag_owner = dist.owner(k, k);
-        // If b_k lives elsewhere, it must reach the diagonal owner.
-        let mut deps = std::mem::take(&mut contributions[k]);
-        if b_owner != diag_owner {
-            deps = vec![des.message(deps, b_owner, diag_owner, 1)];
-        }
-        let solve = des.task(&mut last, diag_owner, 1, cost.trsm_cost, deps);
-
-        // Broadcast x_k to the owners of the column below, who compute
-        // partial products and ship them to the b owners.
-        let mut col_owners: BTreeMap<Proc, Vec<usize>> = BTreeMap::new();
-        for bi in k + 1..nb {
-            col_owners.entry(dist.owner(bi, k)).or_default().push(bi);
-        }
-        for (&owner, rows) in &col_owners {
-            let xk_arrival = if owner == diag_owner {
-                solve
-            } else {
-                des.message(vec![solve], diag_owner, owner, 1)
-            };
-            let gemv = des.task(&mut last, owner, rows.len(), 1.0, vec![xk_arrival]);
-            // One accumulated message per destination b-owner.
-            let mut per_dest: BTreeMap<Proc, Vec<usize>> = BTreeMap::new();
-            for &bi in rows {
-                per_dest.entry(dist.owner(bi, 0)).or_default().push(bi);
-            }
-            for (&dest, bis) in &per_dest {
-                let arrival = if dest == owner {
-                    gemv
-                } else {
-                    des.message(vec![gemv], owner, dest, bis.len())
-                };
-                for &bi in bis {
-                    contributions[bi].push(arrival);
-                }
-            }
-        }
-    }
-    des.finish().report
-}
-
 #[cfg(test)]
 mod tests {
     use super::Broadcast::{Direct, Ring, Tree};
@@ -919,41 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn trsv_is_critical_path_bound() {
-        // Utilization of the triangular solve is far below MM's: the
-        // dependency chain through the diagonal dominates.
-        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
-        let dist = BlockCyclic::new(2, 2);
-        let nb = 16;
-        let cost = CostModel::default();
-        let trsv = simulate_trsv(&arr, &dist, nb, cost);
-        let mm = run(Mm, &arr, &dist, nb, cost, Direct);
-        assert!(
-            trsv.average_utilization() < 0.6,
-            "trsv utilization unexpectedly high: {}",
-            trsv.average_utilization()
-        );
-        assert!(mm.average_utilization() > trsv.average_utilization());
-        // And it is far cheaper than the factorization (O(n^2) vs O(n^3)).
-        let lu = run(Lu, &arr, &dist, nb, cost, Direct);
-        assert!(trsv.makespan < lu.makespan);
-    }
-
-    #[test]
-    fn trsv_work_accounting_zero_comm() {
-        // Total compute = nb diagonal solves + sum_k (nb - k - 1) gemv
-        // blocks, weighted by cycle times; with homogeneous t = 1 it is
-        // nb + nb(nb-1)/2.
-        let arr = Arrangement::from_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
-        let dist = BlockCyclic::new(2, 2);
-        let nb = 6;
-        let rep = simulate_trsv(&arr, &dist, nb, CostModel::zero_comm());
-        let expect = nb + nb * (nb - 1) / 2;
-        let total: f64 = rep.core_busy.iter().flatten().sum();
-        assert!((total - expect as f64).abs() < 1e-9);
-    }
-
-    #[test]
     fn cholesky_zero_comm_work_accounting() {
         // Total compute = sum over steps of (1 diag) + (nb-k-1 panel) +
         // lower-triangle trailing count, with homogeneous t = 1.
@@ -1005,43 +878,6 @@ mod tests {
             tp.makespan,
             tc.makespan
         );
-    }
-
-    #[test]
-    fn rect_mm_reduces_to_square() {
-        let arr = fig1_arr();
-        let sol = exact::solve_arrangement(&arr);
-        let panel = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Contiguous);
-        let cost = CostModel::default();
-        let sq = run(Mm, &arr, &panel, 8, cost, Direct);
-        let rect = simulate_mm_rect(&arr, &panel, (8, 8, 8), cost);
-        assert!((sq.makespan - rect.makespan).abs() < 1e-9);
-        assert!((sq.compute_time - rect.compute_time).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rect_mm_work_scales_with_shape() {
-        // Compute time = sum over steps of owned C blocks weighted by t:
-        // doubling kb doubles the compute; doubling nb roughly doubles
-        // the C volume.
-        let arr = fig1_arr();
-        let dist = BlockCyclic::new(2, 2);
-        let cost = CostModel::zero_comm();
-        let base = simulate_mm_rect(&arr, &dist, (6, 6, 4), cost);
-        let deeper = simulate_mm_rect(&arr, &dist, (6, 6, 8), cost);
-        assert!((deeper.compute_time - 2.0 * base.compute_time).abs() < 1e-9);
-        let wider = simulate_mm_rect(&arr, &dist, (6, 12, 4), cost);
-        assert!((wider.compute_time - 2.0 * base.compute_time).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rect_mm_tall_skinny() {
-        // Extreme shapes must still run and respect utilization bounds.
-        let arr = fig1_arr();
-        let dist = BlockCyclic::new(2, 2);
-        let rep = simulate_mm_rect(&arr, &dist, (16, 2, 3), CostModel::default());
-        assert!(rep.makespan > 0.0);
-        assert!(rep.average_utilization() <= 1.0 + 1e-9);
     }
 
     #[test]

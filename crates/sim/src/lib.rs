@@ -48,7 +48,6 @@
     clippy::too_many_arguments
 )]
 
-pub mod analysis;
 pub mod bsp;
 pub mod collectives;
 pub mod counts;
@@ -62,7 +61,6 @@ pub use counts::{cholesky_counts, lu_counts, mm_counts, qr_counts, KernelCounts}
 pub use drift::DriftProfile;
 pub use hetgrid_plan as plan;
 pub use kernels::{
-    simulate, simulate_cholesky, simulate_lu, simulate_mm, simulate_mm_rect, simulate_trsv,
-    Broadcast, SimError, TracedRun,
+    simulate, simulate_cholesky, simulate_lu, simulate_mm, Broadcast, SimError, TracedRun,
 };
 pub use machine::{CostModel, Network, SimReport};

@@ -18,7 +18,7 @@ use hetgrid_dist::{BlockCyclic, BlockDist, KlDist, PanelDist, PanelOrdering};
 use hetgrid_sim::engine::{Engine, TaskId};
 use hetgrid_sim::machine::{CostModel, Machine, SimReport};
 use hetgrid_sim::plan::Kernel;
-use hetgrid_sim::{simulate, simulate_mm_rect, Broadcast, TracedRun};
+use hetgrid_sim::{simulate, Broadcast, TracedRun};
 use rand::prelude::*;
 use std::collections::BTreeMap;
 
@@ -654,24 +654,6 @@ fn mm_plan_interpretation_matches_legacy_schedules() {
         let new = simulate(Kernel::Mm, &arr, dist.as_ref(), nb, cost, bcast).unwrap();
         let old = legacy_mm_traced(&arr, dist.as_ref(), nb, cost, bcast);
         assert_runs_identical(&new, &old, &format!("mm case {case} ({bcast:?}, nb {nb})"));
-    }
-}
-
-#[test]
-fn mm_rect_plan_interpretation_matches_legacy() {
-    // The legacy rectangular path was the legacy square Direct body over
-    // (mb, nb, kb); the square comparison above plus the pinned
-    // `rect_mm_reduces_to_square` unit test cover the square case, so
-    // here compare the rectangular interpreter against the legacy square
-    // run at equal shapes.
-    let mut rng = StdRng::seed_from_u64(0x2EC7);
-    for _ in 0..10 {
-        let (arr, dist, nb, cost) = random_case(&mut rng, false);
-        let sq = legacy_mm_traced(&arr, dist.as_ref(), nb, cost, Broadcast::Direct);
-        let rect = simulate_mm_rect(&arr, dist.as_ref(), (nb, nb, nb), cost);
-        assert_eq!(rect.makespan, sq.report.makespan);
-        assert_eq!(rect.compute_time, sq.report.compute_time);
-        assert_eq!(rect.comm_time, sq.report.comm_time);
     }
 }
 

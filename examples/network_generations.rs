@@ -1,8 +1,8 @@
 //! Mixed network generations: the department's old machines have old
 //! NICs too. This example exercises the heterogeneous-communication
-//! extension (`Machine::with_nic_factors`) and the run analysis module:
-//! how much of the transfer time hides behind computation, and how far
-//! the schedule sits from its critical path.
+//! extension (`Machine::with_nic_factors`): what slow NICs on the slow
+//! machines cost in makespan and utilization, and the Gantt chart that
+//! shows where.
 //!
 //! ```text
 //! cargo run --release --example network_generations
@@ -12,7 +12,6 @@
 
 use hetgrid::core::heuristic;
 use hetgrid::dist::{PanelDist, PanelOrdering};
-use hetgrid::sim::analysis::analyze;
 use hetgrid::sim::engine::Engine;
 use hetgrid::sim::kernels::TracedRun;
 use hetgrid::sim::machine::{CostModel, Machine, Network, SimReport};
@@ -126,15 +125,12 @@ fn main() {
     let mixed = simulate_mm_with_nics(&best.arrangement, &panel, nb, cost, nic_factors);
 
     for (name, run) in [("uniform NICs", &uniform), ("mixed NICs  ", &mixed)] {
-        let a = analyze(run, 2, 2);
         println!(
-            "{}: makespan {:>8.1}, comm {:>7.1} ({:.0}% hidden), utilization {:.2}, cp stretch {:.2}",
+            "{}: makespan {:>8.1}, comm {:>7.1}, utilization {:.2}",
             name,
-            a.makespan,
-            a.total_comm,
-            a.comm_overlap_fraction() * 100.0,
-            a.utilization(),
-            a.critical_path_stretch()
+            run.report.makespan,
+            run.report.comm_time,
+            run.report.average_utilization()
         );
     }
 

@@ -5,90 +5,13 @@
 //! controller.
 
 use hetgrid_adapt::{Action, Controller, ControllerConfig, Decision, IterationSample};
-use hetgrid_core::problem::{Method, Problem, Solution};
-use hetgrid_dist::redistribution::moved_fraction;
-use hetgrid_dist::{PanelDist, PanelOrdering};
-use hetgrid_exec::{slowdown_weights, DistributedMatrix, ExecReport};
+use hetgrid_exec::{DistributedMatrix, ExecReport};
 use hetgrid_linalg::Matrix;
-use hetgrid_plan::Kernel;
-use hetgrid_sim::machine::CostModel;
-use hetgrid_sim::{simulate, Broadcast, SimReport};
 
-/// A solved placement plus its realized block-panel distribution.
-#[derive(Clone, Debug)]
-pub struct Plan {
-    /// The solver output (arrangement + shares).
-    pub solution: Solution,
-    /// The block-panel-cyclic distribution realizing the shares.
-    pub dist: PanelDist,
-    /// Panel height used.
-    pub bp: usize,
-    /// Panel width used.
-    pub bq: usize,
-}
-
-impl Plan {
-    /// Builds a plan with the default (heuristic) solver and LU-ready
-    /// interleaved panels.
-    ///
-    /// # Panics
-    /// Panics if `times.len() != p * q` or the panel is smaller than the
-    /// grid.
-    pub fn new(times: &[f64], p: usize, q: usize, bp: usize, bq: usize) -> Self {
-        Self::with_method(times, p, q, bp, bq, Method::Heuristic)
-    }
-
-    /// Builds a plan with an explicit solver.
-    pub fn with_method(
-        times: &[f64],
-        p: usize,
-        q: usize,
-        bp: usize,
-        bq: usize,
-        method: Method,
-    ) -> Self {
-        let solution = Problem::new(times.to_vec())
-            .grid(p, q)
-            .method(method)
-            .solve();
-        let dist = PanelDist::from_allocation(
-            &solution.arrangement,
-            &solution.alloc,
-            bp,
-            bq,
-            PanelOrdering::Interleaved,
-        );
-        Plan {
-            solution,
-            dist,
-            bp,
-            bq,
-        }
-    }
-
-    /// Simulates `kernel` on an `nb x nb` block matrix under this plan
-    /// (direct broadcasts).
-    pub fn simulate(&self, kernel: Kernel, nb: usize, cost: CostModel) -> SimReport {
-        let arr = &self.solution.arrangement;
-        simulate(kernel, arr, &self.dist, nb, cost, Broadcast::Direct)
-            .expect("a plan's distribution is built on its own arrangement")
-            .report
-    }
-
-    /// Re-solves for drifted cycle-times (same grid and panel sizes) and
-    /// reports the fraction of an `nb x nb` block matrix that would have
-    /// to move to adopt the new plan.
-    ///
-    /// The caller can weigh `moved` against the per-run gain to decide
-    /// whether rebalancing pays off (the paper's static-allocation
-    /// stance, quantified).
-    pub fn rebalance(&self, new_times: &[f64], nb: usize) -> (Plan, f64) {
-        let (p, q) = (self.solution.arrangement.p(), self.solution.arrangement.q());
-        let next = Plan::with_method(new_times, p, q, self.bp, self.bq, self.solution.method);
-        let moved = moved_fraction(&self.dist, &next.dist, nb);
-        (next, moved)
-    }
-}
+/// A solved placement plus its realized block-panel distribution: the
+/// adaptive runtime's plan under execution, under the name the one-call
+/// `solve` / `simulate` / `rebalance` helpers are documented by.
+pub use hetgrid_adapt::ActivePlan as Plan;
 
 /// What one [`Session::step`] produced.
 #[derive(Clone, Debug)]
@@ -213,7 +136,7 @@ impl Session {
 
     fn execute(&mut self) -> (Matrix, ExecReport) {
         let plan = self.controller.plan();
-        let weights = slowdown_weights(&plan.solution.arrangement);
+        let weights = plan.solution.arrangement.slowdown_weights();
         let (ga, gb) = (self.a.gather(), self.b.gather());
         let out = hetgrid_exec::run(
             &hetgrid_exec::ChannelTransport,
@@ -266,10 +189,17 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetgrid_core::Method;
+    use hetgrid_plan::Kernel;
+    use hetgrid_sim::CostModel;
+
+    fn plan(times: &[f64], bp: usize, bq: usize) -> Plan {
+        Plan::solve(times, 2, 2, bp, bq, Method::Heuristic)
+    }
 
     #[test]
     fn plan_builds_and_simulates() {
-        let plan = Plan::new(&[1.0, 2.0, 3.0, 5.0], 2, 2, 8, 6);
+        let plan = plan(&[1.0, 2.0, 3.0, 5.0], 8, 6);
         assert!(plan.solution.obj2 > 1.8);
         let rep = plan.simulate(Kernel::Mm, 12, CostModel::default());
         assert!(rep.makespan > 0.0);
@@ -280,7 +210,7 @@ mod tests {
     #[test]
     fn rebalance_on_identical_times_moves_nothing() {
         let times = [1.0, 2.0, 3.0, 5.0];
-        let plan = Plan::new(&times, 2, 2, 8, 6);
+        let plan = plan(&times, 8, 6);
         let (next, moved) = plan.rebalance(&times, 24);
         assert_eq!(moved, 0.0);
         assert!((next.solution.obj2 - plan.solution.obj2).abs() < 1e-12);
@@ -291,7 +221,7 @@ mod tests {
         // Night: homogeneous. Afternoon: one machine heavily loaded.
         let night = [1.0, 1.0, 1.0, 1.0];
         let afternoon = [1.0, 1.0, 1.0, 4.0];
-        let plan = Plan::new(&night, 2, 2, 8, 8);
+        let plan = plan(&night, 8, 8);
         let (fresh, moved) = plan.rebalance(&afternoon, 24);
         assert!(moved > 0.0 && moved < 1.0, "moved = {}", moved);
         // Evaluate both distributions against the afternoon speeds.

@@ -5,7 +5,7 @@
 
 use hetgrid::core::heuristic::{self, HeuristicOptions, NormalizeMode};
 use hetgrid::core::{exact, Arrangement};
-use hetgrid::dist::{redistribution, BlockDist, ElementMap, KlDist, PanelDist, PanelOrdering};
+use hetgrid::dist::{redistribution, BlockDist, KlDist, PanelDist, PanelOrdering};
 use hetgrid::plan::Kernel;
 use hetgrid::sim::machine::CostModel;
 use hetgrid::sim::Broadcast;
@@ -86,26 +86,6 @@ fn kl_with_awkward_periods() {
         let total: usize = counts.iter().flatten().sum();
         assert_eq!(total, 29 * 31);
         assert!(counts.iter().flatten().all(|&c| c > 0));
-    }
-}
-
-#[test]
-fn element_map_over_panel_distribution() {
-    let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
-    let sol = exact::solve_arrangement(&arr);
-    let d = PanelDist::from_allocation(&arr, &sol.alloc, 8, 6, PanelOrdering::Interleaved);
-    let em = ElementMap::new(&d, 4);
-    // Element owners agree with block owners.
-    for (i, j) in [(0, 0), (7, 11), (31, 5), (16, 23)] {
-        assert_eq!(em.owner(i, j), d.owner(i / 4, j / 4));
-    }
-    // Element totals match block totals x r^2.
-    let elems = em.owned_elements(48);
-    let blocks = d.owned_counts(12, 12);
-    for gi in 0..2 {
-        for gj in 0..2 {
-            assert_eq!(elems[gi][gj], blocks[gi][gj] * 16);
-        }
     }
 }
 
