@@ -14,7 +14,7 @@ use crate::store::BlockStore;
 use crate::transport::Closed;
 use hetgrid_linalg::cholesky::cholesky;
 use hetgrid_linalg::gemm::{gemm_with, Packs};
-use hetgrid_linalg::tri::{solve_lower, solve_right_upper};
+use hetgrid_linalg::tri::{solve_lower_in_place, solve_upper_t_in_place};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
 use std::time::Instant;
@@ -166,9 +166,9 @@ fn lu_block_nopivot(a: &mut Matrix) {
 impl Kern {
     /// Runs the kernel on `c` once for real and `weight - 1` more times
     /// for nothing (the slowdown emulation: repeats land in `scratch`
-    /// or are dropped; a GEMM repeat is the whole product, packing
-    /// included, through the same `packs`). Returns the buffer the
-    /// kernel is done with — the block's previous contents, a
+    /// or are dropped; a GEMM or solve repeat is the whole kernel,
+    /// packing included, through the same `packs`). Returns the buffer
+    /// the kernel is done with — the block's previous contents, a
     /// transposed operand — for the caller's pool.
     fn apply(
         self,
@@ -178,7 +178,7 @@ impl Kern {
         packs: &mut Packs,
         weight: u64,
     ) -> Option<Matrix> {
-        // The out-of-place kernels: the block becomes `f(block)`.
+        // The out-of-place kernel: the block becomes `f(block)`.
         fn replace(c: &mut Matrix, weight: u64, f: impl Fn(&Matrix) -> Matrix) -> Option<Matrix> {
             let new = f(c);
             for _ in 1..weight {
@@ -186,26 +186,40 @@ impl Kern {
             }
             Some(std::mem::replace(c, new))
         }
+        // The in-place kernels: the repeats go first, on copies of the
+        // still untouched block.
+        fn in_place(
+            c: &mut Matrix,
+            scratch: &mut Matrix,
+            weight: u64,
+            mut f: impl FnMut(&mut Matrix),
+        ) -> Option<Matrix> {
+            for _ in 1..weight {
+                scratch.copy_from(c);
+                f(scratch);
+            }
+            f(c);
+            None
+        }
         match self {
-            Kern::Getrf => {
-                // In place, so the repeats go first, on copies of the
-                // still unfactored block.
-                for _ in 1..weight {
-                    scratch.copy_from(c);
-                    lu_block_nopivot(scratch);
-                }
-                lu_block_nopivot(c);
-                None
-            }
+            Kern::Getrf => in_place(c, scratch, weight, lu_block_nopivot),
             Kern::Potrf => replace(c, weight, |c| cholesky(c).expect("diagonal block not SPD")),
-            Kern::TrsmRightUpper => replace(c, weight, |c| solve_right_upper(ins[0], c)),
-            Kern::TrsmLeftUnitLower => replace(c, weight, |c| solve_lower(ins[0], c, true)),
-            Kern::TrsmRightLowerT => {
-                // X * L^T = C with L^T upper triangular: transpose the
-                // factor once, not the block per repeat.
-                let lt = ins[0].transpose();
-                replace(c, weight, |c| solve_right_upper(&lt, c))
-            }
+            Kern::TrsmLeftUnitLower => in_place(c, scratch, weight, |x| {
+                solve_lower_in_place(packs, ins[0], true, x)
+            }),
+            // `X * T = C` is `T^T * X^T = C^T`: a right-side solve is a
+            // left-lower one between two transpositions of the block.
+            Kern::TrsmRightUpper => in_place(c, scratch, weight, |x| {
+                x.transpose_in_place();
+                solve_upper_t_in_place(packs, ins[0], x);
+                x.transpose_in_place();
+            }),
+            // L * X^T = C^T: the factor is read as it is.
+            Kern::TrsmRightLowerT => in_place(c, scratch, weight, |x| {
+                x.transpose_in_place();
+                solve_lower_in_place(packs, ins[0], false, x);
+                x.transpose_in_place();
+            }),
             Kern::Gemm(alpha) => {
                 gemm_with(packs, alpha, ins[0], ins[1], 1.0, c);
                 for _ in 1..weight {
@@ -356,6 +370,7 @@ mod tests {
     use super::*;
     use crate::testutil::{dense, dominant, spd};
     use hetgrid_linalg::gemm::gemm;
+    use hetgrid_linalg::tri::{solve_lower, solve_right_upper};
 
     #[test]
     fn hazard_sets_are_derived_from_work_and_sends() {
@@ -398,59 +413,93 @@ mod tests {
         assert!(bits(got) == bits(want), "{what}: bits differ");
     }
 
-    #[test]
-    fn every_kern_matches_the_linalg_call_it_replaces() {
-        let n = 33;
+    /// `(kernel, inputs, block, the linalg call's result)` for every
+    /// [`Kern`] on `n x n` blocks.
+    fn kern_cases(n: usize) -> Vec<(Kern, Vec<Matrix>, Matrix, Matrix)> {
         let (x, y) = (dense(n, n, 0x61), dense(n, n, 0x62));
         let (diag_dom, diag_spd) = (dominant(n, 0x63), spd(n, 0x64));
         let lfac = cholesky(&diag_spd).unwrap();
         let mut packed = diag_dom.clone();
         lu_block_nopivot(&mut packed);
-        let axpy = |alpha: f64, a: &Matrix, b: &Matrix, c: &Matrix| {
-            let mut c = c.clone();
+        let axpy = |alpha: f64, a: &Matrix, b: &Matrix| {
+            let mut c = diag_dom.clone();
             gemm(alpha, a, b, 1.0, &mut c);
             c
         };
-        let cases: Vec<(Kern, Vec<&Matrix>, &Matrix, Matrix)> = vec![
-            (Kern::Getrf, vec![], &diag_dom, packed.clone()),
-            (Kern::Potrf, vec![], &diag_spd, lfac.clone()),
+        let solves = [
             (
                 Kern::TrsmRightUpper,
-                vec![&packed],
-                &x,
+                &packed,
                 solve_right_upper(&packed, &x),
             ),
             (
                 Kern::TrsmLeftUnitLower,
-                vec![&packed],
-                &x,
+                &packed,
                 solve_lower(&packed, &x, true),
             ),
             (
                 Kern::TrsmRightLowerT,
-                vec![&lfac],
-                &x,
+                &lfac,
                 solve_right_upper(&lfac.transpose(), &x),
             ),
+        ];
+        let mut cases = vec![
+            (Kern::Getrf, vec![], diag_dom.clone(), packed.clone()),
+            (Kern::Potrf, vec![], diag_spd.clone(), lfac.clone()),
             (
                 Kern::Gemm(-1.0),
-                vec![&x, &y],
-                &diag_dom,
-                axpy(-1.0, &x, &y, &diag_dom),
+                vec![x.clone(), y.clone()],
+                diag_dom.clone(),
+                axpy(-1.0, &x, &y),
             ),
             (
                 Kern::GemmNt(-1.0),
-                vec![&x, &y],
-                &diag_dom,
-                axpy(-1.0, &x, &y.transpose(), &diag_dom),
+                vec![x.clone(), y.clone()],
+                diag_dom.clone(),
+                axpy(-1.0, &x, &y.transpose()),
             ),
         ];
-        for (kern, ins, c0, want) in cases {
-            for weight in [1, 3] {
-                let mut c = c0.clone();
-                let mut scratch = Matrix::zeros(n, n);
-                kern.apply(&ins, &mut c, &mut scratch, &mut Packs::default(), weight);
-                assert_bits(&c, &want, &format!("{kern:?} at weight {weight}"));
+        cases.extend(solves.map(|(kern, t, want)| (kern, vec![t.clone()], x.clone(), want)));
+        cases
+    }
+
+    /// One algorithm, two call shapes: in the leaf-sized recursion of a
+    /// small block and at the benchmark's r = 128, a `Trsm*` arm on the
+    /// worker's buffers is the public solve, to the bit.
+    #[test]
+    fn every_kern_matches_the_linalg_call_it_replaces() {
+        for n in [48, 128] {
+            // One worker's buffers through every kernel, as in a run.
+            let (mut scratch, mut packs) = (Matrix::zeros(n, n), Packs::default());
+            for (kern, ins, c0, want) in kern_cases(n) {
+                let ins: Vec<&Matrix> = ins.iter().collect();
+                for weight in [1, 3] {
+                    let mut c = c0.clone();
+                    kern.apply(&ins, &mut c, &mut scratch, &mut packs, weight);
+                    assert_bits(&c, &want, &format!("{kern:?}, r = {n}, weight {weight}"));
+                }
+            }
+        }
+    }
+
+    /// What keeps `exec.pool_hit_ratio` where it was: a solve works on
+    /// the block where it lies and on the worker's `scratch`, hands the
+    /// pool nothing and so takes nothing from it or the allocator.
+    #[test]
+    fn trsm_works_allocate_no_block() {
+        let n = 48;
+        let (mut scratch, mut packs) = (Matrix::zeros(n, n), Packs::default());
+        let solves = kern_cases(n).into_iter().filter(|case| case.1.len() == 1);
+        for (kern, ins, mut c, _) in solves {
+            let ins = vec![&ins[0]];
+            for weight in [1, 3, 1] {
+                let buffers = (c.as_slice().as_ptr(), scratch.as_slice().as_ptr());
+                let spent = kern.apply(&ins, &mut c, &mut scratch, &mut packs, weight);
+                assert!(spent.is_none(), "{kern:?} retired a buffer");
+                assert_eq!(
+                    (c.as_slice().as_ptr(), scratch.as_slice().as_ptr()),
+                    buffers
+                );
             }
         }
     }

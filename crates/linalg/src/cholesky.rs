@@ -6,8 +6,8 @@
 //! here mirrors that algorithm so the simulator can replay it on
 //! heterogeneous grids.
 
-use crate::gemm::gemm;
-use crate::tri::solve_lower;
+use crate::gemm::{gemm_ranged, Left, Packs};
+use crate::tri::{solve_lower, solve_lower_in_place};
 use crate::{sub_scaled, Matrix};
 
 /// Error: the matrix is not (numerically) positive definite.
@@ -86,6 +86,7 @@ pub fn cholesky_blocked(a: &Matrix, b: usize) -> Result<Matrix, NotPositiveDefin
     assert!(b > 0, "cholesky_blocked: block size must be positive");
     let n = a.rows();
     let mut w = a.clone();
+    let packs = &mut Packs::default();
     let mut k = 0;
     while k < n {
         let kb = b.min(n - k);
@@ -103,14 +104,16 @@ pub fn cholesky_blocked(a: &Matrix, b: usize) -> Result<Matrix, NotPositiveDefin
         w.set_block(k, k, &lkk);
         if k + kb < n {
             // Panel solve: L21 = A21 * L11^{-T}  <=>  L11 * L21^T = A21^T.
-            let a21 = w.block(k + kb, k, n - k - kb, kb);
-            let l21t = solve_lower(&lkk, &a21.transpose(), false);
+            let rest = n - k - kb;
+            let mut l21t = w.block(k + kb, k, rest, kb).transpose();
+            solve_lower_in_place(packs, &lkk, false, &mut l21t);
             let l21 = l21t.transpose();
             w.set_block(k + kb, k, &l21);
-            // Symmetric trailing update: A22 -= L21 * L21^T (lower part).
-            let mut a22 = w.block(k + kb, k + kb, n - k - kb, n - k - kb);
-            gemm(-1.0, &l21, &l21t, 1.0, &mut a22);
-            w.set_block(k + kb, k + kb, &a22);
+            // Symmetric trailing update, where it lies (the view from
+            // element (k + kb, k + kb) on): A22 -= L21 * L21^T.
+            let a22 = &mut w.as_mut_slice()[(k + kb) * (n + 1)..];
+            let (l21, l21t) = (Left(&l21, 0..rest, 0..kb, false), l21t.as_slice());
+            gemm_ranged(None, packs, -1.0, l21, (l21t, rest), (a22, n), rest);
         }
         k += kb;
     }

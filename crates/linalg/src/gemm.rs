@@ -26,12 +26,19 @@
 //! `p = 0..kc` in order followed by one add into `C`, so they agree to
 //! the last bit and hosts differ only portable-vs-FMA.
 //!
+//! Inside the crate the product is *ranged* ([`gemm_ranged`]): packing
+//! copies `A` and `B` out anyway and the micro-kernels take a leading
+//! dimension, so a sub-block operand costs an offset, not a copy. The
+//! recursive triangular solve (`tri`) and the blocked factorisations
+//! update one part of a matrix from another part of it that way.
+//!
 //! [`Packs`] holds the two packed buffers. A block-sized product packs
 //! about as many doubles as it multiplies, so a caller that loops (an
 //! executor's worker) owns one and passes it to [`gemm_with`]; the
 //! buffers grow to the largest product seen and stay with that worker.
 
 use crate::Matrix;
+use std::ops::Range;
 
 /// Inner (`k`) extent of one packed panel pass: `KC * (mr + nr)` doubles
 /// of packed data live in L1/L2 while a strip pair is being consumed.
@@ -128,7 +135,8 @@ pub fn gemm_with(packs: &mut Packs, alpha: f64, a: &Matrix, b: &Matrix, beta: f6
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
         return;
     }
-    gemm_rows_packed(select_kernel(), packs, alpha, a, b, 0..m, c.as_mut_slice());
+    let (a, b, c) = (Left(a, 0..m, 0..k, false), b.as_slice(), c.as_mut_slice());
+    gemm_ranged(None, packs, alpha, a, (b, n), (c, n), n);
 }
 
 /// `C <- alpha * A * B + beta * C` with row panels of `C` split across
@@ -154,9 +162,7 @@ pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     let pool = hetgrid_par::global();
     let threads = pool.threads();
     if threads == 1 || m < 2 * mr {
-        let packs = &mut Packs::default();
-        gemm_rows_packed(tile, packs, alpha, a, b, 0..m, c.as_mut_slice());
-        return;
+        return gemm_with(&mut Packs::default(), alpha, a, b, 1.0, c);
     }
 
     // Split the rows of C into one contiguous chunk per worker, rounded
@@ -176,7 +182,12 @@ pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
         for (row0, c_rows) in jobs {
             let rows = row0..row0 + c_rows.len() / n;
             s.spawn(move || {
-                gemm_rows_packed(tile, &mut Packs::default(), alpha, a, b, rows, c_rows);
+                let (packs, a, b) = (
+                    &mut Packs::default(),
+                    Left(a, rows, 0..k, false),
+                    b.as_slice(),
+                );
+                gemm_ranged(Some(tile), packs, alpha, a, (b, n), (c_rows, n), n);
             });
         }
     });
@@ -195,40 +206,52 @@ fn scale(beta: f64, c: &mut [f64]) {
     }
 }
 
-/// Packed-panel GEMM for rows `rows.start..rows.end` of the product;
-/// `c_rows` is the corresponding row-major slice of `C` (beta already
-/// applied). Shared by [`gemm_with`] (whole matrix) and [`par_gemm`]
-/// (per-worker row chunk).
-fn gemm_rows_packed(
-    (mr_tile, nr_tile, kernel): Tile,
+/// The left operand of a ranged product, `(m, rows, cols, trans)`: the
+/// `rows x cols` sub-block of `m` — or, with `trans`, of its transpose
+/// (element `(i, p)` is `m[(p, i)]`), so an upper-triangular factor is
+/// read as the lower one it transposes to without being copied.
+pub(crate) struct Left<'a>(pub &'a Matrix, pub Range<usize>, pub Range<usize>, pub bool);
+
+/// `C += alpha * A * B` on sub-blocks, through the packed micro-kernel
+/// `tile` (the host's widest when `None`): `A` is `m x k`; `b` and `c` are
+/// `(slice, leading dimension)` views of a `k x n` and an `m x n` block
+/// of row-major storage, each slice starting at its block's first
+/// element. They may be disjoint row ranges of one matrix, split by
+/// `split_at_mut`.
+///
+/// # Panics
+/// Panics if a view is too short for its block.
+pub(crate) fn gemm_ranged(
+    tile: Option<Tile>,
     packs: &mut Packs,
     alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    rows: std::ops::Range<usize>,
-    c_rows: &mut [f64],
+    Left(a, rows, cols, trans): Left<'_>,
+    (b, ldb): (&[f64], usize),
+    (c, ldc): (&mut [f64], usize),
+    n: usize,
 ) {
-    let k = a.cols();
-    let n = b.cols();
-    let m = rows.len();
-    assert_eq!(c_rows.len(), m * n, "gemm: C rows have wrong length");
+    let (mr_tile, nr_tile, kernel) = tile.unwrap_or_else(select_kernel);
+    let (m, k) = (rows.len(), cols.len());
+    let fits = |len, rows, ld| rows == 0 || (n <= ld && (rows - 1) * ld + n <= len);
+    assert!(fits(b.len(), k, ldb), "gemm: B view too short");
+    assert!(fits(c.len(), m, ldc), "gemm: C view too short");
 
     // One A block and one B panel, reused across the loops below.
-    let kc_max = KC.min(k);
-    let a_pack = grown(&mut packs.a, MC.min(m.next_multiple_of(mr_tile)) * kc_max);
-    let b_pack = grown(&mut packs.b, kc_max * NC.min(n.next_multiple_of(nr_tile)));
+    packs.reserve(m, k, n);
+    let (a_pack, b_pack) = (&mut packs.a[..], &mut packs.b[..]);
 
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let nc_strips = nc.div_ceil(nr_tile);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pack_b(b, pc, jc, kc, nc, nr_tile, b_pack);
+            pack_b(b, ldb, (pc, jc), (kc, nc), nr_tile, b_pack);
+            let a_cols = cols.start + pc..cols.start + pc + kc;
             for ic in (0..m).step_by(MC) {
                 let mc = MC.min(m - ic);
                 let mc_strips = mc.div_ceil(mr_tile);
                 let a_rows = rows.start + ic..rows.start + ic + mc;
-                pack_a(a, alpha, a_rows, pc..pc + kc, mr_tile, a_pack);
+                pack_a(a, trans, alpha, a_rows, a_cols.clone(), mr_tile, a_pack);
                 for sj in 0..nc_strips {
                     let j0 = jc + sj * nr_tile;
                     let nr = nr_tile.min(n - j0);
@@ -237,7 +260,7 @@ fn gemm_rows_packed(
                         let i0 = ic + si * mr_tile;
                         let mr = mr_tile.min(m - i0);
                         let a_strip = &a_pack[si * kc * mr_tile..(si + 1) * kc * mr_tile];
-                        kernel(kc, a_strip, b_strip, c_rows, i0, j0, n, mr, nr);
+                        kernel(kc, a_strip, b_strip, c, i0, j0, ldc, mr, nr);
                     }
                 }
             }
@@ -245,32 +268,49 @@ fn gemm_rows_packed(
     }
 }
 
-/// `pack` at no less than `len` doubles. Its old contents are dead, so
-/// growing is a fresh zeroed allocation, not a copy — for a new
-/// [`Packs`] the only one.
-fn grown(pack: &mut Vec<f64>, len: usize) -> &mut [f64] {
-    if pack.len() < len {
-        *pack = vec![0.0; len];
+impl Packs {
+    /// Both buffers at no less than an `m x k` by `k x n` product packs
+    /// on the widest tile. Their old contents are dead, so growing is a
+    /// fresh zeroed allocation, not a copy — for a new [`Packs`] the
+    /// only one. A caller whose products grow (the recursive solve, from
+    /// its leaves up) reserves for the largest first.
+    pub(crate) fn reserve(&mut self, m: usize, k: usize, n: usize) {
+        let grow = |pack: &mut Vec<f64>, len: usize| {
+            if pack.len() < len {
+                *pack = vec![0.0; len];
+            }
+        };
+        let kc_max = KC.min(k);
+        grow(&mut self.a, MC.min(m.next_multiple_of(8)) * kc_max);
+        grow(&mut self.b, kc_max * NC.min(n.next_multiple_of(16)));
     }
-    pack
 }
 
-/// Packs `A[rows, cols]` into row-strips of height `mr`: strip `s`
-/// holds, for each column `p`, the `mr` values of rows
-/// `rows.start + s*mr .. + mr` at that column, contiguously. Missing
-/// tail rows are zero-filled; `alpha` is folded in here so the
-/// micro-kernel never multiplies by it.
+/// Packs `A[rows, cols]` (`A` is `a`, or with `trans` its transpose)
+/// into row-strips of height `mr`: strip `s` holds, for each column `p`,
+/// the `mr` values of rows `rows.start + s*mr .. + mr` at that column,
+/// contiguously. Missing tail rows are zero-filled; `alpha` is folded in
+/// here so the micro-kernel never multiplies by it.
 fn pack_a(
     a: &Matrix,
+    trans: bool,
     alpha: f64,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
+    rows: Range<usize>,
+    cols: Range<usize>,
     mr: usize,
     buf: &mut [f64],
 ) {
-    match mr {
-        4 => pack_a_strips::<4>(a, alpha, rows, cols, buf),
-        8 => pack_a_strips::<8>(a, alpha, rows, cols, buf),
+    match (trans, mr) {
+        // The `mr` values a strip of the transpose holds per step `p`
+        // sit side by side in row `p` of `a`: `B`'s layout, then scaled.
+        (true, _) => {
+            let (at, kc, mc) = (a.as_slice(), cols.len(), rows.len());
+            pack_b(at, a.cols(), (cols.start, rows.start), (kc, mc), mr, buf);
+            let packed = &mut buf[..kc * mc.next_multiple_of(mr)];
+            packed.iter_mut().for_each(|x| *x *= alpha);
+        }
+        (false, 4) => pack_a_strips::<4>(a, alpha, rows, cols, buf),
+        (false, 8) => pack_a_strips::<8>(a, alpha, rows, cols, buf),
         _ => unreachable!("no micro-kernel is {mr} rows tall"),
     }
 }
@@ -282,8 +322,8 @@ fn pack_a(
 fn pack_a_strips<const H: usize>(
     a: &Matrix,
     alpha: f64,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
+    rows: Range<usize>,
+    cols: Range<usize>,
     buf: &mut [f64],
 ) {
     let strips = buf.chunks_exact_mut(cols.len() * H);
@@ -305,22 +345,27 @@ fn pack_a_strips<const H: usize>(
     }
 }
 
-/// Packs `B[pc.., jc..]` (`kc x nc`) into column-strips of width `nr`:
-/// strip `s` holds, for each `p`, the `nr` values of row `pc + p` at
-/// columns `jc + s*nr .. + nr`, contiguously. Tail columns zero-fill.
-fn pack_b(b: &Matrix, pc: usize, jc: usize, kc: usize, nc: usize, nr: usize, buf: &mut [f64]) {
+/// Packs `B[pc.., jc..]` (`kc x nc`; `b` has leading dimension `ld`)
+/// into column-strips of width `nr`: strip `s` holds, for each `p`, the
+/// `nr` values of row `pc + p` at columns `jc + s*nr .. + nr`,
+/// contiguously. Tail columns zero-fill.
+fn pack_b(
+    b: &[f64],
+    ld: usize,
+    (pc, jc): (usize, usize),
+    (kc, nc): (usize, usize),
+    nr: usize,
+    buf: &mut [f64],
+) {
     let strips = nc.div_ceil(nr);
     for s in 0..strips {
         let strip = &mut buf[s * kc * nr..(s + 1) * kc * nr];
-        let col_base = jc + s * nr;
         let cols_here = nr.min(nc - s * nr);
         for p in 0..kc {
-            let brow = b.row(pc + p);
+            let src = &b[(pc + p) * ld + jc + s * nr..][..cols_here];
             let dst = &mut strip[p * nr..p * nr + nr];
-            dst[..cols_here].copy_from_slice(&brow[col_base..col_base + cols_here]);
-            for d in dst.iter_mut().take(nr).skip(cols_here) {
-                *d = 0.0;
-            }
+            dst[..cols_here].copy_from_slice(src);
+            dst[cols_here..].fill(0.0);
         }
     }
 }
@@ -423,7 +468,9 @@ macro_rules! simd_micro_kernel {
         ) {
             assert!($(std::arch::is_x86_feature_detected!($feature))&&+);
             assert!(kc <= a_strip.len() / $mr && kc <= b_strip.len() / (2 * $lanes));
-            assert!((1..=$mr).contains(&mr) && nr <= 2 * $lanes && n <= c_rows.len());
+            // `n` is a leading dimension: a view's last row may stop short of
+            // it, so it is bounded for the product below, not by the slice.
+            assert!((1..=$mr).contains(&mr) && nr <= 2 * $lanes && n <= usize::MAX / $mr);
             let c_tile = &mut c_rows[i0 * n + j0..][..(mr - 1) * n + nr];
             // SAFETY: the asserts and the slicing above are `$inner`'s
             // contract, clause by clause.
@@ -610,7 +657,9 @@ mod tests {
     fn gemm_on(tile: Tile, packs: &mut Packs, a: &Matrix, b: &Matrix, c0: &Matrix) -> Matrix {
         let mut c = c0.clone();
         scale(-0.5, c.as_mut_slice());
-        gemm_rows_packed(tile, packs, 1.5, a, b, 0..a.rows(), c.as_mut_slice());
+        let ((m, k), n) = (a.shape(), b.cols());
+        let (a, b, c_rows) = (Left(a, 0..m, 0..k, false), b.as_slice(), c.as_mut_slice());
+        gemm_ranged(Some(tile), packs, 1.5, a, (b, n), (c_rows, n), n);
         c
     }
 
@@ -672,6 +721,44 @@ mod tests {
         gemm_with(&mut Packs::default(), 1.5, &a, &b, -0.5, &mut with);
         gemm(1.5, &a, &b, -0.5, &mut plain);
         assert!(bits(&with) == bits(&plain));
+    }
+
+    /// Sub-block operands are an addressing matter: `A` out of a larger
+    /// matrix or out of its transpose, `B` and `C` views into two row
+    /// ranges of one buffer, give the bits of the blocks copied out —
+    /// and nothing outside `C` is written.
+    #[test]
+    fn ranged_product_matches_the_blocks_copied_out() {
+        let (big, whole) = (arb(40, 37, 1), arb(31, 29, 2));
+        let (bigt, ld) = (big.transpose(), whole.cols());
+        for tile in supported_kernels() {
+            // Down to a one-row `C` that ends short of `ld`.
+            for (m, k, n) in [(13, 11, 17), (1, 18, 5), (9, 1, 21)] {
+                let (a_blk, b_blk) = (big.block(3, 5, m, k), whole.block(2, 4, k, n));
+                let mut want = whole.clone();
+                let mut c_blk = whole.block(31 - m, 7, m, n);
+                let a = Left(&a_blk, 0..m, 0..k, false);
+                let (b, c) = (b_blk.as_slice(), c_blk.as_mut_slice());
+                gemm_ranged(Some(tile), &mut Packs::default(), 1.5, a, (b, n), (c, n), n);
+                want.set_block(31 - m, 7, &c_blk);
+                for (src, trans) in [(&big, false), (&bigt, true)] {
+                    let mut got = whole.clone();
+                    let (top, bottom) = got.as_mut_slice().split_at_mut((31 - m) * ld);
+                    let a = Left(src, 3..3 + m, 5..5 + k, trans);
+                    let (b, c) = (&top[2 * ld + 4..], &mut bottom[7..]);
+                    gemm_ranged(
+                        Some(tile),
+                        &mut Packs::default(),
+                        1.5,
+                        a,
+                        (b, ld),
+                        (c, ld),
+                        n,
+                    );
+                    assert!(bits(&got) == bits(&want), "{m}x{k}x{n} trans={trans}");
+                }
+            }
+        }
     }
 
     /// The SIMD fronts are safe fns over raw-pointer loops: a strip or

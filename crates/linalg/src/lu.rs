@@ -6,8 +6,8 @@
 //! apply the pivots, triangular-solve the `U` panel, then rank-`b` update
 //! the trailing submatrix.
 
-use crate::gemm::gemm;
-use crate::tri::solve_lower;
+use crate::gemm::{gemm_ranged, Left, Packs};
+use crate::tri::{solve_lower, solve_unit_lower_view};
 use crate::{sub_scaled, Matrix};
 
 /// Result of an LU factorization with partial pivoting: `P * A = L * U`.
@@ -167,6 +167,7 @@ pub fn lu_factor_blocked(a: &Matrix, b: usize) -> Result<LuFactors, SingularMatr
     assert!(b > 0, "lu_factor_blocked: block size must be positive");
     let n = a.rows();
     let mut f = LuFactors::start(a);
+    let packs = &mut Packs::default();
 
     let mut k = 0;
     while k < n {
@@ -176,17 +177,20 @@ pub fn lu_factor_blocked(a: &Matrix, b: usize) -> Result<LuFactors, SingularMatr
             f.eliminate(col, k + kb)?;
         }
         if k + kb < n {
-            let lu = &mut f.lu;
+            // Both updates run where the blocks lie: views of the U
+            // panel's rows and of the rows below, from column k + kb on.
+            // L21 shares its rows with A22, so it is the one copy (a
+            // panel, not the trailing matrix).
+            let (rest, lu) = (n - k - kb, &mut f.lu);
+            let (l11, l21) = (lu.block(k, k, kb, kb), lu.block(k + kb, k, rest, kb));
+            let (top, below) = lu.as_mut_slice().split_at_mut((k + kb) * n);
+            let (a12, a22) = (&mut top[k * n + k + kb..], &mut below[k + kb..]);
             // --- U-panel update: solve L11 * U12 = A12 (the unit solve
             // reads only the strict lower triangle of the packed block).
-            let a12 = lu.block(k, k + kb, kb, n - k - kb);
-            let u12 = solve_lower(&lu.block(k, k, kb, kb), &a12, true);
-            lu.set_block(k, k + kb, &u12);
+            solve_unit_lower_view(packs, &l11, a12, n, rest);
             // --- Trailing update: A22 -= L21 * U12.
-            let l21 = lu.block(k + kb, k, n - k - kb, kb);
-            let mut a22 = lu.block(k + kb, k + kb, n - k - kb, n - k - kb);
-            gemm(-1.0, &l21, &u12, 1.0, &mut a22);
-            lu.set_block(k + kb, k + kb, &a22);
+            let l21 = Left(&l21, 0..rest, 0..kb, false);
+            gemm_ranged(None, packs, -1.0, l21, (a12, n), (a22, n), rest);
         }
         k += kb;
     }

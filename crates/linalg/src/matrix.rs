@@ -164,6 +164,28 @@ impl Matrix {
         t
     }
 
+    /// Transposes a square matrix where it lies, without a second buffer.
+    ///
+    /// # Panics
+    /// Panics if the matrix is not square.
+    pub fn transpose_in_place(&mut self) {
+        assert!(self.is_square(), "transpose_in_place: not square");
+        // 8 x 8 tiles swapped pairwise across the diagonal, for the
+        // reason `transpose` copies in tiles.
+        const TILE: usize = 8;
+        let n = self.rows;
+        for i0 in (0..n).step_by(TILE) {
+            for j0 in (i0..n).step_by(TILE) {
+                for i in i0..(i0 + TILE).min(n) {
+                    // A diagonal tile swaps its own upper half only.
+                    for j in j0.max(i + 1)..(j0 + TILE).min(n) {
+                        self.data.swap(i * n + j, j * n + i);
+                    }
+                }
+            }
+        }
+    }
+
     /// Swap rows `a` and `b` in place.
     pub fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
@@ -357,6 +379,16 @@ mod tests {
         assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
         assert_eq!(m.row(1), &[10.0, 11.0, 12.0]);
         assert_eq!(m.col(2), vec![2.0, 12.0]);
+    }
+
+    #[test]
+    fn transpose_in_place_is_transpose() {
+        for n in [0, 1, 7, 8, 19] {
+            let m = Matrix::from_fn(n, n, |i, j| (i * n + j) as f64);
+            let mut t = m.clone();
+            t.transpose_in_place();
+            assert_eq!(t, m.transpose(), "n = {n}");
+        }
     }
 
     #[test]

@@ -8,12 +8,21 @@
 //! floating-point operations in the same order, so on dense inputs
 //! every output must match to the bit, and on inputs with exact zeros
 //! (where a `!= 0.0` skip may sit elsewhere) up to the sign of a zero.
+//!
+//! `solve_lower` and `solve_right_upper` are that sweep only up to
+//! [`LEAF`] rows; above it they recurse through the GEMM micro-kernel,
+//! which sums in another order. There the references bound them instead:
+//! element-wise agreement relative to `max |X|` and the backward
+//! residual of the system solved.
 
 use hetgrid_linalg::cholesky::cholesky;
-use hetgrid_linalg::gemm::gemm;
+use hetgrid_linalg::gemm::{gemm, matmul, Packs};
 use hetgrid_linalg::lu::{lu_factor, lu_factor_blocked, LuFactors, SingularMatrix};
 use hetgrid_linalg::qr::{qr_factor, QrFactors};
-use hetgrid_linalg::tri::{solve_lower, solve_right_upper, solve_upper};
+use hetgrid_linalg::tri::{
+    solve_lower, solve_lower_in_place, solve_right_upper, solve_upper, solve_upper_t_in_place,
+    upper_from_packed,
+};
 use hetgrid_linalg::Matrix;
 
 // ---------------------------------------------------------------------
@@ -244,9 +253,10 @@ fn ref_lu_factor(a: &Matrix) -> Result<LuParts, usize> {
     Ok((lu, perm, swaps))
 }
 
-/// The blocked variant's trailing update goes through the crate's
-/// `gemm` (untouched, and deterministic within one process); everything
-/// around it is the old indexed code.
+/// The blocked variant's panel solve and trailing update go through the
+/// crate's `solve_lower` and `gemm` (deterministic within one process,
+/// and the same arithmetic on a copied-out block as on a view of it);
+/// everything around them is the old indexed code.
 fn ref_lu_factor_blocked(a: &Matrix, b: usize) -> Result<LuParts, usize> {
     let n = a.rows();
     let mut lu = a.clone();
@@ -277,13 +287,8 @@ fn ref_lu_factor_blocked(a: &Matrix, b: usize) -> Result<LuParts, usize> {
         }
         if k + kb < n {
             let packed = ref_block(&lu, k, k, kb, kb);
-            let l11 = Matrix::from_fn(kb, kb, |i, j| match i.cmp(&j) {
-                std::cmp::Ordering::Greater => packed[(i, j)],
-                std::cmp::Ordering::Equal => 1.0,
-                std::cmp::Ordering::Less => 0.0,
-            });
             let a12 = ref_block(&lu, k, k + kb, kb, n - k - kb);
-            let u12 = ref_solve_lower(&l11, &a12, true);
+            let u12 = solve_lower(&packed, &a12, true);
             ref_set_block(&mut lu, k, k + kb, &u12);
             let l21 = ref_block(&lu, k + kb, k, n - k - kb, kb);
             let mut a22 = ref_block(&lu, k + kb, k + kb, n - k - kb, n - k - kb);
@@ -369,6 +374,43 @@ fn assert_values(what: &str, got: &Matrix, want: &Matrix) {
     }
 }
 
+/// The crate's `tri::LEAF`: a solve of at most this many rows is the
+/// reference sweep, operation for operation.
+const LEAF: usize = 8;
+
+/// A solve against its reference sweep: to the bit (`exact_zeros`: by
+/// value) where the system fits the leaf; above it within
+/// `1e-12 * max(1, max |X|)` of the reference — a dense unit solve grows
+/// with `n`, so no absolute bound holds — and with `solved - B`, the
+/// residual of the system as the caller multiplied it back, at most
+/// `1e-10 * n * max |T| * max |X|`.
+#[track_caller]
+fn assert_solve(what: &str, got: &Matrix, want: &Matrix, t: &Matrix, solved: &Matrix, b: &Matrix) {
+    let n = t.rows();
+    if n <= LEAF {
+        return assert_matrix_bits(what, got, want);
+    }
+    let xmax = want.max_abs();
+    assert!(
+        got.approx_eq(want, 1e-12 * xmax.max(1.0)),
+        "{what}: off the reference sweep by {:e} (max |X| = {xmax:e})",
+        got.sub(want).max_abs()
+    );
+    let resid = solved.sub(b).max_abs();
+    let bound = 1e-10 * n as f64 * t.max_abs() * xmax;
+    assert!(resid <= bound, "{what}: residual {resid:e} > {bound:e}");
+}
+
+/// The lower triangle of `m`, with a unit diagonal if asked.
+fn lower_of(m: &Matrix, unit: bool) -> Matrix {
+    Matrix::from_fn(m.rows(), m.cols(), |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Greater => m[(i, j)],
+        std::cmp::Ordering::Equal if unit => 1.0,
+        std::cmp::Ordering::Equal => m[(i, j)],
+        std::cmp::Ordering::Less => 0.0,
+    })
+}
+
 // ---------------------------------------------------------------------
 // Dense cases: to_bits equality.
 // ---------------------------------------------------------------------
@@ -439,10 +481,14 @@ fn triangular_solves_match_bitwise() {
         // triangle, the other is arbitrary data.
         let lm = dominant(m, m as u64 + 1);
         for unit in [false, true] {
-            assert_matrix_bits(
+            let x = solve_lower(&lm, &b, unit);
+            assert_solve(
                 &format!("solve_lower {m}x{m} \\ {m}x{n} unit={unit}"),
-                &solve_lower(&lm, &b, unit),
+                &x,
                 &ref_solve_lower(&lm, &b, unit),
+                &lm,
+                &matmul(&lower_of(&lm, unit), &x),
+                &b,
             );
         }
         assert_matrix_bits(
@@ -451,10 +497,14 @@ fn triangular_solves_match_bitwise() {
             &ref_solve_upper(&lm, &b),
         );
         let un = dominant(n, n as u64 + 2);
-        assert_matrix_bits(
+        let x = solve_right_upper(&un, &b);
+        assert_solve(
             &format!("solve_right_upper {m}x{n} / {n}x{n}"),
-            &solve_right_upper(&un, &b),
+            &x,
             &ref_solve_right_upper(&un, &b),
+            &un,
+            &matmul(&x, &upper_from_packed(&un)),
+            &b,
         );
     }
 }
@@ -581,51 +631,87 @@ fn qr_with_a_zero_column_matches_by_value() {
     }
 }
 
-#[test]
-fn solves_with_zero_off_diagonals_match_by_value() {
-    let n = 33;
-    let full = dominant(n, 8);
-    // A diagonal factor (every off-diagonal skip fires) and a banded
-    // one (some do), against a right-hand side with zero rows and
-    // columns of its own.
-    let diagonal = Matrix::from_fn(n, n, |i, j| if i == j { full[(i, j)] } else { 0.0 });
-    let banded = Matrix::from_fn(n, n, |i, j| {
+/// [`assert_solve`] where exact zeros meet a `!= 0.0` skip: within the
+/// leaf the sweeps agree by value, not by the sign of a zero.
+#[track_caller]
+fn assert_holey_solve(
+    what: &str,
+    got: &Matrix,
+    want: &Matrix,
+    t: &Matrix,
+    solved: &Matrix,
+    b: &Matrix,
+) {
+    if t.rows() <= LEAF {
+        assert_values(what, got, want);
+    } else {
+        assert_solve(what, got, want, t, solved, b);
+    }
+}
+
+/// Every third diagonal of `full`, zeros between them.
+fn banded_of(full: &Matrix) -> Matrix {
+    Matrix::from_fn(full.rows(), full.cols(), |i, j| {
         if i.abs_diff(j) % 3 == 0 {
             full[(i, j)]
         } else {
             0.0
         }
-    });
-    let dense_b = dense(n, n, 9);
-    let holey_b = Matrix::from_fn(n, n, |i, j| {
-        if i % 4 == 1 || j % 5 == 2 {
-            0.0
-        } else {
-            dense_b[(i, j)]
-        }
-    });
-    for (fname, t) in [("diagonal", &diagonal), ("banded", &banded)] {
-        for (bname, b) in [("dense", &dense_b), ("holey", &holey_b)] {
-            let what = format!("{fname} factor, {bname} rhs");
-            for unit in [false, true] {
+    })
+}
+
+#[test]
+fn solves_with_zero_off_diagonals_match_by_value() {
+    // Once inside the leaf, where every solve is the sweep and its
+    // skips, and once above it.
+    for n in [LEAF, 33] {
+        let full = dominant(n, 8);
+        // A diagonal factor (every off-diagonal skip fires) and a banded
+        // one (some do), against a right-hand side with zero rows and
+        // columns of its own.
+        let diagonal = Matrix::from_fn(n, n, |i, j| if i == j { full[(i, j)] } else { 0.0 });
+        let banded = banded_of(&full);
+        let dense_b = dense(n, n, 9);
+        let holey_b = Matrix::from_fn(n, n, |i, j| {
+            if i % 4 == 1 || j % 5 == 2 {
+                0.0
+            } else {
+                dense_b[(i, j)]
+            }
+        });
+        for (fname, t) in [("diagonal", &diagonal), ("banded", &banded)] {
+            for (bname, b) in [("dense", &dense_b), ("holey", &holey_b)] {
+                let what = format!("{n}: {fname} factor, {bname} rhs");
+                for unit in [false, true] {
+                    let x = solve_lower(t, b, unit);
+                    assert_holey_solve(
+                        &format!("solve_lower unit={unit}: {what}"),
+                        &x,
+                        &ref_solve_lower(t, b, unit),
+                        t,
+                        &matmul(&lower_of(t, unit), &x),
+                        b,
+                    );
+                }
                 assert_values(
-                    &format!("solve_lower unit={unit}: {what}"),
-                    &solve_lower(t, b, unit),
-                    &ref_solve_lower(t, b, unit),
+                    &format!("solve_upper: {what}"),
+                    &solve_upper(t, b),
+                    &ref_solve_upper(t, b),
+                );
+                let x = solve_right_upper(t, b);
+                assert_holey_solve(
+                    &format!("solve_right_upper: {what}"),
+                    &x,
+                    &ref_solve_right_upper(t, b),
+                    t,
+                    &matmul(&x, &upper_from_packed(t)),
+                    b,
                 );
             }
-            assert_values(
-                &format!("solve_upper: {what}"),
-                &solve_upper(t, b),
-                &ref_solve_upper(t, b),
-            );
-            assert_values(
-                &format!("solve_right_upper: {what}"),
-                &solve_right_upper(t, b),
-                &ref_solve_right_upper(t, b),
-            );
         }
     }
+    let (n, full) = (33, dominant(33, 8));
+    let banded = banded_of(&full);
     // Cholesky and LU of factors with structural zeros.
     let spd_banded = Matrix::from_fn(n, n, |i, j| {
         if i == j {
@@ -659,9 +745,16 @@ fn every_kernel_is_repeatable() {
     let sq = dominant(n, 43);
     let pd = spd(n, 44);
     let wide = ref_transpose(&rhs);
+    // The blocked solves at the executor's shape, through one `Packs`
+    // that every pass leaves full of the last one's panels.
+    let (big, big_rhs) = (dominant(128, 45), dense(128, 128, 46));
+    let mut packs = Packs::default();
     // Interleave the kernels so any state one call left behind (a
     // reused scratch buffer, say) is stale when the next one runs.
-    let pass = || {
+    let mut pass = || {
+        let (mut below, mut right) = (big_rhs.clone(), big_rhs.transpose());
+        solve_lower_in_place(&mut packs, &big, true, &mut below);
+        solve_upper_t_in_place(&mut packs, &big, &mut right);
         let f = qr_factor(&tall);
         let lu = lu_factor(&sq).expect("dominant input");
         let lub = lu_factor_blocked(&sq, 16).expect("dominant input");
@@ -675,6 +768,8 @@ fn every_kernel_is_repeatable() {
             solve_lower(&sq, &wide, true),
             solve_upper(&sq, &wide),
             solve_right_upper(&sq, &rhs),
+            below,
+            right,
             lu.lu,
             lub.lu,
             tall.transpose(),
