@@ -49,10 +49,10 @@
 //!
 //! The *global* problem additionally searches over arrangements; by the
 //! paper's Theorem 1 only non-decreasing arrangements need to be
-//! considered. [`solve_global`] fans the arrangements out over the
-//! `hetgrid-par` work-stealing pool and shares the incumbent across
-//! them through an atomic, so a good arrangement solved early prunes
-//! the rest.
+//! considered. [`solve_global`] fans the arrangements out through
+//! `hetgrid_par::parallel_map` and shares the incumbent across them
+//! through an atomic, so a good arrangement solved early prunes the
+//! rest.
 
 use crate::arrangement::{enumerate_nondecreasing, Arrangement};
 use crate::objective::{workload_matrix, Allocation};
@@ -955,9 +955,11 @@ pub struct GlobalSolution {
 
 /// Searches all non-decreasing arrangements of `times` on a `p x q`
 /// grid, solving each exactly with branch-and-bound. The arrangements
-/// are fanned out over the `hetgrid-par` pool, and the best objective
-/// found so far is shared across workers, seeding each arrangement's
-/// incumbent so later arrangements mostly prune immediately.
+/// are fanned out through `hetgrid_par::parallel_map` (serially where
+/// `hetgrid_par::threads()` is 1, e.g. inside another map's worker),
+/// and the best objective found so far is shared across workers,
+/// seeding each arrangement's incumbent so later arrangements mostly
+/// prune immediately.
 ///
 /// # Panics
 /// Panics if `times.len() != p * q` or the grid exceeds the exact-solver
@@ -1011,8 +1013,7 @@ pub fn solve_global_with(times: &[f64], p: usize, q: usize, opts: &ExactOptions)
     let mut count = 0u64;
     let mut effort = Effort::default();
 
-    let pool = hetgrid_par::global();
-    if !opts.prune || pool.threads() == 1 {
+    if !opts.prune || hetgrid_par::threads() == 1 {
         // Serial: solve inside the raw enumeration callback — no
         // per-candidate Arrangement construction, no queue round-trips;
         // an Arrangement is materialized only when a candidate improves
@@ -1080,12 +1081,7 @@ pub fn solve_global_with(times: &[f64], p: usize, q: usize, opts: &ExactOptions)
         let mut arrangements: Vec<Arrangement> = Vec::new();
         enumerate_nondecreasing(times, p, q, |arr| arrangements.push(arr.clone()));
         count = arrangements.len() as u64;
-        let indices: Vec<usize> = (0..arrangements.len()).collect();
-        let results = {
-            let arrs = &arrangements;
-            let solve_one = &solve_one;
-            pool.parallel_map(indices, move |i| solve_one(&arrs[i]))
-        };
+        let results = hetgrid_par::parallel_map(arrangements.iter().collect(), solve_one);
         for (arr, (sol, eff)) in arrangements.iter().zip(results) {
             effort.absorb(eff);
             consider(arr, sol);
@@ -1226,6 +1222,33 @@ mod tests {
         let global = solve_global(&times, 2, 2);
         assert!(global.obj2 >= fixed.obj2 - 1e-12);
         assert_eq!(global.arrangements_examined, 2);
+    }
+
+    #[test]
+    fn serial_and_fanned_out_branches_agree() {
+        // Inside a `parallel_map` worker `threads()` is 1, which selects
+        // the fused serial loop; at top level the arrangements fan out
+        // (unless the host or `HETGRID_THREADS` gives one thread).
+        let cases: [(usize, usize, Vec<f64>); 3] = [
+            (3, 3, (1..=9).map(f64::from).collect()),
+            (2, 4, vec![0.7, 1.1, 1.3, 1.9, 2.0, 3.1, 4.2, 5.5]),
+            (2, 3, vec![1.0, 2.0, 2.0, 3.0, 3.0, 5.0]),
+        ];
+        for (p, q, times) in &cases {
+            let top = solve_global(times, *p, *q);
+            let nested = hetgrid_par::parallel_map(vec![(); 2], |()| {
+                assert_eq!(hetgrid_par::threads(), 1);
+                solve_global(times, *p, *q)
+            });
+            for inner in nested {
+                assert_eq!(inner.arrangement, top.arrangement, "{p}x{q} {times:?}");
+                assert_eq!(
+                    inner.obj2.to_bits(),
+                    top.obj2.to_bits(),
+                    "{p}x{q} {times:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -137,9 +137,9 @@ fn climb(mut current: Arrangement, opts: &SearchOptions) -> (SearchResult, u64) 
 /// Hill-climbing over pairwise swaps of grid positions, with random
 /// restarts. Each restart shuffles the placement, then applies
 /// best-improvement swaps until no swap helps. Restarts are independent
-/// (each has its own derived RNG seed) and run concurrently on the
-/// shared [`hetgrid_par`] pool; results are reduced deterministically in
-/// restart order, so the answer does not depend on the thread count.
+/// (each has its own derived RNG seed) and run concurrently through
+/// [`hetgrid_par::parallel_map`]; results are reduced deterministically
+/// in restart order, so the answer does not depend on the thread count.
 ///
 /// # Panics
 /// Panics if `times.len() != p * q`.
@@ -166,7 +166,7 @@ pub fn local_search(times: &[f64], p: usize, q: usize, opts: SearchOptions) -> S
         })
         .collect();
 
-    let outcomes = hetgrid_par::global().parallel_map(starts, |start| climb(start, &opts));
+    let outcomes = hetgrid_par::parallel_map(starts, |start| climb(start, &opts));
 
     let mut evaluations = 0u64;
     let mut best: Option<SearchResult> = None;
@@ -241,7 +241,7 @@ fn anneal_chain(
 /// worse moves with probability `exp(delta / T)`; each chain cools from
 /// the observed objective scale to near zero over `n^2 * 4` steps.
 /// `opts.restarts.max(1)` independent chains (distinct derived seeds)
-/// run concurrently on the shared [`hetgrid_par`] pool and the best
+/// run concurrently through [`hetgrid_par::parallel_map`] and the best
 /// chain wins; the reduction is in chain order, so the result does not
 /// depend on the thread count.
 ///
@@ -253,8 +253,7 @@ pub fn anneal(times: &[f64], p: usize, q: usize, opts: SearchOptions) -> SearchR
     let seeds: Vec<u64> = (0..chains)
         .map(|c| restart_seed(opts.seed ^ 0xA44EA1, c))
         .collect();
-    let outcomes =
-        hetgrid_par::global().parallel_map(seeds, |seed| anneal_chain(times, p, q, &opts, seed));
+    let outcomes = hetgrid_par::parallel_map(seeds, |seed| anneal_chain(times, p, q, &opts, seed));
 
     let mut evaluations = 0u64;
     let mut best: Option<SearchResult> = None;

@@ -1,9 +1,10 @@
 //! # hetgrid-exec
 //!
 //! A threaded shared-memory executor for the distributed dense kernels:
-//! one OS thread per virtual processor of the 2D grid, [`channel`]
-//! channels carrying exactly the blocks the distribution's communication
-//! pattern prescribes, and integer *slowdown weights* emulating the
+//! one OS thread per virtual processor of the 2D grid, one
+//! `std::sync::mpsc` mailbox per processor carrying exactly the blocks
+//! the distribution's communication pattern prescribes (see
+//! [`transport`]), and integer *slowdown weights* emulating the
 //! heterogeneous cycle-times on homogeneous hardware.
 //!
 //! This is the workspace's stand-in for the paper's MPI experiments
@@ -88,7 +89,6 @@
     clippy::too_many_arguments
 )]
 
-pub mod channel;
 mod cholesky;
 mod grid;
 mod lu;

@@ -632,7 +632,7 @@ where
     let n_procs = p * q;
     let endpoints = transport.connect::<WireMsg>(n_procs);
     type Done = (usize, Result<BlockStore, Closed>, f64, u64, u64);
-    let (done_tx, done_rx) = crate::channel::unbounded::<Done>();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();
 
     let wall_start = Instant::now();
     std::thread::scope(|scope| {

@@ -6,7 +6,7 @@
 //! that surface:
 //!
 //! * [`ChannelTransport`] — the production transport, one
-//!   [`crate::channel`] MPMC channel per processor (what callers of
+//!   `std::sync::mpsc` channel per processor (what callers of
 //!   [`crate::run`] pass outside tests);
 //! * `hetgrid-harness`'s virtual transport — a seeded fault-injecting
 //!   router (message delay, reordering, starvation detection) used by
@@ -20,8 +20,10 @@
 //! fails (or the harness aborts the run) rather than blocking forever
 //! once delivery is impossible.
 
-use crate::channel::{unbounded, Receiver, Sender};
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 
 /// The transport is closed: the peer endpoints required to complete the
 /// operation were dropped.
@@ -136,45 +138,78 @@ pub trait Transport {
     fn connect<T: Send + 'static>(&self, n: usize) -> Vec<Box<dyn Endpoint<T>>>;
 }
 
-/// The default transport: one unbounded [`crate::channel`] per
+/// The default transport: one unbounded `std::sync::mpsc` channel per
 /// processor, each endpoint holding a sender to every mailbox (its own
-/// included) and the receiver of its own.
+/// included) and the receiver of its own, plus one doom flag shared by
+/// the whole run. [`Endpoint::abort`] raises the flag and posts a `None`
+/// wake-up into every mailbox; from then on every `send`, `recv` and
+/// `try_recv` of the run fails with [`Closed`], queued messages unread.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChannelTransport;
 
 struct ChannelEndpoint<T> {
-    txs: Vec<Sender<T>>,
-    rx: Receiver<T>,
+    txs: Vec<Sender<Option<T>>>,
+    rx: Receiver<Option<T>>,
+    /// Shared by every endpoint of one `connect`; `abort`'s `Release`
+    /// store pairs with `alive`'s `Acquire` load.
+    doomed: Arc<AtomicBool>,
+}
+
+impl<T> ChannelEndpoint<T> {
+    fn alive(&self) -> bool {
+        !self.doomed.load(Ordering::Acquire)
+    }
 }
 
 impl<T: Send> Endpoint<T> for ChannelEndpoint<T> {
     fn send(&self, dest: usize, msg: T) -> Result<(), Closed> {
-        self.txs[dest].send(msg).map_err(|_| Closed)
+        if !self.alive() {
+            return Err(Closed);
+        }
+        self.txs[dest].send(Some(msg)).map_err(|_| Closed)
     }
 
     fn recv(&self) -> Result<T, Closed> {
-        self.rx.recv().map_err(|_| Closed)
+        // The flag is checked before blocking: `abort` raises it before
+        // posting the one `None` wake-up, so a receiver either sees the
+        // flag here or later takes the `None`, even after that `None`
+        // was consumed by an earlier `try_recv`.
+        if !self.alive() {
+            return Err(Closed);
+        }
+        match self.rx.recv() {
+            Ok(Some(msg)) if self.alive() => Ok(msg),
+            _ => Err(Closed),
+        }
     }
 
     fn try_recv(&self) -> Result<Option<T>, Closed> {
-        self.rx.try_recv().map_err(|_| Closed)
+        match self.rx.try_recv() {
+            Ok(Some(msg)) if self.alive() => Ok(Some(msg)),
+            Err(TryRecvError::Empty) if self.alive() => Ok(None),
+            _ => Err(Closed),
+        }
     }
 
     fn abort(&self) {
+        self.doomed.store(true, Ordering::Release);
         for tx in &self.txs {
-            tx.poison();
+            // A mailbox whose endpoint is gone needs no wake-up.
+            let _ = tx.send(None);
         }
     }
 }
 
 impl Transport for ChannelTransport {
     fn connect<T: Send + 'static>(&self, n: usize) -> Vec<Box<dyn Endpoint<T>>> {
-        let (txs, rxs): (Vec<Sender<T>>, Vec<Receiver<T>>) = (0..n).map(|_| unbounded()).unzip();
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
+        let doomed = Arc::new(AtomicBool::new(false));
         rxs.into_iter()
             .map(|rx| {
                 Box::new(ChannelEndpoint {
                     txs: txs.clone(),
                     rx,
+                    doomed: Arc::clone(&doomed),
                 }) as Box<dyn Endpoint<T>>
             })
             .collect()
@@ -232,5 +267,41 @@ mod tests {
         assert_eq!(h2.join().unwrap(), Err(Closed));
         // The aborting endpoint itself also fails from here on.
         assert_eq!(e0.send(0, 1), Err(Closed));
+    }
+
+    #[test]
+    fn abort_abandons_queued_messages() {
+        let eps = ChannelTransport.connect::<u8>(2);
+        eps[1].send(0, 1).unwrap();
+        eps[1].send(0, 2).unwrap();
+        eps[1].abort();
+        // A doomed run fails fast: nothing queued before the abort is
+        // delivered, on either receive path.
+        assert_eq!(eps[0].try_recv(), Err(Closed));
+        assert_eq!(eps[0].recv(), Err(Closed));
+        assert_eq!(eps[1].send(0, 3), Err(Closed));
+    }
+
+    #[test]
+    fn abort_fails_every_later_recv_on_an_empty_mailbox() {
+        let eps = ChannelTransport.connect::<u8>(2);
+        eps[1].abort();
+        // `try_recv` takes the one wake-up; the receives after it must
+        // still fail instead of blocking on a mailbox that never closes.
+        assert_eq!(eps[0].try_recv(), Err(Closed));
+        assert_eq!(eps[0].recv(), Err(Closed));
+        assert_eq!(eps[0].recv(), Err(Closed));
+        // Likewise when `recv` itself took the wake-up.
+        assert_eq!(eps[1].recv(), Err(Closed));
+        assert_eq!(eps[1].recv(), Err(Closed));
+    }
+
+    #[test]
+    fn try_recv_is_empty_not_closed_while_alive() {
+        let eps = ChannelTransport.connect::<u8>(2);
+        assert_eq!(eps[0].try_recv(), Ok(None));
+        eps[1].send(0, 5).unwrap();
+        assert_eq!(eps[0].try_recv(), Ok(Some(5)));
+        assert_eq!(eps[0].try_recv(), Ok(None));
     }
 }

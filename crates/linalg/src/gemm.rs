@@ -4,8 +4,8 @@
 //! * [`gemm`] / [`matmul`] — the packed-panel kernel, used by the
 //!   executors for the per-block rank-`r` updates; [`gemm_with`] is the
 //!   same call for a caller that loops and keeps its [`Packs`];
-//! * [`par_gemm`] — the same kernel with row panels fanned out over the
-//!   `hetgrid-par` work-stealing pool;
+//! * [`par_gemm`] — the same kernel with row panels fanned out through
+//!   `hetgrid_par::parallel_map`;
 //! * [`matmul_naive`] — triple loop reference used in tests.
 //!
 //! The packed kernel follows the classic GotoBLAS/BLIS decomposition:
@@ -140,9 +140,10 @@ pub fn gemm_with(packs: &mut Packs, alpha: f64, a: &Matrix, b: &Matrix, beta: f6
 }
 
 /// `C <- alpha * A * B + beta * C` with row panels of `C` split across
-/// the shared thread pool. Workers compute disjoint row ranges, each
-/// running the packed kernel on its own slice of `C`; on a single-thread
-/// pool this degenerates to [`gemm`].
+/// `hetgrid_par::threads()` workers. Workers compute disjoint row
+/// ranges, each running the packed kernel on its own slice of `C`; at
+/// one thread (or inside another map's worker) this degenerates to
+/// [`gemm`].
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -159,8 +160,7 @@ pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
 
     let tile = select_kernel();
     let mr = tile.0;
-    let pool = hetgrid_par::global();
-    let threads = pool.threads();
+    let threads = hetgrid_par::threads();
     if threads == 1 || m < 2 * mr {
         return gemm_with(&mut Packs::default(), alpha, a, b, 1.0, c);
     }
@@ -168,28 +168,20 @@ pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     // Split the rows of C into one contiguous chunk per worker, rounded
     // to the micro-tile height so no strip straddles two workers.
     let chunk = (m.div_ceil(threads)).next_multiple_of(mr);
-    let mut jobs: Vec<(usize, &mut [f64])> = Vec::new();
-    let mut rest = c.as_mut_slice();
-    let mut row0 = 0;
-    while row0 < m {
-        let rows = chunk.min(m - row0);
-        let (head, tail) = rest.split_at_mut(rows * n);
-        jobs.push((row0, head));
-        rest = tail;
-        row0 += rows;
-    }
-    pool.scope(|s| {
-        for (row0, c_rows) in jobs {
-            let rows = row0..row0 + c_rows.len() / n;
-            s.spawn(move || {
-                let (packs, a, b) = (
-                    &mut Packs::default(),
-                    Left(a, rows, 0..k, false),
-                    b.as_slice(),
-                );
-                gemm_ranged(Some(tile), packs, alpha, a, (b, n), (c_rows, n), n);
-            });
-        }
+    let jobs: Vec<(usize, &mut [f64])> = c
+        .as_mut_slice()
+        .chunks_mut(chunk * n)
+        .enumerate()
+        .map(|(i, c_rows)| (i * chunk, c_rows))
+        .collect();
+    hetgrid_par::parallel_map(jobs, |(row0, c_rows)| {
+        let rows = row0..row0 + c_rows.len() / n;
+        let (packs, a, b) = (
+            &mut Packs::default(),
+            Left(a, rows, 0..k, false),
+            b.as_slice(),
+        );
+        gemm_ranged(Some(tile), packs, alpha, a, (b, n), (c_rows, n), n);
     });
 }
 

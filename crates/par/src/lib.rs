@@ -1,424 +1,168 @@
 //! # hetgrid-par
 //!
-//! A small work-stealing thread pool for the workspace's CPU hot paths
-//! (exact-solver arrangement fan-out, metaheuristic restarts, GEMM row
-//! panels). The build environment is offline, so — like `shims/rand` and
-//! `exec::channel` — this is a self-contained `std`-only implementation
-//! of the subset of `rayon`'s surface hetgrid actually needs:
-//!
-//! * [`ThreadPool::scope`] — spawn borrowing closures and wait for all
-//!   of them before returning (panics are propagated);
-//! * [`ThreadPool::parallel_map`] — map a `Vec` through a `Sync` closure
-//!   with one task per item, preserving order;
-//! * [`global`] — a lazily-created process-wide pool sized from
-//!   `HETGRID_THREADS` or `std::thread::available_parallelism`.
-//!
-//! Scheduling: each worker owns a deque; it pops its own work LIFO (hot
-//! caches) and steals FIFO from the other workers when empty. Threads
-//! that *wait* on a scope also steal and run queued tasks instead of
-//! blocking, so nested scopes (a task that itself opens a scope) cannot
-//! deadlock even on a single-worker pool.
+//! Data parallelism for the workspace's CPU hot paths (exact-solver
+//! arrangement fan-out, metaheuristic restarts, the `report` sweeps,
+//! GEMM row panels): [`parallel_map`] on `std::thread::scope`, as wide
+//! as [`threads`] says. There is no persistent pool: the workers live
+//! for one call, so the items may borrow from the caller's stack, and a
+//! map nested inside a worker runs inline instead of multiplying
+//! threads.
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::{Mutex, OnceLock};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Shared {
-    /// One deque per worker; submissions round-robin across them.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Generation counter + shutdown flag guarded by one mutex so
-    /// sleeping workers never miss a submission.
-    gen: Mutex<(u64, bool)>,
-    cv: Condvar,
-    next: AtomicUsize,
-    shutdown: AtomicBool,
-    /// Cross-queue steals (obs `par.steals`). Handle resolved once at
-    /// pool construction; each steal is one relaxed atomic increment.
-    steals: hetgrid_obs::Counter,
-    /// High-water queue depth (obs `par.queue.depth`).
-    depth: hetgrid_obs::Gauge,
+thread_local! {
+    /// Set on a [`parallel_map`] worker for its whole (short) life.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-impl Shared {
-    /// Pops from the worker's own queue (LIFO) or steals from another
-    /// queue (FIFO). `home` is `usize::MAX` for non-worker threads.
-    fn grab(&self, home: usize) -> Option<Job> {
-        if home < self.queues.len() {
-            if let Some(job) = self.queues[home].lock().expect("pool poisoned").pop_back() {
-                return Some(job);
-            }
-        }
-        let n = self.queues.len();
-        let start = if home < n { home + 1 } else { 0 };
-        for off in 0..n {
-            let q = (start + off) % n;
-            if q == home {
-                continue;
-            }
-            if let Some(job) = self.queues[q].lock().expect("pool poisoned").pop_front() {
-                self.steals.inc();
-                return Some(job);
-            }
-        }
-        None
+/// How many workers a [`parallel_map`] called from this thread may use:
+/// `HETGRID_THREADS` when set (and >= 1), otherwise
+/// [`std::thread::available_parallelism`], read once; always 1 on a
+/// worker thread.
+pub fn threads() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    if IN_WORKER.get() {
+        return 1;
     }
-
-    fn push(&self, job: Job) {
-        let q = self.next.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        let len = {
-            let mut queue = self.queues[q].lock().expect("pool poisoned");
-            queue.push_back(job);
-            queue.len()
-        };
-        self.depth.record_max(len as f64);
-        let mut g = self.gen.lock().expect("pool poisoned");
-        g.0 = g.0.wrapping_add(1);
-        drop(g);
-        self.cv.notify_all();
-    }
-}
-
-/// A fixed-size work-stealing thread pool.
-pub struct ThreadPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-}
-
-impl ThreadPool {
-    /// Creates a pool with `threads` workers (at least one).
-    pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            queues: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            gen: Mutex::new((0, false)),
-            cv: Condvar::new(),
-            next: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            steals: hetgrid_obs::metrics().counter("par.steals"),
-            depth: hetgrid_obs::metrics().gauge("par.queue.depth"),
-        });
-        let handles = (0..threads)
-            .map(|idx| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("hetgrid-par-{idx}"))
-                    .spawn(move || worker_loop(&shared, idx))
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        ThreadPool { shared, handles }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.shared.queues.len()
-    }
-
-    /// Runs `f` with a [`Scope`] that can spawn borrowing tasks; returns
-    /// once every spawned task has finished. If any task panicked, the
-    /// first panic is re-raised here (after all tasks completed, so no
-    /// borrow outlives its data).
-    pub fn scope<'env, F, R>(&self, f: F) -> R
-    where
-        F: FnOnce(&Scope<'env, '_>) -> R,
-    {
-        let state = Arc::new(ScopeState {
-            sync: Mutex::new(ScopeSync {
-                pending: 0,
-                panic: None,
-            }),
-            cv: Condvar::new(),
-        });
-        let scope = Scope {
-            pool: self,
-            state: state.clone(),
-            _env: std::marker::PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-
-        // Wait for all spawned tasks, stealing pool work while we wait so
-        // nested scopes make progress even on a one-worker pool.
-        loop {
-            while let Some(job) = self.shared.grab(usize::MAX) {
-                job();
-            }
-            let guard = state.sync.lock().expect("scope poisoned");
-            if guard.pending == 0 {
-                break;
-            }
-            // Timeout so a task enqueued after `grab` failed is re-stolen.
-            let _ = state
-                .cv
-                .wait_timeout(guard, Duration::from_millis(1))
-                .expect("scope poisoned");
-        }
-        let panic = state.sync.lock().expect("scope poisoned").panic.take();
-        match (result, panic) {
-            (Ok(r), None) => r,
-            (Err(p), _) | (_, Some(p)) => resume_unwind(p),
-        }
-    }
-
-    /// Maps every item of `items` through `f` on the pool, preserving
-    /// order. Panics in `f` are propagated.
-    pub fn parallel_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(T) -> R + Sync,
-    {
-        let n = items.len();
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        {
-            let f = &f;
-            let slot_ptr = SendPtr(slots.as_mut_ptr());
-            self.scope(|s| {
-                for (i, item) in items.into_iter().enumerate() {
-                    s.spawn(move || {
-                        // Capture the whole wrapper, not its raw field
-                        // (edition-2021 closures capture fields disjointly).
-                        let slot_ptr = slot_ptr;
-                        let value = f(item);
-                        // SAFETY: each task writes exactly one distinct slot,
-                        // and the scope guarantees completion before `slots`
-                        // is read or dropped.
-                        unsafe { *slot_ptr.0.add(i) = Some(value) };
-                    });
-                }
-            });
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("parallel_map: task did not run"))
-            .collect()
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let mut g = self.shared.gen.lock().expect("pool poisoned");
-            g.1 = true;
-        }
-        self.shared.cv.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, idx: usize) {
-    loop {
-        // Read the generation *before* scanning so a submission racing
-        // with a failed scan is observed as a changed generation.
-        let seen = shared.gen.lock().expect("pool poisoned").0;
-        while let Some(job) = shared.grab(idx) {
-            job();
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut g = shared.gen.lock().expect("pool poisoned");
-        while g.0 == seen && !g.1 {
-            g = shared.cv.wait(g).expect("pool poisoned");
-        }
-        if g.1 {
-            return;
-        }
-    }
-}
-
-struct ScopeSync {
-    pending: usize,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-struct ScopeState {
-    sync: Mutex<ScopeSync>,
-    cv: Condvar,
-}
-
-/// Spawning handle passed to the closure of [`ThreadPool::scope`].
-pub struct Scope<'env, 'pool> {
-    pool: &'pool ThreadPool,
-    state: Arc<ScopeState>,
-    /// Invariant over `'env`: tasks may borrow data living at least as
-    /// long as the scope call.
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-impl<'env> Scope<'env, '_> {
-    /// Spawns `task` on the pool. The task may borrow from `'env`; the
-    /// scope waits for it before returning.
-    pub fn spawn<F>(&self, task: F)
-    where
-        F: FnOnce() + Send + 'env,
-    {
-        self.state.sync.lock().expect("scope poisoned").pending += 1;
-        let state = self.state.clone();
-        let wrapped: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(task));
-            let mut guard = state.sync.lock().expect("scope poisoned");
-            if let Err(p) = result {
-                guard.panic.get_or_insert(p);
-            }
-            guard.pending -= 1;
-            drop(guard);
-            state.cv.notify_all();
-        });
-        // SAFETY: `scope` does not return before `pending` drops to zero,
-        // so the boxed closure (and everything it borrows from `'env`)
-        // outlives its execution; extending the lifetime to 'static for
-        // storage in the queue is therefore sound. This is the same
-        // contract crossbeam/rayon scopes rely on.
-        let job: Job = unsafe {
-            std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Box<dyn FnOnce() + Send>>(
-                wrapped,
-            )
-        };
-        self.pool.shared.push(job);
-    }
-}
-
-/// Raw-pointer wrapper that asserts cross-thread transferability for
-/// writes to disjoint slots.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-/// The process-wide pool. Sized from `HETGRID_THREADS` when set (and
-/// >= 1), otherwise from [`std::thread::available_parallelism`].
-pub fn global() -> &'static ThreadPool {
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let threads = std::env::var("HETGRID_THREADS")
+    *WIDTH.get_or_init(|| {
+        std::env::var("HETGRID_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        ThreadPool::new(threads)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     })
 }
 
-/// [`ThreadPool::parallel_map`] on the [`global`] pool.
+/// Maps every item of `items` through `f` on `threads().min(items)`
+/// scoped workers pulling from one shared iterator, preserving order. A
+/// panic in `f` is re-raised here once every worker has stopped; the
+/// other items still run.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    global().parallel_map(items, f)
+    map_on(threads(), items, f)
 }
 
-/// [`ThreadPool::scope`] on the [`global`] pool.
-pub fn scope<'env, F, R>(f: F) -> R
+/// [`parallel_map`] at an explicit width; one worker runs inline on the
+/// calling thread.
+fn map_on<T, R, F>(width: usize, items: Vec<T>, f: F) -> Vec<R>
 where
-    F: FnOnce(&Scope<'env, '_>) -> R,
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
 {
-    global().scope(f)
+    let (width, tasks) = (width.min(items.len()), items.len() as u64);
+    hetgrid_obs::metrics().counter("par.tasks").add(tasks);
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let work = || {
+        let (mut done, mut panic) = (Vec::new(), None);
+        loop {
+            // A `let`, so the guard is released before `f` runs.
+            let next = queue.lock().unwrap_or_else(|p| p.into_inner()).next();
+            let Some((i, item)) = next else {
+                return (done, panic);
+            };
+            match catch_unwind(AssertUnwindSafe(|| f(item))) {
+                Ok(r) => done.push((i, r)),
+                Err(p) => panic = panic.or(Some(p)),
+            }
+        }
+    };
+    let worker = || {
+        IN_WORKER.set(true);
+        work()
+    };
+    let runs = if width <= 1 {
+        vec![work()]
+    } else {
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..width).map(|_| s.spawn(worker)).collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap_or_else(|p| resume_unwind(p)))
+                .collect()
+        })
+    };
+    let mut out = Vec::new();
+    for (done, panic) in runs {
+        if let Some(p) = panic {
+            resume_unwind(p);
+        }
+        out.extend(done);
+    }
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn parallel_map_preserves_order() {
-        let pool = ThreadPool::new(4);
-        let out = pool.parallel_map((0..100).collect(), |x: u64| x * x);
+        let out = map_on(4, (0..100).collect(), |x: u64| x * x);
         assert_eq!(out, (0..100).map(|x| x * x).collect::<Vec<_>>());
     }
 
     #[test]
-    fn scope_spawn_borrows_locals() {
-        let pool = ThreadPool::new(3);
-        let data: Vec<u64> = (0..64).collect();
-        let total = AtomicU64::new(0);
-        pool.scope(|s| {
-            for chunk in data.chunks(7) {
-                let total = &total;
-                s.spawn(move || {
-                    total.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
-                });
-            }
+    fn map_over_borrowed_mut_slices() {
+        let mut data: Vec<u64> = (0..64).collect();
+        let chunks: Vec<&mut [u64]> = data.chunks_mut(7).collect();
+        let sums = map_on(3, chunks, |chunk| {
+            chunk.iter_mut().for_each(|x| *x *= 2);
+            chunk.iter().sum::<u64>()
         });
-        assert_eq!(total.load(Ordering::Relaxed), 64 * 63 / 2);
+        assert_eq!(sums.iter().sum::<u64>(), 64 * 63);
+        assert_eq!(data, (0..64).map(|x| 2 * x).collect::<Vec<_>>());
     }
 
     #[test]
-    fn nested_scopes_do_not_deadlock() {
-        // One worker: the inner scope's task can only run because the
-        // outer task (occupying the worker) steals while waiting.
-        let pool = ThreadPool::new(1);
-        let out = pool.parallel_map(vec![1u64, 2, 3], |x| {
-            let inner = global().parallel_map(vec![x, x + 10], |y| y * 2);
-            inner.iter().sum::<u64>()
+    fn nested_maps_run_inline() {
+        let out = map_on(3, vec![1u64, 2, 3], |x| {
+            assert_eq!(threads(), 1, "a worker must not fan out again");
+            parallel_map(vec![x, x + 10], |y| y * 2).iter().sum::<u64>()
         });
         assert_eq!(out, vec![2 + 22, 4 + 24, 6 + 26]);
     }
 
     #[test]
-    fn panic_propagates_after_all_tasks_finish() {
-        let pool = ThreadPool::new(2);
-        let ran = AtomicU64::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                for i in 0..8 {
-                    let ran = &ran;
-                    s.spawn(move || {
-                        if i == 3 {
-                            panic!("boom");
-                        }
-                        ran.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        assert!(result.is_err(), "panic must propagate");
-        assert_eq!(ran.load(Ordering::Relaxed), 7, "other tasks still ran");
+    fn panic_propagates_after_every_item_ran() {
+        for width in [1, 2] {
+            let ran = AtomicU64::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                map_on(width, (0..8).collect(), |i: u32| {
+                    if i == 3 {
+                        panic!("boom");
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+            assert!(result.is_err(), "panic must propagate (width {width})");
+            assert_eq!(ran.load(Ordering::Relaxed), 7, "other items still ran");
+        }
     }
 
     #[test]
-    fn global_pool_is_usable() {
-        assert!(global().threads() >= 1);
-        let out = parallel_map(vec![1, 2, 3], |x: u32| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn pool_publishes_scheduler_metrics() {
-        let pool = ThreadPool::new(2);
-        let out = pool.parallel_map((0..64).collect(), |x: u64| x + 1);
-        assert_eq!(out.len(), 64);
-        let snap = hetgrid_obs::metrics().snapshot();
-        // 64 pushes round-robined over 2 queues: some queue reached
-        // depth >= 1, and the series exist from pool construction on.
-        assert!(snap.gauge("par.queue.depth") >= 1.0);
-        assert!(snap.counters.contains_key("par.steals"));
+    fn map_counts_its_items_as_par_tasks() {
+        let tasks = || hetgrid_obs::metrics().snapshot().counter("par.tasks");
+        let before = tasks();
+        assert_eq!(map_on(2, (0..64).collect(), |x: u64| x + 1).len(), 64);
+        // Other tests map concurrently, so the counter may have moved more.
+        assert!(tasks() - before >= 64);
     }
 
     #[test]
     fn empty_map_is_fine() {
-        let pool = ThreadPool::new(2);
-        let out: Vec<u32> = pool.parallel_map(Vec::<u32>::new(), |x| x);
+        let out: Vec<u32> = map_on(2, Vec::<u32>::new(), |x| x);
         assert!(out.is_empty());
+        assert!(threads() >= 1);
     }
 }

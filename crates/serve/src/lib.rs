@@ -23,9 +23,10 @@
 //!   in the process-global [`hetgrid_obs`] registry, a `serve` trace
 //!   track, and a metrics endpoint that exports them over the wire.
 //!
-//! The stack is dependency-free by design: `std::net` sockets, OS
-//! threads for I/O, and the shared [`hetgrid_par`] pool for compute —
-//! no async runtime.
+//! The stack is dependency-free by design: `std::net` sockets and one
+//! OS thread per connection, which also runs its admitted requests'
+//! compute (bounded by the admission limit) — no async runtime, no
+//! compute pool.
 //!
 //! The transport split matters for testing: [`Service`] knows nothing
 //! about sockets, so the protocol/caching/coalescing semantics are

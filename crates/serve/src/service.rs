@@ -26,11 +26,12 @@
 //!
 //! ## Compute
 //!
-//! Cold-path compute runs through the shared [`hetgrid_par`] pool, so
-//! CPU-bound solver work stays bounded by the pool width no matter how
-//! many connection threads are blocked waiting, and is wrapped in
-//! `catch_unwind`: a panic degrades to a typed `ServerError` response
-//! (uncached) instead of taking the process down.
+//! Cold-path compute runs on the admitted request's own thread, so
+//! CPU-bound solver work is bounded by [`ServiceConfig::queue_limit`] —
+//! the admission limit — and a request is one connected trace tree. It
+//! is wrapped in `catch_unwind`: a panic degrades to a typed
+//! `ServerError` response (uncached) instead of taking the process
+//! down.
 
 use crate::cache::PlanCache;
 use crate::fingerprint::{cache_key, fingerprint};
@@ -162,73 +163,72 @@ impl Service {
             req.body.endpoint(),
             req.tenant
         );
-        match &req.body {
-            RequestBody::Metrics(fmt) => {
-                m.counter("serve.requests.meta").inc();
-                let text = match fmt {
+        let body = &req.body;
+        // Only the meta endpoints (metrics, shutdown) have no cache key.
+        let Some(key) = cache_key(body) else {
+            m.counter("serve.requests.meta").inc();
+            let resp = match body {
+                RequestBody::Metrics(fmt) => Response::Metrics(match fmt {
                     // v1 behavior: serve-scoped counters as JSON.
                     MetricsFormat::Json => m.snapshot().filtered("serve.").to_json(),
                     // The whole registry, parse-back-exact (the top
                     // dashboard wants exec/pool/recovery families too).
                     MetricsFormat::Expo => hetgrid_obs::expo::write(&m.snapshot()),
                     MetricsFormat::Series => hetgrid_obs::series::to_json(),
-                };
-                Arc::new(encode_response(&Response::Metrics(text)))
-            }
-            RequestBody::Shutdown => {
-                m.counter("serve.requests.meta").inc();
-                self.shutdown.store(true, Ordering::SeqCst);
-                Arc::new(encode_response(&Response::ShuttingDown))
-            }
-            body => {
-                if let Err(msg) = validate_body(body) {
-                    m.counter("serve.requests.malformed").inc();
-                    return Arc::new(encode_response(&Response::BadRequest(msg)));
+                }),
+                _ => {
+                    self.shutdown.store(true, Ordering::SeqCst);
+                    Response::ShuttingDown
                 }
-                // Quota, then load shedding, then admission.
-                let now = self.start.elapsed().as_secs_f64();
-                if !self
-                    .quotas
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .try_admit(&req.tenant, now)
-                {
-                    m.counter("serve.quota.denied").inc();
-                    return Arc::new(encode_response(&Response::QuotaExceeded));
-                }
-                let active = self.active.fetch_add(1, Ordering::SeqCst) + 1;
-                if active > self.cfg.queue_limit {
-                    self.active.fetch_sub(1, Ordering::SeqCst);
-                    m.counter("serve.shed").inc();
-                    return Arc::new(encode_response(&Response::Busy));
-                }
-                m.gauge("serve.queue.depth").set(active as f64);
-                m.counter("serve.requests.admitted").inc();
-                let tenant = if req.tenant.is_empty() {
-                    "anon"
-                } else {
-                    req.tenant.as_str()
-                };
-                m.counter(&format!("serve.tenant.{tenant}.admitted")).inc();
-                let t0 = Instant::now();
-                let resp_bytes = self.cached_compute(body);
-                m.histogram(
-                    &format!("serve.latency.{}", body.endpoint()),
-                    LATENCY_BOUNDS,
-                )
-                .observe(t0.elapsed().as_secs_f64());
-                let left = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
-                m.gauge("serve.queue.depth").set(left as f64);
-                resp_bytes
-            }
+            };
+            return Arc::new(encode_response(&resp));
+        };
+        if let Err(msg) = validate_body(body) {
+            m.counter("serve.requests.malformed").inc();
+            return Arc::new(encode_response(&Response::BadRequest(msg)));
         }
+        // Quota, then load shedding, then admission.
+        let now = self.start.elapsed().as_secs_f64();
+        if !self
+            .quotas
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .try_admit(&req.tenant, now)
+        {
+            m.counter("serve.quota.denied").inc();
+            return Arc::new(encode_response(&Response::QuotaExceeded));
+        }
+        let active = self.active.fetch_add(1, Ordering::SeqCst) + 1;
+        if active > self.cfg.queue_limit {
+            self.active.fetch_sub(1, Ordering::SeqCst);
+            m.counter("serve.shed").inc();
+            return Arc::new(encode_response(&Response::Busy));
+        }
+        m.gauge("serve.queue.depth").set(active as f64);
+        m.counter("serve.requests.admitted").inc();
+        let tenant = if req.tenant.is_empty() {
+            "anon"
+        } else {
+            req.tenant.as_str()
+        };
+        m.counter(&format!("serve.tenant.{tenant}.admitted")).inc();
+        let t0 = Instant::now();
+        let resp_bytes = self.cached_compute(body, key);
+        m.histogram(
+            &format!("serve.latency.{}", body.endpoint()),
+            LATENCY_BOUNDS,
+        )
+        .observe(t0.elapsed().as_secs_f64());
+        let left = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
+        m.gauge("serve.queue.depth").set(left as f64);
+        resp_bytes
     }
 
-    /// The cache / coalescing / compute path for an admitted request.
-    /// Returns the encoded response bytes (shared with the cache).
-    fn cached_compute(&self, body: &RequestBody) -> Arc<Vec<u8>> {
+    /// The cache / coalescing / compute path for an admitted request
+    /// with cache key `key`. Returns the encoded response bytes (shared
+    /// with the cache).
+    fn cached_compute(&self, body: &RequestBody, key: Vec<u8>) -> Arc<Vec<u8>> {
         let m = hetgrid_obs::metrics();
-        let key = cache_key(body).expect("cacheable body");
         let fp = fingerprint(&key);
 
         if let Some(bytes) = self
@@ -259,33 +259,25 @@ impl Service {
 
         if !leader {
             let mut slot = flight.slot.lock().unwrap_or_else(|p| p.into_inner());
-            while slot.is_none() {
+            loop {
+                if let Some(bytes) = &*slot {
+                    m.counter("serve.cache.hits").inc();
+                    m.counter("serve.cache.coalesced").inc();
+                    return Arc::clone(bytes);
+                }
                 slot = flight.done.wait(slot).unwrap_or_else(|p| p.into_inner());
             }
-            m.counter("serve.cache.hits").inc();
-            m.counter("serve.cache.coalesced").inc();
-            return Arc::clone(slot.as_ref().expect("flight published"));
         }
 
         m.counter("serve.cache.misses").inc();
         m.counter("serve.solver.invocations").inc();
-        // Run the solve on the shared worker pool (bounds CPU-bound
-        // concurrency to the pool width) and absorb any panic into a
-        // typed, uncached ServerError. The trace context is captured
-        // here and re-installed inside the pool closure — crossing a
-        // thread boundary is always explicit (see `hetgrid_obs::ctx`) —
-        // so the solve span lands in the same trace tree as admission.
-        let ctx = hetgrid_obs::ctx::current();
-        let endpoint = body.endpoint();
+        // Solve on this request's own thread — admission already bounds
+        // how many run at once — and absorb any panic into a typed,
+        // uncached ServerError. The span stays on the `serve-pool` track
+        // and, on the same thread, in the same trace tree as admission.
         let computed = catch_unwind(AssertUnwindSafe(|| {
-            hetgrid_par::global()
-                .parallel_map(vec![body.clone()], move |b| {
-                    let _g = ctx.map(hetgrid_obs::ctx::install);
-                    let _span = hetgrid_obs::span!(pool_track(), "solve {}", endpoint);
-                    compute(&b)
-                })
-                .pop()
-                .expect("one result for one item")
+            let _span = hetgrid_obs::span!(pool_track(), "solve {}", body.endpoint());
+            compute(body)
         }));
         let (resp, cacheable) = match computed {
             Ok(resp) => (resp, true),
