@@ -42,25 +42,6 @@ pub enum Topology {
     },
 }
 
-impl Topology {
-    /// Total processor count: `p * q` for a grid, `workers + 1` for a
-    /// star (the master counts).
-    pub fn n_procs(&self) -> usize {
-        match *self {
-            Topology::Grid2D { p, q } => p * q,
-            Topology::Star { workers, .. } => workers + 1,
-        }
-    }
-
-    /// Short display name (`"grid"` / `"star"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Topology::Grid2D { .. } => "grid",
-            Topology::Star { .. } => "star",
-        }
-    }
-}
-
 impl std::fmt::Display for Topology {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
@@ -81,15 +62,12 @@ mod tests {
     #[test]
     fn shapes_and_counts() {
         let g = Topology::Grid2D { p: 2, q: 3 };
-        assert_eq!(g.n_procs(), 6);
-        assert_eq!(g.name(), "grid");
+        assert_eq!(g.to_string(), "grid 2x3");
         let s = Topology::Star {
             workers: 4,
             worker_mem: 7,
             master_bw: 1.0,
         };
-        assert_eq!(s.n_procs(), 5);
-        assert_eq!(s.name(), "star");
         assert_eq!(s.to_string(), "star 4w mem 7");
     }
 }

@@ -7,7 +7,10 @@
 //! [`Action`]s made of [`Work`]s (a [`Kern`] on an owned block) and
 //! [`Send`]s (a broadcast of an owned block); [`action`] derives the
 //! scheduler's hazard sets from them and [`GridInterp`] runs them.
-//! This module is the only place a grid block kernel is called.
+//! The master-worker star ([`crate::star`]) lowers onto the same
+//! actions, adding the one thing a grid never needs: blocks that appear
+//! ([`Take`]) and disappear (drops). This module is the only place a
+//! block kernel of either platform is called.
 
 use crate::step::{Action, Courier, MsgKey, Op, Res, StepInterp, WorkClock};
 use crate::store::BlockStore;
@@ -17,6 +20,8 @@ use hetgrid_linalg::gemm::{gemm_with, Packs};
 use hetgrid_linalg::tri::{solve_lower_in_place, solve_upper_t_in_place};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A block kernel on the output block `C` and the inputs `X`, `Y`.
@@ -45,7 +50,7 @@ pub(crate) enum Kern {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Src {
     /// An owned block. Namespace 0 is the matrix being written, 1 and 2
-    /// MM's read-only `A` and `B`.
+    /// MM's `A` and `B`.
     Own(Res),
     /// The payload of a message some other processor's [`Send`] made.
     Msg(MsgKey),
@@ -97,19 +102,44 @@ impl Send {
     }
 }
 
-/// Builds the step-`k` action that runs `work` and then makes `sends`,
-/// deriving what the scheduler must know from what the executor will
-/// do, so the two cannot disagree: a [`Src::Msg`] input is a need, a
-/// [`Src::Own`] input a read, every `out` a write, and a sent block a
-/// read unless the action itself writes it. Broadcasts to nobody are
-/// dropped.
+/// A block that appears: the payload of message `msg` — moved, not
+/// copied — or a fresh zero accumulator when `None`, installed as the
+/// owned block `res`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Take {
+    pub msg: Option<MsgKey>,
+    pub res: Res,
+}
+
+/// The step-`k` action that runs `work` and then makes `sends`: a grid
+/// kernel's, which never takes or drops a block ([`action_moving`]).
 pub(crate) fn action(
     k: usize,
     span: Option<&'static str>,
     blk: (usize, usize),
     crit: bool,
     work: Vec<Work>,
+    sends: Vec<Send>,
+) -> Action {
+    action_moving(k, span, blk, crit, vec![], work, sends, vec![])
+}
+
+/// Builds the step-`k` action that installs `takes`, runs `work`, makes
+/// `sends` and then forgets the owned blocks `drops`, deriving what the
+/// scheduler must know from what the executor will do, so the two
+/// cannot disagree: a [`Src::Msg`] input or a taken message is a need,
+/// a [`Src::Own`] input a read, every `out`, taken and dropped block a
+/// write, and a sent block a read unless the action itself writes it.
+/// Broadcasts to nobody are dropped.
+pub(crate) fn action_moving(
+    k: usize,
+    span: Option<&'static str>,
+    blk: (usize, usize),
+    crit: bool,
+    takes: Vec<Take>,
+    work: Vec<Work>,
     mut sends: Vec<Send>,
+    drops: Vec<Res>,
 ) -> Action {
     fn note<T: PartialEq>(set: &mut Vec<T>, x: T) {
         if !set.contains(&x) {
@@ -118,6 +148,12 @@ pub(crate) fn action(
     }
     sends.retain(|s| !s.dests.is_empty());
     let (mut needs, mut reads, mut writes) = (vec![], vec![], vec![]);
+    for t in &takes {
+        if let Some(key) = t.msg {
+            note(&mut needs, key);
+        }
+        note(&mut writes, t.res);
+    }
     for w in &work {
         note(&mut writes, w.out);
         for src in &w.ins {
@@ -127,13 +163,22 @@ pub(crate) fn action(
             }
         }
     }
+    for &res in &drops {
+        note(&mut writes, res);
+    }
     for s in &sends {
         note(&mut reads, s.res);
     }
     reads.retain(|res| !writes.contains(res));
     Action {
         step: k,
-        op: Op::Grid { span, work, sends },
+        op: Op::Grid {
+            span,
+            takes,
+            work,
+            sends,
+            drops,
+        },
         blk,
         crit,
         needs,
@@ -240,17 +285,21 @@ impl Kern {
 /// its grid position and its sorted owned block list.
 pub(crate) type Emit = fn(&Step, (usize, usize), &[(usize, usize)]) -> Vec<Action>;
 
-/// One processor's worker for MM, LU or Cholesky: the blocks of the
-/// matrix it writes (`main`: the matrix factored in place, or MM's `C`
-/// accumulators starting from the epoch baseline) and MM's read-only
-/// `A`/`B` blocks (`operands`, namespaces 1 and 2).
+/// One processor's worker for MM, LU, Cholesky or the star. `stores`
+/// holds its blocks by namespace: 0 the matrix it writes (factored in
+/// place, MM's `C` from the epoch baseline, a star processor's `C`
+/// blocks), 1 and 2 the `A`/`B` blocks — borrowed on a grid, so a
+/// recovery epoch copies nothing, and taken block by block by a star
+/// worker. `cap` bounds how many blocks it may hold at once: a star
+/// worker's memory, `None` on a grid.
 pub(crate) struct GridInterp<'a> {
     plan: &'a Plan,
     emit: Emit,
     my: (usize, usize),
-    owned: &'a [(usize, usize)],
-    main: BlockStore,
-    operands: Vec<&'a BlockStore>,
+    /// The namespace-0 blocks it starts with, sorted.
+    owned: Vec<(usize, usize)>,
+    stores: Vec<Cow<'a, BlockStore>>,
+    cap: Option<usize>,
     scratch: Matrix,
     packs: Packs,
 }
@@ -260,32 +309,23 @@ impl<'a> GridInterp<'a> {
         plan: &'a Plan,
         emit: Emit,
         my: (usize, usize),
-        owned: &'a [(usize, usize)],
-        main: BlockStore,
-        operands: Vec<&'a BlockStore>,
+        stores: Vec<Cow<'a, BlockStore>>,
+        cap: Option<usize>,
         r: usize,
     ) -> Self {
+        let mut owned: Vec<_> = stores[0].keys().copied().collect();
+        owned.sort_unstable();
         GridInterp {
             plan,
             emit,
             my,
             owned,
-            main,
-            operands,
+            stores,
+            cap,
             scratch: Matrix::zeros(r, r),
             packs: Packs::default(),
         }
     }
-}
-
-/// The owned block `res`: namespace 0 is `main`, `n > 0` is
-/// `operands[n - 1]`.
-fn own<'s>(main: &'s BlockStore, operands: &[&'s BlockStore], (ns, bi, bj): Res) -> &'s Matrix {
-    let store = match ns {
-        0 => main,
-        _ => operands[ns as usize - 1],
-    };
-    store.get(&(bi, bj)).expect("owned block missing")
 }
 
 impl StepInterp for GridInterp<'_> {
@@ -294,15 +334,15 @@ impl StepInterp for GridInterp<'_> {
     }
 
     fn emit(&self, k: usize, out: &mut Vec<Action>) {
-        out.extend((self.emit)(&self.plan.steps[k], self.my, self.owned));
+        out.extend((self.emit)(&self.plan.steps[k], self.my, &self.owned));
     }
 
     fn peek(&self, blk: (usize, usize)) -> Option<&Matrix> {
-        self.main.get(&blk)
+        self.stores[0].get(&blk)
     }
 
-    fn into_store(self: Box<Self>) -> BlockStore {
-        self.main
+    fn into_store(mut self: Box<Self>) -> BlockStore {
+        self.stores.swap_remove(0).into_owned()
     }
 
     fn execute(
@@ -311,51 +351,89 @@ impl StepInterp for GridInterp<'_> {
         courier: &mut Courier,
         clock: &mut WorkClock,
     ) -> Result<(), Closed> {
-        let Op::Grid { span, work, sends } = &a.op else {
+        let Op::Grid {
+            span,
+            takes,
+            work,
+            sends,
+            drops,
+        } = &a.op
+        else {
             unreachable!("non-grid action {:?} in a grid plan", a.op)
         };
         let GridInterp {
-            main,
-            operands,
+            my,
+            stores,
+            cap,
             scratch,
             packs,
             ..
         } = self;
         let mut guard = span.and_then(|name| courier.span_with(|| format!("{name} {}", a.step)));
         let (units_before, sent_before) = (clock.units, courier.sent());
+        for t in takes {
+            let (ns, bi, bj) = t.res;
+            let data = match t.msg {
+                Some((step, tag, idx)) => courier.take(step, tag, idx)?,
+                None => Matrix::zeros(scratch.rows(), scratch.cols()),
+            };
+            stores[ns as usize].to_mut().insert((bi, bj), data);
+            // The star's memory bound at runtime: takes and drops are
+            // program-ordered, so this trips only on an over-budget plan.
+            let held: usize = stores.iter().map(|s| s.len()).sum();
+            let cap = cap.unwrap_or(usize::MAX);
+            assert!(
+                held <= cap,
+                "P{my:?} at step {} holds {held} > {cap} blocks",
+                a.step
+            );
+        }
         let t0 = Instant::now();
         for w in work {
-            let out = (w.out.1, w.out.2);
+            let (ns, bi, bj) = w.out;
             // Out of the store while the kernel runs, so the inputs can
             // be borrowed from the same store.
-            let slot = main.get_mut(&out).expect("output block missing");
-            let mut c = std::mem::replace(slot, Matrix::zeros(0, 0));
+            let slot = stores[ns as usize].to_mut().get_mut(&(bi, bj));
+            let mut c = std::mem::replace(slot.expect("output block missing"), Matrix::zeros(0, 0));
             let ins: Vec<&Matrix> = w
                 .ins
                 .iter()
                 .map(|src| match *src {
-                    Src::Own(res) => own(main, operands, res),
+                    Src::Own((ns, bi, bj)) => &stores[ns as usize][&(bi, bj)],
                     Src::Msg((step, tag, idx)) => courier.get(step, tag, idx),
                 })
                 .collect();
-            let spent = w.kern.apply(&ins, &mut c, scratch, packs, clock.weight());
-            *main.get_mut(&out).expect("taken above") = c;
+            let spent = w.kern.apply(&ins, &mut c, scratch, packs, clock.weight);
+            stores[ns as usize].to_mut().insert((bi, bj), c);
             if let Some(m) = spent {
                 courier.pool_mut().put(m);
             }
-            clock.charge(1);
+            clock.units += clock.weight;
         }
         let busy = t0.elapsed().as_secs_f64();
-        clock.add_busy(busy);
-        // The trailing updates (the only non-critical actions) are the
+        clock.busy += busy;
+        // The trailing updates (the only non-critical works) are the
         // compute chunks `exec.step.compute_us` counts.
-        if !a.crit {
+        if !a.crit && !work.is_empty() {
             courier.step_done(busy);
         }
         for s in sends {
-            // One pool-backed copy however many destinations share it.
-            let payload = courier.pool_mut().dup(own(main, operands, s.res));
-            courier.bcast(&s.dests, a.step, s.tag, (s.res.1, s.res.2), payload)?;
+            let (ns, bi, bj) = s.res;
+            // A block dropped after its send moves into the payload;
+            // otherwise one pool-backed copy however many destinations
+            // share it.
+            let payload = if drops.contains(&s.res) {
+                let gone = stores[ns as usize].to_mut().remove(&(bi, bj));
+                Arc::new(gone.expect("sent block missing"))
+            } else {
+                courier.pool_mut().dup(&stores[ns as usize][&(bi, bj)])
+            };
+            courier.bcast(&s.dests, a.step, s.tag, (bi, bj), payload)?;
+        }
+        for &(ns, bi, bj) in drops {
+            if let Some(m) = stores[ns as usize].to_mut().remove(&(bi, bj)) {
+                courier.pool_mut().put(m);
+            }
         }
         if let Some(g) = guard.as_mut() {
             g.arg_u64("units", clock.units - units_before);
@@ -375,36 +453,62 @@ mod tests {
     #[test]
     fn hazard_sets_are_derived_from_work_and_sends() {
         let (own, sent_only) = ((0, 1, 0), (1, 7, 7));
-        let msg = (3, 2, (0, 1));
+        let (msg, fed) = ((3, 2, (0, 1)), (3, 1, (4, 4)));
+        let (taken, zeroed) = ((1, 4, 4), (0, 5, 5));
+        let (dropped, returned) = ((2, 6, 6), (1, 8, 8));
         let gemm = |out| Work {
             kern: Kern::Gemm(1.0),
             ins: vec![Src::Own(own), Src::Msg(msg)],
             out,
         };
         let send = |res, dests| Send { tag: 0, res, dests };
-        let a = action(
+        let a = action_moving(
             3,
             Some("compute"),
             (3, 3),
             false,
+            vec![
+                Take {
+                    msg: Some(fed),
+                    res: taken,
+                },
+                Take {
+                    msg: None,
+                    res: zeroed,
+                },
+            ],
             vec![gemm((0, 1, 1)), gemm((0, 2, 2))],
             vec![
                 send((0, 1, 1), vec![(0, 1)]),
                 send(sent_only, vec![(1, 0)]),
                 send((0, 9, 9), vec![]),
+                send(returned, vec![(0, 0)]),
             ],
+            vec![dropped, returned],
         );
         assert_eq!((a.step, a.blk, a.crit), (3, (3, 3), false));
-        // Named by both works: once each. The message is a need only.
-        assert_eq!(a.needs, vec![msg]);
-        assert_eq!(a.writes, vec![(0, 1, 1), (0, 2, 2)]);
-        // (0,1,1) is sent but also written: a write, not a read. The
-        // broadcast to nobody is gone and reads nothing.
+        // Named by both works: once each. The messages are needs only;
+        // a zero accumulator needs none.
+        assert_eq!(a.needs, vec![fed, msg]);
+        // Taken, worked and dropped blocks are all writes.
+        let writes = vec![taken, zeroed, (0, 1, 1), (0, 2, 2), dropped, returned];
+        assert_eq!(a.writes, writes);
+        // (0,1,1) is sent but also written, and the returned block is
+        // sent and dropped: writes, not reads. The broadcast to nobody
+        // is gone and reads nothing.
         assert_eq!(a.reads, vec![own, sent_only]);
-        let Op::Grid { work, sends, .. } = a.op else {
+        let Op::Grid {
+            takes,
+            work,
+            sends,
+            drops,
+            ..
+        } = a.op
+        else {
             panic!("not a grid action: {:?}", a.op)
         };
-        assert_eq!((work.len(), sends.len()), (2, 2));
+        let counts = (takes.len(), work.len(), sends.len(), drops.len());
+        assert_eq!(counts, (2, 2, 3, 2));
     }
 
     fn assert_bits(got: &Matrix, want: &Matrix, what: &str) {

@@ -16,35 +16,33 @@
 //! ## Architecture: plan interpretation
 //!
 //! Each kernel is an *interpretation* of the shared step-plan IR from
-//! `hetgrid-plan`: the plan generator turns a
-//! [`hetgrid_dist::BlockDist`] into an ordered stream of typed steps
-//! whose broadcast lists name exactly who sends which block to whom,
-//! and the executor worker replays that stream with real data over
-//! real threads. The same plans drive the `hetgrid-sim` event
-//! simulator and its closed-form count predictions, so the executor's
-//! measured message/work counts are checked against the model
-//! *by construction* (the harness asserts exact equality).
+//! `hetgrid-plan`: the plan names exactly who sends which block to
+//! whom, and the executor replays it with real data over real threads.
+//! The same plans drive the `hetgrid-sim` simulator and its closed-form
+//! counts, so the measured message/work counts are checked against the
+//! model *by construction* (the harness asserts exact equality).
 //!
-//! ## One entry point
-//!
-//! [`run`] is the grid executor: give it a [`hetgrid_plan::Kernel`],
-//! the kernel's input matrices (`[a, b]` for MM, `[a]` for a
-//! factorization), a distribution, and it scatters, interprets the
-//! kernel's plan on one thread per processor, and gathers a
-//! [`RunOutput`]. Every caller names its [`Transport`] and
-//! [`ExecConfig`] — production code passes `&ChannelTransport` and
-//! `ExecConfig::default()`, `hetgrid-harness` swaps in a seeded
-//! fault-injecting virtual transport for deterministic simulation
-//! testing. The scatter → spawn → journal → gather sequence is written
-//! once (`run::run_seg`), on the shared `step` machinery (one wire
+//! An *emitter* lowers one plan step into one processor's actions —
+//! blocks taken in, block kernels on owned blocks, broadcasts of owned
+//! blocks, blocks dropped — and one interpreter (`grid`) runs them,
+//! deriving the scheduler's hazard sets from what they do. MM, LU and
+//! Cholesky have the paper's one shape (broadcast panel blocks, update
+//! owned blocks); the master-worker star lowers its feeds, loads,
+//! updates, evictions and returns to the same actions (takes and drops
+//! are the only thing it adds). QR's fan-in panels keep an interpreter
+//! of their own. Both run on the shared `step` machinery: one wire
 //! format carrying one payload type, `Arc<Matrix>`; one pending-message
-//! buffer, one slowdown clock, one spawn/collect driver). MM, LU and
-//! Cholesky have the paper's one shape — broadcast panel blocks, then
-//! update owned blocks — so each contributes only an *emitter* that
-//! lowers a plan step into block kernels on owned blocks and
-//! broadcasts of owned blocks, and one interpreter (`grid`) runs them
-//! all; QR's fan-in panels keep an interpreter of their own.
+//! buffer, one slowdown clock, one spawn/collect driver.
 //!
+//! ## Entry points
+//!
+//! * [`run`] — the grid executor: a [`hetgrid_plan::Kernel`], its input
+//!   matrices (`[a, b]` for MM, `[a]` for a factorization) and a
+//!   distribution in, a gathered [`RunOutput`] out. The scatter →
+//!   spawn → journal → gather sequence is written once (`run::run_seg`).
+//!   Every caller names its [`Transport`] and [`ExecConfig`]: production
+//!   code passes `&ChannelTransport` and `ExecConfig::default()`,
+//!   `hetgrid-harness` a seeded fault-injecting virtual transport;
 //! * MM is the outer-product `C = A * B`, LU is right-looking without
 //!   pivoting (use diagonally dominant inputs), Cholesky factors SPD
 //!   matrices (lower triangle), QR is fan-in Householder — unpack its
@@ -57,11 +55,9 @@
 //! * [`run_recovery`] — [`run`] that survives grid faults by
 //!   checkpoint-restarting on the survivor grid ([`recovery`]);
 //! * [`run_star_mm_on_cfg`] — memory-bounded master-worker `C = A * B`
-//!   on a [`hetgrid_core::Topology::Star`]: the master streams input
-//!   blocks over its one-port link, bounded-memory workers run the
-//!   maximum-reuse schedule ([`hetgrid_plan::star_mm_plan`]). It is a
-//!   separate entry because its platform is a `Topology`, not a
-//!   `BlockDist`;
+//!   on a [`hetgrid_core::Topology::Star`] per
+//!   [`hetgrid_plan::star_mm_plan`]; a separate entry because its
+//!   platform is a `Topology`, not a `BlockDist`;
 //! * [`store`] — scatter/gather and the [`store::ExecReport`]
 //!   measurements (busy time, weighted work, imbalance, the lookahead
 //!   depth the run used);

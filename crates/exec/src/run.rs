@@ -27,6 +27,7 @@ use crate::transport::{ExecError, Transport};
 use hetgrid_dist::BlockDist;
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Kernel, Plan};
+use std::borrow::Cow;
 use std::sync::Mutex;
 
 /// What a grid run produces.
@@ -247,15 +248,6 @@ pub(crate) fn run_seg(
     check_weights(weights, grid, kernel.name());
     let main = &state.main;
     let r = main.r;
-    let owned: Vec<Vec<(usize, usize)>> = main
-        .stores
-        .iter()
-        .map(|s| {
-            let mut v: Vec<(usize, usize)> = s.keys().copied().collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
     // The block-op kernels differ only in their emitter; QR still
     // brings its own interpreter.
     let emit: Option<Emit> = match kernel {
@@ -268,10 +260,9 @@ pub(crate) fn run_seg(
         let (my, blocks) = ((me / q, me % q), main.stores[me].clone());
         let interp: Box<dyn StepInterp + '_> = match emit {
             Some(emit) => {
-                let operands = state.operands.iter().map(|o| &o.stores[me]).collect();
-                Box::new(GridInterp::new(
-                    plan, emit, my, &owned[me], blocks, operands, r,
-                ))
+                let operands = state.operands.iter().map(|o| Cow::Borrowed(&o.stores[me]));
+                let stores = std::iter::once(Cow::Owned(blocks)).chain(operands);
+                Box::new(GridInterp::new(plan, emit, my, stores.collect(), None, r))
             }
             None => Box::new(QrInterp::new(plan, my, blocks, r, &state.taus)),
         };

@@ -1,38 +1,37 @@
 //! Threaded master-worker matrix multiplication: the
-//! [`hetgrid_plan::star_mm_plan`] step stream interpreted over real
-//! threads. Processor 0 is the master — it holds every `A`/`B` block,
-//! feeds workers over its one-port link, and collects every finished
-//! `C` block; processors `1..=workers` are bounded-memory workers
-//! running the maximum-reuse streaming schedule.
+//! [`hetgrid_plan::star_mm_plan`] step stream lowered for
+//! [`crate::grid`]. Processor 0 is the master — it holds every `A`/`B`
+//! block, feeds workers over its one-port link, and collects every
+//! finished `C` block; processors `1..=workers` are bounded-memory
+//! workers running the maximum-reuse streaming schedule.
 //!
-//! The platform constraints ride the ordinary action-scheduling
-//! machinery as pseudo-resources (see [`crate::step`]):
+//! A star step lowers to at most one action per processor: a feed is a
+//! [`Send`] from the master's `A`/`B` store (namespaces 1 and 2, as
+//! MM's), a load a [`Take`] of that message or of a zero accumulator, a
+//! compute MM's GEMM [`Work`], an evict a drop (a finished `C` block
+//! moves into its message home first) and the master's retire a take
+//! into its `C` store. The platform constraints ride the derived
+//! hazard sets:
 //!
-//! * **one-port** — every master [`Op::StarFeed`] and
-//!   [`Op::StarRetire`] writes `(4, 0, 0)`, so master transfers
-//!   serialize in plan order no matter the lookahead depth;
-//! * **bounded memory** — every worker [`Op::StarLoad`] and
-//!   [`Op::StarEvict`] writes `(5, 0, 0)`, so residency transitions
-//!   stay in program order and the runtime high-water mark equals the
-//!   plan fold (`hetgrid_sim::counts::star_residency_peaks`); the
-//!   worker additionally asserts `resident <= worker_mem` after every
-//!   load — the memory-bound oracle at its sharpest;
+//! * **one-port** — every master action also writes `(4, 0, 0)`, so
+//!   master transfers serialize in plan order at any lookahead depth;
+//! * **bounded memory** — every worker take and drop also writes
+//!   `(5, 0, 0)`, so residency transitions stay in program order and
+//!   the high-water mark equals the plan fold
+//!   (`hetgrid_sim::counts::star_residency_peaks`), which the
+//!   interpreter asserts against `worker_mem` after every take;
 //! * **bit-exactness** — all updates of a `C` block run on one worker
-//!   and conflict pairwise on its resident-copy resource, so they
-//!   execute in ascending-`k` program order at any lookahead depth.
+//!   and conflict on its resident copy, so they execute in
+//!   ascending-`k` program order at any lookahead depth.
 
-use crate::step::{
-    check_weights, gather_result, run_grid, run_steps, Action, Courier, ExecConfig, Op, StepInterp,
-    WorkClock,
-};
+use crate::grid::{self, GridInterp, Kern, Send, Src, Take, Work};
+use crate::step::{check_weights, gather_result, run_grid, run_steps, Action, ExecConfig};
 use crate::store::{BlockStore, ExecReport};
-use crate::transport::{Closed, ExecError, Transport};
+use crate::transport::{ExecError, Transport};
 use hetgrid_core::Topology;
-use hetgrid_linalg::gemm::{gemm_with, Packs};
 use hetgrid_linalg::Matrix;
-use hetgrid_plan::{LoadSrc, Mat, Plan, Step};
-use std::sync::Arc;
-use std::time::Instant;
+use hetgrid_plan::{LoadSrc, Mat, Step};
+use std::borrow::Cow;
 
 /// Message tags: a fed input block (master to worker) and a returned
 /// result block (worker to master). Every star step has a unique plan
@@ -40,18 +39,9 @@ use std::time::Instant;
 const TAG_FEED: u8 = 0;
 const TAG_RET: u8 = 1;
 
-/// The master's one-port link: written by every master transfer action.
+/// The master's one-port link and a worker's memory.
 const PORT: (u8, usize, usize) = (4, 0, 0);
-/// A worker's memory budget: written by every residency transition.
 const MEM: (u8, usize, usize) = (5, 0, 0);
-
-fn mat_ns(mat: Mat) -> u8 {
-    match mat {
-        Mat::C => 0,
-        Mat::A => 1,
-        Mat::B => 2,
-    }
-}
 
 /// Runs `C(mb x nb blocks) = A(mb x kb) * B(kb x nb)` in `r`-sized
 /// blocks on a [`Topology::Star`]: the master scatters nothing — it
@@ -89,51 +79,51 @@ pub fn run_star_mm_on_cfg(
     assert_eq!(b.shape(), (kb * r, nb * r), "run_star_mm: B shape mismatch");
     let plan = hetgrid_plan::star_mm_plan(topo, (mb, nb, kb));
     // The master keeps both inputs whole, keyed by block coordinates.
-    let mut ma = BlockStore::new();
-    for bi in 0..mb {
-        for bk in 0..kb {
-            ma.insert((bi, bk), a.block(bi * r, bk * r, r, r));
-        }
-    }
-    let mut mbk = BlockStore::new();
-    for bk in 0..kb {
-        for bj in 0..nb {
-            mbk.insert((bk, bj), b.block(bk * r, bj * r, r, r));
-        }
-    }
-
+    let blocks = |m: &Matrix, rows, cols| -> BlockStore {
+        let ij = (0..rows).flat_map(|i| (0..cols).map(move |j| (i, j)));
+        ij.map(|(i, j)| ((i, j), m.block(i * r, j * r, r, r)))
+            .collect()
+    };
+    let (a, b) = (blocks(a, mb, kb), blocks(b, kb, nb));
     let (stores, mut report) = run_grid(transport, shape, weights, |me, courier, clock| {
-        let interp: Box<dyn StepInterp + '_> = if me == 0 {
-            Box::new(StarMaster {
-                plan: &plan,
-                a: &ma,
-                b: &mbk,
-                c: BlockStore::new(),
-            })
-        } else {
-            Box::new(StarWorker {
-                plan: &plan,
-                me,
-                worker_mem,
-                r,
-                resident: [BlockStore::new(), BlockStore::new(), BlockStore::new()],
-                scratch: Matrix::zeros(r, r),
-                packs: Packs::default(),
-            })
+        // Everyone collects `C` from nothing; a worker takes `A` and
+        // `B` block by block too, under its memory cap.
+        let empty = Cow::Owned(BlockStore::new());
+        let (stores, cap) = match me {
+            0 => (vec![empty, Cow::Borrowed(&a), Cow::Borrowed(&b)], None),
+            _ => (vec![empty; 3], Some(worker_mem)),
         };
-        run_steps(interp, courier, clock, cfg.lookahead, 0, None)
+        let interp = GridInterp::new(&plan, star_actions, (0, me), stores, cap, r);
+        run_steps(Box::new(interp), courier, clock, cfg.lookahead, 0, None)
     })?;
     report.lookahead = cfg.lookahead;
     let c = gather_result(stores, (mb, nb), r, "run_star_mm");
     Ok((c, report))
 }
 
-/// One processor's actions for a star step — at most one, since the
-/// plan is fine-grained. The master acts on every master-sourced load
-/// (a feed) and every send-back evict (a retire); worker `w` acts on
-/// its own loads, computes and evicts; everyone else skips the step.
-pub(crate) fn star_actions(step: &Step, me: usize) -> Vec<Action> {
-    let mut out = Vec::new();
+/// The star emitter: processor `(0, me)`'s actions for one star step —
+/// at most one, since the plan is fine-grained. The master acts on
+/// every master-sourced load (a feed) and every send-back evict (a
+/// retire); worker `w` acts on its own loads, computes and evicts;
+/// everyone else skips the step.
+pub(crate) fn star_actions(
+    step: &Step,
+    (_, me): (usize, usize),
+    _: &[(usize, usize)],
+) -> Vec<Action> {
+    // `C` is the matrix written, `A` and `B` sit where MM keeps them.
+    let res = |mat, (bi, bj): (usize, usize)| match mat {
+        Mat::C => (0, bi, bj),
+        Mat::A => (1, bi, bj),
+        Mat::B => (2, bi, bj),
+    };
+    // The master's transfers share its one port, a worker's residency
+    // transitions its memory.
+    let moved = |k, blk, crit, takes, sends, drops| {
+        let mut a = grid::action_moving(k, None, blk, crit, takes, vec![], sends, drops);
+        a.writes.push(if me == 0 { PORT } else { MEM });
+        vec![a]
+    };
     match *step {
         Step::Load {
             k,
@@ -142,45 +132,23 @@ pub(crate) fn star_actions(step: &Step, me: usize) -> Vec<Action> {
             block,
             src,
         } => {
-            if me == 0 && src == LoadSrc::Master {
-                out.push(Action {
-                    step: k,
-                    op: Op::StarFeed,
-                    blk: block,
-                    crit: true,
-                    needs: vec![],
-                    reads: vec![],
-                    writes: vec![PORT],
-                });
+            let (res, fed) = (res(mat, block), src == LoadSrc::Master);
+            if me == 0 && fed {
+                let feed = Send::of(TAG_FEED, res.0, block, &[(0, worker)]);
+                moved(k, block, true, vec![], vec![feed], vec![])
             } else if me == worker {
-                out.push(Action {
-                    step: k,
-                    op: Op::StarLoad,
-                    blk: block,
-                    crit: false,
-                    needs: if src == LoadSrc::Master {
-                        vec![(k, TAG_FEED, block)]
-                    } else {
-                        vec![]
-                    },
-                    reads: vec![],
-                    writes: vec![(mat_ns(mat), block.0, block.1), MEM],
-                });
+                let msg = fed.then_some((k, TAG_FEED, block));
+                moved(k, block, false, vec![Take { msg, res }], vec![], vec![])
+            } else {
+                vec![]
             }
         }
-        Step::Compute { k, worker, c, a, b } => {
-            if me == worker {
-                out.push(Action {
-                    step: k,
-                    op: Op::StarCompute,
-                    blk: c,
-                    crit: false,
-                    needs: vec![],
-                    reads: vec![(mat_ns(Mat::A), a.0, a.1), (mat_ns(Mat::B), b.0, b.1)],
-                    writes: vec![(mat_ns(Mat::C), c.0, c.1)],
-                });
-            }
+        Step::Compute { k, worker, c, a, b } if me == worker => {
+            let ins = vec![Src::Own(res(Mat::A, a)), Src::Own(res(Mat::B, b))];
+            let work = vec![Work::on(Kern::Gemm(1.0), ins, c)];
+            vec![grid::action(k, None, c, false, work, vec![])]
         }
+        Step::Compute { .. } => vec![],
         Step::Evict {
             k,
             worker,
@@ -188,202 +156,27 @@ pub(crate) fn star_actions(step: &Step, me: usize) -> Vec<Action> {
             block,
             send_back,
         } => {
+            let res = res(mat, block);
             if me == 0 && send_back {
-                out.push(Action {
-                    step: k,
-                    op: Op::StarRetire,
-                    blk: block,
-                    crit: false,
-                    needs: vec![(k, TAG_RET, block)],
-                    reads: vec![],
-                    writes: vec![PORT, (0, block.0, block.1)],
-                });
+                let msg = Some((k, TAG_RET, block));
+                moved(k, block, false, vec![Take { msg, res }], vec![], vec![])
             } else if me == worker {
-                out.push(Action {
-                    step: k,
-                    op: Op::StarEvict,
-                    blk: block,
-                    crit: send_back,
-                    needs: vec![],
-                    reads: vec![],
-                    writes: vec![(mat_ns(mat), block.0, block.1), MEM],
-                });
+                // A finished `C` block moves into its message home.
+                let dests: &[_] = if send_back { &[(0, 0)] } else { &[] };
+                let ret = Send::of(TAG_RET, res.0, block, dests);
+                moved(k, block, send_back, vec![], vec![ret], vec![res])
+            } else {
+                vec![]
             }
         }
         _ => panic!("run_star_mm: grid step in star plan"),
-    }
-    out
-}
-
-/// The master: owns the whole `A` and `B`, answers feeds in plan order
-/// over the one-port link, and accretes returned `C` blocks.
-struct StarMaster<'a> {
-    plan: &'a Plan,
-    a: &'a BlockStore,
-    b: &'a BlockStore,
-    c: BlockStore,
-}
-
-impl StepInterp for StarMaster<'_> {
-    fn n_steps(&self) -> usize {
-        self.plan.steps.len()
-    }
-
-    fn emit(&self, k: usize, out: &mut Vec<Action>) {
-        out.extend(star_actions(&self.plan.steps[k], 0));
-    }
-
-    fn execute(
-        &mut self,
-        action: &Action,
-        courier: &mut Courier,
-        _clock: &mut WorkClock,
-    ) -> Result<(), Closed> {
-        match action.op {
-            Op::StarFeed => {
-                let Step::Load {
-                    worker, mat, block, ..
-                } = self.plan.steps[action.step]
-                else {
-                    unreachable!("emit checked the step kind")
-                };
-                let store = match mat {
-                    Mat::A => self.a,
-                    Mat::B => self.b,
-                    Mat::C => unreachable!("the master never feeds C"),
-                };
-                let payload = courier.pool_mut().dup(&store[&block]);
-                courier.send((0, worker), action.step, TAG_FEED, block, payload)?;
-            }
-            Op::StarRetire => {
-                let done = courier.take(action.step, TAG_RET, action.blk)?;
-                let stale = self.c.insert(action.blk, done);
-                debug_assert!(stale.is_none(), "C block returned twice");
-            }
-            ref op => unreachable!("non-master action {op:?} on the star master"),
-        }
-        Ok(())
-    }
-
-    fn into_store(self: Box<Self>) -> BlockStore {
-        self.c
-    }
-}
-
-/// A worker: at most `worker_mem` resident blocks (indexed by
-/// namespace: C, A, B), streaming the maximum-reuse schedule.
-struct StarWorker<'a> {
-    plan: &'a Plan,
-    me: usize,
-    worker_mem: usize,
-    r: usize,
-    /// Resident copies by [`mat_ns`] namespace: `[C, A, B]`.
-    resident: [BlockStore; 3],
-    scratch: Matrix,
-    packs: Packs,
-}
-
-impl StarWorker<'_> {
-    fn resident_count(&self) -> usize {
-        self.resident.iter().map(BlockStore::len).sum()
-    }
-}
-
-impl StepInterp for StarWorker<'_> {
-    fn n_steps(&self) -> usize {
-        self.plan.steps.len()
-    }
-
-    fn emit(&self, k: usize, out: &mut Vec<Action>) {
-        out.extend(star_actions(&self.plan.steps[k], self.me));
-    }
-
-    fn execute(
-        &mut self,
-        action: &Action,
-        courier: &mut Courier,
-        clock: &mut WorkClock,
-    ) -> Result<(), Closed> {
-        match action.op {
-            Op::StarLoad => {
-                let Step::Load {
-                    mat, block, src, ..
-                } = self.plan.steps[action.step]
-                else {
-                    unreachable!("emit checked the step kind")
-                };
-                let data = match src {
-                    LoadSrc::Master => courier.take(action.step, TAG_FEED, block)?,
-                    LoadSrc::Zero => Matrix::zeros(self.r, self.r),
-                };
-                self.resident[mat_ns(mat) as usize].insert(block, data);
-                // The memory-bound oracle's runtime half: residency
-                // transitions are program-ordered (resource MEM), so
-                // this can only trip if the plan itself is over budget.
-                assert!(
-                    self.resident_count() <= self.worker_mem,
-                    "run_star_mm: worker {} exceeded worker_mem {} at step {}",
-                    self.me,
-                    self.worker_mem,
-                    action.step
-                );
-            }
-            Op::StarCompute => {
-                let Step::Compute { c, a, b, .. } = self.plan.steps[action.step] else {
-                    unreachable!("emit checked the step kind")
-                };
-                let t0 = Instant::now();
-                let [rc, ra, rb] = &mut self.resident;
-                let ablk = &ra[&a];
-                let bblk = &rb[&b];
-                let cblk = rc.get_mut(&c).expect("resident C block missing");
-                gemm_with(&mut self.packs, 1.0, ablk, bblk, 1.0, cblk);
-                for _ in 1..clock.weight() {
-                    gemm_with(&mut self.packs, 1.0, ablk, bblk, 0.0, &mut self.scratch);
-                }
-                clock.charge(1);
-                clock.add_busy(t0.elapsed().as_secs_f64());
-                courier.step_done(t0.elapsed().as_secs_f64());
-            }
-            Op::StarEvict => {
-                let Step::Evict {
-                    mat,
-                    block,
-                    send_back,
-                    ..
-                } = self.plan.steps[action.step]
-                else {
-                    unreachable!("emit checked the step kind")
-                };
-                let data = self.resident[mat_ns(mat) as usize]
-                    .remove(&block)
-                    .expect("evicting a non-resident block");
-                if send_back {
-                    courier.send((0, 0), action.step, TAG_RET, block, Arc::new(data))?;
-                } else {
-                    courier.pool_mut().put(data);
-                }
-            }
-            ref op => unreachable!("non-worker action {op:?} on a star worker"),
-        }
-        Ok(())
-    }
-
-    /// Every resident block was evicted; the result lives with the
-    /// master.
-    fn into_store(self: Box<Self>) -> BlockStore {
-        assert!(
-            self.resident.iter().all(BlockStore::is_empty),
-            "run_star_mm: worker {} finished with resident blocks",
-            self.me
-        );
-        BlockStore::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::step::{Courier, StepInterp, WorkClock};
     use crate::testutil::dense;
     use crate::transport::ChannelTransport;
     use hetgrid_linalg::gemm::matmul;
@@ -468,6 +261,26 @@ mod tests {
         let b = dense(kb * r, nb * r, 6);
         let (c, _) = run_star_mm(&a, &b, &star(1, 3), (mb, nb, kb), r, &uniform(2)).unwrap();
         assert!(c.approx_eq(&matmul(&a, &b), 1e-10));
+    }
+
+    /// The memory bound's runtime half: a worker capped below its
+    /// plan's peak (7 blocks) trips the interpreter's assert. The plan
+    /// opens with four local zero accumulators, so the worker alone
+    /// reaches the fourth.
+    #[test]
+    #[should_panic(expected = "at step 3 holds 4 > 3 blocks")]
+    fn a_cap_below_the_plan_peak_trips_the_memory_assert() {
+        let plan = hetgrid_plan::star_mm_plan(&star(1, 7), (2, 2, 2));
+        let (my, stores) = ((0, 1), vec![Cow::Owned(BlockStore::new()); 3]);
+        let mut worker = GridInterp::new(&plan, star_actions, my, stores, Some(3), 2);
+        let ep = ChannelTransport.connect(2).pop().unwrap();
+        let mut courier = Courier::new(ep, 1, (1, 2));
+        let mut clock = WorkClock::new(1);
+        for step in &plan.steps[..4] {
+            for a in star_actions(step, my, &[]) {
+                worker.execute(&a, &mut courier, &mut clock).unwrap();
+            }
+        }
     }
 
     #[test]

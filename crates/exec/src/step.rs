@@ -94,34 +94,35 @@ pub(crate) type MsgKey = (usize, u8, (usize, usize));
 
 /// A block-level resource an [`Action`] reads or writes:
 /// `(namespace, bi, bj)`. Namespace 0 is the main matrix (the factored
-/// matrix, or C for MM); kernels may use other namespaces for
-/// step-local pseudo-resources (MM uses 1/2 for its read-only `A`/`B`
-/// blocks; QR uses 3 for the packed reflector factors of step `k`,
-/// keyed `(3, k, 0)`; the star executor uses 1/2 for resident A/B
-/// copies, 4 keyed `(4, 0, 0)` for the master's one-port link — every
-/// master send and receive writes it, so transfers serialize in
-/// program order — and 5 keyed `(5, 0, 0)` for a worker's memory
-/// budget, so residency transitions stay in program order and the
-/// runtime high-water mark equals the plan fold's).
+/// matrix, or C for MM and the star), 1 and 2 MM's and the star's
+/// `A`/`B` blocks, 3 QR's packed reflector factors of step `k`, keyed
+/// `(3, k, 0)`. The star lowers to grid actions plus two
+/// pseudo-resources, the master's one-port link `(4, 0, 0)` and a
+/// worker's memory `(5, 0, 0)` (see [`crate::star`]).
 pub(crate) type Res = (u8, usize, usize);
 
 /// What a schedulable action does, for tracing and for the per-kernel
 /// `execute` dispatch.
 #[derive(Clone, Debug)]
 pub(crate) enum Op {
-    /// MM, LU, Cholesky: block kernels on owned blocks, then broadcasts
-    /// of owned blocks, run by [`crate::grid::GridInterp`] (the other
-    /// ops' interpreters read the plan step instead).
+    /// MM, LU, Cholesky and the star: blocks taken in, block kernels
+    /// on owned blocks, broadcasts of owned blocks, blocks dropped, run
+    /// by [`crate::grid::GridInterp`] (QR's interpreter reads the plan
+    /// step instead).
     Grid {
         /// The phase (`factor`, `panel`, `bcast`, `compute`, ...) that
         /// names the action's `"{span} {step}"` trace span; the
         /// per-block trailing updates go without, one span per block
         /// would swamp the trace.
         span: Option<&'static str>,
+        /// The blocks installed first.
+        takes: Vec<grid::Take>,
         /// The block kernels, in order.
         work: Vec<Work>,
         /// The broadcasts made after the work.
         sends: Vec<grid::Send>,
+        /// The owned blocks forgotten last.
+        drops: Vec<Res>,
     },
     /// QR: send an owned panel block to the diagonal owner.
     QrSendPanel,
@@ -136,18 +137,6 @@ pub(crate) enum Op {
     QrColUpdate,
     /// QR: receive an updated column segment back from its head.
     QrTakeColRet,
-    /// Star master: send one input block over the one-port link.
-    StarFeed,
-    /// Star master: receive one finished C block over the one-port link.
-    StarRetire,
-    /// Star worker: materialize a resident block (from the master or a
-    /// fresh zero accumulator).
-    StarLoad,
-    /// Star worker: one `C += A * B` block update on resident copies.
-    StarCompute,
-    /// Star worker: drop a resident block, optionally returning it to
-    /// the master.
-    StarEvict,
 }
 
 /// One schedulable unit of a processor's per-step work.
@@ -207,12 +196,8 @@ pub(crate) trait StepInterp {
 
     /// The current content of namespace-0 block `blk`, if this
     /// processor owns it — the checkpoint journal's window into the
-    /// kernel's local state. Kernels that support elastic recovery
-    /// override this with a one-line store lookup; the default opts out
-    /// of journaling.
-    fn peek(&self, _blk: (usize, usize)) -> Option<&Matrix> {
-        None
-    }
+    /// kernel's local state.
+    fn peek(&self, blk: (usize, usize)) -> Option<&Matrix>;
 
     /// This processor's share of the result once every step retired.
     fn into_store(self: Box<Self>) -> BlockStore;
@@ -365,12 +350,13 @@ pub(crate) struct Courier {
 }
 
 impl Courier {
-    fn new(ep: Box<dyn Endpoint<WireMsg>>, me: (usize, usize), grid: (usize, usize)) -> Self {
+    /// Linear processor `me`'s handle on a `grid`-shaped run.
+    pub(crate) fn new(ep: Box<dyn Endpoint<WireMsg>>, me: usize, grid: (usize, usize)) -> Self {
         Courier {
             ep,
             pending: HashMap::new(),
             pool: BufferPool::new(),
-            probe: Probe::new(me, grid),
+            probe: Probe::new((me / grid.1, me % grid.1), grid),
             sent: 0,
             stalls: 0,
             q: grid.1,
@@ -553,15 +539,17 @@ impl Courier {
 /// the first closure is the real computation, the repeats emulate a
 /// `weight`-times-slower processor re-doing equivalent work.
 pub(crate) struct WorkClock {
-    /// Seconds spent inside [`WorkClock::run`].
+    /// Seconds spent in block kernels: inside [`WorkClock::run`], or
+    /// timed by [`crate::grid`], which inlines the repeats.
     pub busy: f64,
     /// Weighted block operations performed.
     pub units: u64,
-    weight: u64,
+    /// The slowdown weight.
+    pub weight: u64,
 }
 
 impl WorkClock {
-    fn new(weight: u64) -> Self {
+    pub(crate) fn new(weight: u64) -> Self {
         WorkClock {
             busy: 0.0,
             units: 0,
@@ -580,22 +568,6 @@ impl WorkClock {
         self.busy += t0.elapsed().as_secs_f64();
         self.units += self.weight * units;
         out
-    }
-
-    /// The slowdown weight, for kernels that inline the repeats
-    /// ([`crate::grid`]'s block ops, the star worker's update).
-    pub fn weight(&self) -> u64 {
-        self.weight
-    }
-
-    /// Charges `units * weight` work units for inlined repeats.
-    pub fn charge(&mut self, units: u64) {
-        self.units += self.weight * units;
-    }
-
-    /// Adds externally timed busy seconds for inlined repeats.
-    pub fn add_busy(&mut self, seconds: f64) {
-        self.busy += seconds;
     }
 }
 
@@ -642,7 +614,7 @@ where
             let w = weights[i][j];
             let worker = &worker;
             scope.spawn(move || {
-                let mut courier = Courier::new(ep, (i, j), (p, q));
+                let mut courier = Courier::new(ep, me, (p, q));
                 let mut clock = WorkClock::new(w);
                 let store = worker(me, &mut courier, &mut clock);
                 if store.is_err() {
@@ -736,14 +708,12 @@ mod tests {
         reads: Vec<Res>,
         writes: Vec<Res>,
     ) -> Action {
+        let empty = grid::action(step, None, (0, 0), crit, vec![], vec![]);
         Action {
-            step,
-            op: Op::StarCompute,
-            blk: (0, 0),
-            crit,
             needs,
             reads,
             writes,
+            ..empty
         }
     }
 

@@ -131,11 +131,6 @@ impl CheckpointLog {
         }
     }
 
-    /// The step this epoch's plan resumed at.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, LogInner> {
         // A worker that panicked (harness watchdog) poisons the mutex;
         // the log stays readable for the recovery driver.

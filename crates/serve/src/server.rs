@@ -25,11 +25,10 @@ use std::time::Duration;
 /// the shutdown flag.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(250);
 
-/// A running server: the bound address, the shared service, and the
-/// accept thread's handle.
+/// A running server: the bound address, the stop flag, and the
+/// handles of the threads it started.
 pub struct ServerHandle {
     addr: SocketAddr,
-    service: Arc<Service>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     sampler: Option<JoinHandle<()>>,
@@ -40,17 +39,6 @@ impl ServerHandle {
     /// `addr` asked for `:0`).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The shared service (for in-process metrics inspection).
-    pub fn service(&self) -> &Arc<Service> {
-        &self.service
-    }
-
-    /// True once the server has begun draining (local `shutdown` or a
-    /// remote `Shutdown` request).
-    pub fn draining(&self) -> bool {
-        self.stop.load(Ordering::SeqCst) || self.service.shutdown_requested()
     }
 
     /// Stops accepting, drains connection threads, and joins
@@ -105,8 +93,7 @@ pub fn spawn(addr: &str, cfg: ServiceConfig) -> io::Result<ServerHandle> {
         let stop = Arc::clone(&stop);
         std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_loop(listener, addr, service, stop))
-            .expect("spawning the accept thread")
+            .spawn(move || accept_loop(listener, addr, service, stop))?
     };
     // Time-series sampler: one MetricsSnapshot delta per second into
     // the `hetgrid_obs::series` ring, which `Metrics(Series)` serves
@@ -128,12 +115,20 @@ pub fn spawn(addr: &str, cfg: ServiceConfig) -> io::Result<ServerHandle> {
                     }
                 }
             })
-            .expect("spawning the sampler thread")
+    };
+    let sampler = match sampler {
+        Ok(h) => h,
+        Err(e) => {
+            // Stop the accept thread already started before failing.
+            stop.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(addr);
+            let _ = accept.join();
+            return Err(e);
+        }
     };
     vdiag!("serve: listening on {}", addr);
     Ok(ServerHandle {
         addr,
-        service,
         stop,
         accept: Some(accept),
         sampler: Some(sampler),

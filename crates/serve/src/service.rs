@@ -116,11 +116,6 @@ impl Service {
         }
     }
 
-    /// The configuration this service runs under.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
-    }
-
     /// True once a `Shutdown` request has been processed.
     pub fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)

@@ -47,7 +47,6 @@ pub struct Session {
     iters_total: usize,
     iters_done: usize,
     blocks_moved: usize,
-    lookahead: usize,
 }
 
 impl Session {
@@ -85,14 +84,7 @@ impl Session {
             iters_total: iters,
             iters_done: 0,
             blocks_moved: 0,
-            lookahead: hetgrid_exec::DEFAULT_LOOKAHEAD,
         }
-    }
-
-    /// Sets the executor's lookahead window depth for subsequent steps
-    /// (0 = strict in-order execution).
-    pub fn set_lookahead(&mut self, depth: usize) {
-        self.lookahead = depth;
     }
 
     /// The controller driving this session.
@@ -146,9 +138,7 @@ impl Session {
             self.controller.nb(),
             self.r,
             &weights,
-            hetgrid_exec::ExecConfig {
-                lookahead: self.lookahead,
-            },
+            hetgrid_exec::ExecConfig::default(),
         )
         .expect("pipeline executor run aborted (dropped peer)");
         (out.result, out.report)
