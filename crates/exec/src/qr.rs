@@ -6,10 +6,20 @@
 //! block-locally. Step `k` instead runs a fan-in cycle (Section 3.2.2
 //! notes QR parallelizes "analogously" to LU at this granularity): the
 //! panel blocks `(bi, k)` fan in to the diagonal owner, which factors
-//! the stacked panel with [`qr_factor`] and scatters the packed
+//! the stacked panel with [`qr_factor_with`] and scatters the packed
 //! reflector segments back; the packed panel factors are broadcast to
 //! the trailing column heads; each head gathers its column, applies
-//! `Q^T` to the stacked column, and scatters the updated blocks back.
+//! `Q^T` to the stacked column in place, and scatters the updated
+//! blocks back.
+//!
+//! Both kernels run through the worker's own [`Packs`], as the grid
+//! interpreter's do: above `linalg::qr`'s leaf they are GEMMs with a
+//! compact-WY `T`. The wire carries the packed factors and the scalars
+//! only; a remote head rebuilds `T` with
+//! [`QrFactors::from_parts`](hetgrid_linalg::qr::QrFactors::from_parts),
+//! which applies exactly the diagonal owner's bits, and keeps it with
+//! the step's factors. Every block op is a pure function of its inputs,
+//! so the result is the same to the bit at every lookahead depth.
 //!
 //! Under the lookahead driver the fan-in sends, the panel
 //! factorization, and the segment receives are critical actions; each
@@ -27,7 +37,8 @@
 use crate::step::{Action, Courier, Op, StepInterp, WorkClock};
 use crate::store::BlockStore;
 use crate::transport::Closed;
-use hetgrid_linalg::qr::{qr_factor, QrFactors};
+use hetgrid_linalg::gemm::Packs;
+use hetgrid_linalg::qr::{qr_factor_with, QrFactors};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
 use std::collections::HashMap;
@@ -46,9 +57,9 @@ const TAG_COL: u8 = 3;
 const TAG_COLRET: u8 = 4;
 
 /// Rebuilds `(Q, R)` from a QR run's globally packed factors: `Q` is
-/// `n x n` orthogonal, `R` upper triangular, `A = Q * R`. Mirrors the
-/// panel-by-panel `Q` accumulation of
-/// [`qr_blocked`](hetgrid_linalg::qr::qr_blocked).
+/// `n x n` orthogonal, `R` upper triangular, `A = Q * R`. Accumulates
+/// `Q` backwards, as [`qr_blocked`](hetgrid_linalg::qr::qr_blocked)
+/// does: `Q = Q_0 (Q_1 (... (Q_{nb-1} I)))`.
 ///
 /// # Panics
 /// Panics if `packed` is not `nb * r` square or `taus` is not `nb * r`
@@ -57,18 +68,16 @@ pub fn qr_unpack(packed: &Matrix, taus: &[f64], nb: usize, r: usize) -> (Matrix,
     let n = nb * r;
     assert_eq!(packed.shape(), (n, n), "qr_unpack: packed shape mismatch");
     assert_eq!(taus.len(), n, "qr_unpack: tau count mismatch");
-    let mut qfull = Matrix::identity(n);
-    for k in 0..nb {
-        let pf = QrFactors::from_parts(
-            packed.block(k * r, k * r, n - k * r, r),
-            taus[k * r..(k + 1) * r].to_vec(),
-        );
-        // Q := Q * diag(I, Q_panel), via the transposed qt_mul trick.
-        let qcols = qfull.block(0, k * r, n, n - k * r);
-        qfull.set_block(0, k * r, &pf.qt_mul(&qcols.transpose()).transpose());
+    let mut q = Matrix::identity(n);
+    for k0 in (0..nb).rev().map(|k| k * r) {
+        let pf = QrFactors::from_parts(packed.block(k0, k0, n - k0, r), taus[k0..k0 + r].to_vec());
+        // Panel `k` acts on rows `k0..`, where every column left of
+        // `k0` is still zero.
+        let block = q.block(k0, k0, n - k0, n - k0);
+        q.set_block(k0, k0, &pf.q_mul(&block));
     }
     let rmat = Matrix::from_fn(n, n, |i, j| if i <= j { packed[(i, j)] } else { 0.0 });
-    (qfull, rmat)
+    (q, rmat)
 }
 
 /// One processor's QR actions for `step`, in program order: fan-in
@@ -221,6 +230,7 @@ pub(crate) struct QrInterp<'a> {
     /// Packed panel factors by step, kept while the step's column
     /// applications may still run; dropped on retire.
     factors: HashMap<usize, QrFactors>,
+    packs: Packs,
 }
 
 impl<'a> QrInterp<'a> {
@@ -238,6 +248,7 @@ impl<'a> QrInterp<'a> {
             blocks,
             taus_acc,
             factors: HashMap::new(),
+            packs: Packs::default(),
         }
     }
 }
@@ -307,13 +318,13 @@ impl StepInterp for QrInterp<'_> {
                         courier.pool_mut().put(blk);
                     }
                 }
-                let pf = clock.run(
-                    2 * nk as u64,
-                    || qr_factor(&stacked),
-                    || {
-                        qr_factor(&stacked);
-                    },
-                );
+                let packs = &mut self.packs;
+                let pf = clock.run(2 * nk as u64, |weight| {
+                    for _ in 1..weight {
+                        qr_factor_with(packs, &stacked);
+                    }
+                    qr_factor_with(packs, &stacked)
+                });
                 courier.pool_mut().put(stacked);
                 for &((bi, _), owner) in panel {
                     let seg = pf.packed().block((bi - k) * r, 0, r, r);
@@ -368,21 +379,28 @@ impl StepInterp for QrInterp<'_> {
                         courier.pool_mut().put(blk);
                     }
                 }
-                let pf = &self.factors[&k];
+                let (pf, packs) = (&self.factors[&k], &mut self.packs);
                 let col_blocks = col.members.len() as u64 + 1;
-                let updated = clock.run(
-                    2 * col_blocks,
-                    || pf.qt_mul(&stacked),
-                    || {
-                        pf.qt_mul(&stacked);
-                    },
-                );
-                courier.pool_mut().put(stacked);
-                if let Some(old) = self.blocks.insert((k, col.bj), updated.block(0, 0, r, r)) {
+                // In place on the stacked column; the repeats go first, on
+                // copies of it.
+                let mut scratch = (clock.weight > 1).then(|| courier.pool_mut().take(nk * r, r));
+                clock.run(2 * col_blocks, |weight| {
+                    if let Some(copy) = scratch.as_mut() {
+                        for _ in 1..weight {
+                            copy.copy_from(&stacked);
+                            pf.qt_mul_with(packs, copy);
+                        }
+                    }
+                    pf.qt_mul_with(packs, &mut stacked);
+                });
+                if let Some(copy) = scratch {
+                    courier.pool_mut().put(copy);
+                }
+                if let Some(old) = self.blocks.insert((k, col.bj), stacked.block(0, 0, r, r)) {
                     courier.pool_mut().put(old);
                 }
                 for &((bi, bj), owner) in &col.members {
-                    let blk = updated.block((bi - k) * r, 0, r, r);
+                    let blk = stacked.block((bi - k) * r, 0, r, r);
                     if owner == self.my {
                         if let Some(old) = self.blocks.insert((bi, bj), blk) {
                             courier.pool_mut().put(old);
@@ -391,7 +409,7 @@ impl StepInterp for QrInterp<'_> {
                         courier.send(owner, k, TAG_COLRET, (bi, bj), Arc::new(blk))?;
                     }
                 }
-                courier.pool_mut().put(updated);
+                courier.pool_mut().put(stacked);
                 courier.step_done(t0.elapsed().as_secs_f64());
             }
             Op::QrTakeColRet => {
@@ -457,24 +475,29 @@ mod tests {
         check_qr(&a, &packed, &taus, nb, r, 1e-9);
     }
 
+    /// The distributed schedule performs `qr_blocked`'s arithmetic: the
+    /// same panel factorisations, and `Q^T` applied a block column at a
+    /// time where `qr_blocked` applies it to the whole trailing matrix —
+    /// the same bits, since `qt_mul` is column-partition invariant
+    /// (`kernel_bits`). So `R` agrees to the bit, in the sweep (`r = 4`)
+    /// and above its leaf (`r = 24`).
     #[test]
     fn qr_matches_blocked_reference() {
-        // The distributed schedule performs qr_blocked's arithmetic
-        // column-by-column, so the R factors agree to rounding.
         let nb = 3;
-        let r = 4;
-        let a = dense(nb * r, nb * r, 0xA2);
-        let dist = BlockCyclic::new(1, 2);
-        let (packed, taus, _) = run_qr(&a, &dist, nb, r, &[vec![1; 2]]).unwrap();
-        check_qr(&a, &packed, &taus, nb, r, 1e-9);
-        let (_, r_seq) = hetgrid_linalg::qr::qr_blocked(&a, r);
-        let n = nb * r;
-        let r_dist = Matrix::from_fn(n, n, |i, j| if i <= j { packed[(i, j)] } else { 0.0 });
-        assert!(
-            r_dist.approx_eq(&r_seq, 1e-9),
-            "R mismatch vs qr_blocked, max err {}",
-            r_dist.sub(&r_seq).max_abs()
-        );
+        for r in [4, 24] {
+            let a = dense(nb * r, nb * r, 0xA2);
+            let dist = BlockCyclic::new(1, 2);
+            let (packed, taus, _) = run_qr(&a, &dist, nb, r, &[vec![1; 2]]).unwrap();
+            check_qr(&a, &packed, &taus, nb, r, 1e-9);
+            let (_, r_seq) = hetgrid_linalg::qr::qr_blocked(&a, r);
+            let n = nb * r;
+            let r_dist = Matrix::from_fn(n, n, |i, j| if i <= j { packed[(i, j)] } else { 0.0 });
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert!(
+                bits(&r_dist) == bits(&r_seq),
+                "r {r}: R differs from qr_blocked's"
+            );
+        }
     }
 
     #[test]
@@ -518,12 +541,14 @@ mod tests {
         }
     }
 
-    /// QR is the one executor that never calls `gemm` (whose AVX2/FMA
-    /// vs portable dispatch legitimately changes last digits between
-    /// hosts), so its output bits are a property of the code alone:
-    /// FNV-1a over them, computed before the block kernels became row
-    /// sweeps. A kernel rewrite that reorders one floating-point
-    /// operation changes this constant.
+    /// FNV-1a over a whole distributed QR run's output bits, computed
+    /// before the block kernels became row sweeps. Above `linalg::qr`'s
+    /// leaf the kernels call `gemm`, whose AVX2/FMA vs portable dispatch
+    /// legitimately changes last digits between hosts; at `r = 8` every
+    /// stacked panel has at most a leaf of columns, so both kernels are
+    /// the sweep and the pin is a property of the code alone. A sweep
+    /// rewrite that reorders one floating-point operation changes this
+    /// constant.
     #[test]
     fn packed_factors_are_pinned_to_the_bit() {
         let (dist, w) = paper_grid();

@@ -536,7 +536,7 @@ impl Courier {
 }
 
 /// Busy-time and work-unit accounting under an integer slowdown weight:
-/// the first closure is the real computation, the repeats emulate a
+/// a block kernel runs once for real, and `weight - 1` repeats emulate a
 /// `weight`-times-slower processor re-doing equivalent work.
 pub(crate) struct WorkClock {
     /// Seconds spent in block kernels: inside [`WorkClock::run`], or
@@ -557,14 +557,12 @@ impl WorkClock {
         }
     }
 
-    /// Runs `first` once and `repeat` `weight - 1` times, timing the
-    /// whole batch and charging `units * weight` work units.
-    pub fn run<T>(&mut self, units: u64, first: impl FnOnce() -> T, mut repeat: impl FnMut()) -> T {
+    /// Runs `kernel(weight)` — a block kernel once for real and
+    /// `weight - 1` more times for nothing — timing the whole batch and
+    /// charging `units * weight` work units.
+    pub fn run<T>(&mut self, units: u64, kernel: impl FnOnce(u64) -> T) -> T {
         let t0 = Instant::now();
-        let out = first();
-        for _ in 1..self.weight {
-            repeat();
-        }
+        let out = kernel(self.weight);
         self.busy += t0.elapsed().as_secs_f64();
         self.units += self.weight * units;
         out

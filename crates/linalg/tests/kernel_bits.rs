@@ -10,15 +10,19 @@
 //! (where a `!= 0.0` skip may sit elsewhere) up to the sign of a zero.
 //!
 //! `solve_lower` and `solve_right_upper` are that sweep only up to
-//! [`LEAF`] rows; above it they recurse through the GEMM micro-kernel,
+//! [`LEAF`] rows, and Householder QR only up to [`QR_LEAF`] columns (and
+//! reflectors); above them they recurse through the GEMM micro-kernel,
 //! which sums in another order. There the references bound them instead:
 //! element-wise agreement relative to `max |X|` and the backward
-//! residual of the system solved.
+//! residual of the system solved — for QR, `A - QR` and `Q^T Q - I`.
+//! What still holds to the bit above the leaf is said as properties of
+//! the crate's own kernels: factors rebuilt from their parts, and `Q^T`
+//! applied a column block at a time.
 
 use hetgrid_linalg::cholesky::cholesky;
 use hetgrid_linalg::gemm::{gemm, matmul, Packs};
 use hetgrid_linalg::lu::{lu_factor, lu_factor_blocked, LuFactors, SingularMatrix};
-use hetgrid_linalg::qr::{qr_factor, QrFactors};
+use hetgrid_linalg::qr::{qr_factor, qr_factor_with, QrFactors};
 use hetgrid_linalg::tri::{
     solve_lower, solve_lower_in_place, solve_right_upper, solve_upper, solve_upper_t_in_place,
     upper_from_packed,
@@ -415,39 +419,125 @@ fn lower_of(m: &Matrix, unit: bool) -> Matrix {
 // Dense cases: to_bits equality.
 // ---------------------------------------------------------------------
 
+/// The crate's `qr::LEAF`: a factorisation of at most this many columns,
+/// and an apply of at most this many reflectors, is the reference sweep,
+/// operation for operation.
+const QR_LEAF: usize = 16;
+
+/// QR's shapes: the dense ones, and a full leaf.
+fn qr_shapes() -> impl Iterator<Item = (usize, usize)> {
+    SHAPES.into_iter().chain([(130, QR_LEAF)])
+}
+
+/// A QR output against the reference sweep's: to the bit where the
+/// factors fit the leaf, else within `1e-12 * max(1, max |X|)`.
+#[track_caller]
+fn assert_qr_close(what: &str, n: usize, got: &Matrix, want: &Matrix) {
+    if n <= QR_LEAF {
+        return assert_matrix_bits(what, got, want);
+    }
+    let xmax = want.max_abs();
+    assert!(
+        got.approx_eq(want, 1e-12 * xmax.max(1.0)),
+        "{what}: off the reference sweep by {:e} (max |X| = {xmax:e})",
+        got.sub(want).max_abs()
+    );
+}
+
+/// `max |A - Q R| <= 1e-10 * m * max |A|` and `max |Q^T Q - I| <= 1e-10 * m`.
+#[track_caller]
+fn assert_qr_residuals(what: &str, a: &Matrix, f: &QrFactors) {
+    let ((m, n), q) = (a.shape(), f.thin_q());
+    let resid = a.sub(&matmul(&q, &f.r())).max_abs();
+    let bound = 1e-10 * m as f64 * a.max_abs();
+    assert!(resid <= bound, "{what}: |A - QR| = {resid:e} > {bound:e}");
+    let ortho = matmul(&ref_transpose(&q), &q)
+        .sub(&Matrix::identity(n))
+        .max_abs();
+    assert!(ortho <= 1e-10 * m as f64, "{what}: |Q^T Q - I| = {ortho:e}");
+}
+
 #[test]
-fn qr_factor_and_reflector_application_match_bitwise() {
-    for (m, n) in SHAPES {
+fn qr_factor_and_reflector_application_match_the_sweep() {
+    for (m, n) in qr_shapes() {
         let what = format!("qr {m}x{n}");
         let a = dense(m, n, (m * 1000 + n) as u64);
         let f = qr_factor(&a);
         let (packed, taus) = ref_qr_factor(&a);
-        assert_matrix_bits(&format!("{what} packed"), f.packed(), &packed);
-        assert_bits(&format!("{what} taus"), f.taus(), &taus);
+        assert_qr_close(&format!("{what} packed"), n, f.packed(), &packed);
+        let (got, want) = (
+            Matrix::from_vec(1, n, f.taus().to_vec()),
+            Matrix::from_vec(1, n, taus.clone()),
+        );
+        assert_qr_close(&format!("{what} taus"), n, &got, &want);
+        assert_qr_residuals(&what, &a, &f);
 
         // Q^T applied to a wide and to a one-column right-hand side.
         for cols in [n, 1] {
             let b = dense(m, cols, (m * 77 + cols) as u64);
-            assert_matrix_bits(
+            assert_qr_close(
                 &format!("{what} qt_mul {cols} cols"),
+                n,
                 &f.qt_mul(&b),
                 &ref_qt_mul(&packed, &taus, &b),
             );
         }
-        assert_matrix_bits(
+        assert_qr_close(
             &format!("{what} thin_q"),
+            n,
             &f.thin_q(),
             &ref_thin_q(&packed, &taus),
         );
 
-        // Factors rebuilt from parts (the executor's receiving side).
+        // Factors rebuilt from the reference's parts (the executor's
+        // receiving side, on parts it did not factor).
         let rebuilt = QrFactors::from_parts(packed.clone(), taus.clone());
         let b = dense(m, n, 5);
-        assert_matrix_bits(
+        assert_qr_close(
             &format!("{what} from_parts qt_mul"),
+            n,
             &rebuilt.qt_mul(&b),
             &ref_qt_mul(&packed, &taus, &b),
         );
+    }
+}
+
+/// One `T` function: factors rebuilt from a factorisation's own parts
+/// (a remote column head's copy) apply exactly its bits, both ways.
+#[test]
+fn from_parts_applies_the_factors_bits() {
+    for (m, n) in qr_shapes() {
+        let f = qr_factor(&dense(m, n, (m * 1000 + n) as u64));
+        let rebuilt = QrFactors::from_parts(f.packed().clone(), f.taus().to_vec());
+        let b = dense(m, n + 3, 6);
+        let what = format!("qr {m}x{n} from_parts");
+        assert_matrix_bits(
+            &format!("{what} qt_mul"),
+            &rebuilt.qt_mul(&b),
+            &f.qt_mul(&b),
+        );
+        assert_matrix_bits(&format!("{what} q_mul"), &rebuilt.q_mul(&b), &f.q_mul(&b));
+        assert_matrix_bits(&format!("{what} thin_q"), &rebuilt.thin_q(), &f.thin_q());
+    }
+}
+
+/// Every column of `Q^T C` is a function of that column of `C` alone, so
+/// applying to a block column at a time (the executor's column heads)
+/// is applying to the whole trailing matrix at once (`qr_blocked`).
+#[test]
+fn qt_mul_is_column_partition_invariant() {
+    for (m, n) in qr_shapes() {
+        let f = qr_factor(&dense(m, n, (m * 1000 + n) as u64));
+        let c = dense(m, 2 * n + 5, 7);
+        let whole = f.qt_mul(&c);
+        for cut in [1, n, 2 * n + 4] {
+            let what = format!("qr {m}x{n} qt_mul cut at {cut}");
+            let (left, right) = (c.block(0, 0, m, cut), c.block(0, cut, m, c.cols() - cut));
+            let parts = [(0, f.qt_mul(&left)), (cut, f.qt_mul(&right))];
+            for (c0, part) in parts {
+                assert_matrix_bits(&what, &part, &whole.block(0, c0, m, part.cols()));
+            }
+        }
     }
 }
 
@@ -629,6 +719,17 @@ fn qr_with_a_zero_column_matches_by_value() {
             &ref_thin_q(&packed, &taus),
         );
     }
+    // Above the leaf: a skipped reflector is a zero column and row of
+    // `T`, in the factorisation's leaf panel and in the whole `T`.
+    let mut wide = dense(130, 40, 18);
+    for i in 0..130 {
+        wide[(i, 20)] = 0.0;
+    }
+    let f = qr_factor(&wide);
+    assert_eq!(f.taus()[20], 0.0, "premise: a skipped reflector");
+    assert_qr_residuals("zero-column 130x40", &wide, &f);
+    let rebuilt = QrFactors::from_parts(f.packed().clone(), f.taus().to_vec());
+    assert_qr_residuals("zero-column 130x40 from_parts", &wide, &rebuilt);
 }
 
 /// [`assert_solve`] where exact zeros meet a `!= 0.0` skip: within the
@@ -755,13 +856,15 @@ fn every_kernel_is_repeatable() {
         let (mut below, mut right) = (big_rhs.clone(), big_rhs.transpose());
         solve_lower_in_place(&mut packs, &big, true, &mut below);
         solve_upper_t_in_place(&mut packs, &big, &mut right);
-        let f = qr_factor(&tall);
+        let f = qr_factor_with(&mut packs, &tall);
+        let mut qt_rhs = rhs.clone();
+        f.qt_mul_with(&mut packs, &mut qt_rhs);
         let lu = lu_factor(&sq).expect("dominant input");
         let lub = lu_factor_blocked(&sq, 16).expect("dominant input");
         vec![
             f.packed().clone(),
             Matrix::from_vec(1, n, f.taus().to_vec()),
-            f.qt_mul(&rhs),
+            qt_rhs,
             f.thin_q(),
             cholesky(&pd).expect("SPD input"),
             solve_lower(&sq, &wide, false),
