@@ -1,28 +1,37 @@
-//! The one interpreter of the grid block kernels. The paper gives MM,
-//! LU and Cholesky one shape (Sections 3.1.1, 3.2.1): step `k`
-//! broadcasts panel blocks along grid rows and columns, then every
-//! processor updates the blocks it owns — only the block operation
-//! differs. So a kernel here is only an *emitter* ([`crate::mm`],
-//! [`crate::lu`], [`crate::cholesky`]) that lowers one plan step into
-//! [`Action`]s made of [`Work`]s (a [`Kern`] on an owned block) and
-//! [`Send`]s (a broadcast of an owned block); [`action`] derives the
-//! scheduler's hazard sets from them and [`GridInterp`] runs them.
-//! The master-worker star ([`crate::star`]) lowers onto the same
-//! actions, adding the one thing a grid never needs: blocks that appear
-//! ([`Take`]) and disappear (drops). This module is the only place a
-//! block kernel of either platform is called.
+//! The one interpreter of the block kernels. The paper gives MM, LU and
+//! Cholesky one shape (Sections 3.1.1, 3.2.1): step `k` broadcasts
+//! panel blocks along grid rows and columns, then every processor
+//! updates the blocks it owns — only the block operation differs. So a
+//! kernel here is only an *emitter* ([`crate::mm`], [`crate::lu`],
+//! [`crate::cholesky`]) that lowers one plan step into [`Action`]s made
+//! of [`Work`]s (a [`Kern`] on an owned block) and [`Send`]s (a
+//! broadcast of an owned block); [`action`] derives the scheduler's
+//! hazard sets from them and [`GridInterp`] runs them. The
+//! master-worker star ([`crate::star`]) and QR's fan-in panels
+//! ([`crate::qr`]) lower onto the same actions, adding blocks that
+//! appear ([`Take`]) and disappear (drops) — and, for QR, a [`Work`] on
+//! a stack of blocks. This module is the only place a block kernel of
+//! either platform is called.
 
-use crate::step::{Action, Courier, MsgKey, Op, Res, StepInterp, WorkClock};
+use crate::pool::BufferPool;
+use crate::qr::REFL;
+use crate::step::{Action, Courier, MsgKey, Res, WorkClock};
 use crate::store::BlockStore;
 use crate::transport::Closed;
 use hetgrid_linalg::cholesky::cholesky;
 use hetgrid_linalg::gemm::{gemm_with, Packs};
+use hetgrid_linalg::qr::{qr_factor_with, QrFactors};
 use hetgrid_linalg::tri::{solve_lower_in_place, solve_upper_t_in_place};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::{Plan, Step};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// The namespaces that hold blocks: the matrix written, the `A` and `B`
+/// of MM and the star, QR's reflectors and loans (see [`Res`]).
+const STORES: usize = 5;
 
 /// A block kernel on the output block `C` and the inputs `X`, `Y`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,6 +52,15 @@ pub(crate) enum Kern {
     Gemm(f64),
     /// `C += alpha * X * Y^T`.
     GemmNt(f64),
+    /// QR's panel: the blocks `out[1..]`, stacked, become their packed
+    /// Householder factors, and `out[0]`, which the kernel makes, the
+    /// step's reflectors — the packed stack with the scalars as one
+    /// more row.
+    Geqrf,
+    /// QR's trailing column: `C := Q^T C` on the blocks `out`, stacked,
+    /// `Q` the step's reflectors — rebuilt from `ins[0]`, a `Geqrf`'s
+    /// `out[0]`, unless this processor made them.
+    Ormqr,
 }
 
 /// Where an operand lives, decided once by the emitter: in one of this
@@ -68,20 +86,33 @@ impl Src {
     }
 }
 
-/// One block kernel call: `out` (an owned namespace-0 block) updated in
-/// place from `ins`.
+/// One block kernel call: the owned blocks `out` updated in place from
+/// `ins` — one block, or for QR's kernels a stack of them, top to
+/// bottom.
 #[derive(Clone, Debug)]
 pub(crate) struct Work {
     pub kern: Kern,
     pub ins: Vec<Src>,
-    pub out: Res,
+    pub out: Vec<Res>,
 }
 
 impl Work {
     /// `kern` on block `blk` of the matrix being written.
     pub fn on(kern: Kern, ins: Vec<Src>, (bi, bj): (usize, usize)) -> Work {
-        let out = (0, bi, bj);
+        let out = vec![(0, bi, bj)];
         Work { kern, ins, out }
+    }
+
+    /// The work units charged per unit of slowdown weight: one per
+    /// block, and two per stacked block for QR's, whose Householder
+    /// arithmetic is twice LU's (Section 3.2) — as `sim::counts` folds.
+    fn units(&self) -> u64 {
+        let blocks = self.out.len() as u64;
+        match self.kern {
+            Kern::Geqrf => 2 * (blocks - 1),
+            Kern::Ormqr => 2 * blocks,
+            _ => 1,
+        }
     }
 }
 
@@ -155,7 +186,9 @@ pub(crate) fn action_moving(
         note(&mut writes, t.res);
     }
     for w in &work {
-        note(&mut writes, w.out);
+        for &res in &w.out {
+            note(&mut writes, res);
+        }
         for src in &w.ins {
             match *src {
                 Src::Msg(key) => note(&mut needs, key),
@@ -172,15 +205,13 @@ pub(crate) fn action_moving(
     reads.retain(|res| !writes.contains(res));
     Action {
         step: k,
-        op: Op::Grid {
-            span,
-            takes,
-            work,
-            sends,
-            drops,
-        },
+        span,
         blk,
         crit,
+        takes,
+        work,
+        sends,
+        drops,
         needs,
         reads,
         writes,
@@ -277,7 +308,95 @@ impl Kern {
                 Kern::Gemm(alpha).apply(&[ins[0], &yt], c, scratch, packs, weight);
                 Some(yt)
             }
+            Kern::Geqrf | Kern::Ormqr => unreachable!("{self:?} runs on a stack: see `geqrf`"),
         }
+    }
+}
+
+/// Copies the `r x r` blocks `blocks` into `stack`, top to bottom: in a
+/// row-major stack `r` wide each block is one contiguous run.
+fn stack_into(blocks: &[Matrix], stack: &mut Matrix) {
+    let runs = stack
+        .as_mut_slice()
+        .chunks_exact_mut(blocks[0].as_slice().len());
+    for (run, block) in runs.zip(blocks) {
+        run.copy_from_slice(block.as_slice());
+    }
+}
+
+/// Copies the stack's runs back into `blocks`.
+fn unstack(stack: &Matrix, blocks: &mut [Matrix]) {
+    let runs = stack.as_slice().chunks_exact(blocks[0].as_slice().len());
+    for (run, block) in runs.zip(blocks) {
+        block.as_mut_slice().copy_from_slice(run);
+    }
+}
+
+/// [`Kern::Geqrf`] on `panel` through the worker's `packs`, the
+/// `weight - 1` repeats factoring the same stack for nothing; `refl`
+/// becomes the reflectors. Returns the factors.
+fn geqrf(
+    panel: &mut [Matrix],
+    refl: &mut Matrix,
+    pool: &mut BufferPool,
+    packs: &mut Packs,
+    weight: u64,
+) -> QrFactors {
+    let (rows, r) = (panel.len() * panel[0].rows(), panel[0].cols());
+    // Pool buffers with stale contents: the blocks, then the packed
+    // stack and the scalars, cover them.
+    let mut stack = pool.take(rows, r);
+    stack_into(panel, &mut stack);
+    for _ in 1..weight {
+        qr_factor_with(packs, &stack);
+    }
+    let pf = qr_factor_with(packs, &stack);
+    pool.put(stack);
+    unstack(pf.packed(), panel);
+    *refl = pool.take(rows + 1, r);
+    refl.as_mut_slice()[..rows * r].copy_from_slice(pf.packed().as_slice());
+    refl.row_mut(rows).copy_from_slice(pf.taus());
+    pf
+}
+
+/// [`Kern::Ormqr`] with the factors `pf` on `col` through the worker's
+/// `packs`, in place on the stack; the `weight - 1` repeats go first, on
+/// a copy of it.
+fn ormqr(
+    pf: &QrFactors,
+    col: &mut [Matrix],
+    pool: &mut BufferPool,
+    packs: &mut Packs,
+    weight: u64,
+) {
+    let (rows, r) = (col.len() * col[0].rows(), col[0].cols());
+    let mut stack = pool.take(rows, r);
+    stack_into(col, &mut stack);
+    if weight > 1 {
+        let mut copy = pool.take(rows, r);
+        for _ in 1..weight {
+            copy.copy_from(&stack);
+            pf.qt_mul_with(packs, &mut copy);
+        }
+        pool.put(copy);
+    }
+    pf.qt_mul_with(packs, &mut stack);
+    unstack(&stack, col);
+    pool.put(stack);
+}
+
+/// The factors behind a [`Kern::Geqrf`]'s reflectors `refl`: they apply
+/// the bits of the ones it made.
+fn reflectors(refl: &Matrix) -> QrFactors {
+    let n = refl.rows() - 1;
+    QrFactors::from_parts(refl.block(0, 0, n, refl.cols()), refl.row(n).to_vec())
+}
+
+/// An operand: an owned block, or a buffered message's payload.
+fn operand<'s>(stores: &'s [Cow<'_, BlockStore>], courier: &'s Courier, src: Src) -> &'s Matrix {
+    match src {
+        Src::Own((ns, bi, bj)) => &stores[ns as usize][&(bi, bj)],
+        Src::Msg((step, tag, idx)) => courier.get(step, tag, idx),
     }
 }
 
@@ -285,13 +404,14 @@ impl Kern {
 /// its grid position and its sorted owned block list.
 pub(crate) type Emit = fn(&Step, (usize, usize), &[(usize, usize)]) -> Vec<Action>;
 
-/// One processor's worker for MM, LU, Cholesky or the star. `stores`
-/// holds its blocks by namespace: 0 the matrix it writes (factored in
-/// place, MM's `C` from the epoch baseline, a star processor's `C`
-/// blocks), 1 and 2 the `A`/`B` blocks — borrowed on a grid, so a
-/// recovery epoch copies nothing, and taken block by block by a star
-/// worker. `cap` bounds how many blocks it may hold at once: a star
-/// worker's memory, `None` on a grid.
+/// One processor's worker, for every kernel of either platform.
+/// `stores` holds its blocks by namespace: 0 the matrix it writes
+/// (factored in place, MM's `C` from the epoch baseline, a star
+/// processor's `C` blocks), 1 and 2 the `A`/`B` blocks — borrowed on a
+/// grid, so a recovery epoch copies nothing, and taken block by block
+/// by a star worker — 3 and 4 QR's reflectors and loaned blocks. `cap`
+/// bounds how many blocks it may hold at once: a star worker's memory,
+/// `None` on a grid.
 pub(crate) struct GridInterp<'a> {
     plan: &'a Plan,
     emit: Emit,
@@ -302,6 +422,14 @@ pub(crate) struct GridInterp<'a> {
     cap: Option<usize>,
     scratch: Matrix,
     packs: Packs,
+    /// QR's factors by step — a `Geqrf`'s own, or rebuilt once from
+    /// the broadcast reflectors — kept until the step retires.
+    refl: HashMap<usize, QrFactors>,
+    /// Where a `Geqrf` reports the Householder scalars, by step. A
+    /// resumed epoch overwrites the steps it re-runs, so replayed work
+    /// lands bit-identically and the scalars of steps retired before a
+    /// fault survive.
+    taus: Option<&'a Mutex<Vec<Vec<f64>>>>,
 }
 
 impl<'a> GridInterp<'a> {
@@ -309,12 +437,14 @@ impl<'a> GridInterp<'a> {
         plan: &'a Plan,
         emit: Emit,
         my: (usize, usize),
-        stores: Vec<Cow<'a, BlockStore>>,
+        mut stores: Vec<Cow<'a, BlockStore>>,
         cap: Option<usize>,
         r: usize,
+        taus: Option<&'a Mutex<Vec<Vec<f64>>>>,
     ) -> Self {
         let mut owned: Vec<_> = stores[0].keys().copied().collect();
         owned.sort_unstable();
+        stores.resize_with(STORES, || Cow::Owned(BlockStore::new()));
         GridInterp {
             plan,
             emit,
@@ -324,60 +454,75 @@ impl<'a> GridInterp<'a> {
             cap,
             scratch: Matrix::zeros(r, r),
             packs: Packs::default(),
+            refl: HashMap::new(),
+            taus,
         }
     }
-}
 
-impl StepInterp for GridInterp<'_> {
-    fn n_steps(&self) -> usize {
+    /// Steps in the plan.
+    pub(crate) fn n_steps(&self) -> usize {
         self.plan.steps.len()
     }
 
-    fn emit(&self, k: usize, out: &mut Vec<Action>) {
+    /// Appends this processor's actions for step `k` to `out`, in the
+    /// kernel's program order: earlier actions are preferred by the
+    /// scheduler and define the conflict baseline.
+    pub(crate) fn emit(&self, k: usize, out: &mut Vec<Action>) {
         out.extend((self.emit)(&self.plan.steps[k], self.my, &self.owned));
     }
 
-    fn peek(&self, blk: (usize, usize)) -> Option<&Matrix> {
+    /// The current content of namespace-0 block `blk`, if this
+    /// processor owns it — the checkpoint journal's window into the
+    /// worker's state.
+    pub(crate) fn peek(&self, blk: (usize, usize)) -> Option<&Matrix> {
         self.stores[0].get(&blk)
     }
 
-    fn into_store(mut self: Box<Self>) -> BlockStore {
+    /// Step `k` fully retired: QR's factors of it go.
+    pub(crate) fn retire(&mut self, k: usize) {
+        self.refl.remove(&k);
+        self.stores[usize::from(REFL)].to_mut().remove(&(k, k));
+    }
+
+    /// This processor's share of the result once every step retired.
+    pub(crate) fn into_store(mut self) -> BlockStore {
         self.stores.swap_remove(0).into_owned()
     }
 
-    fn execute(
+    /// Runs one action: its takes, its block kernels under `clock`, its
+    /// sends and its drops. The driver calls it exactly once per emitted
+    /// action, with every `needs` message buffered, and never while an
+    /// earlier conflicting action of the window is unfinished.
+    pub(crate) fn execute(
         &mut self,
         a: &Action,
         courier: &mut Courier,
         clock: &mut WorkClock,
     ) -> Result<(), Closed> {
-        let Op::Grid {
-            span,
-            takes,
-            work,
-            sends,
-            drops,
-        } = &a.op
-        else {
-            unreachable!("non-grid action {:?} in a grid plan", a.op)
-        };
         let GridInterp {
             my,
             stores,
             cap,
             scratch,
             packs,
+            refl,
+            taus,
             ..
         } = self;
-        let mut guard = span.and_then(|name| courier.span_with(|| format!("{name} {}", a.step)));
+        let mut guard = a
+            .span
+            .and_then(|name| courier.span_with(|| format!("{name} {}", a.step)));
         let (units_before, sent_before) = (clock.units, courier.sent());
-        for t in takes {
+        for t in &a.takes {
             let (ns, bi, bj) = t.res;
             let data = match t.msg {
                 Some((step, tag, idx)) => courier.take(step, tag, idx)?,
                 None => Matrix::zeros(scratch.rows(), scratch.cols()),
             };
-            stores[ns as usize].to_mut().insert((bi, bj), data);
+            // A block coming home replaces what its owner held.
+            if let Some(old) = stores[ns as usize].to_mut().insert((bi, bj), data) {
+                courier.pool_mut().put(old);
+            }
             // The star's memory bound at runtime: takes and drops are
             // program-ordered, so this trips only on an over-budget plan.
             let held: usize = stores.iter().map(|s| s.len()).sum();
@@ -389,40 +534,64 @@ impl StepInterp for GridInterp<'_> {
             );
         }
         let t0 = Instant::now();
-        for w in work {
-            let (ns, bi, bj) = w.out;
-            // Out of the store while the kernel runs, so the inputs can
-            // be borrowed from the same store.
-            let slot = stores[ns as usize].to_mut().get_mut(&(bi, bj));
-            let mut c = std::mem::replace(slot.expect("output block missing"), Matrix::zeros(0, 0));
-            let ins: Vec<&Matrix> = w
-                .ins
+        for w in &a.work {
+            // Out of the stores while the kernel runs, so the inputs can
+            // be borrowed from the same stores; the block a `Geqrf` makes
+            // starts out empty.
+            let mut out: Vec<Matrix> = w
+                .out
                 .iter()
-                .map(|src| match *src {
-                    Src::Own((ns, bi, bj)) => &stores[ns as usize][&(bi, bj)],
-                    Src::Msg((step, tag, idx)) => courier.get(step, tag, idx),
+                .map(|&(ns, bi, bj)| {
+                    let block = stores[ns as usize].to_mut().remove(&(bi, bj));
+                    block.unwrap_or_else(|| Matrix::zeros(0, 0))
                 })
                 .collect();
-            let spent = w.kern.apply(&ins, &mut c, scratch, packs, clock.weight);
-            stores[ns as usize].to_mut().insert((bi, bj), c);
-            if let Some(m) = spent {
-                courier.pool_mut().put(m);
+            match w.kern {
+                Kern::Geqrf => {
+                    let (made, panel) = out.split_first_mut().expect("a Geqrf has a stack");
+                    let pf = geqrf(panel, made, courier.pool_mut(), packs, clock.weight);
+                    if let Some(taus) = taus {
+                        let mut taus = taus.lock().unwrap_or_else(|p| p.into_inner());
+                        taus[a.step] = pf.taus().to_vec();
+                    }
+                    refl.insert(a.step, pf);
+                }
+                Kern::Ormqr => {
+                    let pf = refl
+                        .entry(a.step)
+                        .or_insert_with(|| reflectors(operand(&stores[..], courier, w.ins[0])));
+                    ormqr(pf, &mut out, courier.pool_mut(), packs, clock.weight);
+                }
+                kern => {
+                    let ins: Vec<&Matrix> = w
+                        .ins
+                        .iter()
+                        .map(|&src| operand(&stores[..], courier, src))
+                        .collect();
+                    let spent = kern.apply(&ins, &mut out[0], scratch, packs, clock.weight);
+                    if let Some(m) = spent {
+                        courier.pool_mut().put(m);
+                    }
+                }
             }
-            clock.units += clock.weight;
+            for (&(ns, bi, bj), block) in w.out.iter().zip(out) {
+                stores[ns as usize].to_mut().insert((bi, bj), block);
+            }
+            clock.units += clock.weight * w.units();
         }
         let busy = t0.elapsed().as_secs_f64();
         clock.busy += busy;
         // The trailing updates (the only non-critical works) are the
         // compute chunks `exec.step.compute_us` counts.
-        if !a.crit && !work.is_empty() {
+        if !a.crit && !a.work.is_empty() {
             courier.step_done(busy);
         }
-        for s in sends {
+        for s in &a.sends {
             let (ns, bi, bj) = s.res;
             // A block dropped after its send moves into the payload;
             // otherwise one pool-backed copy however many destinations
             // share it.
-            let payload = if drops.contains(&s.res) {
+            let payload = if a.drops.contains(&s.res) {
                 let gone = stores[ns as usize].to_mut().remove(&(bi, bj));
                 Arc::new(gone.expect("sent block missing"))
             } else {
@@ -430,7 +599,7 @@ impl StepInterp for GridInterp<'_> {
             };
             courier.bcast(&s.dests, a.step, s.tag, (bi, bj), payload)?;
         }
-        for &(ns, bi, bj) in drops {
+        for &(ns, bi, bj) in &a.drops {
             if let Some(m) = stores[ns as usize].to_mut().remove(&(bi, bj)) {
                 courier.pool_mut().put(m);
             }
@@ -448,6 +617,7 @@ mod tests {
     use super::*;
     use crate::testutil::{dense, dominant, spd};
     use hetgrid_linalg::gemm::gemm;
+    use hetgrid_linalg::qr::qr_factor;
     use hetgrid_linalg::tri::{solve_lower, solve_right_upper};
 
     #[test]
@@ -459,7 +629,7 @@ mod tests {
         let gemm = |out| Work {
             kern: Kern::Gemm(1.0),
             ins: vec![Src::Own(own), Src::Msg(msg)],
-            out,
+            out: vec![out],
         };
         let send = |res, dests| Send { tag: 0, res, dests };
         let a = action_moving(
@@ -497,17 +667,7 @@ mod tests {
         // sent and dropped: writes, not reads. The broadcast to nobody
         // is gone and reads nothing.
         assert_eq!(a.reads, vec![own, sent_only]);
-        let Op::Grid {
-            takes,
-            work,
-            sends,
-            drops,
-            ..
-        } = a.op
-        else {
-            panic!("not a grid action: {:?}", a.op)
-        };
-        let counts = (takes.len(), work.len(), sends.len(), drops.len());
+        let counts = (a.takes.len(), a.work.len(), a.sends.len(), a.drops.len());
         assert_eq!(counts, (2, 2, 3, 2));
     }
 
@@ -518,7 +678,7 @@ mod tests {
     }
 
     /// `(kernel, inputs, block, the linalg call's result)` for every
-    /// [`Kern`] on `n x n` blocks.
+    /// single-block [`Kern`] on `n x n` blocks.
     fn kern_cases(n: usize) -> Vec<(Kern, Vec<Matrix>, Matrix, Matrix)> {
         let (x, y) = (dense(n, n, 0x61), dense(n, n, 0x62));
         let (diag_dom, diag_spd) = (dominant(n, 0x63), spd(n, 0x64));
@@ -581,6 +741,42 @@ mod tests {
                     let mut c = c0.clone();
                     kern.apply(&ins, &mut c, &mut scratch, &mut packs, weight);
                     assert_bits(&c, &want, &format!("{kern:?}, r = {n}, weight {weight}"));
+                }
+            }
+        }
+    }
+
+    /// QR's two stacked kernels are the `linalg` calls on the stack, to
+    /// the bit, at weight 1 and 3, in the sweep (`r = 8`) and above its
+    /// leaf (`r = 24`): `Geqrf`'s blocks are `qr_factor`'s packed
+    /// factors and its reflectors hold them and the scalars, and
+    /// `Ormqr` is `qt_mul`, through the factors `Geqrf` returned or
+    /// those rebuilt from its reflectors.
+    #[test]
+    fn stacked_qr_kerns_match_the_linalg_calls() {
+        for r in [8, 24] {
+            let (a, c) = (dense(3 * r, r, 0x65), dense(3 * r, r, 0x66));
+            let split = |m: &Matrix| (0..3).map(|i| m.block(i * r, 0, r, r)).collect::<Vec<_>>();
+            let factors = qr_factor(&a);
+            let product = split(&factors.qt_mul(&c));
+            let (mut pool, mut packs) = (BufferPool::new(), Packs::default());
+            for weight in [1, 3] {
+                let what = format!("r = {r}, weight {weight}");
+                let (mut panel, mut refl) = (split(&a), Matrix::zeros(0, 0));
+                let pf = geqrf(&mut panel, &mut refl, &mut pool, &mut packs, weight);
+                for (got, want) in panel.iter().zip(&split(factors.packed())) {
+                    assert_bits(got, want, &format!("Geqrf, {what}"));
+                }
+                let (stack, scalars) = (refl.block(0, 0, 3 * r, r), refl.block(3 * r, 0, 1, r));
+                assert_bits(&stack, factors.packed(), &format!("reflectors, {what}"));
+                let taus = Matrix::from_fn(1, r, |_, j| factors.taus()[j]);
+                assert_bits(&scalars, &taus, &format!("scalars, {what}"));
+                for pf in [pf, reflectors(&refl)] {
+                    let mut col = split(&c);
+                    ormqr(&pf, &mut col, &mut pool, &mut packs, weight);
+                    for (got, want) in col.iter().zip(&product) {
+                        assert_bits(got, want, &format!("Ormqr, {what}"));
+                    }
                 }
             }
         }

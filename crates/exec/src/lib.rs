@@ -29,10 +29,11 @@
 //! Cholesky have the paper's one shape (broadcast panel blocks, update
 //! owned blocks); the master-worker star lowers its feeds, loads,
 //! updates, evictions and returns to the same actions (takes and drops
-//! are the only thing it adds). QR's fan-in panels keep an interpreter
-//! of their own. Both run on the shared `step` machinery: one wire
-//! format carrying one payload type, `Arc<Matrix>`; one pending-message
-//! buffer, one slowdown clock, one spawn/collect driver.
+//! are the only thing it adds), and QR's fan-in panels lend blocks to
+//! the processor that factors or updates them as one stack. All run on
+//! the shared `step` machinery: one wire format carrying one payload
+//! type, `Arc<Matrix>`; one pending-message buffer, one slowdown clock,
+//! one spawn/collect driver.
 //!
 //! ## Entry points
 //!

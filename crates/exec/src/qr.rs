@@ -1,60 +1,59 @@
 //! Threaded distributed Householder QR: the [`hetgrid_plan::qr_plan`]
-//! fan-in/fan-out step stream interpreted over real threads.
+//! fan-in/fan-out step stream lowered for [`crate::grid`].
 //!
 //! QR's panel factorization couples all panel rows through the
 //! reflector norms, so unlike LU/Cholesky the panel cannot be solved
 //! block-locally. Step `k` instead runs a fan-in cycle (Section 3.2.2
 //! notes QR parallelizes "analogously" to LU at this granularity): the
 //! panel blocks `(bi, k)` fan in to the diagonal owner, which factors
-//! the stacked panel with [`qr_factor_with`] and scatters the packed
-//! reflector segments back; the packed panel factors are broadcast to
-//! the trailing column heads; each head gathers its column, applies
-//! `Q^T` to the stacked column in place, and scatters the updated
-//! blocks back.
+//! the stacked panel ([`Kern::Geqrf`]) and sends the factored blocks
+//! home; the step's reflectors — the packed stack with the Householder
+//! scalars as one more row — are broadcast to the trailing column
+//! heads; each head gathers its column, applies `Q^T` to the stack
+//! ([`Kern::Ormqr`]), and sends the updated blocks home.
 //!
-//! Both kernels run through the worker's own [`Packs`], as the grid
-//! interpreter's do: above `linalg::qr`'s leaf they are GEMMs with a
-//! compact-WY `T`. The wire carries the packed factors and the scalars
-//! only; a remote head rebuilds `T` with
-//! [`QrFactors::from_parts`](hetgrid_linalg::qr::QrFactors::from_parts),
-//! which applies exactly the diagonal owner's bits, and keeps it with
-//! the step's factors. Every block op is a pure function of its inputs,
-//! so the result is the same to the bit at every lookahead depth.
+//! A block away from its owner is *on loan* ([`on_loan`]): taken from
+//! its owner's message into namespace [`LOAN`], worked on in the stack
+//! beside the blocks the worker owns, and sent home by the same action,
+//! which moves it into the payload. So a QR step is `grid` actions like
+//! any other kernel's, and its hazard sets are derived like theirs. The
+//! reflectors of step `k` are the block `(REFL, k, k)`: the diagonal
+//! owner's column applications read it, so they order after its
+//! factorization.
 //!
-//! Under the lookahead driver the fan-in sends, the panel
-//! factorization, and the segment receives are critical actions; each
-//! trailing column's `Q^T` application is an independent non-critical
-//! action, so step `k + 1`'s fan-in begins while step `k`'s columns
-//! still update. The packed panel factors of step `k` are modeled as a
-//! pseudo-resource `(3, k, 0)` so column applications on the diagonal
-//! owner order after its factorization.
+//! Every block op is a pure function of its inputs, so the result is
+//! the same to the bit at every lookahead depth. Under the lookahead
+//! driver the fan-in sends, the panel factorization and the takes are
+//! critical actions; each trailing column's `Q^T` application is an
+//! independent non-critical action, so step `k + 1`'s fan-in begins
+//! while step `k`'s columns still update.
 //!
 //! The gathered result is the *globally packed* factorization:
 //! Householder vectors below the block diagonal of each panel column,
 //! `R` on and above, with the Householder scalars (`nb * r` of them,
 //! panel-major) alongside. [`qr_unpack`] rebuilds `(Q, R)` from both.
 
-use crate::step::{Action, Courier, Op, StepInterp, WorkClock};
-use crate::store::BlockStore;
-use crate::transport::Closed;
-use hetgrid_linalg::gemm::Packs;
-use hetgrid_linalg::qr::{qr_factor_with, QrFactors};
+use crate::grid::{self, Kern, Send, Src, Take, Work};
+use crate::step::{Action, Res};
+use hetgrid_linalg::qr::QrFactors;
 use hetgrid_linalg::Matrix;
-use hetgrid_plan::{Plan, Step};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use hetgrid_plan::Step;
 
-/// Message tags: panel fan-in, reflector segment scatter-back, packed
-/// panel factor broadcast, column gather, updated column scatter-back.
-/// Every payload is one `r x r` block except `TAG_REFL`'s: the stacked
-/// panel's `nk*r x r` packed factors with the `r` Householder scalars
-/// as one more row.
+/// Message tags: panel fan-in, factored panel block home, reflector
+/// broadcast, column gather, updated column block home. Every payload
+/// is one `r x r` block except `TAG_REFL`'s: the stacked panel's
+/// `nk*r x r` packed factors with the `r` Householder scalars as one
+/// more row.
 const TAG_PANEL: u8 = 0;
 const TAG_SEG: u8 = 1;
 const TAG_REFL: u8 = 2;
 const TAG_COL: u8 = 3;
 const TAG_COLRET: u8 = 4;
+
+/// QR's namespaces: the step-`k` reflectors `(REFL, k, k)`, and a block
+/// on loan from its owner for one action.
+pub(crate) const REFL: u8 = 3;
+pub(crate) const LOAN: u8 = 4;
 
 /// Rebuilds `(Q, R)` from a QR run's globally packed factors: `Q` is
 /// `n x n` orthogonal, `R` upper triangular, `A = Q * R`. Accumulates
@@ -83,349 +82,130 @@ pub fn qr_unpack(packed: &Matrix, taus: &[f64], nb: usize, r: usize) -> (Matrix,
 /// One processor's QR actions for `step`, in program order: fan-in
 /// sends first (panel blocks to the diagonal owner, column members to
 /// their heads — before any receive, so the step's send/receive graph
-/// stays acyclic), then factor / take-segment, then the column
-/// applications, then the updated-column receives.
-pub(crate) fn qr_actions(step: &Step, my: (usize, usize)) -> Vec<Action> {
+/// stays acyclic), then the panel factorization or the takes of the
+/// factored blocks, then the column applications, then the takes of
+/// the updated column blocks.
+pub(crate) fn qr_actions(step: &Step, my: (usize, usize), _: &[(usize, usize)]) -> Vec<Action> {
     let Step::Qr {
         k,
         diag,
         panel,
-        reflector_dests: _,
+        reflector_dests,
         columns,
     } = step
     else {
         panic!("run_qr: non-QR step in plan")
     };
-    let k = *k;
+    let (k, diag) = (*k, *diag);
+    let mine = |blocks: &[((usize, usize), (usize, usize))]| -> Vec<(usize, usize)> {
+        blocks.iter().filter(|b| b.1 == my).map(|b| b.0).collect()
+    };
+    // An owned block leaves for one action, or comes home from it.
+    let lend = |tag: u8, blk: (usize, usize), to: (usize, usize)| {
+        let send = Send::of(tag, 0, blk, &[to]);
+        grid::action(k, None, blk, true, vec![], vec![send])
+    };
+    let home = |tag: u8, (bi, bj): (usize, usize)| {
+        let take = Take {
+            msg: Some((k, tag, (bi, bj))),
+            res: (0, bi, bj),
+        };
+        grid::action_moving(k, None, (bi, bj), true, vec![take], vec![], vec![], vec![])
+    };
     let mut out = Vec::new();
-    if *diag != my {
-        for &((bi, bk), owner) in panel {
-            if owner == my {
-                out.push(Action {
-                    step: k,
-                    op: Op::QrSendPanel,
-                    blk: (bi, bk),
-                    crit: true,
-                    needs: vec![],
-                    reads: vec![(0, bi, bk)],
-                    writes: vec![],
-                });
-            }
-        }
+    if diag != my {
+        out.extend(
+            mine(panel)
+                .into_iter()
+                .map(|blk| lend(TAG_PANEL, blk, diag)),
+        );
     }
-    for col in columns {
-        if col.head == my {
-            continue;
-        }
-        for &((bi, bj), owner) in &col.members {
-            if owner == my {
-                out.push(Action {
-                    step: k,
-                    op: Op::QrSendCol,
-                    blk: (bi, bj),
-                    crit: true,
-                    needs: vec![],
-                    reads: vec![(0, bi, bj)],
-                    writes: vec![],
-                });
-            }
-        }
+    for col in columns.iter().filter(|col| col.head != my) {
+        out.extend(
+            mine(&col.members)
+                .into_iter()
+                .map(|blk| lend(TAG_COL, blk, col.head)),
+        );
     }
-    if *diag == my {
-        let mut needs = vec![];
-        let mut writes = vec![(3, k, 0)];
-        for &((bi, _), owner) in panel {
-            if owner == my {
-                writes.push((0, bi, k));
-            } else {
-                needs.push((k, TAG_PANEL, (bi, k)));
-            }
-        }
-        out.push(Action {
-            step: k,
-            op: Op::QrFactor,
-            blk: (k, k),
-            crit: true,
-            needs,
-            reads: vec![],
-            writes,
-        });
+    if diag == my {
+        let top = (REFL, k, k);
+        let (takes, stack, mut sends, drops) = on_loan(k, my, top, panel, (TAG_PANEL, TAG_SEG));
+        sends.push(Send::of(TAG_REFL, REFL, (k, k), reflector_dests));
+        let work = vec![Work {
+            kern: Kern::Geqrf,
+            ins: vec![],
+            out: stack,
+        }];
+        let span = Some("factor");
+        out.push(grid::action_moving(
+            k,
+            span,
+            (k, k),
+            true,
+            takes,
+            work,
+            sends,
+            drops,
+        ));
     } else {
-        for &((bi, _), owner) in panel {
-            if owner == my {
-                out.push(Action {
-                    step: k,
-                    op: Op::QrTakeSeg,
-                    blk: (bi, k),
-                    crit: true,
-                    needs: vec![(k, TAG_SEG, (bi, k))],
-                    reads: vec![],
-                    writes: vec![(0, bi, k)],
-                });
-            }
-        }
+        out.extend(mine(panel).into_iter().map(|blk| home(TAG_SEG, blk)));
     }
-    for col in columns {
-        if col.head != my {
-            continue;
-        }
-        let (mut needs, mut reads) = (vec![], vec![]);
-        if *diag == my {
-            reads.push((3, k, 0));
-        } else {
-            needs.push((k, TAG_REFL, (k, k)));
-        }
-        let mut writes = vec![(0, k, col.bj)];
-        for &((bi, bj), owner) in &col.members {
-            if owner == my {
-                writes.push((0, bi, bj));
-            } else {
-                needs.push((k, TAG_COL, (bi, bj)));
-            }
-        }
-        out.push(Action {
-            step: k,
-            op: Op::QrColUpdate,
-            blk: (k, col.bj),
-            crit: false,
-            needs,
-            reads,
-            writes,
-        });
+    for col in columns.iter().filter(|col| col.head == my) {
+        let (top, tags) = ((0, k, col.bj), (TAG_COL, TAG_COLRET));
+        let (takes, stack, sends, drops) = on_loan(k, my, top, &col.members, tags);
+        let work = vec![Work {
+            kern: Kern::Ormqr,
+            ins: vec![Src::of(diag == my, REFL, (k, k), k, TAG_REFL)],
+            out: stack,
+        }];
+        let span = Some("apply");
+        out.push(grid::action_moving(
+            k,
+            span,
+            (k, col.bj),
+            false,
+            takes,
+            work,
+            sends,
+            drops,
+        ));
     }
-    for col in columns {
-        if col.head == my {
-            continue;
-        }
-        for &((bi, bj), owner) in &col.members {
-            if owner == my {
-                out.push(Action {
-                    step: k,
-                    op: Op::QrTakeColRet,
-                    blk: (bi, bj),
-                    crit: true,
-                    needs: vec![(k, TAG_COLRET, (bi, bj))],
-                    reads: vec![],
-                    writes: vec![(0, bi, bj)],
-                });
-            }
-        }
+    for col in columns.iter().filter(|col| col.head != my) {
+        out.extend(
+            mine(&col.members)
+                .into_iter()
+                .map(|blk| home(TAG_COLRET, blk)),
+        );
     }
     out
 }
 
-/// One processor's QR worker over its blocks of the matrix being
-/// factored in place.
-pub(crate) struct QrInterp<'a> {
-    plan: &'a Plan,
-    r: usize,
+/// The stack `top`, then `blocks`, for a block op on processor `my`: a
+/// block `my` owns where it lies, any other on loan — taken from its
+/// owner's step-`k` message tagged `lent`, sent home tagged `back` after
+/// the work and dropped, so the send moves it into the payload. Returns
+/// the action's takes, the stack, its sends and its drops.
+fn on_loan(
+    k: usize,
     my: (usize, usize),
-    blocks: BlockStore,
-    /// Each step's Householder scalars, reported by whichever worker
-    /// owned that step's diagonal block. A resumed epoch *overwrites*
-    /// (not appends) the slots of the steps it re-runs, so replayed
-    /// work lands bit-identically and scalars from steps retired before
-    /// a fault survive untouched.
-    taus_acc: &'a Mutex<Vec<Vec<f64>>>,
-    /// Packed panel factors by step, kept while the step's column
-    /// applications may still run; dropped on retire.
-    factors: HashMap<usize, QrFactors>,
-    packs: Packs,
-}
-
-impl<'a> QrInterp<'a> {
-    pub(crate) fn new(
-        plan: &'a Plan,
-        my: (usize, usize),
-        blocks: BlockStore,
-        r: usize,
-        taus_acc: &'a Mutex<Vec<Vec<f64>>>,
-    ) -> Self {
-        QrInterp {
-            plan,
-            r,
-            my,
-            blocks,
-            taus_acc,
-            factors: HashMap::new(),
-            packs: Packs::default(),
+    top: Res,
+    blocks: &[((usize, usize), (usize, usize))],
+    (lent, back): (u8, u8),
+) -> (Vec<Take>, Vec<Res>, Vec<Send>, Vec<Res>) {
+    let (mut takes, mut stack, mut sends, mut drops) = (vec![], vec![top], vec![], vec![]);
+    for &((bi, bj), owner) in blocks {
+        if owner == my {
+            stack.push((0, bi, bj));
+            continue;
         }
+        let res = (LOAN, bi, bj);
+        let msg = Some((k, lent, (bi, bj)));
+        takes.push(Take { msg, res });
+        stack.push(res);
+        sends.push(Send::of(back, LOAN, (bi, bj), &[owner]));
+        drops.push(res);
     }
-}
-
-impl StepInterp for QrInterp<'_> {
-    fn n_steps(&self) -> usize {
-        self.plan.steps.len()
-    }
-
-    fn emit(&self, k: usize, out: &mut Vec<Action>) {
-        out.extend(qr_actions(&self.plan.steps[k], self.my));
-    }
-
-    fn peek(&self, blk: (usize, usize)) -> Option<&Matrix> {
-        self.blocks.get(&blk)
-    }
-
-    fn into_store(self: Box<Self>) -> BlockStore {
-        self.blocks
-    }
-
-    fn execute(
-        &mut self,
-        a: &Action,
-        courier: &mut Courier,
-        clock: &mut WorkClock,
-    ) -> Result<(), Closed> {
-        let Step::Qr {
-            k,
-            diag,
-            panel,
-            reflector_dests,
-            columns,
-        } = &self.plan.steps[a.step]
-        else {
-            unreachable!("emit checked the step kind")
-        };
-        let k = *k;
-        let r = self.r;
-        let nk = panel.len(); // nb - k stacked panel blocks
-        match a.op {
-            Op::QrSendPanel => {
-                let payload = courier.pool_mut().dup(&self.blocks[&a.blk]);
-                courier.send(*diag, k, TAG_PANEL, a.blk, payload)?;
-            }
-            Op::QrSendCol => {
-                let col = columns
-                    .iter()
-                    .find(|c| c.bj == a.blk.1)
-                    .expect("column for fan-in send");
-                let payload = courier.pool_mut().dup(&self.blocks[&a.blk]);
-                courier.send(col.head, k, TAG_COL, a.blk, payload)?;
-            }
-            // Stack the panel, factor it, scatter the packed reflector
-            // segments back, broadcast the factors to the column heads.
-            Op::QrFactor => {
-                let _span = courier.span_with(|| format!("factor {k}"));
-                // Pool buffer with stale contents: the loop below
-                // writes every row block (bi ranges over k..nb).
-                let mut stacked = courier.pool_mut().take(nk * r, r);
-                for &((bi, _), owner) in panel {
-                    if owner == self.my {
-                        stacked.set_block((bi - k) * r, 0, &self.blocks[&(bi, k)]);
-                    } else {
-                        let blk = courier.take(k, TAG_PANEL, (bi, k))?;
-                        stacked.set_block((bi - k) * r, 0, &blk);
-                        courier.pool_mut().put(blk);
-                    }
-                }
-                let packs = &mut self.packs;
-                let pf = clock.run(2 * nk as u64, |weight| {
-                    for _ in 1..weight {
-                        qr_factor_with(packs, &stacked);
-                    }
-                    qr_factor_with(packs, &stacked)
-                });
-                courier.pool_mut().put(stacked);
-                for &((bi, _), owner) in panel {
-                    let seg = pf.packed().block((bi - k) * r, 0, r, r);
-                    if owner == self.my {
-                        if let Some(old) = self.blocks.insert((bi, k), seg) {
-                            courier.pool_mut().put(old);
-                        }
-                    } else {
-                        courier.send(owner, k, TAG_SEG, (bi, k), Arc::new(seg))?;
-                    }
-                }
-                self.taus_acc.lock().unwrap_or_else(|p| p.into_inner())[k] = pf.taus().to_vec();
-                if !reflector_dests.is_empty() {
-                    // Stale pool buffer: both writes together cover it.
-                    let mut factors = courier.pool_mut().take(nk * r + 1, r);
-                    factors.set_block(0, 0, pf.packed());
-                    factors.row_mut(nk * r).copy_from_slice(pf.taus());
-                    courier.bcast(reflector_dests, k, TAG_REFL, (k, k), Arc::new(factors))?;
-                }
-                self.factors.insert(k, pf);
-            }
-            Op::QrTakeSeg => {
-                let seg = courier.take(k, TAG_SEG, a.blk)?;
-                if let Some(old) = self.blocks.insert(a.blk, seg) {
-                    courier.pool_mut().put(old);
-                }
-            }
-            // Gather one owned trailing column, apply Q^T of the
-            // stacked panel, scatter the updated blocks back.
-            Op::QrColUpdate => {
-                let _span = courier.span_with(|| format!("apply {k}"));
-                let col = columns
-                    .iter()
-                    .find(|c| c.bj == a.blk.1)
-                    .expect("column for update");
-                if let std::collections::hash_map::Entry::Vacant(slot) = self.factors.entry(k) {
-                    let f = courier.get(k, TAG_REFL, (k, k));
-                    let (packed, taus) = (f.block(0, 0, nk * r, r), f.row(nk * r).to_vec());
-                    slot.insert(QrFactors::from_parts(packed, taus));
-                }
-                let t0 = Instant::now();
-                // Pool buffer with stale contents: head block fills row
-                // 0, the members fill every remaining row block.
-                let mut stacked = courier.pool_mut().take(nk * r, r);
-                stacked.set_block(0, 0, &self.blocks[&(k, col.bj)]);
-                for &((bi, bj), owner) in &col.members {
-                    if owner == self.my {
-                        stacked.set_block((bi - k) * r, 0, &self.blocks[&(bi, bj)]);
-                    } else {
-                        let blk = courier.take(k, TAG_COL, (bi, bj))?;
-                        stacked.set_block((bi - k) * r, 0, &blk);
-                        courier.pool_mut().put(blk);
-                    }
-                }
-                let (pf, packs) = (&self.factors[&k], &mut self.packs);
-                let col_blocks = col.members.len() as u64 + 1;
-                // In place on the stacked column; the repeats go first, on
-                // copies of it.
-                let mut scratch = (clock.weight > 1).then(|| courier.pool_mut().take(nk * r, r));
-                clock.run(2 * col_blocks, |weight| {
-                    if let Some(copy) = scratch.as_mut() {
-                        for _ in 1..weight {
-                            copy.copy_from(&stacked);
-                            pf.qt_mul_with(packs, copy);
-                        }
-                    }
-                    pf.qt_mul_with(packs, &mut stacked);
-                });
-                if let Some(copy) = scratch {
-                    courier.pool_mut().put(copy);
-                }
-                if let Some(old) = self.blocks.insert((k, col.bj), stacked.block(0, 0, r, r)) {
-                    courier.pool_mut().put(old);
-                }
-                for &((bi, bj), owner) in &col.members {
-                    let blk = stacked.block((bi - k) * r, 0, r, r);
-                    if owner == self.my {
-                        if let Some(old) = self.blocks.insert((bi, bj), blk) {
-                            courier.pool_mut().put(old);
-                        }
-                    } else {
-                        courier.send(owner, k, TAG_COLRET, (bi, bj), Arc::new(blk))?;
-                    }
-                }
-                courier.pool_mut().put(stacked);
-                courier.step_done(t0.elapsed().as_secs_f64());
-            }
-            Op::QrTakeColRet => {
-                let blk = courier.take(k, TAG_COLRET, a.blk)?;
-                if let Some(old) = self.blocks.insert(a.blk, blk) {
-                    courier.pool_mut().put(old);
-                }
-            }
-            ref op => unreachable!("non-QR action {op:?} in QR plan"),
-        }
-        Ok(())
-    }
-
-    fn retire(&mut self, k: usize) {
-        self.factors.remove(&k);
-    }
+    (takes, stack, sends, drops)
 }
 
 #[cfg(test)]

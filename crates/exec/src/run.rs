@@ -10,18 +10,16 @@
 //! journal; [`crate::recovery`] chains epochs across grid faults. The
 //! only per-kernel code left is what differs by construction: which
 //! emitter feeds the block-op interpreter ([`crate::mm`], [`crate::lu`],
-//! [`crate::cholesky`] over [`crate::grid`]; [`crate::qr`] still brings
-//! its own) and that MM accumulates into a separate `C` while the
-//! factorizations update their input in place.
+//! [`crate::cholesky`], [`crate::qr`] over [`crate::grid`]) and that MM
+//! accumulates into a separate `C` while the factorizations update
+//! their input in place.
 
 use crate::cholesky::cholesky_actions;
 use crate::grid::{Emit, GridInterp};
 use crate::lu::lu_actions;
 use crate::mm::mm_actions;
-use crate::qr::QrInterp;
-use crate::step::{
-    check_weights, gather_result, run_grid, run_steps, ExecConfig, Journal, StepInterp,
-};
+use crate::qr::qr_actions;
+use crate::step::{check_weights, gather_result, run_grid, run_steps, ExecConfig, Journal};
 use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
 use crate::transport::{ExecError, Transport};
 use hetgrid_dist::BlockDist;
@@ -138,8 +136,9 @@ pub(crate) struct GridState {
     pub main: DistributedMatrix,
     /// MM's read-only `A` and `B`; empty for the factorizations.
     pub operands: Vec<DistributedMatrix>,
-    /// QR's Householder scalars by step (see [`QrInterp`]); the other
-    /// kernels leave every slot empty.
+    /// QR's Householder scalars by step, reported by the panel
+    /// factorizations (see [`GridInterp`]); the other kernels leave
+    /// every slot empty.
     taus: Mutex<Vec<Vec<f64>>>,
 }
 
@@ -246,26 +245,20 @@ pub(crate) fn run_seg(
     let kernel = state.kernel;
     let grid @ (_, q) = plan.grid;
     check_weights(weights, grid, kernel.name());
-    let main = &state.main;
-    let r = main.r;
-    // The block-op kernels differ only in their emitter; QR still
-    // brings its own interpreter.
-    let emit: Option<Emit> = match kernel {
-        Kernel::Mm => Some(mm_actions),
-        Kernel::Lu => Some(lu_actions),
-        Kernel::Cholesky => Some(cholesky_actions),
-        Kernel::Qr => None,
+    let r = state.main.r;
+    // The kernels differ only in their emitter.
+    let emit: Emit = match kernel {
+        Kernel::Mm => mm_actions,
+        Kernel::Lu => lu_actions,
+        Kernel::Cholesky => cholesky_actions,
+        Kernel::Qr => qr_actions,
     };
     let (stores, mut report) = run_grid(transport, grid, weights, |me, courier, clock| {
-        let (my, blocks) = ((me / q, me % q), main.stores[me].clone());
-        let interp: Box<dyn StepInterp + '_> = match emit {
-            Some(emit) => {
-                let operands = state.operands.iter().map(|o| Cow::Borrowed(&o.stores[me]));
-                let stores = std::iter::once(Cow::Owned(blocks)).chain(operands);
-                Box::new(GridInterp::new(plan, emit, my, stores.collect(), None, r))
-            }
-            None => Box::new(QrInterp::new(plan, my, blocks, r, &state.taus)),
-        };
+        let main = Cow::Owned(state.main.stores[me].clone());
+        let operands = state.operands.iter().map(|o| Cow::Borrowed(&o.stores[me]));
+        let stores = std::iter::once(main).chain(operands).collect();
+        let (my, taus) = ((me / q, me % q), Some(&state.taus));
+        let interp = GridInterp::new(plan, emit, my, stores, None, r, taus);
         let j = journal.map(|log| Journal { log, me });
         run_steps(interp, courier, clock, cfg.lookahead, start, j.as_ref())
     })?;

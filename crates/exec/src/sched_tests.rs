@@ -13,7 +13,7 @@ use crate::cholesky::cholesky_actions;
 use crate::lu::lu_actions;
 use crate::mm::mm_actions;
 use crate::qr::qr_actions;
-use crate::step::{conflicts, pick_action, Action, MsgKey};
+use crate::step::{conflicts, pick_action, Action, MsgKey, Res};
 use crate::testutil::fnv1a;
 use hetgrid_core::{exact, Arrangement};
 use hetgrid_dist::{BlockCyclic, BlockDist, PanelDist, PanelOrdering};
@@ -79,7 +79,7 @@ fn proc_actions(
         "mm" => mm_actions(step, my, owned),
         "lu" => lu_actions(step, my, owned),
         "cholesky" => cholesky_actions(step, my, owned),
-        "qr" => qr_actions(step, my),
+        "qr" => qr_actions(step, my, owned),
         other => panic!("unknown kernel {other}"),
     }
 }
@@ -208,8 +208,8 @@ proptest! {
                                 "{kernel} p{pi}{pj} depth {lookahead}: action {i} \
                                  ({:?} step {}) ran after conflicting action {j} \
                                  ({:?} step {})",
-                                program[i].op, program[i].step,
-                                program[j].op, program[j].step,
+                                program[i].blk, program[i].step,
+                                program[j].blk, program[j].step,
                             );
                         }
                     }
@@ -395,9 +395,9 @@ fn actions_agree_with_plan_deps() {
 
 /// FNV-1a over every processor's action stream for `kernel` on `dist`,
 /// in emission order: `(step, blk, crit, needs, writes, reads)` with
-/// each set sorted and `reads` filtered to the matrix namespace (an
-/// emitter may additionally declare reads of MM's never-written `A`/`B`
-/// blocks, which no write can conflict with).
+/// each set sorted and filtered to the matrix namespace (an emitter may
+/// also declare MM's never-written `A`/`B` blocks, and QR its
+/// reflectors and loaned blocks, which only its own actions touch).
 fn emission_hash(kernel: &str, dist: &(dyn BlockDist + Sync), nb: usize) -> u64 {
     let plan = make_plan(kernel, dist, nb);
     let (p, q) = dist.grid();
@@ -410,8 +410,10 @@ fn emission_hash(kernel: &str, dist: &(dyn BlockDist + Sync), nb: usize) -> u64 
                 needs.sort_unstable();
                 words.extend([a.step, a.blk.0, a.blk.1, usize::from(a.crit), needs.len()]);
                 words.extend(needs.iter().flat_map(|&(s, t, (i, j))| [s, t.into(), i, j]));
-                let matrix_reads = a.reads.iter().copied().filter(|res| res.0 == 0);
-                for mut set in [a.writes.clone(), matrix_reads.collect()] {
+                let matrix = |set: &[Res]| -> Vec<Res> {
+                    set.iter().copied().filter(|res| res.0 == 0).collect()
+                };
+                for mut set in [matrix(&a.writes), matrix(&a.reads)] {
                     set.sort_unstable();
                     words.push(set.len());
                     words.extend(set.iter().flat_map(|&(ns, i, j)| [ns.into(), i, j]));
@@ -422,21 +424,23 @@ fn emission_hash(kernel: &str, dist: &(dyn BlockDist + Sync), nb: usize) -> u64 
     fnv1a(words.iter().flat_map(|w| (*w as u64).to_le_bytes()))
 }
 
-/// "Same schedule", pinned: the constants were computed before the
-/// three block-op kernels moved onto `crate::grid` and must never move —
-/// emission order, `crit` flags, the trailing-update tiering and the
-/// hazard sets are the scheduler's whole input.
+/// "Same schedule", pinned: each kernel's constants were computed
+/// before it moved onto `crate::grid` (MM, LU and Cholesky together, QR
+/// later, from its own interpreter) and must never move — emission
+/// order, `crit` flags, the trailing-update tiering and the hazard sets
+/// are the scheduler's whole input.
 #[test]
 fn emission_order_is_pinned() {
     let nb = 6;
     // Per kernel: the {1,2,3,5} panel distribution, then BlockCyclic(2,3).
-    let got = ["mm", "lu", "cholesky"].map(|kernel| {
+    let got = ["mm", "lu", "cholesky", "qr"].map(|kernel| {
         [2, 1].map(|choice| emission_hash(kernel, make_dist(choice, nb).as_ref(), nb))
     });
-    let want: [[u64; 2]; 3] = [
+    let want: [[u64; 2]; 4] = [
         [0x49f6_1f31_dfbd_3ec4, 0x3ca8_11fd_3bd8_2fa5],
         [0x3ea9_dd80_e9ad_4a42, 0xa8c1_54c4_9ad5_81c0],
         [0xb280_ff62_8436_1420, 0x9da2_faeb_d639_3347],
+        [0x46c3_56a3_2448_55e6, 0x4740_bd1e_6dbf_6907],
     ];
     assert_eq!(got, want, "{got:#018x?}");
 }

@@ -13,10 +13,10 @@
 //! into its `C` store. The platform constraints ride the derived
 //! hazard sets:
 //!
-//! * **one-port** — every master action also writes `(4, 0, 0)`, so
+//! * **one-port** — every master action also writes `(5, 0, 0)`, so
 //!   master transfers serialize in plan order at any lookahead depth;
 //! * **bounded memory** — every worker take and drop also writes
-//!   `(5, 0, 0)`, so residency transitions stay in program order and
+//!   `(6, 0, 0)`, so residency transitions stay in program order and
 //!   the high-water mark equals the plan fold
 //!   (`hetgrid_sim::counts::star_residency_peaks`), which the
 //!   interpreter asserts against `worker_mem` after every take;
@@ -40,8 +40,8 @@ const TAG_FEED: u8 = 0;
 const TAG_RET: u8 = 1;
 
 /// The master's one-port link and a worker's memory.
-const PORT: (u8, usize, usize) = (4, 0, 0);
-const MEM: (u8, usize, usize) = (5, 0, 0);
+const PORT: (u8, usize, usize) = (5, 0, 0);
+const MEM: (u8, usize, usize) = (6, 0, 0);
 
 /// Runs `C(mb x nb blocks) = A(mb x kb) * B(kb x nb)` in `r`-sized
 /// blocks on a [`Topology::Star`]: the master scatters nothing — it
@@ -93,8 +93,8 @@ pub fn run_star_mm_on_cfg(
             0 => (vec![empty, Cow::Borrowed(&a), Cow::Borrowed(&b)], None),
             _ => (vec![empty; 3], Some(worker_mem)),
         };
-        let interp = GridInterp::new(&plan, star_actions, (0, me), stores, cap, r);
-        run_steps(Box::new(interp), courier, clock, cfg.lookahead, 0, None)
+        let interp = GridInterp::new(&plan, star_actions, (0, me), stores, cap, r, None);
+        run_steps(interp, courier, clock, cfg.lookahead, 0, None)
     })?;
     report.lookahead = cfg.lookahead;
     let c = gather_result(stores, (mb, nb), r, "run_star_mm");
@@ -176,7 +176,7 @@ pub(crate) fn star_actions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step::{Courier, StepInterp, WorkClock};
+    use crate::step::{Courier, WorkClock};
     use crate::testutil::dense;
     use crate::transport::ChannelTransport;
     use hetgrid_linalg::gemm::matmul;
@@ -272,7 +272,7 @@ mod tests {
     fn a_cap_below_the_plan_peak_trips_the_memory_assert() {
         let plan = hetgrid_plan::star_mm_plan(&star(1, 7), (2, 2, 2));
         let (my, stores) = ((0, 1), vec![Cow::Owned(BlockStore::new()); 3]);
-        let mut worker = GridInterp::new(&plan, star_actions, my, stores, Some(3), 2);
+        let mut worker = GridInterp::new(&plan, star_actions, my, stores, Some(3), 2, None);
         let ep = ChannelTransport.connect(2).pop().unwrap();
         let mut courier = Courier::new(ep, 1, (1, 2));
         let mut clock = WorkClock::new(1);

@@ -1,12 +1,11 @@
 //! Shared plan-interpretation machinery for the executor kernels.
 //!
-//! A kernel worker is only the algorithm, expressed as a
-//! [`StepInterp`]: a pure [`StepInterp::emit`] that turns one plan step
-//! into this processor's [`Action`]s (each declaring the messages it
-//! needs and the blocks it reads/writes), and an
-//! [`StepInterp::execute`] that runs one action's sends and block
-//! kernels under the [`WorkClock`]. The trait has no associated types,
-//! so the driver takes any interpreter as a `Box<dyn StepInterp>`.
+//! A kernel is only the algorithm, expressed as an emitter: a pure
+//! function that turns one plan step into this processor's [`Action`]s
+//! (each declaring the messages it needs and the blocks it
+//! reads/writes), which the one interpreter,
+//! [`GridInterp`](crate::grid::GridInterp), runs under the
+//! [`WorkClock`].
 //!
 //! * [`WireMsg`] — the one wire format: `(step, tag, block index)`
 //!   routing plus the one [`Payload`] type, an `Arc<Matrix>`;
@@ -15,8 +14,7 @@
 //!   [`Probe`](crate::probe::Probe), and the sent-message counter; all
 //!   sends and receives go through it so the `ExecReport` and the obs
 //!   counters can never disagree about what was sent;
-//! * [`WorkClock`] — the slowdown-weight compute timer (first run is
-//!   the real one, repeats emulate the slower processor);
+//! * [`WorkClock`] — the slowdown-weighted work units and busy time;
 //! * [`run_steps`] — the dependency-aware out-of-order driver: keeps a
 //!   window of [`ExecConfig::lookahead`]` + 1` consecutive steps open
 //!   and runs any action whose messages have arrived and whose block
@@ -39,7 +37,7 @@
 //! lookahead depth produces bit-identical output — only the schedule
 //! around the dependence chains moves.
 
-use crate::grid::{self, Work};
+use crate::grid::{self, GridInterp, Work};
 use crate::pool::BufferPool;
 use crate::probe::Probe;
 use crate::store::{BlockStore, CheckpointLog, ExecReport};
@@ -95,51 +93,17 @@ pub(crate) type MsgKey = (usize, u8, (usize, usize));
 /// A block-level resource an [`Action`] reads or writes:
 /// `(namespace, bi, bj)`. Namespace 0 is the main matrix (the factored
 /// matrix, or C for MM and the star), 1 and 2 MM's and the star's
-/// `A`/`B` blocks, 3 QR's packed reflector factors of step `k`, keyed
-/// `(3, k, 0)`. The star lowers to grid actions plus two
-/// pseudo-resources, the master's one-port link `(4, 0, 0)` and a
-/// worker's memory `(5, 0, 0)` (see [`crate::star`]).
+/// `A`/`B` blocks, 3 QR's reflectors of step `k`, keyed `(3, k, k)`,
+/// and 4 a block QR holds on loan from its owner (see [`crate::qr`]).
+/// The star lowers to grid actions plus two pseudo-resources, the
+/// master's one-port link `(5, 0, 0)` and a worker's memory `(6, 0, 0)`
+/// (see [`crate::star`]).
 pub(crate) type Res = (u8, usize, usize);
 
-/// What a schedulable action does, for tracing and for the per-kernel
-/// `execute` dispatch.
-#[derive(Clone, Debug)]
-pub(crate) enum Op {
-    /// MM, LU, Cholesky and the star: blocks taken in, block kernels
-    /// on owned blocks, broadcasts of owned blocks, blocks dropped, run
-    /// by [`crate::grid::GridInterp`] (QR's interpreter reads the plan
-    /// step instead).
-    Grid {
-        /// The phase (`factor`, `panel`, `bcast`, `compute`, ...) that
-        /// names the action's `"{span} {step}"` trace span; the
-        /// per-block trailing updates go without, one span per block
-        /// would swamp the trace.
-        span: Option<&'static str>,
-        /// The blocks installed first.
-        takes: Vec<grid::Take>,
-        /// The block kernels, in order.
-        work: Vec<Work>,
-        /// The broadcasts made after the work.
-        sends: Vec<grid::Send>,
-        /// The owned blocks forgotten last.
-        drops: Vec<Res>,
-    },
-    /// QR: send an owned panel block to the diagonal owner.
-    QrSendPanel,
-    /// QR: send an owned column segment to its column head.
-    QrSendCol,
-    /// QR: stack the panel, factor it, scatter segments, broadcast the
-    /// reflectors.
-    QrFactor,
-    /// QR: receive this processor's factored panel segment back.
-    QrTakeSeg,
-    /// QR: apply Qᵀ to one trailing column and scatter the result.
-    QrColUpdate,
-    /// QR: receive an updated column segment back from its head.
-    QrTakeColRet,
-}
-
-/// One schedulable unit of a processor's per-step work.
+/// One schedulable unit of a processor's per-step work: blocks taken
+/// in, block kernels on owned blocks, broadcasts of owned blocks and
+/// blocks dropped, run in that order by [`GridInterp::execute`], with
+/// the hazard sets [`grid::action_moving`] derives from them.
 ///
 /// `needs` are the wire messages that must have arrived before the
 /// action can run; `reads`/`writes` are the block resources it touches,
@@ -150,15 +114,26 @@ pub(crate) enum Op {
 pub(crate) struct Action {
     /// Plan step this action belongs to.
     pub step: usize,
-    /// What the action does (kernel-interpreted).
-    pub op: Op,
-    /// Primary block coordinate, disambiguating same-`op` actions
-    /// within a step.
+    /// The phase (`factor`, `panel`, `bcast`, `compute`, ...) that names
+    /// the action's `"{span} {step}"` trace span; the per-block trailing
+    /// updates go without, one span per block would swamp the trace.
+    pub span: Option<&'static str>,
+    /// Primary block coordinate, disambiguating same-span actions
+    /// within a step; the scheduler tests name actions by it.
+    #[cfg_attr(not(test), allow(dead_code))]
     pub blk: (usize, usize),
     /// Critical-path hint: prefer this action over non-critical ones
     /// (panel factorizations, solves, and sends unblock other
     /// processors; trailing updates only fill local time).
     pub crit: bool,
+    /// The blocks installed first.
+    pub takes: Vec<grid::Take>,
+    /// The block kernels, in order.
+    pub work: Vec<Work>,
+    /// The broadcasts made after the work.
+    pub sends: Vec<grid::Send>,
+    /// The owned blocks forgotten last.
+    pub drops: Vec<Res>,
     /// Messages that must be present in the courier buffer first.
     pub needs: Vec<MsgKey>,
     /// Locally owned blocks read (messages are covered by `needs`).
@@ -166,41 +141,6 @@ pub(crate) struct Action {
     /// Locally owned blocks written. Disjoint across one step's actions
     /// on one processor.
     pub writes: Vec<Res>,
-}
-
-/// A kernel's per-processor plan interpreter: `emit` is the pure
-/// planning half (no side effects, deterministic), `execute` the doing
-/// half. The driver guarantees `execute` is called exactly once per
-/// emitted action, with all `needs` messages buffered, and never while
-/// an earlier conflicting action of the window is unfinished.
-pub(crate) trait StepInterp {
-    /// Steps in the plan.
-    fn n_steps(&self) -> usize;
-
-    /// Appends this processor's actions for step `k` to `out`, in the
-    /// kernel's preferred (program) order: earlier actions are
-    /// preferred by the scheduler and define the conflict baseline.
-    fn emit(&self, k: usize, out: &mut Vec<Action>);
-
-    /// Runs one action: its sends, receives of `needs` payloads (all
-    /// already buffered), and block kernels under `clock`.
-    fn execute(
-        &mut self,
-        a: &Action,
-        courier: &mut Courier,
-        clock: &mut WorkClock,
-    ) -> Result<(), Closed>;
-
-    /// Called when step `k` fully retires; drop step-local caches.
-    fn retire(&mut self, _k: usize) {}
-
-    /// The current content of namespace-0 block `blk`, if this
-    /// processor owns it — the checkpoint journal's window into the
-    /// kernel's local state.
-    fn peek(&self, blk: (usize, usize)) -> Option<&Matrix>;
-
-    /// This processor's share of the result once every step retired.
-    fn into_store(self: Box<Self>) -> BlockStore;
 }
 
 /// One worker's handle on the shared [`CheckpointLog`]: which processor
@@ -267,7 +207,7 @@ pub(crate) fn pick_action(
 /// that precede it in the global in-order schedule, which by induction
 /// all eventually run on their owners.
 pub(crate) fn run_steps(
-    mut interp: Box<dyn StepInterp + '_>,
+    mut interp: GridInterp<'_>,
     courier: &mut Courier,
     clock: &mut WorkClock,
     lookahead: usize,
@@ -536,11 +476,11 @@ impl Courier {
 }
 
 /// Busy-time and work-unit accounting under an integer slowdown weight:
-/// a block kernel runs once for real, and `weight - 1` repeats emulate a
-/// `weight`-times-slower processor re-doing equivalent work.
+/// a block kernel runs once for real, and `weight - 1` repeats (in
+/// [`crate::grid`]) emulate a `weight`-times-slower processor re-doing
+/// equivalent work.
 pub(crate) struct WorkClock {
-    /// Seconds spent in block kernels: inside [`WorkClock::run`], or
-    /// timed by [`crate::grid`], which inlines the repeats.
+    /// Seconds spent in block kernels, repeats included.
     pub busy: f64,
     /// Weighted block operations performed.
     pub units: u64,
@@ -555,17 +495,6 @@ impl WorkClock {
             units: 0,
             weight,
         }
-    }
-
-    /// Runs `kernel(weight)` — a block kernel once for real and
-    /// `weight - 1` more times for nothing — timing the whole batch and
-    /// charging `units * weight` work units.
-    pub fn run<T>(&mut self, units: u64, kernel: impl FnOnce(u64) -> T) -> T {
-        let t0 = Instant::now();
-        let out = kernel(self.weight);
-        self.busy += t0.elapsed().as_secs_f64();
-        self.units += self.weight * units;
-        out
     }
 }
 
