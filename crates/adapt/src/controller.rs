@@ -129,7 +129,7 @@ impl Controller {
     /// of kernel iterations still ahead — the amortization horizon of
     /// any rebalancing decision.
     pub fn observe(&mut self, sample: &IterationSample, remaining_iters: usize) -> Action {
-        let by_proc = sample.by_proc(&self.plan.solution.arrangement);
+        let by_proc = sample.by_proc(&self.plan.arr);
         self.estimator.observe_all(&by_proc);
         self.log.push(sample.clone());
 
@@ -183,8 +183,7 @@ mod tests {
     fn feed(c: &mut Controller, truth: &[f64], iters: usize, remaining: usize) -> Vec<Action> {
         (0..iters)
             .map(|k| {
-                let sample =
-                    IterationSample::from_true_times(k, &c.plan().solution.arrangement, truth);
+                let sample = IterationSample::from_true_times(k, &c.plan().arr, truth);
                 c.observe(&sample, remaining)
             })
             .collect()
@@ -260,8 +259,7 @@ mod tests {
         let before = c.dist().clone();
         let drifted = [6.0, 1.0, 1.0, 1.0];
         for k in 0..20 {
-            let sample =
-                IterationSample::from_true_times(k, &c.plan().solution.arrangement, &drifted);
+            let sample = IterationSample::from_true_times(k, &c.plan().arr, &drifted);
             if let Action::Rebalanced { old_dist, decision } = c.observe(&sample, 100) {
                 assert_eq!(
                     hetgrid_dist::redistribution::blocks_moved(&before, &old_dist, 16),

@@ -2,7 +2,8 @@
 //! distribution, with the analytic per-iteration cost model the decision
 //! policy prices plans with.
 
-use hetgrid_core::{Method, Problem, Solution};
+use hetgrid_core::exact::ExactOptions;
+use hetgrid_core::{rank1, Allocation, Arrangement, Method};
 use hetgrid_dist::redistribution::moved_fraction;
 use hetgrid_dist::{BlockDist, PanelDist, PanelOrdering};
 use hetgrid_sim::plan::Kernel;
@@ -13,8 +14,12 @@ use hetgrid_sim::{simulate, Broadcast, CostModel, SimReport};
 /// from its shares.
 #[derive(Clone, Debug)]
 pub struct ActivePlan {
-    /// The solver output the plan was built from.
-    pub solution: Solution,
+    /// Which processor sits where, at its planned cycle-time.
+    pub arr: Arrangement,
+    /// The row/column shares the distribution discretizes.
+    pub alloc: Allocation,
+    /// The solver the plan was built with (and re-solves with).
+    pub method: Method,
     /// The panel distribution of matrix blocks over the grid.
     pub dist: PanelDist,
     /// Row panel size used to discretize the row shares.
@@ -32,19 +37,23 @@ impl ActivePlan {
     /// Panics if `times.len() != p * q` or the panel sizes are zero.
     pub fn solve(times: &[f64], p: usize, q: usize, bp: usize, bq: usize, method: Method) -> Self {
         assert_eq!(times.len(), p * q, "ActivePlan: times/grid size mismatch");
-        let solution = Problem::new(times.to_vec())
-            .grid(p, q)
-            .method(method)
-            .solve();
-        let dist = PanelDist::from_allocation(
-            &solution.arrangement,
-            &solution.alloc,
-            bp,
-            bq,
-            PanelOrdering::Interleaved,
-        );
+        // A perfectly balancing rank-1 arrangement (Section 4.3.2) is
+        // taken before `method` runs; the CLI and serve skip this pre-pass.
+        let (arr, alloc) = match rank1::try_rank1_arrangement(times, p, q, 1e-9) {
+            Some(arr) => {
+                let alloc = rank1::rank1_allocation(&arr, 1e-9).expect("rank-1 by construction");
+                (arr, alloc)
+            }
+            None => {
+                let solved = method.solve(times, p, q, &ExactOptions::default());
+                (solved.arr, solved.alloc)
+            }
+        };
+        let dist = PanelDist::from_allocation(&arr, &alloc, bp, bq, PanelOrdering::Interleaved);
         ActivePlan {
-            solution,
+            arr,
+            alloc,
+            method,
             dist,
             bp,
             bq,
@@ -54,7 +63,7 @@ impl ActivePlan {
     /// Simulates `kernel` on an `nb x nb` block matrix under this plan
     /// (direct broadcasts).
     pub fn simulate(&self, kernel: Kernel, nb: usize, cost: CostModel) -> SimReport {
-        let arr = &self.solution.arrangement;
+        let arr = &self.arr;
         simulate(kernel, arr, &self.dist, nb, cost, Broadcast::Direct)
             .expect("a plan's distribution is built on its own arrangement")
             .report
@@ -67,21 +76,21 @@ impl ActivePlan {
     /// static-allocation stance, quantified).
     pub fn rebalance(&self, new_times: &[f64], nb: usize) -> (ActivePlan, f64) {
         let (p, q) = self.grid();
-        let next = ActivePlan::solve(new_times, p, q, self.bp, self.bq, self.solution.method);
+        let next = ActivePlan::solve(new_times, p, q, self.bp, self.bq, self.method);
         let moved = moved_fraction(&self.dist, &next.dist, nb);
         (next, moved)
     }
 
     /// Grid shape `(p, q)`.
     pub fn grid(&self) -> (usize, usize) {
-        (self.solution.arrangement.p(), self.solution.arrangement.q())
+        (self.arr.p(), self.arr.q())
     }
 
     /// The cycle-times the plan was solved for, re-keyed by physical
     /// processor id (inverting the arrangement's permutation) — the
     /// drift detector's reference vector.
     pub fn planned_times(&self) -> Vec<f64> {
-        let arr = &self.solution.arrangement;
+        let arr = &self.arr;
         let mut times = vec![0.0; arr.len()];
         for i in 0..arr.p() {
             for j in 0..arr.q() {
@@ -102,7 +111,7 @@ impl ActivePlan {
     /// # Panics
     /// Panics if `times_by_proc` does not cover the grid.
     pub fn per_iteration_cost(&self, times_by_proc: &[f64], nb: usize) -> f64 {
-        let arr = &self.solution.arrangement;
+        let arr = &self.arr;
         assert_eq!(
             times_by_proc.len(),
             arr.len(),
@@ -128,6 +137,26 @@ mod tests {
         let times = vec![4.0, 1.0, 2.0, 3.0];
         let plan = ActivePlan::solve(&times, 2, 2, 4, 4, Method::Heuristic);
         assert_eq!(plan.planned_times(), times);
+    }
+
+    #[test]
+    fn rank1_fast_path() {
+        // {1,2,3,6} hides the rank-1 arrangement [[1,2],[3,6]].
+        let plan = ActivePlan::solve(&[6.0, 2.0, 1.0, 3.0], 2, 2, 4, 4, Method::Heuristic);
+        let avg = hetgrid_core::objective::average_workload(&plan.arr, &plan.alloc);
+        assert!((avg - 1.0).abs() < 1e-9);
+        assert!((plan.alloc.obj2() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn without_a_rank1_arrangement_the_method_decides() {
+        let times = [1.0, 2.0, 3.0, 5.0];
+        let plan = ActivePlan::solve(&times, 2, 2, 4, 4, Method::Heuristic);
+        let solved = Method::Heuristic.solve(&times, 2, 2, &ExactOptions::default());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(plan.arr, solved.arr);
+        assert_eq!(bits(&plan.alloc.r), bits(&solved.alloc.r));
+        assert_eq!(bits(&plan.alloc.c), bits(&solved.alloc.c));
     }
 
     #[test]

@@ -135,7 +135,7 @@ mod tests {
         assert!(d.moved_fraction > 0.0 && d.moved_fraction <= 1.0);
         // The candidate starves the slow processor relative to the rest.
         let counts = hetgrid_dist::BlockDist::owned_counts(&candidate.dist, NB, NB);
-        let arr = &candidate.solution.arrangement;
+        let arr = &candidate.arr;
         let mut slow_count = 0;
         let mut max_count = 0;
         for i in 0..arr.p() {

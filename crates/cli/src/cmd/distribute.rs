@@ -1,13 +1,14 @@
 //! `hetgrid distribute`: the owner map of one period and its balance.
 
-use super::solve_heuristic;
 use crate::args::Args;
+use hetgrid_core::exact::ExactOptions;
+use hetgrid_core::Method;
 
 pub fn distribute(args: &Args) -> Result<(), String> {
     let (times, p, q) = args.grid_times()?;
     let scheme = args.scheme()?;
     let (bp, bq) = args.panel(scheme, (p, q), (8, 8))?;
-    let solved = solve_heuristic(&times, p, q);
+    let solved = Method::Heuristic.solve(&times, p, q, &ExactOptions::default());
     let dist = scheme.build(&solved.arr, &solved.alloc, bp, bq);
 
     println!("arrangement:\n{}", solved.arr);

@@ -1,7 +1,9 @@
 //! `hetgrid rebalance`: what adopting a fresh plan costs and buys.
 
-use super::{solve_heuristic, PANELS};
+use super::PANELS;
 use crate::args::Args;
+use hetgrid_core::exact::ExactOptions;
+use hetgrid_core::Method;
 use hetgrid_dist::BlockDist;
 use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::CostModel;
@@ -16,7 +18,7 @@ pub fn rebalance(args: &Args) -> Result<(), String> {
     let (bp, bq) = args.panel(PANELS, (p, q), (8, 8))?;
 
     let panels = |pool: &[f64]| {
-        let s = solve_heuristic(pool, p, q);
+        let s = Method::Heuristic.solve(pool, p, q, &ExactOptions::default());
         let dist = PANELS.build(&s.arr, &s.alloc, bp, bq);
         (s.arr, dist)
     };

@@ -1,6 +1,5 @@
 //! `hetgrid run`: a real kernel on the threaded executor, verified.
 
-use super::solve_with;
 use crate::args::Args;
 use crate::obs_out::ObsSession;
 use hetgrid_core::exact::ExactOptions;
@@ -79,7 +78,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     // the sequential reference.
     let crash = crash_spec(args, (p, q), nb)?;
 
-    let solved = solve_with(args.method()?, &times, p, q, &ExactOptions::default());
+    let solved = args.method()?.solve(&times, p, q, &ExactOptions::default());
     let arr = &solved.arr;
     let scheme = args.scheme()?;
     let (bp, bq) = args.panel(scheme, (p, q), (4, 4))?;

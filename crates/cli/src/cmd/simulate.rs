@@ -1,8 +1,9 @@
 //! `hetgrid simulate`: one kernel through the discrete-event simulator.
 
-use super::solve_heuristic;
 use crate::args::Args;
 use crate::obs_out;
+use hetgrid_core::exact::ExactOptions;
+use hetgrid_core::Method;
 use hetgrid_plan::Kernel;
 use hetgrid_sim::machine::{CostModel, Network};
 use hetgrid_sim::{simulate as des, Broadcast};
@@ -30,7 +31,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
         ..Default::default()
     };
 
-    let solved = solve_heuristic(&times, p, q);
+    let solved = Method::Heuristic.solve(&times, p, q, &ExactOptions::default());
     let scheme = args.scheme()?;
     let (bp, bq) = ((2 * p).max(4), (2 * q).max(4));
     let dist = scheme.build(&solved.arr, &solved.alloc, bp, bq);

@@ -1,10 +1,9 @@
 //! The solver-only commands: `solve`, `bounds`, `rank1`, `sweep`.
 
-use super::{solve_heuristic, solve_with, Effort};
 use crate::args::Args;
 use crate::obs_out::ObsSession;
 use hetgrid_core::objective::workload_matrix;
-use hetgrid_core::{bounds, exact, heuristic, rank1, Method};
+use hetgrid_core::{bounds, exact, heuristic, rank1, Effort, Method};
 use hetgrid_obs::vdiag;
 
 fn shares(xs: &[f64]) -> String {
@@ -31,7 +30,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
         method.name()
     );
     let baseline = hetgrid_obs::metrics().snapshot();
-    let solved = solve_with(method, &times, p, q, &opts);
+    let solved = method.solve(&times, p, q, &opts);
     drop(span);
     session.finish()?;
     let (arr, alloc) = (&solved.arr, &solved.alloc);
@@ -74,7 +73,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
 /// Prints the analytic objective brackets for a pool (core::bounds).
 pub fn bounds(args: &Args) -> Result<(), String> {
     let (times, p, q) = args.grid_times()?;
-    let solved = solve_heuristic(&times, p, q);
+    let solved = Method::Heuristic.solve(&times, p, q, &exact::ExactOptions::default());
     let (arr, achieved) = (&solved.arr, solved.alloc.obj2());
     println!(
         "total-rate upper bound (any distribution): {:.4}",

@@ -1,4 +1,4 @@
-//! Solution certificates: machine-checkable evidence about an
+//! Certificates for a solved placement: machine-checkable evidence about an
 //! allocation's quality, independent of which solver produced it.
 //!
 //! The exact solver's structure (Section 4.3.1) says the optimum sits on

@@ -29,7 +29,9 @@
 //! * [`rounding`] — integer block counts from rational shares;
 //! * [`search`] — swap-based local search and simulated annealing over
 //!   arrangements (the metaheuristic answer to the NP-completeness
-//!   conjecture of Section 4.1).
+//!   conjecture of Section 4.1);
+//! * [`method`] — [`Method`] names one of those solvers and
+//!   [`Method::solve`] is the one dispatch over them.
 //!
 //! ```
 //! use hetgrid_core::heuristic;
@@ -58,9 +60,9 @@ pub mod bounds;
 pub mod certify;
 pub mod exact;
 pub mod heuristic;
+pub mod method;
 pub mod objective;
 pub mod oned;
-pub mod problem;
 pub mod rank1;
 pub mod rounding;
 pub mod search;
@@ -69,6 +71,6 @@ pub mod topology;
 pub use arrangement::{
     enumerate_nondecreasing, sorted_row_major, validate_times, Arrangement, TimesError,
 };
+pub use method::{Effort, Method, Solved};
 pub use objective::Allocation;
-pub use problem::{Method, Problem, Solution};
 pub use topology::Topology;

@@ -13,7 +13,7 @@ use hetgrid_harness::oracles;
 use hetgrid_serve::proto::{encode_request, Kernel, PlanSpec, Request, RequestBody, SolveSpec};
 use hetgrid_serve::{Service, ServiceConfig};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -72,14 +72,11 @@ fn sequential_workload_with_evictions_satisfies_the_cache_oracle() {
     assert!(delta.counter("serve.cache.misses") >= 8);
 }
 
-#[test]
-fn concurrent_workload_satisfies_the_cache_oracle() {
-    let _g = obs_lock();
-    let svc = Arc::new(Service::new(ServiceConfig::default()));
-    let before = hetgrid_obs::metrics().snapshot();
+/// Eight threads of four Cholesky plan requests each over six distinct
+/// specs: 32 admitted requests, six of them cold.
+fn concurrent_workload(svc: &Service) {
     std::thread::scope(|s| {
         for t in 0..8 {
-            let svc = Arc::clone(&svc);
             s.spawn(move || {
                 for r in 0..4 {
                     // Overlapping seed ranges across threads: plenty of
@@ -89,10 +86,33 @@ fn concurrent_workload_satisfies_the_cache_oracle() {
             });
         }
     });
+}
+
+#[test]
+fn concurrent_workload_satisfies_the_cache_oracle() {
+    let _g = obs_lock();
+    let svc = Service::new(ServiceConfig::default());
+    let before = hetgrid_obs::metrics().snapshot();
+    concurrent_workload(&svc);
     let delta = hetgrid_obs::metrics().snapshot().delta(&before);
     oracles::check_serve_cache(&delta).expect("serve cache invariants");
     assert_eq!(delta.counter("serve.requests.admitted"), 32);
     assert_eq!(delta.counter("serve.cache.misses"), 6);
+}
+
+/// A leader that caches its bytes and retires its flight between a
+/// second request's cache check and its in-flight check must not hand
+/// that request a second solve: every round solves each cold key once.
+#[test]
+fn a_cold_key_is_solved_once_in_every_round() {
+    let _g = obs_lock();
+    for round in 0..2000 {
+        let svc = Service::new(ServiceConfig::default());
+        let before = hetgrid_obs::metrics().snapshot();
+        concurrent_workload(&svc);
+        let delta = hetgrid_obs::metrics().snapshot().delta(&before);
+        assert_eq!(delta.counter("serve.cache.misses"), 6, "round {round}");
+    }
 }
 
 /// The oracle itself must reject cooked books: hand-built deltas that

@@ -4,8 +4,6 @@
 //! * [`gemm`] / [`matmul`] — the packed-panel kernel, used by the
 //!   executors for the per-block rank-`r` updates; [`gemm_with`] is the
 //!   same call for a caller that loops and keeps its [`Packs`];
-//! * [`par_gemm`] — the same kernel with row panels fanned out through
-//!   `hetgrid_par::parallel_map`;
 //! * [`matmul_naive`] — triple loop reference used in tests.
 //!
 //! The packed kernel follows the classic GotoBLAS/BLIS decomposition:
@@ -137,52 +135,6 @@ pub fn gemm_with(packs: &mut Packs, alpha: f64, a: &Matrix, b: &Matrix, beta: f6
     }
     let (a, b, c) = (Left(a, 0..m, 0..k, false), b.as_slice(), c.as_mut_slice());
     gemm_ranged(None, packs, alpha, a, (b, n), (c, n), n);
-}
-
-/// `C <- alpha * A * B + beta * C` with row panels of `C` split across
-/// `hetgrid_par::threads()` workers. Workers compute disjoint row
-/// ranges, each running the packed kernel on its own slice of `C`; at
-/// one thread (or inside another map's worker) this degenerates to
-/// [`gemm`].
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn par_gemm(alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
-    let (m, k) = a.shape();
-    let (k2, n) = b.shape();
-    assert_eq!(k, k2, "par_gemm: inner dimensions differ");
-    assert_eq!(c.shape(), (m, n), "par_gemm: C has wrong shape");
-
-    scale(beta, c.as_mut_slice());
-    if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-
-    let tile = select_kernel();
-    let mr = tile.0;
-    let threads = hetgrid_par::threads();
-    if threads == 1 || m < 2 * mr {
-        return gemm_with(&mut Packs::default(), alpha, a, b, 1.0, c);
-    }
-
-    // Split the rows of C into one contiguous chunk per worker, rounded
-    // to the micro-tile height so no strip straddles two workers.
-    let chunk = (m.div_ceil(threads)).next_multiple_of(mr);
-    let jobs: Vec<(usize, &mut [f64])> = c
-        .as_mut_slice()
-        .chunks_mut(chunk * n)
-        .enumerate()
-        .map(|(i, c_rows)| (i * chunk, c_rows))
-        .collect();
-    hetgrid_par::parallel_map(jobs, |(row0, c_rows)| {
-        let rows = row0..row0 + c_rows.len() / n;
-        let (packs, a, b) = (
-            &mut Packs::default(),
-            Left(a, rows, 0..k, false),
-            b.as_slice(),
-        );
-        gemm_ranged(Some(tile), packs, alpha, a, (b, n), (c_rows, n), n);
-    });
 }
 
 /// `C <- beta * C`, where `beta == 0` means "`C` is not read": a

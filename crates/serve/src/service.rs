@@ -226,13 +226,18 @@ impl Service {
         let m = hetgrid_obs::metrics();
         let fp = fingerprint(&key);
 
-        if let Some(bytes) = self
-            .cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(fp, &key)
-        {
-            m.counter("serve.cache.hits").inc();
+        let cached = || {
+            let hit = self
+                .cache
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .get(fp, &key);
+            if hit.is_some() {
+                m.counter("serve.cache.hits").inc();
+            }
+            hit
+        };
+        if let Some(bytes) = cached() {
             return bytes;
         }
 
@@ -242,6 +247,13 @@ impl Service {
             match inflight.get(&fp.0) {
                 Some(f) => (Arc::clone(f), false),
                 None => {
+                    // A leader may have cached this key and retired its
+                    // flight since the check above: look again before
+                    // leading. Lock order is in-flight, then cache; no
+                    // path takes them the other way round.
+                    if let Some(bytes) = cached() {
+                        return bytes;
+                    }
                     let f = Arc::new(Flight {
                         slot: Mutex::new(None),
                         done: Condvar::new(),

@@ -120,7 +120,7 @@ impl Session {
         let (c, report) = self.execute();
         let sample = IterationSample::from_true_times(
             self.iters_done,
-            &self.controller.plan().solution.arrangement,
+            &self.controller.plan().arr,
             truth_by_proc,
         );
         self.finish_step(c, report, sample)
@@ -128,7 +128,7 @@ impl Session {
 
     fn execute(&mut self) -> (Matrix, ExecReport) {
         let plan = self.controller.plan();
-        let weights = plan.solution.arrangement.slowdown_weights();
+        let weights = plan.arr.slowdown_weights();
         let (ga, gb) = (self.a.gather(), self.b.gather());
         let out = hetgrid_exec::run(
             &hetgrid_exec::ChannelTransport,
@@ -190,7 +190,7 @@ mod tests {
     #[test]
     fn plan_builds_and_simulates() {
         let plan = plan(&[1.0, 2.0, 3.0, 5.0], 8, 6);
-        assert!(plan.solution.obj2 > 1.8);
+        assert!(plan.alloc.obj2() > 1.8);
         let rep = plan.simulate(Kernel::Mm, 12, CostModel::default());
         assert!(rep.makespan > 0.0);
         let lu = plan.simulate(Kernel::Lu, 12, CostModel::default());
@@ -203,7 +203,7 @@ mod tests {
         let plan = plan(&times, 8, 6);
         let (next, moved) = plan.rebalance(&times, 24);
         assert_eq!(moved, 0.0);
-        assert!((next.solution.obj2 - plan.solution.obj2).abs() < 1e-12);
+        assert!((next.alloc.obj2() - plan.alloc.obj2()).abs() < 1e-12);
     }
 
     #[test]
