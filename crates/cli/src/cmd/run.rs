@@ -4,11 +4,11 @@ use crate::args::Args;
 use crate::obs_out::ObsSession;
 use hetgrid_core::exact::ExactOptions;
 use hetgrid_exec::{
-    run as exec_run, run_recovery, ChannelTransport, ExecConfig, GridFault, RecoveryHooks,
-    RunOutput, DEFAULT_LOOKAHEAD,
+    run as exec_run, run_recovery, ChannelTransport, ExecConfig, GridFault, RunOutput,
+    DEFAULT_LOOKAHEAD,
 };
 use hetgrid_harness::scenario::kernel_inputs;
-use hetgrid_harness::{resolve_grid_fault, FaultProfile, KillSchedule, VirtualTransport};
+use hetgrid_harness::{FaultProfile, KillSchedule, VirtualTransport};
 use hetgrid_linalg::gemm::matmul;
 use hetgrid_linalg::tri::{unit_lower_from_packed, upper_from_packed};
 use hetgrid_linalg::Matrix;
@@ -112,11 +112,6 @@ pub fn run(args: &Args) -> Result<(), String> {
                 events: vec![GridFault::Crash { proc, at_step }],
             };
             let transport = VirtualTransport::new(seed, FaultProfile::FIFO).with_kills(&schedule);
-            let hooks = RecoveryHooks {
-                events: Box::new(|| transport.fault_events()),
-                resolve: Box::new(|fault| resolve_grid_fault(arr, &weights, fault)),
-                redistribute: Box::new(|dm, from, to| hetgrid_adapt::redistribute(dm, from, to)),
-            };
             let rec = run_recovery(
                 &transport,
                 kernel,
@@ -126,7 +121,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                 r,
                 &weights,
                 cfg,
-                &hooks,
+                arr,
             )
             .map_err(|e| e.to_string())?;
             (rec.run, Some(((proc, at_step), rec.stats)))

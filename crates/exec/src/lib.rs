@@ -53,8 +53,9 @@
 //!   as a tuple;
 //! * [`run_solve_on_cfg`] — `A x = b`: [`run`] for the factorization,
 //!   triangular solves on the gathered factors;
-//! * [`run_recovery`] — [`run`] that survives grid faults by
-//!   checkpoint-restarting on the survivor grid ([`recovery`]);
+//! * [`run_recovery`] — [`run`] that survives one grid fault (the
+//!   transport reports it through [`Transport::faults`]) by
+//!   checkpoint-restarting on a re-solved survivor grid ([`recovery`]);
 //! * [`run_star_mm_on_cfg`] — memory-bounded master-worker `C = A * B`
 //!   on a [`hetgrid_core::Topology::Star`] per
 //!   [`hetgrid_plan::star_mm_plan`]; a separate entry because its
@@ -107,9 +108,7 @@ pub mod transport;
 
 pub use hetgrid_plan::Kernel;
 pub use qr::qr_unpack;
-pub use recovery::{
-    run_recovery, GridFault, RecoveryHooks, RecoveryOutput, RecoveryStats, SurvivorGrid,
-};
+pub use recovery::{run_recovery, GridFault, RecoveryOutput, RecoveryStats};
 pub use run::{run, run_cholesky_on_cfg, run_lu_on_cfg, run_mm_on_cfg, run_qr_on_cfg, RunOutput};
 pub use solve::{run_solve_on_cfg, SolveKind};
 pub use star::run_star_mm_on_cfg;

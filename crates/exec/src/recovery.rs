@@ -17,17 +17,17 @@
 //!
 //! Recovery then:
 //!
-//! 1. rolls the distributed matrix back to the cut via
+//! 1. asks the transport which fault fired ([`Transport::faults`]);
+//! 2. rolls the distributed matrix back to the cut via
 //!    [`CheckpointLog::state_at`];
-//! 2. asks the caller's `resolve` hook for the survivor grid — a new
-//!    `p' x q'` shape, a re-solved distribution and weight table, and a
-//!    `proc_map` from old to new linear processor ids;
-//! 3. places every block: survivors keep theirs (at their new linear
-//!    id), blocks of the dead processor are restored from the log
-//!    directly at their new owner;
-//! 4. hands the placement to the caller's `redistribute` hook
-//!    (`hetgrid-adapt`'s incremental mover) to migrate the survivor
-//!    blocks the re-solved distribution wants elsewhere;
+//! 3. builds the survivor grid: a crash drops the victim's row or
+//!    column (whichever carries less compute capacity), a join appends
+//!    a row, and the paper's exact solver re-solves the allocation on
+//!    the changed processor set;
+//! 4. places every block of the cut at its owner under the re-solved
+//!    distribution — a dead processor's blocks are restored from the
+//!    log, a survivor's block counts as moved when that owner is not
+//!    the survivor itself;
 //! 5. re-derives the step plan for the survivor distribution and
 //!    resumes execution at step `F` with a fresh journal.
 //!
@@ -38,15 +38,16 @@
 //! fault-free run — which is what the harness's `check_recovery`
 //! oracle asserts.
 //!
-//! The dependency layering keeps this module free of `hetgrid-adapt`
-//! and the harness: both the fault-event source and the redistribution
-//! engine arrive as [`RecoveryHooks`] closures.
+//! One fault per run: the survivor grid is always derived from the
+//! original arrangement, and a second fault in the same epoch is never
+//! seen.
 
 use crate::run::{run_seg, scatter_operands, GridState, RunOutput};
 use crate::step::ExecConfig;
 use crate::store::{BlockStore, CheckpointLog, DistributedMatrix};
 use crate::transport::{ExecError, Transport};
-use hetgrid_dist::BlockDist;
+use hetgrid_core::{exact, Arrangement};
+use hetgrid_dist::{BlockDist, PanelDist, PanelOrdering};
 use hetgrid_linalg::Matrix;
 use hetgrid_plan::Kernel;
 
@@ -71,35 +72,16 @@ pub enum GridFault {
     },
 }
 
-/// The caller's answer to a [`GridFault`]: the grid to continue on.
-pub struct SurvivorGrid {
-    /// Re-solved block distribution over the new grid (its
-    /// [`BlockDist::grid`] is the new shape).
-    pub dist: Box<dyn BlockDist + Send + Sync>,
+/// The grid a [`GridFault`] leaves behind.
+struct SurvivorGrid {
+    /// Re-solved block distribution over the new grid.
+    dist: PanelDist,
     /// Slowdown weights for the new grid.
-    pub weights: Vec<Vec<u64>>,
+    weights: Vec<Vec<u64>>,
     /// Old linear processor id to new linear id; `None` for a
     /// processor that died. A join maps every old id and grows the
     /// id space.
-    pub proc_map: Vec<Option<usize>>,
-}
-
-/// Environment hooks for [`run_recovery`], supplied by the caller so
-/// this crate stays independent of the harness (fault events) and
-/// `hetgrid-adapt` (redistribution).
-pub struct RecoveryHooks<'h> {
-    /// All grid faults the transport has injected so far, in firing
-    /// order. Queried after an epoch aborts; an abort with no new
-    /// fault is a genuine failure and is returned as the original
-    /// [`ExecError`].
-    pub events: Box<dyn Fn() -> Vec<GridFault> + 'h>,
-    /// Solves the load-balancing problem for the post-fault grid.
-    pub resolve: Box<dyn Fn(&GridFault) -> SurvivorGrid + 'h>,
-    /// Moves blocks from the first distribution to the second (both on
-    /// the same grid), returning how many blocks moved. Wired to
-    /// `hetgrid_adapt::redistribute` by real callers.
-    pub redistribute:
-        Box<dyn Fn(&mut DistributedMatrix, &dyn BlockDist, &dyn BlockDist) -> usize + 'h>,
+    proc_map: Vec<Option<usize>>,
 }
 
 /// What happened across the epochs of a recovered run.
@@ -115,7 +97,8 @@ pub struct RecoveryStats {
     /// Blocks that lived on a dead processor at its cut and were
     /// restored from the checkpoint store.
     pub dead_blocks: usize,
-    /// Blocks the incremental redistribution moved between survivors.
+    /// Survivor blocks the re-solved distribution placed on another
+    /// processor.
     pub blocks_moved: usize,
     /// Retired-step progress discarded by rolling back to the cut
     /// (work replayed by the next epoch).
@@ -131,56 +114,87 @@ pub struct RecoveryOutput {
     pub stats: RecoveryStats,
 }
 
-/// A [`BlockDist`] view of "where the blocks physically are" right
-/// after a fault, expressed on the *new* grid: a surviving block sits
-/// at its old owner's new linear id, a dead processor's block is
-/// restored from the checkpoint store directly at the address the new
-/// distribution wants it. Feeding this as the `from` side of the
-/// redistribution keeps both sides on the same grid (which the
-/// incremental mover requires) while moving only survivor blocks.
-struct RemappedDist<'a> {
-    old: &'a dyn BlockDist,
-    new: &'a dyn BlockDist,
-    proc_map: &'a [Option<usize>],
-}
-
-impl BlockDist for RemappedDist<'_> {
-    fn grid(&self) -> (usize, usize) {
-        self.new.grid()
-    }
-
-    fn owner(&self, bi: usize, bj: usize) -> (usize, usize) {
-        let (oi, oj) = self.old.owner(bi, bj);
-        let (_, oq) = self.old.grid();
-        match self.proc_map[oi * oq + oj] {
-            Some(id) => {
-                let (_, nq) = self.new.grid();
-                (id / nq, id % nq)
+/// The survivor grid after `fault` on the grid of `arr` (slowdown
+/// `weights`).
+///
+/// A crash drops the victim's entire grid *line* — its row or its
+/// column, whichever carries less aggregate compute capacity
+/// (`Σ 1/t` over the line; ties prefer the row) — so the survivor grid
+/// keeps the paper's 2D shape. A join grows the grid by one row of
+/// processors as fast as the fastest incumbent. The survivor
+/// distribution is re-solved from scratch (exact column allocation,
+/// interleaved panels on a `2p' x 2q'` panel grid), and the weight
+/// table is carried over by deleting/extending lines of the original —
+/// so an injected slowdown fault survives the resize with its victim.
+fn survivor_grid(arr: &Arrangement, weights: &[Vec<u64>], fault: &GridFault) -> SurvivorGrid {
+    let (p, q) = (arr.p(), arr.q());
+    let mut rows: Vec<Vec<f64>> = (0..p).map(|i| arr.row(i).to_vec()).collect();
+    let mut weights = weights.to_vec();
+    let proc_map = match *fault {
+        GridFault::Crash { proc, .. } => {
+            let (di, dj) = (proc / q, proc % q);
+            let row_loss: f64 = (0..q).map(|j| 1.0 / arr.time(di, j)).sum();
+            let col_loss: f64 = (0..p).map(|i| 1.0 / arr.time(i, dj)).sum();
+            if (p > 1 && row_loss <= col_loss) || q == 1 {
+                // Drop row `di`: the survivors below it move up a row.
+                rows.remove(di);
+                weights.remove(di);
+                (0..p * q)
+                    .map(|id| (id / q != di).then(|| id - q * usize::from(id / q > di)))
+                    .collect()
+            } else {
+                // Drop column `dj`: each row's survivors close up.
+                for row in &mut rows {
+                    row.remove(dj);
+                }
+                for row in &mut weights {
+                    row.remove(dj);
+                }
+                (0..p * q)
+                    .map(|id| {
+                        let (i, j) = (id / q, id % q);
+                        (j != dj).then(|| id - i - usize::from(j > dj))
+                    })
+                    .collect()
             }
-            None => self.new.owner(bi, bj),
         }
-    }
-
-    fn is_cartesian(&self) -> bool {
-        false
+        GridFault::Join { .. } => {
+            // One new row of joiners, as fast as the fastest incumbent;
+            // existing linear ids are unchanged.
+            let t_min = arr.times().iter().copied().fold(f64::INFINITY, f64::min);
+            let w_min = weights.iter().flatten().copied().min().unwrap_or(1);
+            rows.push(vec![t_min; q]);
+            weights.push(vec![w_min; q]);
+            (0..p * q).map(Some).collect()
+        }
+    };
+    let arr = Arrangement::from_rows(&rows);
+    let alloc = exact::solve_arrangement(&arr).alloc;
+    let (np, nq) = (arr.p(), arr.q());
+    SurvivorGrid {
+        dist: PanelDist::from_allocation(&arr, &alloc, 2 * np, 2 * nq, PanelOrdering::Interleaved),
+        weights,
+        proc_map,
     }
 }
 
-/// Runs a kernel to completion over `transport`, surviving any grid
-/// faults the transport injects by checkpoint-restarting on the
+/// Runs a kernel to completion over `transport`, surviving a grid
+/// fault the transport injects by checkpoint-restarting on the
 /// survivor grid (see the module docs for the protocol).
 ///
 /// `kernel` and `inputs` are as for [`crate::run`]; the matrices are
 /// `nb x nb` blocks of size `r`, initially laid out by `dist` with
-/// slowdown `weights`. Returns the gathered result —
+/// slowdown `weights` on the processor grid of `arr`, which the
+/// survivor grid is re-solved from. Returns the gathered result —
 /// bit-exact against the fault-free run — or the original
 /// [`ExecError`] when an epoch aborts without a fault event (a genuine
 /// failure, e.g. an un-recovered crash).
 ///
 /// # Panics
 /// Panics if a fault's survivor grid loses blocks (conservation is
-/// asserted after every redistribution) or on the size mismatches the
-/// underlying kernels reject.
+/// asserted after every placement), if a second fault fires after the
+/// grid changed shape, or on the size mismatches the underlying kernels
+/// reject.
 pub fn run_recovery(
     transport: &impl Transport,
     kernel: Kernel,
@@ -190,7 +204,7 @@ pub fn run_recovery(
     r: usize,
     weights: &[Vec<u64>],
     cfg: ExecConfig,
-    hooks: &RecoveryHooks<'_>,
+    arr: &Arrangement,
 ) -> Result<RecoveryOutput, ExecError> {
     let (p, q) = dist.grid();
     let mut state = GridState::scatter(kernel, inputs, dist, nb, r);
@@ -205,7 +219,7 @@ pub fn run_recovery(
 
     loop {
         let (cur_dist, cur_weights): (&(dyn BlockDist + Sync), &[Vec<u64>]) = match &survivor {
-            Some(s) => (&*s.dist, &s.weights),
+            Some(s) => (&s.dist, &s.weights),
             None => (dist, weights),
         };
         let plan = kernel.plan(cur_dist, nb);
@@ -230,7 +244,7 @@ pub fn run_recovery(
         // The epoch aborted. A new fault event means the transport
         // killed (or paused) us on purpose; none means the grid really
         // broke, and the error propagates untouched.
-        let faults = (hooks.events)();
+        let faults = transport.faults();
         if faults.len() <= handled {
             return Err(err);
         }
@@ -238,7 +252,7 @@ pub fn run_recovery(
         handled = faults.len();
 
         let frontier = log.frontier();
-        let sv = (hooks.resolve)(&fault);
+        let sv = survivor_grid(arr, weights, &fault);
         let (np, nq) = sv.dist.grid();
         let (op, oq) = cur_dist.grid();
         assert_eq!(
@@ -277,10 +291,9 @@ pub fn run_recovery(
         stats.frontier = frontier;
         stats.replayed_steps += (at_step + 1).saturating_sub(frontier);
 
-        // Re-place every block of the cut on the new grid: survivors at
-        // their mapped id, dead-processor blocks straight at the new
-        // distribution's address. Then let the incremental mover settle
-        // the survivors the re-solved distribution wants elsewhere.
+        // Place every block of the cut at its owner on the new grid.
+        // A dead processor's blocks are restored from the log; a
+        // survivor's block moves when that owner is not the survivor.
         let total_blocks = cut.len();
         let mut placed = DistributedMatrix {
             r,
@@ -289,19 +302,16 @@ pub fn run_recovery(
             stores: vec![BlockStore::new(); np * nq],
             grid: (np, nq),
         };
-        {
-            let remap = RemappedDist {
-                old: cur_dist,
-                new: &*sv.dist,
-                proc_map: &sv.proc_map,
-            };
-            for (&(bi, bj), data) in &cut {
-                let (i, j) = remap.owner(bi, bj);
-                placed.stores[i * nq + j].insert((bi, bj), data.clone());
+        let mut moved = 0;
+        for ((bi, bj), data) in cut {
+            let (i, j) = sv.dist.owner(bi, bj);
+            let (oi, oj) = cur_dist.owner(bi, bj);
+            if sv.proc_map[oi * oq + oj].is_some_and(|id| id != i * nq + j) {
+                moved += 1;
             }
-            let moved = (hooks.redistribute)(&mut placed, &remap, &*sv.dist);
-            stats.blocks_moved += moved;
+            placed.stores[i * nq + j].insert((bi, bj), data);
         }
+        stats.blocks_moved += moved;
         let placed_count: usize = placed.stores.iter().map(BlockStore::len).sum();
         assert_eq!(
             placed_count, total_blocks,
@@ -313,8 +323,7 @@ pub fn run_recovery(
             GridFault::Crash { .. } => m.counter("exec.recovery.crashes").inc(),
             GridFault::Join { .. } => m.counter("exec.recovery.joins").inc(),
         }
-        m.counter("exec.recovery.blocks_moved")
-            .add(stats.blocks_moved as u64);
+        m.counter("exec.recovery.blocks_moved").add(moved as u64);
         m.counter("exec.recovery.replayed_steps")
             .add((at_step + 1).saturating_sub(frontier) as u64);
         // Mark the epoch boundary on the recovery track and dump the
@@ -337,7 +346,7 @@ pub fn run_recovery(
         state.main = placed;
         // MM's operands are read-only: re-scatter them on the new
         // distribution instead of journaling them.
-        state.operands = scatter_operands(kernel, inputs, &*sv.dist, nb, r);
+        state.operands = scatter_operands(kernel, inputs, &sv.dist, nb, r);
 
         survivor = Some(sv);
         start = frontier;
@@ -348,32 +357,124 @@ pub fn run_recovery(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetgrid_dist::BlockCyclic;
 
-    /// A remapped view with a dead processor: survivor blocks follow
-    /// the proc_map, the dead processor's blocks land wherever the new
-    /// distribution puts them.
+    fn crash(proc: usize) -> GridFault {
+        GridFault::Crash { proc, at_step: 0 }
+    }
+
+    /// The panels `survivor_grid` must build for the survivor
+    /// cycle-time `rows`.
+    fn panels(rows: &[Vec<f64>]) -> PanelDist {
+        let arr = Arrangement::from_rows(rows);
+        let sol = exact::solve_arrangement(&arr);
+        PanelDist::from_allocation(
+            &arr,
+            &sol.alloc,
+            2 * arr.p(),
+            2 * arr.q(),
+            PanelOrdering::Interleaved,
+        )
+    }
+
+    fn weights(p: usize, q: usize) -> Vec<Vec<u64>> {
+        (0..p)
+            .map(|i| (0..q).map(|j| (10 * i + j + 1) as u64).collect())
+            .collect()
+    }
+
     #[test]
-    fn remapped_dist_maps_survivors_and_rehomes_dead_blocks() {
-        // Old 2x2 cyclic grid; processor (0,1) (linear 1) dies, the
-        // survivors renumber to a 1x3 row: 0->0, 2->1, 3->2.
-        let old = BlockCyclic::new(2, 2);
-        let new = BlockCyclic::new(1, 3);
-        let proc_map = vec![Some(0), None, Some(1), Some(2)];
-        let remap = RemappedDist {
-            old: &old,
-            new: &new,
-            proc_map: &proc_map,
-        };
-        assert_eq!(remap.grid(), (1, 3));
-        // (0,0): old owner (0,0) = linear 0 -> new linear 0 = (0,0).
-        assert_eq!(remap.owner(0, 0), (0, 0));
-        // (1,0): old owner (1,0) = linear 2 -> new linear 1 = (0,1).
-        assert_eq!(remap.owner(1, 0), (0, 1));
-        // (1,1): old owner (1,1) = linear 3 -> new linear 2 = (0,2).
-        assert_eq!(remap.owner(1, 1), (0, 2));
-        // (0,1): old owner (0,1) is dead -> new dist's address.
-        assert_eq!(remap.owner(0, 1), new.owner(0, 1));
-        assert!(!remap.is_cartesian());
+    fn a_crash_drops_the_line_with_less_capacity() {
+        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
+        // Proc 3 = (1,1): its row loses 1/3 + 1/5, its column 1/2 + 1/5.
+        let sv = survivor_grid(&arr, &weights(2, 2), &crash(3));
+        assert_eq!(sv.dist, panels(&[vec![1.0, 2.0]]));
+        assert_eq!(sv.proc_map, [Some(0), Some(1), None, None]);
+        // Proc 0 = (0,0): its row loses 1 + 1/2, its column 1 + 1/3.
+        let sv = survivor_grid(&arr, &weights(2, 2), &crash(0));
+        assert_eq!(sv.dist, panels(&[vec![2.0], vec![5.0]]));
+        assert_eq!(sv.proc_map, [None, Some(0), None, Some(1)]);
+    }
+
+    #[test]
+    fn a_tie_drops_the_row() {
+        let arr = Arrangement::from_rows(&[vec![2.0, 2.0], vec![2.0, 2.0]]);
+        let sv = survivor_grid(&arr, &weights(2, 2), &crash(1));
+        assert_eq!(sv.dist.grid(), (1, 2));
+        assert_eq!(sv.proc_map, [None, None, Some(0), Some(1)]);
+    }
+
+    #[test]
+    fn a_single_column_loses_a_row_and_a_single_row_a_column() {
+        let col = Arrangement::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
+        let sv = survivor_grid(&col, &weights(3, 1), &crash(1));
+        assert_eq!(sv.dist.grid(), (2, 1));
+        assert_eq!(sv.proc_map, [Some(0), None, Some(1)]);
+        let row = Arrangement::from_rows(&[vec![1.0, 2.0, 3.0]]);
+        let sv = survivor_grid(&row, &weights(1, 3), &crash(1));
+        assert_eq!(sv.dist.grid(), (1, 2));
+        assert_eq!(sv.proc_map, [Some(0), None, Some(1)]);
+    }
+
+    #[test]
+    fn survivors_are_renumbered_and_keep_their_weights() {
+        let rows = vec![
+            vec![1.0, 9.0, 2.0],
+            vec![9.0, 9.0, 9.0],
+            vec![3.0, 9.0, 4.0],
+        ];
+        let arr = Arrangement::from_rows(&rows);
+        let w = weights(3, 3);
+        // Proc 4 = (1,1): row and column tie, the row goes.
+        let sv = survivor_grid(&arr, &w, &crash(4));
+        assert_eq!(sv.dist, panels(&[rows[0].clone(), rows[2].clone()]));
+        assert_eq!(
+            sv.proc_map,
+            [
+                Some(0),
+                Some(1),
+                Some(2),
+                None,
+                None,
+                None,
+                Some(3),
+                Some(4),
+                Some(5)
+            ]
+        );
+        assert_eq!(sv.weights, [w[0].clone(), w[2].clone()]);
+        // Proc 1 = (0,1): the slow middle column is cheaper than row 0.
+        let sv = survivor_grid(&arr, &w, &crash(1));
+        assert_eq!(
+            sv.dist,
+            panels(&[vec![1.0, 2.0], vec![9.0, 9.0], vec![3.0, 4.0]])
+        );
+        assert_eq!(
+            sv.proc_map,
+            [
+                Some(0),
+                None,
+                Some(1),
+                Some(2),
+                None,
+                Some(3),
+                Some(4),
+                None,
+                Some(5)
+            ]
+        );
+        assert_eq!(sv.weights, [[1, 3], [11, 13], [21, 23]]);
+    }
+
+    #[test]
+    fn a_join_appends_the_fastest_time_and_smallest_weight() {
+        let arr = Arrangement::from_rows(&[vec![2.0, 3.0], vec![5.0, 4.0]]);
+        let w = weights(2, 2);
+        let sv = survivor_grid(&arr, &w, &GridFault::Join { at_step: 0 });
+        assert_eq!(
+            sv.dist,
+            panels(&[vec![2.0, 3.0], vec![5.0, 4.0], vec![2.0, 2.0]])
+        );
+        assert_eq!(sv.weights, [[1, 2], [11, 12], [1, 1]]);
+        assert_eq!(sv.proc_map, [Some(0), Some(1), Some(2), Some(3)]);
     }
 }

@@ -20,6 +20,7 @@
 //! fails (or the harness aborts the run) rather than blocking forever
 //! once delivery is impossible.
 
+use crate::recovery::GridFault;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -136,6 +137,13 @@ pub trait Transport {
     /// Creates `n` mutually connected endpoints; endpoint `i` receives
     /// what anyone sends to destination `i`.
     fn connect<T: Send + 'static>(&self, n: usize) -> Vec<Box<dyn Endpoint<T>>>;
+
+    /// The grid faults this transport has injected so far, in firing
+    /// order ([`crate::run_recovery`] reads it after an epoch aborts).
+    /// The default injects none, so every abort is a genuine failure.
+    fn faults(&self) -> Vec<GridFault> {
+        Vec::new()
+    }
 }
 
 /// The default transport: one unbounded `std::sync::mpsc` channel per

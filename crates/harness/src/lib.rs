@@ -13,7 +13,10 @@
 //!   and the seeded decision function;
 //! * [`vtransport`] — the virtual [`hetgrid_exec::Transport`] that
 //!   delays and reorders messages within the kernels' permitted
-//!   semantics, with a starvation watchdog that reports the seed;
+//!   semantics, crashes or pauses processors on a [`KillSchedule`]
+//!   (reported through [`hetgrid_exec::Transport::faults`], which
+//!   `hetgrid_exec::run_recovery` reads), with a starvation watchdog
+//!   that reports the seed;
 //! * [`scenario`] — seeded generation of grids, cycle-times,
 //!   distributions, and matrices;
 //! * [`oracles`] — executor output vs. `hetgrid-linalg` reference,
@@ -45,7 +48,7 @@ pub mod vtransport;
 pub use faults::{kill_variants, FaultProfile, KillSchedule};
 pub use hetgrid_plan::Kernel;
 pub use runner::{
-    resolve_grid_fault, run_adapt_case, run_exec_case, run_recovery_case, run_recovery_join_case,
+    run_adapt_case, run_exec_case, run_recovery_case, run_recovery_join_case,
     run_redistribution_case, run_solve_case, run_star_case,
 };
 pub use vtransport::VirtualTransport;

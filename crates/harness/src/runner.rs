@@ -12,11 +12,9 @@ use crate::scenario::{
 };
 use crate::vtransport::VirtualTransport;
 use hetgrid_adapt::{ControllerConfig, Outcome, Scenario};
-use hetgrid_core::{exact, Arrangement};
-use hetgrid_dist::{PanelDist, PanelOrdering};
 use hetgrid_exec::{
-    run, run_recovery, run_solve_on_cfg, run_star_mm_on_cfg, ExecConfig, ExecReport, GridFault,
-    RecoveryHooks, SolveKind, SurvivorGrid,
+    run, run_recovery, run_solve_on_cfg, run_star_mm_on_cfg, ExecConfig, ExecReport, RecoveryStats,
+    SolveKind,
 };
 use hetgrid_linalg::gemm::matvec;
 use hetgrid_linalg::Matrix;
@@ -197,128 +195,27 @@ pub fn run_star_case(profile: FaultProfile, seed: u64) {
     );
 }
 
-/// Solves the post-fault load-balancing problem for a grid fault — the
-/// `resolve` hook behind both the harness's recovery cases and
-/// `hetgrid run --crash`.
-///
-/// A crash drops the victim's entire grid *line* — its row or its
-/// column, whichever carries less aggregate compute capacity
-/// (`Σ 1/t` over the line; ties prefer the row) — so the survivor grid
-/// keeps the paper's 2D shape. A join grows the grid by one row of
-/// processors as fast as the fastest incumbent. The survivor
-/// distribution is re-solved from scratch (exact column allocation,
-/// interleaved panels on a `2p' x 2q'` panel grid), and the weight
-/// table is carried over by deleting/extending lines of the original —
-/// so an injected slowdown fault survives the resize with its victim.
-pub fn resolve_grid_fault(
-    arr: &Arrangement,
-    weights: &[Vec<u64>],
-    fault: &GridFault,
-) -> SurvivorGrid {
-    // (survivor cycle-time rows, survivor weights, old -> new linear id map)
-    type SurvivorTables = (Vec<Vec<f64>>, Vec<Vec<u64>>, Vec<Option<usize>>);
-    let (p, q) = (arr.p(), arr.q());
-    let all_rows: Vec<Vec<f64>> = (0..p).map(|i| arr.row(i).to_vec()).collect();
-    let (rows, weights2, proc_map): SurvivorTables = match *fault {
-        GridFault::Crash { proc, .. } => {
-            let (di, dj) = (proc / q, proc % q);
-            let row_loss: f64 = (0..q).map(|j| 1.0 / arr.time(di, j)).sum();
-            let col_loss: f64 = (0..p).map(|i| 1.0 / arr.time(i, dj)).sum();
-            if (p > 1 && row_loss <= col_loss) || q == 1 {
-                // Drop row `di`; survivors above keep their row
-                // index, survivors below shift up by one.
-                let rows = (0..p)
-                    .filter(|&i| i != di)
-                    .map(|i| all_rows[i].clone())
-                    .collect();
-                let w = (0..p)
-                    .filter(|&i| i != di)
-                    .map(|i| weights[i].clone())
-                    .collect();
-                let map = (0..p * q)
-                    .map(|id| {
-                        let (i, j) = (id / q, id % q);
-                        (i != di).then(|| (i - usize::from(i > di)) * q + j)
-                    })
-                    .collect();
-                (rows, w, map)
-            } else {
-                // Drop column `dj`.
-                let rows = all_rows
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .enumerate()
-                            .filter(|&(j, _)| j != dj)
-                            .map(|(_, &t)| t)
-                            .collect()
-                    })
-                    .collect();
-                let w = weights
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .enumerate()
-                            .filter(|&(j, _)| j != dj)
-                            .map(|(_, &x)| x)
-                            .collect()
-                    })
-                    .collect();
-                let map = (0..p * q)
-                    .map(|id| {
-                        let (i, j) = (id / q, id % q);
-                        (j != dj).then(|| i * (q - 1) + j - usize::from(j > dj))
-                    })
-                    .collect();
-                (rows, w, map)
-            }
-        }
-        GridFault::Join { .. } => {
-            // One new row of joiners, as fast as the fastest
-            // incumbent. Existing linear ids are unchanged (the row
-            // is appended and `q` stays the same).
-            let t_min = arr.times().iter().copied().fold(f64::INFINITY, f64::min);
-            let w_min = weights.iter().flatten().copied().min().unwrap_or(1);
-            let mut rows = all_rows;
-            rows.push(vec![t_min; q]);
-            let mut w = weights.to_vec();
-            w.push(vec![w_min; q]);
-            let map = (0..p * q).map(Some).collect();
-            (rows, w, map)
-        }
-    };
-    let arr2 = Arrangement::from_rows(&rows);
-    let sol = exact::solve_arrangement(&arr2);
-    let dist = Box::new(PanelDist::from_allocation(
-        &arr2,
-        &sol.alloc,
-        2 * arr2.p(),
-        2 * arr2.q(),
-        PanelOrdering::Interleaved,
-    ));
-    SurvivorGrid {
-        dist,
-        weights: weights2,
-        proc_map,
-    }
-}
-
 /// Runs one elastic-grid recovery case: the scenario of `seed` under a
 /// seeded single-crash kill schedule (`variant` picks the victim and
 /// the retirement boundary), driven through
 /// [`hetgrid_exec::run_recovery`] and judged by the
 /// [`oracles::check_recovery`] differential oracle — the recovered
 /// result must be bit-exact against the fault-free reference run — plus
-/// the kernel's own numerical oracle.
+/// the kernel's own numerical oracle. Returns what recovery did.
 ///
 /// # Panics
 /// Panics — with the seed, kill schedule, profile, and scenario in the
 /// message — when recovery fails or any oracle rejects the run.
-pub fn run_recovery_case(kernel: Kernel, profile: FaultProfile, seed: u64, variant: u64) {
+pub fn run_recovery_case(
+    kernel: Kernel,
+    profile: FaultProfile,
+    seed: u64,
+    variant: u64,
+) -> RecoveryStats {
     let sc = exec_scenario(seed);
     let (p, q) = sc.grid();
     let schedule = KillSchedule::single_crash(seed, variant, p * q, sc.nb);
-    recovery_case(kernel, profile, seed, sc, schedule);
+    recovery_case(kernel, profile, seed, sc, schedule)
 }
 
 /// Like [`run_recovery_case`], but the grid fault is a processor *join*:
@@ -328,10 +225,15 @@ pub fn run_recovery_case(kernel: Kernel, profile: FaultProfile, seed: u64, varia
 /// # Panics
 /// Panics with the replay seed in the message when any oracle rejects
 /// the run.
-pub fn run_recovery_join_case(kernel: Kernel, profile: FaultProfile, seed: u64, variant: u64) {
+pub fn run_recovery_join_case(
+    kernel: Kernel,
+    profile: FaultProfile,
+    seed: u64,
+    variant: u64,
+) -> RecoveryStats {
     let sc = exec_scenario(seed);
     let schedule = KillSchedule::single_join(seed, variant, sc.nb);
-    recovery_case(kernel, profile, seed, sc, schedule);
+    recovery_case(kernel, profile, seed, sc, schedule)
 }
 
 fn recovery_case(
@@ -340,7 +242,7 @@ fn recovery_case(
     seed: u64,
     sc: ExecScenario,
     schedule: KillSchedule,
-) {
+) -> RecoveryStats {
     let ctx = format!(
         "{kernel:?} recovery from {:?} under '{}' on {} — replay: HARNESS_SEED={seed} \
          cargo test -p hetgrid-harness",
@@ -372,11 +274,6 @@ fn recovery_case(
 
     // The faulty run: same transport semantics plus the kill schedule.
     let transport = VirtualTransport::new(seed, profile).with_kills(&schedule);
-    let hooks = RecoveryHooks {
-        events: Box::new(|| transport.fault_events()),
-        resolve: Box::new(|fault| resolve_grid_fault(&sc.arr, &sc.weights, fault)),
-        redistribute: Box::new(|dm, from, to| hetgrid_adapt::redistribute(dm, from, to)),
-    };
     let out = run_recovery(
         &transport,
         kernel,
@@ -386,7 +283,7 @@ fn recovery_case(
         sc.r,
         &sc.weights,
         cfg,
-        &hooks,
+        &sc.arr,
     )
     .unwrap_or_else(|e| panic!("harness: {e}\n  case: {ctx}"));
     let (out, stats) = (out.run, out.stats);
@@ -408,6 +305,7 @@ fn recovery_case(
         oracles::check_kernel(kernel, &inputs, &out, sc.nb, sc.r),
         &ctx,
     );
+    stats
 }
 
 /// Runs one redistribution case: scatter a matrix, move it between two

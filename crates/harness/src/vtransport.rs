@@ -92,7 +92,7 @@ impl VirtualTransport {
 
     /// Arms a grid-fault schedule: each event fires once, at the
     /// retirement beacon of its boundary, and is recorded in
-    /// [`VirtualTransport::fault_events`].
+    /// [`Transport::faults`].
     pub fn with_kills(mut self, schedule: &KillSchedule) -> Self {
         self.kills = Arc::new(KillState {
             entries: schedule
@@ -111,12 +111,6 @@ impl VirtualTransport {
     pub fn with_watchdog(mut self, window: Duration) -> Self {
         self.watchdog = window;
         self
-    }
-
-    /// The grid faults that have fired so far, in firing order. This is
-    /// the `events` hook of `hetgrid_exec::recovery::RecoveryHooks`.
-    pub fn fault_events(&self) -> Vec<GridFault> {
-        self.kills.fired()
     }
 
     /// The run seed (reported in failure messages).
@@ -416,6 +410,10 @@ impl Transport for VirtualTransport {
                 }) as Box<dyn Endpoint<T>>
             })
             .collect()
+    }
+
+    fn faults(&self) -> Vec<GridFault> {
+        self.kills.fired()
     }
 }
 

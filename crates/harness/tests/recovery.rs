@@ -7,7 +7,7 @@
 //! `HARNESS_KILLS=<k>` sweeps more crash points per seed (nightly CI
 //! does), and `HARNESS_SEEDS=<count>` widens the corpus as usual.
 
-use hetgrid_exec::{GridFault, Transport};
+use hetgrid_exec::{GridFault, RecoveryStats, Transport};
 use hetgrid_harness::{
     kill_variants, run_recovery_case, run_recovery_join_case, seed_corpus, FaultProfile, Kernel,
     KillSchedule, VirtualTransport,
@@ -40,7 +40,7 @@ macro_rules! crash_cases {
         #[test]
         fn $name() {
             over_kill_corpus(stringify!($name), |seed, variant| {
-                run_recovery_case($kernel, $profile, seed, variant)
+                run_recovery_case($kernel, $profile, seed, variant);
             });
         }
     )*};
@@ -70,7 +70,7 @@ macro_rules! join_cases {
         #[test]
         fn $name() {
             over_kill_corpus(stringify!($name), |seed, variant| {
-                run_recovery_join_case($kernel, FaultProfile::CHAOS, seed, variant)
+                run_recovery_join_case($kernel, FaultProfile::CHAOS, seed, variant);
             });
         }
     )*};
@@ -84,13 +84,37 @@ join_cases! {
 }
 
 /// Same seed, same schedule, run twice: the whole recovery path — kill
-/// firing, frontier, survivor grid, redistribution, resumed epoch — is
+/// firing, frontier, survivor grid, block placement, resumed epoch — is
 /// a pure function of the seed.
 #[test]
 fn recovery_is_deterministic() {
     for seed in seed_corpus().into_iter().take(2) {
         run_recovery_case(Kernel::Lu, FaultProfile::CHAOS, seed, 0);
         run_recovery_case(Kernel::Lu, FaultProfile::CHAOS, seed, 0);
+    }
+}
+
+/// What recovery did on one crash and one join per kernel, each on the
+/// kernel's own corpus seed: `(crashes, joins, dead_blocks,
+/// blocks_moved)`. These follow from the fault, the scenario and the
+/// survivor policy alone; the frontier and the replayed steps depend on
+/// thread timing and are not pinned.
+#[test]
+fn recovery_counts_are_pinned() {
+    let counts = |s: RecoveryStats| (s.crashes, s.joins, s.dead_blocks, s.blocks_moved);
+    let cases = [
+        (Kernel::Mm, (1, 0, 6, 4), (0, 1, 0, 17)),
+        (Kernel::Lu, (1, 0, 2, 19), (0, 1, 0, 28)),
+        (Kernel::Cholesky, (1, 0, 8, 20), (0, 1, 0, 36)),
+        (Kernel::Qr, (1, 0, 4, 18), (0, 1, 0, 30)),
+    ];
+    for (i, (kernel, crash, join)) in cases.into_iter().enumerate() {
+        // Corpus seed `i`, fixed whatever `HARNESS_SEED` says.
+        let seed = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED;
+        let stats = run_recovery_case(kernel, FaultProfile::FIFO, seed, 0);
+        assert_eq!(counts(stats), crash, "{kernel:?} crash");
+        let stats = run_recovery_join_case(kernel, FaultProfile::CHAOS, seed, 0);
+        assert_eq!(counts(stats), join, "{kernel:?} join");
     }
 }
 
