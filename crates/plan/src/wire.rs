@@ -1,14 +1,21 @@
-//! Binary wire codec for [`Plan`]: a compact, versioned, deterministic
-//! serialization so a schedule can be cached, shipped over a socket, or
-//! written to disk and rebuilt bit-for-bit elsewhere.
+//! The workspace's one binary codec, and the byte form of a [`Plan`]
+//! written with it: compact, versioned and deterministic, so a schedule
+//! can be cached, shipped over a socket, or written to disk and rebuilt
+//! bit-for-bit elsewhere.
 //!
-//! The primary consumer is `hetgrid-serve`, whose content-addressed
-//! plan cache stores encoded plans and whose `plan` endpoint returns
-//! them to remote clients; the round-trip property (`decode(encode(p))
-//! == p`) is what makes a cached response interchangeable with a fresh
-//! solve.
+//! Every encoded type implements [`Field`] once: `put` appends its
+//! bytes, `get` reads them back through the bounds-checked [`Reader`],
+//! and `MIN_BYTES` is the fewest bytes it occupies, so every length
+//! prefix is checked against the bytes left before anything is
+//! allocated. All integers are little-endian; a `usize` travels as a
+//! `u32`, an `f64` as its raw IEEE-754 bits, a `Vec` or `String` as a
+//! `u32` count followed by its elements, a pair as its two halves.
+//! `hetgrid-serve` writes its request/response protocol and its cache
+//! keys with the same fields and reads them with the same [`Reader`]
+//! and [`DecodeError`].
 //!
-//! Format (all integers little-endian, indices as `u32`):
+//! Plan format (`decode(encode(p)) == p`, which is what makes a cached
+//! serve response interchangeable with a fresh solve):
 //!
 //! ```text
 //! u8 version (= 1)
@@ -17,9 +24,8 @@
 //! u32 nsteps, then per step:
 //!   u8 tag: 0 Mm, 1 Factor, 2 Cholesky, 3 Qr,
 //!           4 Load, 5 Compute, 6 Evict (star steps)
-//!   tag-specific fields in declaration order; every Vec is a u32
-//!   count followed by its elements; a grid coordinate is two u32s;
-//!   a Mat is one byte (0 A, 1 B, 2 C), a LoadSrc one byte
+//!   tag-specific fields in declaration order; a grid coordinate is two
+//!   u32s; a Mat is one byte (0 A, 1 B, 2 C), a LoadSrc one byte
 //!   (0 Master, 1 Zero), a bool one byte (0 / 1).
 //! ```
 //!
@@ -37,26 +43,25 @@ use crate::{Bcast, LoadSrc, Mat, OwnerWork, Plan, QrColumn, Step};
 /// Codec version written by [`encode`] and required by [`decode`].
 pub const WIRE_VERSION: u8 = 1;
 
-/// Why a plan buffer failed to decode (see [`DecodeError`]).
+/// Why a buffer failed to decode (see [`DecodeError`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecodeErrorKind {
     /// The input ended mid-field, or a length prefix implied more bytes
     /// than remain.
     Truncated,
-    /// The version byte is not [`WIRE_VERSION`]; the payload may be a
-    /// valid plan from a different codec generation.
+    /// The version byte is not the one this build speaks; the payload
+    /// may be valid for a different codec generation.
     UnsupportedVersion(u8),
     /// A step tag outside the known set — likely a plan from a newer
     /// codec that added step kinds.
     UnknownStepTag(u8),
-    /// An enum-coded field (`Mat`, `LoadSrc`, bool) held a byte outside
-    /// its valid range.
+    /// A field held a value outside its valid range.
     InvalidField,
-    /// Bytes left over after a complete plan.
+    /// Bytes left over after a complete value.
     TrailingBytes,
 }
 
-/// A malformed plan buffer: what went wrong and where.
+/// A malformed buffer: what went wrong and where.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodeError {
     /// Byte offset at which decoding failed.
@@ -70,72 +75,302 @@ pub struct DecodeError {
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed plan at byte {}: {}", self.offset, self.what)
+        write!(
+            f,
+            "malformed payload at byte {}: {}",
+            self.offset, self.what
+        )
     }
 }
 
 impl std::error::Error for DecodeError {}
 
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&(v as u32).to_le_bytes());
+/// A bounds-checked cursor over an encoded buffer: every read yields
+/// its bytes or a [`DecodeError`] at the current offset.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
 }
 
-fn put_pair(out: &mut Vec<u8>, (a, b): (usize, usize)) {
-    put_u32(out, a);
-    put_u32(out, b);
-}
-
-fn put_pairs(out: &mut Vec<u8>, pairs: &[(usize, usize)]) {
-    put_u32(out, pairs.len());
-    for &p in pairs {
-        put_pair(out, p);
+impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
     }
-}
 
-fn put_bcasts(out: &mut Vec<u8>, bcasts: &[Bcast]) {
-    put_u32(out, bcasts.len());
-    for b in bcasts {
-        put_pair(out, b.block);
-        put_pair(out, b.src);
-        put_pairs(out, &b.dests);
-    }
-}
-
-fn put_work(out: &mut Vec<u8>, work: &[OwnerWork]) {
-    put_u32(out, work.len());
-    for w in work {
-        put_pair(out, w.owner);
-        put_u32(out, w.blocks);
-    }
-}
-
-fn put_table(out: &mut Vec<u8>, table: &[Vec<usize>]) {
-    put_u32(out, table.len());
-    for row in table {
-        put_u32(out, row.len());
-        for &v in row {
-            put_u32(out, v);
+    /// An error of `kind` at the current offset.
+    pub fn err(&self, what: &'static str, kind: DecodeErrorKind) -> DecodeError {
+        DecodeError {
+            offset: self.pos,
+            what,
+            kind,
         }
     }
-}
 
-fn mat_byte(mat: Mat) -> u8 {
-    match mat {
-        Mat::A => 0,
-        Mat::B => 1,
-        Mat::C => 2,
+    /// True once every byte has been read.
+    pub fn is_empty(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], DecodeError> {
+        let bytes = self.buf[self.pos..]
+            .get(..n)
+            .ok_or_else(|| self.err(what, DecodeErrorKind::Truncated))?;
+        self.pos += n;
+        Ok(bytes)
+    }
+
+    /// The next `N` bytes, by value.
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], DecodeError> {
+        let (bytes, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.err(what, DecodeErrorKind::Truncated))?;
+        self.pos += N;
+        Ok(*bytes)
+    }
+
+    /// The next byte.
+    pub fn byte(&mut self, what: &'static str) -> Result<u8, DecodeError> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    /// The next value of type `T`.
+    pub fn get<T: Field>(&mut self, what: &'static str) -> Result<T, DecodeError> {
+        T::get(self, what)
+    }
+
+    /// Reads a `u32` element count and checks it against the bytes left
+    /// (each element needs at least `min` bytes), so a corrupt length can
+    /// never trigger a huge allocation.
+    fn count(&mut self, min: usize, what: &'static str) -> Result<usize, DecodeError> {
+        let n: usize = self.get(what)?;
+        if n.saturating_mul(min) > self.buf.len() - self.pos {
+            return Err(self.err(what, DecodeErrorKind::Truncated));
+        }
+        Ok(n)
+    }
+
+    /// Fails unless every byte has been read.
+    pub fn done(&self, what: &'static str) -> Result<(), DecodeError> {
+        if !self.is_empty() {
+            return Err(self.err(what, DecodeErrorKind::TrailingBytes));
+        }
+        Ok(())
     }
 }
 
-fn src_byte(src: LoadSrc) -> u8 {
-    match src {
-        LoadSrc::Master => 0,
-        LoadSrc::Zero => 1,
+/// A value with one byte form: `put` writes it, `get` reads it back.
+// The small and the container `put`s below are `#[inline]`: a plan's
+// encoder is one call tree through them, and left to the codegen-unit
+// split it ran ~17% slower than hand-written writers (MM plan, nb = 64,
+// 4x4 grid, x86-64).
+pub trait Field: Sized {
+    /// The fewest bytes one encoded value occupies.
+    const MIN_BYTES: usize;
+    /// Appends the value's bytes to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads one value; `what` names it in any error.
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError>;
+}
+
+macro_rules! le_ints {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+                Ok(<$t>::from_le_bytes(r.array(what)?))
+            }
+        }
+    )*};
+}
+le_ints!(u16, u32, u64);
+
+/// An index or count: a `u32`.
+impl Field for usize {
+    const MIN_BYTES: usize = 4;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u32).put(out);
     }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        Ok(u32::get(r, what)? as usize)
+    }
+}
+
+/// The raw IEEE-754 bits, so a value round-trips bit for bit.
+impl Field for f64 {
+    const MIN_BYTES: usize = 8;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.to_bits().put(out);
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        Ok(f64::from_bits(r.get(what)?))
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        Ok((r.get(what)?, r.get(what)?))
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        let n = r.count(T::MIN_BYTES, what)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(r.get(what)?);
+        }
+        Ok(v)
+    }
+}
+
+/// Opaque bytes, copied whole.
+impl Field for Vec<u8> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        out.extend_from_slice(self);
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        let n = r.count(1, what)?;
+        Ok(r.take(n, what)?.to_vec())
+    }
+}
+
+/// UTF-8 bytes.
+impl Field for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        let bytes = Vec::<u8>::get(r, what)?;
+        String::from_utf8(bytes).map_err(|_| r.err(what, DecodeErrorKind::InvalidField))
+    }
+}
+
+/// One byte: the value's index in `all`.
+fn one_of<T: Copy, const N: usize>(
+    r: &mut Reader<'_>,
+    what: &'static str,
+    all: [T; N],
+) -> Result<T, DecodeError> {
+    let b = r.byte(what)?;
+    all.get(usize::from(b))
+        .copied()
+        .ok_or_else(|| r.err(what, DecodeErrorKind::InvalidField))
+}
+
+impl Field for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        one_of(r, what, [false, true])
+    }
+}
+
+impl Field for Mat {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        one_of(r, what, [Mat::A, Mat::B, Mat::C])
+    }
+}
+
+impl Field for LoadSrc {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+        one_of(r, what, [LoadSrc::Master, LoadSrc::Zero])
+    }
+}
+
+/// A struct as its fields in declaration order, each read under the
+/// struct's `what`.
+macro_rules! record_codec {
+    ($($t:ident { $($field:ident),+ } = $min:expr;)+) => {$(
+        impl Field for $t {
+            const MIN_BYTES: usize = $min;
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
+                Ok($t { $($field: r.get(what)?),+ })
+            }
+        }
+    )+};
+}
+
+record_codec! {
+    Bcast { block, src, dests } = 20;
+    OwnerWork { owner, blocks } = 12;
+    QrColumn { bj, head, members } = 16;
+}
+
+/// A step as its tag byte, then its fields in declaration order; a
+/// field is read under the name `"<Kind> <field>"`. This table is the
+/// one place a step kind's layout is written down.
+macro_rules! step_codec {
+    ($($tag:literal => $kind:ident { $($field:ident),+ })+) => {
+        impl Field for Step {
+            const MIN_BYTES: usize = 5; // the tag and `k`
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Step::$kind { $($field),+ } => {
+                        out.push($tag);
+                        $($field.put(out);)+
+                    })+
+                }
+            }
+            fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
+                Ok(match r.byte("step tag")? {
+                    $($tag => Step::$kind {
+                        $($field: r.get(concat!(stringify!($kind), " ", stringify!($field)))?),+
+                    },)+
+                    t => return Err(r.err("unknown step tag", DecodeErrorKind::UnknownStepTag(t))),
+                })
+            }
+        }
+    };
+}
+
+step_codec! {
+    0 => Mm { k, a_bcasts, b_bcasts }
+    1 => Factor { k, diag, panel, diag_col_dests, l_bcasts, trsm, u_bcasts, trailing }
+    2 => Cholesky { k, diag, diag_dests, panel, panel_bcasts, trailing }
+    3 => Qr { k, diag, panel, reflector_dests, columns }
+    4 => Load { k, worker, mat, block, src }
+    5 => Compute { k, worker, c, a, b }
+    6 => Evict { k, worker, mat, block, send_back }
 }
 
 /// Serializes a plan to its canonical byte form.
@@ -151,342 +386,33 @@ pub fn encode(plan: &Plan) -> Vec<u8> {
 /// plan; the bytes appended are identical to [`encode`]'s.
 pub fn encode_into(plan: &Plan, out: &mut Vec<u8>) {
     out.push(WIRE_VERSION);
-    put_pair(out, plan.grid);
-    put_table(out, &plan.owned);
-    put_u32(out, plan.steps.len());
-    for step in &plan.steps {
-        match step {
-            Step::Mm {
-                k,
-                a_bcasts,
-                b_bcasts,
-            } => {
-                out.push(0);
-                put_u32(out, *k);
-                put_bcasts(out, a_bcasts);
-                put_bcasts(out, b_bcasts);
-            }
-            Step::Factor {
-                k,
-                diag,
-                panel,
-                diag_col_dests,
-                l_bcasts,
-                trsm,
-                u_bcasts,
-                trailing,
-            } => {
-                out.push(1);
-                put_u32(out, *k);
-                put_pair(out, *diag);
-                put_work(out, panel);
-                put_pairs(out, diag_col_dests);
-                put_bcasts(out, l_bcasts);
-                put_work(out, trsm);
-                put_bcasts(out, u_bcasts);
-                put_table(out, trailing);
-            }
-            Step::Cholesky {
-                k,
-                diag,
-                diag_dests,
-                panel,
-                panel_bcasts,
-                trailing,
-            } => {
-                out.push(2);
-                put_u32(out, *k);
-                put_pair(out, *diag);
-                put_pairs(out, diag_dests);
-                put_work(out, panel);
-                put_bcasts(out, panel_bcasts);
-                put_work(out, trailing);
-            }
-            Step::Qr {
-                k,
-                diag,
-                panel,
-                reflector_dests,
-                columns,
-            } => {
-                out.push(3);
-                put_u32(out, *k);
-                put_pair(out, *diag);
-                put_u32(out, panel.len());
-                for (block, owner) in panel {
-                    put_pair(out, *block);
-                    put_pair(out, *owner);
-                }
-                put_pairs(out, reflector_dests);
-                put_u32(out, columns.len());
-                for col in columns {
-                    put_u32(out, col.bj);
-                    put_pair(out, col.head);
-                    put_u32(out, col.members.len());
-                    for (block, owner) in &col.members {
-                        put_pair(out, *block);
-                        put_pair(out, *owner);
-                    }
-                }
-            }
-            Step::Load {
-                k,
-                worker,
-                mat,
-                block,
-                src,
-            } => {
-                out.push(4);
-                put_u32(out, *k);
-                put_u32(out, *worker);
-                out.push(mat_byte(*mat));
-                put_pair(out, *block);
-                out.push(src_byte(*src));
-            }
-            Step::Compute { k, worker, c, a, b } => {
-                out.push(5);
-                put_u32(out, *k);
-                put_u32(out, *worker);
-                put_pair(out, *c);
-                put_pair(out, *a);
-                put_pair(out, *b);
-            }
-            Step::Evict {
-                k,
-                worker,
-                mat,
-                block,
-                send_back,
-            } => {
-                out.push(6);
-                put_u32(out, *k);
-                put_u32(out, *worker);
-                out.push(mat_byte(*mat));
-                put_pair(out, *block);
-                out.push(u8::from(*send_back));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn err(&self, what: &'static str) -> DecodeError {
-        self.err_kind(what, DecodeErrorKind::Truncated)
-    }
-
-    fn err_kind(&self, what: &'static str, kind: DecodeErrorKind) -> DecodeError {
-        DecodeError {
-            offset: self.pos,
-            what,
-            kind,
-        }
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, DecodeError> {
-        let b = *self.buf.get(self.pos).ok_or_else(|| self.err(what))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<usize, DecodeError> {
-        let (bytes, _) = self.buf[self.pos..]
-            .split_first_chunk::<4>()
-            .ok_or_else(|| self.err(what))?;
-        self.pos += 4;
-        Ok(u32::from_le_bytes(*bytes) as usize)
-    }
-
-    /// Reads a `u32` element count and sanity-bounds it against the
-    /// bytes remaining (each element needs at least `min_elem_bytes`),
-    /// so a corrupt length can never trigger a huge allocation.
-    fn count(&mut self, min_elem_bytes: usize, what: &'static str) -> Result<usize, DecodeError> {
-        let n = self.u32(what)?;
-        let remaining = self.buf.len() - self.pos;
-        if n.saturating_mul(min_elem_bytes) > remaining {
-            return Err(self.err(what));
-        }
-        Ok(n)
-    }
-
-    fn pair(&mut self, what: &'static str) -> Result<(usize, usize), DecodeError> {
-        Ok((self.u32(what)?, self.u32(what)?))
-    }
-
-    fn pairs(&mut self, what: &'static str) -> Result<Vec<(usize, usize)>, DecodeError> {
-        let n = self.count(8, what)?;
-        (0..n).map(|_| self.pair(what)).collect()
-    }
-
-    fn bcasts(&mut self, what: &'static str) -> Result<Vec<Bcast>, DecodeError> {
-        let n = self.count(20, what)?;
-        (0..n)
-            .map(|_| {
-                Ok(Bcast {
-                    block: self.pair(what)?,
-                    src: self.pair(what)?,
-                    dests: self.pairs(what)?,
-                })
-            })
-            .collect()
-    }
-
-    fn work(&mut self, what: &'static str) -> Result<Vec<OwnerWork>, DecodeError> {
-        let n = self.count(12, what)?;
-        (0..n)
-            .map(|_| {
-                Ok(OwnerWork {
-                    owner: self.pair(what)?,
-                    blocks: self.u32(what)?,
-                })
-            })
-            .collect()
-    }
-
-    fn mat(&mut self, what: &'static str) -> Result<Mat, DecodeError> {
-        match self.u8(what)? {
-            0 => Ok(Mat::A),
-            1 => Ok(Mat::B),
-            2 => Ok(Mat::C),
-            _ => Err(self.err_kind(what, DecodeErrorKind::InvalidField)),
-        }
-    }
-
-    fn src(&mut self, what: &'static str) -> Result<LoadSrc, DecodeError> {
-        match self.u8(what)? {
-            0 => Ok(LoadSrc::Master),
-            1 => Ok(LoadSrc::Zero),
-            _ => Err(self.err_kind(what, DecodeErrorKind::InvalidField)),
-        }
-    }
-
-    fn boolean(&mut self, what: &'static str) -> Result<bool, DecodeError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(self.err_kind(what, DecodeErrorKind::InvalidField)),
-        }
-    }
-
-    fn table(&mut self, what: &'static str) -> Result<Vec<Vec<usize>>, DecodeError> {
-        let rows = self.count(4, what)?;
-        (0..rows)
-            .map(|_| {
-                let cols = self.count(4, what)?;
-                (0..cols).map(|_| self.u32(what)).collect()
-            })
-            .collect()
-    }
+    plan.grid.put(out);
+    plan.owned.put(out);
+    plan.steps.put(out);
 }
 
 /// Rebuilds a plan from [`encode`]'s byte form. Total: any malformed
 /// input (wrong version, truncation, oversize counts, trailing bytes)
 /// is a [`DecodeError`], never a panic.
 pub fn decode(buf: &[u8]) -> Result<Plan, DecodeError> {
-    let mut c = Cursor { buf, pos: 0 };
-    let version = c.u8("version byte")?;
+    let mut r = Reader::new(buf);
+    let version = r.byte("version byte")?;
     if version != WIRE_VERSION {
         return Err(DecodeError {
             offset: 0,
-            what: "unsupported plan codec version",
-            kind: DecodeErrorKind::UnsupportedVersion(version),
+            ..r.err(
+                "unsupported plan codec version",
+                DecodeErrorKind::UnsupportedVersion(version),
+            )
         });
     }
-    let grid = c.pair("grid shape")?;
-    let owned = c.table("owned-C table")?;
-    let nsteps = c.count(5, "step count")?;
-    let mut steps = Vec::with_capacity(nsteps);
-    for _ in 0..nsteps {
-        let tag = c.u8("step tag")?;
-        let step = match tag {
-            0 => Step::Mm {
-                k: c.u32("mm step")?,
-                a_bcasts: c.bcasts("mm a_bcasts")?,
-                b_bcasts: c.bcasts("mm b_bcasts")?,
-            },
-            1 => Step::Factor {
-                k: c.u32("factor step")?,
-                diag: c.pair("factor diag")?,
-                panel: c.work("factor panel")?,
-                diag_col_dests: c.pairs("factor diag_col_dests")?,
-                l_bcasts: c.bcasts("factor l_bcasts")?,
-                trsm: c.work("factor trsm")?,
-                u_bcasts: c.bcasts("factor u_bcasts")?,
-                trailing: c.table("factor trailing")?,
-            },
-            2 => Step::Cholesky {
-                k: c.u32("cholesky step")?,
-                diag: c.pair("cholesky diag")?,
-                diag_dests: c.pairs("cholesky diag_dests")?,
-                panel: c.work("cholesky panel")?,
-                panel_bcasts: c.bcasts("cholesky panel_bcasts")?,
-                trailing: c.work("cholesky trailing")?,
-            },
-            3 => {
-                let k = c.u32("qr step")?;
-                let diag = c.pair("qr diag")?;
-                let npanel = c.count(16, "qr panel")?;
-                let panel = (0..npanel)
-                    .map(|_| Ok((c.pair("qr panel block")?, c.pair("qr panel owner")?)))
-                    .collect::<Result<Vec<_>, DecodeError>>()?;
-                let reflector_dests = c.pairs("qr reflector_dests")?;
-                let ncols = c.count(16, "qr columns")?;
-                let columns = (0..ncols)
-                    .map(|_| {
-                        let bj = c.u32("qr column bj")?;
-                        let head = c.pair("qr column head")?;
-                        let nmem = c.count(16, "qr column members")?;
-                        let members = (0..nmem)
-                            .map(|_| Ok((c.pair("qr member block")?, c.pair("qr member owner")?)))
-                            .collect::<Result<Vec<_>, DecodeError>>()?;
-                        Ok(QrColumn { bj, head, members })
-                    })
-                    .collect::<Result<Vec<_>, DecodeError>>()?;
-                Step::Qr {
-                    k,
-                    diag,
-                    panel,
-                    reflector_dests,
-                    columns,
-                }
-            }
-            4 => Step::Load {
-                k: c.u32("load step")?,
-                worker: c.u32("load worker")?,
-                mat: c.mat("load mat")?,
-                block: c.pair("load block")?,
-                src: c.src("load src")?,
-            },
-            5 => Step::Compute {
-                k: c.u32("compute step")?,
-                worker: c.u32("compute worker")?,
-                c: c.pair("compute c")?,
-                a: c.pair("compute a")?,
-                b: c.pair("compute b")?,
-            },
-            6 => Step::Evict {
-                k: c.u32("evict step")?,
-                worker: c.u32("evict worker")?,
-                mat: c.mat("evict mat")?,
-                block: c.pair("evict block")?,
-                send_back: c.boolean("evict send_back")?,
-            },
-            t => return Err(c.err_kind("unknown step tag", DecodeErrorKind::UnknownStepTag(t))),
-        };
-        steps.push(step);
-    }
-    if c.pos != buf.len() {
-        return Err(c.err_kind("trailing bytes after plan", DecodeErrorKind::TrailingBytes));
-    }
-    Ok(Plan { grid, owned, steps })
+    let plan = Plan {
+        grid: r.get("grid shape")?,
+        owned: r.get("owned-C table")?,
+        steps: r.get("step count")?,
+    };
+    r.done("trailing bytes after plan")?;
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -653,6 +579,33 @@ mod tests {
         }
         assert_eq!(encode(&plan), want);
         assert_eq!(decode(&want).unwrap(), plan);
+    }
+
+    /// FNV-1a 64 over `bytes`.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn kernel_plan_bytes_are_pinned() {
+        // The v1 bytes of every plan in `all_plans`, grid kernels
+        // included, as one digest each. If one moves, bump WIRE_VERSION.
+        let got: Vec<u64> = all_plans().iter().map(|p| fnv(&encode(p))).collect();
+        assert_eq!(
+            got,
+            [
+                0x1ed0_32e7_b962_ba04,
+                0x1121_77da_0431_aec4,
+                0x5274_a62f_90e5_794f,
+                0xe551_8d05_0091_090d,
+                0x41bb_0ae9_eef6_945c,
+                0xb08c_0816_9d3d_8b40,
+                0x7428_0e75_58fe_d0d0,
+                0x58dd_9b2f_1d66_40bc,
+            ]
+        );
     }
 
     #[test]

@@ -11,9 +11,10 @@
 
 use crate::proto::{
     decode_response, decode_trace_header, encode_request, encode_trace_header, is_trace_header,
-    ProtoError, Request, Response,
+    Request, Response,
 };
 use crate::wire::{read_frame, write_frame, WireError};
+use hetgrid_plan::wire::DecodeError;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -25,7 +26,7 @@ pub enum ClientError {
     /// Framing failed mid-conversation.
     Wire(WireError),
     /// The server's response did not decode.
-    Proto(ProtoError),
+    Proto(DecodeError),
 }
 
 impl std::fmt::Display for ClientError {

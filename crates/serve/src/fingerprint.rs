@@ -27,7 +27,8 @@
 //! so even a fingerprint collision cannot return the wrong plan (it
 //! degrades to a cache miss).
 
-use crate::proto::{RequestBody, SolveSpec};
+use crate::proto::RequestBody;
+use hetgrid_plan::wire::Field;
 
 /// 128-bit FNV-1a offset basis.
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -54,36 +55,23 @@ pub fn fingerprint(bytes: &[u8]) -> Fingerprint {
     Fingerprint(h)
 }
 
-fn push_spec(out: &mut Vec<u8>, spec: &SolveSpec) {
-    out.extend_from_slice(&(spec.p as u32).to_le_bytes());
-    out.extend_from_slice(&(spec.q as u32).to_le_bytes());
-    for t in &spec.times {
-        out.extend_from_slice(&t.to_bits().to_le_bytes());
-    }
-}
-
 /// Canonical key bytes for a request body, or `None` for the kinds
 /// that are not cacheable (metrics, shutdown).
 pub fn cache_key(body: &RequestBody) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(16);
-    match body {
-        RequestBody::Solve(spec) => {
-            out.push(1);
-            push_spec(&mut out, spec);
-        }
-        RequestBody::Plan(plan) => {
-            out.push(2);
+    out.push(body.kind_byte());
+    let spec = match body {
+        RequestBody::Solve(spec) => spec,
+        RequestBody::Plan(plan) | RequestBody::Simulate(plan) => {
             out.push(plan.kernel.as_u8());
-            out.extend_from_slice(&(plan.nb as u32).to_le_bytes());
-            push_spec(&mut out, &plan.solve);
-        }
-        RequestBody::Simulate(plan) => {
-            out.push(3);
-            out.push(plan.kernel.as_u8());
-            out.extend_from_slice(&(plan.nb as u32).to_le_bytes());
-            push_spec(&mut out, &plan.solve);
+            plan.nb.put(&mut out);
+            &plan.solve
         }
         RequestBody::Metrics(_) | RequestBody::Shutdown => return None,
+    };
+    (spec.p, spec.q).put(&mut out);
+    for t in &spec.times {
+        t.put(&mut out);
     }
     Some(out)
 }
@@ -91,7 +79,7 @@ pub fn cache_key(body: &RequestBody) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{Kernel, PlanSpec};
+    use crate::proto::{Kernel, PlanSpec, SolveSpec};
 
     fn plan_body() -> RequestBody {
         RequestBody::Plan(PlanSpec {

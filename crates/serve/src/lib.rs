@@ -6,8 +6,10 @@
 //!
 //! * a **versioned wire protocol** — length-prefixed frames
 //!   ([`wire`]), a canonical request/response codec with typed errors
-//!   ([`proto`]); malformed or truncated input can never panic the
-//!   process;
+//!   ([`proto`], written with [`hetgrid_plan::wire`]'s codec, the one
+//!   the served plans use); malformed or truncated input can never
+//!   panic the process, and a response too large for one frame is
+//!   answered with a typed `BadRequest`;
 //! * a **content-addressed plan cache** — requests are fingerprinted
 //!   over a normalized key of the cycle-time matrix (raw `f64` bit
 //!   patterns), grid shape, kernel, and block count

@@ -27,11 +27,15 @@
 //! under that context echoes the header frame back before the response
 //! frame — and only then, so v1 clients never see an unexpected frame.
 //!
-//! Decoding is total: malformed bytes produce a typed [`ProtoError`],
-//! never a panic, and the decoders bound every length field before
-//! allocating.
+//! Every field is written and read with [`hetgrid_plan::wire`]'s
+//! codec, the one the encoded plans use: decoding is total (malformed
+//! bytes produce a typed [`DecodeError`], never a panic) and every
+//! length field is bounded by the bytes left before anything is
+//! allocated.
 
 use crate::wire::MAX_FRAME;
+use hetgrid_plan::wire::DecodeErrorKind::{InvalidField, UnsupportedVersion};
+use hetgrid_plan::wire::{DecodeError, Field, Reader};
 
 /// Protocol magic, first two payload bytes.
 pub const MAGIC: [u8; 2] = *b"hg";
@@ -47,27 +51,6 @@ pub const MAX_NB: usize = 4096;
 /// Kind byte of the optional trace-context header frame (not a
 /// request kind; see the module docs).
 pub const TRACE_HEADER_KIND: u8 = 6;
-
-/// A malformed protocol payload: what and where.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProtoError {
-    /// Byte offset at which decoding failed.
-    pub offset: usize,
-    /// What the decoder was reading.
-    pub what: &'static str,
-}
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "malformed payload at byte {}: {}",
-            self.offset, self.what
-        )
-    }
-}
-
-impl std::error::Error for ProtoError {}
 
 /// The kernel a plan or simulation request is about: the workspace's
 /// one kernel enum, whose `as_u8` bytes are this wire's kernel field
@@ -150,7 +133,8 @@ pub enum RequestBody {
 }
 
 impl RequestBody {
-    fn kind_byte(&self) -> u8 {
+    /// Kind byte on the wire; the cache key starts with it too.
+    pub(crate) fn kind_byte(&self) -> u8 {
         match self {
             RequestBody::Solve(_) => 1,
             RequestBody::Plan(_) => 2,
@@ -232,7 +216,8 @@ pub enum Response {
     Plan(PlanResult),
     /// Successful simulation.
     Simulate(SimulateResult),
-    /// Server metrics snapshot as a JSON document.
+    /// Server metrics in the requested [`MetricsFormat`]: a JSON
+    /// document, or exposition text.
     Metrics(String),
     /// Shutdown acknowledged; the server is draining.
     ShuttingDown,
@@ -274,68 +259,158 @@ impl Response {
     }
 }
 
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
-
 fn put_header(out: &mut Vec<u8>, kind: u8) {
     out.extend_from_slice(&MAGIC);
     out.push(PROTO_VERSION);
     out.push(kind);
 }
 
-fn put_u16(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&(v as u16).to_le_bytes());
+/// Reads the magic and version bytes, then the kind byte.
+fn header(r: &mut Reader<'_>, kind_what: &'static str) -> Result<u8, DecodeError> {
+    if r.take(2, "magic bytes")? != MAGIC {
+        return Err(DecodeError {
+            offset: 0,
+            ..r.err("bad magic bytes", InvalidField)
+        });
+    }
+    let version = r.byte("version byte")?;
+    if version != PROTO_VERSION {
+        return Err(DecodeError {
+            offset: 2,
+            ..r.err("unsupported protocol version", UnsupportedVersion(version))
+        });
+    }
+    r.byte(kind_what)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: usize) {
-    out.extend_from_slice(&(v as u32).to_le_bytes());
-}
-
-fn put_f64s(out: &mut Vec<u8>, vals: &[f64]) {
-    put_u32(out, vals.len());
-    for v in vals {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
+/// `u16 p, u16 q`, then the cycle-times; decoding checks the shape.
+impl Field for SolveSpec {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.p as u16).put(out);
+        (self.q as u16).put(out);
+        self.times.put(out);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
+        let p = usize::from(r.get::<u16>("grid rows")?);
+        let q = usize::from(r.get::<u16>("grid cols")?);
+        if p == 0 || q == 0 || p > MAX_GRID_SIDE || q > MAX_GRID_SIDE {
+            return Err(r.err("grid shape out of bounds", InvalidField));
+        }
+        let times: Vec<f64> = r.get("cycle-times")?;
+        if times.len() != p * q {
+            return Err(r.err("cycle-time count does not match grid", InvalidField));
+        }
+        Ok(SolveSpec { p, q, times })
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len());
-    out.extend_from_slice(s.as_bytes());
+/// `u8 kernel, u32 nb`, then the solve spec; decoding checks both.
+impl Field for PlanSpec {
+    const MIN_BYTES: usize = 5 + SolveSpec::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.kernel.as_u8());
+        self.nb.put(out);
+        self.solve.put(out);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
+        let kernel = Kernel::from_u8(r.byte("kernel byte")?)
+            .ok_or_else(|| r.err("unknown kernel", InvalidField))?;
+        let nb: usize = r.get("block count")?;
+        if nb == 0 || nb > MAX_NB {
+            return Err(r.err("block count out of bounds", InvalidField));
+        }
+        let solve = r.get("solve spec")?;
+        Ok(PlanSpec { solve, kernel, nb })
+    }
 }
 
-fn put_solve_spec(out: &mut Vec<u8>, s: &SolveSpec) {
-    put_u16(out, s.p);
-    put_u16(out, s.q);
-    put_f64s(out, &s.times);
+impl Field for SolveResult {
+    const MIN_BYTES: usize = 24;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.p as u16).put(out);
+        (self.q as u16).put(out);
+        self.times.put(out);
+        self.rows.put(out);
+        self.cols.put(out);
+        self.obj2.put(out);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
+        Ok(SolveResult {
+            p: usize::from(r.get::<u16>("result grid rows")?),
+            q: usize::from(r.get::<u16>("result grid cols")?),
+            times: r.get("result times")?,
+            rows: r.get("row allocation")?,
+            cols: r.get("column allocation")?,
+            obj2: r.get("objective")?,
+        })
+    }
 }
 
-fn put_solve_result(out: &mut Vec<u8>, r: &SolveResult) {
-    put_u16(out, r.p);
-    put_u16(out, r.q);
-    put_f64s(out, &r.times);
-    put_f64s(out, &r.rows);
-    put_f64s(out, &r.cols);
-    out.extend_from_slice(&r.obj2.to_bits().to_le_bytes());
+impl Field for SimulateResult {
+    const MIN_BYTES: usize = 12;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.p as u16).put(out);
+        (self.q as u16).put(out);
+        self.messages.put(out);
+        self.work.put(out);
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
+        Ok(SimulateResult {
+            p: usize::from(r.get::<u16>("sim grid rows")?),
+            q: usize::from(r.get::<u16>("sim grid cols")?),
+            messages: r.get("message counts")?,
+            work: r.get("work counts")?,
+        })
+    }
 }
 
 /// Serializes a request to its canonical payload bytes.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + req.tenant.len());
     put_header(&mut out, req.body.kind_byte());
-    put_u16(&mut out, req.tenant.len());
+    (req.tenant.len() as u16).put(&mut out);
     out.extend_from_slice(req.tenant.as_bytes());
     match &req.body {
-        RequestBody::Solve(s) => put_solve_spec(&mut out, s),
-        RequestBody::Plan(p) | RequestBody::Simulate(p) => {
-            out.push(p.kernel.as_u8());
-            put_u32(&mut out, p.nb);
-            put_solve_spec(&mut out, &p.solve);
-        }
+        RequestBody::Solve(s) => s.put(&mut out),
+        RequestBody::Plan(p) | RequestBody::Simulate(p) => p.put(&mut out),
         RequestBody::Metrics(fmt) => out.push(fmt.as_u8()),
         RequestBody::Shutdown => {}
     }
     out
+}
+
+/// Decodes a request payload. Total over arbitrary bytes.
+pub fn decode_request(buf: &[u8]) -> Result<Request, DecodeError> {
+    let mut r = Reader::new(buf);
+    if buf.len() > MAX_FRAME {
+        return Err(r.err("payload exceeds frame cap", InvalidField));
+    }
+    let kind = header(&mut r, "request kind")?;
+    let tenant_len = usize::from(r.get::<u16>("tenant length")?);
+    if tenant_len > MAX_TENANT {
+        return Err(r.err("tenant id too long", InvalidField));
+    }
+    let tenant =
+        String::from_utf8(r.take(tenant_len, "tenant id")?.to_vec()).map_err(|_| DecodeError {
+            offset: 4,
+            ..r.err("tenant id is not utf-8", InvalidField)
+        })?;
+    let body = match kind {
+        1 => RequestBody::Solve(r.get("solve spec")?),
+        2 => RequestBody::Plan(r.get("plan spec")?),
+        3 => RequestBody::Simulate(r.get("plan spec")?),
+        // A v1 client sends no format byte: empty body means JSON.
+        4 if r.is_empty() => RequestBody::Metrics(MetricsFormat::Json),
+        4 => RequestBody::Metrics(
+            MetricsFormat::from_u8(r.byte("metrics format")?)
+                .ok_or_else(|| r.err("unknown metrics format", InvalidField))?,
+        ),
+        5 => RequestBody::Shutdown,
+        _ => return Err(r.err("unknown request kind", InvalidField)),
+    };
+    r.done("trailing bytes")?;
+    Ok(Request { tenant, body })
 }
 
 /// Serializes a trace-context header frame (sent before a request, or
@@ -343,8 +418,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 pub fn encode_trace_header(trace_id: u128, span_id: u64) -> Vec<u8> {
     let mut out = Vec::with_capacity(28);
     put_header(&mut out, TRACE_HEADER_KIND);
-    out.extend_from_slice(&trace_id.to_le_bytes());
-    out.extend_from_slice(&span_id.to_le_bytes());
+    (trace_id as u64, (trace_id >> 64) as u64).put(&mut out);
+    span_id.put(&mut out);
     out
 }
 
@@ -358,21 +433,19 @@ pub fn is_trace_header(buf: &[u8]) -> bool {
 /// Decodes a trace-context header frame into `(trace_id, span_id)`.
 /// Total over arbitrary bytes; a zero trace id is malformed (zero
 /// means "no context" and must be expressed by omitting the frame).
-pub fn decode_trace_header(buf: &[u8]) -> Result<(u128, u64), ProtoError> {
-    let mut c = Cursor { buf, pos: 0 };
-    let kind = c.header("trace header kind")?;
-    if kind != TRACE_HEADER_KIND {
-        return Err(c.err("not a trace header"));
+pub fn decode_trace_header(buf: &[u8]) -> Result<(u128, u64), DecodeError> {
+    let mut r = Reader::new(buf);
+    if header(&mut r, "trace header kind")? != TRACE_HEADER_KIND {
+        return Err(r.err("not a trace header", InvalidField));
     }
-    let lo = c.u64("trace id")? as u128;
-    let hi = c.u64("trace id")? as u128;
-    let trace_id = (hi << 64) | lo;
-    let span_id = c.u64("span id")?;
-    c.done()?;
+    let (lo, hi): (u64, u64) = r.get("trace id")?;
+    let span_id = r.get("span id")?;
+    r.done("trailing bytes")?;
+    let trace_id = (u128::from(hi) << 64) | u128::from(lo);
     if trace_id == 0 {
-        return Err(ProtoError {
+        return Err(DecodeError {
             offset: 4,
-            what: "zero trace id",
+            ..r.err("zero trace id", InvalidField)
         });
     }
     Ok((trace_id, span_id))
@@ -383,246 +456,48 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut out = Vec::with_capacity(32);
     put_header(&mut out, resp.kind_byte());
     match resp {
-        Response::Solve(r) => put_solve_result(&mut out, r),
+        Response::Solve(r) => r.put(&mut out),
         Response::Plan(r) => {
-            put_solve_result(&mut out, &r.solve);
-            put_u32(&mut out, r.plan_bytes.len());
-            out.extend_from_slice(&r.plan_bytes);
+            r.solve.put(&mut out);
+            r.plan_bytes.put(&mut out);
         }
-        Response::Simulate(r) => {
-            put_u16(&mut out, r.p);
-            put_u16(&mut out, r.q);
-            put_u32(&mut out, r.messages.len());
-            for v in &r.messages {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            put_u32(&mut out, r.work.len());
-            for v in &r.work {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+        Response::Simulate(r) => r.put(&mut out),
+        Response::Metrics(text) | Response::BadRequest(text) | Response::ServerError(text) => {
+            text.put(&mut out)
         }
-        Response::Metrics(json) => put_str(&mut out, json),
-        Response::BadRequest(msg) | Response::ServerError(msg) => put_str(&mut out, msg),
         Response::ShuttingDown | Response::Busy | Response::QuotaExceeded => {}
     }
     out
 }
 
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn err(&self, what: &'static str) -> ProtoError {
-        ProtoError {
-            offset: self.pos,
-            what,
-        }
+/// An error message of at most 4096 bytes.
+fn message(r: &mut Reader<'_>) -> Result<String, DecodeError> {
+    let msg: String = r.get("error message")?;
+    if msg.len() > 4096 {
+        return Err(r.err("error message", InvalidField));
     }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, ProtoError> {
-        let b = *self.buf.get(self.pos).ok_or_else(|| self.err(what))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or_else(|| self.err(what))?;
-        let bytes = self.buf.get(self.pos..end).ok_or_else(|| self.err(what))?;
-        self.pos = end;
-        Ok(bytes)
-    }
-
-    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], ProtoError> {
-        let (bytes, _) = self.buf[self.pos..]
-            .split_first_chunk::<N>()
-            .ok_or_else(|| self.err(what))?;
-        self.pos += N;
-        Ok(*bytes)
-    }
-
-    fn u16(&mut self, what: &'static str) -> Result<usize, ProtoError> {
-        Ok(u16::from_le_bytes(self.array(what)?) as usize)
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<usize, ProtoError> {
-        Ok(u32::from_le_bytes(self.array(what)?) as usize)
-    }
-
-    fn f64(&mut self, what: &'static str) -> Result<f64, ProtoError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.array(what)?))
-    }
-
-    /// Reads a `u32` element count, bounded by the bytes remaining.
-    fn count(&mut self, elem_bytes: usize, what: &'static str) -> Result<usize, ProtoError> {
-        let n = self.u32(what)?;
-        if n.saturating_mul(elem_bytes) > self.buf.len() - self.pos {
-            return Err(self.err(what));
-        }
-        Ok(n)
-    }
-
-    fn f64s(&mut self, what: &'static str) -> Result<Vec<f64>, ProtoError> {
-        let n = self.count(8, what)?;
-        (0..n).map(|_| self.f64(what)).collect()
-    }
-
-    fn u64s(&mut self, what: &'static str) -> Result<Vec<u64>, ProtoError> {
-        let n = self.count(8, what)?;
-        (0..n).map(|_| self.u64(what)).collect()
-    }
-
-    fn string(&mut self, max: usize, what: &'static str) -> Result<String, ProtoError> {
-        let n = self.count(1, what)?;
-        if n > max {
-            return Err(self.err(what));
-        }
-        let bytes = self.take(n, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError {
-            offset: self.pos,
-            what,
-        })
-    }
-
-    fn header(&mut self, expect_what: &'static str) -> Result<u8, ProtoError> {
-        let magic = self.take(2, "magic bytes")?;
-        if magic != MAGIC {
-            return Err(ProtoError {
-                offset: 0,
-                what: "bad magic bytes",
-            });
-        }
-        let version = self.u8("version byte")?;
-        if version != PROTO_VERSION {
-            return Err(ProtoError {
-                offset: 2,
-                what: "unsupported protocol version",
-            });
-        }
-        self.u8(expect_what)
-    }
-
-    fn solve_spec(&mut self) -> Result<SolveSpec, ProtoError> {
-        let p = self.u16("grid rows")?;
-        let q = self.u16("grid cols")?;
-        if p == 0 || q == 0 || p > MAX_GRID_SIDE || q > MAX_GRID_SIDE {
-            return Err(self.err("grid shape out of bounds"));
-        }
-        let times = self.f64s("cycle-times")?;
-        if times.len() != p * q {
-            return Err(self.err("cycle-time count does not match grid"));
-        }
-        Ok(SolveSpec { p, q, times })
-    }
-
-    fn plan_spec(&mut self) -> Result<PlanSpec, ProtoError> {
-        let kernel =
-            Kernel::from_u8(self.u8("kernel byte")?).ok_or_else(|| self.err("unknown kernel"))?;
-        let nb = self.u32("block count")?;
-        if nb == 0 || nb > MAX_NB {
-            return Err(self.err("block count out of bounds"));
-        }
-        let solve = self.solve_spec()?;
-        Ok(PlanSpec { solve, kernel, nb })
-    }
-
-    fn solve_result(&mut self) -> Result<SolveResult, ProtoError> {
-        let p = self.u16("result grid rows")?;
-        let q = self.u16("result grid cols")?;
-        Ok(SolveResult {
-            p,
-            q,
-            times: self.f64s("result times")?,
-            rows: self.f64s("row allocation")?,
-            cols: self.f64s("column allocation")?,
-            obj2: self.f64("objective")?,
-        })
-    }
-
-    fn done(&self) -> Result<(), ProtoError> {
-        if self.pos != self.buf.len() {
-            return Err(self.err("trailing bytes"));
-        }
-        Ok(())
-    }
-}
-
-/// Decodes a request payload. Total over arbitrary bytes.
-pub fn decode_request(buf: &[u8]) -> Result<Request, ProtoError> {
-    if buf.len() > MAX_FRAME {
-        return Err(ProtoError {
-            offset: 0,
-            what: "payload exceeds frame cap",
-        });
-    }
-    let mut c = Cursor { buf, pos: 0 };
-    let kind = c.header("request kind")?;
-    let tenant_len = c.u16("tenant length")?;
-    if tenant_len > MAX_TENANT {
-        return Err(c.err("tenant id too long"));
-    }
-    let tenant_bytes = c.take(tenant_len, "tenant id")?;
-    let tenant = String::from_utf8(tenant_bytes.to_vec()).map_err(|_| ProtoError {
-        offset: 4,
-        what: "tenant id is not utf-8",
-    })?;
-    let body = match kind {
-        1 => RequestBody::Solve(c.solve_spec()?),
-        2 => RequestBody::Plan(c.plan_spec()?),
-        3 => RequestBody::Simulate(c.plan_spec()?),
-        // A v1 client sends no format byte: empty body means JSON.
-        4 if c.pos == buf.len() => RequestBody::Metrics(MetricsFormat::Json),
-        4 => RequestBody::Metrics(
-            MetricsFormat::from_u8(c.u8("metrics format")?)
-                .ok_or_else(|| c.err("unknown metrics format"))?,
-        ),
-        5 => RequestBody::Shutdown,
-        _ => return Err(c.err("unknown request kind")),
-    };
-    c.done()?;
-    Ok(Request { tenant, body })
+    Ok(msg)
 }
 
 /// Decodes a response payload. Total over arbitrary bytes.
-pub fn decode_response(buf: &[u8]) -> Result<Response, ProtoError> {
-    let mut c = Cursor { buf, pos: 0 };
-    let kind = c.header("response kind")?;
-    let resp = match kind {
-        1 => Response::Solve(c.solve_result()?),
-        2 => {
-            let solve = c.solve_result()?;
-            let n = c.count(1, "plan bytes")?;
-            let plan_bytes = c.take(n, "plan bytes")?.to_vec();
-            Response::Plan(PlanResult { solve, plan_bytes })
-        }
-        3 => {
-            let p = c.u16("sim grid rows")?;
-            let q = c.u16("sim grid cols")?;
-            Response::Simulate(SimulateResult {
-                p,
-                q,
-                messages: c.u64s("message counts")?,
-                work: c.u64s("work counts")?,
-            })
-        }
-        4 => Response::Metrics(c.string(MAX_FRAME, "metrics json")?),
+pub fn decode_response(buf: &[u8]) -> Result<Response, DecodeError> {
+    let mut r = Reader::new(buf);
+    let resp = match header(&mut r, "response kind")? {
+        1 => Response::Solve(r.get("solve result")?),
+        2 => Response::Plan(PlanResult {
+            solve: r.get("solve result")?,
+            plan_bytes: r.get("plan bytes")?,
+        }),
+        3 => Response::Simulate(r.get("sim result")?),
+        4 => Response::Metrics(r.get("metrics text")?),
         5 => Response::ShuttingDown,
         16 => Response::Busy,
         17 => Response::QuotaExceeded,
-        18 => Response::BadRequest(c.string(4096, "error message")?),
-        19 => Response::ServerError(c.string(4096, "error message")?),
-        _ => return Err(c.err("unknown response kind")),
+        18 => Response::BadRequest(message(&mut r)?),
+        19 => Response::ServerError(message(&mut r)?),
+        _ => return Err(r.err("unknown response kind", InvalidField)),
     };
-    c.done()?;
+    r.done("trailing bytes")?;
     Ok(resp)
 }
 
@@ -748,6 +623,64 @@ mod tests {
             assert_eq!(Kernel::from_u8(byte), Some(kernel));
         }
         assert_eq!(Kernel::from_u8(4), None);
+    }
+
+    /// FNV-1a 128 over each of `frames`, length-prefixed, in order.
+    fn digest(frames: impl IntoIterator<Item = Vec<u8>>) -> String {
+        let mut all = Vec::new();
+        for f in frames {
+            f.put(&mut all);
+        }
+        crate::fingerprint::fingerprint(&all).to_string()
+    }
+
+    /// Every sample request, response and cache key as one digest per
+    /// set: if one moves, bump PROTO_VERSION (or the cache key rules).
+    #[test]
+    fn request_response_and_key_bytes_are_pinned() {
+        let requests = sample_requests();
+        assert_eq!(
+            digest(requests.iter().map(encode_request)),
+            "1f54a49a7613a40d75bb7a67c64b7800"
+        );
+        assert_eq!(
+            digest(sample_responses().iter().map(encode_response)),
+            "753ee46195bd301cb8ab5b6bce1c0b3f"
+        );
+        let keys = requests
+            .iter()
+            .filter_map(|r| crate::fingerprint::cache_key(&r.body));
+        assert_eq!(digest(keys), "2c5f53051c64fdbb05cee571bf561df7");
+    }
+
+    /// The error texts a server answers malformed input with, over every
+    /// truncation and three single-byte corruptions of each sample
+    /// request and of a trace header, as one digest.
+    #[test]
+    fn bad_request_texts_are_pinned() {
+        let mut frames: Vec<Vec<u8>> = sample_requests().iter().map(encode_request).collect();
+        frames.push(encode_trace_header(7, 9));
+        let mut texts = Vec::new();
+        for bytes in &frames {
+            let mut inputs: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+            for i in 0..bytes.len() {
+                for evil in [0x00, 0x7F, 0xFF] {
+                    let mut b = bytes.clone();
+                    b[i] = evil;
+                    inputs.push(b);
+                }
+            }
+            for b in inputs {
+                for err in [decode_request(&b).err(), decode_trace_header(&b).err()]
+                    .into_iter()
+                    .flatten()
+                {
+                    texts.push(err.to_string().into_bytes());
+                }
+            }
+        }
+        assert_eq!(texts.len(), 1338);
+        assert_eq!(digest(texts), "775641f8b74b04846f9830dc7a913519");
     }
 
     #[test]

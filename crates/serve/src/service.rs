@@ -31,7 +31,10 @@
 //! the admission limit — and a request is one connected trace tree. It
 //! is wrapped in `catch_unwind`: a panic degrades to a typed
 //! `ServerError` response (uncached) instead of taking the process
-//! down.
+//! down. A response too large for one frame ([`MAX_FRAME`]; a plan
+//! grows faster in `nb` than the request bound allows for) degrades
+//! the same way, to an uncached `BadRequest` naming its size and the
+//! cap.
 
 use crate::cache::PlanCache;
 use crate::fingerprint::{cache_key, fingerprint};
@@ -40,6 +43,7 @@ use crate::proto::{
     SolveSpec,
 };
 use crate::quota::{QuotaConfig, QuotaTable};
+use crate::wire::MAX_FRAME;
 use hetgrid_core::{heuristic, validate_times, Arrangement};
 use hetgrid_dist::{panel_period, PanelDist, PanelOrdering};
 use std::collections::HashMap;
@@ -176,7 +180,7 @@ impl Service {
                     Response::ShuttingDown
                 }
             };
-            return Arc::new(encode_response(&resp));
+            return Arc::new(encode_capped(&resp).0);
         };
         if let Err(msg) = validate_body(body) {
             m.counter("serve.requests.malformed").inc();
@@ -293,8 +297,9 @@ impl Service {
                 false,
             ),
         };
-        let bytes = Arc::new(encode_response(&resp));
-        if cacheable {
+        let (bytes, fits) = encode_capped(&resp);
+        let bytes = Arc::new(bytes);
+        if cacheable && fits {
             let inserted = self.cache.lock().unwrap_or_else(|p| p.into_inner()).insert(
                 fp,
                 key,
@@ -314,6 +319,20 @@ impl Service {
             .remove(&fp.0);
         bytes
     }
+}
+
+/// `resp` encoded, or a `BadRequest` naming the size and the cap when
+/// those bytes would not fit one frame (`false`: not what was asked).
+fn encode_capped(resp: &Response) -> (Vec<u8>, bool) {
+    let bytes = encode_response(resp);
+    if bytes.len() <= MAX_FRAME {
+        return (bytes, true);
+    }
+    let msg = format!(
+        "response of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
+        bytes.len()
+    );
+    (encode_response(&Response::BadRequest(msg)), false)
 }
 
 /// Semantic validation beyond what the codec enforces structurally.
@@ -518,6 +537,36 @@ mod tests {
                 assert_eq!(served.solve.obj2, best.obj2);
             }
         }
+    }
+
+    /// QR at nb = 150 on the paper's grid encodes to more bytes than
+    /// one frame holds (as does MM at nb = 600, which takes far longer
+    /// to plan): a typed refusal, not a frame the connection cannot
+    /// write, and never cached.
+    #[test]
+    fn oversize_response_is_a_bad_request_and_not_cached() {
+        let _g = obs_lock();
+        let svc = Service::new(ServiceConfig::default());
+        let req = Request {
+            tenant: String::new(),
+            body: RequestBody::Plan(PlanSpec {
+                solve: SolveSpec {
+                    p: 2,
+                    q: 2,
+                    times: vec![1.0, 2.0, 3.0, 5.0],
+                },
+                kernel: Kernel::Qr,
+                nb: 150,
+            }),
+        };
+        let want = "response of 18185455 bytes exceeds the 16777216-byte frame cap";
+        let resp = svc.respond(&req);
+        assert!(
+            matches!(&resp, Response::BadRequest(msg) if msg == want),
+            "got a {} response",
+            resp.status()
+        );
+        assert!(svc.cache.lock().unwrap().is_empty());
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 pub const STALL_LIMIT: u32 = 40;
 
 /// A framing-level failure. Protocol-level problems (bad magic, bad
-/// field) live in [`crate::proto::ProtoError`]; this type only covers
-/// moving bytes.
+/// field) are a [`hetgrid_plan::wire::DecodeError`]; this type only
+/// covers moving bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
     /// The peer closed the stream cleanly between frames.
@@ -35,7 +35,8 @@ pub enum WireError {
     /// The stream ended (or stalled past the stall budget) in the
     /// middle of a frame.
     Truncated,
-    /// The length prefix exceeds [`MAX_FRAME`].
+    /// The length prefix, or a payload to be sent, exceeds
+    /// [`MAX_FRAME`].
     Oversize(usize),
     /// Any other I/O failure, by kind. `Io(TimedOut)` /
     /// `Io(WouldBlock)` with zero frame bytes consumed is retryable.
@@ -121,17 +122,13 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
     Ok(payload)
 }
 
-/// Writes one frame.
-///
-/// # Panics
-/// Panics if `payload` exceeds [`MAX_FRAME`] — outbound frames are
-/// produced by our own codec, so an oversize one is a local bug, not
-/// peer input.
+/// Writes one frame. A payload over [`MAX_FRAME`], which no peer
+/// would read, is refused as [`WireError::Oversize`] before anything
+/// is written.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    assert!(
-        payload.len() <= MAX_FRAME,
-        "outbound frame exceeds MAX_FRAME"
-    );
+    if payload.len() > MAX_FRAME {
+        return Err(WireError::Oversize(payload.len()));
+    }
     let header = (payload.len() as u32).to_be_bytes();
     let io = |e: std::io::Error| WireError::Io(e.kind());
     w.write_all(&header).map_err(io)?;
@@ -164,6 +161,18 @@ mod tests {
             read_frame(&mut Cursor::new(buf)).unwrap_err(),
             WireError::Oversize(u32::MAX as usize)
         );
+    }
+
+    #[test]
+    fn oversize_payload_is_refused_without_writing() {
+        let mut buf = Vec::new();
+        assert_eq!(
+            write_frame(&mut buf, &vec![0; MAX_FRAME + 1]),
+            Err(WireError::Oversize(MAX_FRAME + 1))
+        );
+        assert!(buf.is_empty());
+        write_frame(&mut buf, &vec![0; MAX_FRAME]).unwrap();
+        assert_eq!(buf.len(), 4 + MAX_FRAME);
     }
 
     #[test]
