@@ -1,6 +1,7 @@
 //! Minimal flag parsing for the `hetgrid` CLI (no external parser: the
 //! offline dependency set is deliberately small).
 
+use hetgrid_core::exact::MAX_DIM;
 use hetgrid_core::{validate_times, Method};
 use hetgrid_dist::{PanelOrdering, Scheme};
 use hetgrid_plan::Kernel;
@@ -183,10 +184,17 @@ impl Args {
         self.choice("kernel", default.name(), &table)
     }
 
-    /// `--method heuristic|exact|local-search|anneal`.
-    pub fn method(&self) -> Result<Method, String> {
+    /// `--method heuristic|exact|local-search|anneal` for a `p x q`
+    /// grid; `exact` only up to the exact solver's limit.
+    pub fn method(&self, (p, q): (usize, usize)) -> Result<Method, String> {
         let table = Method::ALL.map(|m| (m.name(), m));
-        self.choice("method", Method::default().name(), &table)
+        let method = self.choice("method", Method::default().name(), &table)?;
+        if method == Method::Exact && p.max(q) > MAX_DIM {
+            return Err(format!(
+                "--method exact is limited to grids up to {MAX_DIM}x{MAX_DIM}, got {p}x{q} (use --method heuristic)"
+            ));
+        }
+        Ok(method)
     }
 
     /// `--scheme panel|kl|cyclic`, the panel scheme under
@@ -278,9 +286,9 @@ mod tests {
 
     #[test]
     fn choices_list_their_names() {
-        assert_eq!(parse("x").method().unwrap(), Method::Heuristic);
+        assert_eq!(parse("x").method((2, 2)).unwrap(), Method::Heuristic);
         assert_eq!(
-            parse("x --method greedy").method().unwrap_err(),
+            parse("x --method greedy").method((2, 2)).unwrap_err(),
             "unknown method: greedy (want one of heuristic, exact, local-search, anneal)"
         );
         let a = parse("x --scheme panel --ordering columns");

@@ -78,7 +78,9 @@ pub fn run(args: &Args) -> Result<(), String> {
     // the sequential reference.
     let crash = crash_spec(args, (p, q), nb)?;
 
-    let solved = args.method()?.solve(&times, p, q, &ExactOptions::default());
+    let solved = args
+        .method((p, q))?
+        .solve(&times, p, q, &ExactOptions::default());
     let arr = &solved.arr;
     let scheme = args.scheme()?;
     let (bp, bq) = args.panel(scheme, (p, q), (4, 4))?;

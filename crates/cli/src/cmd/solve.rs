@@ -14,7 +14,7 @@ fn shares(xs: &[f64]) -> String {
 /// Solves the placement + allocation problem and prints the result.
 pub fn solve(args: &Args) -> Result<(), String> {
     let (times, p, q) = args.grid_times()?;
-    let method = args.method()?;
+    let method = args.method((p, q))?;
     let opts = if args.flag("no-prune") {
         exact::ExactOptions::exhaustive()
     } else {

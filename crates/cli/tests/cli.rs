@@ -217,6 +217,29 @@ fn bad_input_fails_cleanly() {
 }
 
 #[test]
+fn exact_beyond_its_grid_limit_is_refused() {
+    // 11x11 is past the exact solver's 10x10 limit: exit 2 before any
+    // solving, never a panic.
+    let times: Vec<String> = (1..=121).map(|t| t.to_string()).collect();
+    let times = times.join(",");
+    for cmd in ["solve", "run"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hetgrid"))
+            .args([
+                cmd, "--times", &times, "--grid", "11x11", "--method", "exact",
+            ])
+            .output()
+            .expect("failed to launch hetgrid binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains("error: --method exact is limited to grids up to 10x10, got 11x11"),
+            "{cmd}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}
+
+#[test]
 fn kl_scheme_simulates() {
     let (ok, stdout, stderr) = run(&[
         "simulate", "--times", "1,2,3,5", "--grid", "2x2", "--nb", "8", "--kernel", "mm",

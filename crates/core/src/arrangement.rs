@@ -325,9 +325,9 @@ pub fn enumerate_nondecreasing(
 /// row-major cycle-time grid and the matching processor-id grid instead
 /// of a constructed [`Arrangement`]. The slices are reused between
 /// callbacks — clone them if a candidate must outlive its visit. Used by
-/// the exact solver's fused enumeration loop, where building (and
-/// validating) an `Arrangement` per candidate would rival the
-/// per-arrangement solve cost.
+/// the exact solver's global search, where building (and validating) an
+/// `Arrangement` per candidate would rival the per-arrangement solve
+/// cost.
 ///
 /// # Panics
 /// Panics if `times.len() != p * q`.

@@ -49,12 +49,12 @@
 //!
 //! The *global* problem additionally searches over arrangements; by the
 //! paper's Theorem 1 only non-decreasing arrangements need to be
-//! considered. [`solve_global`] fans the arrangements out through
-//! `hetgrid_par::parallel_map` and shares the incumbent across them
-//! through an atomic, so a good arrangement solved early prunes the
-//! rest.
+//! considered. [`solve_global`] deals the arrangements across
+//! `hetgrid_par::parallel_map` workers, each streaming them through one
+//! reused solver, and shares the incumbent through an atomic, so a good
+//! arrangement solved early prunes the rest.
 
-use crate::arrangement::{enumerate_nondecreasing, Arrangement};
+use crate::arrangement::{enumerate_nondecreasing_grids, Arrangement};
 use crate::objective::{workload_matrix, Allocation};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,28 +64,22 @@ const ACCEPT_TOL: f64 = 1e-9;
 
 /// Hard grid limit for the exact solver. Beyond this even the pruned
 /// search is astronomical; use the heuristic instead.
-const MAX_DIM: usize = 10;
+pub const MAX_DIM: usize = 10;
 
-/// Options for [`solve_arrangement_with`].
+/// Options for [`solve_arrangement_with`] and [`solve_global_with`].
 #[derive(Clone, Copy, Debug)]
 pub struct ExactOptions {
     /// Cut subtrees on forced constraint violations and on the
-    /// admissible `(sum r)(sum c)` bound. Disabling reproduces the plain
-    /// spanning-tree enumerator (every tree is examined) — used by tests
-    /// that check the Cayley counts and that pruning never changes the
-    /// optimum.
+    /// admissible `(sum r)(sum c)` bound, and seed the incumbent.
+    /// Disabling reproduces the plain spanning-tree enumerator (every
+    /// tree is examined) — used by tests that check the Cayley counts
+    /// and that pruning never changes the optimum.
     pub prune: bool,
-    /// Seed the incumbent with the alternating-fixpoint objective before
-    /// the search starts. Only meaningful with `prune`.
-    pub seed_incumbent: bool,
 }
 
 impl Default for ExactOptions {
     fn default() -> Self {
-        ExactOptions {
-            prune: true,
-            seed_incumbent: true,
-        }
+        ExactOptions { prune: true }
     }
 }
 
@@ -93,10 +87,7 @@ impl ExactOptions {
     /// The plain exhaustive enumerator (no pruning, no seeding) — every
     /// spanning tree is examined, like the pre-branch-and-bound solver.
     pub fn exhaustive() -> Self {
-        ExactOptions {
-            prune: false,
-            seed_incumbent: false,
-        }
+        ExactOptions { prune: false }
     }
 }
 
@@ -182,83 +173,10 @@ pub fn solve_arrangement(arr: &Arrangement) -> ExactSolution {
 /// # Panics
 /// Panics if the grid is larger than 10x10.
 pub fn solve_arrangement_with(arr: &Arrangement, opts: &ExactOptions) -> ExactSolution {
-    let (sol, eff) = solve_arrangement_counted(arr, opts, f64::NEG_INFINITY);
-    eff.publish(1);
+    let mut bnb = Bnb::new(arr.p(), arr.q(), opts.prune);
+    let sol = bnb.solve(arr.times(), f64::NEG_INFINITY);
+    Effort::of(&bnb).publish(1);
     sol.expect("K_{p,q} always has an acceptable spanning tree")
-}
-
-/// Internal entry point allowing an externally-known lower bound (used
-/// by [`solve_global`] to share the incumbent across arrangements). The
-/// external bound may exceed this arrangement's optimum — then the
-/// search returns `None` and the caller discards this arrangement. Also
-/// reports the search [`Effort`] even when the arrangement is disproved,
-/// so [`solve_global_with`] can aggregate effort across arrangements.
-fn solve_arrangement_counted(
-    arr: &Arrangement,
-    opts: &ExactOptions,
-    external_lb: f64,
-) -> (Option<ExactSolution>, Effort) {
-    let (p, q) = (arr.p(), arr.q());
-    let mut lb = external_lb;
-    if opts.prune && opts.seed_incumbent {
-        // The alternating fixpoint is feasible, so its objective is a
-        // true lower bound. Shave a relative epsilon so a tree *equal*
-        // to the seed (the common case: the fixpoint often is optimal)
-        // is still found rather than pruned.
-        let alt = crate::alternating::optimize(arr, 1_000).alloc.obj2();
-        lb = lb.max(alt * (1.0 - 1e-9));
-    }
-
-    let (sol, mut eff) = solve_slice_counted(p, q, arr.times(), opts.prune, lb);
-    match sol {
-        Some(sol) => (Some(sol), eff),
-        None if external_lb == f64::NEG_INFINITY && !opts.seed_incumbent => (None, eff),
-        None => {
-            // Everything was pruned by the external/seeded bound. For a
-            // lone arrangement that means the seed was too tight
-            // (defensive; should not happen) — rerun unseeded so the
-            // always-existing acceptable tree is found. With an external
-            // bound the caller interprets `None` as "cannot beat the
-            // incumbent", but only after this unseeded check confirms the
-            // arrangement's own optimum does not beat it either.
-            if external_lb == f64::NEG_INFINITY {
-                let (sol2, eff2) =
-                    solve_slice_counted(p, q, arr.times(), opts.prune, f64::NEG_INFINITY);
-                eff.absorb(eff2);
-                (sol2, eff)
-            } else {
-                (None, eff)
-            }
-        }
-    }
-}
-
-/// Lowest-level solver entry: branch-and-bound over the row-major
-/// cycle-time grid `times` with an optional externally-known lower
-/// bound. Returns `None` iff every branch was cut by that bound (i.e.
-/// this arrangement cannot beat it). Taking a plain slice (rather than
-/// an [`Arrangement`]) lets [`solve_global_with`]'s fused enumeration
-/// loop skip per-candidate arrangement construction entirely. The extra
-/// [`Effort`] counters survive a disproof so global aggregation stays
-/// accurate.
-fn solve_slice_counted(
-    p: usize,
-    q: usize,
-    times: &[f64],
-    prune: bool,
-    lower_bound: f64,
-) -> (Option<ExactSolution>, Effort) {
-    assert!(
-        p <= MAX_DIM && q <= MAX_DIM,
-        "solve_arrangement: exact solver limited to grids up to {MAX_DIM}x{MAX_DIM}"
-    );
-    let mut bnb = Bnb::new(p, q, times, prune);
-    if prune {
-        bnb.best_lb = lower_bound;
-    }
-    bnb.search();
-    let eff = Effort::of(&bnb);
-    (bnb.finish(times), eff)
 }
 
 /// Undo journal frame for one edge inclusion.
@@ -334,11 +252,17 @@ struct Bnb {
 }
 
 impl Bnb {
-    /// `times` is the row-major `p x q` cycle-time grid.
-    fn new(p: usize, q: usize, times: &[f64], prune: bool) -> Self {
-        debug_assert_eq!(times.len(), p * q);
+    /// A solver for `p x q` grids; [`Bnb::solve`] fills it per grid.
+    ///
+    /// # Panics
+    /// Panics if the grid exceeds [`MAX_DIM`] in either dimension.
+    fn new(p: usize, q: usize, prune: bool) -> Self {
+        assert!(
+            p <= MAX_DIM && q <= MAX_DIM,
+            "exact solver limited to grids up to {MAX_DIM}x{MAX_DIM}, got {p}x{q}"
+        );
         let n = p + q;
-        let mut bnb = Bnb {
+        Bnb {
             p,
             q,
             n,
@@ -363,15 +287,44 @@ impl Bnb {
             acceptable: 0,
             pruned: 0,
             improvements: 0,
+        }
+    }
+
+    /// Solves the row-major `p x q` cycle-time grid `times`, reusing
+    /// this solver's buffers; the effort counters then hold this
+    /// solve's effort. `lower_bound` is an objective another arrangement
+    /// already reaches: the search returns `None` when this one cannot
+    /// beat it. Without one (`NEG_INFINITY`) a pruning search seeds its
+    /// incumbent with the alternating fixpoint and always returns the
+    /// optimum.
+    fn solve(&mut self, times: &[f64], lower_bound: f64) -> Option<ExactSolution> {
+        self.reset(times);
+        let seeded = self.prune && lower_bound == f64::NEG_INFINITY;
+        self.best_lb = if seeded {
+            // The alternating fixpoint is feasible, so its objective is a
+            // true lower bound. Shave a relative epsilon so a tree *equal*
+            // to the seed (the common case: the fixpoint often is optimal)
+            // is still found rather than pruned.
+            let arr = Arrangement::from_times(self.p, self.q, times.to_vec());
+            crate::alternating::optimize(&arr, 1_000).alloc.obj2() * (1.0 - 1e-9)
+        } else {
+            lower_bound
         };
-        bnb.reset(times);
-        bnb
+        self.search();
+        if seeded && self.best.is_none() {
+            // The seed cut every tree (defensive; should not happen):
+            // search again unseeded so the always-existing acceptable
+            // tree is found. A finished search has rolled every merge
+            // back, so only the bound needs clearing.
+            self.best_lb = f64::NEG_INFINITY;
+            self.search();
+        }
+        self.finish(times)
     }
 
     /// Reinitializes the solver for a new cycle-time grid of the *same*
-    /// `p x q` shape without reallocating any buffer. Lets
-    /// [`solve_global_with`]'s fused serial loop amortize the ~2n inner
-    /// allocations of [`Bnb::new`] across all arrangements.
+    /// `p x q` shape without reallocating any buffer, so one solver
+    /// serves every arrangement a [`solve_global_with`] worker visits.
     fn reset(&mut self, times: &[f64]) {
         debug_assert_eq!(times.len(), self.n_edges);
         let (p, q, n) = (self.p, self.q, self.n);
@@ -954,146 +907,86 @@ pub struct GlobalSolution {
 }
 
 /// Searches all non-decreasing arrangements of `times` on a `p x q`
-/// grid, solving each exactly with branch-and-bound. The arrangements
-/// are fanned out through `hetgrid_par::parallel_map` (serially where
-/// `hetgrid_par::threads()` is 1, e.g. inside another map's worker),
-/// and the best objective found so far is shared across workers,
-/// seeding each arrangement's incumbent so later arrangements mostly
-/// prune immediately.
+/// grid, solving each exactly with branch-and-bound. Each of the
+/// `hetgrid_par::threads()` workers walks the enumeration and solves
+/// every `threads()`-th arrangement with one reused solver; the best
+/// objective found so far is shared across workers, seeding each
+/// arrangement's incumbent so later arrangements mostly prune
+/// immediately. With one worker (e.g. inside another map's worker) the
+/// search and its effort counts are deterministic.
 ///
 /// # Panics
-/// Panics if `times.len() != p * q` or the grid exceeds the exact-solver
-/// limit.
+/// Panics if `times.len() != p * q` or the grid exceeds [`MAX_DIM`].
 pub fn solve_global(times: &[f64], p: usize, q: usize) -> GlobalSolution {
     solve_global_with(times, p, q, &ExactOptions::default())
 }
 
 /// [`solve_global`] with explicit per-arrangement [`ExactOptions`].
 /// With `ExactOptions::exhaustive()` every arrangement is solved by
-/// plain enumeration serially — the pre-branch-and-bound reference the
+/// plain enumeration — the pre-branch-and-bound reference the
 /// `pruning_never_changes_global_optimum` property test compares against.
 ///
 /// # Panics
-/// Panics if `times.len() != p * q` or the grid exceeds the exact-solver
-/// limit.
+/// Panics if `times.len() != p * q` or the grid exceeds [`MAX_DIM`].
 pub fn solve_global_with(times: &[f64], p: usize, q: usize, opts: &ExactOptions) -> GlobalSolution {
     // Shared incumbent as f64 bits. Obj2 is positive, so the IEEE bit
     // pattern order matches numeric order and fetch_max works; 0 means
     // "no objective found yet".
     let shared_lb = AtomicU64::new(0);
-    let solve_one = |arr: &Arrangement| -> (Option<ExactSolution>, Effort) {
-        if !opts.prune {
-            return solve_arrangement_counted(arr, opts, f64::NEG_INFINITY);
-        }
-        let lb = f64::from_bits(shared_lb.load(Ordering::Relaxed));
-        // Once some arrangement has produced an incumbent, reuse it
-        // (slacked like the local seed so ties survive) and skip the
-        // per-arrangement alternating fixpoint — the shared bound is
-        // almost always at least as strong, and for small grids the
-        // fixpoint iteration would dominate the solve time.
-        let (external, eff) = if lb > 0.0 {
-            (
-                lb * (1.0 - 1e-9),
-                ExactOptions {
-                    seed_incumbent: false,
-                    ..*opts
-                },
-            )
-        } else {
-            (f64::NEG_INFINITY, *opts)
-        };
-        let (sol, effort) = solve_arrangement_counted(arr, &eff, external);
-        if let Some(s) = &sol {
-            shared_lb.fetch_max(s.obj2.to_bits(), Ordering::Relaxed);
-        }
-        (sol, effort)
-    };
-
-    let mut best: Option<GlobalSolution> = None;
-    let mut count = 0u64;
-    let mut effort = Effort::default();
-
-    if !opts.prune || hetgrid_par::threads() == 1 {
-        // Serial: solve inside the raw enumeration callback — no
-        // per-candidate Arrangement construction, no queue round-trips;
-        // an Arrangement is materialized only when a candidate improves
-        // the incumbent (or, once, to compute the alternating seed).
-        let mut scratch: Option<Bnb> = None;
-        crate::arrangement::enumerate_nondecreasing_grids(times, p, q, |grid_times, grid_procs| {
+    let workers = hetgrid_par::threads() as u64;
+    let worker = |w: u64| {
+        let mut bnb = Bnb::new(p, q, opts.prune);
+        let (mut count, mut effort) = (0u64, Effort::default());
+        // The worker's best: enumeration index, arrangement, solution.
+        let mut best: Option<(u64, Arrangement, ExactSolution)> = None;
+        enumerate_nondecreasing_grids(times, p, q, |grid_times, grid_procs| {
+            let index = count;
             count += 1;
+            if index % workers != w {
+                return;
+            }
+            // Once some arrangement has produced an incumbent, reuse it
+            // (slacked like the alternating seed so ties survive) in
+            // place of the per-arrangement fixpoint: it is almost always
+            // at least as strong, and for small grids the fixpoint
+            // iteration would dominate the solve time.
             let lb = f64::from_bits(shared_lb.load(Ordering::Relaxed));
-            let sol = if opts.prune && lb > 0.0 {
-                // Disprove-or-improve with the shared incumbent, reusing
-                // one solver's buffers across all arrangements.
-                let bnb = match &mut scratch {
-                    Some(b) => {
-                        b.reset(grid_times);
-                        b
-                    }
-                    None => scratch.insert(Bnb::new(p, q, grid_times, true)),
-                };
-                bnb.best_lb = lb * (1.0 - 1e-9);
-                bnb.search();
-                effort.absorb(Effort::of(bnb));
-                bnb.finish(grid_times)
-            } else if !opts.prune {
-                let (sol, eff) = solve_slice_counted(p, q, grid_times, false, f64::NEG_INFINITY);
-                effort.absorb(eff);
-                sol
+            let lb = if opts.prune && lb > 0.0 {
+                lb * (1.0 - 1e-9)
             } else {
-                let arr = Arrangement::with_procs(p, q, grid_times.to_vec(), grid_procs.to_vec());
-                let (sol, eff) = solve_arrangement_counted(&arr, opts, f64::NEG_INFINITY);
-                effort.absorb(eff);
-                sol
+                f64::NEG_INFINITY
             };
+            let sol = bnb.solve(grid_times, lb);
+            effort.absorb(Effort::of(&bnb));
             let Some(sol) = sol else { return };
             shared_lb.fetch_max(sol.obj2.to_bits(), Ordering::Relaxed);
-            if best.as_ref().is_none_or(|b| sol.obj2 > b.obj2) {
-                best = Some(GlobalSolution {
-                    arrangement: Arrangement::with_procs(
-                        p,
-                        q,
-                        grid_times.to_vec(),
-                        grid_procs.to_vec(),
-                    ),
-                    alloc: sol.alloc,
-                    obj2: sol.obj2,
-                    arrangements_examined: 0,
-                    trees_examined: 0,
-                    trees_pruned: 0,
-                });
+            if best.as_ref().is_none_or(|b| sol.obj2 > b.2.obj2) {
+                let arr = Arrangement::with_procs(p, q, grid_times.to_vec(), grid_procs.to_vec());
+                best = Some((index, arr, sol));
             }
         });
-    } else {
-        let mut consider = |arr: &Arrangement, sol: Option<ExactSolution>| {
-            let Some(sol) = sol else { return };
-            if best.as_ref().is_none_or(|b| sol.obj2 > b.obj2) {
-                best = Some(GlobalSolution {
-                    arrangement: arr.clone(),
-                    alloc: sol.alloc,
-                    obj2: sol.obj2,
-                    arrangements_examined: 0,
-                    trees_examined: 0,
-                    trees_pruned: 0,
-                });
-            }
-        };
-        let mut arrangements: Vec<Arrangement> = Vec::new();
-        enumerate_nondecreasing(times, p, q, |arr| arrangements.push(arr.clone()));
-        count = arrangements.len() as u64;
-        let results = hetgrid_par::parallel_map(arrangements.iter().collect(), solve_one);
-        for (arr, (sol, eff)) in arrangements.iter().zip(results) {
-            effort.absorb(eff);
-            consider(arr, sol);
-        }
-    }
+        (best, effort, count)
+    };
+    let runs = hetgrid_par::parallel_map((0..workers).collect(), worker);
 
+    let count = runs[0].2;
+    let mut effort = Effort::default();
+    runs.iter().for_each(|run| effort.absorb(run.1));
     effort.publish(count);
-    let mut sol = best.expect("at least one arrangement exists");
-    sol.arrangements_examined = count;
-    sol.trees_examined = effort.examined;
-    sol.trees_pruned = effort.pruned;
-    sol
+    // The best objective wins; on equal objectives, the earlier arrangement.
+    let (_, arrangement, sol) = runs
+        .into_iter()
+        .filter_map(|run| run.0)
+        .max_by(|a, b| a.2.obj2.total_cmp(&b.2.obj2).then(b.0.cmp(&a.0)))
+        .expect("at least one arrangement exists");
+    GlobalSolution {
+        arrangement,
+        alloc: sol.alloc,
+        obj2: sol.obj2,
+        arrangements_examined: count,
+        trees_examined: effort.examined,
+        trees_pruned: effort.pruned,
+    }
 }
 
 /// Perfect-balance check: `true` iff the exact optimum uses every
@@ -1225,10 +1118,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_fanned_out_branches_agree() {
-        // Inside a `parallel_map` worker `threads()` is 1, which selects
-        // the fused serial loop; at top level the arrangements fan out
-        // (unless the host or `HETGRID_THREADS` gives one thread).
+    fn one_and_many_workers_agree() {
+        // Inside a `parallel_map` worker `threads()` is 1, so one worker
+        // walks every arrangement; at top level the arrangements are
+        // dealt across workers (unless the host or `HETGRID_THREADS`
+        // gives one thread).
         let cases: [(usize, usize, Vec<f64>); 3] = [
             (3, 3, (1..=9).map(f64::from).collect()),
             (2, 4, vec![0.7, 1.1, 1.3, 1.9, 2.0, 3.1, 4.2, 5.5]),
@@ -1248,6 +1142,36 @@ mod tests {
                     "{p}x{q} {times:?}"
                 );
             }
+        }
+    }
+
+    /// One worker visits the arrangements in enumeration order, so its
+    /// global effort is deterministic: pinned, so a change to the
+    /// branching, the bound, the seeding or the incumbent sharing shows.
+    #[test]
+    fn one_worker_global_effort_is_pinned() {
+        let cases: [(&[f64], usize, usize, (u64, u64, u64)); 4] = [
+            (&[1.0, 2.0, 3.0, 5.0], 2, 2, (2, 3, 4)),
+            (&[1.0, 2.0, 3.0, 6.0], 2, 2, (2, 2, 6)),
+            (
+                &[1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 7.0, 9.0],
+                3,
+                3,
+                (42, 8, 973),
+            ),
+            (
+                &[0.7, 1.1, 1.3, 1.9, 2.0, 3.1, 4.2, 5.5],
+                2,
+                4,
+                (14, 5, 214),
+            ),
+        ];
+        for (times, p, q, want) in cases {
+            let got = hetgrid_par::parallel_map(vec![(); 2], |()| {
+                let g = solve_global(times, p, q);
+                (g.arrangements_examined, g.trees_examined, g.trees_pruned)
+            });
+            assert_eq!(got, [want; 2], "{p}x{q} {times:?}");
         }
     }
 
@@ -1324,16 +1248,13 @@ mod tests {
         // `solve_global` relies on when sharing its incumbent.
         let times: Vec<f64> = (1..=9).map(|x| x as f64).collect();
         let g = solve_global(&times, 3, 3);
-        let noseed = ExactOptions {
-            seed_incumbent: false,
-            prune: true,
-        };
+        let mut bnb = Bnb::new(3, 3, true);
         let ext = g.obj2 * (1.0 - 1e-9);
         let mut examined = 0usize;
         let mut winners = 0usize;
         crate::arrangement::enumerate_nondecreasing(&times, 3, 3, |a| {
             examined += 1;
-            if let Some(s) = solve_arrangement_counted(a, &noseed, ext).0 {
+            if let Some(s) = bnb.solve(a.times(), ext) {
                 winners += 1;
                 assert!(
                     s.obj2 >= ext,

@@ -7,9 +7,10 @@
 //! [`SERIES_CAP`] points. The free functions [`sample`] and
 //! [`to_json`] act on one process-wide default `Series`: `hetgrid
 //! serve` drives it from a 1 Hz sampler thread and exposes it over the
-//! wire (`Request::Metrics` with the `Series` format), which is what
-//! `hetgrid top` polls to compute rates — even a single `--once` poll
-//! sees history, because the ring accumulated it server-side.
+//! wire (`Request::Metrics` with the `Series` format, what `hetgrid
+//! submit --op metrics --format series` prints). `hetgrid top` does
+//! not read it: it polls the `Expo` format and computes rates from
+//! successive polls.
 
 use crate::chrome::write_f64;
 use crate::metrics::{metrics, MetricsSnapshot};

@@ -96,9 +96,9 @@ pub fn spawn(addr: &str, cfg: ServiceConfig) -> io::Result<ServerHandle> {
             .spawn(move || accept_loop(listener, addr, service, stop))?
     };
     // Time-series sampler: one MetricsSnapshot delta per second into
-    // the `hetgrid_obs::series` ring, which `Metrics(Series)` serves
-    // and `hetgrid top` plots. Polls the stop flag at POLL_INTERVAL so
-    // shutdown never waits out a full sample period.
+    // the `hetgrid_obs::series` ring, which `Metrics(Series)` serves.
+    // Polls the stop flag at POLL_INTERVAL so shutdown never waits out
+    // a full sample period.
     let sampler = {
         let service = Arc::clone(&service);
         let stop = Arc::clone(&stop);
