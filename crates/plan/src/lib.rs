@@ -330,56 +330,104 @@ pub struct Plan {
     pub steps: Vec<Step>,
 }
 
-/// Distinct owners of blocks `(bi, bj)` for `bj` in `cols`, excluding
-/// `skip`, in first-need order.
-fn row_owners(
-    dist: &dyn BlockDist,
-    bi: usize,
-    cols: impl Iterator<Item = usize>,
-    skip: (usize, usize),
-) -> Vec<(usize, usize)> {
-    let mut dests: Vec<(usize, usize)> = Vec::new();
-    for bj in cols {
-        let o = dist.owner(bi, bj);
-        if o != skip && !dests.contains(&o) {
-            dests.push(o);
-        }
-    }
-    dests
+/// No processor: the `skip` of a destination list that skips none.
+const NOBODY: (usize, usize) = (usize::MAX, usize::MAX);
+
+/// The owner of every block of a `rows x cols` block matrix, read from
+/// the distribution once per plan: the generators index it instead of
+/// calling `dist.owner` per broadcast.
+struct Owners {
+    grid: (usize, usize),
+    cols: usize,
+    table: Vec<(usize, usize)>,
 }
 
-/// Distinct owners of blocks `(bi, bj)` for `bi` in `rows`, excluding
-/// `skip`, in first-need order.
-fn col_owners(
-    dist: &dyn BlockDist,
-    bj: usize,
-    rows: impl Iterator<Item = usize>,
-    skip: (usize, usize),
-) -> Vec<(usize, usize)> {
-    let mut dests: Vec<(usize, usize)> = Vec::new();
-    for bi in rows {
-        let o = dist.owner(bi, bj);
-        if o != skip && !dests.contains(&o) {
-            dests.push(o);
+impl Owners {
+    fn new(dist: &dyn BlockDist, rows: usize, cols: usize) -> Self {
+        Owners {
+            grid: dist.grid(),
+            cols,
+            table: (0..rows)
+                .flat_map(|bi| (0..cols).map(move |bj| dist.owner(bi, bj)))
+                .collect(),
         }
     }
-    dests
-}
 
-/// Per-owner block counts over `blocks`, in sorted owner order.
-fn owner_work(
-    blocks: impl Iterator<Item = (usize, usize)>,
-    dist: &dyn BlockDist,
-) -> Vec<OwnerWork> {
-    let mut counts: std::collections::BTreeMap<(usize, usize), usize> =
-        std::collections::BTreeMap::new();
-    for (bi, bj) in blocks {
-        *counts.entry(dist.owner(bi, bj)).or_insert(0) += 1;
+    /// Owner of block `(bi, bj)`.
+    fn at(&self, bi: usize, bj: usize) -> (usize, usize) {
+        self.table[bi * self.cols + bj]
     }
-    counts
-        .into_iter()
-        .map(|(owner, blocks)| OwnerWork { owner, blocks })
-        .collect()
+
+    /// Distinct owners of `blocks`, excluding `skip`, in first-need
+    /// order.
+    fn distinct(
+        &self,
+        blocks: impl Iterator<Item = (usize, usize)>,
+        skip: (usize, usize),
+    ) -> Vec<(usize, usize)> {
+        let mut dests = Vec::new();
+        for (bi, bj) in blocks {
+            let o = self.at(bi, bj);
+            if o != skip && !dests.contains(&o) {
+                dests.push(o);
+            }
+        }
+        dests
+    }
+
+    /// Blocks per processor over `blocks`, as a row-major `p x q` table.
+    fn counts(&self, blocks: impl Iterator<Item = (usize, usize)>) -> Vec<usize> {
+        let mut counts = vec![0; self.grid.0 * self.grid.1];
+        self.tally(&mut counts, blocks);
+        counts
+    }
+
+    /// Adds `blocks` to a [`Owners::counts`] table.
+    fn tally(&self, counts: &mut [usize], blocks: impl Iterator<Item = (usize, usize)>) {
+        for (bi, bj) in blocks {
+            let (i, j) = self.at(bi, bj);
+            counts[i * self.grid.1 + j] += 1;
+        }
+    }
+
+    /// Step `k`'s `f` of the counts over the trailing shells
+    /// `shell(k + 1)`, `shell(k + 2)`, ... (empty from `shell(nb)` on),
+    /// for every `k` in `0..nb`. A trailing matrix is the next one plus
+    /// one shell, so each step counts one shell, not a whole matrix.
+    fn trailing<T, I: Iterator<Item = (usize, usize)>>(
+        &self,
+        nb: usize,
+        shell: impl Fn(usize) -> I,
+        f: impl Fn(&[usize]) -> T,
+    ) -> Vec<T> {
+        let mut counts = self.counts(std::iter::empty());
+        let mut out: Vec<T> = (1..=nb)
+            .rev()
+            .map(|m| {
+                self.tally(&mut counts, shell(m));
+                f(&counts)
+            })
+            .collect();
+        out.reverse();
+        out
+    }
+
+    /// The nonzero entries of a count table, in sorted owner order.
+    fn work(&self, counts: &[usize]) -> Vec<OwnerWork> {
+        let q = self.grid.1;
+        (0..counts.len())
+            .filter(|&ij| counts[ij] > 0)
+            .map(|ij| OwnerWork {
+                owner: (ij / q, ij % q),
+                blocks: counts[ij],
+            })
+            .collect()
+    }
+
+    /// A count table as `p` rows of `q`.
+    fn rows(&self, counts: &[usize]) -> Vec<Vec<usize>> {
+        counts.chunks(self.grid.1).map(<[usize]>::to_vec).collect()
+    }
 }
 
 /// Plan for the square outer-product MM `C = A * B` on an `nb x nb`
@@ -396,38 +444,35 @@ pub fn mm_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
 /// Panics if any dimension is zero.
 pub fn mm_rect_plan(dist: &dyn BlockDist, (mb, nb, kb): (usize, usize, usize)) -> Plan {
     assert!(mb > 0 && nb > 0 && kb > 0, "mm_rect_plan: empty shape");
+    let owners = Owners::new(dist, mb.max(kb), nb.max(kb));
+    // A block of `A` goes to the owners of its `C` row, one of `B` to
+    // those of its `C` column, whatever `k`: each list is built once and
+    // a broadcast takes it minus its source.
+    let rows: Vec<_> = (0..mb)
+        .map(|bi| owners.distinct((0..nb).map(|bj| (bi, bj)), NOBODY))
+        .collect();
+    let cols: Vec<_> = (0..nb)
+        .map(|bj| owners.distinct((0..mb).map(|bi| (bi, bj)), NOBODY))
+        .collect();
+    let bcast = |block: (usize, usize), need: &[(usize, usize)]| {
+        let src = owners.at(block.0, block.1);
+        Bcast {
+            block,
+            src,
+            dests: need.iter().copied().filter(|&o| o != src).collect(),
+        }
+    };
+    let owned = owners.counts((0..mb).flat_map(|bi| (0..nb).map(move |bj| (bi, bj))));
     let steps = (0..kb)
-        .map(|k| {
-            let a_bcasts = (0..mb)
-                .map(|bi| {
-                    let src = dist.owner(bi, k);
-                    Bcast {
-                        block: (bi, k),
-                        src,
-                        dests: row_owners(dist, bi, 0..nb, src),
-                    }
-                })
-                .collect();
-            let b_bcasts = (0..nb)
-                .map(|bj| {
-                    let src = dist.owner(k, bj);
-                    Bcast {
-                        block: (k, bj),
-                        src,
-                        dests: col_owners(dist, bj, 0..mb, src),
-                    }
-                })
-                .collect();
-            Step::Mm {
-                k,
-                a_bcasts,
-                b_bcasts,
-            }
+        .map(|k| Step::Mm {
+            k,
+            a_bcasts: (0..mb).map(|bi| bcast((bi, k), &rows[bi])).collect(),
+            b_bcasts: (0..nb).map(|bj| bcast((k, bj), &cols[bj])).collect(),
         })
         .collect();
     Plan {
-        grid: dist.grid(),
-        owned: dist.owned_counts(mb, nb),
+        grid: owners.grid,
+        owned: owners.rows(&owned),
         steps,
     }
 }
@@ -436,32 +481,44 @@ pub fn mm_rect_plan(dist: &dyn BlockDist, (mb, nb, kb): (usize, usize, usize)) -
 /// block matrix. The same plan serves LU and (in the simulator's cost
 /// model, at 2x arithmetic) QR.
 pub fn factor_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
+    let owners = Owners::new(dist, nb, nb);
+    // Shell `m`: row `m` from the diagonal on, then column `m` below it.
+    let trailing = owners.trailing(
+        nb,
+        |m| {
+            (m..nb)
+                .map(move |bj| (m, bj))
+                .chain((m + 1..nb).map(move |bi| (bi, m)))
+        },
+        |counts| owners.rows(counts),
+    );
     let steps = (0..nb)
-        .map(|k| {
-            let diag = dist.owner(k, k);
-            let panel = owner_work((k..nb).map(|bi| (bi, k)), dist);
-            let diag_col_dests = col_owners(dist, k, k + 1..nb, diag);
+        .zip(trailing)
+        .map(|(k, trailing)| {
+            let diag = owners.at(k, k);
+            let panel = owners.work(&owners.counts((k..nb).map(|bi| (bi, k))));
+            let diag_col_dests = owners.distinct((k + 1..nb).map(|bi| (bi, k)), diag);
             // Trailing phases are empty on the last step; the emitted
             // lists below are all empty ranges then, matching the
             // simulator's historical `k + 1 == nb` early-continue.
             let l_bcasts = (k..nb)
                 .map(|bi| {
-                    let src = dist.owner(bi, k);
+                    let src = owners.at(bi, k);
                     Bcast {
                         block: (bi, k),
                         src,
-                        dests: row_owners(dist, bi, k + 1..nb, src),
+                        dests: owners.distinct((k + 1..nb).map(|bj| (bi, bj)), src),
                     }
                 })
                 .collect();
-            let trsm = owner_work((k + 1..nb).map(|bj| (k, bj)), dist);
+            let trsm = owners.work(&owners.counts((k + 1..nb).map(|bj| (k, bj))));
             let u_bcasts = (k + 1..nb)
                 .map(|bj| {
-                    let src = dist.owner(k, bj);
+                    let src = owners.at(k, bj);
                     Bcast {
                         block: (k, bj),
                         src,
-                        dests: col_owners(dist, bj, k + 1..nb, src),
+                        dests: owners.distinct((k + 1..nb).map(|bi| (bi, bj)), src),
                     }
                 })
                 .collect();
@@ -473,12 +530,12 @@ pub fn factor_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
                 l_bcasts,
                 trsm,
                 u_bcasts,
-                trailing: dist.trailing_counts(nb, k + 1),
+                trailing,
             }
         })
         .collect();
     Plan {
-        grid: dist.grid(),
+        grid: owners.grid,
         owned: Vec::new(),
         steps,
     }
@@ -487,38 +544,32 @@ pub fn factor_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
 /// Plan for right-looking Cholesky (`A = L L^T`, lower triangle only)
 /// of an `nb x nb` block matrix.
 pub fn cholesky_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
+    let owners = Owners::new(dist, nb, nb);
+    // Shell `m` of the lower triangle: column `m` from the diagonal down.
+    let trailing = owners.trailing(
+        nb,
+        |m| (m..nb).map(move |bi| (bi, m)),
+        |counts| owners.work(counts),
+    );
     let steps = (0..nb)
-        .map(|k| {
-            let diag = dist.owner(k, k);
-            let diag_dests = col_owners(dist, k, k + 1..nb, diag);
-            let panel = owner_work((k + 1..nb).map(|bi| (bi, k)), dist);
+        .zip(trailing)
+        .map(|(k, trailing)| {
+            let diag = owners.at(k, k);
+            let diag_dests = owners.distinct((k + 1..nb).map(|bi| (bi, k)), diag);
+            let panel = owners.work(&owners.counts((k + 1..nb).map(|bi| (bi, k))));
             let panel_bcasts = (k + 1..nb)
                 .map(|bi| {
-                    let src = dist.owner(bi, k);
-                    let mut dests: Vec<(usize, usize)> = Vec::new();
-                    for bj in k + 1..=bi {
-                        let o = dist.owner(bi, bj);
-                        if o != src && !dests.contains(&o) {
-                            dests.push(o);
-                        }
-                    }
-                    for bi2 in bi..nb {
-                        let o = dist.owner(bi2, bi);
-                        if o != src && !dests.contains(&o) {
-                            dests.push(o);
-                        }
-                    }
+                    let src = owners.at(bi, k);
+                    // Row `bi` of the trailing triangle, then column `bi`.
+                    let row = (k + 1..=bi).map(|bj| (bi, bj));
+                    let col = (bi..nb).map(|bi2| (bi2, bi));
                     Bcast {
                         block: (bi, k),
                         src,
-                        dests,
+                        dests: owners.distinct(row.chain(col), src),
                     }
                 })
                 .collect();
-            let trailing = owner_work(
-                (k + 1..nb).flat_map(|bi| (k + 1..=bi).map(move |bj| (bi, bj))),
-                dist,
-            );
             Step::Cholesky {
                 k,
                 diag,
@@ -530,7 +581,7 @@ pub fn cholesky_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
         })
         .collect();
     Plan {
-        grid: dist.grid(),
+        grid: owners.grid,
         owned: Vec::new(),
         steps,
     }
@@ -540,17 +591,18 @@ pub fn cholesky_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
 /// (see [`Step::Qr`] for the per-step structure and message/work
 /// conventions).
 pub fn qr_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
+    let owners = Owners::new(dist, nb, nb);
     let steps = (0..nb)
         .map(|k| {
-            let diag = dist.owner(k, k);
-            let panel = (k..nb).map(|bi| ((bi, k), dist.owner(bi, k))).collect();
-            let reflector_dests = row_owners(dist, k, k + 1..nb, diag);
+            let diag = owners.at(k, k);
+            let panel = (k..nb).map(|bi| ((bi, k), owners.at(bi, k))).collect();
+            let reflector_dests = owners.distinct((k + 1..nb).map(|bj| (k, bj)), diag);
             let columns = (k + 1..nb)
                 .map(|bj| QrColumn {
                     bj,
-                    head: dist.owner(k, bj),
+                    head: owners.at(k, bj),
                     members: (k + 1..nb)
-                        .map(|bi| ((bi, bj), dist.owner(bi, bj)))
+                        .map(|bi| ((bi, bj), owners.at(bi, bj)))
                         .collect(),
                 })
                 .collect();
@@ -564,7 +616,7 @@ pub fn qr_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
         })
         .collect();
     Plan {
-        grid: dist.grid(),
+        grid: owners.grid,
         owned: Vec::new(),
         steps,
     }
@@ -973,6 +1025,53 @@ mod tests {
             }
         }
         assert!(next_k.iter().flatten().all(|&k| k == kb));
+    }
+
+    /// FNV-1a 64 over `bytes`.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The generators' output, independent of the byte codec: one digest
+    /// of `{:?}` per plan, for every grid kernel at nb = 64 on a 4x4
+    /// Cartesian panel distribution and on a non-Cartesian KL one, plus
+    /// a rectangular MM on a block-cyclic grid.
+    #[test]
+    fn generated_plans_are_pinned() {
+        let arr = Arrangement::from_rows(&[
+            vec![1.0, 1.5, 2.0, 2.5],
+            vec![3.0, 3.5, 4.0, 4.5],
+            vec![5.0, 5.5, 6.0, 6.5],
+            vec![7.0, 7.5, 8.0, 9.0],
+        ]);
+        let sol = hetgrid_core::exact::solve_arrangement(&arr);
+        let panel =
+            PanelDist::from_allocation(&arr, &sol.alloc, 16, 16, PanelOrdering::Interleaved);
+        let kl = KlDist::new(&arr, 16, 16);
+        let mut got: Vec<u64> = Vec::new();
+        for dist in [&panel as &dyn BlockDist, &kl] {
+            for kernel in Kernel::ALL {
+                got.push(fnv(format!("{:?}", kernel.plan(dist, 64)).as_bytes()));
+            }
+        }
+        let rect = mm_rect_plan(&BlockCyclic::new(3, 2), (7, 5, 4));
+        got.push(fnv(format!("{rect:?}").as_bytes()));
+        assert_eq!(
+            got,
+            [
+                0xfe35_b73b_e9aa_b607,
+                0x543a_9354_a6c8_8999,
+                0x11c3_d06c_ad44_35c5,
+                0x1179_4715_5be1_dbae,
+                0xa856_db87_bd4f_cae0,
+                0x7801_1dc6_49ef_3c12,
+                0x0799_741e_1ce0_ef86,
+                0x9b77_29f7_f7aa_21f5,
+                0xfb01_5c22_67ce_8f99,
+            ]
+        );
     }
 
     #[test]

@@ -7,27 +7,34 @@
 //! bytes, `get` reads them back through the bounds-checked [`Reader`],
 //! and `MIN_BYTES` is the fewest bytes it occupies, so every length
 //! prefix is checked against the bytes left before anything is
-//! allocated. All integers are little-endian; a `usize` travels as a
-//! `u32`, an `f64` as its raw IEEE-754 bits, a `Vec` or `String` as a
-//! `u32` count followed by its elements, a pair as its two halves.
-//! `hetgrid-serve` writes its request/response protocol and its cache
-//! keys with the same fields and reads them with the same [`Reader`]
-//! and [`DecodeError`].
+//! allocated. A `usize` — every index, count and length prefix — is an
+//! unsigned LEB128 varint of a `u32`: seven bits a byte, low group
+//! first, the high bit set on every byte but the last, so a value below
+//! 128 takes one byte and none takes more than five. Only the shortest
+//! form is accepted, so every value has one encoding. The fixed-width
+//! integers (`u16`, `u32`, `u64`) are little-endian, an `f64` is its
+//! raw IEEE-754 bits, a `Vec` or `String` is a count followed by its
+//! elements, a pair is its two halves. `hetgrid-serve` writes its
+//! request/response protocol and its cache keys with the same fields
+//! and reads them with the same [`Reader`] and [`DecodeError`].
 //!
-//! Plan format (`decode(encode(p)) == p`, which is what makes a cached
-//! serve response interchangeable with a fresh solve):
+//! Plan format (`decode(encode(p)) == p`, and `encode(decode(b)) == b`
+//! for every `b` that decodes, which is what makes a cached serve
+//! response interchangeable with a fresh solve):
 //!
 //! ```text
-//! u8 version (= 1)
-//! u32 p, u32 q                       grid shape
-//! u32 rows, then rows x cols x u32   owned-C table (0 rows when empty)
-//! u32 nsteps, then per step:
+//! u8 version (= 2)
+//! p, q                                 grid shape
+//! rows, then per row: n, n counts      owned-C table (0 rows when empty)
+//! nsteps, then per step:
 //!   u8 tag: 0 Mm, 1 Factor, 2 Cholesky, 3 Qr,
 //!           4 Load, 5 Compute, 6 Evict (star steps)
 //!   tag-specific fields in declaration order; a grid coordinate is two
-//!   u32s; a Mat is one byte (0 A, 1 B, 2 C), a LoadSrc one byte
+//!   varints; a Mat is one byte (0 A, 1 B, 2 C), a LoadSrc one byte
 //!   (0 Master, 1 Zero), a bool one byte (0 / 1).
 //! ```
+//!
+//! Every number above without a `u8` is a varint.
 //!
 //! Decoding is total: malformed input yields a typed [`DecodeError`]
 //! (never a panic), and trailing garbage after a well-formed plan is an
@@ -41,7 +48,7 @@
 use crate::{Bcast, LoadSrc, Mat, OwnerWork, Plan, QrColumn, Step};
 
 /// Codec version written by [`encode`] and required by [`decode`].
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Why a buffer failed to decode (see [`DecodeError`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,7 +147,7 @@ impl<'a> Reader<'a> {
         T::get(self, what)
     }
 
-    /// Reads a `u32` element count and checks it against the bytes left
+    /// Reads a varint element count and checks it against the bytes left
     /// (each element needs at least `min` bytes), so a corrupt length can
     /// never trigger a huge allocation.
     fn count(&mut self, min: usize, what: &'static str) -> Result<usize, DecodeError> {
@@ -190,16 +197,50 @@ macro_rules! le_ints {
 }
 le_ints!(u16, u32, u64);
 
-/// An index or count: a `u32`.
+/// An index or count: the unsigned LEB128 varint of its `u32` value.
+/// Decoding rejects an overlong form (a last byte of zero after the
+/// first) and a value above `u32::MAX` as [`DecodeErrorKind::InvalidField`].
 impl Field for usize {
-    const MIN_BYTES: usize = 4;
+    const MIN_BYTES: usize = 1;
     #[inline]
     fn put(&self, out: &mut Vec<u8>) {
-        (*self as u32).put(out);
+        let mut v = *self as u32;
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
-        Ok(u32::get(r, what)? as usize)
+        // Nearly every plan index is below 128: one byte, one branch.
+        match r.buf.get(r.pos) {
+            Some(&b) if b < 0x80 => {
+                r.pos += 1;
+                Ok(usize::from(b))
+            }
+            _ => long_varint(r, what),
+        }
     }
+}
+
+/// The varint at `r` whose first byte, if there is one, has its
+/// continuation bit set (`usize::get` reads the one-byte form itself,
+/// inline): two to five bytes, or an error.
+#[inline(never)]
+fn long_varint(r: &mut Reader<'_>, what: &'static str) -> Result<usize, DecodeError> {
+    let mut v = 0u64;
+    for shift in (0..35).step_by(7) {
+        let b = r.byte(what)?;
+        v |= u64::from(b & 0x7F) << shift;
+        if b < 0x80 {
+            if b == 0 || v > u64::from(u32::MAX) {
+                break;
+            }
+            return Ok(v as usize);
+        }
+    }
+    Err(r.err(what, DecodeErrorKind::InvalidField))
 }
 
 /// The raw IEEE-754 bits, so a value round-trips bit for bit.
@@ -227,7 +268,7 @@ impl<A: Field, B: Field> Field for (A, B) {
 }
 
 impl<T: Field> Field for Vec<T> {
-    const MIN_BYTES: usize = 4;
+    const MIN_BYTES: usize = 1;
     #[inline]
     fn put(&self, out: &mut Vec<u8>) {
         self.len().put(out);
@@ -247,7 +288,7 @@ impl<T: Field> Field for Vec<T> {
 
 /// Opaque bytes, copied whole.
 impl Field for Vec<u8> {
-    const MIN_BYTES: usize = 4;
+    const MIN_BYTES: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
         self.len().put(out);
         out.extend_from_slice(self);
@@ -260,7 +301,7 @@ impl Field for Vec<u8> {
 
 /// UTF-8 bytes.
 impl Field for String {
-    const MIN_BYTES: usize = 4;
+    const MIN_BYTES: usize = 1;
     fn put(&self, out: &mut Vec<u8>) {
         self.len().put(out);
         out.extend_from_slice(self.as_bytes());
@@ -331,9 +372,9 @@ macro_rules! record_codec {
 }
 
 record_codec! {
-    Bcast { block, src, dests } = 20;
-    OwnerWork { owner, blocks } = 12;
-    QrColumn { bj, head, members } = 16;
+    Bcast { block, src, dests } = 5;
+    OwnerWork { owner, blocks } = 3;
+    QrColumn { bj, head, members } = 4;
 }
 
 /// A step as its tag byte, then its fields in declaration order; a
@@ -342,7 +383,7 @@ record_codec! {
 macro_rules! step_codec {
     ($($tag:literal => $kind:ident { $($field:ident),+ })+) => {
         impl Field for Step {
-            const MIN_BYTES: usize = 5; // the tag and `k`
+            const MIN_BYTES: usize = 2; // the tag and `k`
             fn put(&self, out: &mut Vec<u8>) {
                 match self {
                     $(Step::$kind { $($field),+ } => {
@@ -517,9 +558,9 @@ mod tests {
             owned: vec![],
             steps: vec![],
         });
-        // Rewrite the step count from 0 to 1 and append the alien tag.
-        let n = bytes.len();
-        bytes[n - 4..].copy_from_slice(&1u32.to_le_bytes());
+        // Rewrite the one-byte step count from 0 to 1 and append the
+        // alien tag.
+        *bytes.last_mut().unwrap() = 1;
         bytes.extend_from_slice(&[7; 24]);
         let err = decode(&bytes).unwrap_err();
         assert_eq!(err.kind, DecodeErrorKind::UnknownStepTag(7));
@@ -530,10 +571,11 @@ mod tests {
     fn invalid_enum_bytes_are_typed_errors() {
         let plan = star_mm_plan(&star(1, 3), (1, 1, 1));
         let bytes = encode(&plan);
-        // The first star step is `Load { k: 0, worker: 1, mat, .. }`;
-        // its mat byte sits right after the tag and two u32s.
-        let header = 1 + 8 + (4 + 4 + 4 * 2) + 4;
-        let mat_at = header + 1 + 4 + 4;
+        // Version, grid (2), owned [[0, 1]] (4) and the step count: 8
+        // bytes. The first star step is `Load { k: 0, worker: 1, mat, .. }`;
+        // its mat byte sits right after the tag and two one-byte varints.
+        let header = 1 + 2 + 4 + 1;
+        let mat_at = header + 1 + 1 + 1;
         assert_eq!(bytes[mat_at], 2, "expected the C-accumulator load");
         let mut evil = bytes.clone();
         evil[mat_at] = 3;
@@ -549,36 +591,81 @@ mod tests {
 
     #[test]
     fn star_byte_layout_is_pinned() {
-        // Cross-version pin: this spells the v1 byte layout of every
+        // Cross-version pin: this spells the v2 byte layout of every
         // star step kind out longhand. If encode() changes, bump
         // WIRE_VERSION — old caches and remote peers hold these bytes.
         let plan = star_mm_plan(&star(1, 3), (1, 1, 1));
-        let le = |v: u32| v.to_le_bytes();
-        let mut want: Vec<u8> = Vec::new();
-        want.push(1); // version
-        want.extend(le(1));
-        want.extend(le(2)); // grid 1 x 2
-        want.extend(le(1));
-        want.extend(le(2));
-        want.extend(le(0));
-        want.extend(le(1)); // owned [[0, 1]]
-        want.extend(le(7)); // 7 steps
-        for (tag, k, tail) in [
-            (4u8, 0u32, vec![2, 0, 0, 0, 0, 0, 0, 0, 0, 1]), // Load C (0,0) Zero
-            (4, 1, vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),      // Load B (0,0) Master
-            (4, 2, vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),      // Load A (0,0) Master
-            (5, 3, vec![0; 24]),                             // Compute c a b = (0,0)
-            (6, 4, vec![0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),      // Evict A, drop
-            (6, 5, vec![1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),      // Evict B, drop
-            (6, 6, vec![2, 0, 0, 0, 0, 0, 0, 0, 0, 1]),      // Evict C, send back
-        ] {
-            want.push(tag);
-            want.extend(le(k));
-            want.extend(le(1)); // worker 1
-            want.extend(tail);
-        }
+        #[rustfmt::skip]
+        let want: Vec<u8> = vec![
+            2,          // version
+            1, 2,       // grid 1 x 2
+            1, 2, 0, 1, // owned [[0, 1]]
+            7,          // 7 steps; each: tag, k, worker 1, then its fields
+            4, 0, 1, 2, 0, 0, 1,    // Load C (0,0) Zero
+            4, 1, 1, 1, 0, 0, 0,    // Load B (0,0) Master
+            4, 2, 1, 0, 0, 0, 0,    // Load A (0,0) Master
+            5, 3, 1, 0, 0, 0, 0, 0, 0, // Compute c a b = (0,0)
+            6, 4, 1, 0, 0, 0, 0,    // Evict A (0,0), drop
+            6, 5, 1, 1, 0, 0, 0,    // Evict B (0,0), drop
+            6, 6, 1, 2, 0, 0, 1,    // Evict C (0,0), send back
+        ];
         assert_eq!(encode(&plan), want);
         assert_eq!(decode(&want).unwrap(), plan);
+    }
+
+    #[test]
+    fn v1_plans_are_an_unsupported_version() {
+        // The empty 1 x 2 plan as v1 wrote it: fixed-width u32 fields.
+        let v1 = [1, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        let err = decode(&v1).unwrap_err();
+        assert_eq!(err.kind, DecodeErrorKind::UnsupportedVersion(1));
+        assert_eq!(err.offset, 0);
+    }
+
+    fn varint(bytes: &[u8]) -> Result<usize, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let v = r.get("value")?;
+        r.done("trailing bytes")?;
+        Ok(v)
+    }
+
+    #[test]
+    fn varints_round_trip_at_the_group_edges() {
+        for (v, want) in [
+            (0usize, &[0x00][..]),
+            (127, &[0x7F]),
+            (128, &[0x80, 0x01]),
+            (16_383, &[0xFF, 0x7F]),
+            (16_384, &[0x80, 0x80, 0x01]),
+            (1 << 28, &[0x80, 0x80, 0x80, 0x80, 0x01]),
+            (u32::MAX as usize, &[0xFF, 0xFF, 0xFF, 0xFF, 0x0F]),
+        ] {
+            let mut out = Vec::new();
+            v.put(&mut out);
+            assert_eq!(out, want, "{v}");
+            assert_eq!(varint(&out), Ok(v));
+        }
+    }
+
+    #[test]
+    fn noncanonical_and_truncated_varints_are_typed_errors() {
+        let kind = |b: &[u8]| varint(b).unwrap_err().kind;
+        // Overlong: a zero last group after the first byte.
+        assert_eq!(kind(&[0x80, 0x00]), DecodeErrorKind::InvalidField);
+        assert_eq!(kind(&[0xFF, 0x80, 0x00]), DecodeErrorKind::InvalidField);
+        // Above u32::MAX: 2^32, and a fifth byte that continues.
+        assert_eq!(
+            kind(&[0x80, 0x80, 0x80, 0x80, 0x10]),
+            DecodeErrorKind::InvalidField
+        );
+        assert_eq!(
+            kind(&[0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]),
+            DecodeErrorKind::InvalidField
+        );
+        // A continuation bit with nothing after it.
+        assert_eq!(kind(&[0x80]), DecodeErrorKind::Truncated);
+        assert_eq!(kind(&[0xFF, 0xFF]), DecodeErrorKind::Truncated);
+        assert_eq!(kind(&[]), DecodeErrorKind::Truncated);
     }
 
     /// FNV-1a 64 over `bytes`.
@@ -590,20 +677,20 @@ mod tests {
 
     #[test]
     fn kernel_plan_bytes_are_pinned() {
-        // The v1 bytes of every plan in `all_plans`, grid kernels
+        // The v2 bytes of every plan in `all_plans`, grid kernels
         // included, as one digest each. If one moves, bump WIRE_VERSION.
         let got: Vec<u64> = all_plans().iter().map(|p| fnv(&encode(p))).collect();
         assert_eq!(
             got,
             [
-                0x1ed0_32e7_b962_ba04,
-                0x1121_77da_0431_aec4,
-                0x5274_a62f_90e5_794f,
-                0xe551_8d05_0091_090d,
-                0x41bb_0ae9_eef6_945c,
-                0xb08c_0816_9d3d_8b40,
-                0x7428_0e75_58fe_d0d0,
-                0x58dd_9b2f_1d66_40bc,
+                0x5aab_7486_79c1_bcef,
+                0xe5e1_da9e_2685_e449,
+                0x2d27_990a_3bc2_ba4e,
+                0x2f73_569f_37d4_133e,
+                0x0ee8_0326_32bf_90d7,
+                0x62a8_72f5_4aa9_58dc,
+                0x529e_b2c1_8b9f_f223,
+                0x66c8_e525_ce7d_002f,
             ]
         );
     }

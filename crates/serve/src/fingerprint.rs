@@ -3,16 +3,19 @@
 //! ## Normalization rules
 //!
 //! Two requests share a cache entry iff their *canonical key bytes*
-//! are equal. The key is built field-by-field in a fixed order with
-//! fixed-width little-endian encodings — never by hashing in-memory
+//! are equal. The key is built field-by-field in a fixed order with the
+//! [`hetgrid_plan::wire`] codec — never by hashing in-memory
 //! structures — so it is stable across runs, platforms, and `HashMap`
 //! iteration orders:
 //!
 //! 1. request kind byte (solve / plan / simulate are distinct spaces);
-//! 2. kernel byte and `u32` block count (plan/simulate only);
-//! 3. `u32` grid rows, `u32` grid cols;
+//! 2. kernel byte and varint block count (plan/simulate only);
+//! 3. varint grid rows, varint grid cols;
 //! 4. each cycle-time as its raw IEEE-754 bit pattern (`f64::to_bits`,
 //!    little-endian), row-major.
+//!
+//! A varint has one encoding per value and the kind byte fixes which
+//! fields follow, so two distinct specs never share key bytes.
 //!
 //! Cycle-times are compared *up to bit pattern*: `1.0` and
 //! `1.0 + 1e-18` are different keys (the solver is deterministic in

@@ -1,18 +1,20 @@
 //! Versioned request/response protocol for `hetgrid serve`.
 //!
 //! Every payload starts with the two magic bytes `hg` and a version
-//! byte, then a kind byte. Integers are little-endian; cycle-times
-//! travel as raw IEEE-754 `f64` bit patterns, so what the client sent
-//! is bit-for-bit what the solver (and the cache fingerprint) sees.
+//! byte, then a kind byte. Fixed-width integers are little-endian;
+//! every count and the block count `nb` are [`hetgrid_plan::wire`]
+//! varints (one byte below 128); cycle-times travel as raw IEEE-754
+//! `f64` bit patterns, so what the client sent is bit-for-bit what the
+//! solver (and the cache fingerprint) sees.
 //!
 //! Request kinds:
 //!
 //! | kind | body |
 //! |------|------|
-//! | 1 `Solve`    | `u16 p, u16 q, p*q x f64` |
-//! | 2 `Plan`     | `u8 kernel, u32 nb, u16 p, u16 q, p*q x f64` |
+//! | 1 `Solve`    | `u16 p, u16 q, varint n (= p*q), n x f64` |
+//! | 2 `Plan`     | `u8 kernel, varint nb`, then the `Solve` body |
 //! | 3 `Simulate` | same as `Plan` |
-//! | 4 `Metrics`  | `u8 format` (absent ⇒ `0` = JSON, for v1 clients) |
+//! | 4 `Metrics`  | `u8 format` (absent ⇒ `0` = JSON) |
 //! | 5 `Shutdown` | empty |
 //!
 //! A `u16` tenant-id length plus UTF-8 bytes (max [`MAX_TENANT`])
@@ -25,13 +27,14 @@
 //! to propagate its trace context (`u128` trace id + `u64` parent span
 //! id, little-endian, both nonzero). A server that admits the request
 //! under that context echoes the header frame back before the response
-//! frame — and only then, so v1 clients never see an unexpected frame.
+//! frame — and only then, so a client that sent none never sees one.
 //!
 //! Every field is written and read with [`hetgrid_plan::wire`]'s
 //! codec, the one the encoded plans use: decoding is total (malformed
 //! bytes produce a typed [`DecodeError`], never a panic) and every
 //! length field is bounded by the bytes left before anything is
-//! allocated.
+//! allocated. A frame of another version (v1 wrote every count as a
+//! `u32`) is an [`UnsupportedVersion`] error.
 
 use crate::wire::MAX_FRAME;
 use hetgrid_plan::wire::DecodeErrorKind::{InvalidField, UnsupportedVersion};
@@ -40,7 +43,7 @@ use hetgrid_plan::wire::{DecodeError, Field, Reader};
 /// Protocol magic, first two payload bytes.
 pub const MAGIC: [u8; 2] = *b"hg";
 /// Protocol version accepted by this build.
-pub const PROTO_VERSION: u8 = 1;
+pub const PROTO_VERSION: u8 = 2;
 /// Longest accepted tenant id, in UTF-8 bytes.
 pub const MAX_TENANT: usize = 64;
 /// Largest accepted grid side.
@@ -84,8 +87,8 @@ pub struct PlanSpec {
 /// Which rendering of the server's metrics a `Metrics` request wants.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetricsFormat {
-    /// `serve.*` counters/gauges as a JSON document (the v1 behavior;
-    /// an absent format byte decodes to this).
+    /// `serve.*` counters/gauges as a JSON document (an absent format
+    /// byte decodes to this).
     #[default]
     Json,
     /// The full metrics snapshot in the Prometheus-style text
@@ -285,7 +288,7 @@ fn header(r: &mut Reader<'_>, kind_what: &'static str) -> Result<u8, DecodeError
 
 /// `u16 p, u16 q`, then the cycle-times; decoding checks the shape.
 impl Field for SolveSpec {
-    const MIN_BYTES: usize = 8;
+    const MIN_BYTES: usize = 5;
     fn put(&self, out: &mut Vec<u8>) {
         (self.p as u16).put(out);
         (self.q as u16).put(out);
@@ -305,9 +308,9 @@ impl Field for SolveSpec {
     }
 }
 
-/// `u8 kernel, u32 nb`, then the solve spec; decoding checks both.
+/// `u8 kernel, varint nb`, then the solve spec; decoding checks both.
 impl Field for PlanSpec {
-    const MIN_BYTES: usize = 5 + SolveSpec::MIN_BYTES;
+    const MIN_BYTES: usize = 2 + SolveSpec::MIN_BYTES;
     fn put(&self, out: &mut Vec<u8>) {
         out.push(self.kernel.as_u8());
         self.nb.put(out);
@@ -326,7 +329,7 @@ impl Field for PlanSpec {
 }
 
 impl Field for SolveResult {
-    const MIN_BYTES: usize = 24;
+    const MIN_BYTES: usize = 15;
     fn put(&self, out: &mut Vec<u8>) {
         (self.p as u16).put(out);
         (self.q as u16).put(out);
@@ -348,7 +351,7 @@ impl Field for SolveResult {
 }
 
 impl Field for SimulateResult {
-    const MIN_BYTES: usize = 12;
+    const MIN_BYTES: usize = 6;
     fn put(&self, out: &mut Vec<u8>) {
         (self.p as u16).put(out);
         (self.q as u16).put(out);
@@ -400,7 +403,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, DecodeError> {
         1 => RequestBody::Solve(r.get("solve spec")?),
         2 => RequestBody::Plan(r.get("plan spec")?),
         3 => RequestBody::Simulate(r.get("plan spec")?),
-        // A v1 client sends no format byte: empty body means JSON.
+        // No format byte: an empty body means JSON.
         4 if r.is_empty() => RequestBody::Metrics(MetricsFormat::Json),
         4 => RequestBody::Metrics(
             MetricsFormat::from_u8(r.byte("metrics format")?)
@@ -641,16 +644,16 @@ mod tests {
         let requests = sample_requests();
         assert_eq!(
             digest(requests.iter().map(encode_request)),
-            "1f54a49a7613a40d75bb7a67c64b7800"
+            "13c95fdc17072680e3fa87d2f48e8a32"
         );
         assert_eq!(
             digest(sample_responses().iter().map(encode_response)),
-            "753ee46195bd301cb8ab5b6bce1c0b3f"
+            "6d4dc1f9d87e283df042f7578d079b14"
         );
         let keys = requests
             .iter()
             .filter_map(|r| crate::fingerprint::cache_key(&r.body));
-        assert_eq!(digest(keys), "2c5f53051c64fdbb05cee571bf561df7");
+        assert_eq!(digest(keys), "d21e9373c5f3c72e123ca85e34b15c97");
     }
 
     /// The error texts a server answers malformed input with, over every
@@ -679,8 +682,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(texts.len(), 1338);
-        assert_eq!(digest(texts), "775641f8b74b04846f9830dc7a913519");
+        assert_eq!(texts.len(), 1235);
+        assert_eq!(digest(texts), "810783eb2e6c5991cbb6a471c48d940d");
     }
 
     #[test]
@@ -689,7 +692,7 @@ mod tests {
             let bytes = encode_request(&req);
             for len in 0..bytes.len() {
                 // The one legal truncation: a Metrics frame minus its
-                // format byte is a valid v1 (JSON-format) request.
+                // format byte is a valid (JSON-format) request.
                 if matches!(req.body, RequestBody::Metrics(_)) && len == bytes.len() - 1 {
                     assert_eq!(
                         decode_request(&bytes[..len]).unwrap().body,
@@ -714,7 +717,7 @@ mod tests {
         });
         *bytes.last_mut().unwrap() = 9;
         assert!(decode_request(&bytes).is_err());
-        // A v1 frame (no format byte at all) decodes as JSON.
+        // A frame with no format byte at all decodes as JSON.
         bytes.pop();
         assert_eq!(
             decode_request(&bytes).unwrap().body,

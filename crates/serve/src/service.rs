@@ -445,6 +445,28 @@ mod tests {
         }
     }
 
+    /// A Plan request as a v1 client wrote it (every count a `u32`) is
+    /// refused by its version byte, before any of its body is read.
+    #[test]
+    fn v1_request_frames_become_bad_request() {
+        let _g = obs_lock();
+        let svc = Service::new(ServiceConfig::default());
+        let mut v1 = vec![b'h', b'g', 1, 2, 0, 0, 1];
+        v1.extend(8u32.to_le_bytes()); // nb
+        v1.extend([2, 0, 2, 0]); // p, q
+        v1.extend(4u32.to_le_bytes()); // cycle-time count
+        for t in [1.0f64, 2.0, 3.0, 5.0] {
+            v1.extend(t.to_bits().to_le_bytes());
+        }
+        let resp = crate::proto::decode_response(&svc.handle(&v1)).unwrap();
+        assert_eq!(
+            resp,
+            Response::BadRequest(
+                "malformed payload at byte 2: unsupported protocol version".into()
+            )
+        );
+    }
+
     #[test]
     fn bad_cycle_times_become_bad_request_not_panic() {
         let _g = obs_lock();
@@ -539,10 +561,10 @@ mod tests {
         }
     }
 
-    /// QR at nb = 150 on the paper's grid encodes to more bytes than
-    /// one frame holds (as does MM at nb = 600, which takes far longer
-    /// to plan): a typed refusal, not a frame the connection cannot
-    /// write, and never cached.
+    /// QR at nb = 240 on the paper's grid encodes to about 1.5 times
+    /// what one frame holds (MM passes the cap only near nb = 1000, and
+    /// takes far longer to plan): a typed refusal, not a frame the
+    /// connection cannot write, and never cached.
     #[test]
     fn oversize_response_is_a_bad_request_and_not_cached() {
         let _g = obs_lock();
@@ -556,10 +578,10 @@ mod tests {
                     times: vec![1.0, 2.0, 3.0, 5.0],
                 },
                 kernel: Kernel::Qr,
-                nb: 150,
+                nb: 240,
             }),
         };
-        let want = "response of 18185455 bytes exceeds the 16777216-byte frame cap";
+        let want = "response of 24574092 bytes exceeds the 16777216-byte frame cap";
         let resp = svc.respond(&req);
         assert!(
             matches!(&resp, Response::BadRequest(msg) if msg == want),

@@ -141,7 +141,7 @@ fn pinned_fingerprint_is_stable_across_runs() {
     let fp = fingerprint(&key);
     assert_eq!(
         format!("{fp}"),
-        "461c7bb0a486e0a94014ecbce3b7322d",
+        "66ee3e3e8944afeeb336370c1f7692b1",
         "canonical key layout changed; see fingerprint.rs normalization rules"
     );
 }
