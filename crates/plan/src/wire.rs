@@ -120,6 +120,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `n` bytes.
+    #[inline]
     pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], DecodeError> {
         let bytes = self.buf[self.pos..]
             .get(..n)
@@ -129,6 +130,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The next `N` bytes, by value.
+    #[inline]
     fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], DecodeError> {
         let (bytes, _) = self.buf[self.pos..]
             .split_first_chunk::<N>()
@@ -138,11 +140,13 @@ impl<'a> Reader<'a> {
     }
 
     /// The next byte.
+    #[inline]
     pub fn byte(&mut self, what: &'static str) -> Result<u8, DecodeError> {
         Ok(self.array::<1>(what)?[0])
     }
 
     /// The next value of type `T`.
+    #[inline]
     pub fn get<T: Field>(&mut self, what: &'static str) -> Result<T, DecodeError> {
         T::get(self, what)
     }
@@ -150,6 +154,7 @@ impl<'a> Reader<'a> {
     /// Reads a varint element count and checks it against the bytes left
     /// (each element needs at least `min` bytes), so a corrupt length can
     /// never trigger a huge allocation.
+    #[inline]
     fn count(&mut self, min: usize, what: &'static str) -> Result<usize, DecodeError> {
         let n: usize = self.get(what)?;
         if n.saturating_mul(min) > self.buf.len() - self.pos {
@@ -171,7 +176,10 @@ impl<'a> Reader<'a> {
 // The small and the container `put`s below are `#[inline]`: a plan's
 // encoder is one call tree through them, and left to the codegen-unit
 // split it ran ~17% slower than hand-written writers (MM plan, nb = 64,
-// 4x4 grid, x86-64).
+// 4x4 grid, x86-64). Every `get` and the `Reader` helpers are too, for
+// the same reason (only the multi-byte varint stays out of line): with
+// a call per field, decoding the QR plan at nb = 64 on a 4x4 grid took
+// about twice as long.
 pub trait Field: Sized {
     /// The fewest bytes one encoded value occupies.
     const MIN_BYTES: usize;
@@ -189,6 +197,7 @@ macro_rules! le_ints {
             fn put(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+            #[inline]
             fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
                 Ok(<$t>::from_le_bytes(r.array(what)?))
             }
@@ -250,6 +259,7 @@ impl Field for f64 {
     fn put(&self, out: &mut Vec<u8>) {
         self.to_bits().put(out);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
         Ok(f64::from_bits(r.get(what)?))
     }
@@ -262,6 +272,7 @@ impl<A: Field, B: Field> Field for (A, B) {
         self.0.put(out);
         self.1.put(out);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
         Ok((r.get(what)?, r.get(what)?))
     }
@@ -276,6 +287,7 @@ impl<T: Field> Field for Vec<T> {
             v.put(out);
         }
     }
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
         let n = r.count(T::MIN_BYTES, what)?;
         let mut v = Vec::with_capacity(n);
@@ -293,6 +305,7 @@ impl Field for Vec<u8> {
         self.len().put(out);
         out.extend_from_slice(self);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
         let n = r.count(1, what)?;
         Ok(r.take(n, what)?.to_vec())
@@ -306,6 +319,7 @@ impl Field for String {
         self.len().put(out);
         out.extend_from_slice(self.as_bytes());
     }
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
         let bytes = Vec::<u8>::get(r, what)?;
         String::from_utf8(bytes).map_err(|_| r.err(what, DecodeErrorKind::InvalidField))
@@ -313,6 +327,7 @@ impl Field for String {
 }
 
 /// One byte: the value's index in `all`.
+#[inline]
 fn one_of<T: Copy, const N: usize>(
     r: &mut Reader<'_>,
     what: &'static str,
@@ -329,6 +344,7 @@ impl Field for bool {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
         one_of(r, what, [false, true])
     }
@@ -339,6 +355,7 @@ impl Field for Mat {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(*self as u8);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
         one_of(r, what, [Mat::A, Mat::B, Mat::C])
     }
@@ -349,6 +366,7 @@ impl Field for LoadSrc {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(*self as u8);
     }
+    #[inline]
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
         one_of(r, what, [LoadSrc::Master, LoadSrc::Zero])
     }
@@ -364,6 +382,7 @@ macro_rules! record_codec {
             fn put(&self, out: &mut Vec<u8>) {
                 $(self.$field.put(out);)+
             }
+            #[inline]
             fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
                 Ok($t { $($field: r.get(what)?),+ })
             }
@@ -392,6 +411,7 @@ macro_rules! step_codec {
                     })+
                 }
             }
+            #[inline]
             fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
                 Ok(match r.byte("step tag")? {
                     $($tag => Step::$kind {

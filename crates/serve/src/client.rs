@@ -7,14 +7,17 @@
 //! minted per request. The context rides ahead of the request as a
 //! header frame, and the server echoes it back ahead of the response —
 //! [`Client::last_trace_id`] exposes the echo, so even a `Busy` or
-//! error response is attributable to a specific trace.
+//! error response is attributable to a specific trace. The header and
+//! the request go out as one vectored write, and frames are read
+//! through a 64 KiB buffer, so a round trip is one write each way.
 
 use crate::proto::{
     decode_response, decode_trace_header, encode_request, encode_trace_header, is_trace_header,
     Request, Response,
 };
-use crate::wire::{read_frame, write_frame, WireError};
+use crate::wire::{read_frame, write_frame, write_frames, WireError, READ_BUFFER};
 use hetgrid_plan::wire::DecodeError;
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -43,7 +46,8 @@ impl std::error::Error for ClientError {}
 
 /// A connected client; reusable for many requests over one stream.
 pub struct Client {
-    stream: TcpStream,
+    /// Read through the buffer, written through `get_mut()`.
+    stream: BufReader<TcpStream>,
     last_trace_id: Option<u128>,
 }
 
@@ -54,7 +58,7 @@ impl Client {
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         let _ = stream.set_nodelay(true);
         Ok(Client {
-            stream,
+            stream: BufReader::with_capacity(READ_BUFFER, stream),
             last_trace_id: None,
         })
     }
@@ -69,12 +73,9 @@ impl Client {
             },
         };
         self.last_trace_id = None;
-        write_frame(
-            &mut self.stream,
-            &encode_trace_header(ctx.trace_id, ctx.span_id),
-        )
-        .map_err(ClientError::Wire)?;
-        write_frame(&mut self.stream, &encode_request(req)).map_err(ClientError::Wire)?;
+        let header = encode_trace_header(ctx.trace_id, ctx.span_id);
+        write_frames(self.stream.get_mut(), &[&header, &encode_request(req)])
+            .map_err(ClientError::Wire)?;
         let mut frame = read_frame(&mut self.stream).map_err(ClientError::Wire)?;
         if is_trace_header(&frame) {
             let (trace_id, _) = decode_trace_header(&frame).map_err(ClientError::Proto)?;
@@ -95,7 +96,7 @@ impl Client {
     /// traffic) and reads back one frame. No trace header is sent —
     /// the conversation is exactly the bytes given.
     pub fn request_raw(&mut self, payload: &[u8]) -> Result<Vec<u8>, ClientError> {
-        write_frame(&mut self.stream, payload).map_err(ClientError::Wire)?;
+        write_frame(self.stream.get_mut(), payload).map_err(ClientError::Wire)?;
         read_frame(&mut self.stream).map_err(ClientError::Wire)
     }
 }

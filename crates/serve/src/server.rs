@@ -2,7 +2,10 @@
 //! async runtime.
 //!
 //! Connection sockets carry a read timeout so idle connection threads
-//! wake periodically, notice a pending shutdown, and exit; the accept
+//! wake periodically, notice a pending shutdown, and exit, and a write
+//! timeout so a peer that stops reading is dropped after the stall
+//! budget ([`crate::wire::STALL_LIMIT`] timeouts without progress)
+//! instead of holding shutdown up forever; the accept
 //! thread is woken from its blocking `accept` by a loopback
 //! self-connection. Shutdown is initiated either locally
 //! ([`ServerHandle::shutdown`]) or remotely (a `Shutdown` request),
@@ -12,9 +15,9 @@
 
 use crate::proto;
 use crate::service::{Service, ServiceConfig};
-use crate::wire::{read_frame, write_frame, WireError};
+use crate::wire::{read_frame, write_frame, write_frames, READ_BUFFER};
 use hetgrid_obs::{diag, vdiag};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,7 +25,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Idle-poll interval: how long a blocked read waits before checking
-/// the shutdown flag.
+/// the shutdown flag, and a blocked write before counting a stall.
 pub const POLL_INTERVAL: Duration = Duration::from_millis(250);
 
 /// A running server: the bound address, the stop flag, and the
@@ -205,10 +208,14 @@ fn accept_loop(
 /// to its trace. Requests without a header still run under a
 /// freshly-minted server-side trace id — every admitted request is
 /// traceable — but nothing extra is written to the stream, so v1
-/// clients see exactly the v1 conversation.
-fn connection(mut stream: TcpStream, addr: SocketAddr, service: &Service, stop: &AtomicBool) {
+/// clients see exactly the v1 conversation. The echo and the response
+/// go out as one vectored write.
+fn connection(stream: TcpStream, addr: SocketAddr, service: &Service, stop: &AtomicBool) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_nodelay(true);
+    // Read through the buffer, written through `get_mut()`.
+    let mut stream = BufReader::with_capacity(READ_BUFFER, stream);
     let mut pending: Option<(u128, u64)> = None;
     loop {
         if stop.load(Ordering::SeqCst) || service.shutdown_requested() {
@@ -217,7 +224,6 @@ fn connection(mut stream: TcpStream, addr: SocketAddr, service: &Service, stop: 
         let frame = match read_frame(&mut stream) {
             Ok(frame) => frame,
             Err(e) if e.is_idle_timeout() => continue,
-            Err(WireError::Closed) => return,
             Err(_) => return,
         };
         if proto::is_trace_header(&frame) {
@@ -236,7 +242,7 @@ fn connection(mut stream: TcpStream, addr: SocketAddr, service: &Service, stop: 
                     let resp = crate::proto::encode_response(&crate::proto::Response::BadRequest(
                         e.to_string(),
                     ));
-                    if write_frame(&mut stream, &resp).is_err() {
+                    if write_frame(stream.get_mut(), &resp).is_err() {
                         return;
                     }
                     continue;
@@ -255,13 +261,12 @@ fn connection(mut stream: TcpStream, addr: SocketAddr, service: &Service, stop: 
             let _g = hetgrid_obs::ctx::install(ctx);
             service.handle(&frame)
         };
-        if hdr.is_some() {
-            let echo = proto::encode_trace_header(ctx.trace_id, ctx.span_id);
-            if write_frame(&mut stream, &echo).is_err() {
-                return;
-            }
-        }
-        if write_frame(&mut stream, &resp).is_err() {
+        let echo = hdr.map(|_| proto::encode_trace_header(ctx.trace_id, ctx.span_id));
+        let sent = match &echo {
+            Some(echo) => write_frames(stream.get_mut(), &[echo, &resp]),
+            None => write_frame(stream.get_mut(), &resp),
+        };
+        if sent.is_err() {
             return;
         }
         if service.shutdown_requested() {

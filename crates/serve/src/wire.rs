@@ -5,24 +5,41 @@
 //! any allocation, so a malicious length prefix cannot balloon memory.
 //!
 //! [`read_frame`] is written for sockets with a read timeout (the
-//! server's idle-poll mechanism): a timeout with **zero** bytes of the
-//! current frame consumed surfaces as `WireError::Io(TimedOut)` and is
-//! safe to retry — the stream is still frame-aligned. A timeout in the
-//! *middle* of a frame is retried internally up to [`STALL_LIMIT`]
-//! consecutive times and then reported as [`WireError::Truncated`],
-//! because retrying externally would lose frame alignment; the caller
-//! must drop the connection.
+//! server's idle-poll mechanism), read through a `BufReader` so that a
+//! burst of small frames costs one `read` call rather than two per
+//! frame: a timeout with **zero** bytes of the current frame consumed
+//! surfaces as `WireError::Io(TimedOut)` and is safe to retry — the
+//! stream is still frame-aligned. A timeout in the *middle* of a frame
+//! is retried internally up to [`STALL_LIMIT`] consecutive times and
+//! then reported as [`WireError::Truncated`], because retrying
+//! externally would lose frame alignment; the caller must drop the
+//! connection.
+//!
+//! [`write_frames`] sends a burst of frames (a trace header and the
+//! message it precedes) as one vectored write, each header and payload
+//! its own slice, so a round trip is one write each way and no payload
+//! is copied. On a socket with a write timeout, writes share
+//! the read side's stall budget: [`STALL_LIMIT`] consecutive timeouts
+//! without progress give [`WireError::Truncated`], so a peer that stops
+//! reading cannot park the writer forever.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 /// Hard upper bound on a frame payload (16 MiB). A 4096-processor
 /// cycle-time matrix is ~32 KiB; this leaves generous headroom for
 /// encoded plans while bounding what a hostile peer can make us buffer.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Consecutive mid-frame read timeouts tolerated before the frame is
-/// declared truncated (with the server's 250 ms poll interval this is
-/// a ~10 s stall budget).
+/// Bytes of the `BufReader` each end of a connection reads its stream
+/// through: a burst of frames arrives in one `read`, while a larger
+/// payload bypasses it once what is buffered has been copied out.
+pub const READ_BUFFER: usize = 64 * 1024;
+
+/// Consecutive timeouts without progress tolerated in the middle of a
+/// frame being read, or anywhere in a burst being written, before the
+/// stream is given up as [`WireError::Truncated`] (with the server's
+/// 250 ms poll interval and write timeout this is a ~10 s stall
+/// budget).
 pub const STALL_LIMIT: u32 = 40;
 
 /// A framing-level failure. Protocol-level problems (bad magic, bad
@@ -32,8 +49,8 @@ pub const STALL_LIMIT: u32 = 40;
 pub enum WireError {
     /// The peer closed the stream cleanly between frames.
     Closed,
-    /// The stream ended (or stalled past the stall budget) in the
-    /// middle of a frame.
+    /// The stream ended, or stalled past the stall budget, in the
+    /// middle of a frame being read or a burst being written.
     Truncated,
     /// The length prefix, or a payload to be sent, exceeds
     /// [`MAX_FRAME`].
@@ -126,15 +143,47 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, WireError> {
 /// would read, is refused as [`WireError::Oversize`] before anything
 /// is written.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError> {
-    if payload.len() > MAX_FRAME {
-        return Err(WireError::Oversize(payload.len()));
+    write_frames(w, &[payload])
+}
+
+/// Writes `payloads` as consecutive frames, the same bytes as one
+/// [`write_frame`] per payload, through `write_vectored` with each
+/// header and payload its own slice. If any payload is over
+/// [`MAX_FRAME`] the whole burst is refused as [`WireError::Oversize`]
+/// before anything is written.
+pub fn write_frames<W: Write>(w: &mut W, payloads: &[&[u8]]) -> Result<(), WireError> {
+    if let Some(p) = payloads.iter().find(|p| p.len() > MAX_FRAME) {
+        return Err(WireError::Oversize(p.len()));
     }
-    let header = (payload.len() as u32).to_be_bytes();
-    let io = |e: std::io::Error| WireError::Io(e.kind());
-    w.write_all(&header).map_err(io)?;
-    w.write_all(payload).map_err(io)?;
-    w.flush().map_err(io)?;
-    Ok(())
+    let headers: Vec<[u8; 4]> = payloads
+        .iter()
+        .map(|p| (p.len() as u32).to_be_bytes())
+        .collect();
+    let mut slices: Vec<IoSlice<'_>> = headers
+        .iter()
+        .zip(payloads)
+        .flat_map(|(h, p)| [IoSlice::new(h), IoSlice::new(p)])
+        .collect();
+    let mut bufs = &mut slices[..];
+    let mut stalls = 0u32;
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(WireError::Io(ErrorKind::WriteZero)),
+            Ok(n) => {
+                IoSlice::advance_slices(&mut bufs, n);
+                stalls = 0;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if timeoutish(e.kind()) => {
+                stalls += 1;
+                if stalls >= STALL_LIMIT {
+                    return Err(WireError::Truncated);
+                }
+            }
+            Err(e) => return Err(WireError::Io(e.kind())),
+        }
+    }
+    w.flush().map_err(|e| WireError::Io(e.kind()))
 }
 
 #[cfg(test)]
@@ -173,6 +222,85 @@ mod tests {
         assert!(buf.is_empty());
         write_frame(&mut buf, &vec![0; MAX_FRAME]).unwrap();
         assert_eq!(buf.len(), 4 + MAX_FRAME);
+    }
+
+    /// Takes at most 3 bytes per call, across slice boundaries, and
+    /// fails every other call with `fail` (before taking anything).
+    struct Trickle {
+        out: Vec<u8>,
+        calls: usize,
+        fail: ErrorKind,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls % 2 == 1 {
+                return Err(self.fail.into());
+            }
+            let before = self.out.len();
+            for b in bufs {
+                let room = 3 - (self.out.len() - before);
+                self.out.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.out.len() - before)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_burst_is_the_bytes_of_its_frames_through_short_and_interrupted_writes() {
+        let payloads: [&[u8]; 4] = [b"trace header", b"", b"x", &[7; 100]];
+        let mut expected = Vec::new();
+        for p in payloads {
+            write_frame(&mut expected, p).unwrap();
+        }
+        for fail in [ErrorKind::Interrupted, ErrorKind::WouldBlock] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                calls: 0,
+                fail,
+            };
+            write_frames(&mut w, &payloads).unwrap();
+            assert_eq!(w.out, expected, "{fail:?}");
+        }
+    }
+
+    #[test]
+    fn a_writer_with_no_progress_is_given_up_at_the_stall_limit() {
+        struct Stuck(u32);
+        impl Write for Stuck {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                Err(ErrorKind::TimedOut.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Stuck(0);
+        assert_eq!(write_frame(&mut w, b"abc"), Err(WireError::Truncated));
+        assert_eq!(w.0, STALL_LIMIT);
+    }
+
+    #[test]
+    fn an_oversize_payload_anywhere_refuses_the_whole_burst() {
+        let big = vec![0; MAX_FRAME + 1];
+        for at in 0..3 {
+            let mut payloads: Vec<&[u8]> = vec![b"echo", b"response", b"more"];
+            payloads[at] = &big;
+            let mut buf = Vec::new();
+            assert_eq!(
+                write_frames(&mut buf, &payloads),
+                Err(WireError::Oversize(MAX_FRAME + 1))
+            );
+            assert!(buf.is_empty(), "oversize at {at} wrote {} bytes", buf.len());
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! clients mixing well-formed requests with hostile traffic (malformed
 //! payloads, truncated frames, oversize length prefixes), plus the
 //! deterministic control paths — Busy shedding, quota denial, and both
-//! shutdown routes. The server must never panic: a panic in any
+//! shutdown routes — and the framing of the buffered reads and vectored
+//! writes: pipelined frames, frames split by pauses, and a client that
+//! stops reading. The server must never panic: a panic in any
 //! server-side thread would abort `join` on the handle and fail the
 //! test.
 //!
@@ -12,8 +14,11 @@
 //! coalesce test, and the harness oracle.
 
 use hetgrid_serve::proto::{
+    decode_response, decode_trace_header, encode_request, encode_response, encode_trace_header,
     Kernel, MetricsFormat, PlanSpec, Request, RequestBody, Response, SolveSpec,
 };
+use hetgrid_serve::server::POLL_INTERVAL;
+use hetgrid_serve::wire::{read_frame, write_frame, STALL_LIMIT};
 use hetgrid_serve::{spawn, Client, QuotaConfig, ServiceConfig};
 use std::io::Write;
 use std::net::TcpStream;
@@ -243,4 +248,116 @@ fn remote_shutdown_request_drains_the_server() {
     // Data requests after the drain fail to connect or to converse —
     // either way, no response arrives.
     assert!(hetgrid_serve::submit(addr, &plan_request("late", 0)).is_err());
+}
+
+#[test]
+fn frames_pipelined_in_one_write_are_answered_frame_by_frame() {
+    let handle = spawn("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let addr = handle.addr();
+    let requests = [plan_request("burst", 0), plan_request("burst", 1)];
+
+    // What two `Client::request` calls receive (the codec is canonical,
+    // so re-encoding a decoded response gives back its bytes).
+    let mut client = Client::connect(addr).expect("connect");
+    let expected: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|r| encode_response(&client.request(r).expect("request")))
+        .collect();
+
+    // A trace header and both requests in one `write_all`.
+    let (trace_id, span_id) = (0x0123_4567_89ab_cdef_u128, 7);
+    let mut burst = Vec::new();
+    for payload in [
+        encode_trace_header(trace_id, span_id),
+        encode_request(&requests[0]),
+        encode_request(&requests[1]),
+    ] {
+        write_frame(&mut burst, &payload).unwrap();
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(&burst).expect("write");
+
+    // Echo, response, response: only the first request had a header.
+    let echo = read_frame(&mut stream).expect("echo");
+    assert_eq!(decode_trace_header(&echo), Ok((trace_id, span_id)));
+    for want in &expected {
+        assert_eq!(&read_frame(&mut stream).expect("response"), want);
+    }
+    handle.shutdown();
+}
+
+#[test]
+fn a_request_split_by_pauses_longer_than_the_poll_interval_is_served() {
+    let handle = spawn("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &encode_request(&plan_request("slow", 0))).unwrap();
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // Mid-header, then mid-payload: each pause is a stall the server's
+    // read must sit out without losing its place in the frame.
+    let mid = frame.len() / 2;
+    for (i, piece) in [&frame[..2], &frame[2..mid], &frame[mid..]]
+        .into_iter()
+        .enumerate()
+    {
+        if i > 0 {
+            std::thread::sleep(POLL_INTERVAL + Duration::from_millis(150));
+        }
+        stream.write_all(piece).expect("write");
+    }
+    let resp = decode_response(&read_frame(&mut stream).expect("response")).expect("decodes");
+    assert!(matches!(resp, Response::Plan(_)), "got {resp:?}");
+    handle.shutdown();
+}
+
+#[test]
+fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
+    let handle = spawn("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    // QR at nb = 150 on 2x2 encodes to about 5 MB.
+    let request = Request {
+        tenant: "stalled".into(),
+        body: RequestBody::Plan(PlanSpec {
+            solve: SolveSpec {
+                p: 2,
+                q: 2,
+                times: vec![1.0, 2.0, 3.0, 5.0],
+            },
+            kernel: Kernel::Qr,
+            nb: 150,
+        }),
+    };
+    let mut burst = Vec::new();
+    for _ in 0..16 {
+        write_frame(&mut burst, &encode_request(&request)).unwrap();
+    }
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&burst).expect("write");
+    // Read the first length prefix, so the server is writing, and then
+    // nothing more: 16 responses of ~5 MB park it in a write.
+    let mut prefix = [0u8; 4];
+    std::io::Read::read_exact(&mut stream, &mut prefix).expect("first frame header");
+    assert!(
+        u32::from_be_bytes(prefix) > 1 << 20,
+        "a multi-megabyte plan"
+    );
+
+    let budget = POLL_INTERVAL * STALL_LIMIT;
+    let (done, shut) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = done.send(());
+    });
+    shut.recv_timeout(budget + Duration::from_secs(10))
+        .expect("shutdown must return within the write stall budget plus a margin");
+    drop(stream);
 }
