@@ -12,24 +12,49 @@ use crate::detector::{DriftDetector, DriftDetectorConfig};
 use crate::estimator::EwmaEstimator;
 use crate::plan::ActivePlan;
 use crate::policy::{self, Decision, PolicyConfig};
-use crate::telemetry::{IterationSample, TelemetryLog};
+use crate::telemetry::IterationSample;
 use hetgrid_dist::PanelDist;
 
 /// All tuning knobs of the adaptive loop.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct ControllerConfig {
-    /// EWMA half-life of the cycle-time estimator, in iterations.
-    /// `None` uses 3 iterations.
-    pub half_life: Option<f64>,
+    /// EWMA half-life of the cycle-time estimator, in iterations
+    /// (default 3).
+    pub half_life: f64,
     /// Drift-detector hysteresis parameters.
     pub detector: DriftDetectorConfig,
     /// Rebalancing decision parameters.
     pub policy: PolicyConfig,
 }
 
+impl Default for ControllerConfig {
+    fn default() -> Self {
+        ControllerConfig {
+            half_life: 3.0,
+            detector: DriftDetectorConfig::default(),
+            policy: PolicyConfig::default(),
+        }
+    }
+}
+
 impl ControllerConfig {
-    fn half_life(&self) -> f64 {
-        self.half_life.unwrap_or(3.0)
+    /// Checks every knob's range; the error names the first knob out of
+    /// range, what it must be, and its value.
+    pub fn validate(&self) -> Result<(), String> {
+        let (h, d, p) = (self.half_life, &self.detector, &self.policy);
+        let (t, n, s, c) = (d.threshold, d.patience, p.safety_factor, p.block_move_cost);
+        for (what, got, ok, want) in [
+            ("half-life", h, h > 0.0, "finite and > 0"),
+            ("drift threshold", t, t > 0.0, "finite and > 0"),
+            ("drift patience", n as f64, n > 0, ">= 1"),
+            ("safety factor", s, s >= 1.0, "finite and >= 1"),
+            ("block move cost", c, c >= 0.0, "finite and >= 0"),
+        ] {
+            if !(ok && got.is_finite()) {
+                return Err(format!("{what} must be {want}, got {got}"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -60,7 +85,6 @@ pub struct Controller {
     nb: usize,
     estimator: EwmaEstimator,
     detector: DriftDetector,
-    log: TelemetryLog,
     rebalances: usize,
 }
 
@@ -68,6 +92,9 @@ impl Controller {
     /// Solves the initial plan for `times` (indexed by processor id) on
     /// a `p x q` grid with `bp x bq` panels, for kernels over `nb x nb`
     /// block matrices, and seeds the estimator with the same times.
+    ///
+    /// # Panics
+    /// Panics with [`ControllerConfig::validate`]'s error on a bad `cfg`.
     pub fn new(
         times: &[f64],
         p: usize,
@@ -77,13 +104,14 @@ impl Controller {
         nb: usize,
         cfg: ControllerConfig,
     ) -> Self {
+        cfg.validate()
+            .unwrap_or_else(|e| panic!("ControllerConfig: {e}"));
         let plan = ActivePlan::solve(times, p, q, bp, bq, cfg.policy.method);
         Controller {
             plan,
             nb,
-            estimator: EwmaEstimator::seeded(times, cfg.half_life()),
+            estimator: EwmaEstimator::seeded(times, cfg.half_life),
             detector: DriftDetector::new(cfg.detector),
-            log: TelemetryLog::new(),
             rebalances: 0,
             cfg,
         }
@@ -104,22 +132,6 @@ impl Controller {
         self.rebalances
     }
 
-    /// Current cycle-time estimates by processor id (planned times where
-    /// never observed).
-    pub fn estimates(&self) -> Vec<f64> {
-        self.estimator.estimates_or(&self.plan.planned_times())
-    }
-
-    /// Deviation seen by the detector at the last observation.
-    pub fn last_deviation(&self) -> f64 {
-        self.detector.last_deviation()
-    }
-
-    /// The telemetry recorded so far.
-    pub fn telemetry(&self) -> &TelemetryLog {
-        &self.log
-    }
-
     /// Block-matrix order `nb` the controller prices iterations for.
     pub fn nb(&self) -> usize {
         self.nb
@@ -131,11 +143,10 @@ impl Controller {
     pub fn observe(&mut self, sample: &IterationSample, remaining_iters: usize) -> Action {
         let by_proc = sample.by_proc(&self.plan.arr);
         self.estimator.observe_all(&by_proc);
-        self.log.push(sample.clone());
 
         let reference = self.plan.planned_times();
-        let estimates = self.estimator.estimates_or(&reference);
-        if !self.detector.observe(&reference, &estimates) {
+        let estimates = self.estimator.estimates();
+        if !self.detector.observe(&reference, estimates) {
             return Action::Continue;
         }
         // Drift confirmations and re-solve decisions are rare (at most
@@ -147,7 +158,7 @@ impl Controller {
 
         let (decision, candidate) = policy::evaluate(
             &self.plan,
-            &estimates,
+            estimates,
             self.nb,
             remaining_iters,
             &self.cfg.policy,
@@ -182,8 +193,8 @@ mod tests {
 
     fn feed(c: &mut Controller, truth: &[f64], iters: usize, remaining: usize) -> Vec<Action> {
         (0..iters)
-            .map(|k| {
-                let sample = IterationSample::from_true_times(k, &c.plan().arr, truth);
+            .map(|_| {
+                let sample = IterationSample::from_true_times(&c.plan().arr, truth);
                 c.observe(&sample, remaining)
             })
             .collect()
@@ -196,7 +207,6 @@ mod tests {
         let actions = feed(&mut c, &times, 50, 100);
         assert!(actions.iter().all(|a| matches!(a, Action::Continue)));
         assert_eq!(c.rebalances(), 0);
-        assert_eq!(c.telemetry().len(), 50);
     }
 
     #[test]
@@ -227,7 +237,7 @@ mod tests {
             "still rebalancing after convergence"
         );
         // Estimates track the true post-step cycle-times.
-        assert!((c.estimates()[0] - 6.0).abs() < 0.1);
+        assert!((c.estimator.estimates()[0] - 6.0).abs() < 0.1);
     }
 
     #[test]
@@ -258,8 +268,8 @@ mod tests {
         let mut c = controller(&[1.0; 4]);
         let before = c.dist().clone();
         let drifted = [6.0, 1.0, 1.0, 1.0];
-        for k in 0..20 {
-            let sample = IterationSample::from_true_times(k, &c.plan().arr, &drifted);
+        for _ in 0..20 {
+            let sample = IterationSample::from_true_times(&c.plan().arr, &drifted);
             if let Action::Rebalanced { old_dist, decision } = c.observe(&sample, 100) {
                 assert_eq!(
                     hetgrid_dist::redistribution::blocks_moved(&before, &old_dist, 16),

@@ -8,20 +8,21 @@
 //!
 //! Hysteresis keeps the loop from thrashing: drift must persist above
 //! the trigger threshold for `patience` consecutive iterations to be
-//! confirmed, the streak only resets once the deviation falls below a
-//! lower `release` level, and after a confirmation (whether or not the
-//! policy then rebalanced) a `cooldown` suppresses re-evaluation.
+//! confirmed, the streak only resets once the deviation falls below
+//! [`RELEASE`] times the threshold, and after a confirmation (whether or
+//! not the policy then rebalanced) a `cooldown` suppresses re-evaluation.
 
-/// Hysteresis parameters of the [`DriftDetector`].
+/// Fraction of the threshold below which the drift streak resets;
+/// deviations between `RELEASE * threshold` and `threshold` neither
+/// extend nor reset the streak.
+const RELEASE: f64 = 0.5;
+
+/// Hysteresis parameters of the drift detector.
 #[derive(Clone, Copy, Debug)]
 pub struct DriftDetectorConfig {
     /// Relative deviation at which an iteration counts toward drift
     /// (e.g. 0.2 = a processor is 20% off its planned relative speed).
     pub threshold: f64,
-    /// Fraction of `threshold` below which the streak resets; deviations
-    /// between `release * threshold` and `threshold` neither extend nor
-    /// reset the streak.
-    pub release: f64,
     /// Number of consecutive above-threshold iterations required to
     /// confirm drift.
     pub patience: usize,
@@ -34,7 +35,6 @@ impl Default for DriftDetectorConfig {
     fn default() -> Self {
         DriftDetectorConfig {
             threshold: 0.2,
-            release: 0.5,
             patience: 3,
             cooldown: 5,
         }
@@ -42,35 +42,21 @@ impl Default for DriftDetectorConfig {
 }
 
 /// Sustained-drift detector over normalized cycle-time vectors.
+/// [`crate::ControllerConfig::validate`] keeps its configuration sound.
 #[derive(Clone, Debug)]
-pub struct DriftDetector {
+pub(crate) struct DriftDetector {
     cfg: DriftDetectorConfig,
     streak: usize,
     cooldown_left: usize,
-    last_deviation: f64,
 }
 
 impl DriftDetector {
     /// A detector in the quiescent state.
-    ///
-    /// # Panics
-    /// Panics on a non-positive threshold, a release factor outside
-    /// `[0, 1]`, or zero patience.
-    pub fn new(cfg: DriftDetectorConfig) -> Self {
-        assert!(
-            cfg.threshold > 0.0 && cfg.threshold.is_finite(),
-            "DriftDetector: threshold must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&cfg.release),
-            "DriftDetector: release must lie in [0, 1]"
-        );
-        assert!(cfg.patience > 0, "DriftDetector: patience must be positive");
+    pub(crate) fn new(cfg: DriftDetectorConfig) -> Self {
         DriftDetector {
             cfg,
             streak: 0,
             cooldown_left: 0,
-            last_deviation: 0.0,
         }
     }
 
@@ -80,7 +66,7 @@ impl DriftDetector {
     ///
     /// # Panics
     /// Panics on empty, mismatched, or non-positive inputs.
-    pub fn relative_deviation(reference: &[f64], estimates: &[f64]) -> f64 {
+    fn relative_deviation(reference: &[f64], estimates: &[f64]) -> f64 {
         assert_eq!(
             reference.len(),
             estimates.len(),
@@ -105,9 +91,8 @@ impl DriftDetector {
 
     /// Feeds one iteration's estimates; returns `true` when sustained
     /// drift is confirmed this iteration.
-    pub fn observe(&mut self, reference: &[f64], estimates: &[f64]) -> bool {
+    pub(crate) fn observe(&mut self, reference: &[f64], estimates: &[f64]) -> bool {
         let dev = Self::relative_deviation(reference, estimates);
-        self.last_deviation = dev;
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
             self.streak = 0;
@@ -115,7 +100,7 @@ impl DriftDetector {
         }
         if dev >= self.cfg.threshold {
             self.streak += 1;
-        } else if dev < self.cfg.threshold * self.cfg.release {
+        } else if dev < self.cfg.threshold * RELEASE {
             self.streak = 0;
         }
         self.streak >= self.cfg.patience
@@ -125,19 +110,9 @@ impl DriftDetector {
     /// controller calls this after every policy evaluation, whether or
     /// not it rebalanced, so a declined rebalance is not re-litigated
     /// every iteration.
-    pub fn arm_cooldown(&mut self) {
+    pub(crate) fn arm_cooldown(&mut self) {
         self.cooldown_left = self.cfg.cooldown;
         self.streak = 0;
-    }
-
-    /// Deviation computed by the most recent [`DriftDetector::observe`].
-    pub fn last_deviation(&self) -> f64 {
-        self.last_deviation
-    }
-
-    /// Current above-threshold streak length.
-    pub fn streak(&self) -> usize {
-        self.streak
     }
 }
 
@@ -148,7 +123,6 @@ mod tests {
     fn detector(patience: usize, cooldown: usize) -> DriftDetector {
         DriftDetector::new(DriftDetectorConfig {
             threshold: 0.2,
-            release: 0.5,
             patience,
             cooldown,
         })
@@ -191,7 +165,7 @@ mod tests {
         d.arm_cooldown(); // streak back to 0
         assert!(!d.observe(&reference, &strong)); // streak 1 of 2
         assert!(!d.observe(&reference, &calm)); // below release: reset
-        assert_eq!(d.streak(), 0);
+        assert_eq!(d.streak, 0);
     }
 
     #[test]
@@ -215,6 +189,9 @@ mod tests {
         for _ in 0..10 {
             assert!(!d.observe(&reference, &reference));
         }
-        assert_eq!(d.last_deviation(), 0.0);
+        assert_eq!(
+            DriftDetector::relative_deviation(&reference, &reference),
+            0.0
+        );
     }
 }

@@ -9,76 +9,21 @@
 
 /// EWMA cycle-time estimator, one state per physical processor id.
 #[derive(Clone, Debug)]
-pub struct EwmaEstimator {
+pub(crate) struct EwmaEstimator {
     alpha: f64,
-    half_life: f64,
-    estimates: Vec<Option<f64>>,
+    estimates: Vec<f64>,
 }
 
 impl EwmaEstimator {
-    /// A fresh estimator for `n_procs` processors with the given
-    /// half-life (in observations). Until a processor is observed its
-    /// estimate is `None`.
-    ///
-    /// # Panics
-    /// Panics if `n_procs == 0` or `half_life` is not positive.
-    pub fn new(n_procs: usize, half_life: f64) -> Self {
-        assert!(n_procs > 0, "EwmaEstimator: no processors");
-        assert!(
-            half_life > 0.0 && half_life.is_finite(),
-            "EwmaEstimator: half-life must be positive"
-        );
+    /// An estimator seeded with known initial cycle-times (the times the
+    /// initial plan was solved from), so early drift detection compares
+    /// against a meaningful baseline. `half_life` is in observations;
+    /// [`crate::ControllerConfig::validate`] keeps it positive.
+    pub(crate) fn seeded(initial: &[f64], half_life: f64) -> Self {
         EwmaEstimator {
             alpha: 1.0 - 0.5f64.powf(1.0 / half_life),
-            half_life,
-            estimates: vec![None; n_procs],
+            estimates: initial.to_vec(),
         }
-    }
-
-    /// An estimator pre-loaded with known initial cycle-times (e.g. the
-    /// times the initial plan was solved from), so early drift detection
-    /// compares against a meaningful baseline.
-    pub fn seeded(initial: &[f64], half_life: f64) -> Self {
-        let mut e = Self::new(initial.len(), half_life);
-        e.estimates = initial.iter().map(|&t| Some(t)).collect();
-        e
-    }
-
-    /// The smoothing factor `alpha = 1 - 0.5^(1/half_life)`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// The configured half-life, in observations.
-    pub fn half_life(&self) -> f64 {
-        self.half_life
-    }
-
-    /// Number of processors tracked.
-    pub fn len(&self) -> usize {
-        self.estimates.len()
-    }
-
-    /// `true` if the estimator tracks no processors (never: construction
-    /// rejects that), provided for API completeness.
-    pub fn is_empty(&self) -> bool {
-        self.estimates.is_empty()
-    }
-
-    /// Folds one observation for processor `proc` into its estimate.
-    ///
-    /// # Panics
-    /// Panics on an out-of-range `proc` or a non-positive observation.
-    pub fn observe(&mut self, proc: usize, value: f64) {
-        assert!(
-            value > 0.0 && value.is_finite(),
-            "EwmaEstimator: observations must be positive"
-        );
-        let slot = &mut self.estimates[proc];
-        *slot = Some(match *slot {
-            Some(prev) => prev + self.alpha * (value - prev),
-            None => value,
-        });
     }
 
     /// Folds a full per-processor observation vector (indexed by
@@ -86,41 +31,28 @@ impl EwmaEstimator {
     /// unchanged.
     ///
     /// # Panics
-    /// Panics if `values` has the wrong length.
-    pub fn observe_all(&mut self, values: &[Option<f64>]) {
+    /// Panics if `values` has the wrong length or holds a non-positive
+    /// observation.
+    pub(crate) fn observe_all(&mut self, values: &[Option<f64>]) {
         assert_eq!(
             values.len(),
             self.estimates.len(),
             "EwmaEstimator: observation length mismatch"
         );
-        for (proc, value) in values.iter().enumerate() {
+        for (est, value) in self.estimates.iter_mut().zip(values) {
             if let Some(v) = *value {
-                self.observe(proc, v);
+                assert!(
+                    v > 0.0 && v.is_finite(),
+                    "EwmaEstimator: observations must be positive"
+                );
+                *est += self.alpha * (v - *est);
             }
         }
     }
 
-    /// Current estimate for processor `proc`, if it was ever observed.
-    pub fn estimate(&self, proc: usize) -> Option<f64> {
-        self.estimates[proc]
-    }
-
-    /// All current estimates, substituting `fallback[k]` for processors
-    /// never observed — the form the decision policy consumes.
-    ///
-    /// # Panics
-    /// Panics if `fallback` has the wrong length.
-    pub fn estimates_or(&self, fallback: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            fallback.len(),
-            self.estimates.len(),
-            "EwmaEstimator: fallback length mismatch"
-        );
-        self.estimates
-            .iter()
-            .zip(fallback)
-            .map(|(est, &fb)| est.unwrap_or(fb))
-            .collect()
+    /// The current estimates, by processor id.
+    pub(crate) fn estimates(&self) -> &[f64] {
+        &self.estimates
     }
 }
 
@@ -135,48 +67,32 @@ mod tests {
         // After exactly `half_life` observations of a new constant value,
         // the remaining gap to it has halved.
         for _ in 0..3 {
-            e.observe(0, 2.0);
+            e.observe_all(&[Some(2.0)]);
         }
-        let est = e.estimate(0).unwrap();
+        let est = e.estimates()[0];
         assert!((est - 1.5).abs() < 1e-12, "est = {}", est);
-    }
-
-    #[test]
-    fn first_observation_initializes_directly() {
-        let mut e = EwmaEstimator::new(2, 5.0);
-        assert_eq!(e.estimate(0), None);
-        e.observe(0, 3.0);
-        assert_eq!(e.estimate(0), Some(3.0));
-        assert_eq!(e.estimate(1), None);
     }
 
     #[test]
     fn observe_all_skips_missing() {
         let mut e = EwmaEstimator::seeded(&[1.0, 2.0], 1.0);
         e.observe_all(&[Some(5.0), None]);
-        assert!(e.estimate(0).unwrap() > 1.0);
-        assert_eq!(e.estimate(1), Some(2.0));
-    }
-
-    #[test]
-    fn estimates_or_uses_fallback_only_when_unobserved() {
-        let mut e = EwmaEstimator::new(3, 2.0);
-        e.observe(1, 4.0);
-        assert_eq!(e.estimates_or(&[9.0, 9.0, 9.0]), vec![9.0, 4.0, 9.0]);
+        assert!(e.estimates()[0] > 1.0);
+        assert_eq!(e.estimates()[1], 2.0);
     }
 
     #[test]
     fn converges_to_stationary_value() {
         let mut e = EwmaEstimator::seeded(&[10.0], 4.0);
         for _ in 0..200 {
-            e.observe(0, 2.5);
+            e.observe_all(&[Some(2.5)]);
         }
-        assert!((e.estimate(0).unwrap() - 2.5).abs() < 1e-9);
+        assert!((e.estimates()[0] - 2.5).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "must be positive")]
     fn rejects_nonpositive_observation() {
-        EwmaEstimator::new(1, 1.0).observe(0, 0.0);
+        EwmaEstimator::seeded(&[1.0], 1.0).observe_all(&[Some(0.0)]);
     }
 }

@@ -15,10 +15,11 @@
 //! * [`telemetry`] — per-iteration observed cycle-times, from real
 //!   executor reports ([`hetgrid_exec::ExecReport::observed_times`]) or
 //!   noiseless simulation;
-//! * [`estimator`] — per-processor EWMA cycle-time estimates with a
-//!   configurable half-life;
-//! * [`detector`] — scale-free drift detection with hysteresis
-//!   (threshold, patience, cooldown), immune to uniform slowdowns;
+//! * `estimator` (private) — per-processor EWMA cycle-time estimates
+//!   with a configurable half-life, seeded with the planned times;
+//! * `detector` (private; [`DriftDetectorConfig`] is public) —
+//!   scale-free drift detection with hysteresis (threshold, patience,
+//!   cooldown, a fixed release level), immune to uniform slowdowns;
 //! * [`plan`] — the active plan and the analytic per-iteration cost
 //!   used to price staleness;
 //! * [`policy`] — the amortized decision: re-solve with the
@@ -26,9 +27,10 @@
 //!   [`hetgrid_dist::redistribution`], switch only when the projected
 //!   savings over the remaining iterations beat the bill by a safety
 //!   factor;
-//! * [`actuator`] — executable block-move plans against a live
-//!   [`hetgrid_exec::DistributedMatrix`], applicable in bounded batches;
-//! * [`controller`] — the loop itself;
+//! * [`actuator`] — [`redistribute`], which moves every changed block
+//!   of a live [`hetgrid_exec::DistributedMatrix`] at once;
+//! * [`controller`] — the loop itself, with
+//!   [`ControllerConfig::validate`] as the one range check of its knobs;
 //! * [`simloop`] — deterministic static-vs-adaptive experiments over
 //!   [`hetgrid_sim::DriftProfile`]s.
 
@@ -40,18 +42,17 @@
 
 pub mod actuator;
 pub mod controller;
-pub mod detector;
-pub mod estimator;
+mod detector;
+mod estimator;
 pub mod plan;
 pub mod policy;
 pub mod simloop;
 pub mod telemetry;
 
-pub use actuator::{redistribute, Move, RedistributionPlan};
+pub use actuator::redistribute;
 pub use controller::{Action, Controller, ControllerConfig};
-pub use detector::{DriftDetector, DriftDetectorConfig};
-pub use estimator::EwmaEstimator;
+pub use detector::DriftDetectorConfig;
 pub use plan::ActivePlan;
 pub use policy::{Decision, PolicyConfig};
 pub use simloop::{run_scenario, IterOutcome, Outcome, Scenario};
-pub use telemetry::{IterationSample, TelemetryLog};
+pub use telemetry::IterationSample;

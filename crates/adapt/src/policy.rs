@@ -67,9 +67,10 @@ pub struct Decision {
 /// Returns the decision together with the candidate plan, so a positive
 /// decision can be installed without solving twice.
 ///
+/// `cfg` is assumed sound ([`crate::ControllerConfig::validate`]).
+///
 /// # Panics
-/// Panics if `estimates` does not cover the grid or `cfg` is
-/// non-sensical (negative costs, safety factor below 1).
+/// Panics if `estimates` does not cover the grid.
 pub fn evaluate(
     current: &ActivePlan,
     estimates: &[f64],
@@ -77,21 +78,13 @@ pub fn evaluate(
     remaining_iters: usize,
     cfg: &PolicyConfig,
 ) -> (Decision, ActivePlan) {
-    assert!(
-        cfg.safety_factor >= 1.0 && cfg.safety_factor.is_finite(),
-        "PolicyConfig: safety factor must be at least 1"
-    );
-    assert!(
-        cfg.block_move_cost >= 0.0 && cfg.block_move_cost.is_finite(),
-        "PolicyConfig: block move cost must be non-negative"
-    );
     let (p, q) = current.grid();
     let candidate = ActivePlan::solve(estimates, p, q, current.bp, current.bq, cfg.method);
 
     let stale_cost = current.per_iteration_cost(estimates, nb);
     let fresh_cost = candidate.per_iteration_cost(estimates, nb);
     let blocks_moved = redistribution::blocks_moved(&current.dist, &candidate.dist, nb);
-    let moved_fraction = redistribution::moved_fraction(&current.dist, &candidate.dist, nb);
+    let moved_fraction = blocks_moved as f64 / (nb * nb) as f64;
     let redistribution_cost = blocks_moved as f64 * cfg.block_move_cost;
     let projected_savings = (stale_cost - fresh_cost) * remaining_iters as f64;
     let rebalance = fresh_cost < stale_cost

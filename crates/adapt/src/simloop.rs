@@ -121,7 +121,7 @@ pub fn run_scenario(sc: &Scenario) -> Outcome {
         static_makespan += static_cost;
         adaptive_makespan += adaptive_cost;
 
-        let sample = IterationSample::from_true_times(iter, &controller.plan().arr, &truth);
+        let sample = IterationSample::from_true_times(&controller.plan().arr, &truth);
         let remaining = sc.iters - iter - 1;
         let rebalanced = match controller.observe(&sample, remaining) {
             Action::Rebalanced { decision, .. } => {

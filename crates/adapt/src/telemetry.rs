@@ -16,8 +16,6 @@ use hetgrid_exec::ExecReport;
 /// grid position (`None` where a processor performed no work).
 #[derive(Clone, Debug, PartialEq)]
 pub struct IterationSample {
-    /// Iteration index the sample was taken at.
-    pub iter: usize,
     /// `observed[i][j]` = busy time per work unit of the processor at
     /// grid position `(i, j)`, if it did any work.
     pub observed: Vec<Vec<Option<f64>>>,
@@ -25,9 +23,8 @@ pub struct IterationSample {
 
 impl IterationSample {
     /// Builds a sample from an executor report (real measurements).
-    pub fn from_exec_report(iter: usize, report: &ExecReport) -> Self {
+    pub fn from_exec_report(report: &ExecReport) -> Self {
         IterationSample {
-            iter,
             observed: report.observed_times(),
         }
     }
@@ -38,7 +35,7 @@ impl IterationSample {
     ///
     /// # Panics
     /// Panics if `times_by_proc` does not cover the arrangement.
-    pub fn from_true_times(iter: usize, arr: &Arrangement, times_by_proc: &[f64]) -> Self {
+    pub fn from_true_times(arr: &Arrangement, times_by_proc: &[f64]) -> Self {
         assert_eq!(
             times_by_proc.len(),
             arr.len(),
@@ -51,7 +48,7 @@ impl IterationSample {
                     .collect()
             })
             .collect();
-        IterationSample { iter, observed }
+        IterationSample { observed }
     }
 
     /// Re-keys the sample from grid positions to processor ids using the
@@ -76,45 +73,6 @@ impl IterationSample {
     }
 }
 
-/// An append-only log of iteration samples — the "observe" leg of the
-/// control loop, kept so decisions can be audited after a run.
-#[derive(Clone, Debug, Default)]
-pub struct TelemetryLog {
-    samples: Vec<IterationSample>,
-}
-
-impl TelemetryLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        TelemetryLog::default()
-    }
-
-    /// Appends a sample.
-    pub fn push(&mut self, sample: IterationSample) {
-        self.samples.push(sample);
-    }
-
-    /// Number of samples recorded.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// The most recent sample.
-    pub fn last(&self) -> Option<&IterationSample> {
-        self.samples.last()
-    }
-
-    /// Iterates over the recorded samples in order.
-    pub fn iter(&self) -> impl Iterator<Item = &IterationSample> {
-        self.samples.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +82,7 @@ mod tests {
         // A permuted arrangement: sorted_row_major reorders processors.
         let times = vec![5.0, 1.0, 3.0, 2.0];
         let arr = hetgrid_core::arrangement::sorted_row_major(&times, 2, 2);
-        let sample = IterationSample::from_true_times(7, &arr, &times);
+        let sample = IterationSample::from_true_times(&arr, &times);
         let by_proc = sample.by_proc(&arr);
         for (k, &t) in times.iter().enumerate() {
             assert_eq!(by_proc[k], Some(t), "proc {}", k);
@@ -140,23 +98,7 @@ mod tests {
             messages_sent: vec![vec![0, 0]],
             lookahead: 0,
         };
-        let sample = IterationSample::from_exec_report(0, &report);
+        let sample = IterationSample::from_exec_report(&report);
         assert_eq!(sample.observed, vec![vec![Some(0.5), None]]);
-    }
-
-    #[test]
-    fn log_accumulates_in_order() {
-        let mut log = TelemetryLog::new();
-        assert!(log.is_empty());
-        for iter in 0..3 {
-            log.push(IterationSample {
-                iter,
-                observed: vec![vec![Some(1.0)]],
-            });
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.last().unwrap().iter, 2);
-        let iters: Vec<usize> = log.iter().map(|s| s.iter).collect();
-        assert_eq!(iters, vec![0, 1, 2]);
     }
 }

@@ -158,7 +158,7 @@ fn same_seed_replays_identical_decisions_and_plan() {
             let mut c = Controller::new(&sc.base_times, sc.p, sc.q, sc.bp, sc.bq, sc.nb, sc.config);
             for iter in 0..sc.iters {
                 let truth = sc.profile.times_at(&sc.base_times, iter);
-                let sample = IterationSample::from_true_times(iter, &c.plan().arr, &truth);
+                let sample = IterationSample::from_true_times(&c.plan().arr, &truth);
                 c.observe(&sample, sc.iters - iter - 1);
             }
             let owners: Vec<(usize, usize)> = (0..sc.nb)
@@ -194,7 +194,7 @@ fn live_data_survives_closed_loop_redistributions() {
     let mut moves_applied = 0;
     for iter in 0..iters {
         let truth = profile.times_at(&base, iter);
-        let sample = IterationSample::from_true_times(iter, &controller.plan().arr, &truth);
+        let sample = IterationSample::from_true_times(&controller.plan().arr, &truth);
         if let Action::Rebalanced { decision, old_dist } =
             controller.observe(&sample, iters - iter - 1)
         {

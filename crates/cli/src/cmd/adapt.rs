@@ -37,12 +37,11 @@ pub fn adapt(args: &Args) -> Result<(), String> {
     };
 
     let config = ControllerConfig {
-        half_life: Some(args.get_parse("half-life", 3.0)?),
+        half_life: args.get_parse("half-life", 3.0)?,
         detector: DriftDetectorConfig {
             threshold: args.get_parse("threshold", 0.2)?,
             patience: args.get_parse("patience", 3)?,
             cooldown: args.get_parse("cooldown", 5)?,
-            ..DriftDetectorConfig::default()
         },
         policy: PolicyConfig {
             safety_factor: args.get_parse("safety", 1.5)?,
@@ -50,6 +49,7 @@ pub fn adapt(args: &Args) -> Result<(), String> {
             ..PolicyConfig::default()
         },
     };
+    config.validate()?;
 
     let scenario = Scenario {
         base_times: times,

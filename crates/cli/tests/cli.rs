@@ -490,6 +490,41 @@ fn adapt_writes_trace_and_metrics() {
 }
 
 #[test]
+fn adapt_rejects_out_of_range_tuning() {
+    // Every knob `ControllerConfig::validate` checks is refused up front
+    // with a typed error, never a panic inside the controller.
+    for (flag, value) in [
+        ("--half-life", "0"),
+        ("--half-life", "nan"),
+        ("--threshold", "0"),
+        ("--patience", "0"),
+        ("--safety", "0.5"),
+        ("--move-cost", "-1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_hetgrid"))
+            .args([
+                "adapt",
+                "--times",
+                "1,1,1,1",
+                "--new-times",
+                "6,1,1,1",
+                "--grid",
+                "2x2",
+                "--iters",
+                "20",
+                flag,
+                value,
+            ])
+            .output()
+            .expect("failed to launch hetgrid binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.starts_with("error:"), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
+}
+
+#[test]
 fn simulate_writes_schedule_trace() {
     let trace = TmpFile::new("sim-trace.json");
     let (ok, _, stderr) = run(&[

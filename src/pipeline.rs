@@ -30,8 +30,8 @@ pub struct SessionStep {
 
 /// An adaptive execution session: repeated executed matrix products
 /// under the [`hetgrid_adapt::Controller`], with the operand matrices
-/// held in distributed form and migrated incrementally whenever the
-/// controller swaps plans.
+/// held in distributed form and migrated whenever the controller swaps
+/// plans.
 ///
 /// The current executor kernels take global matrices and re-scatter them
 /// internally on every run, so the persistent [`DistributedMatrix`]
@@ -107,7 +107,7 @@ impl Session {
     /// genuinely heterogeneous or drifting hardware.
     pub fn step(&mut self) -> SessionStep {
         let (c, report) = self.execute();
-        let sample = IterationSample::from_exec_report(self.iters_done, &report);
+        let sample = IterationSample::from_exec_report(&report);
         self.finish_step(c, report, sample)
     }
 
@@ -118,11 +118,7 @@ impl Session {
     /// out of real per-unit timings by construction.
     pub fn step_with_times(&mut self, truth_by_proc: &[f64]) -> SessionStep {
         let (c, report) = self.execute();
-        let sample = IterationSample::from_true_times(
-            self.iters_done,
-            &self.controller.plan().arr,
-            truth_by_proc,
-        );
+        let sample = IterationSample::from_true_times(&self.controller.plan().arr, truth_by_proc);
         self.finish_step(c, report, sample)
     }
 
@@ -287,6 +283,80 @@ mod tests {
         // The operands themselves survived the migrations intact.
         assert!(session.a.gather().approx_eq(&a, 0.0));
         assert!(session.b.gather().approx_eq(&b, 0.0));
+    }
+
+    #[test]
+    fn session_and_run_scenario_make_the_same_decisions() {
+        // The executed loop (`Session`) and the analytic one
+        // (`run_scenario`) drive the same controller over the same trace,
+        // so they must rebalance at the same iterations and move the same
+        // blocks (the session moves both operands).
+        use hetgrid_adapt::{run_scenario, Scenario};
+        use hetgrid_sim::DriftProfile;
+
+        let (nb, r, iters) = (8, 2, 40);
+        let n = nb * r;
+        let a = Matrix::from_fn(n, n, |i, j| ((i + 2 * j) % 5) as f64);
+        let b = Matrix::from_fn(n, n, |i, j| ((3 * i + j) % 7) as f64);
+        let cases = [
+            (
+                vec![1.0; 4],
+                (2, 2),
+                DriftProfile::Step {
+                    at: 3,
+                    factors: vec![5.0, 1.0, 1.0, 1.0],
+                },
+            ),
+            (
+                vec![1.0, 2.0, 3.0, 4.0],
+                (2, 2),
+                DriftProfile::Ramp {
+                    from: 2,
+                    to: 12,
+                    factors: vec![4.0, 1.0, 1.0, 0.5],
+                },
+            ),
+            (
+                vec![1.0, 2.0, 1.0, 2.0, 1.0, 2.0],
+                (2, 3),
+                DriftProfile::Step {
+                    at: 5,
+                    factors: vec![1.0, 1.0, 6.0, 1.0, 1.0, 1.0],
+                },
+            ),
+            (
+                vec![1.0; 4],
+                (2, 2),
+                DriftProfile::PeriodicSpike {
+                    period: 10,
+                    width: 6,
+                    factors: vec![4.0, 1.0, 1.0, 1.0],
+                },
+            ),
+        ];
+        for (base, (p, q), profile) in cases {
+            let config = ControllerConfig::default();
+            let out = run_scenario(&Scenario {
+                base_times: base.clone(),
+                p,
+                q,
+                bp: 4,
+                bq: 4,
+                nb,
+                iters,
+                profile: profile.clone(),
+                config,
+            });
+            assert!(out.rebalances >= 1, "{profile:?}: no rebalance to compare");
+            let mut session = Session::new(&base, p, q, 4, 4, nb, r, &a, &b, iters, config);
+            for (iter, h) in out.history.iter().enumerate() {
+                let before = session.controller().rebalances();
+                session.step_with_times(&profile.times_at(&base, iter));
+                let rebalanced = session.controller().rebalances() > before;
+                assert_eq!(rebalanced, h.rebalanced, "{profile:?} iteration {iter}");
+            }
+            assert_eq!(session.blocks_moved(), 2 * out.blocks_moved, "{profile:?}");
+        }
     }
 
     #[test]
