@@ -3,7 +3,7 @@
 use crate::args::Args;
 use crate::obs_out::ObsSession;
 use hetgrid_core::objective::workload_matrix;
-use hetgrid_core::{bounds, exact, heuristic, rank1, Effort, Method};
+use hetgrid_core::{bounds, exact, rank1, Effort, Method};
 use hetgrid_obs::vdiag;
 
 fn shares(xs: &[f64]) -> String {
@@ -125,10 +125,9 @@ pub fn rank1(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Figures 6-8 data: the heuristic on random square grids.
+/// Figures 6-8 data: the heuristic on random square grids, drawn at
+/// Figure 6's seed (so `avg_workload` is `report fig6`'s column).
 pub fn sweep(args: &Args) -> Result<(), String> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     let max_n: usize = args.get_parse("max-n", 12)?;
     let trials: usize = args.get_parse("trials", 100)?;
     let csv = args.flag("csv");
@@ -140,29 +139,13 @@ pub fn sweep(args: &Args) -> Result<(), String> {
             "n", "avg workload", "tau", "iterations"
         );
     }
-    for n in 2..=max_n {
-        let mut rng = StdRng::seed_from_u64(0xC11 ^ n as u64);
-        let mut workload = 0.0;
-        let mut tau = 0.0;
-        let mut iters = 0.0;
-        for _ in 0..trials {
-            let times: Vec<f64> = (0..n * n).map(|_| rng.gen_range(0.01..=1.0)).collect();
-            let res = heuristic::solve_default(&times, n, n);
-            workload += res.last().average_workload;
-            tau += res.tau();
-            iters += res.iterations() as f64;
-        }
-        let t = trials as f64;
+    let ns: Vec<usize> = (2..=max_n).collect();
+    for pt in hetgrid_repro::heuristic_sweep(&ns, trials, hetgrid_repro::SWEEP_SEED) {
+        let (n, workload, tau, iters) = (pt.n, pt.average_workload, pt.tau, pt.iterations);
         if csv {
-            println!("{},{:.4},{:.4},{:.2}", n, workload / t, tau / t, iters / t);
+            println!("{},{:.4},{:.4},{:.2}", n, workload, tau, iters);
         } else {
-            println!(
-                "{:>3} {:>14.4} {:>10.4} {:>12.2}",
-                n,
-                workload / t,
-                tau / t,
-                iters / t
-            );
+            println!("{:>3} {:>14.4} {:>10.4} {:>12.2}", n, workload, tau, iters);
         }
     }
     Ok(())

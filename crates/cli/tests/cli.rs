@@ -198,6 +198,78 @@ fn sweep_csv_output() {
     assert!(stdout.lines().count() >= 3);
 }
 
+/// README's `hetgrid run` transcript is what the binary prints. Only the
+/// values that follow the host are masked: wall time and busy imbalance
+/// (thread timing) and the residual (its last digits follow the SIMD
+/// GEMM kernel the host picks).
+#[test]
+fn readme_run_transcript_is_current() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+    let readme = std::fs::read_to_string(path).expect("reading README.md");
+    let block = readme
+        .split("```text\n")
+        .filter_map(|b| b.split_once("```").map(|(body, _)| body))
+        .find(|b| b.starts_with("$ hetgrid run "))
+        .expect("README has a `$ hetgrid run` transcript");
+    let (cmd, want) = block.split_once('\n').expect("command line");
+    let argv: Vec<&str> = cmd["$ hetgrid ".len()..].split(' ').collect();
+    let (ok, got, stderr) = run(&argv);
+    assert!(ok, "{cmd}: {stderr}");
+    let mask = |text: &str| -> Vec<String> {
+        let timed = ["wall time", "busy imbalance", "max |"];
+        text.lines()
+            .map(|l| match timed.iter().any(|t| l.starts_with(t)) {
+                true => l.split([':', '=']).next().unwrap_or(l).to_string(),
+                false => l.to_string(),
+            })
+            .collect()
+    };
+    assert_eq!(mask(&got), mask(want), "README.md transcript of `{cmd}`");
+}
+
+/// `sweep` and `report fig6` are one sweep at one seed: the CSV's
+/// `avg_workload` is Figure 6's column, row for row.
+#[test]
+fn sweep_avg_workload_is_report_fig6_column() {
+    let (ok, stdout, _) = run(&["sweep", "--max-n", "5", "--trials", "4", "--csv"]);
+    assert!(ok);
+    let swept: Vec<String> = stdout
+        .lines()
+        .skip(1)
+        .map(|l| {
+            l.split(',')
+                .nth(1)
+                .expect("avg_workload column")
+                .to_string()
+        })
+        .collect();
+    let (_, _, fig6) = hetgrid_repro::experiments::EXPERIMENTS
+        .iter()
+        .find(|(name, _, _)| *name == "fig6")
+        .expect("fig6 section");
+    let args = hetgrid_repro::experiments::Args {
+        values: &[5, 4],
+        trial_cap: usize::MAX,
+    };
+    // The table's rows start with the grid side `n`; column 2 is the workload.
+    let report: Vec<String> = hetgrid_repro::experiments::render(*fig6, &args)
+        .lines()
+        .filter(|l| {
+            l.split_whitespace()
+                .next()
+                .is_some_and(|c| c.parse::<usize>().is_ok())
+        })
+        .map(|l| {
+            l.split_whitespace()
+                .nth(1)
+                .expect("avg workload")
+                .to_string()
+        })
+        .collect();
+    assert_eq!(swept.len(), 4);
+    assert_eq!(swept, report);
+}
+
 #[test]
 fn bad_input_fails_cleanly() {
     // Wrong number of cycle-times.

@@ -13,8 +13,12 @@
 //! a stack of blocks. This module is the only place a block kernel of
 //! either platform is called.
 
+use crate::cholesky::cholesky_actions;
+use crate::lu::lu_actions;
+use crate::mm::mm_actions;
 use crate::pool::BufferPool;
-use crate::qr::REFL;
+use crate::qr::{qr_actions, REFL};
+use crate::star::star_actions;
 use crate::step::{Action, Courier, MsgKey, Res, WorkClock};
 use crate::store::BlockStore;
 use crate::transport::Closed;
@@ -400,10 +404,6 @@ fn operand<'s>(stores: &'s [Cow<'_, BlockStore>], courier: &'s Courier, src: Src
     }
 }
 
-/// A kernel's emitter: one processor's actions for one plan step, given
-/// its grid position and its sorted owned block list.
-pub(crate) type Emit = fn(&Step, (usize, usize), &[(usize, usize)]) -> Vec<Action>;
-
 /// One processor's worker, for every kernel of either platform.
 /// `stores` holds its blocks by namespace: 0 the matrix it writes
 /// (factored in place, MM's `C` from the epoch baseline, a star
@@ -414,7 +414,6 @@ pub(crate) type Emit = fn(&Step, (usize, usize), &[(usize, usize)]) -> Vec<Actio
 /// `None` on a grid.
 pub(crate) struct GridInterp<'a> {
     plan: &'a Plan,
-    emit: Emit,
     my: (usize, usize),
     /// The namespace-0 blocks it starts with, sorted.
     owned: Vec<(usize, usize)>,
@@ -435,7 +434,6 @@ pub(crate) struct GridInterp<'a> {
 impl<'a> GridInterp<'a> {
     pub(crate) fn new(
         plan: &'a Plan,
-        emit: Emit,
         my: (usize, usize),
         mut stores: Vec<Cow<'a, BlockStore>>,
         cap: Option<usize>,
@@ -447,7 +445,6 @@ impl<'a> GridInterp<'a> {
         stores.resize_with(STORES, || Cow::Owned(BlockStore::new()));
         GridInterp {
             plan,
-            emit,
             my,
             owned,
             stores,
@@ -466,9 +463,18 @@ impl<'a> GridInterp<'a> {
 
     /// Appends this processor's actions for step `k` to `out`, in the
     /// kernel's program order: earlier actions are preferred by the
-    /// scheduler and define the conflict baseline.
+    /// scheduler and define the conflict baseline. The step's variant
+    /// picks its emitter.
     pub(crate) fn emit(&self, k: usize, out: &mut Vec<Action>) {
-        out.extend((self.emit)(&self.plan.steps[k], self.my, &self.owned));
+        let step = &self.plan.steps[k];
+        let emit = match step {
+            Step::Mm { .. } => mm_actions,
+            Step::Factor { .. } => lu_actions,
+            Step::Cholesky { .. } => cholesky_actions,
+            Step::Qr { .. } => qr_actions,
+            Step::Load { .. } | Step::Compute { .. } | Step::Evict { .. } => star_actions,
+        };
+        out.extend(emit(step, self.my, &self.owned));
     }
 
     /// The current content of namespace-0 block `blk`, if this

@@ -24,7 +24,8 @@ const NS_B: u8 = 2;
 
 /// One processor's MM actions for `step`: a critical dependency-free
 /// broadcast of its pivot panel blocks, then one update of every owned
-/// C block needing the foreign pivot blocks of this step.
+/// C block needing the foreign pivot blocks of this step. Any other
+/// kind of step has no MM actions.
 pub(crate) fn mm_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize)]) -> Vec<Action> {
     let Step::Mm {
         k,
@@ -32,7 +33,7 @@ pub(crate) fn mm_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
         b_bcasts,
     } = step
     else {
-        panic!("run_mm: non-MM step in plan")
+        return Vec::new();
     };
     let k = *k;
     let sends: Vec<Send> = [(TAG_A, NS_A, a_bcasts), (TAG_B, NS_B, b_bcasts)]

@@ -8,17 +8,13 @@
 //! over an already-scattered [`GridState`], optionally journaling every
 //! block write. A fresh run is the epoch with `start = 0` and no
 //! journal; [`crate::recovery`] chains epochs across grid faults. The
-//! only per-kernel code left is what differs by construction: which
-//! emitter feeds the block-op interpreter ([`crate::mm`], [`crate::lu`],
-//! [`crate::cholesky`], [`crate::qr`] over [`crate::grid`]) and that MM
-//! accumulates into a separate `C` while the factorizations update
-//! their input in place.
+//! only per-kernel code left is what differs by construction: the
+//! emitters ([`crate::mm`], [`crate::lu`], [`crate::cholesky`],
+//! [`crate::qr`]), which the block-op interpreter in [`crate::grid`]
+//! picks by each step's variant, and that MM accumulates into a
+//! separate `C` while the factorizations update their input in place.
 
-use crate::cholesky::cholesky_actions;
-use crate::grid::{Emit, GridInterp};
-use crate::lu::lu_actions;
-use crate::mm::mm_actions;
-use crate::qr::qr_actions;
+use crate::grid::GridInterp;
 use crate::step::{check_weights, gather_result, run_grid, run_steps, ExecConfig, Journal};
 use crate::store::{BlockStore, CheckpointLog, DistributedMatrix, ExecReport};
 use crate::transport::{ExecError, Transport};
@@ -246,19 +242,12 @@ pub(crate) fn run_seg(
     let grid @ (_, q) = plan.grid;
     check_weights(weights, grid, kernel.name());
     let r = state.main.r;
-    // The kernels differ only in their emitter.
-    let emit: Emit = match kernel {
-        Kernel::Mm => mm_actions,
-        Kernel::Lu => lu_actions,
-        Kernel::Cholesky => cholesky_actions,
-        Kernel::Qr => qr_actions,
-    };
     let (stores, mut report) = run_grid(transport, grid, weights, |me, courier, clock| {
         let main = Cow::Owned(state.main.stores[me].clone());
         let operands = state.operands.iter().map(|o| Cow::Borrowed(&o.stores[me]));
         let stores = std::iter::once(main).chain(operands).collect();
         let (my, taus) = ((me / q, me % q), Some(&state.taus));
-        let interp = GridInterp::new(plan, emit, my, stores, None, r, taus);
+        let interp = GridInterp::new(plan, my, stores, None, r, taus);
         let j = journal.map(|log| Journal { log, me });
         run_steps(interp, courier, clock, cfg.lookahead, start, j.as_ref())
     })?;

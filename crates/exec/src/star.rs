@@ -93,7 +93,7 @@ pub fn run_star_mm_on_cfg(
             0 => (vec![empty, Cow::Borrowed(&a), Cow::Borrowed(&b)], None),
             _ => (vec![empty; 3], Some(worker_mem)),
         };
-        let interp = GridInterp::new(&plan, star_actions, (0, me), stores, cap, r, None);
+        let interp = GridInterp::new(&plan, (0, me), stores, cap, r, None);
         run_steps(interp, courier, clock, cfg.lookahead, 0, None)
     })?;
     report.lookahead = cfg.lookahead;
@@ -105,7 +105,7 @@ pub fn run_star_mm_on_cfg(
 /// at most one, since the plan is fine-grained. The master acts on
 /// every master-sourced load (a feed) and every send-back evict (a
 /// retire); worker `w` acts on its own loads, computes and evicts;
-/// everyone else skips the step.
+/// everyone else skips the step, and a grid step has no star actions.
 pub(crate) fn star_actions(
     step: &Step,
     (_, me): (usize, usize),
@@ -169,7 +169,7 @@ pub(crate) fn star_actions(
                 vec![]
             }
         }
-        _ => panic!("run_star_mm: grid step in star plan"),
+        Step::Mm { .. } | Step::Factor { .. } | Step::Cholesky { .. } | Step::Qr { .. } => vec![],
     }
 }
 
@@ -272,7 +272,7 @@ mod tests {
     fn a_cap_below_the_plan_peak_trips_the_memory_assert() {
         let plan = hetgrid_plan::star_mm_plan(&star(1, 7), (2, 2, 2));
         let (my, stores) = ((0, 1), vec![Cow::Owned(BlockStore::new()); 3]);
-        let mut worker = GridInterp::new(&plan, star_actions, my, stores, Some(3), 2, None);
+        let mut worker = GridInterp::new(&plan, my, stores, Some(3), 2, None);
         let ep = ChannelTransport.connect(2).pop().unwrap();
         let mut courier = Courier::new(ep, 1, (1, 2));
         let mut clock = WorkClock::new(1);

@@ -528,21 +528,6 @@ pub fn matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Rank-1 update `A <- A + alpha * u * v^T`.
-///
-/// # Panics
-/// Panics if `u.len() != A.rows()` or `v.len() != A.cols()`.
-pub fn ger(alpha: f64, u: &[f64], v: &[f64], a: &mut Matrix) {
-    assert_eq!(u.len(), a.rows(), "ger: u length mismatch");
-    assert_eq!(v.len(), a.cols(), "ger: v length mismatch");
-    for (i, &ui) in u.iter().enumerate() {
-        let s = alpha * ui;
-        for (av, vv) in a.row_mut(i).iter_mut().zip(v) {
-            *av += s * vv;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,14 +767,6 @@ mod tests {
         for i in 0..5 {
             assert!((y[i] - ym[(i, 0)]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn ger_rank1() {
-        let mut a = Matrix::zeros(3, 2);
-        ger(2.0, &[1.0, 2.0, 3.0], &[4.0, 5.0], &mut a);
-        assert_eq!(a[(2, 1)], 30.0);
-        assert_eq!(a[(0, 0)], 8.0);
     }
 
     #[test]

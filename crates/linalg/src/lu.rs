@@ -104,22 +104,6 @@ impl LuFactors {
         crate::tri::solve_upper(&self.lu, &y)
     }
 
-    /// Solves `A x = b` with one step of iterative refinement: after the
-    /// direct solve, the residual `r = b - A x` is solved again and the
-    /// correction applied — cheap insurance against ill conditioning
-    /// (requires the original matrix `a`).
-    pub fn solve_refined(&self, a: &Matrix, b: &[f64]) -> Vec<f64> {
-        let mut x = self.solve_vec(b);
-        // One refinement step.
-        let ax = crate::gemm::matvec(a, &x);
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-        let d = self.solve_vec(&r);
-        for (xi, di) in x.iter_mut().zip(&d) {
-            *xi += di;
-        }
-        x
-    }
-
     /// Determinant of the factored matrix.
     pub fn det(&self) -> f64 {
         let sign = if self.swaps.is_multiple_of(2) {
@@ -252,32 +236,6 @@ mod tests {
         for i in 0..12 {
             assert!((x[i] - x0[i]).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn refined_solve_no_worse_than_direct() {
-        // A moderately ill-conditioned matrix: graded diagonal.
-        let n = 10;
-        let a = Matrix::from_fn(n, n, |i, j| {
-            if i == j {
-                10f64.powi(-(i as i32) / 3)
-            } else {
-                0.05 / (1.0 + (i as f64 - j as f64).abs())
-            }
-        });
-        let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-        let b = crate::gemm::matvec(&a, &x0);
-        let f = lu_factor(&a).unwrap();
-        let direct = f.solve_vec(&b);
-        let refined = f.solve_refined(&a, &b);
-        let resid = |x: &[f64]| -> f64 {
-            let ax = crate::gemm::matvec(&a, x);
-            ax.iter()
-                .zip(&b)
-                .map(|(p, q)| (p - q).abs())
-                .fold(0.0, f64::max)
-        };
-        assert!(resid(&refined) <= resid(&direct) * 1.01 + 1e-15);
     }
 
     #[test]

@@ -297,18 +297,6 @@ impl QrFactors {
         }
     }
 
-    /// Solves the least-squares problem `min |A x - b|_2` via `R x = Q^T b`.
-    pub fn solve_least_squares(&self, b: &[f64]) -> Vec<f64> {
-        let (m, n) = self.packed.shape();
-        assert_eq!(b.len(), m, "solve_least_squares: rhs length mismatch");
-        let bm = Matrix::from_fn(m, 1, |i, _| b[i]);
-        let qtb = self.qt_mul(&bm);
-        let r = self.r();
-        let rhs = Matrix::from_fn(n, 1, |i, _| qtb[(i, 0)]);
-        let x = crate::tri::solve_upper(&r, &rhs);
-        (0..n).map(|i| x[(i, 0)]).collect()
-    }
-
     /// Gathers the Householder vector of reflector `k` into `v[k..]`:
     /// unit leading 1 followed by the packed subdiagonal entries.
     fn house_vector(&self, k: usize, v: &mut [f64]) {
@@ -642,31 +630,6 @@ mod tests {
             for j in 0..i {
                 assert_eq!(r[(i, j)], 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn least_squares_exact_system() {
-        let a = test_matrix(6, 6, 17);
-        let x0: Vec<f64> = (0..6).map(|i| i as f64 * 0.5 - 1.0).collect();
-        let b = crate::gemm::matvec(&a, &x0);
-        let x = qr_factor(&a).solve_least_squares(&b);
-        for i in 0..6 {
-            assert!((x[i] - x0[i]).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn least_squares_overdetermined_residual_orthogonal() {
-        let a = test_matrix(10, 3, 23);
-        let b: Vec<f64> = (0..10).map(|i| (i as f64).sin()).collect();
-        let x = qr_factor(&a).solve_least_squares(&b);
-        // Residual must be orthogonal to the column space: A^T (A x - b) = 0.
-        let ax = crate::gemm::matvec(&a, &x);
-        let resid: Vec<f64> = ax.iter().zip(&b).map(|(p, q)| p - q).collect();
-        let atr = crate::gemm::matvec(&a.transpose(), &resid);
-        for v in atr {
-            assert!(v.abs() < 1e-9);
         }
     }
 

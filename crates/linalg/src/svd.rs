@@ -176,23 +176,6 @@ pub fn top_singular_triple(a: &Matrix) -> (f64, Vec<f64>, Vec<f64>) {
     (sigma, u, v)
 }
 
-/// 2-norm condition number `sigma_max / sigma_min` via the Jacobi SVD.
-/// Returns `f64::INFINITY` for singular matrices.
-///
-/// # Panics
-/// Panics if the matrix is not square.
-pub fn condition_number(a: &Matrix) -> f64 {
-    assert!(a.is_square(), "condition_number: matrix must be square");
-    let d = svd(a);
-    let smax = d.s[0];
-    let smin = *d.s.last().expect("non-empty");
-    if smin <= 0.0 {
-        f64::INFINITY
-    } else {
-        smax / smin
-    }
-}
-
 /// Normalizes `v` to unit 2-norm in place, returning the original norm.
 fn normalize(v: &mut [f64]) -> f64 {
     let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -267,15 +250,6 @@ mod tests {
         let d = svd(&a);
         assert!(d.rank_k(1).approx_eq(&a, 1e-10));
         assert!(d.s[1].abs() < 1e-10);
-    }
-
-    #[test]
-    fn condition_number_basics() {
-        assert!((condition_number(&Matrix::identity(5)) - 1.0).abs() < 1e-12);
-        let d = Matrix::from_rows(&[vec![4.0, 0.0], vec![0.0, 0.5]]);
-        assert!((condition_number(&d) - 8.0).abs() < 1e-10);
-        let singular = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
-        assert!(condition_number(&singular) > 1e12);
     }
 
     #[test]

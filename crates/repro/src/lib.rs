@@ -46,6 +46,9 @@ pub struct SweepPoint {
     pub converged_fraction: f64,
 }
 
+/// The seed of Figure 6's sweep, which `hetgrid sweep` draws at too.
+pub const SWEEP_SEED: u64 = 0xF166;
+
 /// Runs the heuristic on `trials` random `n x n` instances and averages
 /// the Figure 6/7/8 quantities.
 pub fn heuristic_sweep_point(n: usize, trials: usize, seed: u64) -> SweepPoint {

@@ -1,18 +1,14 @@
 //! Collective-communication building blocks, in isolation: cost models
 //! and event-driven simulations of the broadcast topologies the kernels
-//! use (star, increasing ring, binomial tree), plus the initial
-//! scatter of a matrix from one master workstation — the step a real
-//! HNOW library performs before any kernel runs.
+//! use (star, increasing ring, binomial tree).
 //!
 //! The closed-form costs double as cross-checks for the event engine:
 //! the tests assert the simulated makespans match the formulas exactly
 //! on a dedicated (switched) network.
 
-use crate::engine::Engine;
-use crate::kernels::{simulate_mm, Broadcast, Des};
-use crate::machine::{CostModel, Machine};
+use crate::kernels::{Broadcast, Des};
+use crate::machine::CostModel;
 use hetgrid_core::Arrangement;
-use hetgrid_dist::BlockDist;
 
 /// Closed-form makespan of a *star* broadcast of one message of
 /// `blocks` blocks to `n - 1` destinations on a switched network: the
@@ -56,66 +52,11 @@ pub fn simulate_broadcast(
     des.finish().report.makespan
 }
 
-/// Simulates the initial *scatter*: the master processor `(0, 0)` owns
-/// the whole `nb x nb` block matrix and sends every processor its
-/// portion under the target distribution (one aggregated message per
-/// destination). Returns the makespan — the start-up cost a real
-/// library pays before the kernel runs.
-pub fn simulate_scatter(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> f64 {
-    let (p, q) = dist.grid();
-    assert_eq!(
-        (p, q),
-        (arr.p(), arr.q()),
-        "simulate_scatter: grid mismatch"
-    );
-    let mut engine = Engine::new();
-    let machine = Machine::new(&mut engine, arr, cost);
-    let counts = dist.owned_counts(nb, nb);
-    let master = (0usize, 0usize);
-    for i in 0..p {
-        for j in 0..q {
-            if (i, j) == master || counts[i][j] == 0 {
-                continue;
-            }
-            machine.message(&mut engine, vec![], master, (i, j), counts[i][j]);
-        }
-    }
-    if engine.is_empty() {
-        // Single processor: nothing to scatter.
-        return 0.0;
-    }
-    engine.run().makespan
-}
-
-/// Ratio of scatter cost to kernel cost — how many MM runs it takes to
-/// amortize the initial distribution.
-pub fn scatter_amortization(
-    arr: &Arrangement,
-    dist: &dyn BlockDist,
-    nb: usize,
-    cost: CostModel,
-) -> f64 {
-    let scatter = simulate_scatter(arr, dist, nb, cost);
-    scatter / simulate_mm(arr, dist, nb, cost, Broadcast::Direct).makespan
-}
-
-/// The number of messages in one full broadcast, per topology (all
-/// topologies deliver to `n - 1` destinations; they differ in *when*,
-/// not how many).
-pub fn broadcast_message_count(n: usize) -> usize {
-    n.saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::TaskTag;
-    use crate::machine::Network;
+    use crate::engine::{Engine, TaskTag};
+    use crate::machine::{Machine, Network};
 
     fn homogeneous(p: usize, q: usize) -> Arrangement {
         Arrangement::from_times(p, q, vec![1.0; p * q])
@@ -192,42 +133,6 @@ mod tests {
         };
         let sim = simulate_broadcast(&arr, c, 1, Broadcast::Tree);
         assert!((sim - star_cost(8, 1, &c)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scatter_volume_scales_with_matrix() {
-        let arr = homogeneous(2, 2);
-        let dist = hetgrid_dist::BlockCyclic::new(2, 2);
-        let c = cost();
-        let s1 = simulate_scatter(&arr, &dist, 4, c);
-        let s2 = simulate_scatter(&arr, &dist, 8, c);
-        assert!(s2 > s1);
-        // 3 destinations, one message each; serialized on the master NIC.
-        let counts = dist.owned_counts(4, 4);
-        let expect: f64 = [(0, 1), (1, 0), (1, 1)]
-            .iter()
-            .map(|&(i, j)| c.message_time(counts[i][j]))
-            .sum();
-        assert!((s1 - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scatter_amortizes_quickly_for_large_matrices() {
-        let arr = homogeneous(2, 2);
-        let dist = hetgrid_dist::BlockCyclic::new(2, 2);
-        let c = CostModel::default();
-        let small = scatter_amortization(&arr, &dist, 4, c);
-        let large = scatter_amortization(&arr, &dist, 16, c);
-        // MM grows like nb^3, scatter like nb^2: the ratio must shrink.
-        assert!(large < small);
-        assert!(large < 0.05, "scatter should be negligible: {}", large);
-    }
-
-    #[test]
-    fn single_processor_scatter_is_free() {
-        let arr = homogeneous(1, 1);
-        let dist = hetgrid_dist::BlockCyclic::new(1, 1);
-        assert_eq!(simulate_scatter(&arr, &dist, 8, cost()), 0.0);
     }
 
     #[test]

@@ -75,38 +75,12 @@ pub struct Machine<'a> {
     core0: ResourceId,
     nic0: ResourceId,
     bus: Option<ResourceId>,
-    /// Per-processor NIC slowdown factors (1.0 = reference NIC). A
-    /// transfer runs at the speed of its slowest endpoint. This models
-    /// mixed network generations in a departmental NOW — an extension
-    /// beyond the paper's uniform communication model.
-    nic_factors: Vec<f64>,
 }
 
 impl<'a> Machine<'a> {
     /// Registers the machine's resources in `engine`.
     pub fn new(engine: &mut Engine, arr: &'a Arrangement, cost: CostModel) -> Self {
         let n = arr.p() * arr.q();
-        Self::with_nic_factors(engine, arr, cost, vec![1.0; n])
-    }
-
-    /// Like [`Machine::new`] with explicit per-processor NIC slowdown
-    /// factors (row-major; 1.0 = reference speed).
-    ///
-    /// # Panics
-    /// Panics if `nic_factors.len() != p * q` or a factor is not
-    /// positive.
-    pub fn with_nic_factors(
-        engine: &mut Engine,
-        arr: &'a Arrangement,
-        cost: CostModel,
-        nic_factors: Vec<f64>,
-    ) -> Self {
-        let n = arr.p() * arr.q();
-        assert_eq!(nic_factors.len(), n, "Machine: nic_factors length mismatch");
-        assert!(
-            nic_factors.iter().all(|&f| f > 0.0 && f.is_finite()),
-            "Machine: nic factors must be positive"
-        );
         let core0 = engine.add_resources(n);
         let nic0 = engine.add_resources(n);
         let bus = match cost.network {
@@ -119,7 +93,6 @@ impl<'a> Machine<'a> {
             core0,
             nic0,
             bus,
-            nic_factors,
         }
     }
 
@@ -166,12 +139,10 @@ impl<'a> Machine<'a> {
         if let Some(bus) = self.bus {
             resources.push(bus);
         }
-        let q = self.arr.q();
-        let factor = self.nic_factors[src.0 * q + src.1].max(self.nic_factors[dst.0 * q + dst.1]);
         engine.add_task(
             deps,
             resources,
-            self.cost.message_time(blocks) * factor,
+            self.cost.message_time(blocks),
             TaskTag::Comm,
         )
     }
@@ -266,30 +237,6 @@ mod tests {
         m.message(&mut e, vec![], (0, 0), (0, 1), 0);
         m.message(&mut e, vec![], (0, 0), (0, 2), 0);
         assert_eq!(e.run().makespan, 2.0);
-    }
-
-    #[test]
-    fn nic_factors_slow_transfers() {
-        let arr = Arrangement::from_rows(&[vec![1.0, 1.0]]);
-        let cost = CostModel {
-            latency: 1.0,
-            block_transfer: 0.0,
-            network: Network::Switched,
-            ..Default::default()
-        };
-        let mut e = Engine::new();
-        let m = Machine::with_nic_factors(&mut e, &arr, cost, vec![1.0, 3.0]);
-        // Transfer touching the slow NIC takes 3x the reference time.
-        m.message(&mut e, vec![], (0, 0), (0, 1), 0);
-        assert_eq!(e.run().makespan, 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn bad_nic_factors_rejected() {
-        let arr = Arrangement::from_rows(&[vec![1.0, 1.0]]);
-        let mut e = Engine::new();
-        Machine::with_nic_factors(&mut e, &arr, CostModel::default(), vec![1.0]);
     }
 
     #[test]

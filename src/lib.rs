@@ -1,16 +1,4 @@
-//! Facade crate re-exporting the `hetgrid` workspace: load balancing
-//! for dense linear algebra kernels on heterogeneous 2D processor grids
-//! (Beaumont, Boudet, Rastello, Robert — IPPS 2000).
-//!
-//! * [`core`] — the optimization problem and its solvers;
-//! * [`dist`] — block-to-processor distributions;
-//! * [`plan`] — the kernel vocabulary and the step-plan IR;
-//! * [`sim`] — the discrete-event HNOW simulator;
-//! * [`exec`] — the threaded executor running real kernels;
-//! * [`adapt`] — the closed-loop adaptive rebalancing runtime;
-//! * [`linalg`] — the dense linear algebra substrate;
-//! * [`pipeline`] — one-call plan/simulate/rebalance helpers and the
-//!   adaptive execution [`pipeline::Session`].
+#![doc = include_str!("../README.md")]
 
 pub mod pipeline;
 

@@ -39,6 +39,32 @@ pub struct SessionStep {
 /// the *data migration* real — every rebalance physically moves blocks
 /// between per-processor stores via [`hetgrid_adapt::actuator`] — while
 /// the compute path reuses the executor unchanged.
+///
+/// Four equal workstations on a 2x2 grid, one of which slows down 5x
+/// from iteration 4 on; the synthetic cycle-times make the drift
+/// deterministic (see [`Session::step_with_times`]):
+///
+/// ```
+/// use hetgrid::adapt::ControllerConfig;
+/// use hetgrid::linalg::{gemm, Matrix};
+/// use hetgrid::pipeline::Session;
+///
+/// let (nb, r, iters) = (8, 4, 12); // 8x8 blocks of order 4: 32x32 operands
+/// let n = nb * r;
+/// let a = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 7) % 13) as f64);
+/// let b = Matrix::from_fn(n, n, |i, j| ((i * 5 + j * 17) % 11) as f64);
+/// let reference = gemm::matmul(&a, &b);
+/// let base = [1.0; 4];
+/// let config = ControllerConfig::default();
+/// let mut session = Session::new(&base, 2, 2, 4, 4, nb, r, &a, &b, iters, config);
+/// for iter in 0..iters {
+///     let truth = if iter >= 4 { [5.0, 1.0, 1.0, 1.0] } else { base };
+///     let step = session.step_with_times(&truth);
+///     assert!(step.c.approx_eq(&reference, 1e-9), "wrong product at {iter}");
+/// }
+/// assert!(session.controller().rebalances() >= 1);
+/// assert!(session.blocks_moved() > 0);
+/// ```
 pub struct Session {
     controller: Controller,
     a: DistributedMatrix,
