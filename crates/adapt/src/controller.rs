@@ -1,19 +1,18 @@
 //! The closed-loop controller: observe → estimate → decide.
 //!
 //! The [`Controller`] owns the active plan and the loop state. Each
-//! kernel iteration feeds it one [`IterationSample`]; it folds the
-//! sample into the EWMA estimates, runs the drift detector against the
-//! plan's reference times, and — only when drift is confirmed — invokes
-//! the cost/benefit policy. A positive decision swaps the plan and hands
-//! the caller the old distribution, so the caller can actuate the data
-//! migration (see [`crate::actuator`]).
+//! kernel iteration feeds it one [`IterationSample`]; the drift
+//! detector folds it into its estimates and compares them with the
+//! plan's reference times, and — only when drift is confirmed — the
+//! cost/benefit policy prices a re-solve on the times the detector
+//! hands back. A positive decision swaps the plan and hands the caller
+//! the old one, so the caller can actuate the data migration (see
+//! [`crate::actuator`]).
 
 use crate::detector::{DriftDetector, DriftDetectorConfig};
-use crate::estimator::EwmaEstimator;
 use crate::plan::ActivePlan;
 use crate::policy::{self, Decision, PolicyConfig};
 use crate::telemetry::IterationSample;
-use hetgrid_dist::PanelDist;
 
 /// All tuning knobs of the adaptive loop.
 #[derive(Clone, Copy, Debug)]
@@ -66,14 +65,14 @@ pub enum Action {
     /// Drift was confirmed but the policy declined to rebalance (the
     /// decision explains why); the plan stands.
     Evaluated(Decision),
-    /// The plan was swapped. `old_dist` is the distribution the live
-    /// data still follows — actuate a redistribution from it to the
-    /// controller's new [`Controller::dist`].
+    /// The plan was swapped. `old_plan` is the plan the live data still
+    /// follows — actuate a redistribution from its placement to the
+    /// controller's new [`Controller::plan`].
     Rebalanced {
         /// The priced decision that justified the swap.
         decision: Decision,
-        /// The superseded distribution.
-        old_dist: PanelDist,
+        /// The superseded plan.
+        old_plan: ActivePlan,
     },
 }
 
@@ -83,7 +82,6 @@ pub struct Controller {
     cfg: ControllerConfig,
     plan: ActivePlan,
     nb: usize,
-    estimator: EwmaEstimator,
     detector: DriftDetector,
     rebalances: usize,
 }
@@ -91,7 +89,8 @@ pub struct Controller {
 impl Controller {
     /// Solves the initial plan for `times` (indexed by processor id) on
     /// a `p x q` grid with `bp x bq` panels, for kernels over `nb x nb`
-    /// block matrices, and seeds the estimator with the same times.
+    /// block matrices, and seeds the drift detector's estimates with the
+    /// same times.
     ///
     /// # Panics
     /// Panics with [`ControllerConfig::validate`]'s error on a bad `cfg`.
@@ -110,8 +109,7 @@ impl Controller {
         Controller {
             plan,
             nb,
-            estimator: EwmaEstimator::seeded(times, cfg.half_life),
-            detector: DriftDetector::new(cfg.detector),
+            detector: DriftDetector::new(cfg.detector, cfg.half_life, times),
             rebalances: 0,
             cfg,
         }
@@ -120,11 +118,6 @@ impl Controller {
     /// The plan currently in force.
     pub fn plan(&self) -> &ActivePlan {
         &self.plan
-    }
-
-    /// The distribution currently in force.
-    pub fn dist(&self) -> &PanelDist {
-        &self.plan.dist
     }
 
     /// Number of rebalances performed so far.
@@ -142,13 +135,10 @@ impl Controller {
     /// any rebalancing decision.
     pub fn observe(&mut self, sample: &IterationSample, remaining_iters: usize) -> Action {
         let by_proc = sample.by_proc(&self.plan.arr);
-        self.estimator.observe_all(&by_proc);
-
         let reference = self.plan.planned_times();
-        let estimates = self.estimator.estimates();
-        if !self.detector.observe(&reference, estimates) {
+        let Some(times) = self.detector.observe(&reference, &by_proc) else {
             return Action::Continue;
-        }
+        };
         // Drift confirmations and re-solve decisions are rare (at most
         // one per iteration, gated by detector hysteresis), so the obs
         // registry lookups here are off the per-sample hot path.
@@ -158,12 +148,11 @@ impl Controller {
 
         let (decision, candidate) = policy::evaluate(
             &self.plan,
-            estimates,
+            &times,
             self.nb,
             remaining_iters,
             &self.cfg.policy,
         );
-        self.detector.arm_cooldown();
         if !decision.rebalance {
             hetgrid_obs::metrics()
                 .counter("adapt.rebalances.declined")
@@ -174,12 +163,9 @@ impl Controller {
         m.counter("adapt.rebalances.accepted").inc();
         m.counter("adapt.blocks.moved")
             .add(decision.blocks_moved as u64);
-        let old = std::mem::replace(&mut self.plan, candidate);
+        let old_plan = std::mem::replace(&mut self.plan, candidate);
         self.rebalances += 1;
-        Action::Rebalanced {
-            decision,
-            old_dist: old.dist,
-        }
+        Action::Rebalanced { decision, old_plan }
     }
 }
 
@@ -214,13 +200,9 @@ mod tests {
         let mut c = controller(&[1.0; 4]);
         let drifted = [6.0, 1.0, 1.0, 1.0];
         let actions = feed(&mut c, &drifted, 40, 100);
-        // The first re-solve may use under-converged estimates; one or
-        // two follow-up corrections are legitimate, endless churn is not.
-        assert!(
-            (1..=3).contains(&c.rebalances()),
-            "rebalances = {}",
-            c.rebalances()
-        );
+        // The re-solve runs on the streak's samples, not on the still
+        // converging estimates, so no follow-up correction is needed.
+        assert_eq!(c.rebalances(), 1);
         let when = actions
             .iter()
             .position(|a| matches!(a, Action::Rebalanced { .. }))
@@ -237,7 +219,24 @@ mod tests {
             "still rebalancing after convergence"
         );
         // Estimates track the true post-step cycle-times.
-        assert!((c.estimator.estimates()[0] - 6.0).abs() < 0.1);
+        assert!((c.detector.estimates[0] - 6.0).abs() < 0.1);
+    }
+
+    #[test]
+    fn a_step_rebalances_once() {
+        // {1,2,3,5} -> {5,2,3,5} at iteration 5. The re-solve targets
+        // the post-step times, not the EWMA's blend of old and new, so
+        // no correcting second rebalance follows.
+        let base = [1.0, 2.0, 3.0, 5.0];
+        let stepped = [5.0, 2.0, 3.0, 5.0];
+        let mut c = Controller::new(&base, 2, 2, 8, 8, 32, ControllerConfig::default());
+        for iter in 0..60 {
+            let truth = if iter < 5 { base } else { stepped };
+            let sample = IterationSample::from_true_times(&c.plan().arr, &truth);
+            c.observe(&sample, 59 - iter);
+        }
+        assert_eq!(c.rebalances(), 1);
+        assert_eq!(c.plan().planned_times(), stepped);
     }
 
     #[test]
@@ -264,20 +263,21 @@ mod tests {
     }
 
     #[test]
-    fn rebalanced_action_carries_the_old_dist() {
+    fn rebalanced_action_carries_the_old_plan() {
         let mut c = controller(&[1.0; 4]);
-        let before = c.dist().clone();
+        let before = c.plan().clone();
         let drifted = [6.0, 1.0, 1.0, 1.0];
         for _ in 0..20 {
             let sample = IterationSample::from_true_times(&c.plan().arr, &drifted);
-            if let Action::Rebalanced { old_dist, decision } = c.observe(&sample, 100) {
+            if let Action::Rebalanced { old_plan, decision } = c.observe(&sample, 100) {
+                let old = old_plan.placement();
                 assert_eq!(
-                    hetgrid_dist::redistribution::blocks_moved(&before, &old_dist, 16),
+                    before.placement().blocks_moved(&old, 16),
                     0,
-                    "old_dist is not the superseded distribution"
+                    "old_plan is not the superseded plan"
                 );
                 assert_eq!(
-                    hetgrid_dist::redistribution::blocks_moved(&old_dist, c.dist(), 16),
+                    old.blocks_moved(&c.plan().placement(), 16),
                     decision.blocks_moved
                 );
                 return;

@@ -15,20 +15,22 @@
 //! * [`telemetry`] — per-iteration observed cycle-times, from real
 //!   executor reports ([`hetgrid_exec::ExecReport::observed_times`]) or
 //!   noiseless simulation;
-//! * `estimator` (private) — per-processor EWMA cycle-time estimates
-//!   with a configurable half-life, seeded with the planned times;
 //! * `detector` (private; [`DriftDetectorConfig`] is public) —
-//!   scale-free drift detection with hysteresis (threshold, patience,
-//!   cooldown, a fixed release level), immune to uniform slowdowns;
-//! * [`plan`] — the active plan and the analytic per-iteration cost
-//!   used to price staleness;
-//! * [`policy`] — the amortized decision: re-solve with the
-//!   [`hetgrid_core`] solvers, price the move bill via
-//!   [`hetgrid_dist::redistribution`], switch only when the projected
-//!   savings over the remaining iterations beat the bill by a safety
-//!   factor;
-//! * [`actuator`] — [`redistribute`], which moves every changed block
-//!   of a live [`hetgrid_exec::DistributedMatrix`] at once;
+//!   per-processor EWMA cycle-time estimates (configurable half-life,
+//!   seeded with the planned times) and scale-free drift detection on
+//!   them with hysteresis (threshold, patience, cooldown, a fixed
+//!   release level), immune to uniform slowdowns; a confirmed drift
+//!   hands back the mean of the samples since the streak began;
+//! * [`plan`] — the active plan, its [`hetgrid_dist::Placement`] (block
+//!   to processor id) and the analytic per-iteration cost used to price
+//!   staleness;
+//! * [`policy`] — the amortized decision and the one pricing path:
+//!   re-solve with the [`hetgrid_core`] solvers, count the blocks whose
+//!   processor changes, switch only when the projected savings over the
+//!   remaining iterations beat the move bill by a safety factor;
+//! * [`actuator`] — [`redistribute`], which re-seats each processor's
+//!   store of a live [`hetgrid_exec::DistributedMatrix`] and moves every
+//!   block whose processor changes, at once;
 //! * [`controller`] — the loop itself, with
 //!   [`ControllerConfig::validate`] as the one range check of its knobs;
 //! * [`simloop`] — deterministic static-vs-adaptive experiments over
@@ -43,7 +45,6 @@
 pub mod actuator;
 pub mod controller;
 mod detector;
-mod estimator;
 pub mod plan;
 pub mod policy;
 pub mod simloop;

@@ -4,8 +4,7 @@
 
 use hetgrid_core::exact::ExactOptions;
 use hetgrid_core::{rank1, Allocation, Arrangement, Method};
-use hetgrid_dist::redistribution::moved_fraction;
-use hetgrid_dist::{BlockDist, PanelDist, PanelOrdering};
+use hetgrid_dist::{BlockDist, PanelDist, PanelOrdering, Placement};
 use hetgrid_sim::plan::Kernel;
 use hetgrid_sim::{simulate, Broadcast, CostModel, SimReport};
 
@@ -18,8 +17,6 @@ pub struct ActivePlan {
     pub arr: Arrangement,
     /// The row/column shares the distribution discretizes.
     pub alloc: Allocation,
-    /// The solver the plan was built with (and re-solves with).
-    pub method: Method,
     /// The panel distribution of matrix blocks over the grid.
     pub dist: PanelDist,
     /// Row panel size used to discretize the row shares.
@@ -53,7 +50,6 @@ impl ActivePlan {
         ActivePlan {
             arr,
             alloc,
-            method,
             dist,
             bp,
             bq,
@@ -69,16 +65,13 @@ impl ActivePlan {
             .report
     }
 
-    /// Re-solves for drifted cycle-times (same grid, panel sizes and
-    /// solver) and reports the fraction of an `nb x nb` block matrix
-    /// that would have to move to adopt the new plan — the caller
-    /// weighs it against the per-run gain (the paper's
-    /// static-allocation stance, quantified).
-    pub fn rebalance(&self, new_times: &[f64], nb: usize) -> (ActivePlan, f64) {
-        let (p, q) = self.grid();
-        let next = ActivePlan::solve(new_times, p, q, self.bp, self.bq, self.method);
-        let moved = moved_fraction(&self.dist, &next.dist, nb);
-        (next, moved)
+    /// Which processor owns each block under this plan: the one view
+    /// move counts and block migration go through.
+    pub fn placement(&self) -> Placement<'_> {
+        Placement {
+            arr: &self.arr,
+            dist: &self.dist,
+        }
     }
 
     /// Grid shape `(p, q)`.
@@ -135,6 +128,15 @@ mod tests {
     #[test]
     fn planned_times_invert_the_permutation() {
         let times = vec![4.0, 1.0, 2.0, 3.0];
+        let plan = ActivePlan::solve(&times, 2, 2, 4, 4, Method::Heuristic);
+        assert_eq!(plan.planned_times(), times);
+    }
+
+    #[test]
+    fn rank1_planned_times_are_the_pool() {
+        // {1,2,3,6} in another order: the rank-1 pre-pass seats every
+        // processor at a position holding its own time.
+        let times = vec![6.0, 2.0, 1.0, 3.0];
         let plan = ActivePlan::solve(&times, 2, 2, 4, 4, Method::Heuristic);
         assert_eq!(plan.planned_times(), times);
     }

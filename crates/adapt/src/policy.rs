@@ -14,7 +14,6 @@
 
 use crate::plan::ActivePlan;
 use hetgrid_core::Method;
-use hetgrid_dist::redistribution;
 
 /// Parameters of the rebalancing decision.
 #[derive(Clone, Copy, Debug)]
@@ -47,7 +46,7 @@ pub struct Decision {
     pub stale_cost: f64,
     /// Per-iteration cost of the re-solved candidate plan.
     pub fresh_cost: f64,
-    /// Number of blocks the candidate distribution moves.
+    /// Number of blocks whose processor the candidate plan changes.
     pub blocks_moved: usize,
     /// Fraction of all blocks that move.
     pub moved_fraction: f64,
@@ -83,7 +82,7 @@ pub fn evaluate(
 
     let stale_cost = current.per_iteration_cost(estimates, nb);
     let fresh_cost = candidate.per_iteration_cost(estimates, nb);
-    let blocks_moved = redistribution::blocks_moved(&current.dist, &candidate.dist, nb);
+    let blocks_moved = current.placement().blocks_moved(&candidate.placement(), nb);
     let moved_fraction = blocks_moved as f64 / (nb * nb) as f64;
     let redistribution_cost = blocks_moved as f64 * cfg.block_move_cost;
     let projected_savings = (stale_cost - fresh_cost) * remaining_iters as f64;
@@ -164,6 +163,20 @@ mod tests {
         assert!(!d.rebalance, "decision: {:?}", d);
         assert_eq!(d.blocks_moved, 0);
         assert_eq!(d.redistribution_cost, 0.0);
+    }
+
+    #[test]
+    fn reversed_speeds_rebalance() {
+        // {1,2,3,5} -> {5,3,2,1}: the re-solve puts every processor on
+        // another position under the same shares, so no block changes
+        // position but every block changes processor.
+        let current = plan(&[1.0, 2.0, 3.0, 5.0]);
+        let reversed = [5.0, 3.0, 2.0, 1.0];
+        let (d, _) = evaluate(&current, &reversed, NB, 50, &PolicyConfig::default());
+        assert!(d.rebalance, "decision: {:?}", d);
+        assert_eq!(d.blocks_moved, NB * NB);
+        assert_eq!(d.moved_fraction, 1.0);
+        assert!(d.stale_cost > 4.0 * d.fresh_cost, "decision: {:?}", d);
     }
 
     #[test]

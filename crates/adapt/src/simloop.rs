@@ -16,7 +16,6 @@
 //! exactly reproducible.
 
 use crate::controller::{Action, Controller, ControllerConfig};
-use crate::plan::ActivePlan;
 use crate::telemetry::IterationSample;
 use hetgrid_sim::DriftProfile;
 
@@ -94,16 +93,9 @@ impl Outcome {
 /// Panics on inconsistent scenario dimensions (delegated to the plan and
 /// profile constructors).
 pub fn run_scenario(sc: &Scenario) -> Outcome {
-    let static_plan = ActivePlan::solve(
-        &sc.base_times,
-        sc.p,
-        sc.q,
-        sc.bp,
-        sc.bq,
-        sc.config.policy.method,
-    );
     let mut controller =
         Controller::new(&sc.base_times, sc.p, sc.q, sc.bp, sc.bq, sc.nb, sc.config);
+    let static_plan = controller.plan().clone();
 
     let mut static_makespan = 0.0;
     let mut adaptive_makespan = 0.0;

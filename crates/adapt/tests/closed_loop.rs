@@ -161,9 +161,10 @@ fn same_seed_replays_identical_decisions_and_plan() {
                 let sample = IterationSample::from_true_times(&c.plan().arr, &truth);
                 c.observe(&sample, sc.iters - iter - 1);
             }
-            let owners: Vec<(usize, usize)> = (0..sc.nb)
+            let place = c.plan().placement();
+            let owners: Vec<usize> = (0..sc.nb)
                 .flat_map(|bi| (0..sc.nb).map(move |bj| (bi, bj)).collect::<Vec<_>>())
-                .map(|(bi, bj)| hetgrid_dist::BlockDist::owner(c.dist(), bi, bj))
+                .map(|(bi, bj)| place.owner(bi, bj))
                 .collect();
             (c.rebalances(), owners)
         };
@@ -184,7 +185,7 @@ fn live_data_survives_closed_loop_redistributions() {
     let base = [1.0; 4];
     let mut controller = Controller::new(&base, 2, 2, 4, 4, nb, ControllerConfig::default());
     let m = Matrix::from_fn(nb * r, nb * r, |i, j| (i * 7 + j) as f64);
-    let mut dm = DistributedMatrix::scatter(&m, controller.dist(), nb, r);
+    let mut dm = DistributedMatrix::scatter(&m, &controller.plan().dist, nb, r);
 
     let profile = DriftProfile::Step {
         at: 3,
@@ -195,10 +196,11 @@ fn live_data_survives_closed_loop_redistributions() {
     for iter in 0..iters {
         let truth = profile.times_at(&base, iter);
         let sample = IterationSample::from_true_times(&controller.plan().arr, &truth);
-        if let Action::Rebalanced { decision, old_dist } =
+        if let Action::Rebalanced { decision, old_plan } =
             controller.observe(&sample, iters - iter - 1)
         {
-            let moved = redistribute(&mut dm, &old_dist, controller.dist());
+            let to = controller.plan().placement();
+            let moved = redistribute(&mut dm, &old_plan.placement(), &to);
             assert_eq!(moved, decision.blocks_moved);
             moves_applied += moved;
         }
@@ -207,7 +209,7 @@ fn live_data_survives_closed_loop_redistributions() {
     assert!(moves_applied > 0);
     // Every block ended up where the final distribution says it lives,
     // and the matrix content is untouched.
-    let final_dist = controller.dist();
+    let final_dist = &controller.plan().dist;
     for bi in 0..nb {
         for bj in 0..nb {
             let (i, j) = hetgrid_dist::BlockDist::owner(final_dist, bi, bj);

@@ -5,6 +5,7 @@ use hetgrid_core::exact::MAX_DIM;
 use hetgrid_core::{validate_times, Method};
 use hetgrid_dist::{PanelOrdering, Scheme};
 use hetgrid_plan::Kernel;
+use hetgrid_sim::machine::{CostModel, Network};
 use std::collections::HashMap;
 
 /// Parsed command line: a subcommand plus `--key value` / `--flag`
@@ -76,6 +77,14 @@ impl Args {
                 .parse()
                 .map_err(|_| format!("invalid value for --{}: {}", key, v)),
             None => Ok(default),
+        }
+    }
+
+    /// A count with default: `--nb`, `--trials`; at least 1.
+    pub fn count(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.get_parse(key, default)? {
+            0 => Err(format!("--{key} must be >= 1, got 0")),
+            n => Ok(n),
         }
     }
 
@@ -176,6 +185,19 @@ impl Args {
                 names.join(", ")
             )
         })
+    }
+
+    /// `--network switched|bus --latency L --transfer B`: the
+    /// simulator's communication costs, each finite and >= 0.
+    pub fn cost_model(&self) -> Result<CostModel, String> {
+        let networks = [
+            ("switched", Network::Switched),
+            ("bus", Network::SharedBus),
+            ("ethernet", Network::SharedBus),
+        ];
+        let network = self.choice("network", "switched", &networks)?;
+        let latency = self.get_parse("latency", 0.2)?;
+        CostModel::checked(latency, self.get_parse("transfer", 0.02)?, network)
     }
 
     /// `--kernel mm|lu|cholesky|qr`.

@@ -16,7 +16,7 @@ pub fn adapt(args: &Args) -> Result<(), String> {
     let new_times = args.pool("new-times", p, q)?;
     let factors: Vec<f64> = times.iter().zip(&new_times).map(|(b, n)| n / b).collect();
 
-    let nb: usize = args.get_parse("nb", 32)?;
+    let nb = args.count("nb", 32)?;
     let iters: usize = args.get_parse("iters", 60)?;
     let (bp, bq) = args.panel(PANELS, (p, q), (8, 8))?;
 

@@ -2,47 +2,30 @@
 
 use super::PANELS;
 use crate::args::Args;
-use hetgrid_core::exact::ExactOptions;
-use hetgrid_core::Method;
-use hetgrid_dist::BlockDist;
-use hetgrid_plan::Kernel;
-use hetgrid_sim::machine::CostModel;
-use hetgrid_sim::{simulate, Broadcast};
+use hetgrid_adapt::{policy, ActivePlan, PolicyConfig};
 
-/// Quantifies a rebalance: solve for both pools, report the makespan
-/// gain and the fraction of blocks that must move.
+/// Prices a rebalance the way the adaptive controller does: solve for
+/// the old pool, let [`policy::evaluate`] re-solve for the new one, and
+/// report the share of blocks that change processor and both plans'
+/// per-iteration cost on the new speeds.
 pub fn rebalance(args: &Args) -> Result<(), String> {
     let (times, p, q) = args.grid_times()?;
     let new_times = args.pool("new-times", p, q)?;
-    let nb: usize = args.get_parse("nb", 32)?;
+    let nb = args.count("nb", 32)?;
     let (bp, bq) = args.panel(PANELS, (p, q), (8, 8))?;
 
-    let panels = |pool: &[f64]| {
-        let s = Method::Heuristic.solve(pool, p, q, &ExactOptions::default());
-        let dist = PANELS.build(&s.arr, &s.alloc, bp, bq);
-        (s.arr, dist)
-    };
-    let (_, old_dist) = panels(&times);
-    let (new_arr, new_dist) = panels(&new_times);
-
-    let (old_dist, new_dist) = (old_dist.as_ref(), new_dist.as_ref());
-    let moved = hetgrid_dist::redistribution::moved_fraction(old_dist, new_dist, nb);
-    let cost = CostModel::default();
-    // Both evaluated against the NEW speeds (the machine has drifted).
-    let mm = |dist: &dyn BlockDist| {
-        let run = simulate(Kernel::Mm, &new_arr, dist, nb, cost, Broadcast::Direct);
-        run.map(|run| run.report).map_err(|e| e.to_string())
-    };
-    let (stale, fresh) = (mm(old_dist)?, mm(new_dist)?);
+    let cfg = PolicyConfig::default();
+    let current = ActivePlan::solve(&times, p, q, bp, bq, cfg.method);
+    let (d, _) = policy::evaluate(&current, &new_times, nb, 0, &cfg);
     println!(
         "blocks moved by rebalancing : {:.1}% of the matrix",
-        moved * 100.0
+        d.moved_fraction * 100.0
     );
-    println!("MM makespan with stale plan : {:.1}", stale.makespan);
-    println!("MM makespan with fresh plan : {:.1}", fresh.makespan);
+    println!("stale plan cost / iteration : {:.1}", d.stale_cost);
+    println!("fresh plan cost / iteration : {:.1}", d.fresh_cost);
     println!(
         "gain per run                : {:.2}x",
-        stale.makespan / fresh.makespan
+        d.stale_cost / d.fresh_cost
     );
     Ok(())
 }

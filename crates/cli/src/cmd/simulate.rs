@@ -5,31 +5,21 @@ use crate::obs_out;
 use hetgrid_core::exact::ExactOptions;
 use hetgrid_core::Method;
 use hetgrid_plan::Kernel;
-use hetgrid_sim::machine::{CostModel, Network};
+use hetgrid_sim::machine::Network;
 use hetgrid_sim::{simulate as des, Broadcast};
 
 pub fn simulate(args: &Args) -> Result<(), String> {
     let (times, p, q) = args.grid_times()?;
-    let nb: usize = args.get_parse("nb", 32)?;
+    let nb = args.count("nb", 32)?;
     let kernel = args.kernel(Kernel::Mm)?;
-    let networks = [
-        ("switched", Network::Switched),
-        ("bus", Network::SharedBus),
-        ("ethernet", Network::SharedBus),
-    ];
-    let network = args.choice("network", "switched", &networks)?;
     let broadcasts = [
         ("direct", Broadcast::Direct),
         ("ring", Broadcast::Ring),
         ("tree", Broadcast::Tree),
     ];
     let broadcast = args.choice("broadcast", "direct", &broadcasts)?;
-    let cost = CostModel {
-        latency: args.get_parse("latency", 0.2)?,
-        block_transfer: args.get_parse("transfer", 0.02)?,
-        network,
-        ..Default::default()
-    };
+    let cost = args.cost_model()?;
+    let network = cost.network;
 
     let solved = Method::Heuristic.solve(&times, p, q, &ExactOptions::default());
     let scheme = args.scheme()?;

@@ -129,7 +129,7 @@ pub fn rank1(args: &Args) -> Result<(), String> {
 /// Figure 6's seed (so `avg_workload` is `report fig6`'s column).
 pub fn sweep(args: &Args) -> Result<(), String> {
     let max_n: usize = args.get_parse("max-n", 12)?;
-    let trials: usize = args.get_parse("trials", 100)?;
+    let trials = args.count("trials", 100)?;
     let csv = args.flag("csv");
     if csv {
         println!("n,avg_workload,tau,iterations");

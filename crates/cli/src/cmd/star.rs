@@ -60,7 +60,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             worker_mem
         ));
     }
-    let nb: usize = args.get_parse("nb", 8)?;
+    let nb = args.count("nb", 8)?;
     let r: usize = args.get_parse("block", 8)?;
     let seed: u64 = args.get_parse("seed", 0)?;
     let cfg = ExecConfig {

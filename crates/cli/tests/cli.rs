@@ -687,6 +687,77 @@ fn rebalance_quantifies_the_move() {
     assert!(stdout.contains("gain per run"));
 }
 
+#[test]
+fn rebalance_counts_moves_by_processor() {
+    // Reversed speeds: the re-solve seats every processor where another
+    // sat, under the same shares. No block changes grid position, every
+    // block changes processor, and the stale plan is priced on the
+    // processors that run it.
+    let (ok, stdout, stderr) = run(&[
+        "rebalance",
+        "--times",
+        "1,2,3,5",
+        "--new-times",
+        "5,3,2,1",
+        "--grid",
+        "2x2",
+        "--nb",
+        "32",
+        "--panel",
+        "8x8",
+    ]);
+    assert!(ok, "{}", stderr);
+    assert!(
+        stdout.contains("blocks moved by rebalancing : 100.0% of the matrix"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("gain per run                : 4.17x"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn argv_edge_values_exit_2() {
+    // Values that once panicked or printed NaN: each is refused where it
+    // is parsed, with exit 2 and an `error:` line.
+    let pool = ["--times", "1,2,3,5", "--grid", "2x2"];
+    for (cmd, extra, want) in [
+        ("simulate", &["--latency", "-1"][..], "latency must be"),
+        (
+            "simulate",
+            &["--transfer", "nan"][..],
+            "block transfer must be",
+        ),
+        ("simulate", &["--nb", "0"][..], "--nb must be >= 1"),
+        ("run", &["--nb", "0"][..], "--nb must be >= 1"),
+        (
+            "rebalance",
+            &["--new-times", "5,3,2,1", "--nb", "0"][..],
+            "--nb must be >= 1",
+        ),
+        (
+            "sweep",
+            &["--trials", "0", "--max-n", "3"][..],
+            "--trials must be >= 1",
+        ),
+    ] {
+        let mut argv = vec![cmd];
+        if cmd != "sweep" {
+            argv.extend(pool);
+        }
+        argv.extend(extra);
+        let out = Command::new(env!("CARGO_BIN_EXE_hetgrid"))
+            .args(&argv)
+            .output()
+            .expect("failed to launch hetgrid binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{argv:?}: {stderr}");
+        assert!(stderr.contains(want), "{argv:?}: {stderr}");
+    }
+}
+
 /// `parity.golden` pins the front half the `cmd/` modules share: every
 /// deterministic command on the paper's pool {1,2,3,5} and the rank-1
 /// pool {1,2,3,6}, and the error text of every bad `--panel`, `--grid`,

@@ -32,7 +32,8 @@ pub fn rank1_allocation(arr: &Arrangement, tol: f64) -> Option<Allocation> {
 /// column factor) or vice versa — a two-way branch, at most
 /// `2^(p+q-2)` paths, with heavy pruning from the product matching.
 ///
-/// Returns a non-decreasing rank-1 [`Arrangement`] if one exists.
+/// Returns a non-decreasing rank-1 [`Arrangement`] if one exists; its
+/// processor ids are the indices into `times`.
 pub fn try_rank1_arrangement(
     times: &[f64],
     p: usize,
@@ -44,8 +45,10 @@ pub fn try_rank1_arrangement(
         times.iter().all(|&t| t > 0.0 && t.is_finite()),
         "try_rank1_arrangement: cycle-times must be positive"
     );
-    let mut sorted: Vec<f64> = times.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN cycle-time"));
+    // Processor ids in non-decreasing cycle-time order.
+    let mut order: Vec<usize> = (0..times.len()).collect();
+    order.sort_by(|&a, &b| times[a].partial_cmp(&times[b]).expect("NaN cycle-time"));
+    let sorted: Vec<f64> = order.iter().map(|&k| times[k]).collect();
 
     // Multiset as a sorted vector + used flags.
     let mut used = vec![false; sorted.len()];
@@ -159,24 +162,27 @@ pub fn try_rank1_arrangement(
     if rec(&sorted, &mut used, &mut u, &mut v, p, q, rel_tol) {
         // Factors come out ascending by construction; build the matrix
         // from the *actual* multiset values so no precision is lost:
-        // greedily match each u_i * v_j against the closest input value.
+        // greedily match each u_i * v_j against the closest input value,
+        // and seat the processor that value belongs to.
         u.sort_by(|a, b| a.partial_cmp(b).expect("NaN"));
         v.sort_by(|a, b| a.partial_cmp(b).expect("NaN"));
-        let mut remaining: Vec<f64> = sorted.clone();
+        let mut remaining = order;
         let mut grid = vec![0.0f64; p * q];
+        let mut procs = vec![0; p * q];
         for i in 0..p {
             for j in 0..q {
                 let target = u[i] * v[j];
                 let (k, _) = remaining
                     .iter()
                     .enumerate()
-                    .map(|(k, &s)| (k, (s - target).abs()))
+                    .map(|(k, &id)| (k, (times[id] - target).abs()))
                     .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN"))
                     .expect("remaining non-empty");
-                grid[i * q + j] = remaining.remove(k);
+                procs[i * q + j] = remaining.remove(k);
+                grid[i * q + j] = times[procs[i * q + j]];
             }
         }
-        let arr = Arrangement::from_times(p, q, grid);
+        let arr = Arrangement::with_procs(p, q, grid, procs);
         debug_assert!(arr.is_nondecreasing());
         Some(arr)
     } else {
@@ -235,12 +241,19 @@ mod tests {
     fn factorization_accepts_fig1_set() {
         // Either [[1,2],[3,6]] or its transpose-flavor [[1,3],[2,6]] is a
         // valid rank-1 non-decreasing arrangement of this multiset.
-        let arr = try_rank1_arrangement(&[6.0, 1.0, 3.0, 2.0], 2, 2, 1e-9).expect("rank-1");
+        let times = [6.0, 1.0, 3.0, 2.0];
+        let arr = try_rank1_arrangement(&times, 2, 2, 1e-9).expect("rank-1");
         assert!(arr.is_rank1(1e-12));
         assert!(arr.is_nondecreasing());
         let mut got: Vec<f64> = arr.times().to_vec();
         got.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert_eq!(got, vec![1.0, 2.0, 3.0, 6.0]);
+        // Each position seats the processor whose time it holds.
+        for i in 0..2 {
+            for j in 0..2 {
+                assert_eq!(times[arr.proc(i, j)], arr.time(i, j), "({i}, {j})");
+            }
+        }
     }
 
     #[test]

@@ -39,5 +39,6 @@ pub mod traits;
 pub use cyclic::BlockCyclic;
 pub use kl::KlDist;
 pub use panel::{PanelDist, PanelOrdering};
+pub use redistribution::Placement;
 pub use scheme::{panel_period, Scheme};
 pub use traits::{balance_report, BalanceReport, BlockDist};

@@ -1,57 +1,60 @@
-//! Redistribution analysis: what does it cost to move a matrix from one
-//! distribution to another?
-//!
-//! The paper targets *static* allocations precisely to avoid paying
-//! redistribution at run time (Section 2.1); on a multi-user machine the
-//! effective speeds drift, so the library-level question is whether the
-//! rebalancing gain outweighs the one-off move. These helpers quantify
-//! the move.
+//! What moving a matrix from one plan to another costs — the other side
+//! of the paper's static-allocation trade-off (Section 2.1). A plan is an
+//! [`Arrangement`] (which processor sits at grid position `(i, j)`) plus
+//! a [`BlockDist`] (which position owns block `(bi, bj)`); a block moves
+//! when its *processor* changes, so every move count goes through
+//! [`Placement`], which composes the two.
 
 use crate::traits::BlockDist;
-use std::collections::BTreeMap;
+use hetgrid_core::arrangement::ProcId;
+use hetgrid_core::Arrangement;
 
-/// Number of blocks of an `nb x nb` block matrix whose owner changes
-/// between the two distributions.
-///
-/// # Panics
-/// Panics if the grids differ.
-pub fn blocks_moved(from: &dyn BlockDist, to: &dyn BlockDist, nb: usize) -> usize {
-    assert_eq!(from.grid(), to.grid(), "blocks_moved: grid mismatch");
-    let mut moved = 0;
-    for bi in 0..nb {
-        for bj in 0..nb {
-            if from.owner(bi, bj) != to.owner(bi, bj) {
-                moved += 1;
-            }
-        }
-    }
-    moved
+/// One plan's block ownership by processor id: the distribution's grid
+/// position looked up in the arrangement.
+#[derive(Clone, Copy)]
+pub struct Placement<'a> {
+    /// Which processor sits at each grid position.
+    pub arr: &'a Arrangement,
+    /// Which grid position owns each block.
+    pub dist: &'a dyn BlockDist,
 }
 
-/// Per (source, destination) transfer counts for the redistribution —
-/// the message plan a real library would execute.
-pub fn transfer_plan(
-    from: &dyn BlockDist,
-    to: &dyn BlockDist,
-    nb: usize,
-) -> BTreeMap<((usize, usize), (usize, usize)), usize> {
-    assert_eq!(from.grid(), to.grid(), "transfer_plan: grid mismatch");
-    let mut plan = BTreeMap::new();
-    for bi in 0..nb {
-        for bj in 0..nb {
-            let src = from.owner(bi, bj);
-            let dst = to.owner(bi, bj);
-            if src != dst {
-                *plan.entry((src, dst)).or_insert(0) += 1;
+impl Placement<'_> {
+    /// Grid shape `(p, q)`.
+    ///
+    /// # Panics
+    /// Panics if the distribution is not on the arrangement's grid.
+    pub fn grid(&self) -> (usize, usize) {
+        let grid = (self.arr.p(), self.arr.q());
+        assert_eq!(self.dist.grid(), grid, "Placement: dist/arr grid mismatch");
+        grid
+    }
+
+    /// The processor that owns block `(bi, bj)`.
+    pub fn owner(&self, bi: usize, bj: usize) -> ProcId {
+        let (i, j) = self.dist.owner(bi, bj);
+        self.arr.proc(i, j)
+    }
+
+    /// Number of blocks of an `nb x nb` block matrix whose processor
+    /// changes between this placement and `to`.
+    ///
+    /// # Panics
+    /// Panics if the two placements are on different grids. On one grid
+    /// they cover the same processor ids: an arrangement's ids are a
+    /// permutation of `0..p * q`.
+    pub fn blocks_moved(&self, to: &Placement, nb: usize) -> usize {
+        assert_eq!(self.grid(), to.grid(), "blocks_moved: grid mismatch");
+        let mut moved = 0;
+        for bi in 0..nb {
+            for bj in 0..nb {
+                if self.owner(bi, bj) != to.owner(bi, bj) {
+                    moved += 1;
+                }
             }
         }
+        moved
     }
-    plan
-}
-
-/// Fraction of blocks that move, in `[0, 1]`.
-pub fn moved_fraction(from: &dyn BlockDist, to: &dyn BlockDist, nb: usize) -> f64 {
-    blocks_moved(from, to, nb) as f64 / (nb * nb) as f64
 }
 
 #[cfg(test)]
@@ -59,28 +62,16 @@ mod tests {
     use super::*;
     use crate::cyclic::BlockCyclic;
     use crate::panel::{PanelDist, PanelOrdering};
-    use hetgrid_core::{exact, Arrangement};
 
     #[test]
-    fn identical_distributions_move_nothing() {
+    fn identical_placements_move_nothing() {
+        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
         let d = BlockCyclic::new(2, 2);
-        assert_eq!(blocks_moved(&d, &d, 16), 0);
-        assert!(transfer_plan(&d, &d, 16).is_empty());
-    }
-
-    #[test]
-    fn plan_accounts_for_every_moved_block() {
-        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 6.0]]);
-        let sol = exact::solve_arrangement(&arr);
-        let cyc = BlockCyclic::new(2, 2);
-        let panel = PanelDist::from_allocation(&arr, &sol.alloc, 4, 3, PanelOrdering::Contiguous);
-        let nb = 12;
-        let moved = blocks_moved(&cyc, &panel, nb);
-        let planned: usize = transfer_plan(&cyc, &panel, nb).values().sum();
-        assert_eq!(moved, planned);
-        assert!(moved > 0);
-        assert!(moved < nb * nb, "not everything should move");
-        assert!((moved_fraction(&cyc, &panel, nb) - moved as f64 / 144.0).abs() < 1e-12);
+        let place = Placement {
+            arr: &arr,
+            dist: &d,
+        };
+        assert_eq!(place.blocks_moved(&place, 16), 0);
     }
 
     #[test]
@@ -88,27 +79,49 @@ mod tests {
         // Rebalancing between two close allocations moves fewer blocks
         // than switching from uniform cyclic.
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
-        let sol = exact::solve_arrangement(&arr);
         let p1 = PanelDist::from_counts(&arr, &[3, 1], &[2, 1], PanelOrdering::Contiguous);
         let p2 = PanelDist::from_counts(&arr, &[2, 1], &[2, 1], PanelOrdering::Contiguous);
         let cyc = BlockCyclic::new(2, 2);
+        let at = |dist| Placement { arr: &arr, dist };
         let nb = 24;
-        let close = blocks_moved(&p1, &p2, nb);
-        let far = blocks_moved(&cyc, &p1, nb);
+        let close = at(&p1).blocks_moved(&at(&p2), nb);
+        let far = at(&cyc).blocks_moved(&at(&p1), nb);
         assert!(
             close < far,
-            "close rebalance {} !< cyclic switch {}",
-            close,
-            far
+            "close rebalance {close} !< cyclic switch {far}"
         );
-        let _ = sol;
+    }
+
+    #[test]
+    fn swapped_processors_move_every_block_they_own() {
+        // The same distribution with processors 0 and 3 swapped: every
+        // block of those two positions changes processor, nothing else.
+        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
+        let swapped = Arrangement::with_procs(2, 2, vec![5.0, 2.0, 3.0, 1.0], vec![3, 1, 2, 0]);
+        let d = BlockCyclic::new(2, 2);
+        let (from, to) = (
+            Placement {
+                arr: &arr,
+                dist: &d,
+            },
+            Placement {
+                arr: &swapped,
+                dist: &d,
+            },
+        );
+        assert_eq!(from.blocks_moved(&to, 8), 32);
     }
 
     #[test]
     #[should_panic(expected = "grid mismatch")]
     fn mismatched_grids_rejected() {
-        let a = BlockCyclic::new(2, 2);
-        let b = BlockCyclic::new(2, 3);
-        blocks_moved(&a, &b, 4);
+        let a = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
+        let b = Arrangement::from_rows(&[vec![1.0, 2.0, 4.0], vec![3.0, 5.0, 6.0]]);
+        let (da, db) = (BlockCyclic::new(2, 2), BlockCyclic::new(2, 3));
+        let (from, to) = (
+            Placement { arr: &a, dist: &da },
+            Placement { arr: &b, dist: &db },
+        );
+        from.blocks_moved(&to, 4);
     }
 }

@@ -12,6 +12,7 @@ use crate::scenario::{
 };
 use crate::vtransport::VirtualTransport;
 use hetgrid_adapt::{ControllerConfig, Outcome, Scenario};
+use hetgrid_dist::Placement;
 use hetgrid_exec::{
     run, run_recovery, run_solve_on_cfg, run_star_mm_on_cfg, ExecConfig, ExecReport, RecoveryStats,
     SolveKind,
@@ -309,8 +310,8 @@ fn recovery_case(
 }
 
 /// Runs one redistribution case: scatter a matrix, move it between two
-/// seeded distributions on the same grid, and apply the conservation
-/// oracle.
+/// seeded placements (arrangement plus distribution) on the same grid,
+/// and apply the conservation oracle.
 ///
 /// # Panics
 /// Panics with the seed in the message when conservation fails.
@@ -324,12 +325,19 @@ pub fn run_redistribution_case(seed: u64) {
     let nb = rng.gen_range(4..=8usize);
     let r = rng.gen_range(2..=3usize);
     let m = general_matrix(&mut rng, nb * r, nb * r);
-    if let Err(msg) = oracles::check_redistribution(&m, from.as_ref(), to.as_ref(), nb, r) {
-        panic!(
-            "harness oracle failed: {msg}\n  case: redistribution {from_name} -> {to_name} \
-             on {p}x{q}, nb={nb}, r={r} — replay: HARNESS_SEED={seed} cargo test -p hetgrid-harness"
-        );
-    }
+    let from = Placement {
+        arr: &arr_from,
+        dist: from.as_ref(),
+    };
+    let to = Placement {
+        arr: &arr_to,
+        dist: to.as_ref(),
+    };
+    let ctx = format!(
+        "redistribution {from_name} -> {to_name} on {p}x{q}, nb={nb}, r={r} — replay: \
+         HARNESS_SEED={seed} cargo test -p hetgrid-harness"
+    );
+    check(oracles::check_redistribution(&m, &from, &to, nb, r), &ctx);
 }
 
 /// Draws a seeded closed-loop scenario for `hetgrid-adapt`: a random

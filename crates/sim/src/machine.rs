@@ -51,6 +51,23 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// A model with the given communication costs and the default
+    /// compute ratios; the error names the first cost that is not
+    /// finite and >= 0.
+    pub fn checked(latency: f64, block_transfer: f64, network: Network) -> Result<Self, String> {
+        for (what, cost) in [("latency", latency), ("block transfer", block_transfer)] {
+            if !(cost >= 0.0 && cost.is_finite()) {
+                return Err(format!("{what} must be finite and >= 0, got {cost}"));
+            }
+        }
+        Ok(CostModel {
+            latency,
+            block_transfer,
+            network,
+            ..Default::default()
+        })
+    }
+
     /// A zero-communication model (useful to isolate load balance).
     pub fn zero_comm() -> Self {
         CostModel {

@@ -8,6 +8,9 @@
 #
 #   scripts/src-loc.sh            one row per crate plus a total
 #   scripts/src-loc.sh -f exec    one row per file of crates/exec/src
+#   scripts/src-loc.sh --diff REV one row per crate: lines at REV (a
+#                                 `git archive` of it in a temp dir), in
+#                                 the working tree, and the difference
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,6 +39,27 @@ if [ "${1:-}" = "-f" ]; then
     exit
 fi
 
-for dir in crates/*/src src; do
-    printf '%6d  %s\n' "$(count "$dir" | awk '{ t += $1 } END { print t + 0 }')" "$dir"
-done | awk '{ print; t += $1 } END { printf "%6d  total\n", t }'
+crates() { # "lines dir" per crate of the tree at $1
+    (cd "$1" && for dir in crates/*/src src; do
+        printf '%d %s\n' "$(count "$dir" | awk '{ t += $1 } END { print t + 0 }')" "$dir"
+    done)
+}
+
+if [ "${1:-}" = "--diff" ]; then
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    git archive "$2" crates src | tar -x -C "$tmp"
+    crates "$tmp" >"$tmp/base"
+    crates . | awk -v rev="$2" '
+        NR == FNR { base[$2] = $1; next }
+        FNR == 1 { printf "%6s %6s %6s  %s\n", "base", "tree", "diff", "(base: " rev ")" }
+        { printf "%6d %6d %+6d  %s\n", base[$2], $1, $1 - base[$2], $2
+          b += base[$2]; t += $1; delete base[$2] }
+        END {
+            for (d in base) { printf "%6d %6d %+6d  %s\n", base[d], 0, -base[d], d; b += base[d] }
+            printf "%6d %6d %+6d  total\n", b, t, t - b
+        }' "$tmp/base" -
+    exit
+fi
+
+crates . | awk '{ printf "%6d  %s\n", $1, $2; t += $1 } END { printf "%6d  total\n", t }'

@@ -10,7 +10,7 @@ use hetgrid_linalg::Matrix;
 
 /// A solved placement plus its realized block-panel distribution: the
 /// adaptive runtime's plan under execution, under the name the one-call
-/// `solve` / `simulate` / `rebalance` helpers are documented by.
+/// `solve` / `simulate` helpers are documented by.
 pub use hetgrid_adapt::ActivePlan as Plan;
 
 /// What one [`Session::step`] produced.
@@ -100,8 +100,9 @@ impl Session {
         config: ControllerConfig,
     ) -> Self {
         let controller = Controller::new(times, p, q, bp, bq, nb, config);
-        let a = DistributedMatrix::scatter(a, controller.dist(), nb, r);
-        let b = DistributedMatrix::scatter(b, controller.dist(), nb, r);
+        let dist = &controller.plan().dist;
+        let a = DistributedMatrix::scatter(a, dist, nb, r);
+        let b = DistributedMatrix::scatter(b, dist, nb, r);
         Session {
             controller,
             a,
@@ -175,14 +176,10 @@ impl Session {
         self.iters_done += 1;
         let remaining = self.iters_total.saturating_sub(self.iters_done);
         let (decision, blocks_moved) = match self.controller.observe(&sample, remaining) {
-            Action::Rebalanced { decision, old_dist } => {
-                let moved =
-                    hetgrid_adapt::redistribute(&mut self.a, &old_dist, self.controller.dist())
-                        + hetgrid_adapt::redistribute(
-                            &mut self.b,
-                            &old_dist,
-                            self.controller.dist(),
-                        );
+            Action::Rebalanced { decision, old_plan } => {
+                let (from, to) = (old_plan.placement(), self.controller.plan().placement());
+                let moved = hetgrid_adapt::redistribute(&mut self.a, &from, &to)
+                    + hetgrid_adapt::redistribute(&mut self.b, &from, &to);
                 self.blocks_moved += moved;
                 (Some(decision), moved)
             }
@@ -201,6 +198,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetgrid_adapt::{policy, PolicyConfig};
     use hetgrid_core::Method;
     use hetgrid_plan::Kernel;
     use hetgrid_sim::CostModel;
@@ -223,8 +221,8 @@ mod tests {
     fn rebalance_on_identical_times_moves_nothing() {
         let times = [1.0, 2.0, 3.0, 5.0];
         let plan = plan(&times, 8, 6);
-        let (next, moved) = plan.rebalance(&times, 24);
-        assert_eq!(moved, 0.0);
+        let (d, next) = policy::evaluate(&plan, &times, 24, 0, &PolicyConfig::default());
+        assert_eq!(d.blocks_moved, 0);
         assert!((next.alloc.obj2() - plan.alloc.obj2()).abs() < 1e-12);
     }
 
@@ -234,21 +232,20 @@ mod tests {
         let night = [1.0, 1.0, 1.0, 1.0];
         let afternoon = [1.0, 1.0, 1.0, 4.0];
         let plan = plan(&night, 8, 8);
-        let (fresh, moved) = plan.rebalance(&afternoon, 24);
-        assert!(moved > 0.0 && moved < 1.0, "moved = {}", moved);
-        // Evaluate both distributions against the afternoon speeds.
-        let stale = Plan {
-            dist: plan.dist.clone(),
-            ..fresh.clone()
-        };
-        let stale_rep = stale.simulate(Kernel::Mm, 24, CostModel::zero_comm());
-        let fresh_rep = fresh.simulate(Kernel::Mm, 24, CostModel::zero_comm());
+        let (d, fresh) = policy::evaluate(&plan, &afternoon, 24, 0, &PolicyConfig::default());
         assert!(
-            fresh_rep.makespan < stale_rep.makespan,
-            "rebalance did not help: {} vs {}",
-            fresh_rep.makespan,
-            stale_rep.makespan
+            d.moved_fraction > 0.0 && d.moved_fraction < 1.0,
+            "moved = {}",
+            d.moved_fraction
         );
+        // Both plans priced on the afternoon speeds.
+        assert!(
+            d.fresh_cost < d.stale_cost,
+            "rebalance did not help: {} vs {}",
+            d.fresh_cost,
+            d.stale_cost
+        );
+        assert_eq!(fresh.grid(), (2, 2));
     }
 
     #[test]
