@@ -80,7 +80,7 @@ impl Args {
         }
     }
 
-    /// A count with default: `--nb`, `--trials`; at least 1.
+    /// A count with default: `--nb`, `--trials`, `--block`; at least 1.
     pub fn count(&self, key: &str, default: usize) -> Result<usize, String> {
         match self.get_parse(key, default)? {
             0 => Err(format!("--{key} must be >= 1, got 0")),

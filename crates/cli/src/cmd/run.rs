@@ -64,7 +64,7 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     let (times, p, q) = args.grid_times()?;
     let nb = args.count("nb", 8)?;
-    let r: usize = args.get_parse("block", 8)?;
+    let r = args.count("block", 8)?;
     let seed: u64 = args.get_parse("seed", 0)?;
     let kernel = args.kernel(Kernel::Mm)?;
     let cfg = ExecConfig {

@@ -61,7 +61,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         ));
     }
     let nb = args.count("nb", 8)?;
-    let r: usize = args.get_parse("block", 8)?;
+    let r = args.count("block", 8)?;
     let seed: u64 = args.get_parse("seed", 0)?;
     let cfg = ExecConfig {
         lookahead: args.get_parse("lookahead", DEFAULT_LOOKAHEAD)?,

@@ -1,9 +1,22 @@
 //! `hetgrid submit`: the stock client of a running `hetgrid serve`.
 
 use crate::args::Args;
+use hetgrid_obs::MetricsSnapshot;
 use hetgrid_plan::Kernel;
-use hetgrid_serve::proto::{MetricsFormat, PlanSpec, Request, RequestBody, Response, SolveSpec};
+use hetgrid_serve::proto::{PlanSpec, Request, RequestBody, Response, SolveSpec};
 use hetgrid_serve::Client;
+
+/// A rendering of the server's metrics snapshot.
+type Render = fn(&MetricsSnapshot) -> String;
+
+/// The `serve.*` metrics as a JSON document.
+fn serve_json(snap: &MetricsSnapshot) -> String {
+    snap.filtered("serve.").to_json()
+}
+
+/// `--format` of `--op metrics`: the client renders what the server
+/// sent.
+const FORMATS: [(&str, Render); 2] = [("json", serve_json), ("expo", hetgrid_obs::expo::write)];
 
 /// Sends one request kind `--repeat` times over a single connection
 /// and prints each response.
@@ -13,14 +26,11 @@ pub fn submit(args: &Args) -> Result<(), String> {
     let tenant = args.get("tenant").unwrap_or("").to_string();
     let repeat: usize = args.get_parse("repeat", 1usize)?;
 
+    let mut render: Render = serve_json;
     let body = match op {
         "metrics" => {
-            let formats = [
-                ("json", MetricsFormat::Json),
-                ("expo", MetricsFormat::Expo),
-                ("series", MetricsFormat::Series),
-            ];
-            RequestBody::Metrics(args.choice("format", "json", &formats)?)
+            render = args.choice("format", "json", &FORMATS)?;
+            RequestBody::Metrics
         }
         "shutdown" => RequestBody::Shutdown,
         "solve" | "plan" | "simulate" => {
@@ -56,12 +66,12 @@ pub fn submit(args: &Args) -> Result<(), String> {
         if let Some(id) = client.last_trace_id() {
             hetgrid_obs::diag!("trace id: {:032x}", id);
         }
-        print_response(&resp, args.verbosity());
+        print_response(&resp, args.verbosity(), render);
     }
     Ok(())
 }
 
-fn print_response(resp: &Response, verbosity: i32) {
+fn print_response(resp: &Response, verbosity: i32, render: Render) {
     match resp {
         Response::Solve(r) => {
             println!(
@@ -95,7 +105,7 @@ fn print_response(resp: &Response, verbosity: i32) {
                 println!("  per-proc work     {:?}", r.work);
             }
         }
-        Response::Metrics(json) => println!("{}", json),
+        Response::Metrics(snap) => println!("{}", render(snap)),
         Response::ShuttingDown => println!("server shutting down"),
         Response::Busy => println!("server busy (load shed)"),
         Response::QuotaExceeded => println!("quota exceeded"),

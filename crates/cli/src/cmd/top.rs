@@ -2,12 +2,12 @@
 
 use crate::args::Args;
 use hetgrid_obs::MetricsSnapshot;
-use hetgrid_serve::proto::{MetricsFormat, Request, RequestBody, Response};
+use hetgrid_serve::proto::{Request, RequestBody, Response};
 use hetgrid_serve::Client;
 
 /// Live in-terminal dashboard over a running `hetgrid serve`: polls
-/// the metrics endpoint (text exposition format), derives rates from
-/// successive snapshots, and redraws. `--once` prints a single frame
+/// the metrics endpoint (the server's registry snapshot), derives rates
+/// from successive snapshots, and redraws. `--once` prints a single frame
 /// (totals instead of rates) and exits — the CI smoke job uses it.
 pub fn top(args: &Args) -> Result<(), String> {
     let addr = args.require("addr")?;
@@ -23,15 +23,13 @@ pub fn top(args: &Args) -> Result<(), String> {
         let resp = client
             .request(&Request {
                 tenant: "top".into(),
-                body: RequestBody::Metrics(MetricsFormat::Expo),
+                body: RequestBody::Metrics,
             })
             .map_err(|e| format!("polling {}: {}", addr, e))?;
-        let text = match resp {
-            Response::Metrics(text) => text,
+        let snap = match resp {
+            Response::Metrics(snap) => snap,
             other => return Err(format!("unexpected response: {:?}", other.status())),
         };
-        let snap = hetgrid_obs::expo::parse(&text)
-            .map_err(|e| format!("server exposition did not parse: {}", e))?;
         let now = std::time::Instant::now();
         let frame = render_top(
             addr,
@@ -112,7 +110,7 @@ fn render_top(addr: &str, snap: &MetricsSnapshot, prev: Option<(f64, &MetricsSna
     );
 
     // Latency quantiles per endpoint, interpolated from the histogram
-    // buckets the exposition carries.
+    // buckets the snapshot carries.
     for (name, h) in &snap.histograms {
         let Some(endpoint) = name.strip_prefix("serve.latency.") else {
             continue;

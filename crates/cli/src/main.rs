@@ -90,7 +90,7 @@ fn print_usage() {
     println!("             until a client sends --op shutdown)");
     println!("  submit     --addr HOST:PORT [--op solve|plan|simulate|metrics|shutdown]");
     println!("             [--times .. --grid PxQ] [--kernel mm|lu|cholesky|qr] [--nb 8]");
-    println!("             [--tenant NAME] [--repeat 1] [--format json|expo|series]");
+    println!("             [--tenant NAME] [--repeat 1] [--format json|expo]");
     println!("             (client for a running serve; prints the trace id of each");
     println!("             request on stderr — correlate with the server's --trace-out)");
     println!("  top        --addr HOST:PORT [--interval 2] [--once]   (live dashboard");

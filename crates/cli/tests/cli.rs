@@ -731,6 +731,12 @@ fn argv_edge_values_exit_2() {
         ),
         ("simulate", &["--nb", "0"][..], "--nb must be >= 1"),
         ("run", &["--nb", "0"][..], "--nb must be >= 1"),
+        ("run", &["--block", "0"][..], "--block must be >= 1"),
+        (
+            "run",
+            &["--topology", "star", "--block", "0"][..],
+            "--block must be >= 1",
+        ),
         (
             "rebalance",
             &["--new-times", "5,3,2,1", "--nb", "0"][..],
@@ -743,7 +749,8 @@ fn argv_edge_values_exit_2() {
         ),
     ] {
         let mut argv = vec![cmd];
-        if cmd != "sweep" {
+        // The sweep draws its own pools and the star takes none.
+        if cmd != "sweep" && !extra.contains(&"star") {
             argv.extend(pool);
         }
         argv.extend(extra);
@@ -805,4 +812,62 @@ fn cli_parity_table() {
         }
     }
     assert!(diffs.is_empty(), "{}", diffs.join("\n"));
+}
+
+/// The metrics clients render the snapshot the server sends: `submit
+/// --op metrics` prints the `serve.*` JSON document, `--format expo`
+/// the whole registry as exposition text, `--format series` is refused,
+/// and `top --once` draws a dashboard frame.
+#[test]
+fn metrics_clients_render_the_servers_snapshot() {
+    use std::io::BufRead;
+    /// Kills the server if an assertion fails before it shuts down.
+    struct Serve(std::process::Child);
+    impl Drop for Serve {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut server = Serve(
+        Command::new(env!("CARGO_BIN_EXE_hetgrid"))
+            .args(["serve", "--addr", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("failed to launch hetgrid serve"),
+    );
+    let mut lines = std::io::BufReader::new(server.0.stdout.take().unwrap()).lines();
+    let first = lines.next().expect("a first line").unwrap();
+    let addr = first.strip_prefix("listening ").expect(&first).to_string();
+    let submit = |extra: &[&str]| run(&[&["submit", "--addr", &addr][..], extra].concat());
+
+    let plan = ["--op", "plan", "--times", "1,2,3,5", "--grid", "2x2"];
+    assert!(submit(&plan).0);
+    let (ok, json, _) = submit(&["--op", "metrics"]);
+    assert!(ok);
+    let doc = hetgrid_obs::json::parse(&json).expect("the JSON document parses");
+    let misses = doc
+        .get("counters")
+        .and_then(|c| c.get("serve.cache.misses"));
+    assert_eq!(misses.and_then(|v| v.as_f64()), Some(1.0), "{json}");
+    assert!(!json.contains("exec."), "{json}");
+
+    let (ok, expo, _) = submit(&["--op", "metrics", "--format", "expo"]);
+    assert!(ok);
+    let line = "serve_cache_misses{name=\"serve.cache.misses\"} 1";
+    assert!(expo.contains("# TYPE serve_cache_misses counter"), "{expo}");
+    assert!(expo.lines().any(|l| l == line), "{expo}");
+
+    let (ok, _, err) = submit(&["--op", "metrics", "--format", "series"]);
+    assert!(
+        !ok && err.starts_with("error: unknown format: series"),
+        "{err}"
+    );
+
+    let (ok, frame, _) = run(&["top", "--addr", &addr, "--once"]);
+    assert!(ok && frame.contains("cache      hit ratio"), "{frame}");
+
+    assert!(submit(&["--op", "shutdown"]).0);
+    assert!(server.0.wait().expect("serve exits").success());
 }

@@ -16,7 +16,7 @@
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Topology {
     /// The paper's `p x q` processor grid: every processor owns blocks
-    /// per a [`hetgrid_dist`-style] distribution, broadcasts travel
+    /// per a `hetgrid_dist`-style distribution, broadcasts travel
     /// along grid rows and columns, and all inputs are pre-scattered.
     Grid2D {
         /// Grid rows.

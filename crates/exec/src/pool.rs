@@ -10,7 +10,7 @@
 //! the churn with the lookahead window.
 //!
 //! The pool is strictly thread-local (one per worker's
-//! [`Courier`](crate::step::Courier)): no locks, no cross-thread
+//! `step::Courier`): no locks, no cross-thread
 //! traffic. Hit/miss totals are published to `obs` at run end.
 
 use hetgrid_linalg::Matrix;

@@ -1,14 +1,14 @@
 //! Threaded master-worker matrix multiplication: the
 //! [`hetgrid_plan::star_mm_plan`] step stream lowered for
-//! [`crate::grid`]. Processor 0 is the master — it holds every `A`/`B`
+//! `crate::grid`. Processor 0 is the master — it holds every `A`/`B`
 //! block, feeds workers over its one-port link, and collects every
 //! finished `C` block; processors `1..=workers` are bounded-memory
 //! workers running the maximum-reuse streaming schedule.
 //!
 //! A star step lowers to at most one action per processor: a feed is a
-//! [`Send`] from the master's `A`/`B` store (namespaces 1 and 2, as
-//! MM's), a load a [`Take`] of that message or of a zero accumulator, a
-//! compute MM's GEMM [`Work`], an evict a drop (a finished `C` block
+//! `Send` from the master's `A`/`B` store (namespaces 1 and 2, as
+//! MM's), a load a `Take` of that message or of a zero accumulator, a
+//! compute MM's GEMM `Work`, an evict a drop (a finished `C` block
 //! moves into its message home first) and the master's retire a take
 //! into its `C` store. The platform constraints ride the derived
 //! hazard sets:

@@ -274,28 +274,32 @@ pub fn check_serve_cache(delta: &hetgrid_obs::MetricsSnapshot) -> Result<(), Str
     Ok(())
 }
 
-/// Telemetry-codec oracle: writing a metrics snapshot to the text
-/// exposition format and parsing it back must reproduce the snapshot
+/// Telemetry-codec oracle: a metrics snapshot sent as a serve
+/// `Metrics` response and decoded back must reproduce the snapshot
 /// exactly — counters and histograms equal, gauges bit-identical
-/// (`to_bits`, so NaN payloads and signed zeros count too). The
-/// exposition is what `hetgrid top` and any scraper consume; a lossy
-/// or ambiguous encoding would silently corrupt every downstream
-/// reading, so the harness round-trips the *live* registry contents
-/// (hostile names included — per-tenant counters embed user strings)
-/// after every instrumented run.
-pub fn check_expo_roundtrip(snap: &hetgrid_obs::MetricsSnapshot) -> Result<(), String> {
-    let text = hetgrid_obs::expo::write(snap);
-    let back = hetgrid_obs::expo::parse(&text)
-        .map_err(|e| format!("exposition parse-back failed: {e}"))?;
+/// (`to_bits`, so NaN payloads and signed zeros count too). That
+/// response is what `hetgrid top` and `hetgrid submit` render; a lossy
+/// encoding would silently corrupt every downstream reading, so the
+/// harness round-trips the *live* registry contents (hostile names
+/// included — per-tenant counters embed user strings) after every
+/// instrumented run.
+pub fn check_metrics_roundtrip(snap: &hetgrid_obs::MetricsSnapshot) -> Result<(), String> {
+    use hetgrid_serve::proto::{decode_response, encode_response, Response};
+    let bytes = encode_response(&Response::Metrics(snap.clone()));
+    let back = match decode_response(&bytes) {
+        Ok(Response::Metrics(back)) => back,
+        Ok(other) => return Err(format!("a Metrics response decoded as {}", other.status())),
+        Err(e) => return Err(format!("a Metrics response did not decode: {e}")),
+    };
     if back.counters != snap.counters {
-        return Err("exposition round-trip changed the counters".to_string());
+        return Err("the Metrics round trip changed the counters".to_string());
     }
     if back.histograms != snap.histograms {
-        return Err("exposition round-trip changed the histograms".to_string());
+        return Err("the Metrics round trip changed the histograms".to_string());
     }
     if back.gauges.len() != snap.gauges.len() {
         return Err(format!(
-            "exposition round-trip changed the gauge count: {} -> {}",
+            "the Metrics round trip changed the gauge count: {} -> {}",
             snap.gauges.len(),
             back.gauges.len()
         ));
@@ -305,10 +309,10 @@ pub fn check_expo_roundtrip(snap: &hetgrid_obs::MetricsSnapshot) -> Result<(), S
             Some(b) if b.to_bits() == v.to_bits() => {}
             Some(b) => {
                 return Err(format!(
-                    "exposition round-trip changed gauge {name:?}: {v} -> {b}"
+                    "the Metrics round trip changed gauge {name:?}: {v} -> {b}"
                 ))
             }
-            None => return Err(format!("exposition round-trip lost gauge {name:?}")),
+            None => return Err(format!("the Metrics round trip lost gauge {name:?}")),
         }
     }
     Ok(())

@@ -42,8 +42,8 @@ fn check(result: Result<(), String>, ctx: &str) {
 /// The oracles every grid run answers to, whatever it computed: the
 /// observed counts equal the plan fold, a multi-processor grid actually
 /// communicated, and the live telemetry registry (with whatever
-/// per-processor / per-edge names this run interned) survives the text
-/// exposition round trip bit-exactly.
+/// per-processor / per-edge names this run interned) survives the serve
+/// `Metrics` response round trip bit-exactly.
 fn check_report(report: &ExecReport, kernel: Kernel, sc: &ExecScenario, ctx: &str) {
     let plan = kernel.plan(sc.dist.as_ref(), sc.nb);
     let predicted = counts::fold(&plan, 0, &sc.weights);
@@ -53,7 +53,7 @@ fn check_report(report: &ExecReport, kernel: Kernel, sc: &ExecScenario, ctx: &st
         panic!("harness oracle failed: no messages on a {p}x{q} grid\n  case: {ctx}");
     }
     check(
-        oracles::check_expo_roundtrip(&hetgrid_obs::metrics().snapshot()),
+        oracles::check_metrics_roundtrip(&hetgrid_obs::metrics().snapshot()),
         ctx,
     );
 }
@@ -191,7 +191,7 @@ pub fn run_star_case(profile: FaultProfile, seed: u64) {
         panic!("harness oracle failed: a star run sent no messages\n  case: {ctx}");
     }
     check(
-        oracles::check_expo_roundtrip(&hetgrid_obs::metrics().snapshot()),
+        oracles::check_metrics_roundtrip(&hetgrid_obs::metrics().snapshot()),
         &ctx,
     );
 }

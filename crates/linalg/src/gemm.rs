@@ -24,7 +24,7 @@
 //! `p = 0..kc` in order followed by one add into `C`, so they agree to
 //! the last bit and hosts differ only portable-vs-FMA.
 //!
-//! Inside the crate the product is *ranged* ([`gemm_ranged`]): packing
+//! Inside the crate the product is *ranged* (`gemm_ranged`): packing
 //! copies `A` and `B` out anyway and the micro-kernels take a leading
 //! dimension, so a sub-block operand costs an offset, not a copy. The
 //! recursive triangular solve (`tri`) and the blocked factorisations

@@ -10,7 +10,7 @@
 //!   blocked (the kernel parallelized in Section 3.2 of the paper);
 //! * [`qr`] — Householder QR and least squares;
 //! * [`tri`] — triangular solves (trsm-style);
-//! * [`svd`] — one-sided Jacobi SVD and the fast top-singular-triple
+//! * [`svd`](mod@svd) — one-sided Jacobi SVD and the fast top-singular-triple
 //!   power iteration used by the load-balancing heuristic (Section 4.4.2).
 //!
 //! ```

@@ -2,9 +2,9 @@
 //! LU factorization of Section 3.2).
 //!
 //! Every solve an executor or benchmark runs is one recursion, the
-//! left-lower `L * X = B` in place ([`solve_rows`]): solve the top half
+//! left-lower `L * X = B` in place (`solve_rows`): solve the top half
 //! of the rows, subtract `L21 * X1` from the bottom half through the
-//! packed GEMM micro-kernel, solve the bottom half; at [`LEAF`] rows,
+//! packed GEMM micro-kernel, solve the bottom half; at `LEAF` rows,
 //! sweep row by row. The right-side forms are that recursion on the
 //! transposed block — `X * U = B` is `U^T * X^T = B^T` — with the
 //! lower-triangular `U^T` read from `U` where it lies.

@@ -1,5 +1,6 @@
-//! Prometheus-style text exposition of a [`MetricsSnapshot`], plus the
-//! inverse parser.
+//! Prometheus-style text exposition of a [`MetricsSnapshot`]: what
+//! `hetgrid submit --op metrics --format expo` prints from the snapshot
+//! the server sends (the server itself renders no text).
 //!
 //! ## Grammar
 //!
@@ -12,28 +13,25 @@
 //!
 //! `<family>` is the metric name *sanitized* to `[a-zA-Z0-9_:]`
 //! ([`sanitize`]); the untouched original name rides in the `name`
-//! label (escaped: `\\`, `\"`, `\n`), so the round trip is lossless
-//! even though sanitization is not injective. Histograms additionally
-//! emit, per Prometheus convention, cumulative
+//! label (escaped: `\\`, `\"`, `\n`), so a scraper can tell apart two
+//! names that sanitize alike. Histograms additionally emit, per
+//! Prometheus convention, cumulative
 //! `<family>_bucket{name=...,le="<bound>"}` lines in ascending bound
 //! order, an `le="+Inf"` line, and `<family>_sum` / `<family>_count`
 //! lines. One deliberate bend: the `+Inf` cumulative value is the sum
 //! of the bucket vector (including overflow) rather than a copy of
-//! `_count`, so a torn concurrent snapshot — where `count` lags the
-//! buckets by an in-flight observation — still round-trips
-//! bit-exactly.
+//! `_count`, so the bucket lines of a torn concurrent snapshot — where
+//! `count` lags the buckets by an in-flight observation — still agree
+//! with each other.
 //!
-//! Numbers use Rust's `{}` float formatting, which emits the shortest
-//! string that parses back to the identical bits; [`parse`] therefore
-//! reproduces the snapshot exactly (`NaN` gauges come back as NaN,
-//! though not necessarily the same NaN payload).
+//! Numbers use Rust's `{}` float formatting, the shortest string that
+//! parses back to the identical bits.
 //!
 //! Output order is counters, then gauges, then histograms, each
 //! alphabetical (the snapshot's `BTreeMap` order) — identical
 //! registries produce identical bytes.
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
-use std::collections::BTreeMap;
+use crate::metrics::MetricsSnapshot;
 use std::fmt::Write as _;
 
 /// Maps a metric name onto the exposition family charset
@@ -118,247 +116,10 @@ pub fn write(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// A parsed sample line: family, labels, raw value text.
-type Sample = (String, Vec<(String, String)>, String);
-
-/// Parses one sample line into a [`Sample`].
-fn parse_sample(line: &str) -> Result<Sample, String> {
-    let brace = line.find('{').ok_or("sample line has no '{'")?;
-    let family = line[..brace].to_string();
-    let bytes = line.as_bytes();
-    let mut i = brace + 1;
-    let mut labels = Vec::new();
-    loop {
-        if i >= bytes.len() {
-            return Err("unterminated label set".into());
-        }
-        if bytes[i] == b'}' {
-            i += 1;
-            break;
-        }
-        let kstart = i;
-        while i < bytes.len() && bytes[i] != b'=' {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err("label without '='".into());
-        }
-        let key = line[kstart..i].to_string();
-        i += 1;
-        if bytes.get(i) != Some(&b'"') {
-            return Err("label value must be quoted".into());
-        }
-        i += 1;
-        let mut val = String::new();
-        loop {
-            match bytes.get(i) {
-                None => return Err("unterminated label value".into()),
-                Some(b'"') => {
-                    i += 1;
-                    break;
-                }
-                Some(b'\\') => {
-                    i += 1;
-                    match bytes.get(i) {
-                        Some(b'\\') => val.push('\\'),
-                        Some(b'"') => val.push('"'),
-                        Some(b'n') => val.push('\n'),
-                        _ => return Err("unknown escape in label value".into()),
-                    }
-                    i += 1;
-                }
-                Some(_) => {
-                    let c = line[i..].chars().next().expect("in-bounds char");
-                    val.push(c);
-                    i += c.len_utf8();
-                }
-            }
-        }
-        labels.push((key, val));
-        if bytes.get(i) == Some(&b',') {
-            i += 1;
-        }
-    }
-    if bytes.get(i) != Some(&b' ') {
-        return Err("expected ' ' between labels and value".into());
-    }
-    Ok((family, labels, line[i + 1..].to_string()))
-}
-
-#[derive(Default)]
-struct HistAcc {
-    /// `(upper bound, cumulative count)`; `None` bound is `+Inf`.
-    cum: Vec<(Option<f64>, u64)>,
-    sum: Option<f64>,
-    count: Option<u64>,
-}
-
-/// Parses exposition text (as produced by [`write`]) back into a
-/// [`MetricsSnapshot`]. Total: malformed input yields `Err`, never a
-/// panic. The result is bit-exact: counters, histogram buckets/bounds,
-/// and finite float values reproduce the original exactly.
-pub fn parse(text: &str) -> Result<MetricsSnapshot, String> {
-    let mut snap = MetricsSnapshot::default();
-    let mut hists: BTreeMap<String, HistAcc> = BTreeMap::new();
-    // Dispatch is block-scoped on the most recent `# TYPE` line, not a
-    // global family->kind map: sanitization is lossy, so two metrics
-    // of different kinds can legally share a family name — each block
-    // re-declares its kind immediately before its samples.
-    let mut current: Option<(String, String)> = None;
-
-    for (idx, raw) in text.lines().enumerate() {
-        let lno = idx + 1;
-        let line = raw.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split_whitespace();
-            let fam = it
-                .next()
-                .ok_or_else(|| format!("line {lno}: TYPE without family"))?;
-            let kind = it
-                .next()
-                .ok_or_else(|| format!("line {lno}: TYPE without kind"))?;
-            match kind {
-                "counter" | "gauge" | "histogram" => {}
-                other => return Err(format!("line {lno}: unknown metric kind '{other}'")),
-            }
-            current = Some((fam.to_string(), kind.to_string()));
-            continue;
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        let (family, labels, value) = parse_sample(line).map_err(|e| format!("line {lno}: {e}"))?;
-        let name = labels
-            .iter()
-            .find(|(k, _)| k == "name")
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| format!("line {lno}: sample without name label"))?;
-        let (fam, kind) = current
-            .as_ref()
-            .ok_or_else(|| format!("line {lno}: sample before any # TYPE line"))?;
-        match kind.as_str() {
-            "counter" | "gauge" => {
-                if &family != fam {
-                    return Err(format!(
-                        "line {lno}: sample family '{family}' outside its '# TYPE {fam}' block"
-                    ));
-                }
-                if kind == "counter" {
-                    let v: u64 = value
-                        .parse()
-                        .map_err(|_| format!("line {lno}: bad counter value '{value}'"))?;
-                    snap.counters.insert(name, v);
-                } else {
-                    let v: f64 = value
-                        .parse()
-                        .map_err(|_| format!("line {lno}: bad gauge value '{value}'"))?;
-                    snap.gauges.insert(name, v);
-                }
-            }
-            _ => {
-                let part = if family == format!("{fam}_bucket") {
-                    "bucket"
-                } else if family == format!("{fam}_sum") {
-                    "sum"
-                } else if family == format!("{fam}_count") {
-                    "count"
-                } else {
-                    return Err(format!(
-                        "line {lno}: sample family '{family}' outside its \
-                         '# TYPE {fam} histogram' block"
-                    ));
-                };
-                let acc = hists.entry(name).or_default();
-                match part {
-                    "bucket" => {
-                        let le = labels
-                            .iter()
-                            .find(|(k, _)| k == "le")
-                            .map(|(_, v)| v.as_str())
-                            .ok_or_else(|| format!("line {lno}: bucket without le label"))?;
-                        let bound = if le == "+Inf" {
-                            None
-                        } else {
-                            Some(
-                                le.parse::<f64>()
-                                    .map_err(|_| format!("line {lno}: bad bucket bound '{le}'"))?,
-                            )
-                        };
-                        let v: u64 = value
-                            .parse()
-                            .map_err(|_| format!("line {lno}: bad bucket value '{value}'"))?;
-                        acc.cum.push((bound, v));
-                    }
-                    "sum" => {
-                        acc.sum = Some(
-                            value
-                                .parse::<f64>()
-                                .map_err(|_| format!("line {lno}: bad histogram sum '{value}'"))?,
-                        );
-                    }
-                    _ => {
-                        acc.count =
-                            Some(value.parse::<u64>().map_err(|_| {
-                                format!("line {lno}: bad histogram count '{value}'")
-                            })?);
-                    }
-                }
-            }
-        }
-    }
-
-    for (name, acc) in hists {
-        let count = acc
-            .count
-            .ok_or_else(|| format!("histogram '{name}' is missing its _count line"))?;
-        let sum = acc
-            .sum
-            .ok_or_else(|| format!("histogram '{name}' is missing its _sum line"))?;
-        let mut bounds = Vec::new();
-        let mut buckets = Vec::new();
-        let mut prev_cum = 0u64;
-        let mut saw_inf = false;
-        for (bound, cum) in acc.cum {
-            if saw_inf {
-                return Err(format!("histogram '{name}': bucket after +Inf"));
-            }
-            if cum < prev_cum {
-                return Err(format!("histogram '{name}': cumulative counts decrease"));
-            }
-            match bound {
-                Some(b) => {
-                    if bounds.last().is_some_and(|&last| b <= last) {
-                        return Err(format!("histogram '{name}': bounds not increasing"));
-                    }
-                    bounds.push(b);
-                }
-                None => saw_inf = true,
-            }
-            buckets.push(cum - prev_cum);
-            prev_cum = cum;
-        }
-        if !saw_inf {
-            return Err(format!("histogram '{name}' is missing its +Inf bucket"));
-        }
-        snap.histograms.insert(
-            name,
-            HistogramSnapshot {
-                bounds,
-                buckets,
-                count,
-                sum,
-            },
-        );
-    }
-    Ok(snap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::HistogramSnapshot;
 
     fn hostile_snapshot() -> MetricsSnapshot {
         let mut s = MetricsSnapshot::default();
@@ -366,7 +127,6 @@ mod tests {
         s.counters.insert("weird \"name\"\\with\njunk".into(), 7);
         s.counters.insert("9starts.with-digit".into(), 1);
         s.gauges.insert("serve.queue.depth".into(), 2.5);
-        s.gauges.insert("tiny".into(), 1.0e-300);
         s.gauges.insert("neg".into(), -0.0);
         s.histograms.insert(
             "exec.step.compute_us".into(),
@@ -398,36 +158,40 @@ mod tests {
     }
 
     #[test]
-    fn label_escaping_round_trips_hostile_names() {
-        let snap = hostile_snapshot();
-        let text = write(&snap);
+    fn hostile_names_are_escaped_in_the_name_label() {
+        let text = write(&hostile_snapshot());
         assert!(text.contains("name=\"weird \\\"name\\\"\\\\with\\njunk\""));
-        let back = parse(&text).expect("hostile names must parse back");
-        assert_eq!(back.counters, snap.counters);
+        assert!(text.contains(
+            "# TYPE serve_queue_depth gauge\nserve_queue_depth{name=\"serve.queue.depth\"} 2.5\n"
+        ));
+        assert!(text.contains("neg{name=\"neg\"} -0\n"));
     }
 
     #[test]
-    fn parse_back_reproduces_the_snapshot_bit_exactly() {
-        let snap = hostile_snapshot();
-        let back = parse(&write(&snap)).expect("round trip");
-        assert_eq!(back.counters, snap.counters);
-        assert_eq!(back.histograms, snap.histograms);
-        assert_eq!(back.gauges.len(), snap.gauges.len());
-        for (name, v) in &snap.gauges {
-            let b = back.gauges[name];
-            assert_eq!(
-                b.to_bits(),
-                v.to_bits(),
-                "gauge '{name}' changed bits: {v} -> {b}"
+    fn histograms_render_cumulative_buckets_sum_and_count() {
+        let text = write(&hostile_snapshot());
+        let fam = "exec_step_compute_us";
+        let name = "{name=\"exec.step.compute_us\"";
+        for line in [
+            format!("# TYPE {fam} histogram"),
+            format!("{fam}_bucket{name},le=\"10\"}} 3"),
+            format!("{fam}_bucket{name},le=\"100\"}} 3"),
+            format!("{fam}_bucket{name},le=\"1000\"}} 8"),
+            format!("{fam}_bucket{name},le=\"+Inf\"}} 10"),
+            format!("{fam}_sum{name}}} 1234.5678"),
+            format!("{fam}_count{name}}} 10"),
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "missing {line:?} in\n{text}"
             );
         }
     }
 
     #[test]
-    fn torn_histogram_count_still_round_trips() {
+    fn torn_histogram_inf_bucket_follows_the_buckets() {
         // A concurrent snapshot can catch `count` one behind the
-        // buckets; the +Inf line follows the buckets so nothing is
-        // lost.
+        // buckets; the +Inf line sums the buckets, not `count`.
         let mut s = MetricsSnapshot::default();
         s.histograms.insert(
             "torn".into(),
@@ -438,42 +202,11 @@ mod tests {
                 sum: 3.0,
             },
         );
-        let back = parse(&write(&s)).unwrap();
-        assert_eq!(back.histograms["torn"], s.histograms["torn"]);
-    }
-
-    #[test]
-    fn non_finite_gauges_survive() {
-        let mut s = MetricsSnapshot::default();
-        s.gauges.insert("inf".into(), f64::INFINITY);
-        s.gauges.insert("ninf".into(), f64::NEG_INFINITY);
-        s.gauges.insert("nan".into(), f64::NAN);
-        let back = parse(&write(&s)).unwrap();
-        assert_eq!(back.gauges["inf"], f64::INFINITY);
-        assert_eq!(back.gauges["ninf"], f64::NEG_INFINITY);
-        assert!(back.gauges["nan"].is_nan());
-    }
-
-    #[test]
-    fn malformed_input_errors_instead_of_panicking() {
-        for bad in [
-            "nolabels 5",
-            "x{name=\"a\"} not-a-number\n# TYPE x counter",
-            "# TYPE x counter\nx{name=\"a} 5",
-            "# TYPE x counter\nx{name=\"a\"}5",
-            "# TYPE x squiggle\n",
-            "# TYPE h histogram\nh_bucket{name=\"a\",le=\"zzz\"} 1",
-            "# TYPE h histogram\nh_bucket{name=\"a\",le=\"+Inf\"} 1",
-            "# TYPE h histogram\nh_bucket{name=\"a\",le=\"2\"} 5\nh_bucket{name=\"a\",le=\"1\"} 6\nh_bucket{name=\"a\",le=\"+Inf\"} 6\nh_sum{name=\"a\"} 1\nh_count{name=\"a\"} 6",
-            "y{name=\"a\"} 5",
-        ] {
-            assert!(parse(bad).is_err(), "should reject: {bad:?}");
-        }
-    }
-
-    #[test]
-    fn empty_input_is_an_empty_snapshot() {
-        let snap = parse("").unwrap();
-        assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty());
+        let text = write(&s);
+        assert!(
+            text.contains("torn_bucket{name=\"torn\",le=\"+Inf\"} 3\n"),
+            "{text}"
+        );
+        assert!(text.contains("torn_count{name=\"torn\"} 2\n"), "{text}");
     }
 }

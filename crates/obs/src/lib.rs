@@ -11,7 +11,7 @@
 //!   collector; everything is a no-op (a single relaxed atomic load)
 //!   while tracing is disabled, which is the default. See the
 //!   [`span!`] and [`event!`] macros.
-//! * [`metrics`] — a global registry of named counters, gauges, and
+//! * [`metrics`](mod@metrics) — a global registry of named counters, gauges, and
 //!   fixed-bucket histograms with typed handles. Hot paths fetch a
 //!   handle once and then pay one relaxed atomic op per update; the
 //!   registry lock is touched only at registration and snapshot time.
@@ -20,7 +20,7 @@
 //!   and `chrome://tracing`) and a minimal JSON parser used to verify
 //!   the writer's output and by the CI smoke job.
 //!
-//! [`diag`] is the fourth, tiny leg: verbosity-gated stderr
+//! [`diag`](mod@diag) is the fourth, tiny leg: verbosity-gated stderr
 //! diagnostics ([`diag!`] / [`vdiag!`]) so machine-readable output on
 //! stdout is never interleaved with progress chatter.
 //!
@@ -32,10 +32,9 @@
 //! * [`flight`] — a black-box recorder: bounded per-thread rings of
 //!   the latest events, recording even while export is off, dumped to
 //!   a Chrome trace when a fault fires;
-//! * [`series`] — a ring of periodic metrics-snapshot deltas (the
-//!   data behind `hetgrid top`);
-//! * [`expo`] — Prometheus-style text exposition of a snapshot, with
-//!   a bit-exact parser back.
+//! * [`expo`] — Prometheus-style text exposition of a snapshot, for
+//!   clients that render one they received (`hetgrid submit --format
+//!   expo`).
 //!
 //! ## Overhead strategy
 //!
@@ -59,7 +58,6 @@ pub mod expo;
 pub mod flight;
 pub mod json;
 pub mod metrics;
-pub mod series;
 pub mod trace;
 
 pub use chrome::{Arg, ChromeTrace};

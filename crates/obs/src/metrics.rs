@@ -297,7 +297,7 @@ impl HistogramSnapshot {
 }
 
 /// A point-in-time copy of the registry (see [`Registry::snapshot`]).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,

@@ -70,7 +70,7 @@ pub fn cache_key(body: &RequestBody) -> Option<Vec<u8>> {
             plan.nb.put(&mut out);
             &plan.solve
         }
-        RequestBody::Metrics(_) | RequestBody::Shutdown => return None,
+        RequestBody::Metrics | RequestBody::Shutdown => return None,
     };
     (spec.p, spec.q).put(&mut out);
     for t in &spec.times {
@@ -142,10 +142,7 @@ mod tests {
 
     #[test]
     fn uncacheable_kinds_have_no_key() {
-        assert_eq!(
-            cache_key(&RequestBody::Metrics(crate::proto::MetricsFormat::Json)),
-            None
-        );
+        assert_eq!(cache_key(&RequestBody::Metrics), None);
         assert_eq!(cache_key(&RequestBody::Shutdown), None);
     }
 }

@@ -13,7 +13,7 @@
 //! * a **content-addressed plan cache** — requests are fingerprinted
 //!   over a normalized key of the cycle-time matrix (raw `f64` bit
 //!   patterns), grid shape, kernel, and block count
-//!   ([`fingerprint`]); the cache stores the *encoded response bytes*
+//!   ([`fingerprint`](mod@fingerprint)); the cache stores the *encoded response bytes*
 //!   under an LRU bound ([`cache`]), so identical requests get
 //!   byte-identical answers;
 //! * **request coalescing and load shedding** — concurrent identical
@@ -23,7 +23,8 @@
 //!   request header ([`quota`]);
 //! * **observability** — `serve.*` counters/gauges/latency histograms
 //!   in the process-global [`hetgrid_obs`] registry, a `serve` trace
-//!   track, and a metrics endpoint that exports them over the wire.
+//!   track, and a metrics endpoint that sends the whole registry as
+//!   one snapshot, for the client to render.
 //!
 //! The stack is dependency-free by design: `std::net` sockets and one
 //! OS thread per connection, which also runs its admitted requests'

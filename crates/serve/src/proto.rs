@@ -14,13 +14,19 @@
 //! | 1 `Solve`    | `u16 p, u16 q, varint n (= p*q), n x f64` |
 //! | 2 `Plan`     | `u8 kernel, varint nb`, then the `Solve` body |
 //! | 3 `Simulate` | same as `Plan` |
-//! | 4 `Metrics`  | `u8 format` (absent ⇒ `0` = JSON) |
+//! | 4 `Metrics`  | empty |
 //! | 5 `Shutdown` | empty |
 //!
 //! A `u16` tenant-id length plus UTF-8 bytes (max [`MAX_TENANT`])
 //! precedes every body. The tenant id scopes quota buckets only — it
 //! is deliberately *excluded* from the cache fingerprint, so tenants
 //! share the plan cache (the solver is a pure function of the spec).
+//!
+//! A `Metrics` response carries the server's whole registry as one
+//! [`MetricsSnapshot`], in the codec's own fields (counters, gauges,
+//! then histograms, each a name-ordered list), so every value crosses
+//! bit for bit; the client renders it (`hetgrid submit` as JSON or
+//! exposition text, `hetgrid top` as a dashboard).
 //!
 //! Kind 6 ([`TRACE_HEADER_KIND`]) is not a request: it is an optional
 //! *header frame* a client may send immediately before a request frame
@@ -34,16 +40,18 @@
 //! bytes produce a typed [`DecodeError`], never a panic) and every
 //! length field is bounded by the bytes left before anything is
 //! allocated. A frame of another version (v1 wrote every count as a
-//! `u32`) is an [`UnsupportedVersion`] error.
+//! `u32`, v2 a format byte in `Metrics` and text in its response) is
+//! an [`UnsupportedVersion`] error.
 
 use crate::wire::MAX_FRAME;
+use hetgrid_obs::metrics::{HistogramSnapshot, MetricsSnapshot};
 use hetgrid_plan::wire::DecodeErrorKind::{InvalidField, UnsupportedVersion};
 use hetgrid_plan::wire::{DecodeError, Field, Reader};
 
 /// Protocol magic, first two payload bytes.
 pub const MAGIC: [u8; 2] = *b"hg";
 /// Protocol version accepted by this build.
-pub const PROTO_VERSION: u8 = 2;
+pub const PROTO_VERSION: u8 = 3;
 /// Longest accepted tenant id, in UTF-8 bytes.
 pub const MAX_TENANT: usize = 64;
 /// Largest accepted grid side.
@@ -51,6 +59,13 @@ pub const MAX_GRID_SIDE: usize = 1024;
 /// Largest accepted block count per matrix side (plan generation is
 /// super-linear in `nb`; this bounds the work one request can demand).
 pub const MAX_NB: usize = 4096;
+/// Largest accepted `round(max t / min t)` of a `Simulate` pool: the
+/// slowest processor's work weight. A kernel plan at `nb` blocks
+/// counts at most `nb³` unweighted block units over all processors
+/// (MM's count; QR's is about two thirds of it, LU's a third), which
+/// is at most 2³⁶ at [`MAX_NB`] = 2¹², so no weight up to 2²⁴ can take
+/// a `u64` work count past 2⁶⁰.
+pub const MAX_SPREAD: f64 = (1u64 << 24) as f64;
 /// Kind byte of the optional trace-context header frame (not a
 /// request kind; see the module docs).
 pub const TRACE_HEADER_KIND: u8 = 6;
@@ -84,42 +99,6 @@ pub struct PlanSpec {
     pub nb: usize,
 }
 
-/// Which rendering of the server's metrics a `Metrics` request wants.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MetricsFormat {
-    /// `serve.*` counters/gauges as a JSON document (an absent format
-    /// byte decodes to this).
-    #[default]
-    Json,
-    /// The full metrics snapshot in the Prometheus-style text
-    /// exposition format (see `hetgrid_obs::expo`).
-    Expo,
-    /// The time-series ring of recent snapshot deltas as JSON (see
-    /// `hetgrid_obs::series`).
-    Series,
-}
-
-impl MetricsFormat {
-    /// Wire byte for this format.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            MetricsFormat::Json => 0,
-            MetricsFormat::Expo => 1,
-            MetricsFormat::Series => 2,
-        }
-    }
-
-    /// Format for a wire byte.
-    pub fn from_u8(b: u8) -> Option<MetricsFormat> {
-        Some(match b {
-            0 => MetricsFormat::Json,
-            1 => MetricsFormat::Expo,
-            2 => MetricsFormat::Series,
-            _ => return None,
-        })
-    }
-}
-
 /// A decoded request body.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RequestBody {
@@ -129,8 +108,8 @@ pub enum RequestBody {
     Plan(PlanSpec),
     /// Solve, then predict per-processor message/work totals.
     Simulate(PlanSpec),
-    /// Report the server's metrics in the requested rendering.
-    Metrics(MetricsFormat),
+    /// Report the server's metrics.
+    Metrics,
     /// Ask the server to stop accepting connections and exit.
     Shutdown,
 }
@@ -142,7 +121,7 @@ impl RequestBody {
             RequestBody::Solve(_) => 1,
             RequestBody::Plan(_) => 2,
             RequestBody::Simulate(_) => 3,
-            RequestBody::Metrics(_) => 4,
+            RequestBody::Metrics => 4,
             RequestBody::Shutdown => 5,
         }
     }
@@ -153,7 +132,7 @@ impl RequestBody {
             RequestBody::Solve(_) => "solve",
             RequestBody::Plan(_) => "plan",
             RequestBody::Simulate(_) => "simulate",
-            RequestBody::Metrics(_) => "metrics",
+            RequestBody::Metrics => "metrics",
             RequestBody::Shutdown => "shutdown",
         }
     }
@@ -219,9 +198,8 @@ pub enum Response {
     Plan(PlanResult),
     /// Successful simulation.
     Simulate(SimulateResult),
-    /// Server metrics in the requested [`MetricsFormat`]: a JSON
-    /// document, or exposition text.
-    Metrics(String),
+    /// The server's whole metrics registry.
+    Metrics(MetricsSnapshot),
     /// Shutdown acknowledged; the server is draining.
     ShuttingDown,
     /// Load shed: the admission queue is full, try again later.
@@ -368,6 +346,46 @@ impl Field for SimulateResult {
     }
 }
 
+/// A [`MetricsSnapshot`] as the codec's own fields: `(counters,
+/// gauges)`, then the histograms as `(name, ((bounds, buckets), (count,
+/// sum)))`; every list in name order.
+type SnapshotFields = (
+    (Vec<(String, u64)>, Vec<(String, f64)>),
+    Vec<(String, ((Vec<f64>, Vec<u64>), (u64, f64)))>,
+);
+
+fn snapshot_fields(s: &MetricsSnapshot) -> SnapshotFields {
+    let histograms = s.histograms.iter().map(|(name, h)| {
+        let fields = ((h.bounds.clone(), h.buckets.clone()), (h.count, h.sum));
+        (name.clone(), fields)
+    });
+    (
+        (
+            s.counters.clone().into_iter().collect(),
+            s.gauges.clone().into_iter().collect(),
+        ),
+        histograms.collect(),
+    )
+}
+
+fn snapshot_from(((counters, gauges), histograms): SnapshotFields) -> MetricsSnapshot {
+    let histograms = histograms.into_iter().map(|(name, fields)| {
+        let ((bounds, buckets), (count, sum)) = fields;
+        let h = HistogramSnapshot {
+            bounds,
+            buckets,
+            count,
+            sum,
+        };
+        (name, h)
+    });
+    MetricsSnapshot {
+        counters: counters.into_iter().collect(),
+        gauges: gauges.into_iter().collect(),
+        histograms: histograms.collect(),
+    }
+}
+
 /// Serializes a request to its canonical payload bytes.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + req.tenant.len());
@@ -377,8 +395,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     match &req.body {
         RequestBody::Solve(s) => s.put(&mut out),
         RequestBody::Plan(p) | RequestBody::Simulate(p) => p.put(&mut out),
-        RequestBody::Metrics(fmt) => out.push(fmt.as_u8()),
-        RequestBody::Shutdown => {}
+        RequestBody::Metrics | RequestBody::Shutdown => {}
     }
     out
 }
@@ -403,12 +420,7 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, DecodeError> {
         1 => RequestBody::Solve(r.get("solve spec")?),
         2 => RequestBody::Plan(r.get("plan spec")?),
         3 => RequestBody::Simulate(r.get("plan spec")?),
-        // No format byte: an empty body means JSON.
-        4 if r.is_empty() => RequestBody::Metrics(MetricsFormat::Json),
-        4 => RequestBody::Metrics(
-            MetricsFormat::from_u8(r.byte("metrics format")?)
-                .ok_or_else(|| r.err("unknown metrics format", InvalidField))?,
-        ),
+        4 => RequestBody::Metrics,
         5 => RequestBody::Shutdown,
         _ => return Err(r.err("unknown request kind", InvalidField)),
     };
@@ -465,9 +477,8 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             r.plan_bytes.put(&mut out);
         }
         Response::Simulate(r) => r.put(&mut out),
-        Response::Metrics(text) | Response::BadRequest(text) | Response::ServerError(text) => {
-            text.put(&mut out)
-        }
+        Response::Metrics(snap) => snapshot_fields(snap).put(&mut out),
+        Response::BadRequest(text) | Response::ServerError(text) => text.put(&mut out),
         Response::ShuttingDown | Response::Busy | Response::QuotaExceeded => {}
     }
     out
@@ -492,7 +503,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Response, DecodeError> {
             plan_bytes: r.get("plan bytes")?,
         }),
         3 => Response::Simulate(r.get("sim result")?),
-        4 => Response::Metrics(r.get("metrics text")?),
+        4 => Response::Metrics(snapshot_from(r.get("metrics snapshot")?)),
         5 => Response::ShuttingDown,
         16 => Response::Busy,
         17 => Response::QuotaExceeded,
@@ -534,15 +545,7 @@ mod tests {
             },
             Request {
                 tenant: "ops".into(),
-                body: RequestBody::Metrics(MetricsFormat::Json),
-            },
-            Request {
-                tenant: "ops".into(),
-                body: RequestBody::Metrics(MetricsFormat::Expo),
-            },
-            Request {
-                tenant: "ops".into(),
-                body: RequestBody::Metrics(MetricsFormat::Series),
+                body: RequestBody::Metrics,
             },
             Request {
                 tenant: "ops".into(),
@@ -557,6 +560,23 @@ mod tests {
             let bytes = encode_request(&req);
             assert_eq!(decode_request(&bytes).unwrap(), req);
         }
+    }
+
+    fn sample_snapshot() -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::default();
+        snap.counters.insert("serve.cache.hits".into(), 3);
+        snap.counters.insert("serve.tenant.a\"b.admitted".into(), 1);
+        snap.gauges.insert("serve.queue.depth".into(), -0.0);
+        snap.histograms.insert(
+            "serve.latency.plan".into(),
+            HistogramSnapshot {
+                bounds: vec![1e-3, 1e-2],
+                buckets: vec![2, 0, 1],
+                count: 3,
+                sum: 0.0125,
+            },
+        );
+        snap
     }
 
     fn sample_responses() -> Vec<Response> {
@@ -580,7 +600,7 @@ mod tests {
                 messages: vec![3, 4],
                 work: vec![10, 20],
             }),
-            Response::Metrics("{}".into()),
+            Response::Metrics(sample_snapshot()),
             Response::ShuttingDown,
             Response::Busy,
             Response::QuotaExceeded,
@@ -644,11 +664,11 @@ mod tests {
         let requests = sample_requests();
         assert_eq!(
             digest(requests.iter().map(encode_request)),
-            "13c95fdc17072680e3fa87d2f48e8a32"
+            "e21b87aaf1001b9857e0910230d42749"
         );
         assert_eq!(
             digest(sample_responses().iter().map(encode_response)),
-            "6d4dc1f9d87e283df042f7578d079b14"
+            "eb1a0e87395e0af4664eba79c9019f70"
         );
         let keys = requests
             .iter()
@@ -682,8 +702,8 @@ mod tests {
                 }
             }
         }
-        assert_eq!(texts.len(), 1235);
-        assert_eq!(digest(texts), "810783eb2e6c5991cbb6a471c48d940d");
+        assert_eq!(texts.len(), 1087);
+        assert_eq!(digest(texts), "b07fb123dbc73a5c459f55c6c56fd99b");
     }
 
     #[test]
@@ -691,38 +711,12 @@ mod tests {
         for req in sample_requests() {
             let bytes = encode_request(&req);
             for len in 0..bytes.len() {
-                // The one legal truncation: a Metrics frame minus its
-                // format byte is a valid (JSON-format) request.
-                if matches!(req.body, RequestBody::Metrics(_)) && len == bytes.len() - 1 {
-                    assert_eq!(
-                        decode_request(&bytes[..len]).unwrap().body,
-                        RequestBody::Metrics(MetricsFormat::Json)
-                    );
-                    continue;
-                }
                 assert!(
                     decode_request(&bytes[..len]).is_err(),
                     "prefix of {len} bytes decoded"
                 );
             }
         }
-    }
-
-    #[test]
-    fn metrics_format_bounds_and_back_compat() {
-        // Unknown format byte errors.
-        let mut bytes = encode_request(&Request {
-            tenant: String::new(),
-            body: RequestBody::Metrics(MetricsFormat::Json),
-        });
-        *bytes.last_mut().unwrap() = 9;
-        assert!(decode_request(&bytes).is_err());
-        // A frame with no format byte at all decodes as JSON.
-        bytes.pop();
-        assert_eq!(
-            decode_request(&bytes).unwrap().body,
-            RequestBody::Metrics(MetricsFormat::Json)
-        );
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! The TCP front end: `std::net` only, thread-per-connection, no
-//! async runtime.
+//! async runtime. A server runs one accept thread and one thread per
+//! connection, nothing else: a `Metrics` request snapshots the registry
+//! when it arrives, so no thread samples it in the background.
 //!
 //! Connection sockets carry a read timeout so idle connection threads
 //! wake periodically, notice a pending shutdown, and exit, and a write
@@ -29,12 +31,11 @@ use std::time::Duration;
 pub const POLL_INTERVAL: Duration = Duration::from_millis(250);
 
 /// A running server: the bound address, the stop flag, and the
-/// handles of the threads it started.
+/// accept thread (which joins the connection threads it started).
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -45,26 +46,13 @@ impl ServerHandle {
     }
 
     /// Stops accepting, drains connection threads, and joins
-    /// everything the server started.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sampler.take() {
-            let _ = h.join();
-        }
-    }
+    /// everything the server started (what dropping the handle does).
+    pub fn shutdown(self) {}
 
     /// Waits for the server to stop on its own (a remote `Shutdown`
     /// request) and joins everything it started.
     pub fn join(mut self) {
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sampler.take() {
             let _ = h.join();
         }
     }
@@ -74,11 +62,8 @@ impl Drop for ServerHandle {
     fn drop(&mut self) {
         if let Some(h) = self.accept.take() {
             self.stop.store(true, Ordering::SeqCst);
+            // Wake the blocking accept with a throwaway connection.
             let _ = TcpStream::connect(self.addr);
-            let _ = h.join();
-        }
-        if let Some(h) = self.sampler.take() {
-            self.stop.store(true, Ordering::SeqCst);
             let _ = h.join();
         }
     }
@@ -92,49 +77,16 @@ pub fn spawn(addr: &str, cfg: ServiceConfig) -> io::Result<ServerHandle> {
     let service = Arc::new(Service::new(cfg));
     let stop = Arc::new(AtomicBool::new(false));
     let accept = {
-        let service = Arc::clone(&service);
         let stop = Arc::clone(&stop);
         std::thread::Builder::new()
             .name("serve-accept".into())
             .spawn(move || accept_loop(listener, addr, service, stop))?
-    };
-    // Time-series sampler: one MetricsSnapshot delta per second into
-    // the `hetgrid_obs::series` ring, which `Metrics(Series)` serves.
-    // Polls the stop flag at POLL_INTERVAL so shutdown never waits out
-    // a full sample period.
-    let sampler = {
-        let service = Arc::clone(&service);
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("serve-sampler".into())
-            .spawn(move || {
-                let ticks_per_sample = (1000 / POLL_INTERVAL.as_millis().max(1)).max(1);
-                let mut tick = 0u128;
-                while !stop.load(Ordering::SeqCst) && !service.shutdown_requested() {
-                    std::thread::sleep(POLL_INTERVAL);
-                    tick += 1;
-                    if tick.is_multiple_of(ticks_per_sample) {
-                        hetgrid_obs::series::sample();
-                    }
-                }
-            })
-    };
-    let sampler = match sampler {
-        Ok(h) => h,
-        Err(e) => {
-            // Stop the accept thread already started before failing.
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            let _ = accept.join();
-            return Err(e);
-        }
     };
     vdiag!("serve: listening on {}", addr);
     Ok(ServerHandle {
         addr,
         stop,
         accept: Some(accept),
-        sampler: Some(sampler),
     })
 }
 

@@ -39,8 +39,8 @@
 use crate::cache::PlanCache;
 use crate::fingerprint::{cache_key, fingerprint};
 use crate::proto::{
-    decode_request, encode_response, MetricsFormat, Request, RequestBody, Response, SolveResult,
-    SolveSpec,
+    decode_request, encode_response, Request, RequestBody, Response, SolveResult, SolveSpec,
+    MAX_SPREAD,
 };
 use crate::quota::{QuotaConfig, QuotaTable};
 use crate::wire::MAX_FRAME;
@@ -167,14 +167,9 @@ impl Service {
         let Some(key) = cache_key(body) else {
             m.counter("serve.requests.meta").inc();
             let resp = match body {
-                RequestBody::Metrics(fmt) => Response::Metrics(match fmt {
-                    // v1 behavior: serve-scoped counters as JSON.
-                    MetricsFormat::Json => m.snapshot().filtered("serve.").to_json(),
-                    // The whole registry, parse-back-exact (the top
-                    // dashboard wants exec/pool/recovery families too).
-                    MetricsFormat::Expo => hetgrid_obs::expo::write(&m.snapshot()),
-                    MetricsFormat::Series => hetgrid_obs::series::to_json(),
-                }),
+                // The whole registry: the top dashboard wants the
+                // exec/pool/recovery families too; clients narrow it.
+                RequestBody::Metrics => Response::Metrics(m.snapshot()),
                 _ => {
                     self.shutdown.store(true, Ordering::SeqCst);
                     Response::ShuttingDown
@@ -335,14 +330,27 @@ fn encode_capped(resp: &Response) -> (Vec<u8>, bool) {
     (encode_response(&Response::BadRequest(msg)), false)
 }
 
-/// Semantic validation beyond what the codec enforces structurally.
+/// Semantic validation beyond what the codec enforces structurally:
+/// valid cycle-times, and a `Simulate` pool whose work weights fit
+/// ([`MAX_SPREAD`]).
 fn validate_body(body: &RequestBody) -> Result<(), String> {
     let spec = match body {
         RequestBody::Solve(s) => s,
         RequestBody::Plan(p) | RequestBody::Simulate(p) => &p.solve,
         _ => return Ok(()),
     };
-    validate_times(&spec.times, spec.p, spec.q).map_err(|e| e.to_string())
+    validate_times(&spec.times, spec.p, spec.q).map_err(|e| e.to_string())?;
+    if let RequestBody::Simulate(_) = body {
+        let max = spec.times.iter().copied().fold(0.0, f64::max);
+        let min = spec.times.iter().copied().fold(f64::INFINITY, f64::min);
+        let spread = (max / min).round();
+        if spread > MAX_SPREAD {
+            return Err(format!(
+                "cycle-time spread {spread:e} (slowest / fastest) exceeds the simulate bound {MAX_SPREAD:e}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -398,7 +406,7 @@ fn compute(body: &RequestBody) -> Response {
                 work: counts.work_units.iter().flatten().copied().collect(),
             })
         }
-        RequestBody::Metrics(_) | RequestBody::Shutdown => {
+        RequestBody::Metrics | RequestBody::Shutdown => {
             unreachable!("meta endpoints are handled before compute")
         }
     }
@@ -651,53 +659,58 @@ mod tests {
     }
 
     #[test]
-    fn metrics_endpoint_reports_serve_counters() {
+    fn metrics_endpoint_reports_the_whole_registry() {
         let _g = obs_lock();
         let svc = Service::new(ServiceConfig::default());
+        hetgrid_obs::metrics()
+            .counter("exec.test.metrics_endpoint")
+            .inc();
         svc.respond(&plan_request("t", &[2.0, 2.0, 3.0, 5.0]));
         let resp = svc.respond(&Request {
             tenant: "ops".into(),
-            body: RequestBody::Metrics(MetricsFormat::Json),
+            body: RequestBody::Metrics,
         });
-        let Response::Metrics(json) = resp else {
+        let Response::Metrics(snap) = resp else {
             panic!("expected metrics")
         };
-        assert!(json.contains("serve.requests.admitted"));
-        assert!(json.contains("serve.tenant.t.admitted"));
-        assert!(!json.contains("exec."), "non-serve metrics leaked");
+        assert!(snap.counter("serve.requests.admitted") >= 1);
+        assert!(snap.counter("serve.tenant.t.admitted") >= 1);
+        assert!(snap.counter("exec.test.metrics_endpoint") >= 1);
+        assert!(snap.histograms.contains_key("serve.latency.plan"));
     }
 
+    /// A valid pool whose slowest / fastest ratio passes `MAX_SPREAD`
+    /// would overflow the weighted work counts: refused, typed, before
+    /// admission. Solve and Plan never weight work, so they take it.
     #[test]
-    fn metrics_exposition_format_parses_back_exactly() {
+    fn spread_out_simulate_pools_are_bad_requests() {
         let _g = obs_lock();
         let svc = Service::new(ServiceConfig::default());
-        svc.respond(&plan_request("expo-t", &[1.0, 2.0, 4.0, 5.0]));
-        let Response::Metrics(text) = svc.respond(&Request {
-            tenant: "ops".into(),
-            body: RequestBody::Metrics(MetricsFormat::Expo),
-        }) else {
-            panic!("expected metrics")
+        let spec = |times: [f64; 4]| PlanSpec {
+            solve: SolveSpec {
+                p: 2,
+                q: 2,
+                times: times.to_vec(),
+            },
+            kernel: Kernel::Lu,
+            nb: 4,
         };
-        let back = hetgrid_obs::expo::parse(&text).expect("served exposition parses");
-        assert!(back.counter("serve.requests.admitted") >= 1);
-        assert!(back.counter("serve.tenant.expo-t.admitted") >= 1);
-        // The exposition is the whole registry and its own writer's
-        // fixed point.
-        assert_eq!(hetgrid_obs::expo::write(&back), text);
-    }
-
-    #[test]
-    fn metrics_series_format_returns_the_ring_json() {
-        let _g = obs_lock();
-        let svc = Service::new(ServiceConfig::default());
-        hetgrid_obs::series::sample();
-        let Response::Metrics(json) = svc.respond(&Request {
+        let request = |body| Request {
             tenant: String::new(),
-            body: RequestBody::Metrics(MetricsFormat::Series),
-        }) else {
-            panic!("expected metrics")
+            body,
         };
-        assert!(json.starts_with("{\"series\": ["), "got {json}");
-        assert!(json.contains("\"t_us\": "), "got {json}");
+        let edge = [1.0, MAX_SPREAD, 1.0, 1.0];
+        let past = [1.0, MAX_SPREAD + 1.0, 1.0, 1.0];
+        let ok = svc.respond(&request(RequestBody::Simulate(spec(edge))));
+        assert!(matches!(ok, Response::Simulate(_)), "{ok:?}");
+        let resp = svc.respond(&request(RequestBody::Simulate(spec(past))));
+        assert_eq!(
+            resp,
+            Response::BadRequest(
+                "cycle-time spread 1.6777217e7 (slowest / fastest) exceeds the simulate bound 1.6777216e7".into()
+            )
+        );
+        let plan = svc.respond(&request(RequestBody::Plan(spec(past))));
+        assert!(matches!(plan, Response::Plan(_)), "{plan:?}");
     }
 }

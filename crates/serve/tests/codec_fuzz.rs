@@ -5,25 +5,46 @@
 //!
 //! Inputs are single-byte mutations of valid encodings, random byte
 //! strings, and random bytes behind a valid header (so the noise reaches
-//! the bodies, not just the magic check). Two properties:
+//! the bodies, not just the magic check). The properties:
 //!
 //! * no decoder panics, whatever the bytes;
 //! * whatever a decoder accepts re-encodes to bytes that decode and
 //!   re-encode to themselves (bytes, not values, are compared: a NaN
 //!   cycle-time is a legal payload but not equal to itself);
 //! * a plan the decoder accepts re-encodes to exactly its input: the
-//!   codec has one encoding per plan (varints in shortest form only).
+//!   codec has one encoding per plan (varints in shortest form only);
+//! * the decoder that accepts a valid encoding refuses each of its
+//!   proper prefixes.
 
 use hetgrid_core::Topology;
 use hetgrid_dist::BlockCyclic;
+use hetgrid_obs::metrics::{HistogramSnapshot, MetricsSnapshot};
 use hetgrid_plan::{wire, Kernel};
 use hetgrid_serve::proto::{
     decode_request, decode_response, decode_trace_header, encode_request, encode_response,
-    encode_trace_header, MetricsFormat, PlanResult, PlanSpec, Request, RequestBody, Response,
-    SolveSpec,
+    encode_trace_header, PlanResult, PlanSpec, Request, RequestBody, Response, SolveSpec,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
+
+/// A small registry snapshot with a hostile name, a NaN gauge and a
+/// histogram.
+fn snapshot() -> MetricsSnapshot {
+    let mut snap = MetricsSnapshot::default();
+    snap.counters
+        .insert("serve.tenant.\"a\nb\".admitted".into(), 2);
+    snap.gauges.insert("serve.queue.depth".into(), f64::NAN);
+    snap.histograms.insert(
+        "serve.latency.plan".into(),
+        HistogramSnapshot {
+            bounds: vec![1e-3],
+            buckets: vec![1, 1],
+            count: 2,
+            sum: 0.5,
+        },
+    );
+    snap
+}
 
 /// Valid encodings of every request kind, every response kind, a trace
 /// header and a plan of every kernel.
@@ -56,7 +77,7 @@ fn corpus() -> &'static [Vec<u8>] {
             RequestBody::Solve(solve),
             RequestBody::Plan(spec.clone()),
             RequestBody::Simulate(spec),
-            RequestBody::Metrics(MetricsFormat::Expo),
+            RequestBody::Metrics,
             RequestBody::Shutdown,
         ]
         .map(|body| {
@@ -86,7 +107,7 @@ fn corpus() -> &'static [Vec<u8>] {
                 messages: vec![1, 2],
                 work: vec![3, 4],
             }),
-            Response::Metrics("{}".into()),
+            Response::Metrics(snapshot()),
             Response::ShuttingDown,
             Response::Busy,
             Response::QuotaExceeded,
@@ -128,15 +149,23 @@ fn check(bytes: &[u8]) {
 
 #[test]
 fn corpus_decodes() {
-    let accepted = |b: &[u8]| {
-        wire::decode(b).is_ok()
-            || decode_request(b).is_ok()
-            || decode_response(b).is_ok()
-            || decode_trace_header(b).is_ok()
-    };
+    let decoders: [fn(&[u8]) -> bool; 4] = [
+        |b| wire::decode(b).is_ok(),
+        |b| decode_request(b).is_ok(),
+        |b| decode_response(b).is_ok(),
+        |b| decode_trace_header(b).is_ok(),
+    ];
     for bytes in corpus() {
-        assert!(accepted(bytes), "{bytes:?}");
+        assert!(decoders.iter().any(|d| d(bytes)), "{bytes:?}");
         check(bytes);
+        // The decoder that takes a valid encoding refuses every proper
+        // prefix of it: a truncated plan, request, response (a Metrics
+        // snapshot's three lists included) or header is a typed error.
+        for decodes in decoders.iter().filter(|d| d(bytes)) {
+            for len in 0..bytes.len() {
+                assert!(!decodes(&bytes[..len]), "prefix {len} of {bytes:?}");
+            }
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 
 use hetgrid_serve::proto::{
     decode_response, decode_trace_header, encode_request, encode_response, encode_trace_header,
-    Kernel, MetricsFormat, PlanSpec, Request, RequestBody, Response, SolveSpec,
+    Kernel, PlanSpec, Request, RequestBody, Response, SolveSpec, MAX_GRID_SIDE, MAX_NB,
 };
 use hetgrid_serve::server::POLL_INTERVAL;
 use hetgrid_serve::wire::{read_frame, write_frame, STALL_LIMIT};
@@ -151,13 +151,69 @@ fn zero_queue_limit_sheds_every_data_request_with_busy() {
     }
     // Meta endpoints bypass admission and still work while shedding.
     let resp = client
-        .request(&meta_request(RequestBody::Metrics(MetricsFormat::Json)))
+        .request(&meta_request(RequestBody::Metrics))
         .expect("request");
     assert!(matches!(resp, Response::Metrics(_)));
     // Even the Busy responses above were attributable: each carried an
     // echoed trace header.
     assert!(client.last_trace_id().is_some());
 
+    handle.shutdown();
+}
+
+/// Well-formed requests whose values are out of range, as `hetgrid
+/// submit` can send them: each gets a typed `BadRequest`, and the same
+/// connection then still answers a `Metrics` request. The last two
+/// pools are valid but so spread out that their work weights would
+/// overflow the simulated counts.
+#[test]
+fn out_of_range_values_are_bad_requests_and_the_connection_lives() {
+    let handle = spawn("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let simulate = |times: &[f64], nb| {
+        RequestBody::Simulate(PlanSpec {
+            solve: SolveSpec {
+                p: 2,
+                q: 2,
+                times: times.to_vec(),
+            },
+            kernel: Kernel::Lu,
+            nb,
+        })
+    };
+    let solve = |p, q, n| {
+        RequestBody::Solve(SolveSpec {
+            p,
+            q,
+            times: vec![1.0; n],
+        })
+    };
+    let pool = [1.0, 2.0, 3.0, 5.0];
+    let side = MAX_GRID_SIDE + 1;
+    let cases = [
+        ("nb 0", simulate(&pool, 0)),
+        ("nb MAX_NB + 1", simulate(&pool, MAX_NB + 1)),
+        ("grid side 0", solve(0, 2, 0)),
+        ("grid side MAX_GRID_SIDE + 1", solve(side, 1, side)),
+        ("time 0", simulate(&[1.0, 2.0, 3.0, 0.0], 4)),
+        ("time -1", simulate(&[1.0, 2.0, 3.0, -1.0], 4)),
+        ("time NaN", simulate(&[1.0, 2.0, 3.0, f64::NAN], 4)),
+        ("time inf", simulate(&[1.0, 2.0, 3.0, f64::INFINITY], 4)),
+        ("3 times for 2x2", solve(2, 2, 3)),
+        ("pool 1e-308,1,1,1", simulate(&[1e-308, 1.0, 1.0, 1.0], 4)),
+        ("pool 1,1e19,1,1", simulate(&[1.0, 1e19, 1.0, 1.0], 4)),
+    ];
+    for (what, body) in cases {
+        let tenant = "edge".to_string();
+        let resp = client
+            .request(&Request { tenant, body })
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert!(matches!(resp, Response::BadRequest(_)), "{what}: {resp:?}");
+        let resp = client
+            .request(&meta_request(RequestBody::Metrics))
+            .unwrap_or_else(|e| panic!("metrics after {what}: {e}"));
+        assert!(matches!(resp, Response::Metrics(_)), "after {what}");
+    }
     handle.shutdown();
 }
 

@@ -4,7 +4,7 @@
 //!
 //! `hetgrid-exec` reports, per processor, how many point-to-point
 //! messages it sent and how many weighted block operations it performed
-//! ([`hetgrid_exec::ExecReport`]-style tables). Those counts are fully
+//! (`hetgrid_exec::ExecReport`-style tables). Those counts are fully
 //! determined by the distribution and the block grid — no timing, no
 //! interleaving, no transport involved — so they are computed here by
 //! folding over the same [`hetgrid_plan`] step stream the executor

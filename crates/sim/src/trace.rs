@@ -1,5 +1,5 @@
 //! Textual schedule traces: per-resource Gantt rendering of a
-//! [`Schedule`](crate::engine::Schedule) plus a Chrome trace-event
+//! [`Schedule`] plus a Chrome trace-event
 //! export ([`chrome_trace`]), for inspecting what the simulated machine
 //! actually did.
 
