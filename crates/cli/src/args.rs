@@ -188,7 +188,7 @@ impl Args {
     }
 
     /// `--network switched|bus --latency L --transfer B`: the
-    /// simulator's communication costs, each finite and >= 0.
+    /// simulator's communication costs, each in `[0, machine::MAX_COST]`.
     pub fn cost_model(&self) -> Result<CostModel, String> {
         let networks = [
             ("switched", Network::Switched),

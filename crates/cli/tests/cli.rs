@@ -729,6 +729,11 @@ fn argv_edge_values_exit_2() {
             &["--transfer", "nan"][..],
             "block transfer must be",
         ),
+        (
+            "simulate",
+            &["--transfer", "1e308"][..],
+            "block transfer must be",
+        ),
         ("simulate", &["--nb", "0"][..], "--nb must be >= 1"),
         ("run", &["--nb", "0"][..], "--nb must be >= 1"),
         ("run", &["--block", "0"][..], "--block must be >= 1"),
@@ -763,6 +768,146 @@ fn argv_edge_values_exit_2() {
         assert!(stderr.starts_with("error: "), "{argv:?}: {stderr}");
         assert!(stderr.contains(want), "{argv:?}: {stderr}");
     }
+}
+
+/// Every `--flag` the usage text lists for a command that runs and
+/// exits, given each edge value on a small valid base command: the run
+/// either succeeds without printing `NaN` or is refused with exit 2 —
+/// never a panic. The flags come from `hetgrid help`, so a flag is
+/// covered the day it is documented. `serve`, `submit` and `top` talk
+/// to a server and are left out; no value here parses to a large count.
+#[test]
+fn every_documented_flag_survives_edge_values() {
+    let bases: [(&str, &[&str]); 9] = [
+        ("solve", &["--times", "1,2,3,5", "--grid", "2x2"]),
+        (
+            "distribute",
+            &["--times", "1,2,3,5", "--grid", "2x2", "--panel", "4x4"],
+        ),
+        (
+            "run",
+            &[
+                "--times", "1,2,3,5", "--grid", "2x2", "--kernel", "mm", "--nb", "2", "--block",
+                "2",
+            ],
+        ),
+        (
+            "simulate",
+            &[
+                "--times", "1,2,3,5", "--grid", "2x2", "--nb", "4", "--kernel", "mm",
+            ],
+        ),
+        ("sweep", &["--max-n", "2", "--trials", "2"]),
+        ("bounds", &["--times", "1,2,3,5", "--grid", "2x2"]),
+        ("rank1", &["--times", "1,2,3,5", "--grid", "2x2"]),
+        (
+            "rebalance",
+            &[
+                "--times",
+                "1,2,3,5",
+                "--new-times",
+                "5,3,2,1",
+                "--grid",
+                "2x2",
+                "--nb",
+                "8",
+            ],
+        ),
+        (
+            "adapt",
+            &[
+                "--times",
+                "1,2,3,5",
+                "--new-times",
+                "5,3,2,1",
+                "--grid",
+                "2x2",
+                "--nb",
+                "8",
+                "--iters",
+                "6",
+            ],
+        ),
+    ];
+    let (ok, usage, _) = run(&["help"]);
+    assert!(ok);
+    // A command's section runs from its line to the next command's or
+    // the blank line before the global options.
+    let mut sections: Vec<(String, String)> = Vec::new();
+    for line in usage.lines() {
+        match line.strip_prefix("  ") {
+            Some(rest) if !rest.starts_with(' ') => {
+                let name = rest.split_whitespace().next().unwrap_or("");
+                sections.push((name.to_string(), rest.to_string()));
+            }
+            Some(rest) if !sections.is_empty() => sections.last_mut().unwrap().1 += rest,
+            _ => {}
+        }
+    }
+    let dir = std::env::temp_dir().join(format!("hetgrid-cli-argv-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (mut runs, mut failed) = (0, Vec::new());
+    for (cmd, base) in bases {
+        let text = &sections
+            .iter()
+            .find(|(name, _)| name == cmd)
+            .unwrap_or_else(|| panic!("{cmd} missing from the usage text"))
+            .1;
+        let mut flags: Vec<&str> = text
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter(|t| t.starts_with("--") && t.len() > 2)
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert!(!flags.is_empty(), "{cmd}: no flags in {text:?}");
+        for flag in flags {
+            for value in ["0", "-1", "nan", "inf", "1e308", ""] {
+                let mut argv: Vec<&str> = vec![cmd];
+                argv.extend_from_slice(base);
+                match argv.iter().position(|a| *a == flag) {
+                    Some(at) => argv[at + 1] = value,
+                    None => argv.extend([flag, value]),
+                }
+                let (code, stdout, stderr) = run_in(&dir, &argv);
+                let nan = code == Some(0) && stdout.contains("NaN");
+                if !matches!(code, Some(0 | 2)) || stderr.contains("panicked") || nan {
+                    failed.push(format!("{argv:?} exited {code:?}: {stderr}{stdout}"));
+                }
+                runs += 1;
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(failed.is_empty(), "{}", failed.join("\n"));
+    assert!(runs > 300, "only {runs} runs");
+}
+
+/// Runs the binary in `dir` (so a value taken as a file name lands
+/// there), killed after a minute: its exit code, stdout and stderr.
+fn run_in(dir: &std::path::Path, argv: &[&str]) -> (Option<i32>, String, String) {
+    let (out, err) = (dir.join("stdout"), dir.join("stderr"));
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hetgrid"))
+        .args(argv)
+        .current_dir(dir)
+        .stdout(std::fs::File::create(&out).unwrap())
+        .stderr(std::fs::File::create(&err).unwrap())
+        .spawn()
+        .expect("failed to launch hetgrid binary");
+    let start = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if start.elapsed() > std::time::Duration::from_secs(60) {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("{argv:?} still running after 60 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    let read =
+        |p: &std::path::Path| String::from_utf8_lossy(&std::fs::read(p).unwrap()).into_owned();
+    (status.code(), read(&out), read(&err))
 }
 
 /// `parity.golden` pins the front half the `cmd/` modules share: every

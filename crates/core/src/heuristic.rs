@@ -410,6 +410,22 @@ mod tests {
         );
     }
 
+    /// One processor `1/s` times faster than three others: the squared
+    /// entries of `T^inv`'s power iteration pass `f64::MAX` from about
+    /// `s = 1e-77` on, and the heuristic must still find the optimum.
+    #[test]
+    fn one_very_fast_processor_matches_exact() {
+        for s in [1e-80, 1e-150] {
+            let times = [s, 1.0, 1.0, 1.0];
+            let h = solve_default(&times, 2, 2).best().obj2;
+            let exact = crate::exact::solve_global(&times, 2, 2).obj2;
+            assert!(
+                ((h - exact) / exact).abs() <= 1e-9,
+                "s {s:e}: heuristic {h:e}, exact {exact:e}"
+            );
+        }
+    }
+
     #[test]
     fn homogeneous_converges_immediately() {
         let times = [2.0; 6];

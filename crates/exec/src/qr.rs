@@ -37,7 +37,7 @@ use crate::grid::{self, Kern, Send, Src, Take, Work};
 use crate::step::{Action, Res};
 use hetgrid_linalg::qr::QrFactors;
 use hetgrid_linalg::Matrix;
-use hetgrid_plan::Step;
+use hetgrid_plan::{down_column, QrColumn, Step};
 
 /// Message tags: panel fan-in, factored panel block home, reflector
 /// broadcast, column gather, updated column block home. Every payload
@@ -98,9 +98,7 @@ pub(crate) fn qr_actions(step: &Step, my: (usize, usize), _: &[(usize, usize)]) 
         return Vec::new();
     };
     let (k, diag) = (*k, *diag);
-    let mine = |blocks: &[((usize, usize), (usize, usize))]| -> Vec<(usize, usize)> {
-        blocks.iter().filter(|b| b.1 == my).map(|b| b.0).collect()
-    };
+    let panel = || down_column(k, k, panel);
     // An owned block leaves for one action, or comes home from it.
     let lend = |tag: u8, blk: (usize, usize), to: (usize, usize)| {
         let send = Send::of(tag, 0, blk, &[to]);
@@ -115,22 +113,14 @@ pub(crate) fn qr_actions(step: &Step, my: (usize, usize), _: &[(usize, usize)]) 
     };
     let mut out = Vec::new();
     if diag != my {
-        out.extend(
-            mine(panel)
-                .into_iter()
-                .map(|blk| lend(TAG_PANEL, blk, diag)),
-        );
+        out.extend(mine(my, panel()).map(|blk| lend(TAG_PANEL, blk, diag)));
     }
     for col in columns.iter().filter(|col| col.head != my) {
-        out.extend(
-            mine(&col.members)
-                .into_iter()
-                .map(|blk| lend(TAG_COL, blk, col.head)),
-        );
+        out.extend(mine(my, members(k, col)).map(|blk| lend(TAG_COL, blk, col.head)));
     }
     if diag == my {
         let top = (REFL, k, k);
-        let (takes, stack, mut sends, drops) = on_loan(k, my, top, panel, (TAG_PANEL, TAG_SEG));
+        let (takes, stack, mut sends, drops) = on_loan(k, my, top, panel(), (TAG_PANEL, TAG_SEG));
         sends.push(Send::of(TAG_REFL, REFL, (k, k), reflector_dests));
         let work = vec![Work {
             kern: Kern::Geqrf,
@@ -149,11 +139,11 @@ pub(crate) fn qr_actions(step: &Step, my: (usize, usize), _: &[(usize, usize)]) 
             drops,
         ));
     } else {
-        out.extend(mine(panel).into_iter().map(|blk| home(TAG_SEG, blk)));
+        out.extend(mine(my, panel()).map(|blk| home(TAG_SEG, blk)));
     }
     for col in columns.iter().filter(|col| col.head == my) {
         let (top, tags) = ((0, k, col.bj), (TAG_COL, TAG_COLRET));
-        let (takes, stack, sends, drops) = on_loan(k, my, top, &col.members, tags);
+        let (takes, stack, sends, drops) = on_loan(k, my, top, members(k, col), tags);
         let work = vec![Work {
             kern: Kern::Ormqr,
             ins: vec![Src::of(diag == my, REFL, (k, k), k, TAG_REFL)],
@@ -172,13 +162,28 @@ pub(crate) fn qr_actions(step: &Step, my: (usize, usize), _: &[(usize, usize)]) 
         ));
     }
     for col in columns.iter().filter(|col| col.head != my) {
-        out.extend(
-            mine(&col.members)
-                .into_iter()
-                .map(|blk| home(TAG_COLRET, blk)),
-        );
+        out.extend(mine(my, members(k, col)).map(|blk| home(TAG_COLRET, blk)));
     }
     out
+}
+
+/// A block and its owner.
+type Owned = ((usize, usize), (usize, usize));
+
+/// Step `k`'s trailing blocks of `col`, below the head, with their
+/// owners.
+fn members(k: usize, col: &QrColumn) -> impl Iterator<Item = Owned> + '_ {
+    down_column(k + 1, col.bj, &col.members)
+}
+
+/// The blocks among `blocks` that `my` owns.
+fn mine(
+    my: (usize, usize),
+    blocks: impl Iterator<Item = Owned>,
+) -> impl Iterator<Item = (usize, usize)> {
+    blocks
+        .filter(move |&(_, owner)| owner == my)
+        .map(|(blk, _)| blk)
 }
 
 /// The stack `top`, then `blocks`, for a block op on processor `my`: a
@@ -190,11 +195,11 @@ fn on_loan(
     k: usize,
     my: (usize, usize),
     top: Res,
-    blocks: &[((usize, usize), (usize, usize))],
+    blocks: impl Iterator<Item = Owned>,
     (lent, back): (u8, u8),
 ) -> (Vec<Take>, Vec<Res>, Vec<Send>, Vec<Res>) {
     let (mut takes, mut stack, mut sends, mut drops) = (vec![], vec![top], vec![], vec![]);
-    for &((bi, bj), owner) in blocks {
+    for ((bi, bj), owner) in blocks {
         if owner == my {
             stack.push((0, bi, bj));
             continue;

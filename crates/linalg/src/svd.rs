@@ -176,9 +176,35 @@ pub fn top_singular_triple(a: &Matrix) -> (f64, Vec<f64>, Vec<f64>) {
     (sigma, u, v)
 }
 
+/// `2^e`, for a normal `e` (`-1022..=1023`).
+const fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
+}
+
 /// Normalizes `v` to unit 2-norm in place, returning the original norm.
+///
+/// The norm is the root of the sum of squares while the largest entry
+/// lies in `[2^-500, 2^500]`, where no square overflows or turns
+/// subnormal. Outside it (a cycle-time pool spread by more than about
+/// 10^77 puts entries of `A^T A v` past 10^154, whose squares
+/// overflow), the squares are summed over `v` scaled by `2^600` or
+/// `2^-600` and the root scaled back: powers of two, so the norm is the
+/// one the squares give without overflow or underflow.
 fn normalize(v: &mut [f64]) -> f64 {
-    let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+    let big = v.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    let scale = if big > pow2(500) {
+        pow2(-600)
+    } else if big > 0.0 && big < pow2(-500) {
+        pow2(600)
+    } else {
+        1.0
+    };
+    let norm = v
+        .iter()
+        .map(|x| (x * scale) * (x * scale))
+        .sum::<f64>()
+        .sqrt()
+        / scale;
     if norm > 0.0 {
         for x in v.iter_mut() {
             *x /= norm;

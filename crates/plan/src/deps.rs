@@ -25,7 +25,7 @@
 //!   block-labeled ground truth those per-processor action sets are
 //!   checked against.
 
-use crate::{LoadSrc, Mat, Plan, Step};
+use crate::{down_column, LoadSrc, Mat, Plan, Step};
 use std::collections::HashMap;
 
 /// Which logical matrix a block belongs to.
@@ -150,12 +150,12 @@ pub fn step_access(step: &Step) -> StepAccess {
         Step::Qr {
             k, panel, columns, ..
         } => {
-            for &(blk, _) in panel {
+            for (blk, _) in down_column(*k, *k, panel) {
                 acc.writes.push(BlockRef::c(blk));
             }
             for col in columns {
                 acc.writes.push(BlockRef::c((*k, col.bj)));
-                for &(blk, _) in &col.members {
+                for (blk, _) in down_column(k + 1, col.bj, &col.members) {
                     acc.writes.push(BlockRef::c(blk));
                 }
             }

@@ -167,10 +167,26 @@ pub struct QrColumn {
     pub bj: usize,
     /// The column head, `owner(k, bj)`, who applies the reflectors.
     pub head: (usize, usize),
-    /// Blocks `(bi, bj)`, `bi > k`, with their owners (in `bi` order).
-    /// Each member not owned by the head costs one gather message in
-    /// and one scatter message back.
-    pub members: Vec<((usize, usize), (usize, usize))>,
+    /// Owners of blocks `(bi, bj)`, `bi > k`, in `bi` order: entry `i`
+    /// owns `(k + 1 + i, bj)` ([`down_column`] pairs them up). Each
+    /// member not owned by the head costs one gather message in and one
+    /// scatter message back.
+    pub members: Vec<(usize, usize)>,
+}
+
+/// The blocks `(first + i, col)` of a block column paired with their
+/// owners, `owners[i]`: the one reading of [`Step::Qr`]'s owner lists
+/// (`down_column(k, k, panel)`, `down_column(k + 1, col.bj,
+/// &col.members)`).
+pub fn down_column(
+    first: usize,
+    col: usize,
+    owners: &[(usize, usize)],
+) -> impl Iterator<Item = ((usize, usize), (usize, usize))> + '_ {
+    owners
+        .iter()
+        .enumerate()
+        .map(move |(i, &owner)| ((first + i, col), owner))
 }
 
 /// One outer-iteration step of a kernel schedule.
@@ -251,11 +267,11 @@ pub enum Step {
         k: usize,
         /// Owner of the diagonal block `(k, k)`, who factors the panel.
         diag: (usize, usize),
-        /// Panel blocks `((bi, k), owner)`, `bi >= k`, in `bi` order;
-        /// the first entry is the diagonal block. Every non-diagonal
-        /// owner sends its block in and receives its reflector segment
-        /// back (two messages per such block).
-        panel: Vec<((usize, usize), (usize, usize))>,
+        /// Owners of panel blocks `(bi, k)`, `bi >= k`, in `bi` order:
+        /// entry `i` owns `(k + i, k)`, so the first is `diag`. Every
+        /// non-diagonal owner sends its block in and receives its
+        /// reflector segment back (two messages per such block).
+        panel: Vec<(usize, usize)>,
         /// Distinct trailing column heads (`owner(k, bj)`, `bj > k`)
         /// other than the diagonal owner, in first-need order; each
         /// receives the packed panel factors once.
@@ -595,15 +611,13 @@ pub fn qr_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
     let steps = (0..nb)
         .map(|k| {
             let diag = owners.at(k, k);
-            let panel = (k..nb).map(|bi| ((bi, k), owners.at(bi, k))).collect();
+            let panel = (k..nb).map(|bi| owners.at(bi, k)).collect();
             let reflector_dests = owners.distinct((k + 1..nb).map(|bj| (k, bj)), diag);
             let columns = (k + 1..nb)
                 .map(|bj| QrColumn {
                     bj,
                     head: owners.at(k, bj),
-                    members: (k + 1..nb)
-                        .map(|bi| ((bi, bj), owners.at(bi, bj)))
-                        .collect(),
+                    members: (k + 1..nb).map(|bi| owners.at(bi, bj)).collect(),
                 })
                 .collect();
             Step::Qr {
@@ -873,6 +887,63 @@ mod tests {
         }
     }
 
+    /// Every owner list of a QR plan, read back through
+    /// [`down_column`], names each implied block with its owner: on
+    /// cyclic, panel and KL distributions of random shapes.
+    #[test]
+    fn qr_owner_lists_pair_every_block_with_its_owner() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x0e4e);
+        for _ in 0..40 {
+            let (p, q, nb) = (
+                rng.gen_range(1..=4),
+                rng.gen_range(1..=4),
+                rng.gen_range(1..=12),
+            );
+            let rows: Vec<Vec<f64>> = (0..p)
+                .map(|_| (0..q).map(|_| rng.gen_range(1.0..8.0)).collect())
+                .collect();
+            let arr = Arrangement::from_rows(&rows);
+            let alloc = hetgrid_core::exact::solve_arrangement(&arr).alloc;
+            let (bp, bq) = (rng.gen_range(p..=3 * p), rng.gen_range(q..=3 * q));
+            let dists: [Box<dyn BlockDist>; 3] = [
+                Box::new(BlockCyclic::new(p, q)),
+                Box::new(PanelDist::from_allocation(
+                    &arr,
+                    &alloc,
+                    bp,
+                    bq,
+                    PanelOrdering::Interleaved,
+                )),
+                Box::new(KlDist::new(&arr, bp, bq)),
+            ];
+            for dist in &dists {
+                let want = |blocks: Vec<(usize, usize)>| -> Vec<_> {
+                    blocks
+                        .into_iter()
+                        .map(|b| (b, dist.owner(b.0, b.1)))
+                        .collect()
+                };
+                for step in qr_plan(dist.as_ref(), nb).steps {
+                    let Step::Qr {
+                        k, panel, columns, ..
+                    } = step
+                    else {
+                        panic!("wrong step kind")
+                    };
+                    let got: Vec<_> = down_column(k, k, &panel).collect();
+                    assert_eq!(got, want((k..nb).map(|bi| (bi, k)).collect()));
+                    let bjs: Vec<usize> = columns.iter().map(|col| col.bj).collect();
+                    assert_eq!(bjs, (k + 1..nb).collect::<Vec<_>>());
+                    for col in &columns {
+                        let got: Vec<_> = down_column(k + 1, col.bj, &col.members).collect();
+                        assert_eq!(got, want((k + 1..nb).map(|bi| (bi, col.bj)).collect()));
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_processor_plans_have_no_messages() {
         let dist = BlockCyclic::new(1, 1);
@@ -1064,11 +1135,11 @@ mod tests {
                 0xfe35_b73b_e9aa_b607,
                 0x543a_9354_a6c8_8999,
                 0x11c3_d06c_ad44_35c5,
-                0x1179_4715_5be1_dbae,
+                0x0f63_36d9_3eca_6974,
                 0xa856_db87_bd4f_cae0,
                 0x7801_1dc6_49ef_3c12,
                 0x0799_741e_1ce0_ef86,
-                0x9b77_29f7_f7aa_21f5,
+                0x3364_7012_fea6_0ad9,
                 0xfb01_5c22_67ce_8f99,
             ]
         );

@@ -23,7 +23,7 @@
 //! response interchangeable with a fresh solve):
 //!
 //! ```text
-//! u8 version (= 2)
+//! u8 version (= 3)
 //! p, q                                 grid shape
 //! rows, then per row: n, n counts      owned-C table (0 rows when empty)
 //! nsteps, then per step:
@@ -32,9 +32,20 @@
 //!   tag-specific fields in declaration order; a grid coordinate is two
 //!   varints; a Mat is one byte (0 A, 1 B, 2 C), a LoadSrc one byte
 //!   (0 Master, 1 Zero), a bool one byte (0 / 1).
+//! Qr (tag 3):
+//!   k, diag
+//!   n, then n owners                   panel: owner of block (k + i, k)
+//!   n, then n grid coordinates         reflector_dests
+//!   ncols, then per column:
+//!     bj, head
+//!     n, then n owners                 members: owner of (k + 1 + i, bj)
 //! ```
 //!
-//! Every number above without a `u8` is a varint.
+//! Every number above without a `u8` is a varint. A QR owner list names
+//! no block: its position does ([`down_column`](crate::down_column)).
+//! Any other version byte, such as version 2's, whose QR lists paired
+//! each owner with its block, is
+//! [`DecodeErrorKind::UnsupportedVersion`].
 //!
 //! Decoding is total: malformed input yields a typed [`DecodeError`]
 //! (never a panic), and trailing garbage after a well-formed plan is an
@@ -48,7 +59,7 @@
 use crate::{Bcast, LoadSrc, Mat, OwnerWork, Plan, QrColumn, Step};
 
 /// Codec version written by [`encode`] and required by [`decode`].
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// Why a buffer failed to decode (see [`DecodeError`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -611,13 +622,13 @@ mod tests {
 
     #[test]
     fn star_byte_layout_is_pinned() {
-        // Cross-version pin: this spells the v2 byte layout of every
+        // Cross-version pin: this spells the v3 byte layout of every
         // star step kind out longhand. If encode() changes, bump
         // WIRE_VERSION — old caches and remote peers hold these bytes.
         let plan = star_mm_plan(&star(1, 3), (1, 1, 1));
         #[rustfmt::skip]
         let want: Vec<u8> = vec![
-            2,          // version
+            3,          // version
             1, 2,       // grid 1 x 2
             1, 2, 0, 1, // owned [[0, 1]]
             7,          // 7 steps; each: tag, k, worker 1, then its fields
@@ -640,6 +651,27 @@ mod tests {
         let err = decode(&v1).unwrap_err();
         assert_eq!(err.kind, DecodeErrorKind::UnsupportedVersion(1));
         assert_eq!(err.offset, 0);
+    }
+
+    #[test]
+    fn v2_plans_are_an_unsupported_version() {
+        // The one-block QR plan as v2 wrote it: its panel entry is the
+        // block (0, 0) and its owner, where v3 writes the owner alone.
+        #[rustfmt::skip]
+        let v2 = [2, 1, 1, 0, 1, 3, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0];
+        let err = decode(&v2).unwrap_err();
+        assert_eq!(err.kind, DecodeErrorKind::UnsupportedVersion(2));
+        assert_eq!(err.offset, 0);
+        let plan = qr_plan(&BlockCyclic::new(1, 1), 1);
+        assert_eq!(encode(&plan), [3, 1, 1, 0, 1, 3, 0, 0, 0, 1, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn qr_plan_length_is_pinned() {
+        // The QR plan at nb = 64 on a 4 x 4 cyclic grid, the one plan
+        // that grows as nb^3: two bytes per owner list entry.
+        let plan = qr_plan(&BlockCyclic::new(4, 4), 64);
+        assert_eq!(encode(&plan).len(), 183_737);
     }
 
     fn varint(bytes: &[u8]) -> Result<usize, DecodeError> {
@@ -697,20 +729,44 @@ mod tests {
 
     #[test]
     fn kernel_plan_bytes_are_pinned() {
-        // The v2 bytes of every plan in `all_plans`, grid kernels
+        // The v3 bytes of every plan in `all_plans`, grid kernels
         // included, as one digest each. If one moves, bump WIRE_VERSION.
         let got: Vec<u64> = all_plans().iter().map(|p| fnv(&encode(p))).collect();
         assert_eq!(
             got,
             [
-                0x5aab_7486_79c1_bcef,
-                0xe5e1_da9e_2685_e449,
-                0x2d27_990a_3bc2_ba4e,
-                0x2f73_569f_37d4_133e,
-                0x0ee8_0326_32bf_90d7,
-                0x62a8_72f5_4aa9_58dc,
-                0x529e_b2c1_8b9f_f223,
-                0x66c8_e525_ce7d_002f,
+                0xe9bc_92b9_c239_ed50,
+                0x8d01_b5d7_ef38_d2da,
+                0xcdd8_8ae2_bf3f_4e37,
+                0xd804_aa1d_0292_a037,
+                0xaece_56cc_2595_609e,
+                0xea24_e93b_8b51_aed9,
+                0xef76_b3ee_1644_6692,
+                0x88bc_640b_f3c9_1198,
+            ]
+        );
+    }
+
+    #[test]
+    fn non_qr_plan_bodies_are_pinned_across_versions() {
+        // Everything after the version byte of every non-QR plan in
+        // `all_plans`, pinned at v2: a version bump that reshapes one
+        // step kind leaves every other kind's bytes where they were.
+        let got: Vec<u64> = all_plans()
+            .iter()
+            .filter(|p| !matches!(p.steps.first(), Some(Step::Qr { .. })))
+            .map(|p| fnv(&encode(p)[1..]))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0xc83e_b7f2_b470_4ccf,
+                0x6ce6_c597_4a7d_a729,
+                0xd2e3_1143_f8e3_a1ee,
+                0x5b38_4847_9626_58de,
+                0x4e6f_28b9_cc8a_147c,
+                0x5e35_3629_a426_7a03,
+                0xb5d4_4577_4c80_560f,
             ]
         );
     }

@@ -569,15 +569,9 @@ mod tests {
         }
     }
 
-    /// QR at nb = 240 on the paper's grid encodes to about 1.5 times
-    /// what one frame holds (MM passes the cap only near nb = 1000, and
-    /// takes far longer to plan): a typed refusal, not a frame the
-    /// connection cannot write, and never cached.
-    #[test]
-    fn oversize_response_is_a_bad_request_and_not_cached() {
-        let _g = obs_lock();
-        let svc = Service::new(ServiceConfig::default());
-        let req = Request {
+    /// A QR plan request on the paper's grid.
+    fn qr_request(nb: usize) -> Request {
+        Request {
             tenant: String::new(),
             body: RequestBody::Plan(PlanSpec {
                 solve: SolveSpec {
@@ -586,17 +580,43 @@ mod tests {
                     times: vec![1.0, 2.0, 3.0, 5.0],
                 },
                 kernel: Kernel::Qr,
-                nb: 240,
+                nb,
             }),
-        };
-        let want = "response of 24574092 bytes exceeds the 16777216-byte frame cap";
-        let resp = svc.respond(&req);
+        }
+    }
+
+    /// QR at nb = 300 on the paper's grid encodes to about 1.09 times
+    /// what one frame holds (it first passes the cap at nb = 292; MM
+    /// only near nb = 1000, and takes far longer to plan): a typed
+    /// refusal, not a frame the connection cannot write, and never
+    /// cached.
+    #[test]
+    fn oversize_response_is_a_bad_request_and_not_cached() {
+        let _g = obs_lock();
+        let svc = Service::new(ServiceConfig::default());
+        let want = "response of 18256550 bytes exceeds the 16777216-byte frame cap";
+        let resp = svc.respond(&qr_request(300));
         assert!(
             matches!(&resp, Response::BadRequest(msg) if msg == want),
             "got a {} response",
             resp.status()
         );
         assert!(svc.cache.lock().unwrap().is_empty());
+    }
+
+    /// QR at nb = 240 on the paper's grid fits one frame.
+    #[test]
+    fn qr_at_nb_240_is_served() {
+        let _g = obs_lock();
+        let svc = Service::new(ServiceConfig::default());
+        let resp = svc.respond(&qr_request(240));
+        let Response::Plan(r) = resp else {
+            panic!("expected a plan response, got a {} response", resp.status())
+        };
+        assert!(r.plan_bytes.len() <= MAX_FRAME);
+        let plan = hetgrid_plan::wire::decode(&r.plan_bytes).expect("valid plan bytes");
+        assert_eq!(plan.steps.len(), 240);
+        assert_eq!(svc.cache.lock().unwrap().len(), 1);
     }
 
     #[test]

@@ -171,7 +171,7 @@ pub fn fold(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
             } => {
                 // Panel fan-in to the diagonal owner and reflector
                 // scatter back.
-                for &(_, owner) in panel {
+                for &owner in panel {
                     if owner != *diag {
                         c.messages[owner.0][owner.1] += 1;
                         c.messages[diag.0][diag.1] += 1;
@@ -182,7 +182,7 @@ pub fn fold(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
                 // Trailing columns: gather to the head, apply, return.
                 for col in columns {
                     let head = col.head;
-                    for &(_, owner) in &col.members {
+                    for &owner in &col.members {
                         if owner != head {
                             c.messages[owner.0][owner.1] += 1;
                             c.messages[head.0][head.1] += 1;

@@ -50,14 +50,19 @@ impl Default for CostModel {
     }
 }
 
+/// The largest communication cost [`CostModel::checked`] accepts: a
+/// cost times any block or message count stays finite, so no message
+/// duration or makespan overflows to infinity.
+pub const MAX_COST: f64 = 1e150;
+
 impl CostModel {
     /// A model with the given communication costs and the default
-    /// compute ratios; the error names the first cost that is not
-    /// finite and >= 0.
+    /// compute ratios; the error names the first cost that is not in
+    /// `[0, MAX_COST]`.
     pub fn checked(latency: f64, block_transfer: f64, network: Network) -> Result<Self, String> {
         for (what, cost) in [("latency", latency), ("block transfer", block_transfer)] {
-            if !(cost >= 0.0 && cost.is_finite()) {
-                return Err(format!("{what} must be finite and >= 0, got {cost}"));
+            if !(0.0..=MAX_COST).contains(&cost) {
+                return Err(format!("{what} must be in [0, {MAX_COST:e}], got {cost}"));
             }
         }
         Ok(CostModel {
