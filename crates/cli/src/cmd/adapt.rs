@@ -70,11 +70,8 @@ pub fn adapt(args: &Args) -> Result<(), String> {
         q
     );
     let out = run_scenario(&scenario);
-    if session.wants_trace() {
-        session.finish_with_trace(chrome_trace(&out))?;
-    } else {
-        session.finish()?;
-    }
+    let trace = session.wants_trace().then(|| chrome_trace(&out));
+    session.finish(trace)?;
 
     if args.flag("csv") {
         println!("iter,static_cost,adaptive_cost,rebalanced");

@@ -130,7 +130,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     };
     let residual = residual_line(kernel, &inputs, &out, nb, r);
-    session.finish()?;
+    session.finish(None)?;
 
     let report = &out.report;
     match &recovered {

@@ -7,7 +7,8 @@ use hetgrid_serve::{QuotaConfig, ServiceConfig};
 /// Runs the scheduling service until a client sends a `Shutdown`
 /// request. With `--trace-out`, per-request spans from the `serve`
 /// track (and any executor activity) are exported when the server
-/// drains; `--metrics-out` writes the session's metrics delta.
+/// drains; `--metrics-out` writes the session's metrics delta. At exit
+/// the `serve.*` metrics go to stdout as exposition text.
 pub fn serve(args: &Args) -> Result<(), String> {
     let addr = args.get("addr").unwrap_or("127.0.0.1:7421");
     let cfg = ServiceConfig {
@@ -28,6 +29,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
     let _ = std::io::Write::flush(&mut std::io::stdout());
     handle.join();
     let snapshot = hetgrid_obs::metrics().snapshot().filtered("serve.");
-    println!("{}", snapshot.to_text());
-    obs.finish()
+    print!("{}", hetgrid_obs::expo::write(&snapshot));
+    obs.finish(None)
 }

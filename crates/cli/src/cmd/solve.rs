@@ -32,7 +32,7 @@ pub fn solve(args: &Args) -> Result<(), String> {
     let baseline = hetgrid_obs::metrics().snapshot();
     let solved = method.solve(&times, p, q, &opts);
     drop(span);
-    session.finish()?;
+    session.finish(None)?;
     let (arr, alloc) = (&solved.arr, &solved.alloc);
     match solved.effort {
         Effort::Heuristic { steps, converged } => {

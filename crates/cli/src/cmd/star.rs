@@ -101,7 +101,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let residual = mm_residual_line(&a, &b, &c);
-    session.finish()?;
+    session.finish(None)?;
 
     let plan = hetgrid_plan::star_mm_plan(&topo, (nb, nb, nb));
     let peaks = hetgrid_sim::counts::star_residency_peaks(&plan);

@@ -7,8 +7,8 @@
 //! requested artifacts — a Chrome trace-event JSON (loadable in
 //! Perfetto / `chrome://tracing`) drained from the live collector, and
 //! the *per-run* metrics delta as JSON. Subcommands whose timeline
-//! comes from the simulator rather than the live collector hand a
-//! pre-rendered document to [`ObsSession::finish_with_trace`].
+//! comes from the simulator rather than the live collector hand
+//! `finish` a pre-rendered document.
 
 use crate::args::Args;
 use hetgrid_obs::diag;
@@ -44,30 +44,18 @@ impl ObsSession {
         self.trace_out.is_some()
     }
 
-    /// Disables tracing and writes the requested artifacts, exporting
-    /// the live trace collector's contents.
-    pub fn finish(self) -> Result<(), String> {
-        self.finish_inner(None)
-    }
-
-    /// Like [`finish`](Self::finish), but writes `doc` as the trace
-    /// document instead of the live collector export (the collector is
-    /// still drained so later runs start clean).
-    pub fn finish_with_trace(self, doc: String) -> Result<(), String> {
-        self.finish_inner(Some(doc))
-    }
-
-    fn finish_inner(self, custom_trace: Option<String>) -> Result<(), String> {
+    /// Disables tracing and writes the requested artifacts: `trace` as
+    /// the trace document when given, else the live collector's
+    /// export (the collector is drained either way, so later runs start
+    /// clean).
+    pub fn finish(self, trace: Option<String>) -> Result<(), String> {
         if self.trace_out.is_none() && self.metrics_out.is_none() {
             return Ok(());
         }
         hetgrid_obs::set_enabled(false);
         let (tracks, events) = hetgrid_obs::trace::take();
         if let Some(path) = &self.trace_out {
-            let doc = match custom_trace {
-                Some(doc) => doc,
-                None => hetgrid_obs::chrome::export(&tracks, &events),
-            };
+            let doc = trace.unwrap_or_else(|| hetgrid_obs::chrome::export(&tracks, &events));
             write_file(path, &doc)?;
             diag!("wrote chrome trace to {path} (open in Perfetto or chrome://tracing)");
         }

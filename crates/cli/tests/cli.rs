@@ -1015,4 +1015,11 @@ fn metrics_clients_render_the_servers_snapshot() {
 
     assert!(submit(&["--op", "shutdown"]).0);
     assert!(server.0.wait().expect("serve exits").success());
+    // At exit the server prints its `serve.*` metrics as exposition text.
+    let dump: Vec<String> = lines.map(Result::unwrap).collect();
+    assert!(dump.iter().any(|l| l == line), "{dump:?}");
+    assert!(
+        dump.iter().all(|l| l.contains("serve") || l.is_empty()),
+        "{dump:?}"
+    );
 }

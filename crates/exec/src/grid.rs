@@ -19,9 +19,8 @@ use crate::mm::mm_actions;
 use crate::pool::BufferPool;
 use crate::qr::{qr_actions, REFL};
 use crate::star::star_actions;
-use crate::step::{Action, Courier, MsgKey, Res, WorkClock};
+use crate::step::{Action, Courier, MsgKey, Res, Stop, WorkClock};
 use crate::store::BlockStore;
-use crate::transport::Closed;
 use hetgrid_linalg::cholesky::cholesky;
 use hetgrid_linalg::gemm::{gemm_with, Packs};
 use hetgrid_linalg::qr::{qr_factor_with, QrFactors};
@@ -223,16 +222,16 @@ pub(crate) fn action_moving(
 }
 
 /// Unblocked LU without pivoting of a single block, in place, packed:
-/// each pivot row is swept along the rows below it.
-fn lu_block_nopivot(a: &mut Matrix) {
+/// each pivot row is swept along the rows below it. A zero pivot (the
+/// matrix needs pivoting) is a breakdown.
+fn lu_block_nopivot(a: &mut Matrix) -> Result<(), &'static str> {
     let n = a.rows();
     for k in 0..n {
         let (top, below) = a.as_mut_slice().split_at_mut((k + 1) * n);
         let pivot_row = &top[k * n + k..];
-        assert!(
-            pivot_row[0].abs() > 1e-300,
-            "run_lu: zero pivot (matrix needs pivoting; use a diagonally dominant input)"
-        );
+        if pivot_row[0].abs() <= 1e-300 {
+            return Err("zero LU pivot");
+        }
         for row in below.chunks_exact_mut(n) {
             let m = row[k] / pivot_row[0];
             row[k] = m;
@@ -241,6 +240,7 @@ fn lu_block_nopivot(a: &mut Matrix) {
             }
         }
     }
+    Ok(())
 }
 
 impl Kern {
@@ -249,7 +249,7 @@ impl Kern {
     /// or are dropped; a GEMM or solve repeat is the whole kernel,
     /// packing included, through the same `packs`). Returns the buffer
     /// the kernel is done with — the block's previous contents, a
-    /// transposed operand — for the caller's pool.
+    /// transposed operand — for the caller's pool, or what broke down.
     fn apply(
         self,
         ins: &[&Matrix],
@@ -257,49 +257,59 @@ impl Kern {
         scratch: &mut Matrix,
         packs: &mut Packs,
         weight: u64,
-    ) -> Option<Matrix> {
-        // The out-of-place kernel: the block becomes `f(block)`.
-        fn replace(c: &mut Matrix, weight: u64, f: impl Fn(&Matrix) -> Matrix) -> Option<Matrix> {
-            let new = f(c);
-            for _ in 1..weight {
-                f(c);
-            }
-            Some(std::mem::replace(c, new))
-        }
+    ) -> Result<Option<Matrix>, &'static str> {
         // The in-place kernels: the repeats go first, on copies of the
-        // still untouched block.
-        fn in_place(
+        // still untouched block; the real run's outcome is returned.
+        fn in_place<R>(
             c: &mut Matrix,
             scratch: &mut Matrix,
             weight: u64,
-            mut f: impl FnMut(&mut Matrix),
-        ) -> Option<Matrix> {
+            mut f: impl FnMut(&mut Matrix) -> R,
+        ) -> R {
             for _ in 1..weight {
                 scratch.copy_from(c);
-                f(scratch);
+                let _ = f(scratch);
             }
-            f(c);
-            None
+            f(c)
         }
-        match self {
-            Kern::Getrf => in_place(c, scratch, weight, lu_block_nopivot),
-            Kern::Potrf => replace(c, weight, |c| cholesky(c).expect("diagonal block not SPD")),
-            Kern::TrsmLeftUnitLower => in_place(c, scratch, weight, |x| {
-                solve_lower_in_place(packs, ins[0], true, x)
-            }),
+        Ok(match self {
+            Kern::Getrf => {
+                in_place(c, scratch, weight, lu_block_nopivot)?;
+                None
+            }
+            // Out of place: the block becomes its factor.
+            Kern::Potrf => {
+                let l = cholesky(c).map_err(|_| "diagonal block not SPD")?;
+                for _ in 1..weight {
+                    let _ = cholesky(c);
+                }
+                Some(std::mem::replace(c, l))
+            }
+            Kern::TrsmLeftUnitLower => {
+                in_place(c, scratch, weight, |x| {
+                    solve_lower_in_place(packs, ins[0], true, x)
+                });
+                None
+            }
             // `X * T = C` is `T^T * X^T = C^T`: a right-side solve is a
             // left-lower one between two transpositions of the block.
-            Kern::TrsmRightUpper => in_place(c, scratch, weight, |x| {
-                x.transpose_in_place();
-                solve_upper_t_in_place(packs, ins[0], x);
-                x.transpose_in_place();
-            }),
+            Kern::TrsmRightUpper => {
+                in_place(c, scratch, weight, |x| {
+                    x.transpose_in_place();
+                    solve_upper_t_in_place(packs, ins[0], x);
+                    x.transpose_in_place();
+                });
+                None
+            }
             // L * X^T = C^T: the factor is read as it is.
-            Kern::TrsmRightLowerT => in_place(c, scratch, weight, |x| {
-                x.transpose_in_place();
-                solve_lower_in_place(packs, ins[0], false, x);
-                x.transpose_in_place();
-            }),
+            Kern::TrsmRightLowerT => {
+                in_place(c, scratch, weight, |x| {
+                    x.transpose_in_place();
+                    solve_lower_in_place(packs, ins[0], false, x);
+                    x.transpose_in_place();
+                });
+                None
+            }
             Kern::Gemm(alpha) => {
                 gemm_with(packs, alpha, ins[0], ins[1], 1.0, c);
                 for _ in 1..weight {
@@ -309,11 +319,11 @@ impl Kern {
             }
             Kern::GemmNt(alpha) => {
                 let yt = ins[1].transpose();
-                Kern::Gemm(alpha).apply(&[ins[0], &yt], c, scratch, packs, weight);
+                Kern::Gemm(alpha).apply(&[ins[0], &yt], c, scratch, packs, weight)?;
                 Some(yt)
             }
             Kern::Geqrf | Kern::Ormqr => unreachable!("{self:?} runs on a stack: see `geqrf`"),
-        }
+        })
     }
 }
 
@@ -504,7 +514,7 @@ impl<'a> GridInterp<'a> {
         a: &Action,
         courier: &mut Courier,
         clock: &mut WorkClock,
-    ) -> Result<(), Closed> {
+    ) -> Result<(), Stop> {
         let GridInterp {
             my,
             stores,
@@ -575,7 +585,7 @@ impl<'a> GridInterp<'a> {
                         .map(|&src| operand(&stores[..], courier, src))
                         .collect();
                     let spent = kern.apply(&ins, &mut out[0], scratch, packs, clock.weight);
-                    if let Some(m) = spent {
+                    if let Some(m) = spent.map_err(|what| Stop::Breakdown(a.step, what))? {
                         courier.pool_mut().put(m);
                     }
                 }
@@ -690,7 +700,7 @@ mod tests {
         let (diag_dom, diag_spd) = (dominant(n, 0x63), spd(n, 0x64));
         let lfac = cholesky(&diag_spd).unwrap();
         let mut packed = diag_dom.clone();
-        lu_block_nopivot(&mut packed);
+        lu_block_nopivot(&mut packed).unwrap();
         let axpy = |alpha: f64, a: &Matrix, b: &Matrix| {
             let mut c = diag_dom.clone();
             gemm(alpha, a, b, 1.0, &mut c);
@@ -745,7 +755,8 @@ mod tests {
                 let ins: Vec<&Matrix> = ins.iter().collect();
                 for weight in [1, 3] {
                     let mut c = c0.clone();
-                    kern.apply(&ins, &mut c, &mut scratch, &mut packs, weight);
+                    kern.apply(&ins, &mut c, &mut scratch, &mut packs, weight)
+                        .unwrap();
                     assert_bits(&c, &want, &format!("{kern:?}, r = {n}, weight {weight}"));
                 }
             }
@@ -800,7 +811,9 @@ mod tests {
             let ins = vec![&ins[0]];
             for weight in [1, 3, 1] {
                 let buffers = (c.as_slice().as_ptr(), scratch.as_slice().as_ptr());
-                let spent = kern.apply(&ins, &mut c, &mut scratch, &mut packs, weight);
+                let spent = kern
+                    .apply(&ins, &mut c, &mut scratch, &mut packs, weight)
+                    .unwrap();
                 assert!(spent.is_none(), "{kern:?} retired a buffer");
                 assert_eq!(
                     (c.as_slice().as_ptr(), scratch.as_slice().as_ptr()),

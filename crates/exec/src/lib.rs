@@ -45,7 +45,7 @@
 //!   code passes `&ChannelTransport` and `ExecConfig::default()`,
 //!   `hetgrid-harness` a seeded fault-injecting virtual transport;
 //! * MM is the outer-product `C = A * B`, LU is right-looking without
-//!   pivoting (use diagonally dominant inputs), Cholesky factors SPD
+//!   pivoting (feed it diagonally dominant inputs), Cholesky factors SPD
 //!   matrices (lower triangle), QR is fan-in Householder — unpack its
 //!   packed result with [`qr_unpack`];
 //! * [`run_mm_on_cfg`], [`run_lu_on_cfg`], [`run_cholesky_on_cfg`],
@@ -69,10 +69,12 @@
 //!
 //! Every entry point returns `Result<_, `[`transport::ExecError`]`>`:
 //! if any worker observes a dropped peer (a closed mailbox on send or
-//! receive), the run is aborted through [`transport::Endpoint::abort`] —
-//! which dooms every mailbox so blocked peers fail fast — all threads
-//! are joined, and the caller gets a typed error instead of a panic or
-//! a deadlock. This is load-bearing for long-running hosts like
+//! receive) or its block factorization breaks down (a zero LU pivot, a
+//! Cholesky diagonal block that is not SPD), the run is aborted through
+//! [`transport::Endpoint::abort`] — which dooms every mailbox so
+//! blocked peers fail fast — all threads are joined, and the caller
+//! gets a typed error naming the processor (and, for a breakdown, the
+//! plan step) instead of a panic or a deadlock. This is load-bearing for long-running hosts like
 //! `hetgrid serve`, where a single bad run must not take the process
 //! down.
 

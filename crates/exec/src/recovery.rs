@@ -38,9 +38,10 @@
 //! fault-free run — which is what the harness's `check_recovery`
 //! oracle asserts.
 //!
-//! One fault per run: the survivor grid is always derived from the
-//! original arrangement, and a second fault in the same epoch is never
-//! seen.
+//! Faults compose: each survivor grid is re-solved from the grid of
+//! the epoch that aborted, so a later fault names a processor of the
+//! grid recovery left behind, and the faults that fired during one
+//! epoch are applied in firing order.
 
 use crate::run::{run_seg, scatter_operands, GridState, RunOutput};
 use crate::step::ExecConfig;
@@ -72,15 +73,17 @@ pub enum GridFault {
     },
 }
 
-/// The grid a [`GridFault`] leaves behind.
+/// The grid a sequence of [`GridFault`]s leaves behind.
 struct SurvivorGrid {
+    /// The survivors' cycle-times, arranged as the new grid.
+    arr: Arrangement,
     /// Re-solved block distribution over the new grid.
     dist: PanelDist,
     /// Slowdown weights for the new grid.
     weights: Vec<Vec<u64>>,
     /// Old linear processor id to new linear id; `None` for a
-    /// processor that died. A join maps every old id and grows the
-    /// id space.
+    /// processor that died or left with its line. A join maps every
+    /// old id and grows the id space.
     proc_map: Vec<Option<usize>>,
 }
 
@@ -114,68 +117,88 @@ pub struct RecoveryOutput {
     pub stats: RecoveryStats,
 }
 
-/// The survivor grid after `fault` on the grid of `arr` (slowdown
-/// `weights`).
+/// The survivor grid after `faults`, in firing order, on the grid of
+/// `arr` (slowdown `weights`); `None` when no processor survives.
 ///
 /// A crash drops the victim's entire grid *line* — its row or its
 /// column, whichever carries less aggregate compute capacity
 /// (`Σ 1/t` over the line; ties prefer the row) — so the survivor grid
 /// keeps the paper's 2D shape. A join grows the grid by one row of
-/// processors as fast as the fastest incumbent. The survivor
-/// distribution is re-solved from scratch (exact column allocation,
-/// interleaved panels on a `2p' x 2q'` panel grid), and the weight
-/// table is carried over by deleting/extending lines of the original —
-/// so an injected slowdown fault survives the resize with its victim.
-fn survivor_grid(arr: &Arrangement, weights: &[Vec<u64>], fault: &GridFault) -> SurvivorGrid {
-    let (p, q) = (arr.p(), arr.q());
-    let mut rows: Vec<Vec<f64>> = (0..p).map(|i| arr.row(i).to_vec()).collect();
+/// processors as fast as the fastest incumbent. Each fault names a
+/// processor of `arr`'s grid and acts on the grid the faults before it
+/// left (a victim whose line is already gone changes nothing more).
+/// The survivor distribution is re-solved from scratch (exact column
+/// allocation, interleaved panels on a `2p' x 2q'` panel grid), and the
+/// weight table is carried over by deleting/extending lines of the
+/// original — so an injected slowdown fault survives the resize with
+/// its victim.
+fn survivor_grid(
+    arr: &Arrangement,
+    weights: &[Vec<u64>],
+    faults: &[GridFault],
+) -> Option<SurvivorGrid> {
+    let mut rows: Vec<Vec<f64>> = (0..arr.p()).map(|i| arr.row(i).to_vec()).collect();
     let mut weights = weights.to_vec();
-    let proc_map = match *fault {
-        GridFault::Crash { proc, .. } => {
-            let (di, dj) = (proc / q, proc % q);
-            let row_loss: f64 = (0..q).map(|j| 1.0 / arr.time(di, j)).sum();
-            let col_loss: f64 = (0..p).map(|i| 1.0 / arr.time(i, dj)).sum();
-            if (p > 1 && row_loss <= col_loss) || q == 1 {
-                // Drop row `di`: the survivors below it move up a row.
-                rows.remove(di);
-                weights.remove(di);
-                (0..p * q)
-                    .map(|id| (id / q != di).then(|| id - q * usize::from(id / q > di)))
-                    .collect()
-            } else {
-                // Drop column `dj`: each row's survivors close up.
-                for row in &mut rows {
-                    row.remove(dj);
+    let mut proc_map: Vec<Option<usize>> = (0..arr.p() * arr.q()).map(Some).collect();
+    for fault in faults {
+        let (p, q) = (rows.len(), rows[0].len());
+        // Ids on the grid before this fault to ids after it.
+        let step: Vec<Option<usize>> = match *fault {
+            GridFault::Crash { proc, .. } => {
+                let Some(proc) = proc_map[proc] else {
+                    continue;
+                };
+                let (di, dj) = (proc / q, proc % q);
+                let row_loss: f64 = rows[di].iter().map(|t| 1.0 / t).sum();
+                let col_loss: f64 = rows.iter().map(|row| 1.0 / row[dj]).sum();
+                if p * q == 1 {
+                    return None;
+                } else if (p > 1 && row_loss <= col_loss) || q == 1 {
+                    // Drop row `di`: the survivors below it move up a row.
+                    rows.remove(di);
+                    weights.remove(di);
+                    (0..p * q)
+                        .map(|id| (id / q != di).then(|| id - q * usize::from(id / q > di)))
+                        .collect()
+                } else {
+                    // Drop column `dj`: each row's survivors close up.
+                    for row in &mut rows {
+                        row.remove(dj);
+                    }
+                    for row in &mut weights {
+                        row.remove(dj);
+                    }
+                    (0..p * q)
+                        .map(|id| {
+                            let (i, j) = (id / q, id % q);
+                            (j != dj).then(|| id - i - usize::from(j > dj))
+                        })
+                        .collect()
                 }
-                for row in &mut weights {
-                    row.remove(dj);
-                }
-                (0..p * q)
-                    .map(|id| {
-                        let (i, j) = (id / q, id % q);
-                        (j != dj).then(|| id - i - usize::from(j > dj))
-                    })
-                    .collect()
             }
+            GridFault::Join { .. } => {
+                // One new row of joiners, as fast as the fastest
+                // incumbent; existing linear ids are unchanged.
+                let t_min = rows.iter().flatten().copied().fold(f64::INFINITY, f64::min);
+                let w_min = weights.iter().flatten().copied().min().unwrap_or(1);
+                rows.push(vec![t_min; q]);
+                weights.push(vec![w_min; q]);
+                (0..p * q).map(Some).collect()
+            }
+        };
+        for id in &mut proc_map {
+            *id = id.and_then(|id| step[id]);
         }
-        GridFault::Join { .. } => {
-            // One new row of joiners, as fast as the fastest incumbent;
-            // existing linear ids are unchanged.
-            let t_min = arr.times().iter().copied().fold(f64::INFINITY, f64::min);
-            let w_min = weights.iter().flatten().copied().min().unwrap_or(1);
-            rows.push(vec![t_min; q]);
-            weights.push(vec![w_min; q]);
-            (0..p * q).map(Some).collect()
-        }
-    };
+    }
     let arr = Arrangement::from_rows(&rows);
     let alloc = exact::solve_arrangement(&arr).alloc;
     let (np, nq) = (arr.p(), arr.q());
-    SurvivorGrid {
+    Some(SurvivorGrid {
         dist: PanelDist::from_allocation(&arr, &alloc, 2 * np, 2 * nq, PanelOrdering::Interleaved),
+        arr,
         weights,
         proc_map,
-    }
+    })
 }
 
 /// Runs a kernel to completion over `transport`, surviving a grid
@@ -185,16 +208,17 @@ fn survivor_grid(arr: &Arrangement, weights: &[Vec<u64>], fault: &GridFault) -> 
 /// `kernel` and `inputs` are as for [`crate::run`]; the matrices are
 /// `nb x nb` blocks of size `r`, initially laid out by `dist` with
 /// slowdown `weights` on the processor grid of `arr`, which the
-/// survivor grid is re-solved from. Returns the gathered result —
-/// bit-exact against the fault-free run — or the original
-/// [`ExecError`] when an epoch aborts without a fault event (a genuine
-/// failure, e.g. an un-recovered crash).
+/// first survivor grid is re-solved from (each later one from the grid
+/// before it). Returns the gathered result — bit-exact against the
+/// fault-free run — or the original [`ExecError`] when an epoch aborts
+/// without a fault event (a genuine failure, e.g. an un-recovered
+/// crash), on a numerical breakdown (replaying it cannot help), or when
+/// a crash leaves no processor.
 ///
 /// # Panics
-/// Panics if a fault's survivor grid loses blocks (conservation is
-/// asserted after every placement), if a second fault fires after the
-/// grid changed shape, or on the size mismatches the underlying kernels
-/// reject.
+/// Panics if a survivor grid loses blocks (conservation is asserted
+/// after every placement), or on the size mismatches the underlying
+/// kernels reject.
 pub fn run_recovery(
     transport: &impl Transport,
     kernel: Kernel,
@@ -209,8 +233,8 @@ pub fn run_recovery(
     let (p, q) = dist.grid();
     let mut state = GridState::scatter(kernel, inputs, dist, nb, r);
 
-    // The current epoch's grid: `None` means the initial `dist` /
-    // `weights`, `Some` a survivor grid installed by recovery.
+    // The current epoch's grid: `None` means the initial `arr` /
+    // `dist` / `weights`, `Some` a survivor grid installed by recovery.
     let mut survivor: Option<SurvivorGrid> = None;
     let mut start = 0usize;
     let mut log = CheckpointLog::new(p * q, 0);
@@ -218,9 +242,9 @@ pub fn run_recovery(
     let mut handled = 0usize;
 
     loop {
-        let (cur_dist, cur_weights): (&(dyn BlockDist + Sync), &[Vec<u64>]) = match &survivor {
-            Some(s) => (&s.dist, &s.weights),
-            None => (dist, weights),
+        let (cur_arr, cur_dist, cur_weights): (_, &(dyn BlockDist + Sync), &[_]) = match &survivor {
+            Some(s) => (&s.arr, &s.dist, &s.weights),
+            None => (arr, dist, weights),
         };
         let plan = kernel.plan(cur_dist, nb);
         let err = match run_seg(
@@ -241,18 +265,20 @@ pub fn run_recovery(
             Err(e) => e,
         };
 
-        // The epoch aborted. A new fault event means the transport
-        // killed (or paused) us on purpose; none means the grid really
-        // broke, and the error propagates untouched.
+        // The epoch aborted. New fault events mean the transport killed
+        // (or paused) us on purpose; none means the grid really broke,
+        // and the error propagates untouched, as does a breakdown.
         let faults = transport.faults();
-        if faults.len() <= handled {
+        if faults.len() <= handled || matches!(err, ExecError::Breakdown { .. }) {
             return Err(err);
         }
-        let fault = faults[handled];
+        let new = &faults[handled..];
         handled = faults.len();
 
         let frontier = log.frontier();
-        let sv = survivor_grid(arr, weights, &fault);
+        let Some(sv) = survivor_grid(cur_arr, cur_weights, new) else {
+            return Err(err);
+        };
         let (np, nq) = sv.dist.grid();
         let (op, oq) = cur_dist.grid();
         assert_eq!(
@@ -271,23 +297,29 @@ pub fn run_recovery(
         let cut = log.state_at(frontier, &base);
 
         // Stats + obs counters, before `sv` moves into place.
-        let at_step = match fault {
-            GridFault::Crash { proc, at_step } => {
-                stats.crashes += 1;
-                stats.dead_blocks += base
-                    .keys()
-                    .filter(|&&(bi, bj)| {
-                        let (oi, oj) = cur_dist.owner(bi, bj);
-                        oi * oq + oj == proc
-                    })
-                    .count();
-                at_step
+        let m = hetgrid_obs::metrics();
+        let mut at_step = 0;
+        for &fault in new {
+            match fault {
+                GridFault::Crash { proc, at_step: s } => {
+                    stats.crashes += 1;
+                    m.counter("exec.recovery.crashes").inc();
+                    stats.dead_blocks += base
+                        .keys()
+                        .filter(|&&(bi, bj)| {
+                            let (oi, oj) = cur_dist.owner(bi, bj);
+                            oi * oq + oj == proc
+                        })
+                        .count();
+                    at_step = at_step.max(s);
+                }
+                GridFault::Join { at_step: s } => {
+                    stats.joins += 1;
+                    m.counter("exec.recovery.joins").inc();
+                    at_step = at_step.max(s);
+                }
             }
-            GridFault::Join { at_step } => {
-                stats.joins += 1;
-                at_step
-            }
-        };
+        }
         stats.frontier = frontier;
         stats.replayed_steps += (at_step + 1).saturating_sub(frontier);
 
@@ -318,11 +350,6 @@ pub fn run_recovery(
             "run_recovery: block conservation violated across the grid change"
         );
 
-        let m = hetgrid_obs::metrics();
-        match fault {
-            GridFault::Crash { .. } => m.counter("exec.recovery.crashes").inc(),
-            GridFault::Join { .. } => m.counter("exec.recovery.joins").inc(),
-        }
         m.counter("exec.recovery.blocks_moved").add(moved as u64);
         m.counter("exec.recovery.replayed_steps")
             .add((at_step + 1).saturating_sub(frontier) as u64);
@@ -330,15 +357,16 @@ pub fn run_recovery(
         // flight rings: the spans leading up to the fault are exactly
         // the forensics a postmortem wants, and the rings record them
         // even when tracing export was never enabled.
-        let note = format!(
-            "recovery epoch: {} -> {}x{} grid, resume at step {}",
-            match fault {
+        let what: Vec<String> = new
+            .iter()
+            .map(|fault| match fault {
                 GridFault::Crash { proc, .. } => format!("crash of proc {proc}"),
                 GridFault::Join { .. } => "join".to_string(),
-            },
-            np,
-            nq,
-            frontier
+            })
+            .collect();
+        let note = format!(
+            "recovery epoch: {} -> {np}x{nq} grid, resume at step {frontier}",
+            what.join(", ")
         );
         hetgrid_obs::event!(hetgrid_obs::trace::track("recovery"), "{}", note);
         hetgrid_obs::flight::dump(&note);
@@ -386,19 +414,37 @@ mod tests {
     fn a_crash_drops_the_line_with_less_capacity() {
         let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
         // Proc 3 = (1,1): its row loses 1/3 + 1/5, its column 1/2 + 1/5.
-        let sv = survivor_grid(&arr, &weights(2, 2), &crash(3));
+        let sv = survivor_grid(&arr, &weights(2, 2), &[crash(3)]).unwrap();
         assert_eq!(sv.dist, panels(&[vec![1.0, 2.0]]));
         assert_eq!(sv.proc_map, [Some(0), Some(1), None, None]);
         // Proc 0 = (0,0): its row loses 1 + 1/2, its column 1 + 1/3.
-        let sv = survivor_grid(&arr, &weights(2, 2), &crash(0));
+        let sv = survivor_grid(&arr, &weights(2, 2), &[crash(0)]).unwrap();
         assert_eq!(sv.dist, panels(&[vec![2.0], vec![5.0]]));
         assert_eq!(sv.proc_map, [None, Some(0), None, Some(1)]);
     }
 
     #[test]
+    fn later_faults_act_on_the_grid_the_earlier_ones_left() {
+        let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
+        // Proc 3 takes row 1; proc 0 then leaves the row {1, 2}.
+        let sv = survivor_grid(&arr, &weights(2, 2), &[crash(3), crash(0)]).unwrap();
+        assert_eq!(sv.dist, panels(&[vec![2.0]]));
+        assert_eq!(sv.arr, Arrangement::from_rows(&[vec![2.0]]));
+        assert_eq!(sv.weights, [[2]]);
+        assert_eq!(sv.proc_map, [None, Some(0), None, None]);
+        // Proc 2 died with row 1 already: nothing more changes.
+        let sv = survivor_grid(&arr, &weights(2, 2), &[crash(3), crash(2)]).unwrap();
+        assert_eq!(sv.dist, panels(&[vec![1.0, 2.0]]));
+        assert_eq!(sv.proc_map, [Some(0), Some(1), None, None]);
+        // The last processor standing leaves no grid.
+        let one = Arrangement::from_rows(&[vec![1.0]]);
+        assert!(survivor_grid(&one, &weights(1, 1), &[crash(0)]).is_none());
+    }
+
+    #[test]
     fn a_tie_drops_the_row() {
         let arr = Arrangement::from_rows(&[vec![2.0, 2.0], vec![2.0, 2.0]]);
-        let sv = survivor_grid(&arr, &weights(2, 2), &crash(1));
+        let sv = survivor_grid(&arr, &weights(2, 2), &[crash(1)]).unwrap();
         assert_eq!(sv.dist.grid(), (1, 2));
         assert_eq!(sv.proc_map, [None, None, Some(0), Some(1)]);
     }
@@ -406,11 +452,11 @@ mod tests {
     #[test]
     fn a_single_column_loses_a_row_and_a_single_row_a_column() {
         let col = Arrangement::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
-        let sv = survivor_grid(&col, &weights(3, 1), &crash(1));
+        let sv = survivor_grid(&col, &weights(3, 1), &[crash(1)]).unwrap();
         assert_eq!(sv.dist.grid(), (2, 1));
         assert_eq!(sv.proc_map, [Some(0), None, Some(1)]);
         let row = Arrangement::from_rows(&[vec![1.0, 2.0, 3.0]]);
-        let sv = survivor_grid(&row, &weights(1, 3), &crash(1));
+        let sv = survivor_grid(&row, &weights(1, 3), &[crash(1)]).unwrap();
         assert_eq!(sv.dist.grid(), (1, 2));
         assert_eq!(sv.proc_map, [Some(0), None, Some(1)]);
     }
@@ -425,7 +471,7 @@ mod tests {
         let arr = Arrangement::from_rows(&rows);
         let w = weights(3, 3);
         // Proc 4 = (1,1): row and column tie, the row goes.
-        let sv = survivor_grid(&arr, &w, &crash(4));
+        let sv = survivor_grid(&arr, &w, &[crash(4)]).unwrap();
         assert_eq!(sv.dist, panels(&[rows[0].clone(), rows[2].clone()]));
         assert_eq!(
             sv.proc_map,
@@ -443,7 +489,7 @@ mod tests {
         );
         assert_eq!(sv.weights, [w[0].clone(), w[2].clone()]);
         // Proc 1 = (0,1): the slow middle column is cheaper than row 0.
-        let sv = survivor_grid(&arr, &w, &crash(1));
+        let sv = survivor_grid(&arr, &w, &[crash(1)]).unwrap();
         assert_eq!(
             sv.dist,
             panels(&[vec![1.0, 2.0], vec![9.0, 9.0], vec![3.0, 4.0]])
@@ -469,7 +515,7 @@ mod tests {
     fn a_join_appends_the_fastest_time_and_smallest_weight() {
         let arr = Arrangement::from_rows(&[vec![2.0, 3.0], vec![5.0, 4.0]]);
         let w = weights(2, 2);
-        let sv = survivor_grid(&arr, &w, &GridFault::Join { at_step: 0 });
+        let sv = survivor_grid(&arr, &w, &[GridFault::Join { at_step: 0 }]).unwrap();
         assert_eq!(
             sv.dist,
             panels(&[vec![2.0, 3.0], vec![5.0, 4.0], vec![2.0, 2.0]])

@@ -47,13 +47,14 @@ pub struct RunOutput {
 /// dominant matrices), Cholesky wants an SPD matrix and reads only its
 /// lower triangle.
 ///
-/// Returns a typed [`ExecError`] if a worker dropped out mid-run.
+/// Returns a typed [`ExecError`] if a worker dropped out mid-run or a
+/// block factorization broke down (a zero LU pivot, a Cholesky diagonal
+/// block that is not SPD: [`ExecError::Breakdown`]).
 ///
 /// # Panics
 /// Panics if the input count or a matrix size does not match
-/// `kernel` / `nb * r`, if the weights table does not match the grid,
-/// or on numerical breakdown inside a block factorization (a zero LU
-/// pivot, a non-SPD Cholesky diagonal block).
+/// `kernel` / `nb * r`, or if the weights table does not match the
+/// grid.
 pub fn run(
     transport: &impl Transport,
     kernel: Kernel,
@@ -68,7 +69,8 @@ pub fn run(
     state.run_to_end(transport, &kernel.plan(dist, nb), weights, cfg)
 }
 
-/// [`run`] for `C = A * B`, returning `(C, report)`.
+/// [`run`] for `C = A * B`, returning `(C, report)`; errors and panics
+/// as for [`run`].
 pub fn run_mm_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -82,7 +84,8 @@ pub fn run_mm_on_cfg(
     run(transport, Kernel::Mm, &[a, b], dist, nb, r, weights, cfg).map(|o| (o.result, o.report))
 }
 
-/// [`run`] for LU, returning `(packed factors, report)`.
+/// [`run`] for LU, returning `(packed factors, report)`; errors and
+/// panics as for [`run`].
 pub fn run_lu_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -95,7 +98,8 @@ pub fn run_lu_on_cfg(
     run(transport, Kernel::Lu, &[a], dist, nb, r, weights, cfg).map(|o| (o.result, o.report))
 }
 
-/// [`run`] for Cholesky, returning `(L, report)`.
+/// [`run`] for Cholesky, returning `(L, report)`; errors and panics as
+/// for [`run`].
 pub fn run_cholesky_on_cfg(
     transport: &impl Transport,
     a: &Matrix,
@@ -108,7 +112,8 @@ pub fn run_cholesky_on_cfg(
     run(transport, Kernel::Cholesky, &[a], dist, nb, r, weights, cfg).map(|o| (o.result, o.report))
 }
 
-/// [`run`] for QR, returning `(packed factors, taus, report)`.
+/// [`run`] for QR, returning `(packed factors, taus, report)`; errors
+/// and panics as for [`run`].
 pub fn run_qr_on_cfg(
     transport: &impl Transport,
     a: &Matrix,

@@ -26,10 +26,10 @@ pub enum SolveKind {
 /// (communicating through `transport`, tuned by `cfg`), the triangular
 /// solves run on the gathered factors. Returns the solution and the
 /// factorization's execution report, or a typed [`ExecError`] if a
-/// worker dropped out mid-run.
+/// worker dropped out mid-run or the factorization broke down.
 ///
 /// # Panics
-/// Panics on size mismatch or numerical breakdown, like [`crate::run`].
+/// Panics on size mismatch, like [`crate::run`].
 pub fn run_solve_on_cfg(
     transport: &impl Transport,
     a: &Matrix,

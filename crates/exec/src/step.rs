@@ -213,7 +213,7 @@ pub(crate) fn run_steps(
     lookahead: usize,
     start: usize,
     journal: Option<&Journal<'_>>,
-) -> Result<BlockStore, Closed> {
+) -> Result<BlockStore, Stop> {
     let n = interp.n_steps();
     let mut win: VecDeque<(Action, bool)> = VecDeque::new();
     let mut front = start; // oldest unretired step
@@ -273,6 +273,23 @@ pub(crate) fn run_steps(
         }
     }
     Ok(interp.into_store())
+}
+
+/// Why a worker stopped before its plan completed.
+#[derive(Debug)]
+pub(crate) enum Stop {
+    /// The transport closed under it: a peer dropped out, or the run
+    /// was aborted.
+    Closed,
+    /// A block kernel of the given plan step broke down (see
+    /// [`ExecError::Breakdown`]).
+    Breakdown(usize, &'static str),
+}
+
+impl From<Closed> for Stop {
+    fn from(Closed: Closed) -> Stop {
+        Stop::Closed
+    }
 }
 
 /// Per-worker communication handle: endpoint + pending buffer + buffer
@@ -514,11 +531,13 @@ pub(crate) fn check_weights(weights: &[Vec<u64>], (p, q): (usize, usize), kernel
 /// [`ExecReport`], whose `lookahead` the caller fills in (only it knows
 /// the depth its workers drove [`run_steps`] at).
 ///
-/// A worker that hits a closed transport (a peer dropped out) returns
-/// `Err(Closed)`; the driver then aborts the whole run through
-/// [`Endpoint::abort`] so every blocked peer fails fast, waits for all
-/// threads, and reports the first failing processor as a typed
-/// [`ExecError`] — a dropped peer never panics the process.
+/// A worker that hits a closed transport (a peer dropped out) or whose
+/// block kernel breaks down returns a [`Stop`]; the driver then aborts
+/// the whole run through [`Endpoint::abort`] so every blocked peer
+/// fails fast, waits for all threads, and reports a typed
+/// [`ExecError`]: the earliest breakdown if there was one, else the
+/// first processor that saw the transport close. Neither panics the
+/// process.
 pub(crate) fn run_grid<W>(
     transport: &impl Transport,
     (p, q): (usize, usize),
@@ -526,11 +545,11 @@ pub(crate) fn run_grid<W>(
     worker: W,
 ) -> Result<(Vec<BlockStore>, ExecReport), ExecError>
 where
-    W: Fn(usize, &mut Courier, &mut WorkClock) -> Result<BlockStore, Closed> + Sync,
+    W: Fn(usize, &mut Courier, &mut WorkClock) -> Result<BlockStore, Stop> + Sync,
 {
     let n_procs = p * q;
     let endpoints = transport.connect::<WireMsg>(n_procs);
-    type Done = (usize, Result<BlockStore, Closed>, f64, u64, u64);
+    type Done = (usize, Result<BlockStore, Stop>, f64, u64, u64);
     let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();
 
     let wall_start = Instant::now();
@@ -564,29 +583,35 @@ where
     let mut busy = vec![vec![0.0f64; q]; p];
     let mut work = vec![vec![0u64; q]; p];
     let mut msgs = vec![vec![0u64; q]; p];
-    let mut failed: Option<usize> = None;
+    // The failure to report, keyed so the earliest breakdown wins over
+    // any closed transport, and the lowest processor id breaks ties.
+    let mut failed: Option<((usize, usize), ExecError)> = None;
     while let Ok((me, store, busy_s, units, sent)) = done_rx.recv() {
         let (i, j) = (me / q, me % q);
         busy[i][j] = busy_s;
         work[i][j] = units;
         msgs[i][j] = sent;
-        match store {
-            Ok(store) => stores[me] = store,
-            Err(Closed) => failed = Some(failed.map_or(me, |f| f.min(me))),
+        let (key, err) = match store {
+            Ok(store) => {
+                stores[me] = store;
+                continue;
+            }
+            Err(Stop::Breakdown(step, what)) => {
+                let proc = (i, j);
+                ((step, me), ExecError::Breakdown { proc, step, what })
+            }
+            Err(Stop::Closed) => ((usize::MAX, me), ExecError::PeerDropped { proc: (i, j) }),
+        };
+        if failed.is_none_or(|(k, _)| key < k) {
+            failed = Some((key, err));
         }
     }
-    if let Some(me) = failed {
+    if let Some((_, err)) = failed {
         // An abort cascade is exactly what the flight recorder exists
         // for: dump the retained span rings before the error surfaces
         // (a no-op unless `--flight-recorder` armed a destination).
-        hetgrid_obs::flight::dump(&format!(
-            "peer dropped: P({},{}) abort cascade",
-            me / q + 1,
-            me % q + 1
-        ));
-        return Err(ExecError::PeerDropped {
-            proc: (me / q, me % q),
-        });
+        hetgrid_obs::flight::dump(&err.to_string());
+        return Err(err);
     }
     Ok((
         stores,

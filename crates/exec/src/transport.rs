@@ -45,10 +45,11 @@ impl fmt::Display for Closed {
 
 impl std::error::Error for Closed {}
 
-/// A distributed kernel run failed: a peer endpoint dropped out (its
-/// thread returned or its mailbox became unreachable) before the plan
-/// completed, so the remaining workers aborted with typed errors
-/// instead of panicking. The run's partial results are discarded.
+/// A distributed kernel run failed: a block kernel broke down, or a
+/// peer endpoint dropped out (its thread returned or its mailbox became
+/// unreachable) before the plan completed. Either way the remaining
+/// workers aborted with typed errors instead of panicking or waiting,
+/// and the run's partial results are discarded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecError {
     /// Processor `(i, j)` observed a dropped peer (send or receive on a
@@ -58,6 +59,19 @@ pub enum ExecError {
         /// that hit the closed transport.
         proc: (usize, usize),
     },
+    /// A block factorization on processor `(i, j)` broke down at plan
+    /// step `step` (a zero LU pivot, a Cholesky diagonal block that is
+    /// not SPD). Reported in preference to the peers' [`PeerDropped`].
+    ///
+    /// [`PeerDropped`]: ExecError::PeerDropped
+    Breakdown {
+        /// Grid coordinates of the processor whose kernel failed.
+        proc: (usize, usize),
+        /// The plan step of the failed kernel.
+        step: usize,
+        /// What failed.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -66,6 +80,16 @@ impl fmt::Display for ExecError {
             ExecError::PeerDropped { proc: (i, j) } => write!(
                 f,
                 "executor run aborted: processor ({}, {}) observed a dropped peer",
+                i + 1,
+                j + 1
+            ),
+            ExecError::Breakdown {
+                proc: (i, j),
+                step,
+                what,
+            } => write!(
+                f,
+                "executor run aborted: processor ({}, {}) broke down at step {step}: {what}",
                 i + 1,
                 j + 1
             ),

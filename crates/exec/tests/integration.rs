@@ -193,3 +193,43 @@ fn weighted_work_reflects_the_arrangement() {
         }
     }
 }
+
+/// Runs `kernel` on `a` over a 2x2 cyclic grid (nb = 4, r = 2) on its
+/// own thread and returns the error's text; a run that has not returned
+/// within 10 s is a hang and fails the test.
+fn breakdown_text(kernel: Kernel, a: Matrix) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (dist, weights) = (BlockCyclic::new(2, 2), vec![vec![1; 2]; 2]);
+        let cfg = ExecConfig::default();
+        let out = run(&ChannelTransport, kernel, &[&a], &dist, 4, 2, &weights, cfg);
+        let _ = tx.send(out.err().map(|e| e.to_string()));
+    });
+    let out = rx.recv_timeout(std::time::Duration::from_secs(10));
+    out.expect("the run hung").expect("the run succeeded")
+}
+
+#[test]
+fn numerical_breakdown_is_a_typed_error_naming_processor_and_step() {
+    let minus_identity = Matrix::from_fn(8, 8, |i, j| if i == j { -1.0 } else { 0.0 });
+    assert_eq!(
+        breakdown_text(Kernel::Cholesky, minus_identity),
+        "executor run aborted: processor (1, 1) broke down at step 0: diagonal block not SPD"
+    );
+    let mut zero_pivot = dominant(8, 5);
+    zero_pivot[(0, 0)] = 0.0;
+    assert_eq!(
+        breakdown_text(Kernel::Lu, zero_pivot),
+        "executor run aborted: processor (1, 1) broke down at step 0: zero LU pivot"
+    );
+    // Block (3, 3) is indefinite: step 3, on processor (2, 2).
+    let late = Matrix::from_fn(8, 8, |i, j| match (i == j, i) {
+        (true, 7) => -1.0,
+        (true, _) => 1.0,
+        _ => 0.0,
+    });
+    assert_eq!(
+        breakdown_text(Kernel::Cholesky, late),
+        "executor run aborted: processor (2, 2) broke down at step 3: diagonal block not SPD"
+    );
+}

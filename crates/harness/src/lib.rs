@@ -49,7 +49,7 @@ pub use faults::{kill_variants, FaultProfile, KillSchedule};
 pub use hetgrid_plan::Kernel;
 pub use runner::{
     run_adapt_case, run_exec_case, run_recovery_case, run_recovery_join_case,
-    run_redistribution_case, run_solve_case, run_star_case,
+    run_redistribution_case, run_solve_case, run_star_case, run_two_crash_case,
 };
 pub use vtransport::VirtualTransport;
 

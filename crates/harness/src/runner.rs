@@ -12,10 +12,11 @@ use crate::scenario::{
 };
 use crate::vtransport::VirtualTransport;
 use hetgrid_adapt::{ControllerConfig, Outcome, Scenario};
-use hetgrid_dist::Placement;
+use hetgrid_core::Arrangement;
+use hetgrid_dist::{BlockCyclic, Placement};
 use hetgrid_exec::{
-    run, run_recovery, run_solve_on_cfg, run_star_mm_on_cfg, ExecConfig, ExecReport, RecoveryStats,
-    SolveKind,
+    run, run_recovery, run_solve_on_cfg, run_star_mm_on_cfg, slowdown_weights, ExecConfig,
+    ExecReport, GridFault, RecoveryStats, SolveKind,
 };
 use hetgrid_linalg::gemm::matvec;
 use hetgrid_linalg::Matrix;
@@ -234,6 +235,39 @@ pub fn run_recovery_join_case(
 ) -> RecoveryStats {
     let sc = exec_scenario(seed);
     let schedule = KillSchedule::single_join(seed, variant, sc.nb);
+    recovery_case(kernel, profile, seed, sc, schedule)
+}
+
+/// Two crashes in a row on the paper's 2x2 grid {1, 2, 3, 5}, cyclic,
+/// nb = 6, r = 2: processor 3 dies after retiring step 0, then
+/// processor 0 of the 1x2 grid that recovery left after step 3. Judged
+/// like [`run_recovery_case`]; returns what recovery did.
+///
+/// The run is in order (lookahead 0), which fixes the faults' order:
+/// with processor 3 gone after step 0, processor 0 of the first grid
+/// cannot retire step 3 (even MM, which never reads processor 3's
+/// blocks there, stalls on processor 1 at step 3), so the second crash
+/// can only fire on the survivor grid.
+///
+/// # Panics
+/// Panics with the replay seed in the message when any oracle rejects
+/// the run.
+pub fn run_two_crash_case(kernel: Kernel, profile: FaultProfile, seed: u64) -> RecoveryStats {
+    let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
+    let sc = ExecScenario {
+        weights: slowdown_weights(&arr),
+        arr,
+        dist: Box::new(BlockCyclic::new(2, 2)),
+        dist_name: "cyclic",
+        nb: 6,
+        r: 2,
+        slowdown: None,
+        lookahead: 0,
+    };
+    let crash = |proc, at_step| GridFault::Crash { proc, at_step };
+    let schedule = KillSchedule {
+        events: vec![crash(3, 0), crash(0, 3)],
+    };
     recovery_case(kernel, profile, seed, sc, schedule)
 }
 

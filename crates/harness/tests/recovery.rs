@@ -9,8 +9,8 @@
 
 use hetgrid_exec::{GridFault, RecoveryStats, Transport};
 use hetgrid_harness::{
-    kill_variants, run_recovery_case, run_recovery_join_case, seed_corpus, FaultProfile, Kernel,
-    KillSchedule, VirtualTransport,
+    kill_variants, run_recovery_case, run_recovery_join_case, run_two_crash_case, seed_corpus,
+    FaultProfile, Kernel, KillSchedule, VirtualTransport,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -81,6 +81,19 @@ join_cases! {
     lu_join_chaos:       Kernel::Lu;
     cholesky_join_chaos: Kernel::Cholesky;
     qr_join_chaos:       Kernel::Qr;
+}
+
+/// Two crashes in a row: the second victim is a processor of the grid
+/// the first recovery left, so recovery must re-solve from that grid.
+/// Every kernel, bit-exact against the fault-free run.
+#[test]
+fn two_crashes_in_a_row_recover() {
+    for kernel in [Kernel::Mm, Kernel::Lu, Kernel::Cholesky, Kernel::Qr] {
+        for seed in seed_corpus() {
+            let stats = run_two_crash_case(kernel, FaultProfile::CHAOS, seed);
+            assert_eq!(stats.crashes, 2, "{kernel:?}, seed {seed}: {stats:?}");
+        }
+    }
 }
 
 /// Same seed, same schedule, run twice: the whole recovery path — kill

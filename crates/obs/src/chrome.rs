@@ -1,4 +1,4 @@
-//! Hand-rolled Chrome trace-event JSON writer.
+//! Chrome trace-event documents.
 //!
 //! Emits the `{"traceEvents": [...]}` object form of the [Trace Event
 //! Format] consumed by Perfetto and `chrome://tracing`: `"M"`
@@ -7,14 +7,13 @@
 //! All timestamps are microseconds. One process (`pid` 1) with one
 //! `tid` per track keeps every track on its own timeline row.
 //!
-//! The writer is serde-free; [`escape_into`] implements the JSON
-//! string escaping rules (tested in this module and exercised by the
-//! round-trip tests against [`crate::json`]).
+//! Each record is a [`Value`] and the document is written by the
+//! crate's one JSON writer (see [`crate::json`]).
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use crate::json::Value;
 use crate::trace::TraceEvent;
-use std::fmt::Write as _;
 
 /// A structured event argument (rendered into the record's `"args"`
 /// object).
@@ -28,58 +27,14 @@ pub enum Arg {
     Str(String),
 }
 
-/// Appends `s` to `out` with JSON string escaping (quotes, backslash,
-/// and control characters; everything else passes through as UTF-8).
-pub fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+impl From<&Arg> for Value {
+    fn from(arg: &Arg) -> Value {
+        match arg {
+            Arg::U64(n) => Value::U64(*n),
+            Arg::F64(x) => Value::Num(*x),
+            Arg::Str(s) => Value::Str(s.clone()),
         }
     }
-}
-
-/// Writes `v` as a JSON number, or `null` when it is not finite (JSON
-/// has no NaN/Infinity).
-pub fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{}` on a finite f64 always produces a valid JSON number
-        // (digits, optional '.', optional 'e' exponent).
-        let _ = write!(out, "{}", v);
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn write_args(out: &mut String, args: &[(&str, Arg)]) {
-    out.push('{');
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        escape_into(out, k);
-        out.push_str("\":");
-        match v {
-            Arg::U64(n) => {
-                let _ = write!(out, "{}", n);
-            }
-            Arg::F64(x) => write_f64(out, *x),
-            Arg::Str(s) => {
-                out.push('"');
-                escape_into(out, s);
-                out.push('"');
-            }
-        }
-    }
-    out.push('}');
 }
 
 /// Incremental builder for one trace file. Records are appended in any
@@ -89,7 +44,7 @@ fn write_args(out: &mut String, args: &[(&str, Arg)]) {
 /// [`finish`]: ChromeTrace::finish
 #[derive(Default)]
 pub struct ChromeTrace {
-    body: String,
+    events: Vec<Value>,
 }
 
 impl ChromeTrace {
@@ -98,23 +53,10 @@ impl ChromeTrace {
         ChromeTrace::default()
     }
 
-    fn sep(&mut self) {
-        if !self.body.is_empty() {
-            self.body.push(',');
-        }
-        self.body.push('\n');
-    }
-
     /// Names the timeline row `tid` (a `thread_name` metadata record).
     pub fn thread_name(&mut self, tid: u64, name: &str) {
-        self.sep();
-        let _ = write!(
-            self.body,
-            "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"",
-            tid
-        );
-        escape_into(&mut self.body, name);
-        self.body.push_str("\"}}");
+        let args = Value::obj([("name", name.into())]);
+        self.record("M", "thread_name", tid, vec![("args", args)]);
     }
 
     /// Appends a complete span (`ph:"X"`).
@@ -126,12 +68,18 @@ impl ChromeTrace {
         dur_us: f64,
         args: &[(&str, Arg)],
     ) {
-        self.record("X", tid, name, ts_us, Some(dur_us), args);
+        // Perfetto rejects negative durations; clock jitter on a
+        // zero-length span must not corrupt the file.
+        let mut rest = vec![("ts", ts_us.into()), ("dur", dur_us.max(0.0).into())];
+        rest.extend(args_member(args));
+        self.record("X", name, tid, rest);
     }
 
     /// Appends an instant marker (`ph:"i"`, thread scope).
     pub fn instant(&mut self, tid: u64, name: &str, ts_us: f64, args: &[(&str, Arg)]) {
-        self.record("i", tid, name, ts_us, None, args);
+        let mut rest = vec![("ts", ts_us.into()), ("s", "t".into())];
+        rest.extend(args_member(args));
+        self.record("i", name, tid, rest);
     }
 
     /// Appends a flow record: `ph` is `"s"` (start), `"t"` (step), or
@@ -139,61 +87,45 @@ impl ChromeTrace {
     /// enclosing slice). Records sharing `cat:"trace"` and `id` are
     /// drawn as one arrowed flow across tracks.
     pub fn flow(&mut self, ph: &str, tid: u64, name: &str, ts_us: f64, id: u64) {
-        self.sep();
-        let _ = write!(
-            self.body,
-            "{{\"ph\":\"{}\",\"cat\":\"trace\",\"id\":{},\"name\":\"",
-            ph, id
-        );
-        escape_into(&mut self.body, name);
-        self.body.push_str("\",\"pid\":1,\"tid\":");
-        let _ = write!(self.body, "{}", tid);
-        self.body.push_str(",\"ts\":");
-        write_f64(&mut self.body, ts_us);
+        let mut rec = vec![
+            ("ph", ph.into()),
+            ("cat", "trace".into()),
+            ("id", id.into()),
+            ("name", name.into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.into()),
+            ("ts", ts_us.into()),
+        ];
         if ph == "f" {
-            self.body.push_str(",\"bp\":\"e\"");
+            rec.push(("bp", "e".into()));
         }
-        self.body.push('}');
+        self.events.push(Value::obj(rec));
     }
 
-    fn record(
-        &mut self,
-        ph: &str,
-        tid: u64,
-        name: &str,
-        ts_us: f64,
-        dur_us: Option<f64>,
-        args: &[(&str, Arg)],
-    ) {
-        self.sep();
-        self.body.push_str("{\"ph\":\"");
-        self.body.push_str(ph);
-        self.body.push_str("\",\"name\":\"");
-        escape_into(&mut self.body, name);
-        self.body.push_str("\",\"pid\":1,\"tid\":");
-        let _ = write!(self.body, "{}", tid);
-        self.body.push_str(",\"ts\":");
-        write_f64(&mut self.body, ts_us);
-        if let Some(d) = dur_us {
-            self.body.push_str(",\"dur\":");
-            // Perfetto rejects negative durations; clock jitter on a
-            // zero-length span must not corrupt the file.
-            write_f64(&mut self.body, d.max(0.0));
-        }
-        if ph == "i" {
-            self.body.push_str(",\"s\":\"t\"");
-        }
-        if !args.is_empty() {
-            self.body.push_str(",\"args\":");
-            write_args(&mut self.body, args);
-        }
-        self.body.push('}');
+    /// Appends `{ph, name, pid: 1, tid}` followed by `rest`.
+    fn record(&mut self, ph: &str, name: &str, tid: u64, rest: Vec<(&str, Value)>) {
+        let head = [
+            ("ph", ph.into()),
+            ("name", name.into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.into()),
+        ];
+        self.events.push(Value::obj(head.into_iter().chain(rest)));
     }
 
     /// The finished `{"traceEvents": [...]}` document.
     pub fn finish(self) -> String {
-        format!("{{\"traceEvents\": [{}\n]}}\n", self.body)
+        let doc = Value::obj([("traceEvents", Value::Arr(self.events))]);
+        format!("{doc}\n")
     }
+}
+
+/// The `"args"` member of a record, absent when `args` is empty.
+fn args_member(args: &[(&str, Arg)]) -> Option<(&'static str, Value)> {
+    (!args.is_empty()).then(|| {
+        let members = args.iter().map(|(k, v)| (k.to_string(), v.into()));
+        ("args", Value::Obj(members.collect()))
+    })
 }
 
 /// Renders collected [`crate::trace`] events (as returned by
@@ -241,20 +173,13 @@ pub fn export(tracks: &[String], events: &[TraceEvent]) -> String {
         evs.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
         let last = evs.len() - 1;
         for (i, ev) in evs.iter().enumerate() {
-            let ph = if i == 0 {
-                "s"
-            } else if i == last {
-                "f"
-            } else {
-                "t"
+            let ph = match i {
+                0 => "s",
+                i if i == last => "f",
+                _ => "t",
             };
-            ct.flow(
-                ph,
-                ev.track.index() as u64,
-                "req",
-                ev.start_us,
-                trace_id as u64,
-            );
+            let tid = ev.track.index() as u64;
+            ct.flow(ph, tid, "req", ev.start_us, trace_id as u64);
         }
     }
     ct.finish()
@@ -264,39 +189,6 @@ pub fn export(tracks: &[String], events: &[TraceEvent]) -> String {
 mod tests {
     use super::*;
     use crate::json;
-
-    #[test]
-    fn escaping_covers_quotes_backslash_and_controls() {
-        let mut out = String::new();
-        escape_into(&mut out, "a\"b\\c\nd\re\tf\u{1}g");
-        assert_eq!(out, "a\\\"b\\\\c\\nd\\re\\tf\\u0001g");
-    }
-
-    #[test]
-    fn escaped_strings_round_trip_through_the_parser() {
-        for s in [
-            "plain",
-            "with \"quotes\" and \\slashes\\",
-            "line\nbreaks\tand\rreturns",
-            "control \u{0} \u{1f} chars",
-            "unicode: grille 2×2 — ✓",
-        ] {
-            let mut doc = String::from("{\"k\":\"");
-            escape_into(&mut doc, s);
-            doc.push_str("\"}");
-            let v = json::parse(&doc).expect("escaped string must parse");
-            assert_eq!(v.get("k").and_then(|v| v.as_str()), Some(s));
-        }
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        let mut out = String::new();
-        write_f64(&mut out, f64::NAN);
-        out.push(' ');
-        write_f64(&mut out, f64::INFINITY);
-        assert_eq!(out, "null null");
-    }
 
     #[test]
     fn builder_output_is_well_formed_and_complete() {

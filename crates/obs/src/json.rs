@@ -1,41 +1,115 @@
-//! Minimal recursive-descent JSON parser.
+//! JSON: the one writer and the one parser of this crate.
 //!
-//! Exists so the hand-rolled writers in this crate are *tested* rather
-//! than trusted: every exporter unit test parses its own output back,
-//! and the harness/CLI tests use it to assert on trace and metrics
-//! files. It accepts exactly RFC 8259 JSON (no comments, no trailing
-//! commas) and keeps object members in document order.
+//! [`Value`] renders itself (`Display`) as compact RFC 8259 JSON,
+//! members in insertion order: strings escape quote, backslash and
+//! control characters; a finite [`Value::Num`] prints in shortest
+//! round-trip form, a non-finite one as `null`; a [`Value::U64`] keeps
+//! every digit. Chrome traces and the metrics document are `Value`s.
+//!
+//! [`parse`] is the writer's test oracle (and the harness's and CLI
+//! tests'). It reads RFC 8259 JSON (a number is checked only as far as
+//! Rust's own parsers go, so `01` and `1.` pass) and reads an integer
+//! literal that fits a `u64` as [`Value::U64`], so
+//! `parse(&v.to_string()) == Ok(v)` for every `v` with finite numbers.
 
-/// A parsed JSON value.
+use std::fmt::{self, Write as _};
+
+/// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (parsed as `f64`).
+    /// A floating-point number (written `null` if not finite).
     Num(f64),
+    /// An unsigned integer, written with every digit.
+    U64(u64),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object, members in document order.
+    /// An object, members in insertion (document) order.
     Obj(Vec<(String, Value)>),
 }
 
+impl From<f64> for Value {
+    fn from(x: f64) -> Value {
+        Value::Num(x)
+    }
+}
+
+impl From<u64> for Value {
+    fn from(n: u64) -> Value {
+        Value::U64(n)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            // `{:?}` is the shortest round-trip form and, unlike `{}`,
+            // never spells a float as an integer literal.
+            Value::Num(x) if x.is_finite() => write!(f, "{x:?}"),
+            Value::Num(_) => f.write_str("null"),
+            Value::U64(n) => write!(f, "{n}"),
+            Value::Str(s) => write_str(f, s),
+            Value::Arr(items) => {
+                f.write_char('[')?;
+                for (i, v) in items.iter().enumerate() {
+                    write!(f, "{}{v}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_char(']')
+            }
+            Value::Obj(members) => {
+                f.write_char('{')?;
+                for (i, (k, v)) in members.iter().enumerate() {
+                    f.write_str(if i > 0 { "," } else { "" })?;
+                    write_str(f, k)?;
+                    write!(f, ":{v}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+/// Writes `s` as a JSON string literal.
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if c < ' ' => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
 impl Value {
+    /// An object of `members`, in order.
+    pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        let members = members.into_iter().map(|(k, v)| (k.to_string(), v));
+        Value::Obj(members.collect())
+    }
+
     /// Member `key` of an object value.
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Element `i` of an array value.
-    pub fn idx(&self, i: usize) -> Option<&Value> {
-        match self {
-            Value::Arr(items) => items.get(i),
             _ => None,
         }
     }
@@ -48,10 +122,12 @@ impl Value {
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The numeric payload, if this is a number (a `U64` rounded to
+    /// the nearest `f64`).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
+            Value::U64(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -292,6 +368,9 @@ impl<'a> Parser<'a> {
             }
         }
         let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if let Ok(n) = s.parse::<u64>() {
+            return Ok(Value::U64(n));
+        }
         s.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("bad number"))
@@ -306,14 +385,8 @@ mod tests {
     fn parses_nested_document() {
         let v = parse(r#"{"a": [1, 2.5, -3e2], "b": {"c": null, "d": [true, false]}, "e": ""}"#)
             .unwrap();
-        assert_eq!(
-            v.get("a").and_then(|a| a.idx(1)).and_then(|x| x.as_f64()),
-            Some(2.5)
-        );
-        assert_eq!(
-            v.get("a").and_then(|a| a.idx(2)).and_then(|x| x.as_f64()),
-            Some(-300.0)
-        );
+        let a = v.get("a").and_then(Value::as_arr).unwrap();
+        assert_eq!(a, [Value::U64(1), Value::Num(2.5), Value::Num(-300.0)]);
         assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&Value::Null));
         assert_eq!(v.get("e").and_then(|e| e.as_str()), Some(""));
     }
@@ -340,6 +413,113 @@ mod tests {
             "{\"a\":1}x",
         ] {
             assert!(parse(bad).is_err(), "should reject: {bad:?}");
+        }
+    }
+
+    #[test]
+    fn writes_compact_json_in_member_order() {
+        let v = Value::obj([
+            ("z", Value::U64(u64::MAX)),
+            ("a", Value::Arr(vec![1.5.into(), 3.0.into(), Value::Null])),
+            ("s", "q\"b\\n\n\r\t\u{1}✓".into()),
+            ("t", Value::Bool(true)),
+            ("e", Value::Obj(vec![])),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"z":18446744073709551615,"a":[1.5,3.0,null],"s":"q\"b\\n\n\r\t\u0001✓","t":true,"e":{}}"#
+        );
+    }
+
+    #[test]
+    fn non_finite_floats_are_written_as_null() {
+        let v = Value::Arr(vec![
+            f64::NAN.into(),
+            f64::INFINITY.into(),
+            (-f64::INFINITY).into(),
+        ]);
+        assert_eq!(v.to_string(), "[null,null,null]");
+    }
+
+    #[test]
+    fn integers_read_back_as_u64_and_floats_as_num() {
+        let v =
+            parse("[9007199254740993, 18446744073709551615, 18446744073709551616, -1, 2.0, 1e3]");
+        let want = [
+            Value::U64(9_007_199_254_740_993),
+            Value::U64(u64::MAX),
+            Value::Num(18446744073709551616.0),
+            Value::Num(-1.0),
+            Value::Num(2.0),
+            Value::Num(1000.0),
+        ];
+        assert_eq!(v.unwrap().as_arr().unwrap(), want);
+    }
+
+    /// A small xorshift: the round trip below is seeded, not random.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn string(&mut self) -> String {
+            let pool = [
+                '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'a', 'é', '✓', '😀',
+            ];
+            (0..self.below(8))
+                .map(|_| match self.below(3) {
+                    0 => pool[self.below(pool.len() as u64) as usize],
+                    _ => char::from_u32(self.below(0x11_0000) as u32).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        }
+
+        fn value(&mut self, depth: u32) -> Value {
+            match self.below(if depth == 0 { 5 } else { 7 }) {
+                0 => Value::Null,
+                1 => Value::Bool(self.below(2) == 1),
+                2 => match self.below(3) {
+                    0 => Value::U64(u64::MAX - self.below(3)),
+                    1 => Value::U64(self.below(1 << 20)),
+                    _ => Value::U64(self.next()),
+                },
+                3 => loop {
+                    let x = match self.below(3) {
+                        0 => f64::from_bits(self.next()),
+                        1 => self.below(1 << 20) as f64,
+                        _ => (self.next() as f64 / u64::MAX as f64 - 0.5) * 1e6,
+                    };
+                    if x.is_finite() {
+                        break Value::Num(x);
+                    }
+                },
+                4 => Value::Str(self.string()),
+                5 => Value::Arr((0..self.below(4)).map(|_| self.value(depth - 1)).collect()),
+                _ => Value::Obj(
+                    (0..self.below(4))
+                        .map(|_| (self.string(), self.value(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn written_values_parse_back_equal() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..2000 {
+            let v = rng.value(4);
+            let text = v.to_string();
+            assert_eq!(parse(&text).as_ref(), Ok(&v), "{text}");
         }
     }
 

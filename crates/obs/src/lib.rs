@@ -15,10 +15,10 @@
 //!   fixed-bucket histograms with typed handles. Hot paths fetch a
 //!   handle once and then pay one relaxed atomic op per update; the
 //!   registry lock is touched only at registration and snapshot time.
-//! * [`chrome`] / [`json`] — exporters and their test harness: a
-//!   hand-rolled Chrome trace-event JSON writer (loadable in Perfetto
-//!   and `chrome://tracing`) and a minimal JSON parser used to verify
-//!   the writer's output and by the CI smoke job.
+//! * [`json`] / [`chrome`] — the crate's one JSON writer
+//!   ([`json::Value`] renders itself) with its test oracle
+//!   [`json::parse`], and Chrome trace-event documents (Perfetto,
+//!   `chrome://tracing`) built as `Value`s, like the metrics document.
 //!
 //! [`diag`](mod@diag) is the fourth, tiny leg: verbosity-gated stderr
 //! diagnostics ([`diag!`] / [`vdiag!`]) so machine-readable output on

@@ -13,9 +13,8 @@
 //! exactly this to compare executor-observed counters with the
 //! closed-form `sim::counts` predictions.
 
-use crate::chrome::{escape_into, write_f64};
+use crate::json::Value;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -343,104 +342,40 @@ impl MetricsSnapshot {
     /// a boundary (e.g. the `hetgrid serve` metrics endpoint exporting
     /// `serve.*`) narrows the snapshot first.
     pub fn filtered(&self, prefix: &str) -> MetricsSnapshot {
+        fn keep<T: Clone>(map: &BTreeMap<String, T>, prefix: &str) -> BTreeMap<String, T> {
+            let kept = map.iter().filter(|(n, _)| n.starts_with(prefix));
+            kept.map(|(n, v)| (n.clone(), v.clone())).collect()
+        }
         MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .filter(|(n, _)| n.starts_with(prefix))
-                .map(|(n, v)| (n.clone(), *v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .filter(|(n, _)| n.starts_with(prefix))
-                .map(|(n, v)| (n.clone(), *v))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .filter(|(n, _)| n.starts_with(prefix))
-                .map(|(n, v)| (n.clone(), v.clone()))
-                .collect(),
+            counters: keep(&self.counters, prefix),
+            gauges: keep(&self.gauges, prefix),
+            histograms: keep(&self.histograms, prefix),
         }
     }
 
     /// Renders as a JSON document:
     /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    \"");
-            escape_into(&mut out, name);
-            let _ = write!(out, "\": {}", v);
+        fn named<T>(map: &BTreeMap<String, T>, value: impl Fn(&T) -> Value) -> Value {
+            Value::Obj(map.iter().map(|(n, v)| (n.clone(), value(v))).collect())
         }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    \"");
-            escape_into(&mut out, name);
-            out.push_str("\": ");
-            write_f64(&mut out, *v);
+        fn list<T: Copy + Into<Value>>(xs: &[T]) -> Value {
+            Value::Arr(xs.iter().map(|&x| x.into()).collect())
         }
-        out.push_str("\n  },\n  \"histograms\": {");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    \"");
-            escape_into(&mut out, name);
-            out.push_str("\": {\"bounds\": [");
-            for (k, b) in h.bounds.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                write_f64(&mut out, *b);
-            }
-            out.push_str("], \"buckets\": [");
-            for (k, b) in h.buckets.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{}", b);
-            }
-            let _ = write!(out, "], \"count\": {}, \"sum\": ", h.count);
-            write_f64(&mut out, h.sum);
-            out.push('}');
-        }
-        out.push_str("\n  }\n}\n");
-        out
-    }
-
-    /// Renders as aligned `name value` text lines (for terminals).
-    pub fn to_text(&self) -> String {
-        let width = self
-            .counters
-            .keys()
-            .chain(self.gauges.keys())
-            .chain(self.histograms.keys())
-            .map(|n| n.len())
-            .max()
-            .unwrap_or(0);
-        let mut out = String::new();
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "{name:<width$}  {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "{name:<width$}  {v}");
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "{name:<width$}  count={} sum={:.3} buckets={:?} le={:?}",
-                h.count, h.sum, h.buckets, h.bounds
-            );
-        }
-        out
+        let histogram = |h: &HistogramSnapshot| {
+            Value::obj([
+                ("bounds", list(&h.bounds)),
+                ("buckets", list(&h.buckets)),
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+            ])
+        };
+        let doc = Value::obj([
+            ("counters", named(&self.counters, |&v| v.into())),
+            ("gauges", named(&self.gauges, |&v| v.into())),
+            ("histograms", named(&self.histograms, histogram)),
+        ]);
+        format!("{doc}\n")
     }
 }
 
@@ -600,17 +535,5 @@ mod tests {
         // Out-of-range q clamps instead of panicking.
         assert_eq!(h.quantile(7.0), 2.0);
         assert_eq!(h.quantile(-1.0), 2.0);
-    }
-
-    #[test]
-    fn to_text_lists_every_metric() {
-        let snap = MetricsSnapshot {
-            counters: [("a.count".to_string(), 4u64)].into_iter().collect(),
-            gauges: [("b.level".to_string(), 1.5f64)].into_iter().collect(),
-            histograms: Default::default(),
-        };
-        let text = snap.to_text();
-        assert!(text.contains("a.count"));
-        assert!(text.contains("b.level"));
     }
 }

@@ -56,7 +56,7 @@
 //! callers can downgrade gracefully instead of treating every failure
 //! as data loss.
 
-use crate::{Bcast, LoadSrc, Mat, OwnerWork, Plan, QrColumn, Step};
+use crate::{Bcast, Kernel, LoadSrc, Mat, OwnerWork, Plan, QrColumn, Step};
 
 /// Codec version written by [`encode`] and required by [`decode`].
 pub const WIRE_VERSION: u8 = 3;
@@ -463,6 +463,30 @@ pub fn encode_into(plan: &Plan, out: &mut Vec<u8>) {
     plan.steps.put(out);
 }
 
+/// A lower bound on `encode(&kernel.plan(dist, nb)).len()` that holds
+/// for every distribution on every grid: whatever the grid, each step
+/// of an MM, LU or Cholesky plan holds one [`Bcast`] per panel block
+/// (both operand panels for MM), and each QR step one owner per panel
+/// and trailing block and one [`QrColumn`] per trailing column; each is
+/// counted at its [`Field::MIN_BYTES`]. It costs `O(nb)` arithmetic, so
+/// a server can refuse a plan that could never fit a frame before it
+/// builds it.
+pub fn min_plan_len(kernel: Kernel, nb: usize) -> usize {
+    let owner = <(usize, usize)>::MIN_BYTES;
+    let entries = match kernel {
+        Kernel::Mm => 2 * nb * nb * Bcast::MIN_BYTES,
+        // Step k broadcasts blocks (k.., k) and (k, k + 1..).
+        Kernel::Lu => nb * nb * Bcast::MIN_BYTES,
+        Kernel::Cholesky => nb * nb.saturating_sub(1) / 2 * Bcast::MIN_BYTES,
+        // Step k: the panel's `m + 1` owners, then `m` columns of `m`
+        // owners each, for `m = nb - k - 1` trailing blocks a column.
+        Kernel::Qr => (0..nb)
+            .map(|m| (m + 1) * owner + m * (QrColumn::MIN_BYTES + m * owner))
+            .sum(),
+    };
+    nb * Step::MIN_BYTES + entries
+}
+
 /// Rebuilds a plan from [`encode`]'s byte form. Total: any malformed
 /// input (wrong version, truncation, oversize counts, trailing bytes)
 /// is a [`DecodeError`], never a panic.
@@ -499,6 +523,42 @@ mod tests {
             workers,
             worker_mem,
             master_bw: 1.0,
+        }
+    }
+
+    #[test]
+    fn min_plan_len_never_exceeds_the_encoding() {
+        use hetgrid_core::Arrangement;
+        use hetgrid_dist::{BlockDist, KlDist, PanelDist, PanelOrdering};
+        let shapes = [vec![vec![1.0]], vec![vec![1.0, 2.0], vec![3.0, 5.0]]];
+        let shapes = shapes.into_iter().chain([vec![vec![1.0, 4.0, 2.0]; 3]]);
+        for rows in shapes {
+            let arr = Arrangement::from_rows(&rows);
+            let alloc = hetgrid_core::exact::solve_arrangement(&arr).alloc;
+            let (p, q) = (arr.p(), arr.q());
+            let dists: [Box<dyn BlockDist>; 3] = [
+                Box::new(BlockCyclic::new(p, q)),
+                Box::new(PanelDist::from_allocation(
+                    &arr,
+                    &alloc,
+                    2 * p,
+                    2 * q,
+                    PanelOrdering::Interleaved,
+                )),
+                Box::new(KlDist::new(&arr, 2 * p, 2 * q)),
+            ];
+            for dist in &dists {
+                for kernel in Kernel::ALL {
+                    for nb in 1..=24 {
+                        let len = encode(&kernel.plan(dist.as_ref(), nb)).len();
+                        let bound = min_plan_len(kernel, nb);
+                        assert!(
+                            bound <= len,
+                            "{kernel:?} nb {nb} on {p}x{q}: {bound} > {len}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -31,9 +31,11 @@
 //! the admission limit — and a request is one connected trace tree. It
 //! is wrapped in `catch_unwind`: a panic degrades to a typed
 //! `ServerError` response (uncached) instead of taking the process
-//! down. A response too large for one frame ([`MAX_FRAME`]; a plan
-//! grows faster in `nb` than the request bound allows for) degrades
-//! the same way, to an uncached `BadRequest` naming its size and the
+//! down. A plan grows faster in `nb` than the request bound allows
+//! for: a `Plan` or `Simulate` whose plan provably cannot fit one frame
+//! ([`MAX_FRAME`], by [`hetgrid_plan::wire::min_plan_len`]) is refused
+//! before anything is built, and a response that still turns out too
+//! large degrades to an uncached `BadRequest` naming its size and the
 //! cap.
 
 use crate::cache::PlanCache;
@@ -331,8 +333,9 @@ fn encode_capped(resp: &Response) -> (Vec<u8>, bool) {
 }
 
 /// Semantic validation beyond what the codec enforces structurally:
-/// valid cycle-times, and a `Simulate` pool whose work weights fit
-/// ([`MAX_SPREAD`]).
+/// valid cycle-times, a plan that can fit one frame (a `Simulate` folds
+/// the same plan, so it is held to the same bound), and a `Simulate`
+/// pool whose work weights fit ([`MAX_SPREAD`]).
 fn validate_body(body: &RequestBody) -> Result<(), String> {
     let spec = match body {
         RequestBody::Solve(s) => s,
@@ -340,6 +343,16 @@ fn validate_body(body: &RequestBody) -> Result<(), String> {
         _ => return Ok(()),
     };
     validate_times(&spec.times, spec.p, spec.q).map_err(|e| e.to_string())?;
+    if let RequestBody::Plan(plan) | RequestBody::Simulate(plan) = body {
+        let least = hetgrid_plan::wire::min_plan_len(plan.kernel, plan.nb);
+        if least > MAX_FRAME {
+            return Err(format!(
+                "a {} plan at nb = {} takes at least {least} bytes, over the {MAX_FRAME}-byte frame cap",
+                plan.kernel.name(),
+                plan.nb
+            ));
+        }
+    }
     if let RequestBody::Simulate(_) = body {
         let max = spec.times.iter().copied().fold(0.0, f64::max);
         let min = spec.times.iter().copied().fold(f64::INFINITY, f64::min);
@@ -570,7 +583,8 @@ mod tests {
     }
 
     /// A QR plan request on the paper's grid.
-    fn qr_request(nb: usize) -> Request {
+    /// A `Plan` of `kernel` at `nb` on the paper's 2x2 grid {1, 2, 3, 5}.
+    fn paper_plan(kernel: Kernel, nb: usize) -> Request {
         Request {
             tenant: String::new(),
             body: RequestBody::Plan(PlanSpec {
@@ -579,23 +593,24 @@ mod tests {
                     q: 2,
                     times: vec![1.0, 2.0, 3.0, 5.0],
                 },
-                kernel: Kernel::Qr,
+                kernel,
                 nb,
             }),
         }
     }
 
-    /// QR at nb = 300 on the paper's grid encodes to about 1.09 times
-    /// what one frame holds (it first passes the cap at nb = 292; MM
-    /// only near nb = 1000, and takes far longer to plan): a typed
-    /// refusal, not a frame the connection cannot write, and never
-    /// cached.
+    /// QR at nb = 292 on the paper's grid is the first to pass the frame
+    /// cap, by less than `min_plan_len` can prove (MM passes it only
+    /// near nb = 1000, and takes far longer to plan): the plan is built
+    /// and encoded, and the answer is a typed refusal, not a frame the
+    /// connection cannot write, and never cached.
     #[test]
     fn oversize_response_is_a_bad_request_and_not_cached() {
         let _g = obs_lock();
         let svc = Service::new(ServiceConfig::default());
-        let want = "response of 18256550 bytes exceeds the 16777216-byte frame cap";
-        let resp = svc.respond(&qr_request(300));
+        assert!(hetgrid_plan::wire::min_plan_len(Kernel::Qr, 292) <= MAX_FRAME);
+        let want = "response of 16840318 bytes exceeds the 16777216-byte frame cap";
+        let resp = svc.respond(&paper_plan(Kernel::Qr, 292));
         assert!(
             matches!(&resp, Response::BadRequest(msg) if msg == want),
             "got a {} response",
@@ -604,12 +619,43 @@ mod tests {
         assert!(svc.cache.lock().unwrap().is_empty());
     }
 
+    /// At the largest nb the codec takes, every kernel's plan is
+    /// provably too large for a frame: `Plan` and `Simulate` are both
+    /// refused before anything is built (building them would take
+    /// minutes and gigabytes), and nothing is cached.
+    #[test]
+    fn unsendable_plans_are_refused_before_planning() {
+        let _g = obs_lock();
+        let svc = Service::new(ServiceConfig::default());
+        for kernel in Kernel::ALL {
+            let plan = paper_plan(kernel, crate::proto::MAX_NB);
+            let RequestBody::Plan(spec) = plan.body.clone() else {
+                unreachable!()
+            };
+            let simulate = Request {
+                body: RequestBody::Simulate(spec),
+                ..plan.clone()
+            };
+            for req in [plan, simulate] {
+                let t0 = Instant::now();
+                let resp = svc.respond(&req);
+                assert!(
+                    matches!(&resp, Response::BadRequest(msg) if msg.contains("frame cap")),
+                    "{kernel:?}: got a {} response",
+                    resp.status()
+                );
+                assert!(t0.elapsed().as_secs_f64() < 1.0, "{kernel:?} was planned");
+            }
+        }
+        assert!(svc.cache.lock().unwrap().is_empty());
+    }
+
     /// QR at nb = 240 on the paper's grid fits one frame.
     #[test]
     fn qr_at_nb_240_is_served() {
         let _g = obs_lock();
         let svc = Service::new(ServiceConfig::default());
-        let resp = svc.respond(&qr_request(240));
+        let resp = svc.respond(&paper_plan(Kernel::Qr, 240));
         let Response::Plan(r) = resp else {
             panic!("expected a plan response, got a {} response", resp.status())
         };
