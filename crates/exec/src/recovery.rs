@@ -250,6 +250,7 @@ pub fn run_recovery(
         let err = match run_seg(
             transport,
             &state,
+            |me| state.main.stores[me].clone(),
             &plan,
             cur_weights,
             cfg,

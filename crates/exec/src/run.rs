@@ -188,14 +188,33 @@ impl GridState {
 
     /// The fault-free run: one epoch from step 0, no journal.
     pub fn run_to_end(
-        self,
+        mut self,
         transport: &impl Transport,
         plan: &Plan,
         weights: &[Vec<u64>],
         cfg: ExecConfig,
     ) -> Result<RunOutput, ExecError> {
-        let (stores, report) = run_seg(transport, &self, plan, weights, cfg, 0, None)?;
+        let (stores, report) = self.run_moved(transport, plan, weights, cfg)?;
         Ok(self.gather(stores, report))
+    }
+
+    /// The one epoch of a fault-free run, whose workers take the main
+    /// matrix's stores by move: with no recovery to roll back to, the
+    /// scattered blocks need no epoch-start copy.
+    fn run_moved(
+        &mut self,
+        transport: &impl Transport,
+        plan: &Plan,
+        weights: &[Vec<u64>],
+        cfg: ExecConfig,
+    ) -> Result<(Vec<BlockStore>, ExecReport), ExecError> {
+        let slots: Vec<Mutex<BlockStore>> = std::mem::take(&mut self.main.stores)
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        let take =
+            |me: usize| std::mem::take(&mut *slots[me].lock().unwrap_or_else(|p| p.into_inner()));
+        run_seg(transport, self, take, plan, weights, cfg, 0, None)
     }
 
     /// Folds the final epoch's worker stores into the kernel's result.
@@ -231,12 +250,14 @@ impl GridState {
 }
 
 /// One epoch: interprets `plan` from step `start` to completion over
-/// `state`, journaling every write to the main matrix into `journal`
+/// `state`, processor `me` starting from the main matrix's store
+/// `main(me)`, journaling every write to the main matrix into `journal`
 /// when given. Returns the raw per-processor stores of the main matrix;
 /// [`GridState::gather`] folds them.
 pub(crate) fn run_seg(
     transport: &impl Transport,
     state: &GridState,
+    main: impl Fn(usize) -> BlockStore + Sync,
     plan: &Plan,
     weights: &[Vec<u64>],
     cfg: ExecConfig,
@@ -248,7 +269,7 @@ pub(crate) fn run_seg(
     check_weights(weights, grid, kernel.name());
     let r = state.main.r;
     let (stores, mut report) = run_grid(transport, grid, weights, |me, courier, clock| {
-        let main = Cow::Owned(state.main.stores[me].clone());
+        let main = Cow::Owned(main(me));
         let operands = state.operands.iter().map(|o| Cow::Borrowed(&o.stores[me]));
         let stores = std::iter::once(main).chain(operands).collect();
         let (my, taus) = ((me / q, me % q), Some(&state.taus));
@@ -258,4 +279,58 @@ pub(crate) fn run_seg(
     })?;
     report.lookahead = cfg.lookahead;
     Ok((stores, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{dominant, uniform};
+    use crate::transport::ChannelTransport;
+    use hetgrid_dist::BlockCyclic;
+    use std::collections::HashMap;
+
+    /// Every block of `stores` by its index, as the address of its data.
+    fn addresses(stores: &[BlockStore]) -> HashMap<(usize, usize), *const f64> {
+        let blocks = stores.iter().flatten();
+        blocks.map(|(&k, m)| (k, m.as_slice().as_ptr())).collect()
+    }
+
+    /// With no step to run, a fault-free epoch hands back every
+    /// scattered block at the address it was scattered to: its workers
+    /// took the stores, they did not copy them. Recovery's epochs,
+    /// which must keep the epoch-start state, do copy.
+    #[test]
+    fn a_fault_free_epoch_moves_the_scattered_blocks() {
+        let (dist, nb, r) = (BlockCyclic::new(2, 2), 4, 3);
+        let a = dominant(nb * r, 7);
+        let empty = Plan {
+            grid: (2, 2),
+            owned: vec![],
+            steps: vec![],
+        };
+        let (weights, cfg) = (uniform(2, 2), ExecConfig::default());
+        let mut state = GridState::scatter(Kernel::Lu, &[&a], &dist, nb, r);
+        let scattered = addresses(&state.main.stores);
+        assert_eq!(scattered.len(), nb * nb);
+
+        let copy = |me: usize| state.main.stores[me].clone();
+        let (copies, _) = run_seg(
+            &ChannelTransport,
+            &state,
+            copy,
+            &empty,
+            &weights,
+            cfg,
+            0,
+            None,
+        )
+        .expect("an empty plan runs");
+        let copied = addresses(&copies);
+        assert!(scattered.iter().all(|(k, p)| copied[k] != *p));
+
+        let (moved, _) = state
+            .run_moved(&ChannelTransport, &empty, &weights, cfg)
+            .expect("an empty plan runs");
+        assert_eq!(addresses(&moved), scattered);
+    }
 }

@@ -32,12 +32,28 @@ impl DistributedMatrix {
     /// Panics if `m` is not square with side `nb * r`.
     pub fn scatter(m: &Matrix, dist: &dyn BlockDist, nb: usize, r: usize) -> Self {
         assert_eq!(m.shape(), (nb * r, nb * r), "scatter: size mismatch");
+        Self::from_blocks(dist, nb, r, |bi, bj| m.block(bi * r, bj * r, r, r))
+    }
+
+    /// Creates an all-zero square distributed matrix, block by block.
+    pub fn zeros(dist: &dyn BlockDist, nb: usize, r: usize) -> Self {
+        Self::from_blocks(dist, nb, r, |_, _| Matrix::zeros(r, r))
+    }
+
+    /// The `nb x nb` blocks `block(bi, bj)` of side `r`, each in its
+    /// owner's store.
+    fn from_blocks(
+        dist: &dyn BlockDist,
+        nb: usize,
+        r: usize,
+        block: impl Fn(usize, usize) -> Matrix,
+    ) -> Self {
         let (p, q) = dist.grid();
         let mut stores: Vec<BlockStore> = vec![HashMap::new(); p * q];
         for bi in 0..nb {
             for bj in 0..nb {
                 let (i, j) = dist.owner(bi, bj);
-                stores[i * q + j].insert((bi, bj), m.block(bi * r, bj * r, r, r));
+                stores[i * q + j].insert((bi, bj), block(bi, bj));
             }
         }
         DistributedMatrix {
@@ -47,12 +63,6 @@ impl DistributedMatrix {
             stores,
             grid: (p, q),
         }
-    }
-
-    /// Creates an all-zero square distributed matrix.
-    pub fn zeros(dist: &dyn BlockDist, nb: usize, r: usize) -> Self {
-        let z = Matrix::zeros(nb * r, nb * r);
-        Self::scatter(&z, dist, nb, r)
     }
 
     /// Gathers the blocks back into a global matrix.

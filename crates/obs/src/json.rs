@@ -7,8 +7,8 @@
 //! every digit. Chrome traces and the metrics document are `Value`s.
 //!
 //! [`parse`] is the writer's test oracle (and the harness's and CLI
-//! tests'). It reads RFC 8259 JSON (a number is checked only as far as
-//! Rust's own parsers go, so `01` and `1.` pass) and reads an integer
+//! tests'). It reads RFC 8259 JSON (a number must match the RFC's
+//! grammar, so `01`, `1.` and `.5` are errors) and reads an integer
 //! literal that fits a `u64` as [`Value::U64`], so
 //! `parse(&v.to_string()) == Ok(v)` for every `v` with finite numbers.
 
@@ -344,27 +344,20 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An RFC 8259 number, `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b"-");
+        if !self.eat(b"0") && self.digits() == 0 {
+            return Err(self.err("bad number"));
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        if self.eat(b".") && self.digits() == 0 {
+            return Err(self.err("bad number"));
         }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+        if self.eat(b"eE") {
+            self.eat(b"+-");
+            if self.digits() == 0 {
+                return Err(self.err("bad number"));
             }
         }
         let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
@@ -374,6 +367,22 @@ impl<'a> Parser<'a> {
         s.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("bad number"))
+    }
+
+    /// Consumes the next byte if it is one of `any`.
+    fn eat(&mut self, any: &[u8]) -> bool {
+        let hit = self.peek().is_some_and(|b| any.contains(&b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes a run of ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 }
 
@@ -389,6 +398,21 @@ mod tests {
         assert_eq!(a, [Value::U64(1), Value::Num(2.5), Value::Num(-300.0)]);
         assert_eq!(v.get("b").and_then(|b| b.get("c")), Some(&Value::Null));
         assert_eq!(v.get("e").and_then(|e| e.as_str()), Some(""));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for ok in [
+            "0", "-0", "7", "-12", "10", "0.5", "-0.25", "1e5", "1E+5", "2.5e-3", "0e0",
+        ] {
+            assert!(parse(ok).is_ok(), "{ok:?} must parse");
+        }
+        for bad in [
+            "01", "-01", "00", "1.", "[1.e5]", ".5", "-", "-.5", "+1", "1e", "1e+", "1.5E", "--1",
+            "0x10", "[1.]", "[-]",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
     }
 
     #[test]

@@ -23,29 +23,50 @@
 //! response interchangeable with a fresh solve):
 //!
 //! ```text
-//! u8 version (= 3)
+//! u8 version (= 4)
 //! p, q                                 grid shape
 //! rows, then per row: n, n counts      owned-C table (0 rows when empty)
 //! nsteps, then per step:
 //!   u8 tag: 0 Mm, 1 Factor, 2 Cholesky, 3 Qr,
-//!           4 Load, 5 Compute, 6 Evict (star steps)
+//!           4 Load, 5 Compute, 6 Evict (star steps),
+//!           7 Qr advanced (the short form below)
 //!   tag-specific fields in declaration order; a grid coordinate is two
 //!   varints; a Mat is one byte (0 A, 1 B, 2 C), a LoadSrc one byte
 //!   (0 Master, 1 Zero), a bool one byte (0 / 1).
-//! Qr (tag 3):
+//! Qr (tag 3), the long form:
 //!   k, diag
 //!   n, then n owners                   panel: owner of block (k + i, k)
 //!   n, then n grid coordinates         reflector_dests
 //!   ncols, then per column:
 //!     bj, head
 //!     n, then n owners                 members: owner of (k + 1 + i, bj)
+//! Qr advanced (tag 7), the short form:
+//!   k                                  the step before it, advanced
 //! ```
 //!
 //! Every number above without a `u8` is a varint. A QR owner list names
 //! no block: its position does ([`down_column`](crate::down_column)).
-//! Any other version byte, such as version 2's, whose QR lists paired
-//! each owner with its block, is
-//! [`DecodeErrorKind::UnsupportedVersion`].
+//!
+//! A right-looking factorization is fixed by the block-to-processor map
+//! alone, so each QR step after the first restates what the step before
+//! it already said. A QR step `s` is the QR step `t` before it
+//! *advanced* by one block when `s.k == t.k + 1`, `s`'s panel is the
+//! members of `t`'s first column (so `s.diag` is its first entry),
+//! each later column of `t` keeps its `bj` and its members but the
+//! first, which becomes its head, and `s.reflector_dests` are the
+//! distinct heads other than `s.diag` in column order. Such a step is
+//! written as tag 7 and `k`, two bytes, and every later step of a
+//! [`qr_plan`](crate::qr_plan) is one. The form is canonical both ways:
+//! a long-form step equal to its predecessor advanced, a short form not
+//! after a QR step that can advance (one with a trailing column and no
+//! empty column), and a short form whose `k` is not one past its
+//! predecessor's are each [`DecodeErrorKind::InvalidField`]. A
+//! short form costs two bytes but [`built_len`]'s share of the plan in
+//! memory, so [`decode`] counts every QR step it holds against
+//! [`MAX_BUILT_LEN`] before materialising it: two bytes of input cannot
+//! expand into a plan a server would refuse to build. Any other version
+//! byte, such as version 3's, which wrote every QR step in long form,
+//! is [`DecodeErrorKind::UnsupportedVersion`].
 //!
 //! Decoding is total: malformed input yields a typed [`DecodeError`]
 //! (never a panic), and trailing garbage after a well-formed plan is an
@@ -59,7 +80,17 @@
 use crate::{Bcast, Kernel, LoadSrc, Mat, OwnerWork, Plan, QrColumn, Step};
 
 /// Codec version written by [`encode`] and required by [`decode`].
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
+
+/// The step tag of a QR step written as its predecessor advanced.
+const QR_ADVANCED: u8 = 7;
+
+/// The most bytes, as [`built_len`] counts them, that a server builds
+/// for one plan and that [`decode`] materialises for a plan's QR steps.
+/// It is the 16 MiB frame cap the long form of every plan had to fit,
+/// so what can be built is what could be built before QR steps had a
+/// short form.
+pub const MAX_BUILT_LEN: usize = 16 * 1024 * 1024;
 
 /// Why a buffer failed to decode (see [`DecodeError`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -460,18 +491,90 @@ pub fn encode_into(plan: &Plan, out: &mut Vec<u8>) {
     out.push(WIRE_VERSION);
     plan.grid.put(out);
     plan.owned.put(out);
-    plan.steps.put(out);
+    plan.steps.len().put(out);
+    let mut prev = None;
+    for step in &plan.steps {
+        match (prev, step) {
+            (Some(prev), Step::Qr { k, .. }) if advances(prev, step) => {
+                out.push(QR_ADVANCED);
+                k.put(out);
+            }
+            _ => step.put(out),
+        }
+        prev = Some(step);
+    }
 }
 
-/// A lower bound on `encode(&kernel.plan(dist, nb)).len()` that holds
-/// for every distribution on every grid: whatever the grid, each step
-/// of an MM, LU or Cholesky plan holds one [`Bcast`] per panel block
-/// (both operand panels for MM), and each QR step one owner per panel
-/// and trailing block and one [`QrColumn`] per trailing column; each is
-/// counted at its [`Field::MIN_BYTES`]. It costs `O(nb)` arithmetic, so
-/// a server can refuse a plan that could never fit a frame before it
-/// builds it.
-pub fn min_plan_len(kernel: Kernel, nb: usize) -> usize {
+/// `(k, first column's members, later columns)` of a QR step with a
+/// trailing column and no empty column: the steps that can advance.
+fn advanceable(step: &Step) -> Option<(usize, &[(usize, usize)], &[QrColumn])> {
+    let Step::Qr { k, columns, .. } = step else {
+        return None;
+    };
+    let (first, rest) = columns.split_first()?;
+    let all_full = columns.iter().all(|c| !c.members.is_empty());
+    all_full.then_some((*k, &first.members[..], rest))
+}
+
+/// Whether `next` is `prev` advanced by one block (see the module
+/// docs), checked in place.
+fn advances(prev: &Step, next: &Step) -> bool {
+    let Some((k0, first, rest)) = advanceable(prev) else {
+        return false;
+    };
+    let Step::Qr {
+        k,
+        diag,
+        panel,
+        reflector_dests,
+        columns,
+    } = next
+    else {
+        return false;
+    };
+    let same_columns = columns.len() == rest.len()
+        && columns
+            .iter()
+            .zip(rest)
+            .all(|(c, t)| c.bj == t.bj && c.head == t.members[0] && c.members == t.members[1..]);
+    if k0.checked_add(1) != Some(*k) || panel[..] != *first || first[0] != *diag || !same_columns {
+        return false;
+    }
+    // `reflector_dests` must be the heads' first occurrences, in order.
+    let mut seen = 0;
+    for c in columns {
+        if c.head == *diag || reflector_dests[..seen].contains(&c.head) {
+            continue;
+        }
+        if reflector_dests.get(seen) != Some(&c.head) {
+            return false;
+        }
+        seen += 1;
+    }
+    seen == reflector_dests.len()
+}
+
+/// The bytes a QR step with `panel` owners and columns of `members`
+/// owners each counts toward [`MAX_BUILT_LEN`]: the tag and `k`, then
+/// every owner and column at its [`Field::MIN_BYTES`], as
+/// [`built_len`] counts them.
+fn qr_step_len(panel: usize, members: impl Iterator<Item = usize>) -> usize {
+    let owner = <(usize, usize)>::MIN_BYTES;
+    let columns: usize = members.map(|m| QrColumn::MIN_BYTES + m * owner).sum();
+    Step::MIN_BYTES + panel * owner + columns
+}
+
+/// A lower bound on the bytes of what `kernel.plan(dist, nb)` builds,
+/// over every distribution on every grid, counted as the long form of
+/// its steps: whatever the grid, each step of an MM, LU or Cholesky
+/// plan holds one [`Bcast`] per panel block (both operand panels for
+/// MM), and each QR step one owner per panel and trailing block and
+/// one [`QrColumn`] per trailing column; each is counted at its
+/// [`Field::MIN_BYTES`]. It costs `O(nb)` arithmetic, so a server can
+/// refuse a plan past [`MAX_BUILT_LEN`] before it builds it. For every
+/// kernel but QR it is also a lower bound on the encoding; for QR see
+/// [`min_plan_len`].
+pub fn built_len(kernel: Kernel, nb: usize) -> usize {
     let owner = <(usize, usize)>::MIN_BYTES;
     let entries = match kernel {
         Kernel::Mm => 2 * nb * nb * Bcast::MIN_BYTES,
@@ -487,9 +590,23 @@ pub fn min_plan_len(kernel: Kernel, nb: usize) -> usize {
     nb * Step::MIN_BYTES + entries
 }
 
+/// A lower bound on `encode(&kernel.plan(dist, nb)).len()` over every
+/// distribution on every grid: [`built_len`], but for QR, whose steps
+/// after the first are two bytes each, its first step alone.
+pub fn min_plan_len(kernel: Kernel, nb: usize) -> usize {
+    match (kernel, nb) {
+        (Kernel::Qr, 1..) => {
+            let m = nb - 1;
+            m * Step::MIN_BYTES + qr_step_len(nb, std::iter::repeat_n(m, m))
+        }
+        _ => built_len(kernel, nb),
+    }
+}
+
 /// Rebuilds a plan from [`encode`]'s byte form. Total: any malformed
-/// input (wrong version, truncation, oversize counts, trailing bytes)
-/// is a [`DecodeError`], never a panic.
+/// input (wrong version, truncation, oversize counts, trailing bytes, a
+/// QR step in the form the encoder would not write, QR steps past
+/// [`MAX_BUILT_LEN`]) is a [`DecodeError`], never a panic.
 pub fn decode(buf: &[u8]) -> Result<Plan, DecodeError> {
     let mut r = Reader::new(buf);
     let version = r.byte("version byte")?;
@@ -502,13 +619,82 @@ pub fn decode(buf: &[u8]) -> Result<Plan, DecodeError> {
             )
         });
     }
-    let plan = Plan {
-        grid: r.get("grid shape")?,
-        owned: r.get("owned-C table")?,
-        steps: r.get("step count")?,
-    };
+    let grid = r.get("grid shape")?;
+    let owned = r.get("owned-C table")?;
+    let n = r.count(Step::MIN_BYTES, "step count")?;
+    let mut steps: Vec<Step> = Vec::with_capacity(n);
+    let mut built = 0;
+    for _ in 0..n {
+        let step = if r.buf.get(r.pos) == Some(&QR_ADVANCED) {
+            r.pos += 1;
+            let k: usize = r.get("Qr k")?;
+            let Some((k0, first, rest)) = steps.last().and_then(advanceable) else {
+                return Err(invalid(&r, "short-form Qr step with no Qr step to advance"));
+            };
+            if k0.checked_add(1) != Some(k) {
+                return Err(invalid(&r, "short-form Qr step k"));
+            }
+            let len = qr_step_len(first.len(), rest.iter().map(|c| c.members.len() - 1));
+            charge(&mut built, len, &r)?;
+            advanced(k, first, rest)
+        } else {
+            let step: Step = r.get("step")?;
+            if let Step::Qr { panel, columns, .. } = &step {
+                if steps.last().is_some_and(|prev| advances(prev, &step)) {
+                    let what = "long-form Qr step equal to its predecessor advanced";
+                    return Err(invalid(&r, what));
+                }
+                let len = qr_step_len(panel.len(), columns.iter().map(|c| c.members.len()));
+                charge(&mut built, len, &r)?;
+            }
+            step
+        };
+        steps.push(step);
+    }
     r.done("trailing bytes after plan")?;
-    Ok(plan)
+    Ok(Plan { grid, owned, steps })
+}
+
+/// An [`DecodeErrorKind::InvalidField`] at `r`'s offset.
+fn invalid(r: &Reader<'_>, what: &'static str) -> DecodeError {
+    r.err(what, DecodeErrorKind::InvalidField)
+}
+
+/// Adds a QR step's `len` to the plan's `built` total, or fails once
+/// the total passes [`MAX_BUILT_LEN`].
+fn charge(built: &mut usize, len: usize, r: &Reader<'_>) -> Result<(), DecodeError> {
+    *built += len;
+    if *built > MAX_BUILT_LEN {
+        return Err(invalid(r, "Qr steps past the built-plan bound"));
+    }
+    Ok(())
+}
+
+/// QR step `k`: the step before it, whose first column's members are
+/// `first` and whose later columns are `rest`, advanced by one block.
+fn advanced(k: usize, first: &[(usize, usize)], rest: &[QrColumn]) -> Step {
+    let diag = first[0];
+    let columns: Vec<QrColumn> = rest
+        .iter()
+        .map(|c| QrColumn {
+            bj: c.bj,
+            head: c.members[0],
+            members: c.members[1..].to_vec(),
+        })
+        .collect();
+    let mut reflector_dests = Vec::new();
+    for c in &columns {
+        if c.head != diag && !reflector_dests.contains(&c.head) {
+            reflector_dests.push(c.head);
+        }
+    }
+    Step::Qr {
+        k,
+        diag,
+        panel: first.to_vec(),
+        reflector_dests,
+        columns,
+    }
 }
 
 #[cfg(test)]
@@ -526,40 +712,209 @@ mod tests {
         }
     }
 
-    #[test]
-    fn min_plan_len_never_exceeds_the_encoding() {
+    /// Cyclic, panel and KL distributions on 1x1, 2x2, 3x3 and 4x4
+    /// grids.
+    fn sweep_dists() -> Vec<Box<dyn hetgrid_dist::BlockDist>> {
         use hetgrid_core::Arrangement;
-        use hetgrid_dist::{BlockDist, KlDist, PanelDist, PanelOrdering};
+        use hetgrid_dist::{KlDist, PanelDist, PanelOrdering};
         let shapes = [vec![vec![1.0]], vec![vec![1.0, 2.0], vec![3.0, 5.0]]];
-        let shapes = shapes.into_iter().chain([vec![vec![1.0, 4.0, 2.0]; 3]]);
+        let shapes = shapes
+            .into_iter()
+            .chain([vec![vec![1.0, 4.0, 2.0]; 3]])
+            .chain([(0..4)
+                .map(|i| (1..=4).map(|j| f64::from(i + j)).collect())
+                .collect()]);
+        let mut dists: Vec<Box<dyn hetgrid_dist::BlockDist>> = Vec::new();
         for rows in shapes {
             let arr = Arrangement::from_rows(&rows);
             let alloc = hetgrid_core::exact::solve_arrangement(&arr).alloc;
             let (p, q) = (arr.p(), arr.q());
-            let dists: [Box<dyn BlockDist>; 3] = [
-                Box::new(BlockCyclic::new(p, q)),
-                Box::new(PanelDist::from_allocation(
-                    &arr,
-                    &alloc,
-                    2 * p,
-                    2 * q,
-                    PanelOrdering::Interleaved,
-                )),
-                Box::new(KlDist::new(&arr, 2 * p, 2 * q)),
-            ];
-            for dist in &dists {
-                for kernel in Kernel::ALL {
-                    for nb in 1..=24 {
-                        let len = encode(&kernel.plan(dist.as_ref(), nb)).len();
-                        let bound = min_plan_len(kernel, nb);
+            dists.push(Box::new(BlockCyclic::new(p, q)));
+            dists.push(Box::new(PanelDist::from_allocation(
+                &arr,
+                &alloc,
+                2 * p,
+                2 * q,
+                PanelOrdering::Interleaved,
+            )));
+            dists.push(Box::new(KlDist::new(&arr, 2 * p, 2 * q)));
+        }
+        dists
+    }
+
+    #[test]
+    fn min_plan_len_never_exceeds_the_encoding() {
+        for dist in sweep_dists() {
+            let (p, q) = dist.grid();
+            for kernel in Kernel::ALL {
+                for nb in 1..=24 {
+                    let plan = kernel.plan(dist.as_ref(), nb);
+                    let len = encode(&plan).len();
+                    let bound = min_plan_len(kernel, nb);
+                    assert!(
+                        bound <= len,
+                        "{kernel:?} nb {nb} on {p}x{q}: {bound} > {len}"
+                    );
+                    let long: usize = plan.steps.iter().map(|s| long_form(s).len()).sum();
+                    let built = built_len(kernel, nb);
+                    assert!(
+                        built <= long,
+                        "{kernel:?} nb {nb} on {p}x{q}: {built} > {long}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A step's long form.
+    fn long_form(step: &Step) -> Vec<u8> {
+        let mut out = Vec::new();
+        step.put(&mut out);
+        out
+    }
+
+    #[test]
+    fn swept_plans_round_trip_and_qr_sends_its_first_step() {
+        for dist in sweep_dists() {
+            let (p, q) = dist.grid();
+            for kernel in Kernel::ALL {
+                for nb in 1..=24 {
+                    let plan = kernel.plan(dist.as_ref(), nb);
+                    let bytes = encode(&plan);
+                    let back = decode(&bytes).expect("a generated plan decodes");
+                    assert_eq!(back, plan, "{kernel:?} nb {nb} on {p}x{q}");
+                    assert_eq!(encode(&back), bytes, "{kernel:?} nb {nb} on {p}x{q}");
+                    if kernel == Kernel::Qr {
+                        // The header, the first step, two bytes a step.
+                        let header = with_steps(&plan, &[]).len();
+                        let most = header + long_form(&plan.steps[0]).len() + 2 * (nb - 1);
                         assert!(
-                            bound <= len,
-                            "{kernel:?} nb {nb} on {p}x{q}: {bound} > {len}"
+                            bytes.len() <= most,
+                            "QR nb {nb} on {p}x{q}: {}",
+                            bytes.len()
                         );
                     }
                 }
             }
         }
+    }
+
+    /// A plan's bytes with `steps` written after `plan`'s header, each
+    /// as the given raw bytes.
+    fn with_steps(plan: &Plan, steps: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = vec![WIRE_VERSION];
+        plan.grid.put(&mut out);
+        plan.owned.put(&mut out);
+        steps.len().put(&mut out);
+        for s in steps {
+            out.extend_from_slice(s);
+        }
+        out
+    }
+
+    /// The long form of each of `plan`'s steps.
+    fn long_forms(plan: &Plan) -> Vec<Vec<u8>> {
+        plan.steps.iter().map(long_form).collect()
+    }
+
+    fn invalid_what(bytes: &[u8]) -> &'static str {
+        let err = decode(bytes).unwrap_err();
+        assert_eq!(err.kind, DecodeErrorKind::InvalidField, "{err}");
+        err.what
+    }
+
+    #[test]
+    fn only_the_canonical_qr_form_decodes() {
+        let plan = qr_plan(&BlockCyclic::new(2, 2), 5);
+        let long = long_forms(&plan);
+        // Every step long: the second equals the first advanced.
+        assert_eq!(
+            invalid_what(&with_steps(&plan, &long)),
+            "long-form Qr step equal to its predecessor advanced"
+        );
+        // A short form first, or after a non-QR step.
+        let no_prev = "short-form Qr step with no Qr step to advance";
+        assert_eq!(
+            invalid_what(&with_steps(&plan, &[vec![QR_ADVANCED, 0]])),
+            no_prev
+        );
+        let mm = long_forms(&mm_plan(&BlockCyclic::new(2, 2), 1));
+        let after_mm = [mm[0].clone(), vec![QR_ADVANCED, 1]];
+        assert_eq!(invalid_what(&with_steps(&plan, &after_mm)), no_prev);
+        // The last QR step has no trailing column to advance.
+        let last = [long[4].clone(), vec![QR_ADVANCED, 5]];
+        assert_eq!(invalid_what(&with_steps(&plan, &last)), no_prev);
+        // A short form whose k is not one past its predecessor's.
+        for k in [0, 2, 7] {
+            let steps = [long[0].clone(), vec![QR_ADVANCED, k]];
+            assert_eq!(
+                invalid_what(&with_steps(&plan, &steps)),
+                "short-form Qr step k"
+            );
+        }
+        // The canonical bytes: the first step long, then two bytes each.
+        let canonical: Vec<Vec<u8>> = std::iter::once(long[0].clone())
+            .chain((1..5).map(|k| vec![QR_ADVANCED, k]))
+            .collect();
+        assert_eq!(with_steps(&plan, &canonical), encode(&plan));
+        // A step that differs from the advance in any list stays long.
+        let Step::Qr {
+            reflector_dests, ..
+        } = &plan.steps[1]
+        else {
+            unreachable!()
+        };
+        assert!(!reflector_dests.is_empty());
+        let mut odd = plan.clone();
+        let Step::Qr {
+            reflector_dests, ..
+        } = &mut odd.steps[1]
+        else {
+            unreachable!()
+        };
+        reflector_dests.reverse();
+        reflector_dests.push((9, 9));
+        let bytes = encode(&odd);
+        assert_eq!(bytes[with_steps(&plan, &long[..1]).len()], 3, "step 1 long");
+        assert_eq!(decode(&bytes).unwrap(), odd);
+    }
+
+    #[test]
+    fn short_forms_cannot_expand_past_the_built_plan_bound() {
+        // The first step of a QR plan at nb = 300 (about 180 KB), then
+        // 299 short forms: the whole would be `built_len(Qr, 300)`.
+        let nb = 300;
+        assert!(built_len(Kernel::Qr, nb) > MAX_BUILT_LEN);
+        let owner = |bi: usize, bj: usize| (bi % 2, bj % 2);
+        let first = Step::Qr {
+            k: 0,
+            diag: owner(0, 0),
+            panel: (0..nb).map(|bi| owner(bi, 0)).collect(),
+            reflector_dests: vec![(0, 1)],
+            columns: (1..nb)
+                .map(|bj| QrColumn {
+                    bj,
+                    head: owner(0, bj),
+                    members: (1..nb).map(|bi| owner(bi, bj)).collect(),
+                })
+                .collect(),
+        };
+        let mut steps = vec![long_form(&first)];
+        assert_eq!(steps[0].len(), 181_080);
+        steps.extend((1..nb).map(|k| {
+            let mut s = vec![QR_ADVANCED];
+            k.put(&mut s);
+            s
+        }));
+        let empty = Plan {
+            grid: (2, 2),
+            owned: vec![],
+            steps: vec![],
+        };
+        let bytes = with_steps(&empty, &steps);
+        let t0 = std::time::Instant::now();
+        assert_eq!(invalid_what(&bytes), "Qr steps past the built-plan bound");
+        assert!(t0.elapsed().as_secs_f64() < 5.0);
     }
 
     fn all_plans() -> Vec<Plan> {
@@ -643,7 +998,7 @@ mod tests {
 
     #[test]
     fn unknown_step_tag_is_a_typed_error() {
-        // A hypothetical future step kind: tag 7 after a valid header.
+        // A hypothetical future step kind: tag 8 after a valid header.
         let mut bytes = encode(&Plan {
             grid: (1, 2),
             owned: vec![],
@@ -652,9 +1007,9 @@ mod tests {
         // Rewrite the one-byte step count from 0 to 1 and append the
         // alien tag.
         *bytes.last_mut().unwrap() = 1;
-        bytes.extend_from_slice(&[7; 24]);
+        bytes.extend_from_slice(&[8; 24]);
         let err = decode(&bytes).unwrap_err();
-        assert_eq!(err.kind, DecodeErrorKind::UnknownStepTag(7));
+        assert_eq!(err.kind, DecodeErrorKind::UnknownStepTag(8));
         assert_eq!(err.what, "unknown step tag");
     }
 
@@ -682,13 +1037,13 @@ mod tests {
 
     #[test]
     fn star_byte_layout_is_pinned() {
-        // Cross-version pin: this spells the v3 byte layout of every
+        // Cross-version pin: this spells the v4 byte layout of every
         // star step kind out longhand. If encode() changes, bump
         // WIRE_VERSION — old caches and remote peers hold these bytes.
         let plan = star_mm_plan(&star(1, 3), (1, 1, 1));
         #[rustfmt::skip]
         let want: Vec<u8> = vec![
-            3,          // version
+            4,          // version
             1, 2,       // grid 1 x 2
             1, 2, 0, 1, // owned [[0, 1]]
             7,          // 7 steps; each: tag, k, worker 1, then its fields
@@ -722,16 +1077,33 @@ mod tests {
         let err = decode(&v2).unwrap_err();
         assert_eq!(err.kind, DecodeErrorKind::UnsupportedVersion(2));
         assert_eq!(err.offset, 0);
-        let plan = qr_plan(&BlockCyclic::new(1, 1), 1);
-        assert_eq!(encode(&plan), [3, 1, 1, 0, 1, 3, 0, 0, 0, 1, 0, 0, 0, 0]);
+    }
+
+    #[test]
+    fn v3_plans_are_an_unsupported_version() {
+        // The two-block QR plan on one processor as v3 wrote it: both
+        // steps in long form, where v4 writes the second as tag 7, k 1.
+        #[rustfmt::skip]
+        let v3 = [3, 1, 1, 0, 2,
+            3, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0,
+            3, 1, 0, 0, 1, 0, 0, 0, 0];
+        let err = decode(&v3).unwrap_err();
+        assert_eq!(err.kind, DecodeErrorKind::UnsupportedVersion(3));
+        assert_eq!(err.offset, 0);
+        let plan = qr_plan(&BlockCyclic::new(1, 1), 2);
+        let mut v4 = v3[..22].to_vec();
+        v4[0] = 4;
+        v4.extend([7, 1]);
+        assert_eq!(encode(&plan), v4);
     }
 
     #[test]
     fn qr_plan_length_is_pinned() {
-        // The QR plan at nb = 64 on a 4 x 4 cyclic grid, the one plan
-        // that grows as nb^3: two bytes per owner list entry.
+        // The QR plan at nb = 64 on a 4 x 4 cyclic grid: its first step
+        // in long form, two bytes per owner list entry, then two bytes
+        // per step (183 737 bytes at v3, every step long).
         let plan = qr_plan(&BlockCyclic::new(4, 4), 64);
-        assert_eq!(encode(&plan).len(), 183_737);
+        assert_eq!(encode(&plan).len(), 8_462);
     }
 
     fn varint(bytes: &[u8]) -> Result<usize, DecodeError> {
@@ -789,20 +1161,20 @@ mod tests {
 
     #[test]
     fn kernel_plan_bytes_are_pinned() {
-        // The v3 bytes of every plan in `all_plans`, grid kernels
+        // The v4 bytes of every plan in `all_plans`, grid kernels
         // included, as one digest each. If one moves, bump WIRE_VERSION.
         let got: Vec<u64> = all_plans().iter().map(|p| fnv(&encode(p))).collect();
         assert_eq!(
             got,
             [
-                0xe9bc_92b9_c239_ed50,
-                0x8d01_b5d7_ef38_d2da,
-                0xcdd8_8ae2_bf3f_4e37,
-                0xd804_aa1d_0292_a037,
-                0xaece_56cc_2595_609e,
-                0xea24_e93b_8b51_aed9,
-                0xef76_b3ee_1644_6692,
-                0x88bc_640b_f3c9_1198,
+                0x8843_b2ce_5e33_18c1,
+                0x09ed_683f_a481_6eef,
+                0x931d_0a7d_1bbc_40e0,
+                0xd68d_0187_84a0_61f0,
+                0xdc76_099c_c87c_dc48,
+                0x85f2_7655_f9a2_52fe,
+                0xb4f2_ef9a_1047_e0ad,
+                0x1aaf_9226_dea0_81dd,
             ]
         );
     }

@@ -32,11 +32,11 @@
 //! is wrapped in `catch_unwind`: a panic degrades to a typed
 //! `ServerError` response (uncached) instead of taking the process
 //! down. A plan grows faster in `nb` than the request bound allows
-//! for: a `Plan` or `Simulate` whose plan provably cannot fit one frame
-//! ([`MAX_FRAME`], by [`hetgrid_plan::wire::min_plan_len`]) is refused
+//! for: a `Plan` or `Simulate` whose plan would hold more than
+//! [`MAX_BUILT_LEN`] bytes as [`built_len`] counts them is refused
 //! before anything is built, and a response that still turns out too
-//! large degrades to an uncached `BadRequest` naming its size and the
-//! cap.
+//! large for a frame ([`MAX_FRAME`]) degrades to an uncached
+//! `BadRequest` naming its size and the cap.
 
 use crate::cache::PlanCache;
 use crate::fingerprint::{cache_key, fingerprint};
@@ -48,6 +48,8 @@ use crate::quota::{QuotaConfig, QuotaTable};
 use crate::wire::MAX_FRAME;
 use hetgrid_core::{heuristic, validate_times, Arrangement};
 use hetgrid_dist::{panel_period, PanelDist, PanelOrdering};
+use hetgrid_plan::wire::{built_len, min_plan_len, MAX_BUILT_LEN};
+use hetgrid_plan::Kernel;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -333,8 +335,8 @@ fn encode_capped(resp: &Response) -> (Vec<u8>, bool) {
 }
 
 /// Semantic validation beyond what the codec enforces structurally:
-/// valid cycle-times, a plan that can fit one frame (a `Simulate` folds
-/// the same plan, so it is held to the same bound), and a `Simulate`
+/// valid cycle-times, a plan a server builds (a `Simulate` folds the
+/// same plan, so it is held to the same bound), and a `Simulate`
 /// pool whose work weights fit ([`MAX_SPREAD`]).
 fn validate_body(body: &RequestBody) -> Result<(), String> {
     let spec = match body {
@@ -344,14 +346,7 @@ fn validate_body(body: &RequestBody) -> Result<(), String> {
     };
     validate_times(&spec.times, spec.p, spec.q).map_err(|e| e.to_string())?;
     if let RequestBody::Plan(plan) | RequestBody::Simulate(plan) = body {
-        let least = hetgrid_plan::wire::min_plan_len(plan.kernel, plan.nb);
-        if least > MAX_FRAME {
-            return Err(format!(
-                "a {} plan at nb = {} takes at least {least} bytes, over the {MAX_FRAME}-byte frame cap",
-                plan.kernel.name(),
-                plan.nb
-            ));
-        }
+        refuse_unbuildable(plan.kernel, plan.nb)?;
     }
     if let RequestBody::Simulate(_) = body {
         let max = spec.times.iter().copied().fold(0.0, f64::max);
@@ -364,6 +359,27 @@ fn validate_body(body: &RequestBody) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Refuses a plan that a server does not build: one whose steps, as
+/// [`built_len`] counts them, pass [`MAX_BUILT_LEN`]. The text names
+/// the frame cap only when the encoding is provably past it too (every
+/// kernel but QR, whose later steps are two bytes each on the wire).
+fn refuse_unbuildable(kernel: Kernel, nb: usize) -> Result<(), String> {
+    let built = built_len(kernel, nb);
+    if built <= MAX_BUILT_LEN {
+        return Ok(());
+    }
+    let (name, least) = (kernel.name(), min_plan_len(kernel, nb));
+    Err(if least > MAX_FRAME {
+        format!(
+            "a {name} plan at nb = {nb} takes at least {least} bytes, over the {MAX_FRAME}-byte frame cap"
+        )
+    } else {
+        format!(
+            "a {name} plan at nb = {nb} builds at least {built} bytes of steps, over the {MAX_BUILT_LEN}-byte bound on a built plan"
+        )
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -599,18 +615,19 @@ mod tests {
         }
     }
 
-    /// QR at nb = 292 on the paper's grid is the first to pass the frame
-    /// cap, by less than `min_plan_len` can prove (MM passes it only
-    /// near nb = 1000, and takes far longer to plan): the plan is built
-    /// and encoded, and the answer is a typed refusal, not a frame the
-    /// connection cannot write, and never cached.
+    /// MM passes the frame cap on the paper's grid at nb = 980, by less
+    /// than `min_plan_len` can prove, and inside the built-plan bound:
+    /// at nb = 1000 the plan is built and encoded, and the answer is a
+    /// typed refusal, not a frame the connection cannot write, and never
+    /// cached.
     #[test]
     fn oversize_response_is_a_bad_request_and_not_cached() {
         let _g = obs_lock();
         let svc = Service::new(ServiceConfig::default());
-        assert!(hetgrid_plan::wire::min_plan_len(Kernel::Qr, 292) <= MAX_FRAME);
-        let want = "response of 16840318 bytes exceeds the 16777216-byte frame cap";
-        let resp = svc.respond(&paper_plan(Kernel::Qr, 292));
+        assert!(min_plan_len(Kernel::Mm, 1000) <= MAX_FRAME);
+        assert!(built_len(Kernel::Mm, 1000) <= MAX_BUILT_LEN);
+        let want = "response of 17494979 bytes exceeds the 16777216-byte frame cap";
+        let resp = svc.respond(&paper_plan(Kernel::Mm, 1000));
         assert!(
             matches!(&resp, Response::BadRequest(msg) if msg == want),
             "got a {} response",
@@ -648,6 +665,49 @@ mod tests {
             }
         }
         assert!(svc.cache.lock().unwrap().is_empty());
+    }
+
+    /// The (kernel, nb) refused before planning are exactly those whose
+    /// plan, every QR step written in long form, was provably past the
+    /// frame cap: the bound as it stood before QR steps had a short
+    /// form, copied here as the oracle.
+    #[test]
+    fn the_refused_plans_are_the_ones_refused_before_the_short_form() {
+        fn long_form_least(kernel: Kernel, nb: usize) -> usize {
+            let entries = match kernel {
+                Kernel::Mm => 2 * nb * nb * 5,
+                Kernel::Lu => nb * nb * 5,
+                Kernel::Cholesky => nb * nb.saturating_sub(1) / 2 * 5,
+                Kernel::Qr => (0..nb).map(|m| (m + 1) * 2 + m * (4 + m * 2)).sum(),
+            };
+            nb * 2 + entries
+        }
+        for kernel in Kernel::ALL {
+            for nb in 1..=crate::proto::MAX_NB {
+                let RequestBody::Plan(spec) = paper_plan(kernel, nb).body else {
+                    unreachable!()
+                };
+                let refused = validate_body(&RequestBody::Plan(spec)).is_err();
+                let oracle = long_form_least(kernel, nb) > 16 * 1024 * 1024;
+                assert_eq!(refused, oracle, "{kernel:?} at nb = {nb}");
+            }
+        }
+    }
+
+    /// QR at nb = 293 is the first QR plan refused before planning, yet
+    /// its encoding would fit a frame: the refusal says what it bounds.
+    #[test]
+    fn a_qr_refusal_names_the_built_plan_bound_not_the_frame_cap() {
+        let RequestBody::Plan(spec) = paper_plan(Kernel::Qr, 293).body else {
+            unreachable!()
+        };
+        let msg = validate_body(&RequestBody::Plan(spec)).unwrap_err();
+        assert_eq!(
+            msg,
+            "a qr plan at nb = 293 builds at least 16941260 bytes of steps, over the \
+             16777216-byte bound on a built plan"
+        );
+        assert!(min_plan_len(Kernel::Qr, 293) <= MAX_FRAME);
     }
 
     /// QR at nb = 240 on the paper's grid fits one frame.

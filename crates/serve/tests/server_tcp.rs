@@ -376,7 +376,8 @@ fn a_request_split_by_pauses_longer_than_the_poll_interval_is_served() {
 #[test]
 fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
     let handle = spawn("127.0.0.1:0", ServiceConfig::default()).expect("bind");
-    // QR at nb = 150 on 2x2 encodes to about 5 MB.
+    // MM at nb = 900 on 2x2 encodes to about 14 MB, more than the
+    // loopback socket buffers hold.
     let request = Request {
         tenant: "stalled".into(),
         body: RequestBody::Plan(PlanSpec {
@@ -385,8 +386,8 @@ fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
                 q: 2,
                 times: vec![1.0, 2.0, 3.0, 5.0],
             },
-            kernel: Kernel::Qr,
-            nb: 150,
+            kernel: Kernel::Mm,
+            nb: 900,
         }),
     };
     let mut burst = Vec::new();
@@ -399,7 +400,7 @@ fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
         .unwrap();
     stream.write_all(&burst).expect("write");
     // Read the first length prefix, so the server is writing, and then
-    // nothing more: 16 responses of ~5 MB park it in a write.
+    // nothing more: 16 responses of ~14 MB park it in a write.
     let mut prefix = [0u8; 4];
     std::io::Read::read_exact(&mut stream, &mut prefix).expect("first frame header");
     assert!(
