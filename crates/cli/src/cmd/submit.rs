@@ -66,12 +66,14 @@ pub fn submit(args: &Args) -> Result<(), String> {
         if let Some(id) = client.last_trace_id() {
             hetgrid_obs::diag!("trace id: {:032x}", id);
         }
-        print_response(&resp, args.verbosity(), render);
+        print_response(&resp, args.verbosity(), render)?;
     }
     Ok(())
 }
 
-fn print_response(resp: &Response, verbosity: i32, render: Render) {
+/// Prints one response; a plan whose bytes do not decode, such as one
+/// from a server speaking another plan codec version, is an error.
+fn print_response(resp: &Response, verbosity: i32, render: Render) -> Result<(), String> {
     match resp {
         Response::Solve(r) => {
             println!(
@@ -80,16 +82,17 @@ fn print_response(resp: &Response, verbosity: i32, render: Render) {
             );
         }
         Response::Plan(r) => {
-            // 0 steps when the bytes fail to decode: the server produced
-            // them, so failure here is cosmetic only.
-            let steps = hetgrid_plan::wire::decode(&r.plan_bytes).map_or(0, |p| p.steps.len());
+            let plan = hetgrid_plan::wire::decode(&r.plan_bytes).map_err(|e| {
+                let len = r.plan_bytes.len();
+                format!("plan of {len} bytes does not decode: {e} ({:?})", e.kind)
+            })?;
             println!(
                 "plan ok: {}x{} obj2 {:.6} plan {} bytes ({} steps)",
                 r.solve.p,
                 r.solve.q,
                 r.solve.obj2,
                 r.plan_bytes.len(),
-                steps
+                plan.steps.len()
             );
         }
         Response::Simulate(r) => {
@@ -112,4 +115,5 @@ fn print_response(resp: &Response, verbosity: i32, render: Render) {
         Response::BadRequest(msg) => println!("bad request: {}", msg),
         Response::ServerError(msg) => println!("server error: {}", msg),
     }
+    Ok(())
 }

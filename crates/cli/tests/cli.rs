@@ -1023,3 +1023,47 @@ fn metrics_clients_render_the_servers_snapshot() {
         "{dump:?}"
     );
 }
+
+/// A plan from a server speaking another plan codec version (v4 here:
+/// the one-block QR plan) is reported with its decode error, and
+/// `submit` exits nonzero instead of printing `plan ok`.
+#[test]
+fn submit_reports_a_plan_it_cannot_decode() {
+    use hetgrid_serve::proto::{encode_response, PlanResult, Response, SolveResult};
+    use hetgrid_serve::wire::{read_frame, write_frame};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        read_frame(&mut conn).unwrap(); // the trace header
+        read_frame(&mut conn).unwrap(); // the request
+        let v4 = vec![4, 1, 1, 0, 1, 3, 0, 0, 0, 1, 0, 0, 0, 0];
+        let solve = SolveResult {
+            p: 1,
+            q: 1,
+            times: vec![1.0],
+            rows: vec![1.0],
+            cols: vec![1.0],
+            obj2: 1.0,
+        };
+        let resp = Response::Plan(PlanResult {
+            solve,
+            plan_bytes: v4,
+        });
+        write_frame(&mut conn, &encode_response(&resp)).unwrap();
+    });
+    let (ok, out, err) = run(&[
+        "submit", "--addr", &addr, "--op", "plan", "--grid", "1x1", "--times", "1",
+    ]);
+    server.join().unwrap();
+    assert!(!ok, "{out}");
+    assert!(!out.contains("plan ok"), "{out}");
+    assert_eq!(
+        err.lines().last(),
+        Some(
+            "error: plan of 14 bytes does not decode: malformed payload at byte 0: \
+             unsupported plan codec version (UnsupportedVersion(4))"
+        ),
+        "{err}"
+    );
+}

@@ -303,11 +303,7 @@ mod tests {
     fn a_fault_free_epoch_moves_the_scattered_blocks() {
         let (dist, nb, r) = (BlockCyclic::new(2, 2), 4, 3);
         let a = dominant(nb * r, 7);
-        let empty = Plan {
-            grid: (2, 2),
-            owned: vec![],
-            steps: vec![],
-        };
+        let empty = Kernel::Lu.plan(&dist, 0);
         let (weights, cfg) = (uniform(2, 2), ExecConfig::default());
         let mut state = GridState::scatter(Kernel::Lu, &[&a], &dist, nb, r);
         let scattered = addresses(&state.main.stores);

@@ -243,16 +243,31 @@ pub fn run_recovery_join_case(
 /// processor 0 of the 1x2 grid that recovery left after step 3. Judged
 /// like [`run_recovery_case`]; returns what recovery did.
 ///
-/// The run is in order (lookahead 0), which fixes the faults' order:
-/// with processor 3 gone after step 0, processor 0 of the first grid
-/// cannot retire step 3 (even MM, which never reads processor 3's
-/// blocks there, stalls on processor 1 at step 3), so the second crash
-/// can only fire on the survivor grid.
+/// The run is in order (lookahead 0), and a schedule fires in list
+/// order: the second crash can only fire on the survivor grid.
 ///
 /// # Panics
 /// Panics with the replay seed in the message when any oracle rejects
 /// the run.
 pub fn run_two_crash_case(kernel: Kernel, profile: FaultProfile, seed: u64) -> RecoveryStats {
+    let crash = |proc, at_step| GridFault::Crash { proc, at_step };
+    run_schedule_case(kernel, profile, seed, vec![crash(3, 0), crash(0, 3)], 0)
+}
+
+/// `events` as a kill schedule on the grid and problem of
+/// [`run_two_crash_case`], at lookahead depth `lookahead`. Judged like
+/// [`run_recovery_case`]; returns what recovery did.
+///
+/// # Panics
+/// Panics with the replay seed in the message when any oracle rejects
+/// the run.
+pub fn run_schedule_case(
+    kernel: Kernel,
+    profile: FaultProfile,
+    seed: u64,
+    events: Vec<GridFault>,
+    lookahead: usize,
+) -> RecoveryStats {
     let arr = Arrangement::from_rows(&[vec![1.0, 2.0], vec![3.0, 5.0]]);
     let sc = ExecScenario {
         weights: slowdown_weights(&arr),
@@ -262,13 +277,9 @@ pub fn run_two_crash_case(kernel: Kernel, profile: FaultProfile, seed: u64) -> R
         nb: 6,
         r: 2,
         slowdown: None,
-        lookahead: 0,
+        lookahead,
     };
-    let crash = |proc, at_step| GridFault::Crash { proc, at_step };
-    let schedule = KillSchedule {
-        events: vec![crash(3, 0), crash(0, 3)],
-    };
-    recovery_case(kernel, profile, seed, sc, schedule)
+    recovery_case(kernel, profile, seed, sc, KillSchedule { events })
 }
 
 fn recovery_case(

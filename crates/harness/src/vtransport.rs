@@ -33,12 +33,15 @@ use std::time::Duration;
 /// still alive) before declaring the run wedged.
 const WATCHDOG: Duration = Duration::from_secs(10);
 
-/// The armed grid-membership faults, shared by every endpoint of every
-/// epoch a transport connects. Each entry fires at most once across the
-/// whole transport lifetime — a crash consumed by epoch 1 must not
-/// re-kill the (renumbered) grid of epoch 2.
+/// The grid-membership fault schedule, shared by every endpoint of every
+/// epoch a transport connects. Its events fire in list order, each at
+/// most once across the whole transport lifetime: an epoch (one
+/// [`Transport::connect`]) may fire only the first event not yet fired
+/// when it connected, so event `i` fires in an epoch after the one
+/// event `i - 1` aborted, and a crash consumed by epoch 1 never
+/// re-kills the (renumbered) grid of epoch 2.
 struct KillState {
-    entries: Vec<(GridFault, AtomicBool)>,
+    events: Vec<GridFault>,
     /// Faults that actually fired, in firing order — the recovery
     /// driver's authoritative record of *who* died (the executor's own
     /// error reports the first worker to notice, not the victim).
@@ -66,10 +69,7 @@ pub struct VirtualTransport {
 impl std::fmt::Debug for KillState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KillState")
-            .field(
-                "entries",
-                &self.entries.iter().map(|(e, _)| *e).collect::<Vec<_>>(),
-            )
+            .field("events", &self.events)
             .field("fired", &self.fired())
             .finish()
     }
@@ -83,23 +83,19 @@ impl VirtualTransport {
             seed,
             profile,
             kills: Arc::new(KillState {
-                entries: Vec::new(),
+                events: Vec::new(),
                 fired: Mutex::new(Vec::new()),
             }),
             watchdog: WATCHDOG,
         }
     }
 
-    /// Arms a grid-fault schedule: each event fires once, at the
-    /// retirement beacon of its boundary, and is recorded in
+    /// Arms a grid-fault schedule: each event fires once, in list order,
+    /// at the retirement beacon of its boundary, and is recorded in
     /// [`Transport::faults`].
     pub fn with_kills(mut self, schedule: &KillSchedule) -> Self {
         self.kills = Arc::new(KillState {
-            entries: schedule
-                .events
-                .iter()
-                .map(|&e| (e, AtomicBool::new(false)))
-                .collect(),
+            events: schedule.events.clone(),
             fired: Mutex::new(Vec::new()),
         });
         self
@@ -178,8 +174,11 @@ struct Shared<T> {
     /// [`Closed`] instead of waiting for messages a dead peer will
     /// never send.
     doomed: AtomicBool,
-    /// Armed grid faults, shared across epochs (fire-once per entry).
+    /// The grid-fault schedule, shared across epochs.
     kills: Arc<KillState>,
+    /// The index of the one event this epoch may fire: the first not
+    /// yet fired when it connected.
+    armed: usize,
     watchdog: Duration,
     seed: u64,
     profile: FaultProfile,
@@ -340,24 +339,25 @@ impl<T: Send> Endpoint<T> for VirtualEndpoint<T> {
         if self.shared.doomed.load(Ordering::SeqCst) {
             return Err(Closed);
         }
-        for (event, armed) in &self.shared.kills.entries {
-            let hits = match *event {
-                GridFault::Crash { proc, at_step } => proc == self.me && at_step == step,
-                // A join pauses the whole grid; one designated endpoint
-                // (linear 0 exists in every grid shape) reports it.
-                GridFault::Join { at_step } => self.me == 0 && at_step == step,
-            };
-            if hits && !armed.swap(true, Ordering::SeqCst) {
-                self.shared
-                    .kills
-                    .fired
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(*event);
-                return Err(Closed);
-            }
+        let (kills, armed) = (&self.shared.kills, self.shared.armed);
+        let Some(&event) = kills.events.get(armed) else {
+            return Ok(());
+        };
+        let hits = match event {
+            GridFault::Crash { proc, at_step } => proc == self.me && at_step == step,
+            // A join pauses the whole grid; one designated endpoint
+            // (linear 0 exists in every grid shape) reports it.
+            GridFault::Join { at_step } => self.me == 0 && at_step == step,
+        };
+        if !hits {
+            return Ok(());
         }
-        Ok(())
+        let mut fired = kills.fired.lock().unwrap_or_else(|p| p.into_inner());
+        if fired.len() != armed {
+            return Ok(());
+        }
+        fired.push(event);
+        Err(Closed)
     }
 
     fn abort(&self) {
@@ -395,6 +395,7 @@ impl Transport for VirtualTransport {
             live: AtomicUsize::new(n),
             doomed: AtomicBool::new(false),
             kills: Arc::clone(&self.kills),
+            armed: self.kills.fired().len(),
             watchdog: self.watchdog,
             seed: self.seed,
             profile: self.profile,

@@ -7,10 +7,10 @@
 //! `HARNESS_KILLS=<k>` sweeps more crash points per seed (nightly CI
 //! does), and `HARNESS_SEEDS=<count>` widens the corpus as usual.
 
-use hetgrid_exec::{GridFault, RecoveryStats, Transport};
+use hetgrid_exec::{ExecConfig, GridFault, RecoveryStats, Transport};
 use hetgrid_harness::{
-    kill_variants, run_recovery_case, run_recovery_join_case, run_two_crash_case, seed_corpus,
-    FaultProfile, Kernel, KillSchedule, VirtualTransport,
+    kill_variants, run_recovery_case, run_recovery_join_case, run_schedule_case,
+    run_two_crash_case, seed_corpus, FaultProfile, Kernel, KillSchedule, VirtualTransport,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -93,6 +93,22 @@ fn two_crashes_in_a_row_recover() {
             let stats = run_two_crash_case(kernel, FaultProfile::CHAOS, seed);
             assert_eq!(stats.crashes, 2, "{kernel:?}, seed {seed}: {stats:?}");
         }
+    }
+}
+
+/// A schedule fires in list order. At the default lookahead on the 2x2
+/// cyclic grid, processor 0 never reads processor 3's blocks under MM,
+/// so it can retire step 3 before processor 3 retires step 1; if
+/// `Crash{0, 3}` fired first, `Crash{3, 1}` could never fire on the 1x2
+/// survivor grid.
+#[test]
+fn a_kill_schedule_fires_in_list_order() {
+    let crash = |proc, at_step| GridFault::Crash { proc, at_step };
+    let lookahead = ExecConfig::default().lookahead;
+    for seed in seed_corpus() {
+        let events = vec![crash(3, 1), crash(0, 3)];
+        let stats = run_schedule_case(Kernel::Mm, FaultProfile::CHAOS, seed, events, lookahead);
+        assert_eq!(stats.crashes, 2, "seed {seed}: {stats:?}");
     }
 }
 

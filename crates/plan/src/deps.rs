@@ -25,20 +25,11 @@
 //!   block-labeled ground truth those per-processor action sets are
 //!   checked against.
 
-use crate::{down_column, LoadSrc, Mat, Plan, Step};
+use crate::{down_column, LoadSrc, Plan, Step};
 use std::collections::HashMap;
 
 /// Which logical matrix a block belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Operand {
-    /// The `A` input of MM (read-only).
-    A,
-    /// The `B` input of MM (read-only).
-    B,
-    /// The output/in-place matrix: `C` for MM, the factored matrix for
-    /// LU/Cholesky/QR.
-    C,
-}
+pub use crate::Mat as Operand;
 
 /// One block of one operand at one site.
 ///
@@ -70,14 +61,6 @@ impl BlockRef {
 
     fn at(op: Operand, block: (usize, usize), site: usize) -> Self {
         BlockRef { op, block, site }
-    }
-}
-
-fn operand_of(mat: Mat) -> Operand {
-    match mat {
-        Mat::A => Operand::A,
-        Mat::B => Operand::B,
-        Mat::C => Operand::C,
     }
 }
 
@@ -171,10 +154,9 @@ pub fn step_access(step: &Step) -> StepAccess {
             // master-sourced load additionally reads the authoritative
             // copy (RAW after anything that produced it).
             if *src == LoadSrc::Master {
-                acc.reads.push(BlockRef::at(operand_of(*mat), *block, 0));
+                acc.reads.push(BlockRef::at(*mat, *block, 0));
             }
-            acc.writes
-                .push(BlockRef::at(operand_of(*mat), *block, *worker));
+            acc.writes.push(BlockRef::at(*mat, *block, *worker));
         }
         Step::Compute {
             worker, c, a, b, ..
@@ -194,10 +176,9 @@ pub fn step_access(step: &Step) -> StepAccess {
             // and WAR-orders against every Compute that read it; a
             // send-back also writes the authoritative copy, so the
             // master-side result depends on the whole update chain.
-            acc.writes
-                .push(BlockRef::at(operand_of(*mat), *block, *worker));
+            acc.writes.push(BlockRef::at(*mat, *block, *worker));
             if *send_back {
-                acc.writes.push(BlockRef::at(operand_of(*mat), *block, 0));
+                acc.writes.push(BlockRef::at(*mat, *block, 0));
             }
         }
     }
@@ -407,7 +388,7 @@ mod tests {
                     .iter()
                     .rposition(|prev| {
                         matches!(prev, Step::Load { worker: w, mat, block, .. }
-                            if *w == worker && operand_of(*mat) == op && *block == blk)
+                            if *w == worker && *mat == op && *block == blk)
                     })
                     .unwrap_or_else(|| panic!("compute {s} has no load for {op:?} {blk:?}"));
                 assert!(
@@ -439,7 +420,7 @@ mod tests {
             else {
                 continue;
             };
-            let site = BlockRef::at(operand_of(mat), block, worker);
+            let site = BlockRef::at(mat, block, worker);
             // The Load that materialized this resident copy is WAW- or
             // WAR-ordered before the Evict.
             assert!(

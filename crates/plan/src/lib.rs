@@ -14,8 +14,10 @@
 //! A plan is a flat `Vec<Step>` — one step per outer iteration `k` of
 //! the blocked algorithm — where each step records, in deterministic
 //! order, every per-block broadcast (owner, ordered destination list)
-//! and every per-owner compute aggregate. Adding a kernel means adding
-//! one generator here; all three consumers pick it up.
+//! and every per-owner compute aggregate. It keeps its [`Source`], the
+//! generator's inputs, which are all its byte form ([`wire`]) carries.
+//! Adding a kernel means adding one generator here; all three consumers
+//! pick it up.
 //!
 //! Conventions shared by every generator:
 //!
@@ -60,25 +62,14 @@ impl Kernel {
     /// All kernels, for sweeps.
     pub const ALL: [Kernel; 4] = [Kernel::Mm, Kernel::Lu, Kernel::Cholesky, Kernel::Qr];
 
-    /// Wire byte for this kernel.
+    /// Wire byte for this kernel: its index in [`Kernel::ALL`].
     pub fn as_u8(self) -> u8 {
-        match self {
-            Kernel::Mm => 0,
-            Kernel::Lu => 1,
-            Kernel::Cholesky => 2,
-            Kernel::Qr => 3,
-        }
+        self as u8
     }
 
     /// Kernel for a wire byte.
     pub fn from_u8(b: u8) -> Option<Kernel> {
-        Some(match b {
-            0 => Kernel::Mm,
-            1 => Kernel::Lu,
-            2 => Kernel::Cholesky,
-            3 => Kernel::Qr,
-            _ => return None,
-        })
+        Kernel::ALL.get(usize::from(b)).copied()
     }
 
     /// CLI-facing name (`mm`, `lu`, `cholesky`, `qr`).
@@ -91,37 +82,22 @@ impl Kernel {
         }
     }
 
-    /// Parses a CLI-facing name.
-    pub fn parse(s: &str) -> Option<Kernel> {
-        Some(match s {
-            "mm" => Kernel::Mm,
-            "lu" => Kernel::Lu,
-            "cholesky" => Kernel::Cholesky,
-            "qr" => Kernel::Qr,
-            _ => return None,
-        })
-    }
-
     /// This kernel's step plan for an `nb x nb` block matrix over
     /// `dist`.
     pub fn plan(self, dist: &dyn BlockDist, nb: usize) -> Plan {
-        match self {
-            Kernel::Mm => mm_plan(dist, nb),
-            Kernel::Lu => factor_plan(dist, nb),
-            Kernel::Cholesky => cholesky_plan(dist, nb),
-            Kernel::Qr => qr_plan(dist, nb),
-        }
+        Source::grid(self, dist, (nb, nb, nb)).plan()
     }
 }
 
-/// Which logical matrix a memory-aware step touches.
+/// Which logical matrix a step touches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Mat {
-    /// The `A` input.
+    /// The `A` input of MM (read-only).
     A,
-    /// The `B` input.
+    /// The `B` input of MM (read-only).
     B,
-    /// The `C` output.
+    /// The output/in-place matrix: `C` for MM, the factored matrix for
+    /// LU/Cholesky/QR.
     C,
 }
 
@@ -344,31 +320,105 @@ pub struct Plan {
     pub owned: Vec<Vec<usize>>,
     /// The schedule, one [`Step`] per outer iteration.
     pub steps: Vec<Step>,
+    /// What the plan was generated from: all its byte form carries.
+    pub source: Source,
+}
+
+/// A generator's inputs. [`Source::plan`] runs the generator, and a
+/// plan's byte form ([`wire`]) is its source alone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Source {
+    /// A grid kernel on an `(mb, nb, kb)` block shape (`(nb, nb, nb)`
+    /// for every kernel but a rectangular MM).
+    Grid {
+        /// The kernel.
+        kernel: Kernel,
+        /// `C(mb x nb) = A(mb x kb) * B(kb x nb)` for MM.
+        shape: (usize, usize, usize),
+        /// The owner of every block of the `mb.max(kb) x nb.max(kb)`
+        /// block matrix.
+        owners: Owners,
+    },
+    /// [`star_mm_plan`]'s inputs.
+    Star {
+        /// Worker count.
+        workers: usize,
+        /// Blocks of memory per worker.
+        worker_mem: usize,
+        /// `(mb, nb, kb)`, as for [`Source::Grid`].
+        shape: (usize, usize, usize),
+    },
+}
+
+impl Source {
+    /// `kernel` on `shape` over `dist`: the owner of every block, read
+    /// from the distribution once.
+    pub fn grid(kernel: Kernel, dist: &dyn BlockDist, shape: (usize, usize, usize)) -> Source {
+        let (mb, nb, kb) = shape;
+        let cols = nb.max(kb);
+        let table = (0..mb.max(kb))
+            .flat_map(|bi| (0..cols).map(move |bj| dist.owner(bi, bj)))
+            .collect();
+        let grid = dist.grid();
+        let owners = Owners { grid, cols, table };
+        Source::Grid {
+            kernel,
+            shape,
+            owners,
+        }
+    }
+
+    /// The plan the generator builds from this source.
+    ///
+    /// # Panics
+    /// Panics on an MM or star shape with a zero dimension, on a star
+    /// with no workers or `worker_mem < 3`, and on owners that do not
+    /// cover the shape.
+    pub fn plan(self) -> Plan {
+        let (grid, (owned, steps)) = match &self {
+            Source::Grid {
+                kernel,
+                shape,
+                owners,
+            } => {
+                let nb = shape.1;
+                let built = match kernel {
+                    Kernel::Mm => mm_steps(owners, *shape),
+                    Kernel::Lu => (Vec::new(), factor_steps(owners, nb)),
+                    Kernel::Cholesky => (Vec::new(), cholesky_steps(owners, nb)),
+                    Kernel::Qr => (Vec::new(), qr_steps(owners, nb)),
+                };
+                (owners.grid, built)
+            }
+            &Source::Star {
+                workers,
+                worker_mem,
+                shape,
+            } => ((1, workers + 1), star_steps(workers, worker_mem, shape)),
+        };
+        Plan {
+            grid,
+            owned,
+            steps,
+            source: self,
+        }
+    }
 }
 
 /// No processor: the `skip` of a destination list that skips none.
 const NOBODY: (usize, usize) = (usize::MAX, usize::MAX);
 
-/// The owner of every block of a `rows x cols` block matrix, read from
-/// the distribution once per plan: the generators index it instead of
-/// calling `dist.owner` per broadcast.
-struct Owners {
+/// The owner of every block of a `rows x cols` block matrix on a `p x q`
+/// grid, row-major: the generators index it instead of calling
+/// `dist.owner` per broadcast.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Owners {
     grid: (usize, usize),
     cols: usize,
     table: Vec<(usize, usize)>,
 }
 
 impl Owners {
-    fn new(dist: &dyn BlockDist, rows: usize, cols: usize) -> Self {
-        Owners {
-            grid: dist.grid(),
-            cols,
-            table: (0..rows)
-                .flat_map(|bi| (0..cols).map(move |bj| dist.owner(bi, bj)))
-                .collect(),
-        }
-    }
-
     /// Owner of block `(bi, bj)`.
     fn at(&self, bi: usize, bj: usize) -> (usize, usize) {
         self.table[bi * self.cols + bj]
@@ -449,7 +499,7 @@ impl Owners {
 /// Plan for the square outer-product MM `C = A * B` on an `nb x nb`
 /// block matrix ([`mm_rect_plan`] with `mb = nb = kb`).
 pub fn mm_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
-    mm_rect_plan(dist, (nb, nb, nb))
+    Kernel::Mm.plan(dist, nb)
 }
 
 /// Plan for the rectangular outer-product MM
@@ -458,9 +508,13 @@ pub fn mm_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
 ///
 /// # Panics
 /// Panics if any dimension is zero.
-pub fn mm_rect_plan(dist: &dyn BlockDist, (mb, nb, kb): (usize, usize, usize)) -> Plan {
+pub fn mm_rect_plan(dist: &dyn BlockDist, shape: (usize, usize, usize)) -> Plan {
+    Source::grid(Kernel::Mm, dist, shape).plan()
+}
+
+/// The owned-`C` table and the steps of [`mm_rect_plan`].
+fn mm_steps(owners: &Owners, (mb, nb, kb): (usize, usize, usize)) -> (Vec<Vec<usize>>, Vec<Step>) {
     assert!(mb > 0 && nb > 0 && kb > 0, "mm_rect_plan: empty shape");
-    let owners = Owners::new(dist, mb.max(kb), nb.max(kb));
     // A block of `A` goes to the owners of its `C` row, one of `B` to
     // those of its `C` column, whatever `k`: each list is built once and
     // a broadcast takes it minus its source.
@@ -486,18 +540,18 @@ pub fn mm_rect_plan(dist: &dyn BlockDist, (mb, nb, kb): (usize, usize, usize)) -
             b_bcasts: (0..nb).map(|bj| bcast((k, bj), &cols[bj])).collect(),
         })
         .collect();
-    Plan {
-        grid: owners.grid,
-        owned: owners.rows(&owned),
-        steps,
-    }
+    (owners.rows(&owned), steps)
 }
 
 /// Plan for the right-looking LU-shaped factorization of an `nb x nb`
 /// block matrix. The same plan serves LU and (in the simulator's cost
 /// model, at 2x arithmetic) QR.
 pub fn factor_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
-    let owners = Owners::new(dist, nb, nb);
+    Kernel::Lu.plan(dist, nb)
+}
+
+/// The steps of [`factor_plan`].
+fn factor_steps(owners: &Owners, nb: usize) -> Vec<Step> {
     // Shell `m`: row `m` from the diagonal on, then column `m` below it.
     let trailing = owners.trailing(
         nb,
@@ -508,7 +562,7 @@ pub fn factor_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
         },
         |counts| owners.rows(counts),
     );
-    let steps = (0..nb)
+    (0..nb)
         .zip(trailing)
         .map(|(k, trailing)| {
             let diag = owners.at(k, k);
@@ -549,25 +603,24 @@ pub fn factor_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
                 trailing,
             }
         })
-        .collect();
-    Plan {
-        grid: owners.grid,
-        owned: Vec::new(),
-        steps,
-    }
+        .collect()
 }
 
 /// Plan for right-looking Cholesky (`A = L L^T`, lower triangle only)
 /// of an `nb x nb` block matrix.
 pub fn cholesky_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
-    let owners = Owners::new(dist, nb, nb);
+    Kernel::Cholesky.plan(dist, nb)
+}
+
+/// The steps of [`cholesky_plan`].
+fn cholesky_steps(owners: &Owners, nb: usize) -> Vec<Step> {
     // Shell `m` of the lower triangle: column `m` from the diagonal down.
     let trailing = owners.trailing(
         nb,
         |m| (m..nb).map(move |bi| (bi, m)),
         |counts| owners.work(counts),
     );
-    let steps = (0..nb)
+    (0..nb)
         .zip(trailing)
         .map(|(k, trailing)| {
             let diag = owners.at(k, k);
@@ -595,20 +648,19 @@ pub fn cholesky_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
                 trailing,
             }
         })
-        .collect();
-    Plan {
-        grid: owners.grid,
-        owned: Vec::new(),
-        steps,
-    }
+        .collect()
 }
 
 /// Plan for the executor's Householder QR of an `nb x nb` block matrix
 /// (see [`Step::Qr`] for the per-step structure and message/work
 /// conventions).
 pub fn qr_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
-    let owners = Owners::new(dist, nb, nb);
-    let steps = (0..nb)
+    Kernel::Qr.plan(dist, nb)
+}
+
+/// The steps of [`qr_plan`].
+fn qr_steps(owners: &Owners, nb: usize) -> Vec<Step> {
+    (0..nb)
         .map(|k| {
             let diag = owners.at(k, k);
             let panel = (k..nb).map(|bi| owners.at(bi, k)).collect();
@@ -628,12 +680,7 @@ pub fn qr_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
                 columns,
             }
         })
-        .collect();
-    Plan {
-        grid: owners.grid,
-        owned: Vec::new(),
-        steps,
-    }
+        .collect()
 }
 
 /// Largest tile side `μ` a worker with `worker_mem` blocks of memory
@@ -679,7 +726,7 @@ pub fn star_tile_side(worker_mem: usize) -> usize {
 /// # Panics
 /// Panics if `topo` is not a [`Topology::Star`], if any dimension or
 /// the worker count is zero, or if `worker_mem < 3`.
-pub fn star_mm_plan(topo: &Topology, (mb, nb, kb): (usize, usize, usize)) -> Plan {
+pub fn star_mm_plan(topo: &Topology, shape: (usize, usize, usize)) -> Plan {
     let Topology::Star {
         workers,
         worker_mem,
@@ -688,6 +735,20 @@ pub fn star_mm_plan(topo: &Topology, (mb, nb, kb): (usize, usize, usize)) -> Pla
     else {
         panic!("star_mm_plan: not a star topology: {topo}")
     };
+    Source::Star {
+        workers,
+        worker_mem,
+        shape,
+    }
+    .plan()
+}
+
+/// The owned-`C` table and the steps of [`star_mm_plan`].
+fn star_steps(
+    workers: usize,
+    worker_mem: usize,
+    (mb, nb, kb): (usize, usize, usize),
+) -> (Vec<Vec<usize>>, Vec<Step>) {
     assert!(workers > 0, "star_mm_plan: no workers");
     assert!(mb > 0 && nb > 0 && kb > 0, "star_mm_plan: empty shape");
     let mu = star_tile_side(worker_mem);
@@ -695,92 +756,63 @@ pub fn star_mm_plan(topo: &Topology, (mb, nb, kb): (usize, usize, usize)) -> Pla
     let t_cols = nb.div_ceil(mu);
     let mut steps: Vec<Step> = Vec::new();
     let mut owned = vec![vec![0usize; workers + 1]];
-    let push = |steps: &mut Vec<Step>, make: &dyn Fn(usize) -> Step| {
-        let k = steps.len();
-        steps.push(make(k));
-    };
     for t in 0..t_rows * t_cols {
         let (ti, tj) = (t / t_cols, t % t_cols);
         let worker = 1 + t % workers;
         let rows: Vec<usize> = (ti * mu..((ti + 1) * mu).min(mb)).collect();
         let cols: Vec<usize> = (tj * mu..((tj + 1) * mu).min(nb)).collect();
         owned[0][worker] += rows.len() * cols.len();
+        let load = |steps: &mut Vec<Step>, mat, block, src| {
+            let k = steps.len();
+            steps.push(Step::Load {
+                k,
+                worker,
+                mat,
+                block,
+                src,
+            });
+        };
+        let evict = |steps: &mut Vec<Step>, mat, block, send_back| {
+            let k = steps.len();
+            steps.push(Step::Evict {
+                k,
+                worker,
+                mat,
+                block,
+                send_back,
+            });
+        };
+        let tile = || {
+            rows.iter()
+                .flat_map(|&bi| cols.iter().map(move |&bj| (bi, bj)))
+        };
         // Fresh accumulators: local zero blocks, no messages.
-        for &bi in &rows {
-            for &bj in &cols {
-                push(&mut steps, &|k| Step::Load {
-                    k,
-                    worker,
-                    mat: Mat::C,
-                    block: (bi, bj),
-                    src: LoadSrc::Zero,
-                });
-            }
+        for c in tile() {
+            load(&mut steps, Mat::C, c, LoadSrc::Zero);
         }
         // Stream the common dimension with maximum reuse.
         for kk in 0..kb {
             for &bj in &cols {
-                push(&mut steps, &|k| Step::Load {
-                    k,
-                    worker,
-                    mat: Mat::B,
-                    block: (kk, bj),
-                    src: LoadSrc::Master,
-                });
+                load(&mut steps, Mat::B, (kk, bj), LoadSrc::Master);
             }
             for &bi in &rows {
-                push(&mut steps, &|k| Step::Load {
-                    k,
-                    worker,
-                    mat: Mat::A,
-                    block: (bi, kk),
-                    src: LoadSrc::Master,
-                });
+                load(&mut steps, Mat::A, (bi, kk), LoadSrc::Master);
                 for &bj in &cols {
-                    push(&mut steps, &|k| Step::Compute {
-                        k,
-                        worker,
-                        c: (bi, bj),
-                        a: (bi, kk),
-                        b: (kk, bj),
-                    });
+                    let (k, c, a, b) = (steps.len(), (bi, bj), (bi, kk), (kk, bj));
+                    steps.push(Step::Compute { k, worker, c, a, b });
                 }
-                push(&mut steps, &|k| Step::Evict {
-                    k,
-                    worker,
-                    mat: Mat::A,
-                    block: (bi, kk),
-                    send_back: false,
-                });
+                evict(&mut steps, Mat::A, (bi, kk), false);
             }
             for &bj in &cols {
-                push(&mut steps, &|k| Step::Evict {
-                    k,
-                    worker,
-                    mat: Mat::B,
-                    block: (kk, bj),
-                    send_back: false,
-                });
+                evict(&mut steps, Mat::B, (kk, bj), false);
             }
         }
         // Finished accumulators go home.
-        for &bi in &rows {
-            for &bj in &cols {
-                push(&mut steps, &|k| Step::Evict {
-                    k,
-                    worker,
-                    mat: Mat::C,
-                    block: (bi, bj),
-                    send_back: true,
-                });
-            }
+        for c in tile() {
+            evict(&mut steps, Mat::C, c, true);
         }
     }
-    Plan {
-        grid: (1, workers + 1),
-        owned,
-        steps,
-    }
+    (owned, steps)
 }
 
 #[cfg(test)]
@@ -1105,10 +1137,18 @@ mod tests {
         })
     }
 
+    /// A plan's `{:?}` text without its source: the generator's output.
+    fn built_text(plan: &Plan) -> String {
+        let Plan {
+            grid, owned, steps, ..
+        } = plan;
+        format!("Plan {{ grid: {grid:?}, owned: {owned:?}, steps: {steps:?} }}")
+    }
+
     /// The generators' output, independent of the byte codec: one digest
-    /// of `{:?}` per plan, for every grid kernel at nb = 64 on a 4x4
-    /// Cartesian panel distribution and on a non-Cartesian KL one, plus
-    /// a rectangular MM on a block-cyclic grid.
+    /// of [`built_text`] per plan, for every grid kernel at nb = 64 on a
+    /// 4x4 Cartesian panel distribution and on a non-Cartesian KL one,
+    /// plus a rectangular MM on a block-cyclic grid.
     #[test]
     fn generated_plans_are_pinned() {
         let arr = Arrangement::from_rows(&[
@@ -1124,11 +1164,11 @@ mod tests {
         let mut got: Vec<u64> = Vec::new();
         for dist in [&panel as &dyn BlockDist, &kl] {
             for kernel in Kernel::ALL {
-                got.push(fnv(format!("{:?}", kernel.plan(dist, 64)).as_bytes()));
+                got.push(fnv(built_text(&kernel.plan(dist, 64)).as_bytes()));
             }
         }
         let rect = mm_rect_plan(&BlockCyclic::new(3, 2), (7, 5, 4));
-        got.push(fnv(format!("{rect:?}").as_bytes()));
+        got.push(fnv(built_text(&rect).as_bytes()));
         assert_eq!(
             got,
             [

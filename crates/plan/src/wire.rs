@@ -18,78 +18,45 @@
 //! request/response protocol and its cache keys with the same fields
 //! and reads them with the same [`Reader`] and [`DecodeError`].
 //!
-//! Plan format (`decode(encode(p)) == p`, and `encode(decode(b)) == b`
-//! for every `b` that decodes, which is what makes a cached serve
-//! response interchangeable with a fresh solve):
+//! A right-looking schedule is fixed by the block-to-processor map
+//! alone (paper Section 3.2), so a plan travels as its [`Source`], the
+//! generator's inputs, and [`decode`] re-runs the generator:
 //!
 //! ```text
-//! u8 version (= 4)
-//! p, q                                 grid shape
-//! rows, then per row: n, n counts      owned-C table (0 rows when empty)
-//! nsteps, then per step:
-//!   u8 tag: 0 Mm, 1 Factor, 2 Cholesky, 3 Qr,
-//!           4 Load, 5 Compute, 6 Evict (star steps),
-//!           7 Qr advanced (the short form below)
-//!   tag-specific fields in declaration order; a grid coordinate is two
-//!   varints; a Mat is one byte (0 A, 1 B, 2 C), a LoadSrc one byte
-//!   (0 Master, 1 Zero), a bool one byte (0 / 1).
-//! Qr (tag 3), the long form:
-//!   k, diag
-//!   n, then n owners                   panel: owner of block (k + i, k)
-//!   n, then n grid coordinates         reflector_dests
-//!   ncols, then per column:
-//!     bj, head
-//!     n, then n owners                 members: owner of (k + 1 + i, bj)
-//! Qr advanced (tag 7), the short form:
-//!   k                                  the step before it, advanced
+//! u8 version (= 5)
+//! u8 source: 0 Mm, 1 Lu, 2 Cholesky, 3 Qr (Kernel::as_u8), 4 star
+//! mb, nb, kb                           block shape; mb = nb = kb but for MM
+//! a grid kernel:
+//!   p, q                               grid shape
+//!   mb.max(kb) * nb.max(kb) owners     row-major, each i, j
+//! a star:
+//!   workers, worker_mem
 //! ```
 //!
-//! Every number above without a `u8` is a varint. A QR owner list names
-//! no block: its position does ([`down_column`](crate::down_column)).
-//!
-//! A right-looking factorization is fixed by the block-to-processor map
-//! alone, so each QR step after the first restates what the step before
-//! it already said. A QR step `s` is the QR step `t` before it
-//! *advanced* by one block when `s.k == t.k + 1`, `s`'s panel is the
-//! members of `t`'s first column (so `s.diag` is its first entry),
-//! each later column of `t` keeps its `bj` and its members but the
-//! first, which becomes its head, and `s.reflector_dests` are the
-//! distinct heads other than `s.diag` in column order. Such a step is
-//! written as tag 7 and `k`, two bytes, and every later step of a
-//! [`qr_plan`](crate::qr_plan) is one. The form is canonical both ways:
-//! a long-form step equal to its predecessor advanced, a short form not
-//! after a QR step that can advance (one with a trailing column and no
-//! empty column), and a short form whose `k` is not one past its
-//! predecessor's are each [`DecodeErrorKind::InvalidField`]. A
-//! short form costs two bytes but [`built_len`]'s share of the plan in
-//! memory, so [`decode`] counts every QR step it holds against
-//! [`MAX_BUILT_LEN`] before materialising it: two bytes of input cannot
-//! expand into a plan a server would refuse to build. Any other version
-//! byte, such as version 3's, which wrote every QR step in long form,
-//! is [`DecodeErrorKind::UnsupportedVersion`].
-//!
-//! Decoding is total: malformed input yields a typed [`DecodeError`]
-//! (never a panic), and trailing garbage after a well-formed plan is an
-//! error too, so a decoded plan always accounts for every input byte.
-//! The [`DecodeErrorKind`] distinguishes recoverable situations — a
-//! peer speaking a newer codec ([`DecodeErrorKind::UnknownStepTag`] /
-//! [`DecodeErrorKind::UnsupportedVersion`]) — from plain corruption, so
-//! callers can downgrade gracefully instead of treating every failure
-//! as data loss.
+//! Every number without a `u8` is a varint, so every kernel's plan at
+//! nb = 64 on a 4x4 grid is 8 199 bytes. `decode(encode(p)) == p` for
+//! every generated plan and `encode(decode(b)) == b` for every `b` that
+//! decodes, so a cached serve response is interchangeable with a fresh
+//! solve. Decoding is total: a shape the generator refuses, a plan past
+//! [`MAX_BUILT_LEN`] ([`built_len`], [`counts_len`]), an owner outside
+//! the grid and trailing bytes are each a typed [`DecodeError`], found
+//! before anything is built, so a few bytes cannot expand into a plan a
+//! server would refuse to build; any other version byte (version 4
+//! wrote every step) is [`DecodeErrorKind::UnsupportedVersion`], which
+//! a caller can tell from corruption.
 
-use crate::{Bcast, Kernel, LoadSrc, Mat, OwnerWork, Plan, QrColumn, Step};
+use crate::{Kernel, Owners, Plan, Source};
 
 /// Codec version written by [`encode`] and required by [`decode`].
-pub const WIRE_VERSION: u8 = 4;
+pub const WIRE_VERSION: u8 = 5;
 
-/// The step tag of a QR step written as its predecessor advanced.
-const QR_ADVANCED: u8 = 7;
+/// The source tag of a star plan; a grid kernel's is
+/// [`Kernel::as_u8`].
+const STAR: u8 = 4;
 
-/// The most bytes, as [`built_len`] counts them, that a server builds
-/// for one plan and that [`decode`] materialises for a plan's QR steps.
-/// It is the 16 MiB frame cap the long form of every plan had to fit,
-/// so what can be built is what could be built before QR steps had a
-/// short form.
+/// The most bytes, as [`built_len`] and [`counts_len`] count them, that
+/// a server builds for one plan and that [`decode`] builds: the 16 MiB
+/// frame cap every plan had to fit when each step travelled.
 pub const MAX_BUILT_LEN: usize = 16 * 1024 * 1024;
 
 /// Why a buffer failed to decode (see [`DecodeError`]).
@@ -101,9 +68,6 @@ pub enum DecodeErrorKind {
     /// The version byte is not the one this build speaks; the payload
     /// may be valid for a different codec generation.
     UnsupportedVersion(u8),
-    /// A step tag outside the known set — likely a plan from a newer
-    /// codec that added step kinds.
-    UnknownStepTag(u8),
     /// A field held a value outside its valid range.
     InvalidField,
     /// Bytes left over after a complete value.
@@ -156,11 +120,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// True once every byte has been read.
-    pub fn is_empty(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
     /// The next `n` bytes.
     #[inline]
     pub fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], DecodeError> {
@@ -199,15 +158,22 @@ impl<'a> Reader<'a> {
     #[inline]
     fn count(&mut self, min: usize, what: &'static str) -> Result<usize, DecodeError> {
         let n: usize = self.get(what)?;
+        self.room(n, min, what)?;
+        Ok(n)
+    }
+
+    /// Fails unless `n` values of at least `min` bytes each fit in the
+    /// bytes left.
+    fn room(&self, n: usize, min: usize, what: &'static str) -> Result<(), DecodeError> {
         if n.saturating_mul(min) > self.buf.len() - self.pos {
             return Err(self.err(what, DecodeErrorKind::Truncated));
         }
-        Ok(n)
+        Ok(())
     }
 
     /// Fails unless every byte has been read.
     pub fn done(&self, what: &'static str) -> Result<(), DecodeError> {
-        if !self.is_empty() {
+        if self.pos != self.buf.len() {
             return Err(self.err(what, DecodeErrorKind::TrailingBytes));
         }
         Ok(())
@@ -368,245 +334,155 @@ impl Field for String {
     }
 }
 
-/// One byte: the value's index in `all`.
-#[inline]
-fn one_of<T: Copy, const N: usize>(
-    r: &mut Reader<'_>,
-    what: &'static str,
-    all: [T; N],
-) -> Result<T, DecodeError> {
-    let b = r.byte(what)?;
-    all.get(usize::from(b))
-        .copied()
-        .ok_or_else(|| r.err(what, DecodeErrorKind::InvalidField))
-}
-
-impl Field for bool {
-    const MIN_BYTES: usize = 1;
+/// The kernel or star, the shape, then a grid kernel's grid and owners
+/// or a star's workers and memory (see the module docs).
+impl Field for Source {
+    const MIN_BYTES: usize = 6; // the tag, three shape varints and two more
     fn put(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-    #[inline]
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
-        one_of(r, what, [false, true])
-    }
-}
-
-impl Field for Mat {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    #[inline]
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
-        one_of(r, what, [Mat::A, Mat::B, Mat::C])
-    }
-}
-
-impl Field for LoadSrc {
-    const MIN_BYTES: usize = 1;
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(*self as u8);
-    }
-    #[inline]
-    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
-        one_of(r, what, [LoadSrc::Master, LoadSrc::Zero])
-    }
-}
-
-/// A struct as its fields in declaration order, each read under the
-/// struct's `what`.
-macro_rules! record_codec {
-    ($($t:ident { $($field:ident),+ } = $min:expr;)+) => {$(
-        impl Field for $t {
-            const MIN_BYTES: usize = $min;
-            #[inline]
-            fn put(&self, out: &mut Vec<u8>) {
-                $(self.$field.put(out);)+
-            }
-            #[inline]
-            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, DecodeError> {
-                Ok($t { $($field: r.get(what)?),+ })
-            }
-        }
-    )+};
-}
-
-record_codec! {
-    Bcast { block, src, dests } = 5;
-    OwnerWork { owner, blocks } = 3;
-    QrColumn { bj, head, members } = 4;
-}
-
-/// A step as its tag byte, then its fields in declaration order; a
-/// field is read under the name `"<Kind> <field>"`. This table is the
-/// one place a step kind's layout is written down.
-macro_rules! step_codec {
-    ($($tag:literal => $kind:ident { $($field:ident),+ })+) => {
-        impl Field for Step {
-            const MIN_BYTES: usize = 2; // the tag and `k`
-            fn put(&self, out: &mut Vec<u8>) {
-                match self {
-                    $(Step::$kind { $($field),+ } => {
-                        out.push($tag);
-                        $($field.put(out);)+
-                    })+
+        match *self {
+            Source::Grid {
+                kernel,
+                shape: (mb, nb, kb),
+                ref owners,
+            } => {
+                out.push(kernel.as_u8());
+                ((mb, nb), kb).put(out);
+                owners.grid.put(out);
+                for owner in &owners.table {
+                    owner.put(out);
                 }
             }
-            #[inline]
-            fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
-                Ok(match r.byte("step tag")? {
-                    $($tag => Step::$kind {
-                        $($field: r.get(concat!(stringify!($kind), " ", stringify!($field)))?),+
-                    },)+
-                    t => return Err(r.err("unknown step tag", DecodeErrorKind::UnknownStepTag(t))),
-                })
+            Source::Star {
+                workers,
+                worker_mem,
+                shape: (mb, nb, kb),
+            } => {
+                out.push(STAR);
+                ((mb, nb), kb).put(out);
+                (workers, worker_mem).put(out);
             }
         }
-    };
+    }
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, DecodeError> {
+        let tag = r.byte("plan source")?;
+        let ((mb, nb), kb): ((usize, usize), usize) = r.get("block shape")?;
+        let shape = (mb, nb, kb);
+        let empty = mb == 0 || nb == 0 || kb == 0;
+        if tag == STAR {
+            let (workers, worker_mem) = r.get("star workers and memory")?;
+            if empty || workers == 0 || worker_mem < 3 {
+                return Err(invalid(r, "star shape"));
+            }
+            if star_len(workers, shape) > MAX_BUILT_LEN {
+                return Err(invalid(r, "star plan past the built-plan bound"));
+            }
+            return Ok(Source::Star {
+                workers,
+                worker_mem,
+                shape,
+            });
+        }
+        let kernel = Kernel::from_u8(tag).ok_or_else(|| invalid(r, "plan source"))?;
+        let square = mb == nb && nb == kb;
+        if (kernel == Kernel::Mm && empty) || (kernel != Kernel::Mm && !square) {
+            return Err(invalid(r, "block shape"));
+        }
+        if built_len(kernel, shape) > MAX_BUILT_LEN {
+            return Err(invalid(r, "plan past the built-plan bound"));
+        }
+        let (p, q) = r.get("grid shape")?;
+        if p == 0 || q == 0 || counts_len((p, q), kb) > MAX_BUILT_LEN {
+            return Err(invalid(r, "grid shape"));
+        }
+        let (rows, cols) = (mb.max(kb), nb.max(kb));
+        let n = rows.saturating_mul(cols);
+        r.room(n, <(usize, usize)>::MIN_BYTES, "owner table")?;
+        let mut table = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (i, j) = r.get("owner")?;
+            if i >= p || j >= q {
+                return Err(invalid(r, "owner outside the grid"));
+            }
+            table.push((i, j));
+        }
+        Ok(Source::Grid {
+            kernel,
+            shape,
+            owners: Owners {
+                grid: (p, q),
+                cols,
+                table,
+            },
+        })
+    }
 }
 
-step_codec! {
-    0 => Mm { k, a_bcasts, b_bcasts }
-    1 => Factor { k, diag, panel, diag_col_dests, l_bcasts, trsm, u_bcasts, trailing }
-    2 => Cholesky { k, diag, diag_dests, panel, panel_bcasts, trailing }
-    3 => Qr { k, diag, panel, reflector_dests, columns }
-    4 => Load { k, worker, mat, block, src }
-    5 => Compute { k, worker, c, a, b }
-    6 => Evict { k, worker, mat, block, send_back }
-}
-
-/// Serializes a plan to its canonical byte form.
+/// Serializes a plan to its canonical byte form: its source. A plan
+/// whose steps were edited after generation encodes as the plan its
+/// source generates.
 pub fn encode(plan: &Plan) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + plan.steps.len() * 64);
-    encode_into(plan, &mut out);
+    encode_source(&plan.source)
+}
+
+/// The bytes [`encode`] writes for the plan `source` generates, without
+/// generating it.
+pub fn encode_source(source: &Source) -> Vec<u8> {
+    let mut out = vec![WIRE_VERSION];
+    source.put(&mut out);
     out
 }
 
-/// Serializes a plan into a caller-provided buffer, appending the
-/// canonical byte form. Clearing and reusing one buffer across many
-/// encodes (the serve cache's hot path) avoids a fresh allocation per
-/// plan; the bytes appended are identical to [`encode`]'s.
-pub fn encode_into(plan: &Plan, out: &mut Vec<u8>) {
-    out.push(WIRE_VERSION);
-    plan.grid.put(out);
-    plan.owned.put(out);
-    plan.steps.len().put(out);
-    let mut prev = None;
-    for step in &plan.steps {
-        match (prev, step) {
-            (Some(prev), Step::Qr { k, .. }) if advances(prev, step) => {
-                out.push(QR_ADVANCED);
-                k.put(out);
-            }
-            _ => step.put(out),
-        }
-        prev = Some(step);
-    }
-}
-
-/// `(k, first column's members, later columns)` of a QR step with a
-/// trailing column and no empty column: the steps that can advance.
-fn advanceable(step: &Step) -> Option<(usize, &[(usize, usize)], &[QrColumn])> {
-    let Step::Qr { k, columns, .. } = step else {
-        return None;
-    };
-    let (first, rest) = columns.split_first()?;
-    let all_full = columns.iter().all(|c| !c.members.is_empty());
-    all_full.then_some((*k, &first.members[..], rest))
-}
-
-/// Whether `next` is `prev` advanced by one block (see the module
-/// docs), checked in place.
-fn advances(prev: &Step, next: &Step) -> bool {
-    let Some((k0, first, rest)) = advanceable(prev) else {
-        return false;
-    };
-    let Step::Qr {
-        k,
-        diag,
-        panel,
-        reflector_dests,
-        columns,
-    } = next
-    else {
-        return false;
-    };
-    let same_columns = columns.len() == rest.len()
-        && columns
-            .iter()
-            .zip(rest)
-            .all(|(c, t)| c.bj == t.bj && c.head == t.members[0] && c.members == t.members[1..]);
-    if k0.checked_add(1) != Some(*k) || panel[..] != *first || first[0] != *diag || !same_columns {
-        return false;
-    }
-    // `reflector_dests` must be the heads' first occurrences, in order.
-    let mut seen = 0;
-    for c in columns {
-        if c.head == *diag || reflector_dests[..seen].contains(&c.head) {
-            continue;
-        }
-        if reflector_dests.get(seen) != Some(&c.head) {
-            return false;
-        }
-        seen += 1;
-    }
-    seen == reflector_dests.len()
-}
-
-/// The bytes a QR step with `panel` owners and columns of `members`
-/// owners each counts toward [`MAX_BUILT_LEN`]: the tag and `k`, then
-/// every owner and column at its [`Field::MIN_BYTES`], as
-/// [`built_len`] counts them.
-fn qr_step_len(panel: usize, members: impl Iterator<Item = usize>) -> usize {
-    let owner = <(usize, usize)>::MIN_BYTES;
-    let columns: usize = members.map(|m| QrColumn::MIN_BYTES + m * owner).sum();
-    Step::MIN_BYTES + panel * owner + columns
-}
-
-/// A lower bound on the bytes of what `kernel.plan(dist, nb)` builds,
-/// over every distribution on every grid, counted as the long form of
-/// its steps: whatever the grid, each step of an MM, LU or Cholesky
-/// plan holds one [`Bcast`] per panel block (both operand panels for
-/// MM), and each QR step one owner per panel and trailing block and
-/// one [`QrColumn`] per trailing column; each is counted at its
-/// [`Field::MIN_BYTES`]. It costs `O(nb)` arithmetic, so a server can
-/// refuse a plan past [`MAX_BUILT_LEN`] before it builds it. For every
-/// kernel but QR it is also a lower bound on the encoding; for QR see
-/// [`min_plan_len`].
-pub fn built_len(kernel: Kernel, nb: usize) -> usize {
-    let owner = <(usize, usize)>::MIN_BYTES;
+/// The bytes of the steps `kernel`'s generator builds on `(mb, nb, kb)`,
+/// whatever the grid, counted as version 4 wrote them at their fewest:
+/// two for each step's tag and `k`, five for each [`Bcast`](crate::Bcast)
+/// (a panel block's, both operand panels' for MM), and for QR two for
+/// each panel and trailing block's owner and four for each
+/// [`QrColumn`](crate::QrColumn). It costs `O(1)` arithmetic, so a
+/// server refuses a plan past [`MAX_BUILT_LEN`] before it builds it.
+pub fn built_len(kernel: Kernel, (mb, nb, kb): (usize, usize, usize)) -> usize {
+    let [mb, nb, kb] = [mb, nb, kb].map(|d| d as u128);
     let entries = match kernel {
-        Kernel::Mm => 2 * nb * nb * Bcast::MIN_BYTES,
+        Kernel::Mm => kb * (mb + nb) * 5,
         // Step k broadcasts blocks (k.., k) and (k, k + 1..).
-        Kernel::Lu => nb * nb * Bcast::MIN_BYTES,
-        Kernel::Cholesky => nb * nb.saturating_sub(1) / 2 * Bcast::MIN_BYTES,
-        // Step k: the panel's `m + 1` owners, then `m` columns of `m`
-        // owners each, for `m = nb - k - 1` trailing blocks a column.
-        Kernel::Qr => (0..nb)
-            .map(|m| (m + 1) * owner + m * (QrColumn::MIN_BYTES + m * owner))
-            .sum(),
+        Kernel::Lu => nb * nb * 5,
+        Kernel::Cholesky => nb * nb.saturating_sub(1) / 2 * 5,
+        // Sum over m = nb - k - 1 of the panel's `m + 1` owners and `m`
+        // columns of `m` owners each: 2 (m + 1) + m (4 + 2 m).
+        Kernel::Qr => {
+            let m2 = nb * nb.saturating_sub(1) * (2 * nb).saturating_sub(1) / 3;
+            nb * (nb + 1) + 2 * nb * nb.saturating_sub(1) + m2
+        }
     };
-    nb * Step::MIN_BYTES + entries
+    usize::try_from(kb * 2 + entries).unwrap_or(usize::MAX)
+}
+
+/// The processor counts a grid generator keeps or scans over `steps`
+/// steps on a `p x q` grid: one table of `p q` a step (LU keeps them,
+/// Cholesky scans them), one at least.
+pub fn counts_len((p, q): (usize, usize), steps: usize) -> usize {
+    p.saturating_mul(q).saturating_mul(steps.max(1))
+}
+
+/// An upper bound on the bytes a star plan builds: two a step, at most
+/// `2 + 5 kb` steps per block of `C` (its zero load, its eviction, `kb`
+/// updates, and no more than `4 kb` loads and evictions of the `A` and
+/// `B` blocks streamed to its tile), plus its per-worker table.
+fn star_len(workers: usize, (mb, nb, kb): (usize, usize, usize)) -> usize {
+    let steps = mb as u128 * nb as u128 * (2 + 5 * kb as u128);
+    usize::try_from(steps * 2 + workers as u128).unwrap_or(usize::MAX)
 }
 
 /// A lower bound on `encode(&kernel.plan(dist, nb)).len()` over every
-/// distribution on every grid: [`built_len`], but for QR, whose steps
-/// after the first are two bytes each, its first step alone.
-pub fn min_plan_len(kernel: Kernel, nb: usize) -> usize {
-    match (kernel, nb) {
-        (Kernel::Qr, 1..) => {
-            let m = nb - 1;
-            m * Step::MIN_BYTES + qr_step_len(nb, std::iter::repeat_n(m, m))
-        }
-        _ => built_len(kernel, nb),
-    }
+/// distribution on every grid, the same for every kernel: the version
+/// byte, the source's fewest bytes and two bytes an owner.
+pub fn min_plan_len(_: Kernel, nb: usize) -> usize {
+    1 + Source::MIN_BYTES + nb * nb * <(usize, usize)>::MIN_BYTES
 }
 
-/// Rebuilds a plan from [`encode`]'s byte form. Total: any malformed
-/// input (wrong version, truncation, oversize counts, trailing bytes, a
-/// QR step in the form the encoder would not write, QR steps past
-/// [`MAX_BUILT_LEN`]) is a [`DecodeError`], never a panic.
+/// Rebuilds a plan from [`encode`]'s byte form by re-running its
+/// generator. Total: any malformed input (wrong version, truncation, a
+/// source [`decode`] refuses to build, trailing bytes) is a
+/// [`DecodeError`], never a panic.
 pub fn decode(buf: &[u8]) -> Result<Plan, DecodeError> {
     let mut r = Reader::new(buf);
     let version = r.byte("version byte")?;
@@ -619,40 +495,9 @@ pub fn decode(buf: &[u8]) -> Result<Plan, DecodeError> {
             )
         });
     }
-    let grid = r.get("grid shape")?;
-    let owned = r.get("owned-C table")?;
-    let n = r.count(Step::MIN_BYTES, "step count")?;
-    let mut steps: Vec<Step> = Vec::with_capacity(n);
-    let mut built = 0;
-    for _ in 0..n {
-        let step = if r.buf.get(r.pos) == Some(&QR_ADVANCED) {
-            r.pos += 1;
-            let k: usize = r.get("Qr k")?;
-            let Some((k0, first, rest)) = steps.last().and_then(advanceable) else {
-                return Err(invalid(&r, "short-form Qr step with no Qr step to advance"));
-            };
-            if k0.checked_add(1) != Some(k) {
-                return Err(invalid(&r, "short-form Qr step k"));
-            }
-            let len = qr_step_len(first.len(), rest.iter().map(|c| c.members.len() - 1));
-            charge(&mut built, len, &r)?;
-            advanced(k, first, rest)
-        } else {
-            let step: Step = r.get("step")?;
-            if let Step::Qr { panel, columns, .. } = &step {
-                if steps.last().is_some_and(|prev| advances(prev, &step)) {
-                    let what = "long-form Qr step equal to its predecessor advanced";
-                    return Err(invalid(&r, what));
-                }
-                let len = qr_step_len(panel.len(), columns.iter().map(|c| c.members.len()));
-                charge(&mut built, len, &r)?;
-            }
-            step
-        };
-        steps.push(step);
-    }
+    let source: Source = r.get("plan source")?;
     r.done("trailing bytes after plan")?;
-    Ok(Plan { grid, owned, steps })
+    Ok(source.plan())
 }
 
 /// An [`DecodeErrorKind::InvalidField`] at `r`'s offset.
@@ -660,47 +505,10 @@ fn invalid(r: &Reader<'_>, what: &'static str) -> DecodeError {
     r.err(what, DecodeErrorKind::InvalidField)
 }
 
-/// Adds a QR step's `len` to the plan's `built` total, or fails once
-/// the total passes [`MAX_BUILT_LEN`].
-fn charge(built: &mut usize, len: usize, r: &Reader<'_>) -> Result<(), DecodeError> {
-    *built += len;
-    if *built > MAX_BUILT_LEN {
-        return Err(invalid(r, "Qr steps past the built-plan bound"));
-    }
-    Ok(())
-}
-
-/// QR step `k`: the step before it, whose first column's members are
-/// `first` and whose later columns are `rest`, advanced by one block.
-fn advanced(k: usize, first: &[(usize, usize)], rest: &[QrColumn]) -> Step {
-    let diag = first[0];
-    let columns: Vec<QrColumn> = rest
-        .iter()
-        .map(|c| QrColumn {
-            bj: c.bj,
-            head: c.members[0],
-            members: c.members[1..].to_vec(),
-        })
-        .collect();
-    let mut reflector_dests = Vec::new();
-    for c in &columns {
-        if c.head != diag && !reflector_dests.contains(&c.head) {
-            reflector_dests.push(c.head);
-        }
-    }
-    Step::Qr {
-        k,
-        diag,
-        panel: first.to_vec(),
-        reflector_dests,
-        columns,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cholesky_plan, factor_plan, mm_plan, mm_rect_plan, qr_plan, star_mm_plan};
+    use crate::{cholesky_plan, factor_plan, mm_plan, mm_rect_plan, qr_plan, star_mm_plan, Step};
     use hetgrid_core::Topology;
     use hetgrid_dist::BlockCyclic;
 
@@ -742,6 +550,26 @@ mod tests {
         dists
     }
 
+    /// What [`built_len`] counts of a built plan: two bytes a step, five
+    /// a broadcast, two a QR owner and four a QR column.
+    fn counted(plan: &Plan) -> usize {
+        let entries = |step: &Step| match step {
+            Step::Mm {
+                a_bcasts, b_bcasts, ..
+            } => 5 * (a_bcasts.len() + b_bcasts.len()),
+            Step::Factor {
+                l_bcasts, u_bcasts, ..
+            } => 5 * (l_bcasts.len() + u_bcasts.len()),
+            Step::Cholesky { panel_bcasts, .. } => 5 * panel_bcasts.len(),
+            Step::Qr { panel, columns, .. } => {
+                let members: usize = columns.iter().map(|c| 4 + 2 * c.members.len()).sum();
+                2 * panel.len() + members
+            }
+            Step::Load { .. } | Step::Compute { .. } | Step::Evict { .. } => 0,
+        };
+        plan.steps.iter().map(|s| 2 + entries(s)).sum()
+    }
+
     #[test]
     fn min_plan_len_never_exceeds_the_encoding() {
         for dist in sweep_dists() {
@@ -750,71 +578,46 @@ mod tests {
                 for nb in 1..=24 {
                     let plan = kernel.plan(dist.as_ref(), nb);
                     let len = encode(&plan).len();
-                    let bound = min_plan_len(kernel, nb);
                     assert!(
-                        bound <= len,
-                        "{kernel:?} nb {nb} on {p}x{q}: {bound} > {len}"
+                        min_plan_len(kernel, nb) <= len,
+                        "{kernel:?} nb {nb} on {p}x{q}"
                     );
-                    let long: usize = plan.steps.iter().map(|s| long_form(s).len()).sum();
-                    let built = built_len(kernel, nb);
-                    assert!(
-                        built <= long,
-                        "{kernel:?} nb {nb} on {p}x{q}: {built} > {long}"
+                    let shape = (nb, nb, nb);
+                    assert_eq!(
+                        built_len(kernel, shape),
+                        counted(&plan),
+                        "{kernel:?} nb {nb}"
                     );
                 }
             }
+            let rect = mm_rect_plan(dist.as_ref(), (4, 7, 3));
+            assert_eq!(built_len(Kernel::Mm, (4, 7, 3)), counted(&rect));
         }
     }
 
-    /// A step's long form.
-    fn long_form(step: &Step) -> Vec<u8> {
-        let mut out = Vec::new();
-        step.put(&mut out);
-        out
+    /// `decode(encode(p)) == p` and `encode(decode(b)) == b`.
+    fn round_trips(plan: &Plan) {
+        let bytes = encode(plan);
+        let back = decode(&bytes).expect("a generated plan decodes");
+        assert_eq!(back, *plan);
+        assert_eq!(encode(&back), bytes);
     }
 
     #[test]
-    fn swept_plans_round_trip_and_qr_sends_its_first_step() {
+    fn swept_plans_round_trip() {
         for dist in sweep_dists() {
-            let (p, q) = dist.grid();
             for kernel in Kernel::ALL {
                 for nb in 1..=24 {
-                    let plan = kernel.plan(dist.as_ref(), nb);
-                    let bytes = encode(&plan);
-                    let back = decode(&bytes).expect("a generated plan decodes");
-                    assert_eq!(back, plan, "{kernel:?} nb {nb} on {p}x{q}");
-                    assert_eq!(encode(&back), bytes, "{kernel:?} nb {nb} on {p}x{q}");
-                    if kernel == Kernel::Qr {
-                        // The header, the first step, two bytes a step.
-                        let header = with_steps(&plan, &[]).len();
-                        let most = header + long_form(&plan.steps[0]).len() + 2 * (nb - 1);
-                        assert!(
-                            bytes.len() <= most,
-                            "QR nb {nb} on {p}x{q}: {}",
-                            bytes.len()
-                        );
-                    }
+                    round_trips(&kernel.plan(dist.as_ref(), nb));
                 }
             }
+            for shape in [(1, 1, 5), (4, 7, 3), (9, 2, 6)] {
+                round_trips(&mm_rect_plan(dist.as_ref(), shape));
+            }
         }
-    }
-
-    /// A plan's bytes with `steps` written after `plan`'s header, each
-    /// as the given raw bytes.
-    fn with_steps(plan: &Plan, steps: &[Vec<u8>]) -> Vec<u8> {
-        let mut out = vec![WIRE_VERSION];
-        plan.grid.put(&mut out);
-        plan.owned.put(&mut out);
-        steps.len().put(&mut out);
-        for s in steps {
-            out.extend_from_slice(s);
+        for (workers, mem, shape) in [(1, 3, (1, 1, 1)), (2, 7, (4, 3, 3)), (3, 13, (7, 6, 4))] {
+            round_trips(&star_mm_plan(&star(workers, mem), shape));
         }
-        out
-    }
-
-    /// The long form of each of `plan`'s steps.
-    fn long_forms(plan: &Plan) -> Vec<Vec<u8>> {
-        plan.steps.iter().map(long_form).collect()
     }
 
     fn invalid_what(bytes: &[u8]) -> &'static str {
@@ -824,97 +627,62 @@ mod tests {
     }
 
     #[test]
-    fn only_the_canonical_qr_form_decodes() {
-        let plan = qr_plan(&BlockCyclic::new(2, 2), 5);
-        let long = long_forms(&plan);
-        // Every step long: the second equals the first advanced.
-        assert_eq!(
-            invalid_what(&with_steps(&plan, &long)),
-            "long-form Qr step equal to its predecessor advanced"
-        );
-        // A short form first, or after a non-QR step.
-        let no_prev = "short-form Qr step with no Qr step to advance";
-        assert_eq!(
-            invalid_what(&with_steps(&plan, &[vec![QR_ADVANCED, 0]])),
-            no_prev
-        );
-        let mm = long_forms(&mm_plan(&BlockCyclic::new(2, 2), 1));
-        let after_mm = [mm[0].clone(), vec![QR_ADVANCED, 1]];
-        assert_eq!(invalid_what(&with_steps(&plan, &after_mm)), no_prev);
-        // The last QR step has no trailing column to advance.
-        let last = [long[4].clone(), vec![QR_ADVANCED, 5]];
-        assert_eq!(invalid_what(&with_steps(&plan, &last)), no_prev);
-        // A short form whose k is not one past its predecessor's.
-        for k in [0, 2, 7] {
-            let steps = [long[0].clone(), vec![QR_ADVANCED, k]];
-            assert_eq!(
-                invalid_what(&with_steps(&plan, &steps)),
-                "short-form Qr step k"
-            );
+    fn a_few_bytes_claiming_a_huge_plan_build_nothing() {
+        // MM at nb = 4096 (4096 is two varint bytes), on a 2x2 grid, and
+        // no owners: refused by its shape before the table is read.
+        let t0 = std::time::Instant::now();
+        let mm = [WIRE_VERSION, 0, 0x80, 0x20, 0x80, 0x20, 0x80, 0x20, 2, 2];
+        assert_eq!(invalid_what(&mm), "plan past the built-plan bound");
+        // QR at the largest varint, and a star whose steps pass the bound.
+        let mut qr = vec![WIRE_VERSION, 3];
+        for _ in 0..3 {
+            (u32::MAX as usize).put(&mut qr);
         }
-        // The canonical bytes: the first step long, then two bytes each.
-        let canonical: Vec<Vec<u8>> = std::iter::once(long[0].clone())
-            .chain((1..5).map(|k| vec![QR_ADVANCED, k]))
-            .collect();
-        assert_eq!(with_steps(&plan, &canonical), encode(&plan));
-        // A step that differs from the advance in any list stays long.
-        let Step::Qr {
-            reflector_dests, ..
-        } = &plan.steps[1]
-        else {
-            unreachable!()
-        };
-        assert!(!reflector_dests.is_empty());
-        let mut odd = plan.clone();
-        let Step::Qr {
-            reflector_dests, ..
-        } = &mut odd.steps[1]
-        else {
-            unreachable!()
-        };
-        reflector_dests.reverse();
-        reflector_dests.push((9, 9));
-        let bytes = encode(&odd);
-        assert_eq!(bytes[with_steps(&plan, &long[..1]).len()], 3, "step 1 long");
-        assert_eq!(decode(&bytes).unwrap(), odd);
+        assert_eq!(invalid_what(&qr), "plan past the built-plan bound");
+        let star = [WIRE_VERSION, STAR, 0x80, 0x08, 0x80, 0x08, 0x80, 0x08, 1, 3];
+        assert_eq!(invalid_what(&star), "star plan past the built-plan bound");
+        // LU at nb = 2 on a grid whose count tables pass the bound.
+        let mut lu = vec![WIRE_VERSION, 1, 2, 2, 2];
+        (1usize << 13, 1usize << 13).put(&mut lu);
+        assert_eq!(invalid_what(&lu), "grid shape");
+        assert!(t0.elapsed().as_secs_f64() < 1.0);
     }
 
     #[test]
-    fn short_forms_cannot_expand_past_the_built_plan_bound() {
-        // The first step of a QR plan at nb = 300 (about 180 KB), then
-        // 299 short forms: the whole would be `built_len(Qr, 300)`.
-        let nb = 300;
-        assert!(built_len(Kernel::Qr, nb) > MAX_BUILT_LEN);
-        let owner = |bi: usize, bj: usize| (bi % 2, bj % 2);
-        let first = Step::Qr {
-            k: 0,
-            diag: owner(0, 0),
-            panel: (0..nb).map(|bi| owner(bi, 0)).collect(),
-            reflector_dests: vec![(0, 1)],
-            columns: (1..nb)
-                .map(|bj| QrColumn {
-                    bj,
-                    head: owner(0, bj),
-                    members: (1..nb).map(|bi| owner(bi, bj)).collect(),
-                })
-                .collect(),
+    fn a_source_the_generator_refuses_is_a_typed_error() {
+        // The LU plan at nb = 2 on a 1 x 2 grid: version, tag, shape,
+        // grid, then four owners.
+        let lu = factor_plan(&BlockCyclic::new(1, 2), 2);
+        let bytes = encode(&lu);
+        assert_eq!(bytes, [5, 1, 2, 2, 2, 1, 2, 0, 0, 0, 1, 0, 0, 0, 1]);
+        let with = |at: usize, b: u8| {
+            let mut evil = bytes.clone();
+            evil[at] = b;
+            evil
         };
-        let mut steps = vec![long_form(&first)];
-        assert_eq!(steps[0].len(), 181_080);
-        steps.extend((1..nb).map(|k| {
-            let mut s = vec![QR_ADVANCED];
-            k.put(&mut s);
-            s
-        }));
-        let empty = Plan {
-            grid: (2, 2),
-            owned: vec![],
-            steps: vec![],
-        };
-        let bytes = with_steps(&empty, &steps);
-        let t0 = std::time::Instant::now();
-        assert_eq!(invalid_what(&bytes), "Qr steps past the built-plan bound");
-        assert!(t0.elapsed().as_secs_f64() < 5.0);
+        assert_eq!(invalid_what(&with(1, 5)), "plan source");
+        assert_eq!(invalid_what(&with(3, 3)), "block shape");
+        assert_eq!(invalid_what(&with(5, 0)), "grid shape");
+        assert_eq!(invalid_what(&with(8, 2)), "owner outside the grid");
+        assert_eq!(invalid_what(&with(13, 1)), "owner outside the grid");
+        // A short owner table, and a byte past the end of the plan.
+        let err = decode(&bytes[..bytes.len() - 2]).unwrap_err();
+        assert_eq!(
+            (err.kind, err.what),
+            (DecodeErrorKind::Truncated, "owner table")
+        );
+        let mut long = bytes.clone();
+        long.push(0);
+        let err = decode(&long).unwrap_err();
+        assert_eq!(err.kind, DecodeErrorKind::TrailingBytes);
+        // MM with a zero dimension; a star with no worker or too little
+        // memory to stream.
+        let mm = [WIRE_VERSION, 0, 0, 1, 1, 1, 1];
+        assert_eq!(invalid_what(&mm), "block shape");
+        for (workers, mem) in [(0, 3), (1, 2)] {
+            let star = [WIRE_VERSION, STAR, 1, 1, 1, workers, mem];
+            assert_eq!(invalid_what(&star), "star shape");
+        }
     }
 
     fn all_plans() -> Vec<Plan> {
@@ -927,30 +695,14 @@ mod tests {
             qr_plan(&dist, 5),
             star_mm_plan(&star(2, 7), (4, 3, 3)),
             star_mm_plan(&star(1, 3), (2, 2, 2)),
-            Plan {
-                grid: (1, 1),
-                owned: vec![],
-                steps: vec![],
-            },
+            factor_plan(&BlockCyclic::new(1, 1), 0),
         ]
-    }
-
-    #[test]
-    fn encode_into_reused_buffer_matches_encode() {
-        let mut buf = Vec::new();
-        for plan in all_plans() {
-            buf.clear();
-            encode_into(&plan, &mut buf);
-            assert_eq!(buf, encode(&plan));
-        }
     }
 
     #[test]
     fn round_trips_every_kernel_plan() {
         for plan in all_plans() {
-            let bytes = encode(&plan);
-            let back = decode(&bytes).expect("well-formed plan must decode");
-            assert_eq!(back, plan);
+            round_trips(&plan);
         }
     }
 
@@ -997,63 +749,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_step_tag_is_a_typed_error() {
-        // A hypothetical future step kind: tag 8 after a valid header.
-        let mut bytes = encode(&Plan {
-            grid: (1, 2),
-            owned: vec![],
-            steps: vec![],
-        });
-        // Rewrite the one-byte step count from 0 to 1 and append the
-        // alien tag.
-        *bytes.last_mut().unwrap() = 1;
-        bytes.extend_from_slice(&[8; 24]);
-        let err = decode(&bytes).unwrap_err();
-        assert_eq!(err.kind, DecodeErrorKind::UnknownStepTag(8));
-        assert_eq!(err.what, "unknown step tag");
-    }
-
-    #[test]
-    fn invalid_enum_bytes_are_typed_errors() {
-        let plan = star_mm_plan(&star(1, 3), (1, 1, 1));
-        let bytes = encode(&plan);
-        // Version, grid (2), owned [[0, 1]] (4) and the step count: 8
-        // bytes. The first star step is `Load { k: 0, worker: 1, mat, .. }`;
-        // its mat byte sits right after the tag and two one-byte varints.
-        let header = 1 + 2 + 4 + 1;
-        let mat_at = header + 1 + 1 + 1;
-        assert_eq!(bytes[mat_at], 2, "expected the C-accumulator load");
-        let mut evil = bytes.clone();
-        evil[mat_at] = 3;
-        assert_eq!(
-            decode(&evil).unwrap_err().kind,
-            DecodeErrorKind::InvalidField
-        );
-        for len in 0..bytes.len() {
-            let err = decode(&bytes[..len]).unwrap_err();
-            assert_eq!(err.kind, DecodeErrorKind::Truncated, "at {len}");
-        }
-    }
-
-    #[test]
     fn star_byte_layout_is_pinned() {
-        // Cross-version pin: this spells the v4 byte layout of every
-        // star step kind out longhand. If encode() changes, bump
-        // WIRE_VERSION — old caches and remote peers hold these bytes.
+        // Cross-version pin: this spells the v5 byte layout of a star
+        // plan out longhand. If encode() changes, bump WIRE_VERSION —
+        // old caches and remote peers hold these bytes.
         let plan = star_mm_plan(&star(1, 3), (1, 1, 1));
         #[rustfmt::skip]
         let want: Vec<u8> = vec![
-            4,          // version
-            1, 2,       // grid 1 x 2
-            1, 2, 0, 1, // owned [[0, 1]]
-            7,          // 7 steps; each: tag, k, worker 1, then its fields
-            4, 0, 1, 2, 0, 0, 1,    // Load C (0,0) Zero
-            4, 1, 1, 1, 0, 0, 0,    // Load B (0,0) Master
-            4, 2, 1, 0, 0, 0, 0,    // Load A (0,0) Master
-            5, 3, 1, 0, 0, 0, 0, 0, 0, // Compute c a b = (0,0)
-            6, 4, 1, 0, 0, 0, 0,    // Evict A (0,0), drop
-            6, 5, 1, 1, 0, 0, 0,    // Evict B (0,0), drop
-            6, 6, 1, 2, 0, 0, 1,    // Evict C (0,0), send back
+            5,       // version
+            4,       // star
+            1, 1, 1, // shape (mb, nb, kb)
+            1, 3,    // one worker, three blocks of memory
         ];
         assert_eq!(encode(&plan), want);
         assert_eq!(decode(&want).unwrap(), plan);
@@ -1080,30 +786,33 @@ mod tests {
     }
 
     #[test]
-    fn v3_plans_are_an_unsupported_version() {
-        // The two-block QR plan on one processor as v3 wrote it: both
-        // steps in long form, where v4 writes the second as tag 7, k 1.
+    fn v3_and_v4_plans_are_an_unsupported_version() {
+        // The two-block QR plan on one processor as v3 wrote it, both
+        // steps in long form, and as v4 wrote it, the second as tag 7
+        // and k 1.
         #[rustfmt::skip]
         let v3 = [3, 1, 1, 0, 2,
             3, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0,
             3, 1, 0, 0, 1, 0, 0, 0, 0];
-        let err = decode(&v3).unwrap_err();
-        assert_eq!(err.kind, DecodeErrorKind::UnsupportedVersion(3));
-        assert_eq!(err.offset, 0);
-        let plan = qr_plan(&BlockCyclic::new(1, 1), 2);
         let mut v4 = v3[..22].to_vec();
         v4[0] = 4;
         v4.extend([7, 1]);
-        assert_eq!(encode(&plan), v4);
+        for (version, bytes) in [(3, &v3[..]), (4, &v4[..])] {
+            let err = decode(bytes).unwrap_err();
+            assert_eq!(err.kind, DecodeErrorKind::UnsupportedVersion(version));
+            assert_eq!(err.offset, 0);
+        }
+        let plan = qr_plan(&BlockCyclic::new(1, 1), 2);
+        assert_eq!(encode(&plan), [5, 3, 2, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     #[test]
     fn qr_plan_length_is_pinned() {
-        // The QR plan at nb = 64 on a 4 x 4 cyclic grid: its first step
-        // in long form, two bytes per owner list entry, then two bytes
-        // per step (183 737 bytes at v3, every step long).
+        // The QR plan at nb = 64 on a 4 x 4 cyclic grid: seven bytes of
+        // header, then two bytes per owner (8 462 bytes at v4, which
+        // wrote the first step and two bytes per later one).
         let plan = qr_plan(&BlockCyclic::new(4, 4), 64);
-        assert_eq!(encode(&plan).len(), 8_462);
+        assert_eq!(encode(&plan).len(), 8_199);
     }
 
     fn varint(bytes: &[u8]) -> Result<usize, DecodeError> {
@@ -1161,20 +870,20 @@ mod tests {
 
     #[test]
     fn kernel_plan_bytes_are_pinned() {
-        // The v4 bytes of every plan in `all_plans`, grid kernels
+        // The v5 bytes of every plan in `all_plans`, grid kernels
         // included, as one digest each. If one moves, bump WIRE_VERSION.
         let got: Vec<u64> = all_plans().iter().map(|p| fnv(&encode(p))).collect();
         assert_eq!(
             got,
             [
-                0x8843_b2ce_5e33_18c1,
-                0x09ed_683f_a481_6eef,
-                0x931d_0a7d_1bbc_40e0,
-                0xd68d_0187_84a0_61f0,
-                0xdc76_099c_c87c_dc48,
-                0x85f2_7655_f9a2_52fe,
-                0xb4f2_ef9a_1047_e0ad,
-                0x1aaf_9226_dea0_81dd,
+                0xfb26_2d2b_5877_3a60,
+                0x3fc6_a153_b407_62f4,
+                0x7c4d_a0dd_fd4f_be44,
+                0x5ca6_7902_683a_ea93,
+                0x21e8_f522_a8e6_12b3,
+                0xc51f_669b_e771_2811,
+                0xfa07_0c71_2d31_a31a,
+                0x7981_af94_0b53_3123,
             ]
         );
     }
@@ -1182,8 +891,8 @@ mod tests {
     #[test]
     fn non_qr_plan_bodies_are_pinned_across_versions() {
         // Everything after the version byte of every non-QR plan in
-        // `all_plans`, pinned at v2: a version bump that reshapes one
-        // step kind leaves every other kind's bytes where they were.
+        // `all_plans`, pinned at v5: a version bump that keeps the
+        // source's layout leaves these bytes where they are.
         let got: Vec<u64> = all_plans()
             .iter()
             .filter(|p| !matches!(p.steps.first(), Some(Step::Qr { .. })))
@@ -1192,13 +901,13 @@ mod tests {
         assert_eq!(
             got,
             [
-                0xc83e_b7f2_b470_4ccf,
-                0x6ce6_c597_4a7d_a729,
-                0xd2e3_1143_f8e3_a1ee,
-                0x5b38_4847_9626_58de,
-                0x4e6f_28b9_cc8a_147c,
-                0x5e35_3629_a426_7a03,
-                0xb5d4_4577_4c80_560f,
+                0x92de_3445_cf5f_cc01,
+                0x796c_2c48_506f_c609,
+                0x9b73_a2f9_2f5c_d8e1,
+                0x1814_cdae_39f4_4a66,
+                0x2f91_5ee0_b85b_fb2c,
+                0xfae1_f0c8_c0f9_283f,
+                0xfb51_fdc7_3bae_8c7a,
             ]
         );
     }

@@ -10,12 +10,17 @@
 //! error response is attributable to a specific trace. The header and
 //! the request go out as one vectored write, and frames are read
 //! through a 64 KiB buffer, so a round trip is one write each way.
+//! After its write the client polls for [`crate::wire::SPIN`] before
+//! its read blocks ([`crate::wire::spin_until_readable`]), so a quick
+//! answer finds it awake.
 
 use crate::proto::{
     decode_response, decode_trace_header, encode_request, encode_trace_header, is_trace_header,
     Request, Response,
 };
-use crate::wire::{read_frame, write_frame, write_frames, WireError, READ_BUFFER};
+use crate::wire::{
+    read_frame, spin_until_readable, write_frame, write_frames, WireError, READ_BUFFER,
+};
 use hetgrid_plan::wire::DecodeError;
 use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -76,6 +81,7 @@ impl Client {
         let header = encode_trace_header(ctx.trace_id, ctx.span_id);
         write_frames(self.stream.get_mut(), &[&header, &encode_request(req)])
             .map_err(ClientError::Wire)?;
+        spin_until_readable(&self.stream);
         let mut frame = read_frame(&mut self.stream).map_err(ClientError::Wire)?;
         if is_trace_header(&frame) {
             let (trace_id, _) = decode_trace_header(&frame).map_err(ClientError::Proto)?;

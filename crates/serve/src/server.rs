@@ -17,7 +17,7 @@
 
 use crate::proto;
 use crate::service::{Service, ServiceConfig};
-use crate::wire::{read_frame, write_frame, write_frames, READ_BUFFER};
+use crate::wire::{read_frame, spin_until_readable, write_frame, write_frames, READ_BUFFER};
 use hetgrid_obs::{diag, vdiag};
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -151,7 +151,9 @@ fn accept_loop(
 /// shutdown. Malformed *frames* (oversize, truncated) drop the
 /// connection — the stream cannot be trusted to be frame-aligned —
 /// while malformed *payloads* in well-formed frames get a typed
-/// `BadRequest` response and the connection lives on.
+/// `BadRequest` response and the connection lives on. Each read starts
+/// with [`spin_until_readable`], so a client's next request finds the
+/// thread awake.
 ///
 /// A trace-context header frame ([`proto::TRACE_HEADER_KIND`]) gets no
 /// response of its own: it sets the context for the *next* request on
@@ -173,6 +175,7 @@ fn connection(stream: TcpStream, addr: SocketAddr, service: &Service, stop: &Ato
         if stop.load(Ordering::SeqCst) || service.shutdown_requested() {
             return;
         }
+        spin_until_readable(&stream);
         let frame = match read_frame(&mut stream) {
             Ok(frame) => frame,
             Err(e) if e.is_idle_timeout() => continue,

@@ -33,10 +33,12 @@
 //! `ServerError` response (uncached) instead of taking the process
 //! down. A plan grows faster in `nb` than the request bound allows
 //! for: a `Plan` or `Simulate` whose plan would hold more than
-//! [`MAX_BUILT_LEN`] bytes as [`built_len`] counts them is refused
-//! before anything is built, and a response that still turns out too
-//! large for a frame ([`MAX_FRAME`]) degrades to an uncached
-//! `BadRequest` naming its size and the cap.
+//! [`MAX_BUILT_LEN`] bytes as [`built_len`] or [`counts_len`] count
+//! them is refused before anything is built, and a response that still
+//! turns out too large for a frame ([`MAX_FRAME`]) degrades to an
+//! uncached `BadRequest` naming its size and the cap. A `Plan` response
+//! carries the plan's source, the owner of every block: the server
+//! never builds its steps, the client's `wire::decode` does.
 
 use crate::cache::PlanCache;
 use crate::fingerprint::{cache_key, fingerprint};
@@ -48,8 +50,8 @@ use crate::quota::{QuotaConfig, QuotaTable};
 use crate::wire::MAX_FRAME;
 use hetgrid_core::{heuristic, validate_times, Arrangement};
 use hetgrid_dist::{panel_period, PanelDist, PanelOrdering};
-use hetgrid_plan::wire::{built_len, min_plan_len, MAX_BUILT_LEN};
-use hetgrid_plan::Kernel;
+use hetgrid_plan::wire::{built_len, counts_len, min_plan_len, MAX_BUILT_LEN};
+use hetgrid_plan::{Kernel, Source};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -346,7 +348,7 @@ fn validate_body(body: &RequestBody) -> Result<(), String> {
     };
     validate_times(&spec.times, spec.p, spec.q).map_err(|e| e.to_string())?;
     if let RequestBody::Plan(plan) | RequestBody::Simulate(plan) = body {
-        refuse_unbuildable(plan.kernel, plan.nb)?;
+        refuse_unbuildable(plan.kernel, plan.nb, (spec.p, spec.q))?;
     }
     if let RequestBody::Simulate(_) = body {
         let max = spec.times.iter().copied().fold(0.0, f64::max);
@@ -361,16 +363,24 @@ fn validate_body(body: &RequestBody) -> Result<(), String> {
     Ok(())
 }
 
-/// Refuses a plan that a server does not build: one whose steps, as
-/// [`built_len`] counts them, pass [`MAX_BUILT_LEN`]. The text names
-/// the frame cap only when the encoding is provably past it too (every
-/// kernel but QR, whose later steps are two bytes each on the wire).
-fn refuse_unbuildable(kernel: Kernel, nb: usize) -> Result<(), String> {
-    let built = built_len(kernel, nb);
+/// Refuses a plan that a server does not build and a client does not
+/// decode: one whose steps, as [`built_len`] counts them, or whose
+/// count tables on the `p x q` grid ([`counts_len`]) pass
+/// [`MAX_BUILT_LEN`]. The text names the frame cap only when the
+/// encoding is provably past it too.
+fn refuse_unbuildable(kernel: Kernel, nb: usize, (p, q): (usize, usize)) -> Result<(), String> {
+    let name = kernel.name();
+    let counts = counts_len((p, q), nb);
+    if counts > MAX_BUILT_LEN {
+        return Err(format!(
+            "a {name} plan at nb = {nb} on a {p}x{q} grid keeps {counts} processor counts, a byte each, over the {MAX_BUILT_LEN}-byte bound on a built plan"
+        ));
+    }
+    let built = built_len(kernel, (nb, nb, nb));
     if built <= MAX_BUILT_LEN {
         return Ok(());
     }
-    let (name, least) = (kernel.name(), min_plan_len(kernel, nb));
+    let least = min_plan_len(kernel, nb);
     Err(if least > MAX_FRAME {
         format!(
             "a {name} plan at nb = {nb} takes at least {least} bytes, over the {MAX_FRAME}-byte frame cap"
@@ -416,10 +426,11 @@ fn compute(body: &RequestBody) -> Response {
         RequestBody::Plan(spec) => {
             let (arr, alloc, result) = solve_result(&spec.solve);
             let dist = dist_for(&arr, &alloc, spec.nb);
-            let plan = spec.kernel.plan(&dist, spec.nb);
+            let nb = spec.nb;
+            let source = Source::grid(spec.kernel, &dist, (nb, nb, nb));
             Response::Plan(crate::proto::PlanResult {
                 solve: result,
-                plan_bytes: hetgrid_plan::wire::encode(&plan),
+                plan_bytes: hetgrid_plan::wire::encode_source(&source),
             })
         }
         RequestBody::Simulate(spec) => {
@@ -615,19 +626,32 @@ mod tests {
         }
     }
 
-    /// MM passes the frame cap on the paper's grid at nb = 980, by less
-    /// than `min_plan_len` can prove, and inside the built-plan bound:
-    /// at nb = 1000 the plan is built and encoded, and the answer is a
-    /// typed refusal, not a frame the connection cannot write, and never
-    /// cached.
+    /// Cholesky at nb = 2590, the largest it builds, on a 1 x 300 grid
+    /// sends more than `min_plan_len` can prove: most owners sit in a
+    /// column past 127, whose varint takes two bytes. The source is
+    /// encoded, and the answer is a typed refusal, not a frame the
+    /// connection cannot write, and never cached.
     #[test]
     fn oversize_response_is_a_bad_request_and_not_cached() {
         let _g = obs_lock();
         let svc = Service::new(ServiceConfig::default());
-        assert!(min_plan_len(Kernel::Mm, 1000) <= MAX_FRAME);
-        assert!(built_len(Kernel::Mm, 1000) <= MAX_BUILT_LEN);
-        let want = "response of 17494979 bytes exceeds the 16777216-byte frame cap";
-        let resp = svc.respond(&paper_plan(Kernel::Mm, 1000));
+        let (kernel, nb) = (Kernel::Cholesky, 2590);
+        assert!(min_plan_len(kernel, nb) <= MAX_FRAME);
+        assert!(built_len(kernel, (nb, nb, nb)) <= MAX_BUILT_LEN);
+        let want = "response of 17145464 bytes exceeds the 16777216-byte frame cap";
+        let times = vec![1.0; 300];
+        let resp = svc.respond(&Request {
+            tenant: String::new(),
+            body: RequestBody::Plan(PlanSpec {
+                solve: SolveSpec {
+                    p: 1,
+                    q: 300,
+                    times,
+                },
+                kernel,
+                nb,
+            }),
+        });
         assert!(
             matches!(&resp, Response::BadRequest(msg) if msg == want),
             "got a {} response",
@@ -708,6 +732,30 @@ mod tests {
              16777216-byte bound on a built plan"
         );
         assert!(min_plan_len(Kernel::Qr, 293) <= MAX_FRAME);
+    }
+
+    /// A grid whose count tables, one count per processor a step, pass
+    /// the built-plan bound is refused before planning, as the client's
+    /// decoder would refuse its plan: a 128 x 128 grid at nb = 1025.
+    #[test]
+    fn a_grid_whose_count_tables_pass_the_bound_is_refused() {
+        let refused = |nb| {
+            let solve = SolveSpec {
+                p: 128,
+                q: 128,
+                times: vec![1.0; 128 * 128],
+            };
+            let kernel = Kernel::Lu;
+            validate_body(&RequestBody::Plan(PlanSpec { solve, kernel, nb })).err()
+        };
+        assert_eq!(refused(1024), None);
+        assert_eq!(
+            refused(1025).as_deref(),
+            Some(
+                "a lu plan at nb = 1025 on a 128x128 grid keeps 16793600 processor counts, \
+                 a byte each, over the 16777216-byte bound on a built plan"
+            )
+        );
     }
 
     /// QR at nb = 240 on the paper's grid fits one frame.

@@ -23,7 +23,9 @@
 //! without progress give [`WireError::Truncated`], so a peer that stops
 //! reading cannot park the writer forever.
 
-use std::io::{ErrorKind, IoSlice, Read, Write};
+use std::io::{BufReader, ErrorKind, IoSlice, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Hard upper bound on a frame payload (16 MiB). A 4096-processor
 /// cycle-time matrix is ~32 KiB; this leaves generous headroom for
@@ -124,6 +126,40 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8], mut started: bool) -> Result<()
         }
     }
     Ok(())
+}
+
+/// How long [`spin_until_readable`] polls a quiet stream before the
+/// read blocks: more than a cache hit's round trip on loopback (about
+/// 25 µs) and a client's turn between two requests, far less than the
+/// server's 250 ms idle poll.
+pub const SPIN: Duration = Duration::from_micros(100);
+
+/// Waits, without sleeping, up to [`SPIN`] for `stream` to have a byte
+/// to read (or to reach end of stream or an error), then leaves it
+/// blocking again.
+///
+/// Both ends call it before [`read_frame`], so a quick exchange finds
+/// each of them awake: a thread asleep in `read` is woken by its peer's
+/// write, and on a host whose idle cores sleep that wake-up costs tens
+/// of microseconds, more in one run than the next. Each poll yields
+/// the core, so a peer that shares it still runs, and a connection that
+/// goes quiet costs one [`SPIN`] before its thread sleeps.
+pub fn spin_until_readable(stream: &BufReader<TcpStream>) {
+    if !stream.buffer().is_empty() {
+        return;
+    }
+    let sock = stream.get_ref();
+    if sock.set_nonblocking(true).is_err() {
+        return;
+    }
+    let start = Instant::now();
+    let mut probe = [0u8; 1];
+    while matches!(sock.peek(&mut probe), Err(e) if e.kind() == ErrorKind::WouldBlock)
+        && start.elapsed() < SPIN
+    {
+        std::thread::yield_now();
+    }
+    let _ = sock.set_nonblocking(false);
 }
 
 /// Reads one frame and returns its payload.
@@ -323,5 +359,30 @@ mod tests {
             read_frame(&mut Cursor::new(buf)).unwrap_err(),
             WireError::Truncated
         );
+    }
+
+    /// On a quiet stream the poll gives up after `SPIN` and leaves the
+    /// socket blocking, so the read after it still waits for its
+    /// timeout; a frame already sent is read at once.
+    #[test]
+    fn spin_gives_up_and_leaves_the_stream_blocking() {
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (sock, _) = listener.accept().unwrap();
+        let timeout = Duration::from_millis(50);
+        sock.set_read_timeout(Some(timeout)).unwrap();
+        let mut stream = BufReader::new(sock);
+
+        let t0 = Instant::now();
+        spin_until_readable(&stream);
+        assert!(t0.elapsed() >= SPIN);
+        let t1 = Instant::now();
+        assert!(read_frame(&mut stream).unwrap_err().is_idle_timeout());
+        assert!(t1.elapsed() >= timeout, "the read did not block");
+
+        write_frame(&mut peer, b"ping").unwrap();
+        spin_until_readable(&stream);
+        assert_eq!(read_frame(&mut stream).unwrap(), b"ping");
     }
 }

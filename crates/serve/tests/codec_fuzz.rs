@@ -4,8 +4,10 @@
 //! `hetgrid_plan::wire::Reader`.
 //!
 //! Inputs are single-byte mutations of valid encodings, random byte
-//! strings, and random bytes behind a valid header (so the noise reaches
-//! the bodies, not just the magic check). The properties:
+//! strings, random bytes behind a valid header (so the noise reaches
+//! the bodies, not just the magic check), and grid plans whose owner
+//! tables are redrawn at random inside the grid (so the noise reaches
+//! the generators `wire::decode` re-runs). The properties:
 //!
 //! * no decoder panics, whatever the bytes;
 //! * whatever a decoder accepts re-encodes to bytes that decode and
@@ -46,8 +48,15 @@ fn snapshot() -> MetricsSnapshot {
     snap
 }
 
-/// Valid encodings of every request kind, every response kind, a trace
-/// header and a plan of every kernel.
+/// Bytes of a v5 grid plan at nb = 3 on a 2 x 2 grid before its owner
+/// table: version, kernel, the shape and the grid.
+const PLAN_HEADER: usize = 7;
+
+/// The plans at the head of the corpus: one per kernel and a star.
+const PLANS: usize = Kernel::ALL.len() + 1;
+
+/// Valid encodings of a plan of every kernel, a star plan, every
+/// request kind, every response kind and a trace header.
 fn corpus() -> &'static [Vec<u8>] {
     static CORPUS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
     CORPUS.get_or_init(|| {
@@ -149,6 +158,12 @@ fn check(bytes: &[u8]) {
 
 #[test]
 fn corpus_decodes() {
+    for plan in &corpus()[..PLANS - 1] {
+        assert_eq!(
+            plan[..PLAN_HEADER],
+            [wire::WIRE_VERSION, plan[1], 3, 3, 3, 2, 2]
+        );
+    }
     let decoders: [fn(&[u8]) -> bool; 4] = [
         |b| wire::decode(b).is_ok(),
         |b| decode_request(b).is_ok(),
@@ -174,7 +189,7 @@ proptest! {
 
     #[test]
     fn decoders_are_total_and_reencode_to_a_fixed_point(
-        mode in 0u8..3,
+        mode in 0u8..4,
         which in 0usize..usize::MAX,
         at in 0usize..usize::MAX,
         byte in 0u8..=255,
@@ -189,7 +204,17 @@ proptest! {
                 b
             }
             1 => noise,
-            _ => [&base[..base.len().min(4)], &noise[..]].concat(),
+            2 => [&base[..base.len().min(4)], &noise[..]].concat(),
+            _ => {
+                // Every owner coordinate below 2, so inside the grid:
+                // a grid plan decodes, whatever the table says.
+                let mut b = corpus()[which % PLANS].clone();
+                for (x, n) in b.iter_mut().skip(PLAN_HEADER).zip(&noise) {
+                    *x = n % 2;
+                }
+                prop_assert!(wire::decode(&b).is_ok(), "{b:?}");
+                b
+            }
         };
         check(&input);
     }

@@ -376,18 +376,19 @@ fn a_request_split_by_pauses_longer_than_the_poll_interval_is_served() {
 #[test]
 fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
     let handle = spawn("127.0.0.1:0", ServiceConfig::default()).expect("bind");
-    // MM at nb = 900 on 2x2 encodes to about 14 MB, more than the
-    // loopback socket buffers hold.
+    // Cholesky at nb = 2400 on a 1 x 300 grid sends 5.76 million
+    // owners, most of them two varint bytes past column 127: about
+    // 15 MB, more than the loopback socket buffers hold.
     let request = Request {
         tenant: "stalled".into(),
         body: RequestBody::Plan(PlanSpec {
             solve: SolveSpec {
-                p: 2,
-                q: 2,
-                times: vec![1.0, 2.0, 3.0, 5.0],
+                p: 1,
+                q: 300,
+                times: vec![1.0; 300],
             },
-            kernel: Kernel::Mm,
-            nb: 900,
+            kernel: Kernel::Cholesky,
+            nb: 2400,
         }),
     };
     let mut burst = Vec::new();
@@ -400,12 +401,12 @@ fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
         .unwrap();
     stream.write_all(&burst).expect("write");
     // Read the first length prefix, so the server is writing, and then
-    // nothing more: 16 responses of ~14 MB park it in a write.
+    // nothing more: 16 responses of ~15 MB park it in a write.
     let mut prefix = [0u8; 4];
     std::io::Read::read_exact(&mut stream, &mut prefix).expect("first frame header");
     assert!(
-        u32::from_be_bytes(prefix) > 1 << 20,
-        "a multi-megabyte plan"
+        u32::from_be_bytes(prefix) > 12 << 20,
+        "a plan of more than 12 MiB"
     );
 
     let budget = POLL_INTERVAL * STALL_LIMIT;
