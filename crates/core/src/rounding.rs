@@ -4,7 +4,7 @@
 //! `sum r_i = sum c_j = N`").
 
 use crate::arrangement::Arrangement;
-use crate::objective::{t_exe, Allocation};
+use crate::objective::Allocation;
 
 /// Largest-remainder (Hamilton) apportionment: integer counts
 /// proportional to `weights`, summing exactly to `total`.
@@ -66,44 +66,70 @@ pub fn integer_allocation(
     ensure_nonzero(&mut cols);
 
     // Local search: try moving one block between any pair of rows, then
-    // any pair of columns; accept strictly improving moves.
-    let mut improved = true;
-    while improved {
-        improved = false;
-        let current = t_exe(arr, &rows, &cols);
-        'rows: for a in 0..rows.len() {
-            for b in 0..rows.len() {
-                if a == b || rows[a] <= 1 {
-                    continue;
-                }
-                rows[a] -= 1;
-                rows[b] += 1;
-                if t_exe(arr, &rows, &cols) < current - 1e-15 {
-                    improved = true;
-                    break 'rows;
-                }
-                rows[a] += 1;
-                rows[b] -= 1;
-            }
+    // any pair of columns; accept strictly improving moves. A move
+    // changes two lines, so it is priced from the lines' maxima, not by
+    // a full `t_exe`: the same products, so the same value bit for bit.
+    let (p, q) = (arr.p(), arr.q());
+    loop {
+        // Row i's maximum `max_j fl(fl(r t_ij) c_j)` at count `r`.
+        let row = |i: usize, r: usize| {
+            (0..q).fold(0.0, |m: f64, j| {
+                m.max(r as f64 * arr.time(i, j) * cols[j] as f64)
+            })
+        };
+        let at = |delta: isize| -> Vec<f64> {
+            (0..p)
+                .map(|i| row(i, rows[i].saturating_add_signed(delta)))
+                .collect()
+        };
+        let (now, down, up) = (at(0), at(-1), at(1));
+        let moved_row = first_move(&mut rows, &now, &down, &up);
+        // Column j's products are `fl(x_ij c_j)` with `x_ij = fl(r_i
+        // t_ij)`; rounding is monotone and `c_j > 0`, so their maximum
+        // is `fl(max_i x_ij c_j)`.
+        let x: Vec<f64> = (0..q)
+            .map(|j| (0..p).fold(0.0, |m: f64, i| m.max(rows[i] as f64 * arr.time(i, j))))
+            .collect();
+        let at = |delta: isize| -> Vec<f64> {
+            (0..q)
+                .map(|j| x[j] * cols[j].saturating_add_signed(delta) as f64)
+                .collect()
+        };
+        let (now, down, up) = (at(0), at(-1), at(1));
+        let moved_col = first_move(&mut cols, &now, &down, &up);
+        if !moved_row && !moved_col {
+            return (rows, cols);
         }
-        let current = t_exe(arr, &rows, &cols);
-        'cols: for a in 0..cols.len() {
-            for b in 0..cols.len() {
-                if a == b || cols[a] <= 1 {
-                    continue;
-                }
-                cols[a] -= 1;
-                cols[b] += 1;
-                if t_exe(arr, &rows, &cols) < current - 1e-15 {
-                    improved = true;
-                    break 'cols;
-                }
-                cols[a] += 1;
-                cols[b] -= 1;
+    }
+}
+
+/// The local search's pass over the rows or the columns: makes the
+/// first move of one block from line `a` to line `b`, in `(a, b)`
+/// order, whose makespan is below the current one, and says whether it
+/// moved. `now[i]` is line `i`'s maximum product, `down[i]` / `up[i]`
+/// its maximum with one block less / more; the makespan after a move
+/// is the largest of `down[a]`, `up[b]` and the other lines' `now`.
+fn first_move(counts: &mut [usize], now: &[f64], down: &[f64], up: &[f64]) -> bool {
+    let current = now.iter().fold(0.0, |m: f64, &v| m.max(v));
+    // The three largest lines: one of them is neither `a` nor `b`.
+    let mut top: Vec<(f64, usize)> = now.iter().copied().zip(0..).collect();
+    top.sort_by(|x, y| y.0.total_cmp(&x.0));
+    top.truncate(3);
+    for a in 0..counts.len() {
+        for b in 0..counts.len() {
+            if a == b || counts[a] <= 1 {
+                continue;
+            }
+            let rest = top.iter().find(|&&(_, i)| i != a && i != b);
+            let makespan = rest.map_or(0.0, |&(v, _)| v).max(down[a]).max(up[b]);
+            if makespan < current - 1e-15 {
+                counts[a] -= 1;
+                counts[b] += 1;
+                return true;
             }
         }
     }
-    (rows, cols)
+    false
 }
 
 /// Bumps zero counts to one, taking blocks from the largest counts (every
@@ -131,6 +157,7 @@ fn ensure_nonzero(counts: &mut [usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::objective::t_exe;
 
     #[test]
     fn exact_proportions_are_preserved() {
@@ -194,6 +221,85 @@ mod tests {
             crate::objective::t_exe(&arr, &rows, &cols)
                 <= crate::objective::t_exe(&arr, &naive_rows, &naive_cols) + 1e-12
         );
+    }
+
+    /// The local search as it priced every try with a full `t_exe`.
+    fn integer_allocation_oracle(
+        arr: &Arrangement,
+        alloc: &Allocation,
+        bp: usize,
+        bq: usize,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let mut rows = round_proportional(&alloc.r, bp);
+        let mut cols = round_proportional(&alloc.c, bq);
+        ensure_nonzero(&mut rows);
+        ensure_nonzero(&mut cols);
+        let mut improved = true;
+        while improved {
+            improved = false;
+            let current = t_exe(arr, &rows, &cols);
+            'rows: for a in 0..rows.len() {
+                for b in 0..rows.len() {
+                    if a == b || rows[a] <= 1 {
+                        continue;
+                    }
+                    rows[a] -= 1;
+                    rows[b] += 1;
+                    if t_exe(arr, &rows, &cols) < current - 1e-15 {
+                        improved = true;
+                        break 'rows;
+                    }
+                    rows[a] += 1;
+                    rows[b] -= 1;
+                }
+            }
+            let current = t_exe(arr, &rows, &cols);
+            'cols: for a in 0..cols.len() {
+                for b in 0..cols.len() {
+                    if a == b || cols[a] <= 1 {
+                        continue;
+                    }
+                    cols[a] -= 1;
+                    cols[b] += 1;
+                    if t_exe(arr, &rows, &cols) < current - 1e-15 {
+                        improved = true;
+                        break 'cols;
+                    }
+                    cols[a] += 1;
+                    cols[b] -= 1;
+                }
+            }
+        }
+        (rows, cols)
+    }
+
+    /// Random arrangements, shares and panel sizes, the shares both the
+    /// solver's and arbitrary ones: the same counts as the oracle.
+    #[test]
+    fn integer_allocation_matches_the_full_pricing_oracle() {
+        use rand::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x7e_ba1a);
+        for case in 0..400 {
+            let (p, q) = (rng.gen_range(1..=5), rng.gen_range(1..=5));
+            let rows: Vec<Vec<f64>> = (0..p)
+                .map(|_| (0..q).map(|_| rng.gen_range(0.1..10.0)).collect())
+                .collect();
+            let arr = Arrangement::from_rows(&rows);
+            let alloc = if case % 2 == 0 {
+                crate::alternating::optimize(&arr, 200).alloc
+            } else {
+                Allocation {
+                    r: (0..p).map(|_| rng.gen_range(0.05..1.0)).collect(),
+                    c: (0..q).map(|_| rng.gen_range(0.05..1.0)).collect(),
+                }
+            };
+            let (bp, bq) = (rng.gen_range(p..=6 * p), rng.gen_range(q..=6 * q));
+            assert_eq!(
+                integer_allocation(&arr, &alloc, bp, bq),
+                integer_allocation_oracle(&arr, &alloc, bp, bq),
+                "case {case}: {p}x{q}, {bp}x{bq}"
+            );
+        }
     }
 
     #[test]

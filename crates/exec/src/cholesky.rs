@@ -36,6 +36,7 @@ pub(crate) fn cholesky_actions(
         diag,
         diag_dests,
         panel_bcasts,
+        owners,
         ..
     } = step
     else {
@@ -51,7 +52,7 @@ pub(crate) fn cholesky_actions(
             (k, k),
             true,
             vec![Work::on(Kern::Potrf, vec![], (k, k))],
-            vec![Send::of(TAG_DIAG, 0, (k, k), diag_dests)],
+            vec![Send::of(TAG_DIAG, 0, (k, k), diag_dests.clone())],
         ));
     }
     // Panel right-solve: A_ik := A_ik * L_kk^{-T}.
@@ -63,7 +64,7 @@ pub(crate) fn cholesky_actions(
             bc.block,
             true,
             vec![Work::on(Kern::TrsmRightLowerT, vec![lkk], bc.block)],
-            vec![Send::of(TAG_L, 0, bc.block, &bc.dests)],
+            vec![Send::of(TAG_L, 0, bc.block, owners.dests(bc))],
         ));
     }
     let mut trailing: Vec<(usize, usize)> = owned

@@ -130,8 +130,8 @@ pub(crate) struct Send {
 
 impl Send {
     /// Block `blk` of namespace `ns` to `dests`, tagged `tag`.
-    pub fn of(tag: u8, ns: u8, (bi, bj): (usize, usize), dests: &[(usize, usize)]) -> Send {
-        let (res, dests) = ((ns, bi, bj), dests.to_vec());
+    pub fn of(tag: u8, ns: u8, (bi, bj): (usize, usize), dests: Vec<(usize, usize)>) -> Send {
+        let res = (ns, bi, bj);
         Send { tag, res, dests }
     }
 }

@@ -37,9 +37,10 @@ pub(crate) fn lu_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
     let Step::Factor {
         k,
         diag,
-        diag_col_dests,
+        diag_dests,
         l_bcasts,
         u_bcasts,
+        owners,
         ..
     } = step
     else {
@@ -51,21 +52,14 @@ pub(crate) fn lu_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
     let mut out = Vec::new();
     if *diag == my {
         // The packed factors go to the panel-column owners (for the L
-        // solves) and the pivot-row owners (for the U solves), one
-        // message per distinct owner.
-        let mut dests = diag_col_dests.clone();
-        for d in &l_bcasts[0].dests {
-            if !dests.contains(d) {
-                dests.push(*d);
-            }
-        }
+        // solves) and the pivot-row owners (for the U solves).
         out.push(grid::action(
             k,
             Some("factor"),
             (k, k),
             true,
             vec![Work::on(Kern::Getrf, vec![], (k, k))],
-            vec![Send::of(TAG_DIAG, 0, (k, k), &dests)],
+            vec![Send::of(TAG_DIAG, 0, (k, k), diag_dests.clone())],
         ));
     }
     // Solve the owned blocks of panel column k against U11 and of pivot
@@ -82,7 +76,7 @@ pub(crate) fn lu_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
                 bc.block,
                 true,
                 vec![Work::on(kern, vec![packed], bc.block)],
-                vec![Send::of(tag, 0, bc.block, &bc.dests)],
+                vec![Send::of(tag, 0, bc.block, owners.dests(bc))],
             ));
         }
     }

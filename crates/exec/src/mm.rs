@@ -31,6 +31,7 @@ pub(crate) fn mm_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
         k,
         a_bcasts,
         b_bcasts,
+        owners,
     } = step
     else {
         return Vec::new();
@@ -41,9 +42,10 @@ pub(crate) fn mm_actions(step: &Step, my: (usize, usize), owned: &[(usize, usize
         .flat_map(|(tag, ns, bcasts)| {
             bcasts
                 .iter()
-                .filter(|bc| bc.src == my && !bc.dests.is_empty())
-                .map(move |bc| Send::of(tag, ns, bc.block, &bc.dests))
+                .filter(|bc| bc.src == my)
+                .map(move |bc| Send::of(tag, ns, bc.block, owners.dests(bc)))
         })
+        .filter(|send| !send.dests.is_empty())
         .collect();
     let mut out = Vec::new();
     if !sends.is_empty() {

@@ -37,7 +37,7 @@ use crate::grid::{self, Kern, Send, Src, Take, Work};
 use crate::step::{Action, Res};
 use hetgrid_linalg::qr::QrFactors;
 use hetgrid_linalg::Matrix;
-use hetgrid_plan::{down_column, QrColumn, Step};
+use hetgrid_plan::{QrColumn, Step};
 
 /// Message tags: panel fan-in, factored panel block home, reflector
 /// broadcast, column gather, updated column block home. Every payload
@@ -93,15 +93,19 @@ pub(crate) fn qr_actions(step: &Step, my: (usize, usize), _: &[(usize, usize)]) 
         panel,
         reflector_dests,
         columns,
+        owners,
     } = step
     else {
         return Vec::new();
     };
     let (k, diag) = (*k, *diag);
-    let panel = || down_column(k, k, panel);
+    let panel = || owners.down(panel.clone(), k);
+    // Step `k`'s trailing blocks of `col`, below the head, with their
+    // owners.
+    let members = |col: &QrColumn| owners.down(col.members.clone(), col.bj);
     // An owned block leaves for one action, or comes home from it.
     let lend = |tag: u8, blk: (usize, usize), to: (usize, usize)| {
-        let send = Send::of(tag, 0, blk, &[to]);
+        let send = Send::of(tag, 0, blk, vec![to]);
         grid::action(k, None, blk, true, vec![], vec![send])
     };
     let home = |tag: u8, (bi, bj): (usize, usize)| {
@@ -116,12 +120,12 @@ pub(crate) fn qr_actions(step: &Step, my: (usize, usize), _: &[(usize, usize)]) 
         out.extend(mine(my, panel()).map(|blk| lend(TAG_PANEL, blk, diag)));
     }
     for col in columns.iter().filter(|col| col.head != my) {
-        out.extend(mine(my, members(k, col)).map(|blk| lend(TAG_COL, blk, col.head)));
+        out.extend(mine(my, members(col)).map(|blk| lend(TAG_COL, blk, col.head)));
     }
     if diag == my {
         let top = (REFL, k, k);
         let (takes, stack, mut sends, drops) = on_loan(k, my, top, panel(), (TAG_PANEL, TAG_SEG));
-        sends.push(Send::of(TAG_REFL, REFL, (k, k), reflector_dests));
+        sends.push(Send::of(TAG_REFL, REFL, (k, k), reflector_dests.clone()));
         let work = vec![Work {
             kern: Kern::Geqrf,
             ins: vec![],
@@ -143,7 +147,7 @@ pub(crate) fn qr_actions(step: &Step, my: (usize, usize), _: &[(usize, usize)]) 
     }
     for col in columns.iter().filter(|col| col.head == my) {
         let (top, tags) = ((0, k, col.bj), (TAG_COL, TAG_COLRET));
-        let (takes, stack, sends, drops) = on_loan(k, my, top, members(k, col), tags);
+        let (takes, stack, sends, drops) = on_loan(k, my, top, members(col), tags);
         let work = vec![Work {
             kern: Kern::Ormqr,
             ins: vec![Src::of(diag == my, REFL, (k, k), k, TAG_REFL)],
@@ -162,19 +166,13 @@ pub(crate) fn qr_actions(step: &Step, my: (usize, usize), _: &[(usize, usize)]) 
         ));
     }
     for col in columns.iter().filter(|col| col.head != my) {
-        out.extend(mine(my, members(k, col)).map(|blk| home(TAG_COLRET, blk)));
+        out.extend(mine(my, members(col)).map(|blk| home(TAG_COLRET, blk)));
     }
     out
 }
 
 /// A block and its owner.
 type Owned = ((usize, usize), (usize, usize));
-
-/// Step `k`'s trailing blocks of `col`, below the head, with their
-/// owners.
-fn members(k: usize, col: &QrColumn) -> impl Iterator<Item = Owned> + '_ {
-    down_column(k + 1, col.bj, &col.members)
-}
 
 /// The blocks among `blocks` that `my` owns.
 fn mine(
@@ -208,7 +206,7 @@ fn on_loan(
         let msg = Some((k, lent, (bi, bj)));
         takes.push(Take { msg, res });
         stack.push(res);
-        sends.push(Send::of(back, LOAN, (bi, bj), &[owner]));
+        sends.push(Send::of(back, LOAN, (bi, bj), vec![owner]));
         drops.push(res);
     }
     (takes, stack, sends, drops)

@@ -134,7 +134,7 @@ pub(crate) fn star_actions(
         } => {
             let (res, fed) = (res(mat, block), src == LoadSrc::Master);
             if me == 0 && fed {
-                let feed = Send::of(TAG_FEED, res.0, block, &[(0, worker)]);
+                let feed = Send::of(TAG_FEED, res.0, block, vec![(0, worker)]);
                 moved(k, block, true, vec![], vec![feed], vec![])
             } else if me == worker {
                 let msg = fed.then_some((k, TAG_FEED, block));
@@ -162,7 +162,7 @@ pub(crate) fn star_actions(
                 moved(k, block, false, vec![Take { msg, res }], vec![], vec![])
             } else if me == worker {
                 // A finished `C` block moves into its message home.
-                let dests: &[_] = if send_back { &[(0, 0)] } else { &[] };
+                let dests = if send_back { vec![(0, 0)] } else { vec![] };
                 let ret = Send::of(TAG_RET, res.0, block, dests);
                 moved(k, block, send_back, vec![], vec![ret], vec![res])
             } else {

@@ -25,7 +25,7 @@
 //!   block-labeled ground truth those per-processor action sets are
 //!   checked against.
 
-use crate::{down_column, LoadSrc, Plan, Step};
+use crate::{LoadSrc, Plan, Step};
 use std::collections::HashMap;
 
 /// Which logical matrix a block belongs to.
@@ -85,6 +85,7 @@ pub fn step_access(step: &Step) -> StepAccess {
             k,
             a_bcasts,
             b_bcasts,
+            ..
         } => {
             let mb = a_bcasts.len();
             let nb = b_bcasts.len();
@@ -133,13 +134,13 @@ pub fn step_access(step: &Step) -> StepAccess {
         Step::Qr {
             k, panel, columns, ..
         } => {
-            for (blk, _) in down_column(*k, *k, panel) {
-                acc.writes.push(BlockRef::c(blk));
+            for bi in panel.clone() {
+                acc.writes.push(BlockRef::c((bi, *k)));
             }
             for col in columns {
                 acc.writes.push(BlockRef::c((*k, col.bj)));
-                for (blk, _) in down_column(k + 1, col.bj, &col.members) {
-                    acc.writes.push(BlockRef::c(blk));
+                for bi in col.members.clone() {
+                    acc.writes.push(BlockRef::c((bi, col.bj)));
                 }
             }
         }

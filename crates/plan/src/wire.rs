@@ -348,7 +348,7 @@ impl Field for Source {
                 out.push(kernel.as_u8());
                 ((mb, nb), kb).put(out);
                 owners.grid.put(out);
-                for owner in &owners.table {
+                for owner in owners.table.iter() {
                     owner.put(out);
                 }
             }
@@ -411,7 +411,7 @@ impl Field for Source {
             owners: Owners {
                 grid: (p, q),
                 cols,
-                table,
+                table: table.into(),
             },
         })
     }
@@ -592,6 +592,119 @@ mod tests {
             }
             let rect = mm_rect_plan(dist.as_ref(), (4, 7, 3));
             assert_eq!(built_len(Kernel::Mm, (4, 7, 3)), counted(&rect));
+        }
+    }
+
+    /// The owners of `blocks` other than `skip`, each once, in order:
+    /// how every stored list was built, read from `dist`.
+    fn distinct(
+        dist: &dyn hetgrid_dist::BlockDist,
+        blocks: impl Iterator<Item = (usize, usize)>,
+        skip: (usize, usize),
+    ) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (bi, bj) in blocks {
+            let o = dist.owner(bi, bj);
+            if o != skip && !out.contains(&o) {
+                out.push(o);
+            }
+        }
+        out
+    }
+
+    /// Every list [`materialise`](crate::tests::materialise) derives
+    /// through a step's owner table against the list the generators
+    /// stored, rebuilt from `dist` with the stored lists' formulas.
+    fn lists_match(dist: &dyn hetgrid_dist::BlockDist, plan: &Plan, (mb, nb): (usize, usize)) {
+        use crate::tests::stored::{Bcast, Step as S};
+        let line = |b: &Bcast, blocks: Vec<(usize, usize)>| {
+            assert_eq!(b.src, dist.owner(b.block.0, b.block.1));
+            assert_eq!(b.dests, distinct(dist, blocks.into_iter(), b.src), "{b:?}");
+        };
+        // One `Dests` over the whole plan gives each broadcast the list a
+        // fresh one does.
+        let mut dests = crate::Dests::default();
+        for step in &plan.steps {
+            for (owners, b) in crate::tests::all_bcasts(step) {
+                assert_eq!(dests.of(owners, b).collect::<Vec<_>>(), owners.dests(b));
+                assert_eq!(dests.count(owners, b), owners.dests(b).len());
+            }
+        }
+        for step in crate::tests::materialise(plan) {
+            match step {
+                S::Mm {
+                    a_bcasts, b_bcasts, ..
+                } => {
+                    for b in &a_bcasts {
+                        line(b, (0..nb).map(|bj| (b.block.0, bj)).collect());
+                    }
+                    for b in &b_bcasts {
+                        line(b, (0..mb).map(|bi| (bi, b.block.1)).collect());
+                    }
+                }
+                S::Factor {
+                    k,
+                    diag,
+                    diag_col_dests,
+                    l_bcasts,
+                    u_bcasts,
+                    ..
+                } => {
+                    let column = (k + 1..nb).map(|bi| (bi, k));
+                    assert_eq!(diag_col_dests, distinct(dist, column, diag));
+                    for b in &l_bcasts {
+                        line(b, (k + 1..nb).map(|bj| (b.block.0, bj)).collect());
+                    }
+                    for b in &u_bcasts {
+                        line(b, (k + 1..nb).map(|bi| (bi, b.block.1)).collect());
+                    }
+                }
+                S::Cholesky {
+                    k,
+                    diag,
+                    diag_dests,
+                    panel_bcasts,
+                    ..
+                } => {
+                    let column = (k + 1..nb).map(|bi| (bi, k));
+                    assert_eq!(diag_dests, distinct(dist, column, diag));
+                    for b in &panel_bcasts {
+                        let bi = b.block.0;
+                        let row = (k + 1..=bi).map(|bj| (bi, bj));
+                        line(b, row.chain((bi..nb).map(|r| (r, bi))).collect());
+                    }
+                }
+                S::Qr {
+                    k,
+                    diag,
+                    reflector_dests,
+                    columns,
+                    ..
+                } => {
+                    let heads = (k + 1..nb).map(|bj| (k, bj));
+                    assert_eq!(reflector_dests, distinct(dist, heads, diag));
+                    for col in &columns {
+                        assert_eq!(col.head, dist.owner(k, col.bj));
+                        let owners: Vec<_> = (k + 1..nb).map(|bi| dist.owner(bi, col.bj)).collect();
+                        assert_eq!(col.members, owners);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derived_lists_are_the_stored_ones() {
+        for dist in sweep_dists() {
+            for kernel in Kernel::ALL {
+                for nb in 1..=24 {
+                    lists_match(dist.as_ref(), &kernel.plan(dist.as_ref(), nb), (nb, nb));
+                }
+            }
+            for shape in [(1, 1, 5), (4, 7, 3), (9, 2, 6)] {
+                let rect = mm_rect_plan(dist.as_ref(), shape);
+                lists_match(dist.as_ref(), &rect, (shape.0, shape.1));
+            }
         }
     }
 

@@ -7,9 +7,11 @@
 //! makespan lies between the no-communication lower bound and the BSP
 //! upper bound (tests in this crate assert exactly that).
 
+use crate::kernels::transfers;
 use crate::machine::{CostModel, Network};
 use hetgrid_core::Arrangement;
 use hetgrid_dist::BlockDist;
+use hetgrid_plan::{Bcast, Dests, OwnerWork, Owners, Step};
 use std::collections::BTreeMap;
 
 /// Per-step communication time under the machine model: on a shared bus
@@ -33,57 +35,49 @@ fn comm_phase(msgs: &BTreeMap<((usize, usize), (usize, usize)), usize>, cost: &C
     }
 }
 
-/// Gathers the aggregated messages of one MM step (same aggregation as
-/// the event-driven kernel).
-fn mm_step_messages(
-    dist: &dyn BlockDist,
-    nb: usize,
-    k: usize,
+/// The messages of a broadcast phase, aggregated per (source,
+/// destination) pair as the event-driven kernel aggregates them.
+fn messages(
+    dests: &mut Dests,
+    owners: &Owners,
+    panels: &[&[Bcast]],
 ) -> BTreeMap<((usize, usize), (usize, usize)), usize> {
     let mut msgs = BTreeMap::new();
-    for bi in 0..nb {
-        let src = dist.owner(bi, k);
-        let mut dests: Vec<(usize, usize)> = Vec::new();
-        for bj in 0..nb {
-            let o = dist.owner(bi, bj);
-            if o != src && !dests.contains(&o) {
-                dests.push(o);
-            }
-        }
-        for dst in dests {
-            *msgs.entry((src, dst)).or_insert(0) += 1;
-        }
-    }
-    for bj in 0..nb {
-        let src = dist.owner(k, bj);
-        let mut dests: Vec<(usize, usize)> = Vec::new();
-        for bi in 0..nb {
-            let o = dist.owner(bi, bj);
-            if o != src && !dests.contains(&o) {
-                dests.push(o);
-            }
-        }
-        for dst in dests {
-            *msgs.entry((src, dst)).or_insert(0) += 1;
-        }
+    for pair in panels.iter().flat_map(|p| transfers(dests, owners, p)) {
+        *msgs.entry(pair).or_insert(0) += 1;
     }
     msgs
 }
 
+/// The slowest processor's time for `blocks[i][j]` block updates each.
+fn slowest(arr: &Arrangement, blocks: &[Vec<usize>]) -> f64 {
+    let time = |(i, row): (usize, &Vec<usize>)| {
+        let t = row
+            .iter()
+            .enumerate()
+            .map(move |(j, &n)| n as f64 * arr.time(i, j));
+        t.fold(0.0, f64::max)
+    };
+    blocks.iter().enumerate().map(time).fold(0.0, f64::max)
+}
+
 /// BSP (barrier-per-step) estimate of the outer-product MM makespan.
 pub fn bsp_mm(arr: &Arrangement, dist: &dyn BlockDist, nb: usize, cost: CostModel) -> f64 {
-    let (p, q) = dist.grid();
-    assert_eq!((p, q), (arr.p(), arr.q()), "bsp_mm: grid mismatch");
-    let owned = dist.owned_counts(nb, nb);
-    let mut compute_phase: f64 = 0.0;
-    for i in 0..p {
-        for j in 0..q {
-            compute_phase = compute_phase.max(owned[i][j] as f64 * arr.time(i, j));
-        }
-    }
-    let mut total = 0.0;
-    for k in 0..nb {
-        total += comm_phase(&mm_step_messages(dist, nb, k), &cost) + compute_phase;
+    assert_eq!(dist.grid(), (arr.p(), arr.q()), "bsp_mm: grid mismatch");
+    let compute_phase = slowest(arr, &dist.owned_counts(nb, nb));
+    let (mut total, mut dests) = (0.0, Dests::default());
+    for step in &hetgrid_plan::mm_plan(dist, nb).steps {
+        let Step::Mm {
+            a_bcasts,
+            b_bcasts,
+            owners,
+            ..
+        } = step
+        else {
+            unreachable!("an MM plan has MM steps")
+        };
+        let msgs = messages(&mut dests, owners, &[a_bcasts, b_bcasts]);
+        total += comm_phase(&msgs, &cost) + compute_phase;
     }
     total
 }
@@ -91,87 +85,42 @@ pub fn bsp_mm(arr: &Arrangement, dist: &dyn BlockDist, nb: usize, cost: CostMode
 /// No-communication lower bound for MM: the busiest processor's total
 /// work, `nb * max_ij owned_ij * t_ij`.
 pub fn mm_compute_lower_bound(arr: &Arrangement, dist: &dyn BlockDist, nb: usize) -> f64 {
-    let (p, q) = dist.grid();
-    let owned = dist.owned_counts(nb, nb);
-    let mut m: f64 = 0.0;
-    for i in 0..p {
-        for j in 0..q {
-            m = m.max(owned[i][j] as f64 * arr.time(i, j));
-        }
-    }
-    m * nb as f64
+    slowest(arr, &dist.owned_counts(nb, nb)) * nb as f64
 }
 
 /// BSP estimate of right-looking LU: per step, panel phase + triangular
 /// solve phase + update phase (each the slowest participant), plus the
 /// step's communication.
 pub fn bsp_lu(arr: &Arrangement, dist: &dyn BlockDist, nb: usize, cost: CostModel) -> f64 {
-    let (p, q) = dist.grid();
-    assert_eq!((p, q), (arr.p(), arr.q()), "bsp_lu: grid mismatch");
-    let mut total = 0.0;
-    for k in 0..nb {
-        // Panel phase.
-        let mut panel: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        for bi in k..nb {
-            *panel.entry(dist.owner(bi, k)).or_insert(0) += 1;
-        }
-        total += panel
-            .iter()
-            .map(|(&(i, j), &n)| n as f64 * arr.time(i, j) * cost.panel_cost)
-            .fold(0.0, f64::max);
+    assert_eq!(dist.grid(), (arr.p(), arr.q()), "bsp_lu: grid mismatch");
+    let phase = |work: &[OwnerWork], unit: f64| {
+        work.iter()
+            .map(|w| w.blocks as f64 * arr.time(w.owner.0, w.owner.1) * unit)
+            .fold(0.0, f64::max)
+    };
+    let (mut total, mut dests) = (0.0, Dests::default());
+    for step in &hetgrid_plan::factor_plan(dist, nb).steps {
+        let Step::Factor {
+            k,
+            panel,
+            l_bcasts,
+            trsm,
+            u_bcasts,
+            trailing,
+            owners,
+            ..
+        } = step
+        else {
+            unreachable!("an LU plan has factor steps")
+        };
+        total += phase(panel, cost.panel_cost);
         if k + 1 == nb {
             continue;
         }
-        // L broadcast.
-        let mut lmsgs = BTreeMap::new();
-        for bi in k..nb {
-            let src = dist.owner(bi, k);
-            let mut dests: Vec<(usize, usize)> = Vec::new();
-            for bj in k + 1..nb {
-                let o = dist.owner(bi, bj);
-                if o != src && !dests.contains(&o) {
-                    dests.push(o);
-                }
-            }
-            for dst in dests {
-                *lmsgs.entry((src, dst)).or_insert(0) += 1;
-            }
-        }
-        total += comm_phase(&lmsgs, &cost);
-        // Triangular solves.
-        let mut trsm: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-        for bj in k + 1..nb {
-            *trsm.entry(dist.owner(k, bj)).or_insert(0) += 1;
-        }
-        total += trsm
-            .iter()
-            .map(|(&(i, j), &n)| n as f64 * arr.time(i, j) * cost.trsm_cost)
-            .fold(0.0, f64::max);
-        // U broadcast.
-        let mut umsgs = BTreeMap::new();
-        for bj in k + 1..nb {
-            let src = dist.owner(k, bj);
-            let mut dests: Vec<(usize, usize)> = Vec::new();
-            for bi in k + 1..nb {
-                let o = dist.owner(bi, bj);
-                if o != src && !dests.contains(&o) {
-                    dests.push(o);
-                }
-            }
-            for dst in dests {
-                *umsgs.entry((src, dst)).or_insert(0) += 1;
-            }
-        }
-        total += comm_phase(&umsgs, &cost);
-        // Trailing update.
-        let trailing = dist.trailing_counts(nb, k + 1);
-        let mut upd: f64 = 0.0;
-        for i in 0..p {
-            for j in 0..q {
-                upd = upd.max(trailing[i][j] as f64 * arr.time(i, j));
-            }
-        }
-        total += upd;
+        total += comm_phase(&messages(&mut dests, owners, &[l_bcasts]), &cost);
+        total += phase(trsm, cost.trsm_cost);
+        total += comm_phase(&messages(&mut dests, owners, &[u_bcasts]), &cost);
+        total += slowest(arr, trailing);
     }
     total
 }
@@ -181,19 +130,9 @@ pub fn bsp_lu(arr: &Arrangement, dist: &dyn BlockDist, nb: usize, cost: CostMode
 /// trsm phases, so it lower-bounds any right-looking schedule that
 /// synchronizes per step).
 pub fn lu_update_lower_bound(arr: &Arrangement, dist: &dyn BlockDist, nb: usize) -> f64 {
-    let (p, q) = dist.grid();
-    let mut total = 0.0;
-    for k in 1..nb {
-        let trailing = dist.trailing_counts(nb, k);
-        let mut upd: f64 = 0.0;
-        for i in 0..p {
-            for j in 0..q {
-                upd = upd.max(trailing[i][j] as f64 * arr.time(i, j));
-            }
-        }
-        total += upd;
-    }
-    total
+    (1..nb)
+        .map(|k| slowest(arr, &dist.trailing_counts(nb, k)))
+        .fold(0.0, |total, upd| total + upd)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 
 use hetgrid_core::Topology;
 use hetgrid_dist::BlockDist;
-use hetgrid_plan::{Bcast, LoadSrc, OwnerWork, Plan, Step};
+use hetgrid_plan::{Bcast, Dests, LoadSrc, OwnerWork, Owners, Plan, Step};
 
 /// Predicted per-processor totals for one kernel run, laid out `[i][j]`
 /// over the `p x q` grid like the executor's report tables.
@@ -94,9 +94,11 @@ impl KernelCounts {
 pub fn fold(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
     let (p, q) = plan.grid;
     let mut c = KernelCounts::zeros(p, q);
-    let sends = |c: &mut KernelCounts, bcasts: &[Bcast]| {
+    // Each row, column or hook is walked once, not once per broadcast.
+    let mut dests = Dests::default();
+    let mut sends = |c: &mut KernelCounts, owners: &Owners, bcasts: &[Bcast]| {
         for b in bcasts {
-            c.messages[b.src.0][b.src.1] += b.dests.len() as u64;
+            c.messages[b.src.0][b.src.1] += dests.count(owners, b) as u64;
         }
     };
     let works = |c: &mut KernelCounts, work: &[OwnerWork]| {
@@ -114,34 +116,32 @@ pub fn fold(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
     for step in &plan.steps[from.min(plan.steps.len())..] {
         match step {
             Step::Mm {
-                a_bcasts, b_bcasts, ..
+                a_bcasts,
+                b_bcasts,
+                owners,
+                ..
             } => {
-                sends(&mut c, a_bcasts);
-                sends(&mut c, b_bcasts);
+                sends(&mut c, owners, a_bcasts);
+                sends(&mut c, owners, b_bcasts);
                 table(&mut c, &plan.owned);
             }
             Step::Factor {
                 diag,
                 panel,
-                diag_col_dests,
+                diag_dests,
                 l_bcasts,
                 trsm,
                 u_bcasts,
                 trailing,
+                owners,
                 ..
             } => {
-                // Diagonal-factor broadcast: panel column chained with
-                // pivot row under one dedup — `diag_col_dests` plus the
-                // pivot-row destinations (l_bcasts[0] is the diagonal
-                // block) not already in it.
-                let extra = l_bcasts[0]
-                    .dests
-                    .iter()
-                    .filter(|d| !diag_col_dests.contains(d))
-                    .count();
-                c.messages[diag.0][diag.1] += (diag_col_dests.len() + extra) as u64;
-                sends(&mut c, &l_bcasts[1..]);
-                sends(&mut c, u_bcasts);
+                // The packed diagonal factors, then the solved blocks
+                // (l_bcasts[0] is the diagonal block: its pivot-row
+                // owners are among `diag_dests`).
+                c.messages[diag.0][diag.1] += diag_dests.len() as u64;
+                sends(&mut c, owners, &l_bcasts[1..]);
+                sends(&mut c, owners, u_bcasts);
                 // The diagonal factorization is part of the aggregated
                 // panel entry for its owner.
                 works(&mut c, panel);
@@ -154,24 +154,27 @@ pub fn fold(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
                 panel,
                 panel_bcasts,
                 trailing,
+                owners,
                 ..
             } => {
                 c.work_units[diag.0][diag.1] += weights[diag.0][diag.1];
                 c.messages[diag.0][diag.1] += diag_dests.len() as u64;
-                sends(&mut c, panel_bcasts);
+                sends(&mut c, owners, panel_bcasts);
                 works(&mut c, panel);
                 works(&mut c, trailing);
             }
             Step::Qr {
+                k,
                 diag,
                 panel,
                 reflector_dests,
                 columns,
+                owners,
                 ..
             } => {
                 // Panel fan-in to the diagonal owner and reflector
                 // scatter back.
-                for &owner in panel {
+                for (_, owner) in owners.down(panel.clone(), *k) {
                     if owner != *diag {
                         c.messages[owner.0][owner.1] += 1;
                         c.messages[diag.0][diag.1] += 1;
@@ -182,7 +185,7 @@ pub fn fold(plan: &Plan, from: usize, weights: &[Vec<u64>]) -> KernelCounts {
                 // Trailing columns: gather to the head, apply, return.
                 for col in columns {
                     let head = col.head;
-                    for &owner in &col.members {
+                    for (_, owner) in owners.down(col.members.clone(), col.bj) {
                         if owner != head {
                             c.messages[owner.0][owner.1] += 1;
                             c.messages[head.0][head.1] += 1;

@@ -19,7 +19,7 @@ use crate::engine::{Engine, TaskId};
 use crate::machine::{CostModel, Machine, SimReport};
 use hetgrid_core::Arrangement;
 use hetgrid_dist::BlockDist;
-use hetgrid_plan::{Bcast, Kernel, OwnerWork, Plan, Step};
+use hetgrid_plan::{Bcast, Dests, Kernel, OwnerWork, Owners, Plan, Step};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -140,13 +140,18 @@ type Panel<'a> = (&'a [Bcast], Axis, Option<&'a [usize]>);
 pub(crate) struct Des<'a> {
     engine: Engine,
     machine: Machine<'a>,
+    dests: Dests,
 }
 
 impl<'a> Des<'a> {
     pub(crate) fn new(arr: &'a Arrangement, cost: CostModel) -> Self {
         let mut engine = Engine::new();
         let machine = Machine::new(&mut engine, arr, cost);
-        Des { engine, machine }
+        Des {
+            engine,
+            machine,
+            dests: Dests::default(),
+        }
     }
 
     fn message(&mut self, deps: Vec<TaskId>, src: Proc, dst: Proc, blocks: usize) -> TaskId {
@@ -245,9 +250,20 @@ impl<'a> Des<'a> {
     /// one [`Des::emit_ordered_broadcast`] per panel and grid line, from
     /// the line's member holding the panel to the receiving members, in
     /// ring order from the source.
-    fn comm(&mut self, panels: &[Panel<'_>], mode: Broadcast, roots: &Events) -> Events {
+    fn comm(
+        &mut self,
+        owners: &Owners,
+        panels: &[Panel<'_>],
+        mode: Broadcast,
+        roots: &Events,
+    ) -> Events {
         if mode == Broadcast::Direct {
-            return self.direct(panels.iter().flat_map(|p| transfers(p.0)), roots);
+            let dests = &mut self.dests;
+            let pairs: Vec<_> = panels
+                .iter()
+                .flat_map(|p| transfers(dests, owners, p.0))
+                .collect();
+            return self.direct(pairs.into_iter(), roots);
         }
         let grid = (self.machine.arr.p(), self.machine.arr.q());
         let mut incoming = Events::new();
@@ -308,10 +324,12 @@ fn list(work: &[OwnerWork]) -> impl Iterator<Item = (Proc, usize)> + '_ {
 }
 
 /// The plan's broadcasts as [`Des::direct`] transfers.
-fn transfers(bcasts: &[Bcast]) -> impl Iterator<Item = (Proc, Proc)> + '_ {
-    bcasts
-        .iter()
-        .flat_map(|b| b.dests.iter().map(move |&dst| (b.src, dst)))
+pub(crate) fn transfers(dests: &mut Dests, owners: &Owners, bcasts: &[Bcast]) -> Vec<(Proc, Proc)> {
+    let mut out = Vec::new();
+    for b in bcasts {
+        out.extend(dests.of(owners, b).map(|dst| (b.src, dst)));
+    }
+    out
 }
 
 /// The tasks the given phases left on `proc`, in phase order.
@@ -402,12 +420,15 @@ fn interpret(
     for step in &plan.steps {
         match step {
             Step::Mm {
-                a_bcasts, b_bcasts, ..
+                a_bcasts,
+                b_bcasts,
+                owners,
+                ..
             } => {
                 // Block (bi, k) of A to every owner of block row bi,
                 // (k, bj) of B to every owner of block column bj.
                 let panels: [Panel; 2] = [(a_bcasts, Axis::Row, None), (b_bcasts, Axis::Col, None)];
-                let incoming = des.comm(&panels, mode, &last);
+                let incoming = des.comm(owners, &panels, mode, &last);
                 let owned = table(&plan.owned);
                 des.work(&mut last, owned, update_cost, |o| gather(&[&incoming], o));
             }
@@ -418,6 +439,7 @@ fn interpret(
                 trsm,
                 u_bcasts,
                 trailing,
+                owners,
                 ..
             } => {
                 let panel_tasks = des.work(&mut last, list(panel), panel_cost, |_| vec![]);
@@ -428,7 +450,7 @@ fn interpret(
                 // by the triangular solves).
                 let trailing_cols: Vec<usize> = u_bcasts.iter().map(|b| b.src.1).collect();
                 let l_panel: Panel = (l_bcasts, Axis::Row, Some(&trailing_cols));
-                let l_in = des.comm(&[l_panel], mode, &panel_tasks);
+                let l_in = des.comm(owners, &[l_panel], mode, &panel_tasks);
 
                 // The diagonal owner solves against its own factor, the
                 // rest of the pivot row against the delivered one.
@@ -440,7 +462,7 @@ fn interpret(
                 // trailing blocks in block column bj.
                 let trailing_rows: Vec<usize> = l_bcasts[1..].iter().map(|b| b.src.0).collect();
                 let u_panel: Panel = (u_bcasts, Axis::Col, Some(&trailing_rows));
-                let u_in = des.comm(&[u_panel], mode, &trsm_tasks);
+                let u_in = des.comm(owners, &[u_panel], mode, &trsm_tasks);
 
                 des.work(&mut last, table(trailing), update_cost, |o| {
                     gather(&[&l_in, &u_in, &panel_tasks, &trsm_tasks], o)
@@ -452,6 +474,7 @@ fn interpret(
                 panel,
                 panel_bcasts,
                 trailing,
+                owners,
                 ..
             } => {
                 // The diagonal factor, sent down the panel; `diag_in`
@@ -465,7 +488,8 @@ fn interpret(
                 // Block (bi, k) to the owners of the trailing
                 // lower-triangle blocks that need it — row bi (as the
                 // left factor) and column bi (as the right factor).
-                let incoming = des.direct(transfers(panel_bcasts), &panel_tasks);
+                let pairs = transfers(&mut des.dests, owners, panel_bcasts);
+                let incoming = des.direct(pairs.into_iter(), &panel_tasks);
                 des.work(&mut last, list(trailing), update_cost, |o| {
                     gather(&[&incoming, &panel_tasks], o)
                 });
