@@ -36,6 +36,10 @@ impl BlockDist for BlockCyclic {
     fn is_cartesian(&self) -> bool {
         true
     }
+
+    fn period(&self) -> (usize, usize) {
+        (self.p, self.q)
+    }
 }
 
 #[cfg(test)]

@@ -158,6 +158,12 @@ impl BlockDist for KlDist {
         // Owner row depends on bj through the per-column row patterns.
         false
     }
+
+    /// Every grid column deals the same `bp` period rows, so the row
+    /// patterns share one length.
+    fn period(&self) -> (usize, usize) {
+        (self.bp(), self.bq())
+    }
 }
 
 #[cfg(test)]

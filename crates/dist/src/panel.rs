@@ -230,6 +230,10 @@ impl BlockDist for PanelDist {
     fn is_cartesian(&self) -> bool {
         true
     }
+
+    fn period(&self) -> (usize, usize) {
+        (self.bp(), self.bq())
+    }
 }
 
 #[cfg(test)]

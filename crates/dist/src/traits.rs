@@ -20,6 +20,14 @@ pub trait BlockDist {
     /// distribution is *not* Cartesian.
     fn is_cartesian(&self) -> bool;
 
+    /// The period `(bp, bq)` of the owner map: block `(bi, bj)` has the
+    /// owner of block `(bi % bp, bj % bq)`, so one `bp x bq` tile of
+    /// owners is the whole map. The default claims no period: every
+    /// matrix is one tile.
+    fn period(&self) -> (usize, usize) {
+        (usize::MAX, usize::MAX)
+    }
+
     /// Number of blocks owned by each processor in an `nb_rows x nb_cols`
     /// block matrix, as a `p x q` row-major count table.
     fn owned_counts(&self, nb_rows: usize, nb_cols: usize) -> Vec<Vec<usize>> {

@@ -117,6 +117,39 @@ proptest! {
         }
     }
 
+    /// Every scheme repeats with the period it reports, on grids up to
+    /// 4x4 and over `nb x nb` blocks for `nb` up to 40, a matrix smaller
+    /// than the period included.
+    #[test]
+    fn every_scheme_repeats_with_its_period(
+        (p, q) in (1usize..=4, 1usize..=4),
+        times in times_strategy(16),
+        (extra_p, extra_q) in (0usize..12, 0usize..12),
+        nb in 1usize..=40,
+    ) {
+        let arr = sorted_row_major(&times[..p * q], p, q);
+        let alloc = alternating::optimize(&arr, 10_000).alloc;
+        let (bp, bq) = (p + extra_p, q + extra_q);
+        let mut dists: Vec<Box<dyn BlockDist>> =
+            vec![Box::new(BlockCyclic::new(p, q)), Box::new(KlDist::new(&arr, bp, bq))];
+        for ordering in [
+            PanelOrdering::Contiguous,
+            PanelOrdering::Interleaved,
+            PanelOrdering::ColumnsInterleaved,
+            PanelOrdering::SuffixInterleaved,
+        ] {
+            dists.push(Box::new(PanelDist::from_allocation(&arr, &alloc, bp, bq, ordering)));
+        }
+        for d in &dists {
+            let (tp, tq) = d.period();
+            for bi in 0..nb {
+                for bj in 0..nb {
+                    prop_assert_eq!(d.owner(bi, bj), d.owner(bi % tp, bj % tq));
+                }
+            }
+        }
+    }
+
     #[test]
     fn trailing_counts_monotone(times in times_strategy(4), nb in 3usize..20) {
         let arr = sorted_row_major(&times, 2, 2);

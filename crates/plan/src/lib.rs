@@ -142,32 +142,36 @@ pub enum Line {
 }
 
 impl Line {
-    /// The line's blocks, in order.
-    pub fn blocks(self) -> impl Iterator<Item = (usize, usize)> {
-        let ((i, cols), (j, rows)) = match self {
-            Line::Row(i, from, to) => ((i, from..to), (0, 0..0)),
-            Line::Col(j, from, to) => ((0, 0..0), (j, from..to)),
-            Line::Hook(i, from, to) => ((i, from..i + 1), (i, i..to)),
-        };
-        cols.map(move |bj| (i, bj))
-            .chain(rows.map(move |bi| (bi, j)))
+    /// The line as runs along a row (`Row`) or down a column (`Col`),
+    /// each with what a block index in it adds up to for its position in
+    /// the line: a hook is its row, then its column one further on.
+    fn runs(self) -> [(Line, usize); 2] {
+        match self {
+            Line::Hook(i, from, to) => [(Line::Row(i, from, i + 1), 0), (Line::Col(i, i, to), 1)],
+            run => [(run, 0), (Line::Row(0, 0, 0), 0)],
+        }
     }
 }
 
-/// The destinations of a plan's broadcasts ([`Owners::dests`] for one),
-/// each whole row, column or hook walked once however many broadcasts'
-/// lines are suffixes of it: a broadcast costs its destinations, not its
-/// line.
+/// How many destinations each broadcast of a plan has ([`Dests::count`]),
+/// and their list ([`Dests::of`]), read from a list of each whole row,
+/// column or hook's owners by last position, made on first use. The
+/// owners along a run repeat with the plan's period, so one period of a
+/// run shows every owner on it: the list reads one period at the end of
+/// each run, and `of` at most one from the line's start, stopping once
+/// it has seen as many owners as the list holds from there.
 #[derive(Default)]
-pub struct Dests(Vec<Option<Whole>>);
-
-/// A whole row, column or hook: per block its owner and one past the
-/// position of the previous block with that owner (0: none), and each
-/// owner with its last position.
-struct Whole {
-    line: Line,
-    blocks: Vec<((usize, usize), usize)>,
+pub struct Dests {
+    /// Per whole row, column or hook (slot `3 x + kind`, `x` its row or
+    /// column): the line and its range of `last`.
+    wholes: Vec<Option<(Line, Range<usize>)>>,
+    /// Each whole line's distinct owners with their last positions, the
+    /// last first.
     last: Vec<((usize, usize), usize)>,
+    /// Walks so far, and per processor (`i q + j`) the last to see it.
+    marks: (usize, Vec<usize>),
+    /// What [`Dests::of`] yields.
+    out: Vec<(usize, usize)>,
 }
 
 impl Dests {
@@ -178,53 +182,100 @@ impl Dests {
         owners: &Owners,
         b: &Bcast,
     ) -> impl Iterator<Item = (usize, usize)> + 'a {
-        let (Line::Row(_, from, _) | Line::Col(_, from, _) | Line::Hook(_, from, _)) = b.line;
-        let (whole, src) = (self.whole(owners, b.line), b.src);
-        let distinct = whole.last.iter().filter(|&&(_, at)| at >= from).count();
-        whole.blocks[from.min(whole.blocks.len())..]
+        let (from, whole) = self.whole(owners, b.line);
+        let owned = self.last[whole]
             .iter()
-            .filter(move |&&(_, after)| after <= from)
-            .map(|&(o, _)| o)
-            .take(distinct)
-            .filter(move |&o| o != src)
+            .filter(|&&(_, at)| at >= from)
+            .count();
+        self.distinct(owners, &b.line.runs(), b.src, owned)
     }
 
     /// How many destinations `b` has, without walking its line.
+    #[inline]
     pub fn count(&mut self, owners: &Owners, b: &Bcast) -> usize {
-        let (Line::Row(_, from, _) | Line::Col(_, from, _) | Line::Hook(_, from, _)) = b.line;
-        let last = &self.whole(owners, b.line).last;
-        last.iter()
-            .filter(|&&(o, at)| at >= from && o != b.src)
-            .count()
+        let (from, whole) = self.whole(owners, b.line);
+        let owned = self.last[whole].iter();
+        owned
+            .map(|&(o, at)| usize::from(at >= from && o != b.src))
+            .sum()
     }
 
-    /// The whole row, column or hook `line` is a suffix of, walked on
-    /// first use.
-    fn whole(&mut self, owners: &Owners, line: Line) -> &Whole {
-        let (line, id) = match line {
-            Line::Row(i, _, to) => (Line::Row(i, 0, to), 3 * i),
-            Line::Col(j, _, to) => (Line::Col(j, 0, to), 3 * j + 1),
-            Line::Hook(i, _, to) => (Line::Hook(i, 0, to), 3 * i + 2),
+    /// Where `line` starts in its whole row, column or hook, and the
+    /// range of `last` listing that whole line.
+    #[inline]
+    fn whole(&mut self, owners: &Owners, line: Line) -> (usize, Range<usize>) {
+        let (Line::Row(x, from, to) | Line::Col(x, from, to) | Line::Hook(x, from, to)) = line;
+        let (id, whole) = match line {
+            Line::Row(..) => (3 * x, Line::Row(x, 0, to)),
+            Line::Col(..) => (3 * x + 1, Line::Col(x, 0, to)),
+            Line::Hook(..) => (3 * x + 2, Line::Hook(x, 0, to)),
         };
-        if self.0.len() <= id {
-            self.0.resize_with(id + 1, || None);
+        match self.wholes.get(id) {
+            Some(Some((seen, range))) if *seen == whole => (from, range.clone()),
+            _ => (from, self.make(owners, whole, id)),
         }
-        let slot = &mut self.0[id];
-        if slot.as_ref().is_none_or(|w| w.line != line) {
-            let (mut blocks, mut last) = (Vec::new(), Vec::new());
-            for (at, (bi, bj)) in line.blocks().enumerate() {
-                let o = owners.at(bi, bj);
-                match last.iter_mut().find(|(seen, _)| *seen == o) {
-                    Some((_, prev)) => blocks.push((o, std::mem::replace(prev, at) + 1)),
-                    None => {
-                        blocks.push((o, 0));
-                        last.push((o, at));
+    }
+
+    /// Lists the owners of `whole` in slot `id`: its runs from the end,
+    /// one period of each.
+    #[cold]
+    fn make(&mut self, owners: &Owners, whole: Line, id: usize) -> Range<usize> {
+        let (walk, start) = (self.walk(owners.grid), self.last.len());
+        for &(run, shift) in whole.runs().iter().rev() {
+            let (blocks, period, owner) = owners.run(run);
+            for x in blocks.rev().take(period) {
+                let o = owner(x);
+                if self.first(walk, owners.grid, o) {
+                    self.last.push((o, x + shift));
+                }
+            }
+        }
+        if self.wholes.len() <= id {
+            self.wholes.resize(id + 1, None);
+        }
+        self.wholes[id] = Some((whole, start..self.last.len()));
+        start..self.last.len()
+    }
+
+    /// The first `owned` owners of `runs` in first-need order, each
+    /// once, without `skip`: one period of each run holds them all.
+    fn distinct(
+        &mut self,
+        owners: &Owners,
+        runs: &[(Line, usize)],
+        skip: (usize, usize),
+        mut owned: usize,
+    ) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let walk = self.walk(owners.grid);
+        self.out.clear();
+        for &(run, _) in runs {
+            let (blocks, period, owner) = owners.run(run);
+            for o in blocks.take(period).map(owner) {
+                if owned == 0 {
+                    break;
+                }
+                if self.first(walk, owners.grid, o) {
+                    owned -= 1;
+                    if o != skip {
+                        self.out.push(o);
                     }
                 }
             }
-            *slot = Some(Whole { line, blocks, last });
         }
-        slot.as_ref().expect("filled above")
+        self.out.iter().copied()
+    }
+
+    /// A new walk over the processors of a `p x q` grid.
+    fn walk(&mut self, (p, q): (usize, usize)) -> usize {
+        let (walks, seen) = &mut self.marks;
+        seen.resize(seen.len().max(p * q), 0);
+        *walks += 1;
+        *walks
+    }
+
+    /// Whether `walk` sees `(i, j)` for the first time.
+    fn first(&mut self, walk: usize, (_, q): (usize, usize), (i, j): (usize, usize)) -> bool {
+        std::mem::replace(&mut self.marks.1[i * q + j], walk) != walk
     }
 }
 
@@ -450,21 +501,21 @@ pub enum Source {
 }
 
 impl Source {
-    /// `kernel` on `shape` over `dist`: the owner of every block, read
-    /// from the distribution once.
+    /// `kernel` on `shape` over `dist`: one period of owners, read from
+    /// the distribution once. The period is clamped to the block
+    /// matrix, so a map with no shorter period is one tile.
     pub fn grid(kernel: Kernel, dist: &dyn BlockDist, shape: (usize, usize, usize)) -> Source {
         let (mb, nb, kb) = shape;
-        let cols = nb.max(kb);
-        let table = (0..mb.max(kb))
-            .flat_map(|bi| (0..cols).map(move |bj| dist.owner(bi, bj)))
-            .collect::<Vec<_>>()
-            .into();
-        let grid = dist.grid();
-        let owners = Owners { grid, cols, table };
+        let (rows, cols) = (mb.max(kb), nb.max(kb));
+        let (bp, bq) = dist.period();
+        let (bp, bq) = (bp.max(1).min(rows), bq.max(1).min(cols));
+        let tile = (0..bp)
+            .flat_map(|bi| (0..bq).map(move |bj| dist.owner(bi, bj)))
+            .collect::<Vec<_>>();
         Source::Grid {
             kernel,
             shape,
-            owners,
+            owners: Owners::new(dist.grid(), (bp, bq), (rows, cols), tile.into()),
         }
     }
 
@@ -506,28 +557,53 @@ impl Source {
 }
 
 /// The owner of every block of a `rows x cols` block matrix on a `p x q`
-/// grid, row-major: the generators index it instead of calling
-/// `dist.owner` per broadcast, and a plan's grid steps share it (a clone
-/// shares the table) to read their broadcasts' destinations.
+/// grid, held as one `bp x bq` tile of owners repeated over the matrix:
+/// block `(bi, bj)` has the owner of `(bi % bp, bj % bq)`, found through
+/// per-row and per-column offsets built once. The generators index it
+/// instead of calling `dist.owner` per broadcast, and a plan's grid
+/// steps share it (a clone shares the tables) to read their broadcasts'
+/// destinations.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Owners {
     grid: (usize, usize),
-    cols: usize,
-    table: Arc<[(usize, usize)]>,
+    period: (usize, usize),
+    /// The owners of blocks `(0..bp, 0..bq)`, row-major.
+    tile: Arc<[(usize, usize)]>,
+    /// Per block row `bi`: `(bi % bp) * bq`, where its tile row starts.
+    row_at: Arc<[usize]>,
+    /// Per block column `bj`: `bj % bq`.
+    col_at: Arc<[usize]>,
 }
 
-/// The grid and the block matrix's shape, not the table.
+/// The grid and the block matrix's shape, not the tile.
 impl std::fmt::Debug for Owners {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let rows = self.table.len() / self.cols.max(1);
-        write!(f, "Owners({:?}, {rows}x{})", self.grid, self.cols)
+        let (rows, cols) = (self.row_at.len(), self.col_at.len());
+        write!(f, "Owners({:?}, {rows}x{cols})", self.grid)
     }
 }
 
 impl Owners {
+    /// `tile`, the owners of a `bp x bq` period row-major, repeated over
+    /// a `rows x cols` block matrix on a `p x q` grid.
+    fn new(
+        grid: (usize, usize),
+        (bp, bq): (usize, usize),
+        (rows, cols): (usize, usize),
+        tile: Arc<[(usize, usize)]>,
+    ) -> Owners {
+        Owners {
+            grid,
+            period: (bp, bq),
+            tile,
+            row_at: (0..rows).map(|bi| bi % bp * bq).collect(),
+            col_at: (0..cols).map(|bj| bj % bq).collect(),
+        }
+    }
+
     /// Owner of block `(bi, bj)`.
     pub fn at(&self, bi: usize, bj: usize) -> (usize, usize) {
-        self.table[bi * self.cols + bj]
+        self.tile[self.row_at[bi] + self.col_at[bj]]
     }
 
     /// The destinations of one broadcast `b`, [`Dests::of`] on a fresh
@@ -547,27 +623,20 @@ impl Owners {
         rows.map(move |bi| ((bi, col), self.at(bi, col)))
     }
 
+    /// A run along a row (`Row`) or down a column (`Col`): its blocks'
+    /// indices along it, the period along it, and the owner at an index.
+    fn run(&self, run: Line) -> (Range<usize>, usize, impl Fn(usize) -> (usize, usize) + '_) {
+        let (Line::Row(x, from, to) | Line::Col(x, from, to) | Line::Hook(x, from, to)) = run;
+        let row = matches!(run, Line::Row(..));
+        let period = if row { self.period.1 } else { self.period.0 };
+        let owner = move |y| if row { self.at(x, y) } else { self.at(y, x) };
+        (from..to, period, owner)
+    }
+
     /// The broadcast of `block` by its owner along `line`.
     fn bcast(&self, block: (usize, usize), line: Line) -> Bcast {
         let src = self.at(block.0, block.1);
         Bcast { block, src, line }
-    }
-
-    /// Distinct owners of `blocks`, excluding `skip`, in first-need
-    /// order.
-    fn distinct(
-        &self,
-        blocks: impl Iterator<Item = (usize, usize)>,
-        skip: (usize, usize),
-    ) -> Vec<(usize, usize)> {
-        let mut dests = Vec::new();
-        for (bi, bj) in blocks {
-            let o = self.at(bi, bj);
-            if o != skip && !dests.contains(&o) {
-                dests.push(o);
-            }
-        }
-        dests
     }
 
     /// Blocks per processor over `blocks`, as a row-major `p x q` table.
@@ -681,13 +750,16 @@ fn factor_steps(owners: &Owners, nb: usize) -> Vec<Step> {
         },
         |counts| owners.rows(counts),
     );
+    let mut dests = Dests::default();
     (0..nb)
         .zip(trailing)
         .map(|(k, trailing)| {
             let diag = owners.at(k, k);
             let panel = owners.work(&owners.counts((k..nb).map(|bi| (bi, k))));
-            let column = (k + 1..nb).map(|bi| (bi, k));
-            let diag_dests = owners.distinct(column.chain((k + 1..nb).map(|bj| (k, bj))), diag);
+            let (column, row) = (Line::Col(k, k + 1, nb), Line::Row(k, k + 1, nb));
+            let diag_dests = dests
+                .distinct(owners, &[(column, 0), (row, 0)], diag, usize::MAX)
+                .collect();
             // Trailing phases are empty on the last step; the emitted
             // lines below are all empty ranges then, matching the
             // simulator's historical `k + 1 == nb` early-continue.
@@ -727,11 +799,15 @@ fn cholesky_steps(owners: &Owners, nb: usize) -> Vec<Step> {
         |m| (m..nb).map(move |bi| (bi, m)),
         |counts| owners.work(counts),
     );
+    let mut dests = Dests::default();
     (0..nb)
         .zip(trailing)
         .map(|(k, trailing)| {
             let diag = owners.at(k, k);
-            let diag_dests = owners.distinct((k + 1..nb).map(|bi| (bi, k)), diag);
+            let column = Line::Col(k, k + 1, nb);
+            let diag_dests = dests
+                .distinct(owners, &[(column, 0)], diag, usize::MAX)
+                .collect();
             let panel = owners.work(&owners.counts((k + 1..nb).map(|bi| (bi, k))));
             let panel_bcasts = (k + 1..nb)
                 .map(|i| owners.bcast((i, k), Line::Hook(i, k + 1, nb)))
@@ -758,11 +834,14 @@ pub fn qr_plan(dist: &dyn BlockDist, nb: usize) -> Plan {
 
 /// The steps of [`qr_plan`].
 fn qr_steps(owners: &Owners, nb: usize) -> Vec<Step> {
+    let mut dests = Dests::default();
     (0..nb)
         .map(|k| {
             let diag = owners.at(k, k);
-
-            let reflector_dests = owners.distinct((k + 1..nb).map(|bj| (k, bj)), diag);
+            let heads = Line::Row(k, k + 1, nb);
+            let reflector_dests = dests
+                .distinct(owners, &[(heads, 0)], diag, usize::MAX)
+                .collect();
             let columns = (k + 1..nb)
                 .map(|bj| QrColumn {
                     bj,
@@ -1354,7 +1433,9 @@ mod tests {
                     k,
                     diag,
                     panel,
-                    diag_col_dests: owners.distinct((k + 1..nb).map(|bi| (bi, k)), diag),
+                    diag_col_dests: Dests::default()
+                        .distinct(&owners, &[(Line::Col(k, k + 1, nb), 0)], diag, usize::MAX)
+                        .collect(),
                     l_bcasts: bcasts(&owners, l_bcasts),
                     trsm,
                     u_bcasts: bcasts(&owners, u_bcasts),

@@ -23,32 +23,40 @@
 //! generator's inputs, and [`decode`] re-runs the generator:
 //!
 //! ```text
-//! u8 version (= 5)
+//! u8 version (= 6)
 //! u8 source: 0 Mm, 1 Lu, 2 Cholesky, 3 Qr (Kernel::as_u8), 4 star
 //! mb, nb, kb                           block shape; mb = nb = kb but for MM
 //! a grid kernel:
 //!   p, q                               grid shape
-//!   mb.max(kb) * nb.max(kb) owners     row-major, each i, j
+//!   bp, bq                             the owner map's period, at most
+//!                                      mb.max(kb) x nb.max(kb), 0 only
+//!                                      on an empty side
+//!   bp * bq owners                     the tile, row-major, each i, j:
+//!                                      block (bi, bj) has the owner of
+//!                                      (bi % bp, bj % bq)
 //! a star:
 //!   workers, worker_mem
 //! ```
 //!
-//! Every number without a `u8` is a varint, so every kernel's plan at
-//! nb = 64 on a 4x4 grid is 8 199 bytes. `decode(encode(p)) == p` for
-//! every generated plan and `encode(decode(b)) == b` for every `b` that
-//! decodes, so a cached serve response is interchangeable with a fresh
-//! solve. Decoding is total: a shape the generator refuses, a plan past
-//! [`MAX_BUILT_LEN`] ([`built_len`], [`counts_len`]), an owner outside
-//! the grid and trailing bytes are each a typed [`DecodeError`], found
-//! before anything is built, so a few bytes cannot expand into a plan a
-//! server would refuse to build; any other version byte (version 4
-//! wrote every step) is [`DecodeErrorKind::UnsupportedVersion`], which
-//! a caller can tell from corruption.
+//! Every number without a `u8` is a varint. A panel distribution's
+//! period is its `B_p x B_q` panel, so a plan at nb = 64 on a 4x4 grid
+//! with 16 x 16 panels is 521 bytes; a map with no period shorter than
+//! the matrix is one tile, one owner per block. `decode(encode(p)) == p`
+//! for every generated plan and `encode(decode(b)) == b` for every `b`
+//! that decodes, so a cached serve response is interchangeable with a
+//! fresh solve. Decoding is total: a shape the generator refuses, a
+//! plan past [`MAX_BUILT_LEN`] ([`built_len`], [`counts_len`]), a
+//! period of zero or past the shape, an owner outside the grid and
+//! trailing bytes are each a typed [`DecodeError`], found before
+//! anything is built, so a few bytes cannot expand into a plan a server
+//! would refuse to build; any other version byte (version 5 sent one
+//! owner per block) is [`DecodeErrorKind::UnsupportedVersion`], which a
+//! caller can tell from corruption.
 
 use crate::{Kernel, Owners, Plan, Source};
 
 /// Codec version written by [`encode`] and required by [`decode`].
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 
 /// The source tag of a star plan; a grid kernel's is
 /// [`Kernel::as_u8`].
@@ -334,8 +342,8 @@ impl Field for String {
     }
 }
 
-/// The kernel or star, the shape, then a grid kernel's grid and owners
-/// or a star's workers and memory (see the module docs).
+/// The kernel or star, the shape, then a grid kernel's grid, period and
+/// tile or a star's workers and memory (see the module docs).
 impl Field for Source {
     const MIN_BYTES: usize = 6; // the tag, three shape varints and two more
     fn put(&self, out: &mut Vec<u8>) {
@@ -347,8 +355,8 @@ impl Field for Source {
             } => {
                 out.push(kernel.as_u8());
                 ((mb, nb), kb).put(out);
-                owners.grid.put(out);
-                for owner in owners.table.iter() {
+                (owners.grid, owners.period).put(out);
+                for owner in owners.tile.iter() {
                     owner.put(out);
                 }
             }
@@ -395,24 +403,27 @@ impl Field for Source {
             return Err(invalid(r, "grid shape"));
         }
         let (rows, cols) = (mb.max(kb), nb.max(kb));
-        let n = rows.saturating_mul(cols);
-        r.room(n, <(usize, usize)>::MIN_BYTES, "owner table")?;
-        let mut table = Vec::with_capacity(n);
+        let (bp, bq) = r.get("period")?;
+        // Clamped to the shape, so zero only on an empty side.
+        let fits = |b: usize, side: usize| b <= side && (b > 0 || side == 0);
+        if !fits(bp, rows) || !fits(bq, cols) {
+            return Err(invalid(r, "period"));
+        }
+        let n = bp.saturating_mul(bq);
+        r.room(n, <(usize, usize)>::MIN_BYTES, "owner tile")?;
+        let mut tile = Vec::with_capacity(n);
         for _ in 0..n {
             let (i, j) = r.get("owner")?;
             if i >= p || j >= q {
                 return Err(invalid(r, "owner outside the grid"));
             }
-            table.push((i, j));
+            tile.push((i, j));
         }
+        let owners = Owners::new((p, q), (bp, bq), (rows, cols), tile.into());
         Ok(Source::Grid {
             kernel,
             shape,
-            owners: Owners {
-                grid: (p, q),
-                cols,
-                table: table.into(),
-            },
+            owners,
         })
     }
 }
@@ -470,13 +481,6 @@ pub fn counts_len((p, q): (usize, usize), steps: usize) -> usize {
 fn star_len(workers: usize, (mb, nb, kb): (usize, usize, usize)) -> usize {
     let steps = mb as u128 * nb as u128 * (2 + 5 * kb as u128);
     usize::try_from(steps * 2 + workers as u128).unwrap_or(usize::MAX)
-}
-
-/// A lower bound on `encode(&kernel.plan(dist, nb)).len()` over every
-/// distribution on every grid, the same for every kernel: the version
-/// byte, the source's fewest bytes and two bytes an owner.
-pub fn min_plan_len(_: Kernel, nb: usize) -> usize {
-    1 + Source::MIN_BYTES + nb * nb * <(usize, usize)>::MIN_BYTES
 }
 
 /// Rebuilds a plan from [`encode`]'s byte form by re-running its
@@ -571,17 +575,11 @@ mod tests {
     }
 
     #[test]
-    fn min_plan_len_never_exceeds_the_encoding() {
+    fn built_len_counts_every_built_plan() {
         for dist in sweep_dists() {
-            let (p, q) = dist.grid();
             for kernel in Kernel::ALL {
                 for nb in 1..=24 {
                     let plan = kernel.plan(dist.as_ref(), nb);
-                    let len = encode(&plan).len();
-                    assert!(
-                        min_plan_len(kernel, nb) <= len,
-                        "{kernel:?} nb {nb} on {p}x{q}"
-                    );
                     let shape = (nb, nb, nb);
                     assert_eq!(
                         built_len(kernel, shape),
@@ -764,10 +762,10 @@ mod tests {
     #[test]
     fn a_source_the_generator_refuses_is_a_typed_error() {
         // The LU plan at nb = 2 on a 1 x 2 grid: version, tag, shape,
-        // grid, then four owners.
+        // grid, the 1 x 2 period, then its two owners.
         let lu = factor_plan(&BlockCyclic::new(1, 2), 2);
         let bytes = encode(&lu);
-        assert_eq!(bytes, [5, 1, 2, 2, 2, 1, 2, 0, 0, 0, 1, 0, 0, 0, 1]);
+        assert_eq!(bytes, [6, 1, 2, 2, 2, 1, 2, 1, 2, 0, 0, 0, 1]);
         let with = |at: usize, b: u8| {
             let mut evil = bytes.clone();
             evil[at] = b;
@@ -776,13 +774,18 @@ mod tests {
         assert_eq!(invalid_what(&with(1, 5)), "plan source");
         assert_eq!(invalid_what(&with(3, 3)), "block shape");
         assert_eq!(invalid_what(&with(5, 0)), "grid shape");
-        assert_eq!(invalid_what(&with(8, 2)), "owner outside the grid");
-        assert_eq!(invalid_what(&with(13, 1)), "owner outside the grid");
-        // A short owner table, and a byte past the end of the plan.
+        assert_eq!(invalid_what(&with(9, 1)), "owner outside the grid");
+        assert_eq!(invalid_what(&with(12, 2)), "owner outside the grid");
+        // A period of zero, and one past the 2 x 2 block matrix, on
+        // either side.
+        for (at, b) in [(7, 0), (8, 0), (7, 3), (8, 3)] {
+            assert_eq!(invalid_what(&with(at, b)), "period", "byte {at} = {b}");
+        }
+        // A short owner tile, and a byte past the end of the plan.
         let err = decode(&bytes[..bytes.len() - 2]).unwrap_err();
         assert_eq!(
             (err.kind, err.what),
-            (DecodeErrorKind::Truncated, "owner table")
+            (DecodeErrorKind::Truncated, "owner tile")
         );
         let mut long = bytes.clone();
         long.push(0);
@@ -863,13 +866,13 @@ mod tests {
 
     #[test]
     fn star_byte_layout_is_pinned() {
-        // Cross-version pin: this spells the v5 byte layout of a star
+        // Cross-version pin: this spells the v6 byte layout of a star
         // plan out longhand. If encode() changes, bump WIRE_VERSION —
         // old caches and remote peers hold these bytes.
         let plan = star_mm_plan(&star(1, 3), (1, 1, 1));
         #[rustfmt::skip]
         let want: Vec<u8> = vec![
-            5,       // version
+            6,       // version
             4,       // star
             1, 1, 1, // shape (mb, nb, kb)
             1, 3,    // one worker, three blocks of memory
@@ -899,10 +902,10 @@ mod tests {
     }
 
     #[test]
-    fn v3_and_v4_plans_are_an_unsupported_version() {
+    fn v3_v4_and_v5_plans_are_an_unsupported_version() {
         // The two-block QR plan on one processor as v3 wrote it, both
-        // steps in long form, and as v4 wrote it, the second as tag 7
-        // and k 1.
+        // steps in long form, as v4 wrote it, the second as tag 7 and
+        // k 1, and as v5 wrote it, one owner per block.
         #[rustfmt::skip]
         let v3 = [3, 1, 1, 0, 2,
             3, 0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0,
@@ -910,22 +913,23 @@ mod tests {
         let mut v4 = v3[..22].to_vec();
         v4[0] = 4;
         v4.extend([7, 1]);
-        for (version, bytes) in [(3, &v3[..]), (4, &v4[..])] {
+        let v5 = [5, 3, 2, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0];
+        for (version, bytes) in [(3, &v3[..]), (4, &v4[..]), (5, &v5[..])] {
             let err = decode(bytes).unwrap_err();
             assert_eq!(err.kind, DecodeErrorKind::UnsupportedVersion(version));
             assert_eq!(err.offset, 0);
         }
         let plan = qr_plan(&BlockCyclic::new(1, 1), 2);
-        assert_eq!(encode(&plan), [5, 3, 2, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(encode(&plan), [6, 3, 2, 2, 2, 1, 1, 1, 1, 0, 0]);
     }
 
     #[test]
     fn qr_plan_length_is_pinned() {
-        // The QR plan at nb = 64 on a 4 x 4 cyclic grid: seven bytes of
-        // header, then two bytes per owner (8 462 bytes at v4, which
-        // wrote the first step and two bytes per later one).
+        // The QR plan at nb = 64 on a 4 x 4 cyclic grid: nine bytes of
+        // header with the 4 x 4 period, then two bytes per owner of the
+        // tile (8 199 bytes at v5, which sent an owner per block).
         let plan = qr_plan(&BlockCyclic::new(4, 4), 64);
-        assert_eq!(encode(&plan).len(), 8_199);
+        assert_eq!(encode(&plan).len(), 41);
     }
 
     fn varint(bytes: &[u8]) -> Result<usize, DecodeError> {
@@ -983,20 +987,20 @@ mod tests {
 
     #[test]
     fn kernel_plan_bytes_are_pinned() {
-        // The v5 bytes of every plan in `all_plans`, grid kernels
+        // The v6 bytes of every plan in `all_plans`, grid kernels
         // included, as one digest each. If one moves, bump WIRE_VERSION.
         let got: Vec<u64> = all_plans().iter().map(|p| fnv(&encode(p))).collect();
         assert_eq!(
             got,
             [
-                0xfb26_2d2b_5877_3a60,
-                0x3fc6_a153_b407_62f4,
-                0x7c4d_a0dd_fd4f_be44,
-                0x5ca6_7902_683a_ea93,
-                0x21e8_f522_a8e6_12b3,
-                0xc51f_669b_e771_2811,
-                0xfa07_0c71_2d31_a31a,
-                0x7981_af94_0b53_3123,
+                0x25de_da0c_399f_cf29,
+                0x9d8a_b689_7257_cf87,
+                0xb449_a53c_f8c7_2bd7,
+                0x0787_b438_3dad_871c,
+                0x1ef0_0bff_3dbe_4d2a,
+                0xc3ce_852a_26b1_1ff8,
+                0xf496_3866_19c9_adbb,
+                0x3786_417e_41b8_b15e,
             ]
         );
     }
@@ -1004,7 +1008,8 @@ mod tests {
     #[test]
     fn non_qr_plan_bodies_are_pinned_across_versions() {
         // Everything after the version byte of every non-QR plan in
-        // `all_plans`, pinned at v5: a version bump that keeps the
+        // `all_plans`, pinned at v6: a version bump that keeps the
+
         // source's layout leaves these bytes where they are.
         let got: Vec<u64> = all_plans()
             .iter()
@@ -1014,13 +1019,13 @@ mod tests {
         assert_eq!(
             got,
             [
-                0x92de_3445_cf5f_cc01,
-                0x796c_2c48_506f_c609,
-                0x9b73_a2f9_2f5c_d8e1,
-                0x1814_cdae_39f4_4a66,
+                0xef96_1f2b_ba16_c68d,
+                0xf076_fdf4_c255_69e3,
+                0x7e00_ea5c_793e_233b,
+                0xe3b9_dbe0_26e9_6de0,
                 0x2f91_5ee0_b85b_fb2c,
                 0xfae1_f0c8_c0f9_283f,
-                0xfb51_fdc7_3bae_8c7a,
+                0x211e_6231_6e78_ad8a,
             ]
         );
     }

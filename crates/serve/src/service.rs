@@ -36,9 +36,10 @@
 //! [`MAX_BUILT_LEN`] bytes as [`built_len`] or [`counts_len`] count
 //! them is refused before anything is built, and a response that still
 //! turns out too large for a frame ([`MAX_FRAME`]) degrades to an
-//! uncached `BadRequest` naming its size and the cap. A `Plan` response
-//! carries the plan's source, the owner of every block: the server
-//! never builds its steps, the client's `wire::decode` does.
+//! uncached `BadRequest` naming its size and the cap (a `Simulate` on
+//! the widest grids; a `Plan` response never does). A `Plan` response
+//! carries the plan's source, one period of owners: the server never
+//! builds its steps, the client's `wire::decode` does.
 
 use crate::cache::PlanCache;
 use crate::fingerprint::{cache_key, fingerprint};
@@ -50,7 +51,7 @@ use crate::quota::{QuotaConfig, QuotaTable};
 use crate::wire::MAX_FRAME;
 use hetgrid_core::{heuristic, validate_times, Arrangement};
 use hetgrid_dist::{panel_period, PanelDist, PanelOrdering};
-use hetgrid_plan::wire::{built_len, counts_len, min_plan_len, MAX_BUILT_LEN};
+use hetgrid_plan::wire::{built_len, counts_len, MAX_BUILT_LEN};
 use hetgrid_plan::{Kernel, Source};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -366,8 +367,7 @@ fn validate_body(body: &RequestBody) -> Result<(), String> {
 /// Refuses a plan that a server does not build and a client does not
 /// decode: one whose steps, as [`built_len`] counts them, or whose
 /// count tables on the `p x q` grid ([`counts_len`]) pass
-/// [`MAX_BUILT_LEN`]. The text names the frame cap only when the
-/// encoding is provably past it too.
+/// [`MAX_BUILT_LEN`].
 fn refuse_unbuildable(kernel: Kernel, nb: usize, (p, q): (usize, usize)) -> Result<(), String> {
     let name = kernel.name();
     let counts = counts_len((p, q), nb);
@@ -377,19 +377,12 @@ fn refuse_unbuildable(kernel: Kernel, nb: usize, (p, q): (usize, usize)) -> Resu
         ));
     }
     let built = built_len(kernel, (nb, nb, nb));
-    if built <= MAX_BUILT_LEN {
-        return Ok(());
-    }
-    let least = min_plan_len(kernel, nb);
-    Err(if least > MAX_FRAME {
-        format!(
-            "a {name} plan at nb = {nb} takes at least {least} bytes, over the {MAX_FRAME}-byte frame cap"
-        )
-    } else {
-        format!(
+    if built > MAX_BUILT_LEN {
+        return Err(format!(
             "a {name} plan at nb = {nb} builds at least {built} bytes of steps, over the {MAX_BUILT_LEN}-byte bound on a built plan"
-        )
-    })
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -626,30 +619,26 @@ mod tests {
         }
     }
 
-    /// Cholesky at nb = 2590, the largest it builds, on a 1 x 300 grid
-    /// sends more than `min_plan_len` can prove: most owners sit in a
-    /// column past 127, whose varint takes two bytes. The source is
-    /// encoded, and the answer is a typed refusal, not a frame the
-    /// connection cannot write, and never cached.
+    /// A `Simulate` of LU at nb = 1 on the widest grid the protocol
+    /// takes, 1024 x 1024, answers two counts a processor: 16 777 230
+    /// bytes, more than a frame holds. The answer is a typed refusal,
+    /// not a frame the connection cannot write, and never cached.
     #[test]
     fn oversize_response_is_a_bad_request_and_not_cached() {
         let _g = obs_lock();
         let svc = Service::new(ServiceConfig::default());
-        let (kernel, nb) = (Kernel::Cholesky, 2590);
-        assert!(min_plan_len(kernel, nb) <= MAX_FRAME);
-        assert!(built_len(kernel, (nb, nb, nb)) <= MAX_BUILT_LEN);
-        let want = "response of 17145464 bytes exceeds the 16777216-byte frame cap";
-        let times = vec![1.0; 300];
+        let side = crate::proto::MAX_GRID_SIDE;
+        let want = "response of 16777230 bytes exceeds the 16777216-byte frame cap";
         let resp = svc.respond(&Request {
             tenant: String::new(),
-            body: RequestBody::Plan(PlanSpec {
+            body: RequestBody::Simulate(PlanSpec {
                 solve: SolveSpec {
-                    p: 1,
-                    q: 300,
-                    times,
+                    p: side,
+                    q: side,
+                    times: vec![1.0; side * side],
                 },
-                kernel,
-                nb,
+                kernel: Kernel::Lu,
+                nb: 1,
             }),
         });
         assert!(
@@ -660,10 +649,63 @@ mod tests {
         assert!(svc.cache.lock().unwrap().is_empty());
     }
 
-    /// At the largest nb the codec takes, every kernel's plan is
-    /// provably too large for a frame: `Plan` and `Simulate` are both
-    /// refused before anything is built (building them would take
-    /// minutes and gigabytes), and nothing is cached.
+    /// The most bytes a `Plan` response takes on a `p x q` grid at `nb`:
+    /// the solve result's cycle-times and shares, then a source whose
+    /// period is [`dist_for`]'s clamped to the matrix, every owner
+    /// written as the grid's last processor.
+    fn plan_response_bound((p, q): (usize, usize), nb: usize) -> usize {
+        let varint = |v: usize| {
+            let mut bytes = Vec::new();
+            hetgrid_plan::wire::Field::put(&v, &mut bytes);
+            bytes.len()
+        };
+        let (bp, bq) = (panel_period(nb, p).min(nb), panel_period(nb, q).min(nb));
+        let owner = varint(p - 1) + varint(q - 1);
+        let plan = 2 + 3 * varint(nb) + varint(p) + varint(q) + varint(bp) + varint(bq);
+        let plan = plan + bp * bq * owner;
+        let shares = varint(p * q) + 8 * p * q + varint(p) + 8 * p + varint(q) + 8 * q;
+        4 + 4 + shares + 8 + varint(plan) + plan
+    }
+
+    /// No `Plan` response passes the frame cap, so none is refused as
+    /// oversize: a source is one period of owners, at most four panel
+    /// lines per grid line, and a grid's count tables bound its `nb`.
+    /// Checked for every grid the protocol takes at the largest `nb`
+    /// its count tables allow, through a bound that holds over real
+    /// responses.
+    #[test]
+    fn no_plan_response_passes_the_frame_cap() {
+        let _g = obs_lock();
+        let svc = Service::new(ServiceConfig::default());
+        for (p, q, kernel, nb) in [(2, 2, Kernel::Lu, 6), (4, 4, Kernel::Mm, 64)] {
+            let times = (1..=p * q).map(|t| t as f64).collect();
+            let req = Request {
+                tenant: String::new(),
+                body: RequestBody::Plan(PlanSpec {
+                    solve: SolveSpec { p, q, times },
+                    kernel,
+                    nb,
+                }),
+            };
+            let len = svc.handle(&encode_request(&req)).len();
+            assert!(len <= plan_response_bound((p, q), nb), "{p}x{q}: {len}");
+        }
+        let side = crate::proto::MAX_GRID_SIDE;
+        let mut worst = 0;
+        for p in 1..=side {
+            for q in 1..=side {
+                let nb = (MAX_BUILT_LEN / (p * q)).min(crate::proto::MAX_NB);
+                assert!(counts_len((p, q), nb) <= MAX_BUILT_LEN);
+                worst = worst.max(plan_response_bound((p, q), nb));
+            }
+        }
+        assert!(worst <= MAX_FRAME, "a plan response of {worst} bytes");
+    }
+
+    /// At the largest nb the codec takes, every kernel's plan builds
+    /// past the built-plan bound: `Plan` and `Simulate` are both refused
+    /// before anything is built (building them would take minutes and
+    /// gigabytes), and nothing is cached.
     #[test]
     fn unsendable_plans_are_refused_before_planning() {
         let _g = obs_lock();
@@ -681,7 +723,7 @@ mod tests {
                 let t0 = Instant::now();
                 let resp = svc.respond(&req);
                 assert!(
-                    matches!(&resp, Response::BadRequest(msg) if msg.contains("frame cap")),
+                    matches!(&resp, Response::BadRequest(msg) if msg.contains("bound on a built plan")),
                     "{kernel:?}: got a {} response",
                     resp.status()
                 );
@@ -718,8 +760,8 @@ mod tests {
         }
     }
 
-    /// QR at nb = 293 is the first QR plan refused before planning, yet
-    /// its encoding would fit a frame: the refusal says what it bounds.
+    /// QR at nb = 293 is the first QR plan refused before planning: the
+    /// refusal says what it bounds.
     #[test]
     fn a_qr_refusal_names_the_built_plan_bound_not_the_frame_cap() {
         let RequestBody::Plan(spec) = paper_plan(Kernel::Qr, 293).body else {
@@ -731,7 +773,6 @@ mod tests {
             "a qr plan at nb = 293 builds at least 16941260 bytes of steps, over the \
              16777216-byte bound on a built plan"
         );
-        assert!(min_plan_len(Kernel::Qr, 293) <= MAX_FRAME);
     }
 
     /// A grid whose count tables, one count per processor a step, pass

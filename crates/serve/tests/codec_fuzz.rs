@@ -6,8 +6,9 @@
 //! Inputs are single-byte mutations of valid encodings, random byte
 //! strings, random bytes behind a valid header (so the noise reaches
 //! the bodies, not just the magic check), and grid plans whose owner
-//! tables are redrawn at random inside the grid (so the noise reaches
-//! the generators `wire::decode` re-runs). The properties:
+//! tiles are redrawn at random inside the grid, with their periods kept
+//! or redrawn inside the block matrix (so the noise reaches the
+//! generators `wire::decode` re-runs). The properties:
 //!
 //! * no decoder panics, whatever the bytes;
 //! * whatever a decoder accepts re-encodes to bytes that decode and
@@ -48,9 +49,9 @@ fn snapshot() -> MetricsSnapshot {
     snap
 }
 
-/// Bytes of a v5 grid plan at nb = 3 on a 2 x 2 grid before its owner
-/// table: version, kernel, the shape and the grid.
-const PLAN_HEADER: usize = 7;
+/// Bytes of a v6 grid plan at nb = 3 on a 2 x 2 grid before its owner
+/// tile: version, kernel, the shape, the grid and the 2 x 2 period.
+const PLAN_HEADER: usize = 9;
 
 /// The plans at the head of the corpus: one per kernel and a star.
 const PLANS: usize = Kernel::ALL.len() + 1;
@@ -161,7 +162,7 @@ fn corpus_decodes() {
     for plan in &corpus()[..PLANS - 1] {
         assert_eq!(
             plan[..PLAN_HEADER],
-            [wire::WIRE_VERSION, plan[1], 3, 3, 3, 2, 2]
+            [wire::WIRE_VERSION, plan[1], 3, 3, 3, 2, 2, 2, 2]
         );
     }
     let decoders: [fn(&[u8]) -> bool; 4] = [
@@ -189,7 +190,7 @@ proptest! {
 
     #[test]
     fn decoders_are_total_and_reencode_to_a_fixed_point(
-        mode in 0u8..4,
+        mode in 0u8..5,
         which in 0usize..usize::MAX,
         at in 0usize..usize::MAX,
         byte in 0u8..=255,
@@ -205,9 +206,9 @@ proptest! {
             }
             1 => noise,
             2 => [&base[..base.len().min(4)], &noise[..]].concat(),
-            _ => {
+            3 => {
                 // Every owner coordinate below 2, so inside the grid:
-                // a grid plan decodes, whatever the table says.
+                // a grid plan decodes, whatever the tile says.
                 let mut b = corpus()[which % PLANS].clone();
                 for (x, n) in b.iter_mut().skip(PLAN_HEADER).zip(&noise) {
                     *x = n % 2;
@@ -215,6 +216,17 @@ proptest! {
                 prop_assert!(wire::decode(&b).is_ok(), "{b:?}");
                 b
             }
+            _ => {
+                // A period of 1 to 3 blocks a side, inside the 3 x 3
+                // block matrix, and a tile of owners inside the grid.
+                let mut b = corpus()[which % Kernel::ALL.len()][..PLAN_HEADER - 2].to_vec();
+                let (bp, bq) = (1 + at % 3, 1 + usize::from(byte) % 3);
+                b.extend([bp as u8, bq as u8]);
+                b.extend((0..2 * bp * bq).map(|t| noise.get(t).map_or(0, |n| n % 2)));
+                prop_assert!(wire::decode(&b).is_ok(), "{b:?}");
+                b
+            }
+
         };
         check(&input);
     }

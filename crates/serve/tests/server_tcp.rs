@@ -376,9 +376,9 @@ fn a_request_split_by_pauses_longer_than_the_poll_interval_is_served() {
 #[test]
 fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
     let handle = spawn("127.0.0.1:0", ServiceConfig::default()).expect("bind");
-    // Cholesky at nb = 2400 on a 1 x 300 grid sends 5.76 million
-    // owners, most of them two varint bytes past column 127: about
-    // 15 MB, more than the loopback socket buffers hold.
+    // Cholesky at nb = 2400 on a 1 x 300 grid sends its 4 x 1200 panel
+    // of owners, most of them two varint bytes past column 127: about
+    // 17 KB, pipelined far past what the loopback socket buffers hold.
     let request = Request {
         tenant: "stalled".into(),
         body: RequestBody::Plan(PlanSpec {
@@ -391,31 +391,50 @@ fn a_client_that_stops_reading_cannot_hold_up_shutdown() {
             nb: 2400,
         }),
     };
-    let mut burst = Vec::new();
-    for _ in 0..16 {
-        write_frame(&mut burst, &encode_request(&request)).unwrap();
-    }
+    const COPIES: usize = 4096;
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &encode_request(&request)).unwrap();
     let mut stream = TcpStream::connect(handle.addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    stream.write_all(&burst).expect("write");
-    // Read the first length prefix, so the server is writing, and then
-    // nothing more: 16 responses of ~15 MB park it in a write.
-    let mut prefix = [0u8; 4];
-    std::io::Read::read_exact(&mut stream, &mut prefix).expect("first frame header");
+    // The requests go out from their own thread: once the server stops
+    // reading them, that write parks too, until the server hangs up.
+    let mut writer = stream.try_clone().expect("clone");
+    let writer = std::thread::spawn(move || {
+        for _ in 0..COPIES {
+            if writer.write_all(&frame).is_err() {
+                break;
+            }
+        }
+    });
+    // Read the first response, so the server is writing, and then
+    // nothing more: the responses to come park it in a write.
+    let first = read_frame(&mut stream).expect("first response");
     assert!(
-        u32::from_be_bytes(prefix) > 12 << 20,
-        "a plan of more than 12 MiB"
+        first.len() * (COPIES - 1) > 48 << 20,
+        "responses of {} bytes do not fill the socket buffers",
+        first.len()
     );
+    // Time to fill the buffers: from here the server sits in a write.
+    // Nothing in the server can signal that, so the assertion after
+    // the shutdown checks it: a server between requests stops at once.
+    std::thread::sleep(POLL_INTERVAL * 2);
 
     let budget = POLL_INTERVAL * STALL_LIMIT;
     let (done, shut) = std::sync::mpsc::channel();
+    let t0 = std::time::Instant::now();
     std::thread::spawn(move || {
         handle.shutdown();
         let _ = done.send(());
     });
     shut.recv_timeout(budget + Duration::from_secs(10))
         .expect("shutdown must return within the write stall budget plus a margin");
+    assert!(
+        t0.elapsed() > POLL_INTERVAL,
+        "shutdown found the server between requests, not parked in a write"
+    );
     drop(stream);
+    // The server hung up, so the parked request writes fail.
+    writer.join().expect("the request writer");
 }
